@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 invalid input, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -109,6 +110,28 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser every parse_args call shares, built on first use."""
+    return build_parser()
+
+
+def _attach_matrix_values(argv) -> list[str]:
+    """Rewrite ``--matrix -5,...`` as ``--matrix=-5,...``.
+
+    argparse reads a separate value that starts with a minus sign as an
+    option, so a matrix with a negative leading entry must be attached to
+    its flag to reach the matrix parser.
+    """
+    args: list[str] = []
+    for arg in argv:
+        if args and args[-1] == "--matrix" and arg.startswith("-") and arg[1:2].isdigit():
+            args[-1] = f"--matrix={arg}"
+        else:
+            args.append(arg)
+    return args
+
+
 def _parse_matrix(text: str) -> sl2z.Sl2Matrix:
     parts = text.split(",")
     if len(parts) != 4:
@@ -131,7 +154,7 @@ def _parse_family(ns) -> Family | None:
 
 
 def parse_args(argv) -> CliRequest:
-    ns = build_parser().parse_args(argv)
+    ns = _parser().parse_args(_attach_matrix_values(argv))
     command = "invariants" if ns.command == "inv" else ns.command
     fmt = "text"
     if getattr(ns, "dot", False) and getattr(ns, "json", False):

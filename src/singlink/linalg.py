@@ -6,9 +6,9 @@ tuples of tuples, rows first.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -87,23 +87,33 @@ class SnfResult:
 
 
 def _select_pivot(a, t, rows, cols):
-    best = None
-    for i in range(t, rows):
-        for j in range(t, cols):
-            x = abs(a[i][j])
-            if x and (best is None or x < best[0]):
-                best = (x, i, j)
-                if x == 1:
-                    return best[1], best[2]
-    return None if best is None else (best[1], best[2])
+    """Pivot of stage t: the smallest nonzero absolute value in the block
+    from (t, t), ties broken by the Markowitz count (other nonzeros in its
+    row times other nonzeros in its column), then by lowest row and column.
+
+    Eliminating along sparse lines keeps the entries small: ties broken by
+    index alone grew the entries to hundreds of thousands of bits on 45 x 44
+    open-book presentations whose invariant factors have fewer than 30.
+    """
+    nonzero = [(i, j, abs(x)) for i in range(t, rows) for j, x in enumerate(a[i][t:], t) if x]
+    if not nonzero:
+        return None
+    least = min(x for _, _, x in nonzero)
+    row_count = Counter(i for i, _, _ in nonzero)
+    col_count = Counter(j for _, j, _ in nonzero)
+    _, i, j = min(
+        ((row_count[i] - 1) * (col_count[j] - 1), i, j) for i, j, x in nonzero if x == least
+    )
+    return i, j
 
 
 def smith_normal_form(matrix) -> SnfResult:
     """Smith normal form with transforms, deterministic pivoting.
 
     The pivot at each stage is the smallest nonzero absolute value in the
-    remaining block, ties broken by lowest row then column index, so the
-    output is reproducible.
+    remaining block, ties broken by the sparsest row and column and then by
+    lowest row and column index (see _select_pivot), so the output is
+    reproducible.
 
     >>> smith_normal_form(((2, 0), (0, 3))).diagonal_entries()
     (1, 6)
@@ -359,16 +369,3 @@ def dot(u, v):
         raise ValueError("vector lengths differ")
     return sum(a * b for a, b in zip(u, v))
 
-
-def gcd_all(values) -> int:
-    g = 0
-    for x in values:
-        g = gcd(g, x)
-    return g
-
-
-def lcm_all(values) -> int:
-    out = 1
-    for x in values:
-        out = lcm(out, x)
-    return out

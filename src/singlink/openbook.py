@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .families import Cusp, Elliptic, Family, InvalidParameter
-from .linalg import AbelianGroup, IntMatrix, cokernel, identity_matrix, matmul
+from .linalg import AbelianGroup, IntMatrix, cokernel
 from .sl2z import CycleWord
 
 __all__ = [
@@ -256,27 +256,50 @@ def curve_homology_classes(ob: OpenBookDescription) -> PageHomologyData:
     )
 
 
-def _transvection(form: IntMatrix, cls: tuple[int, ...]) -> IntMatrix:
-    rank = len(cls)
-    jc = tuple(sum(form[i][j] * cls[j] for j in range(rank)) for i in range(rank))
-    # x -> x + <x, c> c, i.e. column j picks up (J c)_j copies of c
-    return tuple(
-        tuple((1 if i == j else 0) + cls[i] * jc[j] for j in range(rank))
-        for i in range(rank)
-    )
+def _twisted_columns(data: PageHomologyData, twist_word) -> dict[int, list[int]]:
+    """Columns of the monodromy action that can differ from the identity.
+
+    A right-handed twist along c acts as x -> x + <x, c> c, so composing it
+    onto phi is the rank-1 update phi <- phi + (phi c)(Jc)^T with J the
+    intersection form: only the columns j with (Jc)_j != 0 change, and a
+    class in the radical (Jc = 0) twists as the identity and is skipped.
+    Those columns lie in the support of J, so phi is kept as the identity
+    plus its columns over that support, keyed by index.
+    """
+    form = data.intersection_form
+    support = [j for j, row in enumerate(form) if any(row)]
+    cols = {j: [1 if i == j else 0 for i in range(data.rank)] for j in support}
+    for curve in twist_word:
+        c = data.curve_classes[curve].coefficients
+        jc = {j: v for j in support if (v := sum(f * x for f, x in zip(form[j], c)))}
+        if not jc:
+            continue
+        phi_c = list(c)  # every column off the support is still a unit vector
+        for k, col in cols.items():
+            if c[k]:
+                phi_c = [p + c[k] * x for p, x in zip(phi_c, col)]
+                phi_c[k] -= c[k]
+        for j, v in jc.items():
+            cols[j] = [x + v * y for x, y in zip(cols[j], phi_c)]
+    return cols
 
 
 def homological_monodromy_action(ob: OpenBookDescription) -> IntMatrix:
-    """Ordered product of transvections over the twist word (columns = images).
+    """Ordered product of the twists over the twist word (columns = images).
 
-    Twists along boundary-parallel classes act as the identity, so the
-    elliptic open book always returns the identity matrix.
+    Built by rank-1 updates (see _twisted_columns): twists along classes in
+    the radical of the page form, such as every boundary-parallel gamma,
+    are skipped as the identity, and each remaining twist touches only the
+    columns where its Jc is nonzero.  The elliptic open book therefore
+    always returns the identity matrix.
     """
     data = curve_homology_classes(ob)
-    phi = identity_matrix(data.rank)
-    for curve in ob.twist_word:
-        phi = matmul(phi, _transvection(data.intersection_form, data.curve_classes[curve].coefficients))
-    return phi
+    cols = _twisted_columns(data, ob.twist_word)
+    rank = data.rank
+    return tuple(
+        tuple(cols[j][i] if j in cols else int(i == j) for j in range(rank))
+        for i in range(rank)
+    )
 
 
 def _section_corrections(ob: OpenBookDescription, data: PageHomologyData):
@@ -320,14 +343,18 @@ def openbook_homology(ob: OpenBookDescription) -> AbelianGroup:
     Presented on the page basis plus the section class t of the mapping
     torus, with relations (phi - 1)x for every basis vector x and one
     meridian relation per boundary: t = 0 at the base boundary and
-    t + correction(L) = 0 elsewhere (see _section_corrections).
+    t + correction(L) = 0 elsewhere (see _section_corrections).  The page
+    data is built once, phi comes from the rank-1 twist updates of
+    _twisted_columns, and the (phi - 1)e_j relations that are zero (every
+    column phi leaves fixed) are dropped before the Smith normal form.
     """
     data = curve_homology_classes(ob)
-    phi = homological_monodromy_action(ob)
-    rank = data.rank
     relations = []
-    for j in range(rank):
-        relations.append(tuple(phi[i][j] - (1 if i == j else 0) for i in range(rank)) + (0,))
+    for j, col in _twisted_columns(data, ob.twist_word).items():
+        col[j] -= 1
+        if any(col):
+            relations.append(tuple(col) + (0,))
+    rank = data.rank
     relations.append((0,) * rank + (1,))
     corrections = _section_corrections(ob, data)
     for label in ob.boundary_labels[1:]:

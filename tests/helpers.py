@@ -1,9 +1,10 @@
 """Shared suites and independent oracles for the tests.
 
 The oracles here deliberately avoid the library's own code paths: matrix
-products are written out naively and determinants use cofactor expansion,
-so homology orders and monodromy values are checked against genuinely
-independent computations.
+products (the cycle-word product and the open-book monodromy as one dense
+transvection per twist) are written out naively and determinants use
+cofactor expansion, so homology orders and monodromy values are checked
+against genuinely independent computations.
 """
 import itertools
 
@@ -24,6 +25,21 @@ def cycle_product_oracle(entries):
     for n in entries:
         out = mat2_mul(out, [[n, -1], [1, 0]])
     return out
+
+
+def transvection_product_oracle(form, classes):
+    """Dense product of one transvection x -> x + <x, c> c per class, in order.
+
+    ``form`` is the page intersection form and ``classes`` the twist-curve
+    classes in word order; columns of the result are images.
+    """
+    r = len(form)
+    out = [[int(i == j) for j in range(r)] for i in range(r)]
+    for c in classes:
+        jc = [sum(form[i][j] * c[j] for j in range(r)) for i in range(r)]
+        t = [[int(i == j) + c[i] * jc[j] for j in range(r)] for i in range(r)]
+        out = [[sum(out[i][k] * t[k][j] for k in range(r)) for j in range(r)] for i in range(r)]
+    return tuple(tuple(row) for row in out)
 
 
 def det_cofactor(m):

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import singlink
 from singlink.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -58,6 +61,28 @@ def test_parse_requires_exactly_one_family():
         parse_args(["graph"])
     with pytest.raises(ValueError, match="needs"):
         parse_args(["verify"])
+
+
+def test_parse_same_argv_twice_gives_equal_requests():
+    args = ["invariants", "--cusp", "2,3,4", "--sign", "min", "--json"]
+    assert parse_args(args) == parse_args(args)
+
+
+def test_bad_argv_exits_1_after_a_good_parse():
+    parse_args(["classify", "--matrix", "5,-2,3,-1"])
+    assert main(["classify", "--matrix"]) == EXIT_INVALID
+    assert main(["classify", "--matrix", "5,-2,3,-1", "--bogus"]) == EXIT_INVALID
+
+
+@pytest.mark.parametrize("command", ["classify", "factor"])
+def test_negative_leading_matrix_entry(command):
+    spaced = parse_args([command, "--matrix", "-5,2,-3,1"])
+    attached = parse_args([command, "--matrix=-5,2,-3,1"])
+    assert spaced == attached
+    assert spaced.matrix.rows() == ((-5, 2), (-3, 1))
+    out = run_cli([command, "--matrix", "-1,1,-5,4", "--json"])
+    assert out == run_cli([command, "--matrix=-1,1,-5,4", "--json"])
+    assert out[0] == EXIT_OK
 
 
 def test_unknown_subcommand_exits_1():
@@ -228,8 +253,12 @@ def test_run_is_deterministic_in_process():
 
 def test_cli_subprocess_deterministic():
     cmd = [sys.executable, "-m", "singlink", "enumerate", "--cusp", "2,2,3", "--json"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    # the child imports the package from wherever this process found it
+    src = str(Path(singlink.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["count"] == 2

@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from singlink.families import Cusp, Elliptic, InvalidParameter
 from singlink.linalg import AbelianGroup, cokernel, identity_matrix, matmul
@@ -19,7 +21,7 @@ from singlink.openbook import (
 from singlink.plumbing import boundary_homology, cusp_graph, elliptic_graph
 from singlink.sl2z import CycleWord, cycle_monodromy
 
-from helpers import cusp_words
+from helpers import cusp_words, cycle_product_oracle, transvection_product_oracle
 
 
 def test_elliptic_openbook_page_data():
@@ -151,6 +153,44 @@ def test_delta_twists_count_on_longitude():
     for word in cusp_words(3, 5):
         phi = homological_monodromy_action(cusp_openbook(word))
         assert phi[1][0] == len(word)
+
+
+def oracle_cusp_words():
+    """The suite words plus ladders reaching b = 20 boundary components."""
+    yield from cusp_words(4, 5)
+    for m in (5, 10, 15, 20):
+        yield CycleWord((m + 2,))
+        yield CycleWord((3,) * m)
+        yield CycleWord((2, 2, 2, 3) * m)
+    for m in (2, 3):
+        yield CycleWord((2, 3, 4, 5) * m)
+
+
+def test_monodromy_action_matches_dense_transvection_product():
+    books = [elliptic_openbook(n) for n in range(1, 21)]
+    books += [cusp_openbook(word) for word in oracle_cusp_words()]
+    for ob in books:
+        data = curve_homology_classes(ob)
+        classes = [data.curve_classes[c].coefficients for c in ob.twist_word]
+        oracle = transvection_product_oracle(data.intersection_form, classes)
+        assert homological_monodromy_action(ob) == oracle
+
+
+cycle_words = st.lists(st.integers(min_value=2, max_value=12), min_size=1, max_size=8).filter(
+    lambda entries: max(entries) >= 3
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cycle_words)
+@example([3, 11, 12, 2, 6, 8, 11, 6])  # SNF entries once grew past 300,000 bits here
+def test_openbook_homology_matches_plumbing_and_monodromy(entries):
+    word = CycleWord(tuple(entries))
+    a = cycle_product_oracle(entries)
+    monodromy = cokernel(((a[0][0] - 1, a[0][1]), (a[1][0], a[1][1] - 1)), extra_free_rank=1)
+    homology = openbook_homology(cusp_openbook(word))
+    assert homology == boundary_homology(cusp_graph(word)) == monodromy
+    assert homology.torsion_order == a[0][0] + a[1][1] - 2
 
 
 def test_openbook_homology_fixed():
