@@ -11,23 +11,17 @@ The package computes, in exact integer and rational arithmetic:
 
 from .families import Cusp, Elliptic, Family, InvalidParameter
 from .invariants import (
-    AbelianGroup,
     CohomologyClassRep,
     DimensionMismatch,
     HomologyAgreement,
     NonTorsionChernClass,
-    SnfResult,
     UnsupportedPresentation,
     adjunction_defect,
     c1_evaluations,
     d3_invariant,
-    elliptic_monodromy,
     euler_class,
-    family_presentation,
     homology_cross_check,
     is_canonical,
-    monodromy_matrix,
-    smith_normal_form,
 )
 from .legendrian import (
     ChainUnknot,
@@ -45,6 +39,7 @@ from .legendrian import (
     tb_max,
     to_contact_surgery,
 )
+from .linalg import AbelianGroup, SnfResult, smith_normal_form
 from .openbook import (
     DeltaCurve,
     GammaCurve,
@@ -78,5 +73,6 @@ from .sl2z import (
     cyclic_equal,
     factor_cycle,
 )
+from .verify import suite_families, verify_family
 
 __version__ = "0.1.0"

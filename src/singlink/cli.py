@@ -12,26 +12,21 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import invariants, legendrian, openbook, plumbing, sl2z
-from .families import Cusp, Elliptic, Family, InvalidParameter, family_label, family_to_json
-from .linalg import determinant, dot, integer_kernel_basis
+from . import invariants, legendrian, plumbing, sl2z
+from .families import Cusp, Elliptic, Family, InvalidParameter
+from .verify import suite_families, verify_family
 
-__all__ = ["CliRequest", "parse_args", "run", "emit", "main", "verify_family", "suite_families"]
+__all__ = ["CliRequest", "parse_args", "run", "emit", "main"]
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_UNSUPPORTED = 3
-
-SUITE_MAX_K = 4
-SUITE_MAX_ENTRY = 5
-SUITE_MAX_ELLIPTIC = 10
 
 
 @dataclass(frozen=True)
@@ -202,12 +197,6 @@ def _fraction_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
-def _family_objects(family: Family):
-    if isinstance(family, Elliptic):
-        return plumbing.elliptic_graph(family.n), openbook.elliptic_openbook(family.n)
-    return plumbing.cusp_graph(family.word), openbook.cusp_openbook(family.word)
-
-
 def _run_classify(request: CliRequest):
     cls = sl2z.classify(request.matrix)
     if request.fmt == "json":
@@ -233,21 +222,14 @@ def _run_factor(request: CliRequest):
 
 
 def _run_graph(request: CliRequest):
-    graph, _ = _family_objects(request.family)
+    graph = request.family.graph()
     if request.fmt == "json":
         return EXIT_OK, graph.to_json_dict()
-    if request.fmt == "dot":
-        return EXIT_OK, graph.to_dot()
-    lines = [f"{family_label(request.family)}:"]
-    for i, v in enumerate(graph.vertices):
-        lines.append(f"  v{i}: weight {v.weight}, genus {v.genus}")
-    for i, j in graph.edges:
-        lines.append(f"  edge v{i} -- v{j}")
-    return EXIT_OK, "\n".join(lines)
+    return EXIT_OK, graph.to_dot()  # parse_args gives graph no text format
 
 
 def _run_openbook(request: CliRequest):
-    _, book = _family_objects(request.family)
+    book = request.family.openbook()
     if request.fmt == "json":
         return EXIT_OK, book.to_json_dict()
     plural = "component" if book.boundary_count == 1 else "components"
@@ -268,7 +250,7 @@ def _run_enumerate(request: CliRequest):
     fillings = legendrian.enumerate_stein_fillings(request.family)
     if request.fmt == "json":
         return EXIT_OK, {
-            "family": family_to_json(request.family),
+            "family": request.family.to_json_dict(),
             "count": len(fillings),
             "fillings": [
                 {
@@ -320,29 +302,22 @@ def _run_invariants(request: CliRequest):
     signs = (request.sign,) if request.sign else ("min", "max")
     if request.euler and request.d3:
         raise ValueError("choose at most one of --euler and --d3")
-    if request.euler:
+    if request.euler or request.d3:
+        payload_of = _euler_payload if request.euler else _d3_payload
         payload = (
-            _euler_payload(family, request.sign)
+            payload_of(family, request.sign)
             if request.sign
-            else {s: _euler_payload(family, s) for s in ("min", "max")}
-        )
-        if request.fmt == "json":
-            return EXIT_OK, payload
-        return EXIT_OK, json.dumps(payload, sort_keys=True)
-    if request.d3:
-        payload = (
-            _d3_payload(family, request.sign)
-            if request.sign
-            else {s: _d3_payload(family, s) for s in ("min", "max")}
+            else {s: payload_of(family, s) for s in signs}
         )
         if request.fmt == "json":
             return EXIT_OK, payload
         return EXIT_OK, json.dumps(payload, sort_keys=True)
     report = invariants.homology_cross_check(family)
     euler = {s: _euler_payload(family, s) for s in signs}
-    d3: dict | None = None
-    if isinstance(family, Elliptic):
-        d3 = {s: _d3_payload(family, s) for s in signs}
+    try:
+        d3: dict | None = {s: _d3_payload(family, s) for s in signs}
+    except invariants.UnsupportedPresentation:
+        d3 = None
     if request.fmt == "json":
         return EXIT_OK, {"homology": report.to_json_dict(), "euler": euler, "d3": d3}
     lines = [
@@ -363,125 +338,27 @@ def _run_invariants(request: CliRequest):
     return EXIT_OK, "\n".join(lines)
 
 
-def verify_family(family: Family) -> list[tuple[str, bool]]:
-    """The per-family invariant suite; returns (check name, passed) pairs."""
-    checks: list[tuple[str, bool]] = []
-    graph, book = _family_objects(family)
-    a = invariants.monodromy_matrix(family)
-
-    if isinstance(family, Elliptic):
-        checks.append(("monodromy is parabolic of trace 2", a.trace == 2))
-        expected_count = family.n + 1
-        expected_boundaries = family.n
-        expected_word_len = family.n
-    else:
-        word = family.word
-        checks.append(("monodromy is hyperbolic of trace >= 3", a.trace >= 3))
-        checks.append(
-            (
-                "factorization roundtrip",
-                sl2z.cyclic_equal(sl2z.factor_cycle(a), word),
-            )
-        )
-        q = plumbing.intersection_matrix(graph)
-        checks.append(("det identity |det Q| = trace - 2", abs(determinant(q)) == a.trace - 2))
-        expected_count = 1
-        for n in word:
-            expected_count *= n - 1
-        expected_boundaries = sum(n - 2 for n in word)
-        expected_word_len = len(word) + expected_boundaries
-
-    checks.append(
-        (
-            "open book page data",
-            book.page_genus == 1
-            and book.boundary_count == expected_boundaries
-            and len(book.twist_word) == expected_word_len,
-        )
-    )
-
-    report = invariants.homology_cross_check(family)
-    checks.append(("triple homology agreement", report.all_equal))
-
-    fillings = legendrian.enumerate_stein_fillings(family)
-    checks.append(("stein filling count", len(fillings) == expected_count))
-
-    vectors = [d.rot_vector for d in fillings]
-    checks.append(("c1 evaluations pairwise distinct", len(set(vectors)) == len(vectors)))
-
-    minimal = legendrian.canonical_filling(family, "min")
-    maximal = legendrian.canonical_filling(family, "max")
-    checks.append(
-        (
-            "canonical rot vectors are negatives",
-            tuple(-r for r in minimal.rot_vector) == maximal.rot_vector,
-        )
-    )
-    zero_defect = [
-        d for d in fillings if all(invariants.adjunction_defect(h) == 0 for h in d.handles)
-    ]
-    canonical_set = [d for d in fillings if invariants.is_canonical(d)]
-    expected_canonical = 1 if minimal.rot_vector == maximal.rot_vector else 2
-    checks.append(
-        (
-            "adjunction uniqueness",
-            zero_defect == [minimal] and len(canonical_set) == expected_canonical,
-        )
-    )
-
-    euler_ok = True
-    for sign, diagram in (("min", minimal), ("max", maximal)):
-        rep = invariants.euler_class(family, diagram.rot_vector)
-        euler_ok = euler_ok and rep.is_zero and rep.witness is not None
-    checks.append(("euler class of the canonical structure vanishes", euler_ok))
-
-    if isinstance(family, Elliptic):
-        surgery = legendrian.to_contact_surgery(minimal)
-        value = invariants.d3_invariant(surgery)
-        q = surgery.presentation_matrix
-        rot = surgery.rot_vector
-        base = invariants.solve_rational(q, rot)
-        independent = all(
-            dot(k, rot) == 0 for k in integer_kernel_basis(q)
-        )
-        checks.append(("d3 solution-choice independence", base is not None and independent))
-        checks.append(("d3 computed for both signs", isinstance(value, Fraction)))
-    return checks
-
-
-def suite_families() -> tuple[Family, ...]:
-    """Elliptic(1..10) plus every valid cusp word with k <= 4, entries <= 5."""
-    families: list[Family] = [Elliptic(n) for n in range(1, SUITE_MAX_ELLIPTIC + 1)]
-    for k in range(1, SUITE_MAX_K + 1):
-        for entries in itertools.product(range(2, SUITE_MAX_ENTRY + 1), repeat=k):
-            if max(entries) < 3:
-                continue
-            families.append(Cusp(sl2z.CycleWord(entries)))
-    return tuple(families)
-
-
 def _run_verify(request: CliRequest):
     if request.suite:
+        families = suite_families()
         all_ok = True
         lines = []
-        for family in suite_families():
+        for family in families:
             checks = verify_family(family)
             ok = all(passed for _, passed in checks)
             all_ok = all_ok and ok
-            lines.append(f"{'ok' if ok else 'FAIL'}: {family_label(family)}")
-        lines.append(
-            f"{'all' if all_ok else 'NOT all'} {len(suite_families())} families ok"
-        )
+            lines.append(f"{'ok' if ok else 'FAIL'}: {family.label}")
+        lines.append(f"{'all' if all_ok else 'NOT all'} {len(families)} families ok")
         code = EXIT_OK if all_ok else EXIT_VERIFY_FAILED
         if request.fmt == "json":
-            return code, {"passed": all_ok, "families": len(suite_families())}
+            return code, {"passed": all_ok, "families": len(families)}
         return code, "\n".join(lines)
     checks = verify_family(request.family)
     ok = all(passed for _, passed in checks)
     code = EXIT_OK if ok else EXIT_VERIFY_FAILED
     if request.fmt == "json":
         return code, {
-            "family": family_to_json(request.family),
+            "family": request.family.to_json_dict(),
             "checks": [{"name": name, "passed": passed} for name, passed in checks],
             "passed": ok,
         }

@@ -1,11 +1,27 @@
-"""The two link families everything downstream is indexed by."""
+"""The two link families everything downstream is indexed by.
+
+This is the only module that tells the families apart: each one knows its
+label, JSON form, monodromy, plumbing graph, open book, presentation matrix
+and Stein handle pattern, and every other module asks it for them.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
-from .sl2z import CycleWord
+from .linalg import IntMatrix
+from .sl2z import CycleWord, Sl2Matrix, cycle_monodromy
 
-__all__ = ["InvalidParameter", "Elliptic", "Cusp", "Family", "family_label", "family_to_json"]
+__all__ = [
+    "InvalidParameter",
+    "ChainUnknot",
+    "EllipticCore",
+    "NodalDoublePass",
+    "HandleTag",
+    "Elliptic",
+    "Cusp",
+    "Family",
+]
 
 
 class InvalidParameter(ValueError):
@@ -13,14 +29,65 @@ class InvalidParameter(ValueError):
 
 
 @dataclass(frozen=True)
+class ChainUnknot:
+    """Unknot at position ``index`` (1-based) in the surgery chain; genus 0."""
+
+    index: int
+
+
+@dataclass(frozen=True)
+class EllipticCore:
+    """The 2-handle over both 1-handles of the elliptic diagram; capped genus 1."""
+
+
+@dataclass(frozen=True)
+class NodalDoublePass:
+    """The k = 1 unknot running twice over the 1-handle; capped genus 1."""
+
+
+HandleTag = ChainUnknot | EllipticCore | NodalDoublePass
+
+
+@dataclass(frozen=True)
 class Elliptic:
     """Link of a simple elliptic singularity; minimal resolution weight -n."""
 
     n: int
+    one_handle_count: ClassVar[int] = 2
 
     def __post_init__(self):
         if self.n < 1:
             raise InvalidParameter(f"elliptic parameter must be >= 1, got {self.n}")
+
+    @property
+    def label(self) -> str:
+        return f"elliptic({self.n})"
+
+    def to_json_dict(self) -> dict:
+        return {"kind": "elliptic", "n": self.n}
+
+    def monodromy(self) -> Sl2Matrix:
+        """Parabolic monodromy [[1, n], [0, 1]] of the Euler-number -n torus bundle."""
+        return Sl2Matrix(1, self.n, 0, 1)
+
+    def graph(self):
+        from .plumbing import elliptic_graph
+
+        return elliptic_graph(self.n)
+
+    def openbook(self):
+        from .openbook import elliptic_openbook
+
+        return elliptic_openbook(self.n)
+
+    def presentation(self) -> IntMatrix:
+        """Borromean linking matrix diag(0, 0, -n): the two 0-framed
+        components are the 1-handles, the last one the 2-handle."""
+        return ((0, 0, 0), (0, 0, 0), (0, 0, -self.n))
+
+    def handle_slots(self) -> tuple[tuple[HandleTag, int], ...]:
+        """(tag, smooth framing) of each Stein 2-handle."""
+        return ((EllipticCore(), -self.n),)
 
 
 @dataclass(frozen=True)
@@ -28,22 +95,44 @@ class Cusp:
     """Link of a cusp singularity, indexed by its cycle word."""
 
     word: CycleWord
+    one_handle_count: ClassVar[int] = 1
 
     def __post_init__(self):
         if not isinstance(self.word, CycleWord):
             object.__setattr__(self, "word", CycleWord(tuple(self.word)))
 
+    @property
+    def label(self) -> str:
+        return "cusp(" + ",".join(str(n) for n in self.word) + ")"
+
+    def to_json_dict(self) -> dict:
+        return {"kind": "cusp", "word": self.word.to_json_list()}
+
+    def monodromy(self) -> Sl2Matrix:
+        return cycle_monodromy(self.word)
+
+    def graph(self):
+        from .plumbing import cusp_graph
+
+        return cusp_graph(self.word)
+
+    def openbook(self):
+        from .openbook import cusp_openbook
+
+        return cusp_openbook(self.word)
+
+    def presentation(self) -> IntMatrix:
+        """The plumbing intersection matrix, one row per 2-handle."""
+        from .plumbing import intersection_matrix
+
+        return intersection_matrix(self.graph())
+
+    def handle_slots(self) -> tuple[tuple[HandleTag, int], ...]:
+        """(tag, smooth framing) of each Stein 2-handle."""
+        entries = self.word.entries
+        if len(entries) == 1:
+            return ((NodalDoublePass(), -entries[0] + 2),)
+        return tuple((ChainUnknot(i), -n) for i, n in enumerate(entries, start=1))
+
 
 Family = Elliptic | Cusp
-
-
-def family_label(family: Family) -> str:
-    if isinstance(family, Elliptic):
-        return f"elliptic({family.n})"
-    return "cusp(" + ",".join(str(n) for n in family.word) + ")"
-
-
-def family_to_json(family: Family) -> dict:
-    if isinstance(family, Elliptic):
-        return {"kind": "elliptic", "n": family.n}
-    return {"kind": "cusp", "word": family.word.to_json_list()}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .families import Cusp, Elliptic, Family, family_to_json
+from .families import Family
 from .legendrian import (
     ContactSurgeryDiagram,
     PresentationKind,
@@ -24,7 +24,6 @@ from .legendrian import (
 from .linalg import (
     AbelianGroup,
     IntMatrix,
-    SnfResult,
     cokernel,
     dot,
     mat_vec,
@@ -32,14 +31,10 @@ from .linalg import (
     solve_rational,
     symmetric_signature,
 )
-from .openbook import cusp_openbook, elliptic_openbook, openbook_homology
-from .plumbing import boundary_homology, cusp_graph, elliptic_graph, intersection_matrix
-from .sl2z import Sl2Matrix, cycle_monodromy
+from .openbook import openbook_homology
+from .plumbing import boundary_homology
 
 __all__ = [
-    "smith_normal_form",
-    "SnfResult",
-    "AbelianGroup",
     "DimensionMismatch",
     "NonTorsionChernClass",
     "UnsupportedPresentation",
@@ -48,11 +43,8 @@ __all__ = [
     "c1_evaluations",
     "adjunction_defect",
     "is_canonical",
-    "family_presentation",
     "euler_class",
     "d3_invariant",
-    "elliptic_monodromy",
-    "monodromy_matrix",
     "homology_cross_check",
 ]
 
@@ -87,21 +79,9 @@ def is_canonical(diagram: SteinHandleDiagram) -> bool:
     after reversing the orientation of every attaching circle (which negates
     the whole rot vector)."""
     direct = all(adjunction_defect(h) == 0 for h in diagram.handles)
-    flipped = all(
-        -h.rot - (h.smooth_framing - 2 * h.surface_genus + 2) == 0 for h in diagram.handles
-    )
+    # negating rot turns the defect rot - c into -rot - c = defect - 2 * rot
+    flipped = all(adjunction_defect(h) == 2 * h.rot for h in diagram.handles)
     return direct or flipped
-
-
-def family_presentation(family: Family) -> IntMatrix:
-    """Presentation matrix whose cokernel carries the Euler class.
-
-    Borromean diag(0, 0, -n) for the elliptic family; the plumbing
-    intersection matrix for a cusp word.
-    """
-    if isinstance(family, Elliptic):
-        return ((0, 0, 0), (0, 0, 0), (0, 0, -family.n))
-    return intersection_matrix(cusp_graph(family.word))
 
 
 @dataclass(frozen=True)
@@ -133,61 +113,40 @@ def euler_class(family: Family, rot_vector) -> CohomologyClassRep:
     """Euler class of the contact structure with the given rotation numbers.
 
     The vector is indexed by the components of the family's presentation
-    (three for elliptic, the k plumbing vertices for a cusp word); the
-    elliptic handle rot may also be passed alone and is placed in the last
-    slot, the free slots taking coefficient zero.
+    (three for elliptic, the k plumbing vertices for a cusp word); a vector
+    with one entry per 2-handle, such as the elliptic handle rot alone, is
+    placed in the last slots, the 1-handle slots taking coefficient zero.
     """
-    q = family_presentation(family)
+    q = family.presentation()
     v = tuple(int(x) for x in rot_vector)
-    if isinstance(family, Elliptic) and len(v) == 1:
-        v = (0, 0, v[0])
+    if len(v) == len(family.handle_slots()):
+        v = (0,) * (len(q) - len(v)) + v
     if len(v) != len(q):
         raise DimensionMismatch(
             f"rot vector of length {len(v)} does not fit a {len(q)}-component presentation"
         )
     snf = smith_normal_form(q)
-    coords = mat_vec(snf.u, v)
-    n = len(q)
-    diag = snf.diagonal_entries()
     reduced = []
     order: int | None = 1
-    for i in range(n):
-        d = diag[i] if i < len(diag) else 0
+    for d, c in zip(snf.diagonal_entries(), mat_vec(snf.u, v)):  # Q is square
         if d:
-            r = coords[i] % d
+            r = c % d
             reduced.append(r)
             if r and order is not None:
                 order = lcm(order, d // gcd(d, r))
         else:
-            reduced.append(coords[i])
-            if coords[i]:
+            reduced.append(c)
+            if c:
                 order = None
     is_zero = all(x == 0 for x in reduced)
-    witness = None
-    if is_zero:
-        y = [0] * n
-        for i in range(n):
-            d = diag[i] if i < len(diag) else 0
-            if d:
-                y[i] = coords[i] // d
-        witness = mat_vec(snf.v, tuple(y))
     return CohomologyClassRep(
         vector=v,
         presentation=q,
         reduced=tuple(reduced),
         is_zero=is_zero,
         order=order,
-        witness=witness,
+        witness=snf.solve(v) if is_zero else None,
     )
-
-
-def chern_square(matrix: IntMatrix, rot_vector, solution) -> Fraction:
-    """c^2 = x . rot for any rational solution x of Q x = rot.
-
-    Well defined: two solutions differ by a kernel vector, which pairs to
-    zero with anything in the image of the symmetric matrix Q.
-    """
-    return Fraction(dot(tuple(solution), tuple(rot_vector)))
 
 
 def d3_invariant(diagram: ContactSurgeryDiagram) -> Fraction:
@@ -206,21 +165,12 @@ def d3_invariant(diagram: ContactSurgeryDiagram) -> Fraction:
     solution = solve_rational(q_matrix, rot)
     if solution is None:
         raise NonTorsionChernClass("Q x = rot has no rational solution")
-    c2 = chern_square(q_matrix, rot, solution)
+    # c^2 = x . rot for any rational solution x of Q x = rot: two solutions
+    # differ by a kernel vector, which pairs to zero with the image of Q.
+    c2 = Fraction(dot(solution, rot))
     sigma = symmetric_signature(q_matrix)
     chi = 1 + len(diagram.components)
     return (c2 - 3 * sigma - 2 * chi) / 4 + diagram.plus_count
-
-
-def elliptic_monodromy(n: int) -> Sl2Matrix:
-    """Parabolic monodromy [[1, n], [0, 1]] of the Euler-number -n torus bundle."""
-    return Sl2Matrix(1, n, 0, 1)
-
-
-def monodromy_matrix(family: Family) -> Sl2Matrix:
-    if isinstance(family, Elliptic):
-        return elliptic_monodromy(family.n)
-    return cycle_monodromy(family.word)
 
 
 @dataclass(frozen=True)
@@ -238,7 +188,7 @@ class HomologyAgreement:
 
     def to_json_dict(self) -> dict:
         return {
-            "family": family_to_json(self.family),
+            "family": self.family.to_json_dict(),
             "plumbing": self.plumbing.to_json_dict(),
             "monodromy": self.monodromy.to_json_dict(),
             "openbook": self.openbook.to_json_dict(),
@@ -249,17 +199,11 @@ class HomologyAgreement:
 def homology_cross_check(family: Family) -> HomologyAgreement:
     """Compute H_1 three ways: plumbing boundary, Z + coker(A - I) from the
     torus-bundle monodromy, and the open book presentation."""
-    if isinstance(family, Elliptic):
-        graph = elliptic_graph(family.n)
-        book = elliptic_openbook(family.n)
-    else:
-        graph = cusp_graph(family.word)
-        book = cusp_openbook(family.word)
-    a = monodromy_matrix(family)
+    a = family.monodromy()
     delta = ((a.a - 1, a.b), (a.c, a.d - 1))
     return HomologyAgreement(
         family=family,
-        plumbing=boundary_homology(graph),
+        plumbing=boundary_homology(family.graph()),
         monodromy=cokernel(delta, extra_free_rank=1),
-        openbook=openbook_homology(book),
+        openbook=openbook_homology(family.openbook()),
     )

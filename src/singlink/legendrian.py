@@ -12,9 +12,8 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .families import Cusp, Elliptic, Family, family_to_json
+from .families import ChainUnknot, EllipticCore, Family, HandleTag, NodalDoublePass
 from .linalg import IntMatrix, is_symmetric
-from .plumbing import cusp_graph, intersection_matrix
 
 __all__ = [
     "ChainUnknot",
@@ -37,26 +36,6 @@ __all__ = [
 
 class FramingTooLarge(ValueError):
     """No Legendrian realization exists with the requested framing."""
-
-
-@dataclass(frozen=True)
-class ChainUnknot:
-    """Unknot at position ``index`` (1-based) in the surgery chain; genus 0."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class EllipticCore:
-    """The 2-handle over both 1-handles of the elliptic diagram; capped genus 1."""
-
-
-@dataclass(frozen=True)
-class NodalDoublePass:
-    """The k = 1 unknot running twice over the 1-handle; capped genus 1."""
-
-
-HandleTag = ChainUnknot | EllipticCore | NodalDoublePass
 
 
 def tb_max(tag: HandleTag) -> int:
@@ -115,19 +94,6 @@ class TwoHandleSpec:
         }
 
 
-def _handle_slots(family: Family) -> tuple[tuple[HandleTag, int], ...]:
-    if isinstance(family, Elliptic):
-        return ((EllipticCore(), -family.n),)
-    entries = family.word.entries
-    if len(entries) == 1:
-        return ((NodalDoublePass(), -entries[0] + 2),)
-    return tuple((ChainUnknot(i), -n) for i, n in enumerate(entries, start=1))
-
-
-def _one_handle_count(family: Family) -> int:
-    return 2 if isinstance(family, Elliptic) else 1
-
-
 @dataclass(frozen=True)
 class SteinHandleDiagram:
     """A Legendrian handle diagram of a Stein filling of the link."""
@@ -138,11 +104,11 @@ class SteinHandleDiagram:
 
     def __post_init__(self):
         object.__setattr__(self, "handles", tuple(self.handles))
-        if self.one_handle_count != _one_handle_count(self.family):
+        if self.one_handle_count != self.family.one_handle_count:
             raise ValueError(
-                f"{self.family} requires {_one_handle_count(self.family)} 1-handles"
+                f"{self.family} requires {self.family.one_handle_count} 1-handles"
             )
-        slots = _handle_slots(self.family)
+        slots = self.family.handle_slots()
         got = tuple((h.tag, h.smooth_framing) for h in self.handles)
         if got != slots:
             raise ValueError(f"handles {got} do not match the {self.family} pattern {slots}")
@@ -153,7 +119,7 @@ class SteinHandleDiagram:
 
     def to_json_dict(self) -> dict:
         return {
-            "family": family_to_json(self.family),
+            "family": self.family.to_json_dict(),
             "one_handles": self.one_handle_count,
             "handles": [h.to_json_dict() for h in self.handles],
         }
@@ -174,9 +140,9 @@ class SteinHandleDiagram:
 def _diagram(family: Family, rots: tuple[int, ...]) -> SteinHandleDiagram:
     handles = tuple(
         TwoHandleSpec(tag, framing, _surface_genus(tag), framing + 1, rot)
-        for (tag, framing), rot in zip(_handle_slots(family), rots)
+        for (tag, framing), rot in zip(family.handle_slots(), rots)
     )
-    return SteinHandleDiagram(family, _one_handle_count(family), handles)
+    return SteinHandleDiagram(family, family.one_handle_count, handles)
 
 
 def enumerate_stein_fillings(family: Family) -> tuple[SteinHandleDiagram, ...]:
@@ -185,7 +151,7 @@ def enumerate_stein_fillings(family: Family) -> tuple[SteinHandleDiagram, ...]:
     There are n + 1 of them for the elliptic family and prod(n_i - 1) for a
     cusp word.
     """
-    ranges = [rotation_range(tag, f) for tag, f in _handle_slots(family)]
+    ranges = [rotation_range(tag, f) for tag, f in family.handle_slots()]
     return tuple(_diagram(family, rots) for rots in itertools.product(*ranges))
 
 
@@ -198,7 +164,7 @@ def canonical_filling(family: Family, sign: str = "min") -> SteinHandleDiagram:
     if sign not in ("min", "max"):
         raise ValueError(f"sign must be 'min' or 'max', got {sign!r}")
     pick = min if sign == "min" else max
-    rots = tuple(pick(rotation_range(tag, f)) for tag, f in _handle_slots(family))
+    rots = tuple(pick(rotation_range(tag, f)) for tag, f in family.handle_slots())
     return _diagram(family, rots)
 
 
@@ -263,7 +229,7 @@ class ContactSurgeryDiagram:
 
     def to_json_dict(self) -> dict:
         return {
-            "family": None if self.family is None else family_to_json(self.family),
+            "family": None if self.family is None else self.family.to_json_dict(),
             "components": [c.to_json_dict() for c in self.components],
             "presentation": {
                 "kind": self.presentation_kind.value,
@@ -275,10 +241,12 @@ class ContactSurgeryDiagram:
 def to_contact_surgery(diagram: SteinHandleDiagram) -> ContactSurgeryDiagram:
     """Trade every 1-handle for a contact (+1)-surgery on a standard unknot.
 
-    The elliptic family keeps its literal Borromean linking matrix
-    diag(0, 0, -n); cusp families carry the plumbing intersection matrix
-    extended by a zero row and column for the (+1) component, which presents
-    the homology but is not the literal linking data.
+    The family's presentation is literal linking data when it has a row for
+    every surgery component, as the elliptic Borromean diag(0, 0, -n) does;
+    a cusp presentation has rows for the 2-handles only, so the plumbing
+    intersection matrix is extended by a zero row and column for the (+1)
+    component, which presents the homology but is not the literal linking
+    data.
     """
     plus = tuple(
         ContactSurgeryComponent(-1, 0, 1) for _ in range(diagram.one_handle_count)
@@ -286,16 +254,10 @@ def to_contact_surgery(diagram: SteinHandleDiagram) -> ContactSurgeryDiagram:
     minus = tuple(
         ContactSurgeryComponent(h.tb, h.rot, -1) for h in diagram.handles
     )
-    if isinstance(diagram.family, Elliptic):
-        n = diagram.family.n
-        matrix: IntMatrix = ((0, 0, 0), (0, 0, 0), (0, 0, -n))
-        kind = PresentationKind.LITERAL_LINKING
-    else:
-        q = intersection_matrix(cusp_graph(diagram.family.word))
-        k = len(q)
-        matrix = tuple(
-            tuple(0 for _ in range(k + 1)) if i == 0 else (0,) + q[i - 1]
-            for i in range(k + 1)
-        )
-        kind = PresentationKind.PLUMBING_PRESENTATION
+    q = diagram.family.presentation()
+    pad = len(plus) + len(minus) - len(q)
+    matrix: IntMatrix = tuple((0,) * (pad + len(q)) for _ in range(pad)) + tuple(
+        (0,) * pad + row for row in q
+    )
+    kind = PresentationKind.PLUMBING_PRESENTATION if pad else PresentationKind.LITERAL_LINKING
     return ContactSurgeryDiagram(plus + minus, matrix, kind, diagram.family)

@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -25,10 +26,8 @@ def identity_matrix(n: int) -> IntMatrix:
 def matmul(a, b) -> IntMatrix:
     if a and len(a[0]) != len(b):
         raise ValueError("matrix dimensions do not match")
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]) if b else 0))
-        for i in range(len(a))
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_vec(a, v):
@@ -82,8 +81,34 @@ class SnfResult:
         n = min(len(self.diag), len(self.diag[0]) if self.diag else 0)
         return tuple(self.diag[i][i] for i in range(n))
 
-    def invariant_factors(self) -> IntVector:
-        return tuple(d for d in self.diagonal_entries() if d != 0)
+    def solve(self, vector, exact: bool = True):
+        """One solution x of ``matrix @ x == vector``, over the integers or,
+        when not exact, the rationals; None when there is none."""
+        w = mat_vec(self.u, tuple(vector))
+        rows = len(self.diag)
+        cols = len(self.v)
+        y = [Fraction(0)] * cols if not exact else [0] * cols
+        for i in range(rows):
+            d = self.diag[i][i] if i < cols else 0
+            if d:
+                if exact:
+                    if w[i] % d:
+                        return None
+                    y[i] = w[i] // d
+                else:
+                    y[i] = Fraction(w[i], d)
+            elif w[i]:
+                return None
+        return mat_vec(self.v, tuple(y))
+
+    def kernel_basis(self) -> tuple[IntVector, ...]:
+        """Basis of the integer kernel {x : matrix @ x == 0}."""
+        rows = len(self.diag)
+        return tuple(
+            tuple(row[j] for row in self.v)
+            for j in range(len(self.v))
+            if j >= rows or self.diag[j][j] == 0
+        )
 
 
 def _select_pivot(a, t, rows, cols):
@@ -274,27 +299,11 @@ def solve_rational(matrix, vector):
 def _solve(matrix, vector, exact: bool):
     m = freeze(matrix)
     rows = len(m)
-    cols = len(m[0]) if rows else 0
     if len(vector) != rows:
         raise ValueError("vector length does not match matrix rows")
     if rows == 0:
         return ()
-    snf = smith_normal_form(m)
-    w = mat_vec(snf.u, tuple(vector))
-    y = [Fraction(0)] * cols if not exact else [0] * cols
-    for i in range(rows):
-        d = snf.diag[i][i] if i < cols else 0
-        if d:
-            if exact:
-                if w[i] % d:
-                    return None
-                y[i] = w[i] // d
-            else:
-                y[i] = Fraction(w[i], d)
-        elif w[i]:
-            return None
-    x = mat_vec(snf.v, tuple(y))
-    return tuple(x)
+    return smith_normal_form(m).solve(vector, exact)
 
 
 def integer_kernel_basis(matrix) -> tuple[IntVector, ...]:
@@ -304,12 +313,7 @@ def integer_kernel_basis(matrix) -> tuple[IntVector, ...]:
     cols = len(m[0]) if rows else 0
     if rows == 0:
         return tuple(identity_matrix(cols))
-    snf = smith_normal_form(m)
-    basis = []
-    for j in range(cols):
-        if j >= rows or snf.diag[j][j] == 0:
-            basis.append(tuple(snf.v[i][j] for i in range(cols)))
-    return tuple(basis)
+    return smith_normal_form(m).kernel_basis()
 
 
 def symmetric_signature(matrix) -> int:

@@ -14,7 +14,7 @@ action and for the homology of the total space.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .families import Cusp, Elliptic, Family, InvalidParameter
 from .linalg import AbelianGroup, IntMatrix, cokernel
@@ -24,7 +24,6 @@ __all__ = [
     "BoundaryLabel",
     "DeltaCurve",
     "GammaCurve",
-    "CurveClass",
     "OpenBookDescription",
     "PageHomologyData",
     "UnsupportedOpenBook",
@@ -82,7 +81,6 @@ class OpenBookDescription:
     page_genus: int
     boundary_labels: tuple[BoundaryLabel, ...]
     twist_word: tuple[TwistCurve, ...]
-    boundary_twist_multiplicity: dict[BoundaryLabel, int] = field(default_factory=dict)
     family: Family | None = None
 
     def __post_init__(self):
@@ -93,11 +91,6 @@ class OpenBookDescription:
         for c in gammas:
             if c.label not in labels:
                 raise ValueError(f"twist {curve_name(c)} references an unknown boundary")
-        if sum(self.boundary_twist_multiplicity.values()) != len(gammas):
-            raise ValueError("boundary twist multiplicities do not match the word")
-        for label, count in self.boundary_twist_multiplicity.items():
-            if label not in labels or count < 0:
-                raise ValueError(f"bad multiplicity entry {label!r}: {count}")
 
     @property
     def boundary_count(self) -> int:
@@ -123,7 +116,6 @@ def elliptic_openbook(n: int) -> OpenBookDescription:
         page_genus=1,
         boundary_labels=labels,
         twist_word=tuple(GammaCurve(j) for j in labels),
-        boundary_twist_multiplicity={j: 1 for j in labels},
         family=Elliptic(n),
     )
 
@@ -147,16 +139,8 @@ def cusp_openbook(word: CycleWord) -> OpenBookDescription:
         page_genus=1,
         boundary_labels=labels,
         twist_word=twists,
-        boundary_twist_multiplicity={lab: 1 for lab in labels},
         family=Cusp(word),
     )
-
-
-@dataclass(frozen=True)
-class CurveClass:
-    """Integer coefficient vector over the declared page basis."""
-
-    coefficients: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -173,7 +157,7 @@ class PageHomologyData:
 
     basis_names: tuple[str, ...]
     intersection_form: IntMatrix
-    curve_classes: dict[TwistCurve, CurveClass]
+    curve_classes: dict[TwistCurve, tuple[int, ...]]
     boundary_classes: dict[BoundaryLabel, tuple[int, ...]]
 
     @property
@@ -181,16 +165,15 @@ class PageHomologyData:
         return len(self.basis_names)
 
 
-def _expected_openbook(family: Family) -> OpenBookDescription:
-    if isinstance(family, Elliptic):
-        return elliptic_openbook(family.n)
-    return cusp_openbook(family.word)
+def _piece_of(label: BoundaryLabel) -> int:
+    """Planar piece a boundary sits on; the k = 1 page has the one piece 1."""
+    return label[0] if isinstance(label, tuple) else 1
 
 
 def _check_supported(ob: OpenBookDescription) -> None:
     if ob.family is None:
         raise UnsupportedOpenBook("description carries no family tag")
-    expected = _expected_openbook(ob.family)
+    expected = ob.family.openbook()
     same_word_as_sets = sorted(map(curve_name, ob.twist_word)) == sorted(
         map(curve_name, expected.twist_word)
     )
@@ -198,7 +181,6 @@ def _check_supported(ob: OpenBookDescription) -> None:
         ob.page_genus != expected.page_genus
         or ob.boundary_labels != expected.boundary_labels
         or not same_word_as_sets
-        or ob.boundary_twist_multiplicity != expected.boundary_twist_multiplicity
     ):
         raise UnsupportedOpenBook(f"description does not match {ob.family}")
 
@@ -227,10 +209,10 @@ def curve_homology_classes(ob: OpenBookDescription) -> PageHomologyData:
     form[0][1] = 1
     form[1][0] = -1
 
-    classes: dict[TwistCurve, CurveClass] = {}
+    classes: dict[TwistCurve, tuple[int, ...]] = {}
     for curve in ob.twist_word:
         if isinstance(curve, GammaCurve):
-            classes[curve] = CurveClass(boundary_classes[curve.label])
+            classes[curve] = boundary_classes[curve.label]
     deltas = sorted(
         (c for c in ob.twist_word if isinstance(c, DeltaCurve)), key=lambda c: c.index
     )
@@ -238,16 +220,13 @@ def curve_homology_classes(ob: OpenBookDescription) -> PageHomologyData:
         acc = list(unit(1))  # [delta_0] = d
         by_piece: dict[int, list[BoundaryLabel]] = {}
         for label in ob.boundary_labels:
-            piece = label[0] if isinstance(label, tuple) else 1
-            by_piece.setdefault(piece, []).append(label)
+            by_piece.setdefault(_piece_of(label), []).append(label)
         for curve in deltas:
             if curve.index > 0:
                 # planar piece relation: crossing piece i adds its boundary classes
                 for label in by_piece.get(curve.index, []):
-                    mult = ob.boundary_twist_multiplicity.get(label, 1)
-                    cls = boundary_classes[label]
-                    acc = [a + mult * x for a, x in zip(acc, cls)]
-            classes[curve] = CurveClass(tuple(acc))
+                    acc = [a + x for a, x in zip(acc, boundary_classes[label])]
+            classes[curve] = tuple(acc)
     return PageHomologyData(
         basis_names=names,
         intersection_form=tuple(tuple(row) for row in form),
@@ -270,7 +249,7 @@ def _twisted_columns(data: PageHomologyData, twist_word) -> dict[int, list[int]]
     support = [j for j, row in enumerate(form) if any(row)]
     cols = {j: [1 if i == j else 0 for i in range(data.rank)] for j in support}
     for curve in twist_word:
-        c = data.curve_classes[curve].coefficients
+        c = data.curve_classes[curve]
         jc = {j: v for j in support if (v := sum(f * x for f, x in zip(form[j], c)))}
         if not jc:
             continue
@@ -314,25 +293,18 @@ def _section_corrections(ob: OpenBookDescription, data: PageHomologyData):
     """
     labels = ob.boundary_labels
     base = labels[0]
-    base_mult = ob.boundary_twist_multiplicity.get(base, 1)
-    base_cls = data.boundary_classes[base]
     delta_cls = {
-        c.index: data.curve_classes[c].coefficients
+        c.index: data.curve_classes[c]
         for c in ob.twist_word
         if isinstance(c, DeltaCurve)
     }
 
-    def piece_of(label: BoundaryLabel) -> int:
-        return label[0] if isinstance(label, tuple) else 1
-
     corrections = {}
     for label in labels[1:]:
-        corr = [base_mult * x for x in base_cls]
-        for m in range(piece_of(base), piece_of(label)):
+        corr = list(data.boundary_classes[base])
+        for m in range(_piece_of(base), _piece_of(label)):
             corr = [a + x for a, x in zip(corr, delta_cls[m])]
-        mult = ob.boundary_twist_multiplicity.get(label, 1)
-        cls = data.boundary_classes[label]
-        corr = [a - mult * x for a, x in zip(corr, cls)]
+        corr = [a - x for a, x in zip(corr, data.boundary_classes[label])]
         corrections[label] = tuple(corr)
     return corrections
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import Cusp, Elliptic, Family, InvalidParameter, family_to_json
+from .families import ChainUnknot, EllipticCore, Family, InvalidParameter, NodalDoublePass
 from .linalg import AbelianGroup, IntMatrix, cokernel
 from .sl2z import CycleWord
 
@@ -24,7 +24,6 @@ __all__ = [
     "boundary_homology",
     "smooth_surgery_description",
     "InvalidParameter",
-    "AbelianGroup",
 ]
 
 
@@ -165,39 +164,43 @@ class SurgeryDescription:
         return f"Borromean framings {body}; " + "; ".join(self.notes)
 
 
-def smooth_surgery_description(family: Family) -> SurgeryDescription:
-    """Surgery presentation of the link: framed chain plus ring (cusp, k > 1),
-    a double-pass unknot over a 1-handle (cusp, k = 1), or Borromean rings
-    with framings (0, 0, -n) (elliptic)."""
-    if isinstance(family, Elliptic):
-        return SurgeryDescription(
-            kind="borromean",
-            framings=(0, 0, -family.n),
-            notes=(
-                "pairwise linking numbers are zero",
-                "the two 0-framed components trade for dotted circles (1-handles)",
-            ),
-            family_json=family_to_json(family),
-        )
-    if not isinstance(family, Cusp):
-        raise InvalidParameter(f"unsupported family {family!r}")
-    word = family.word
-    if len(word) == 1:
-        return SurgeryDescription(
-            kind="nodal-double-pass",
-            framings=(-word.entries[0] + 2,),
-            notes=(
-                "runs over the 1-handle twice with zero linking",
-                "the 1-handle is equivalently a 0-framed unknot",
-            ),
-            family_json=family_to_json(family),
-        )
-    return SurgeryDescription(
-        kind="chain-with-ring",
-        framings=tuple(-n for n in word),
-        notes=(
+_SURGERY_PICTURES = {
+    EllipticCore: (
+        "borromean",
+        (
+            "pairwise linking numbers are zero",
+            "the two 0-framed components trade for dotted circles (1-handles)",
+        ),
+    ),
+    NodalDoublePass: (
+        "nodal-double-pass",
+        (
+            "runs over the 1-handle twice with zero linking",
+            "the 1-handle is equivalently a 0-framed unknot",
+        ),
+    ),
+    ChainUnknot: (
+        "chain-with-ring",
+        (
             "the chain closes up through the 0-framed ring",
             "the ring trades for a dotted circle (1-handle)",
         ),
-        family_json=family_to_json(family),
+    ),
+}
+
+
+def smooth_surgery_description(family: Family) -> SurgeryDescription:
+    """Surgery presentation of the link: framed chain plus ring (cusp, k > 1),
+    a double-pass unknot over a 1-handle (cusp, k = 1), or Borromean rings
+    with framings (0, 0, -n) (elliptic).
+
+    The picture follows from the tag of the first 2-handle, and the framings
+    are the diagonal of the family's presentation matrix."""
+    kind, notes = _SURGERY_PICTURES[type(family.handle_slots()[0][0])]
+    q = family.presentation()
+    return SurgeryDescription(
+        kind=kind,
+        framings=tuple(q[i][i] for i in range(len(q))),
+        notes=notes,
+        family_json=family.to_json_dict(),
     )

@@ -17,10 +17,8 @@ from singlink.cli import (
     main,
     parse_args,
     run,
-    suite_families,
-    verify_family,
 )
-from singlink.families import Cusp, Elliptic
+from singlink.families import Cusp
 
 
 def run_cli(args):
@@ -216,20 +214,6 @@ def test_verify_single_family():
     data = json.loads(payload)
     assert data["passed"] is True
     assert all(c["passed"] for c in data["checks"])
-
-
-def test_verify_family_checks_are_named():
-    checks = verify_family(Cusp((2, 2, 3)))
-    names = [name for name, _ in checks]
-    assert "triple homology agreement" in names
-    assert "factorization roundtrip" in names
-    assert all(ok for _, ok in checks)
-
-
-def test_suite_families_shape():
-    families = suite_families()
-    assert len([f for f in families if isinstance(f, Elliptic)]) == 10
-    assert len(families) == 346
 
 
 def test_emit_behaviour():

@@ -10,12 +10,9 @@ from singlink.invariants import (
     adjunction_defect,
     c1_evaluations,
     d3_invariant,
-    elliptic_monodromy,
     euler_class,
-    family_presentation,
     homology_cross_check,
     is_canonical,
-    monodromy_matrix,
 )
 from singlink.legendrian import (
     ChainUnknot,
@@ -90,8 +87,8 @@ def test_c1_vectors_pairwise_distinct():
 
 
 def test_family_presentation():
-    assert family_presentation(Elliptic(4)) == ((0, 0, 0), (0, 0, 0), (0, 0, -4))
-    assert family_presentation(Cusp(CycleWord((2, 3)))) == ((-2, 2), (2, -3))
+    assert Elliptic(4).presentation() == ((0, 0, 0), (0, 0, 0), (0, 0, -4))
+    assert Cusp(CycleWord((2, 3))).presentation() == ((-2, 2), (2, -3))
 
 
 def test_euler_class_fixed():
@@ -126,7 +123,7 @@ def test_euler_class_dimension_mismatch():
 
 def test_euler_reduced_form_invariance():
     family = Cusp(CycleWord((3, 4)))
-    q = family_presentation(family)
+    q = family.presentation()
     base = (1, -1)
     rep = euler_class(family, base)
     for combo in [(1, 0), (0, 1), (2, -3)]:
@@ -138,7 +135,7 @@ def test_euler_reduced_form_invariance():
 
 def test_euler_canonical_vanishes_with_unit_witnesses():
     for family in suite_families():
-        k = len(family_presentation(family))
+        k = len(family.presentation())
         for sign, unit in (("min", 1), ("max", -1)):
             diagram = canonical_filling(family, sign)
             rep = euler_class(family, diagram.rot_vector)
@@ -206,11 +203,11 @@ def test_d3_all_rot_zero_negative_definite():
 
 
 def test_elliptic_monodromy_convention():
-    a = elliptic_monodromy(4)
+    a = Elliptic(4).monodromy()
     assert a == Sl2Matrix(1, 4, 0, 1)
     assert a.trace == 2
-    assert monodromy_matrix(Elliptic(4)) == a
-    assert monodromy_matrix(Cusp(CycleWord((2, 3)))) == Sl2Matrix(5, -2, 3, -1)
+    assert Elliptic(1).monodromy() == Sl2Matrix(1, 1, 0, 1)
+    assert Cusp(CycleWord((2, 3))).monodromy() == Sl2Matrix(5, -2, 3, -1)
 
 
 def test_homology_cross_check_fixed():

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +30,7 @@ def test_elliptic_openbook_page_data():
     assert ob.page_genus == 1
     assert ob.boundary_count == 3
     assert ob.twist_word == (GammaCurve(1), GammaCurve(2), GammaCurve(3))
-    assert ob.boundary_twist_multiplicity == {1: 1, 2: 1, 3: 1}
+    assert Counter(c.label for c in ob.twist_word) == {1: 1, 2: 1, 3: 1}
 
     ob1 = elliptic_openbook(1)
     assert ob1.boundary_count == 1 and len(ob1.twist_word) == 1
@@ -75,7 +76,8 @@ def test_page_data_over_suite():
         assert ob.page_genus == 1
         assert ob.boundary_count == boundaries
         assert len(ob.twist_word) == len(word) + boundaries
-        assert all(m == 1 for m in ob.boundary_twist_multiplicity.values())
+        gammas = Counter(c.label for c in ob.twist_word if isinstance(c, GammaCurve))
+        assert gammas == {label: 1 for label in ob.boundary_labels}
 
 
 def test_word_rendering():
@@ -92,14 +94,14 @@ def test_curve_classes_fixed():
     assert data.basis_names == ("l", "d")
     d_vec = (0, 1)
     for i in range(3):
-        assert data.curve_classes[DeltaCurve(i)].coefficients == d_vec
-    assert data.curve_classes[GammaCurve((3, 1))].coefficients == (0, 0)
+        assert data.curve_classes[DeltaCurve(i)] == d_vec
+    assert data.curve_classes[GammaCurve((3, 1))] == (0, 0)
 
     data = curve_homology_classes(cusp_openbook(CycleWord((4,))))
     assert data.basis_names == ("l", "d", "e1")
-    assert data.curve_classes[DeltaCurve(0)].coefficients == (0, 1, 0)
-    assert data.curve_classes[GammaCurve(1)].coefficients == (0, 0, 1)
-    assert data.curve_classes[GammaCurve(2)].coefficients == (0, 0, -1)
+    assert data.curve_classes[DeltaCurve(0)] == (0, 1, 0)
+    assert data.curve_classes[GammaCurve(1)] == (0, 0, 1)
+    assert data.curve_classes[GammaCurve(2)] == (0, 0, -1)
 
 
 def test_basis_size_invariant():
@@ -108,7 +110,7 @@ def test_basis_size_invariant():
         data = curve_homology_classes(ob)
         assert data.rank == 2 * ob.page_genus + max(ob.boundary_count - 1, 0)
         for cls in data.curve_classes.values():
-            assert len(cls.coefficients) == data.rank
+            assert len(cls) == data.rank
 
 
 def test_intersection_form_shape():
@@ -171,7 +173,7 @@ def test_monodromy_action_matches_dense_transvection_product():
     books += [cusp_openbook(word) for word in oracle_cusp_words()]
     for ob in books:
         data = curve_homology_classes(ob)
-        classes = [data.curve_classes[c].coefficients for c in ob.twist_word]
+        classes = [data.curve_classes[c] for c in ob.twist_word]
         oracle = transvection_product_oracle(data.intersection_form, classes)
         assert homological_monodromy_action(ob) == oracle
 
@@ -230,7 +232,6 @@ def test_unsupported_openbook():
         page_genus=1,
         boundary_labels=(1,),
         twist_word=(GammaCurve(1),),
-        boundary_twist_multiplicity={1: 1},
     )
     with pytest.raises(UnsupportedOpenBook):
         curve_homology_classes(bare)
@@ -245,12 +246,4 @@ def test_description_validation():
             page_genus=1,
             boundary_labels=(1,),
             twist_word=(GammaCurve(2),),
-            boundary_twist_multiplicity={1: 1},
-        )
-    with pytest.raises(ValueError, match="multiplicities"):
-        OpenBookDescription(
-            page_genus=1,
-            boundary_labels=(1,),
-            twist_word=(GammaCurve(1),),
-            boundary_twist_multiplicity={1: 2},
         )
