@@ -137,10 +137,10 @@ class SteinHandleDiagram:
         return f"{self.one_handle_count} one-handles; " + "; ".join(parts)
 
 
-def _diagram(family: Family, rots: tuple[int, ...]) -> SteinHandleDiagram:
+def _diagram(family: Family, slots, rots: tuple[int, ...]) -> SteinHandleDiagram:
     handles = tuple(
         TwoHandleSpec(tag, framing, _surface_genus(tag), framing + 1, rot)
-        for (tag, framing), rot in zip(family.handle_slots(), rots)
+        for (tag, framing), rot in zip(slots, rots)
     )
     return SteinHandleDiagram(family, family.one_handle_count, handles)
 
@@ -151,8 +151,9 @@ def enumerate_stein_fillings(family: Family) -> tuple[SteinHandleDiagram, ...]:
     There are n + 1 of them for the elliptic family and prod(n_i - 1) for a
     cusp word.
     """
-    ranges = [rotation_range(tag, f) for tag, f in family.handle_slots()]
-    return tuple(_diagram(family, rots) for rots in itertools.product(*ranges))
+    slots = family.handle_slots()
+    ranges = [rotation_range(tag, f) for tag, f in slots]
+    return tuple(_diagram(family, slots, rots) for rots in itertools.product(*ranges))
 
 
 def canonical_filling(family: Family, sign: str = "min") -> SteinHandleDiagram:
@@ -164,8 +165,9 @@ def canonical_filling(family: Family, sign: str = "min") -> SteinHandleDiagram:
     if sign not in ("min", "max"):
         raise ValueError(f"sign must be 'min' or 'max', got {sign!r}")
     pick = min if sign == "min" else max
-    rots = tuple(pick(rotation_range(tag, f)) for tag, f in family.handle_slots())
-    return _diagram(family, rots)
+    slots = family.handle_slots()
+    rots = tuple(pick(rotation_range(tag, f)) for tag, f in slots)
+    return _diagram(family, slots, rots)
 
 
 class PresentationKind(Enum):
