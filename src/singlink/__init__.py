@@ -73,6 +73,5 @@ from .sl2z import (
     cyclic_equal,
     factor_cycle,
 )
-from .verify import suite_families, verify_family
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """The two link families everything downstream is indexed by.
 
-This is the only module that tells the families apart: each one knows its
-label, JSON form, monodromy, plumbing graph, open book, presentation matrix
-and Stein handle pattern, and every other module asks it for them.
+Each family knows its label, JSON form, monodromy, plumbing graph, open
+book, presentation matrix and Stein handle pattern; outside the
+family-specific checks of verify.py, no module tests which family it holds.
 """
 from __future__ import annotations
 

@@ -119,7 +119,7 @@ def euler_class(family: Family, rot_vector) -> CohomologyClassRep:
     """
     q = family.presentation()
     v = tuple(int(x) for x in rot_vector)
-    if len(v) == len(family.handle_slots()):
+    if len(v) != len(q) and len(v) == len(family.handle_slots()):
         v = (0,) * (len(q) - len(v)) + v
     if len(v) != len(q):
         raise DimensionMismatch(
