@@ -287,9 +287,10 @@ def _run_canonical(request: CliRequest):
     return EXIT_OK, "\n".join(lines)
 
 
-def _euler_payload(family: Family, sign: str) -> dict:
-    diagram = legendrian.canonical_filling(family, sign)
-    return invariants.euler_class(family, diagram.rot_vector).to_json_dict()
+def _euler_payloads(family: Family, signs) -> dict:
+    vectors = [legendrian.canonical_filling(family, s).rot_vector for s in signs]
+    reps = invariants.euler_classes(family, vectors)
+    return {s: rep.to_json_dict() for s, rep in zip(signs, reps)}
 
 
 def _d3_payload(family: Family, sign: str) -> dict:
@@ -303,17 +304,17 @@ def _run_invariants(request: CliRequest):
     if request.euler and request.d3:
         raise ValueError("choose at most one of --euler and --d3")
     if request.euler or request.d3:
-        payload_of = _euler_payload if request.euler else _d3_payload
-        payload = (
-            payload_of(family, request.sign)
-            if request.sign
-            else {s: payload_of(family, s) for s in signs}
-        )
+        if request.euler:
+            payload = _euler_payloads(family, signs)
+        else:
+            payload = {s: _d3_payload(family, s) for s in signs}
+        if request.sign:
+            payload = payload[request.sign]
         if request.fmt == "json":
             return EXIT_OK, payload
         return EXIT_OK, json.dumps(payload, sort_keys=True)
     report = invariants.homology_cross_check(family)
-    euler = {s: _euler_payload(family, s) for s in signs}
+    euler = _euler_payloads(family, signs)
     try:
         d3: dict | None = {s: _d3_payload(family, s) for s in signs}
     except invariants.UnsupportedPresentation:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 from .families import Family
 from .legendrian import (
@@ -24,6 +25,7 @@ from .legendrian import (
 from .linalg import (
     AbelianGroup,
     IntMatrix,
+    SnfResult,
     cokernel,
     dot,
     mat_vec,
@@ -44,6 +46,7 @@ __all__ = [
     "adjunction_defect",
     "is_canonical",
     "euler_class",
+    "euler_classes",
     "d3_invariant",
     "homology_cross_check",
 ]
@@ -116,16 +119,33 @@ def euler_class(family: Family, rot_vector) -> CohomologyClassRep:
     (three for elliptic, the k plumbing vertices for a cusp word); a vector
     with one entry per 2-handle, such as the elliptic handle rot alone, is
     placed in the last slots, the 1-handle slots taking coefficient zero.
+    Entries must be integers: anything else raises TypeError.
+    """
+    return euler_classes(family, (rot_vector,))[0]
+
+
+def euler_classes(family: Family, rot_vectors) -> tuple[CohomologyClassRep, ...]:
+    """``euler_class`` of each vector, from one Smith normal form of Q.
+
+    Both canonical structures of a family share the presentation, so their
+    Euler classes need only one reduction.
     """
     q = family.presentation()
-    v = tuple(int(x) for x in rot_vector)
-    if len(v) != len(q) and len(v) == len(family.handle_slots()):
-        v = (0,) * (len(q) - len(v)) + v
-    if len(v) != len(q):
-        raise DimensionMismatch(
-            f"rot vector of length {len(v)} does not fit a {len(q)}-component presentation"
-        )
+    vectors = []
+    for rot_vector in rot_vectors:
+        v = tuple(map(index, rot_vector))
+        if len(v) != len(q) and len(v) == len(family.handle_slots()):
+            v = (0,) * (len(q) - len(v)) + v
+        if len(v) != len(q):
+            raise DimensionMismatch(
+                f"rot vector of length {len(v)} does not fit a {len(q)}-component presentation"
+            )
+        vectors.append(v)
     snf = smith_normal_form(q)
+    return tuple(_reduce_class(q, snf, v) for v in vectors)
+
+
+def _reduce_class(q: IntMatrix, snf: SnfResult, v: tuple[int, ...]) -> CohomologyClassRep:
     reduced = []
     order: int | None = 1
     for d, c in zip(snf.diagonal_entries(), mat_vec(snf.u, v)):  # Q is square

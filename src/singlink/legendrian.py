@@ -57,12 +57,18 @@ def rotation_range(tag: HandleTag, framing: int) -> tuple[int, ...]:
     >>> rotation_range(EllipticCore(), -3)
     (-3, -1, 1, 3)
     """
+    s = _stabilization_budget(tag, framing)
+    return tuple(range(-s, s + 1, 2))
+
+
+def _stabilization_budget(tag: HandleTag, framing: int) -> int:
+    """s = tb_max - 1 - framing, the largest realizable |rot|."""
     s = tb_max(tag) - 1 - framing
     if s < 0:
         raise FramingTooLarge(
             f"framing {framing} exceeds tb_max - 1 = {tb_max(tag) - 1} for {tag}"
         )
-    return tuple(range(-s, s + 1, 2))
+    return s
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,8 @@ class TwoHandleSpec:
             raise ValueError(
                 f"framing {self.smooth_framing} must equal tb - 1 = {self.tb - 1}"
             )
-        if self.rot not in rotation_range(self.tag, self.smooth_framing):
+        s = _stabilization_budget(self.tag, self.smooth_framing)
+        if abs(self.rot) > s or (s - self.rot) % 2:
             raise ValueError(
                 f"rot {self.rot} not realizable at framing {self.smooth_framing} for {self.tag}"
             )

@@ -2,32 +2,41 @@
 
 Everything here works on plain Python integers (arbitrary precision) or
 ``fractions.Fraction``; no floating point is used anywhere.  Matrices are
-tuples of tuples, rows first.
+tuples of tuples, rows first.  Integer entries are taken with
+``operator.index``, so a float, Fraction or string entry raises TypeError
+instead of being truncated.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import chain
+from operator import index, mul
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 
 
 def freeze(rows) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(map(index, row)) for row in rows)
 
 
 def identity_matrix(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple(map(tuple, _identity_rows(n)))
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
 
 
 def matmul(a, b) -> IntMatrix:
     if a and len(a[0]) != len(b):
         raise ValueError("matrix dimensions do not match")
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def mat_vec(a, v):
@@ -119,17 +128,36 @@ def _select_pivot(a, t, rows, cols):
     Eliminating along sparse lines keeps the entries small: ties broken by
     index alone grew the entries to hundreds of thousands of bits on 45 x 44
     open-book presentations whose invariant factors have fewer than 30.
+
+    The block is flattened row by row, so a flat index k is the position
+    (k // width, k % width) and orders ties exactly as (row, column) does;
+    the line counts are taken only when the least value occurs twice.
     """
-    nonzero = [(i, j, abs(x)) for i in range(t, rows) for j, x in enumerate(a[i][t:], t) if x]
-    if not nonzero:
+    width = cols - t
+    block = [row[t:] for row in a[t:]]
+    flat = list(chain.from_iterable(block))
+    least = min(map(abs, filter(None, flat)), default=0)
+    if not least:
         return None
-    least = min(x for _, _, x in nonzero)
-    row_count = Counter(i for i, _, _ in nonzero)
-    col_count = Counter(j for _, j, _ in nonzero)
-    _, i, j = min(
-        ((row_count[i] - 1) * (col_count[j] - 1), i, j) for i, j, x in nonzero if x == least
-    )
-    return i, j
+    plus = flat.count(least)
+    minus = flat.count(-least)
+    if plus + minus == 1:
+        k = flat.index(least if plus else -least)
+    else:
+        ties = []
+        for value, n in ((least, plus), (-least, minus)):
+            k = -1
+            for _ in range(n):
+                k = flat.index(value, k + 1)
+                ties.append(k)
+        height = rows - t
+        row_count = [width - row.count(0) for row in block]
+        col_count = [height - col.count(0) for col in zip(*block)]
+        _, k = min(
+            ((row_count[k // width] - 1) * (col_count[k % width] - 1), k) for k in ties
+        )
+    i, j = divmod(k, width)
+    return t + i, t + j
 
 
 def smith_normal_form(matrix) -> SnfResult:
@@ -143,13 +171,14 @@ def smith_normal_form(matrix) -> SnfResult:
     >>> smith_normal_form(((2, 0), (0, 3))).diagonal_entries()
     (1, 6)
     """
-    a = [list(int(x) for x in row) for row in matrix]
+    m = freeze(matrix)
+    a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if any(len(row) != cols for row in a):
         raise ValueError("ragged matrix")
-    u = [list(row) for row in identity_matrix(rows)]
-    v = [list(row) for row in identity_matrix(cols)]
+    u = _identity_rows(rows)
+    v = _identity_rows(cols)
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -195,7 +224,7 @@ def smith_normal_form(matrix) -> SnfResult:
                     add_row(t, i, -q)
                     if a[i][t]:
                         swap_rows(t, i)  # remainder is a smaller positive pivot
-            if any(a[i][t] for i in range(t + 1, rows)):
+            if any([row[t] for row in a[t + 1 :]]):
                 continue
             # Clear the pivot row with column operations.
             for j in range(t + 1, cols):
@@ -204,27 +233,23 @@ def smith_normal_form(matrix) -> SnfResult:
                     add_col(t, j, -q)
                     if a[t][j]:
                         swap_cols(t, j)
-            if any(a[t][j] for j in range(t + 1, cols)) or any(
-                a[i][t] for i in range(t + 1, rows)
-            ):
+            if any(a[t][t + 1 :]) or any([row[t] for row in a[t + 1 :]]):
                 continue
-            # Enforce divisibility of the remaining block by the pivot.
-            culprit = None
+            # Enforce divisibility of the remaining block by the pivot; a unit
+            # pivot divides everything.
             p = a[t][t]
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % p:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
+            culprit = None
+            if p != 1:
+                culprit = next(
+                    (i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1 :])), None
+                )
             if culprit is None:
                 break
             add_row(culprit, t, 1)
         t += 1
 
-    result = SnfResult(freeze(u), freeze(a), freeze(v))
-    if matmul(matmul(result.u, freeze(matrix)), result.v) != result.diag:
+    result = SnfResult(tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v)))
+    if matmul(matmul(result.u, m), result.v) != result.diag:
         raise RuntimeError("smith normal form verification failed")
     return result
 
@@ -241,7 +266,7 @@ class AbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        object.__setattr__(self, "torsion", tuple(map(index, self.torsion)))
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         for d in self.torsion:

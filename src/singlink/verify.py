@@ -81,10 +81,8 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
         )
     )
 
-    euler_ok = True
-    for diagram in (minimal, maximal):
-        rep = invariants.euler_class(family, diagram.rot_vector)
-        euler_ok = euler_ok and rep.is_zero and rep.witness is not None
+    reps = invariants.euler_classes(family, (minimal.rot_vector, maximal.rot_vector))
+    euler_ok = all(rep.is_zero and rep.witness is not None for rep in reps)
     checks.append(("euler class of the canonical structure vanishes", euler_ok))
 
     if isinstance(family, Elliptic):

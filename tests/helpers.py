@@ -2,12 +2,16 @@
 
 The oracles here deliberately avoid the library's own code paths: matrix
 products (the cycle-word product and the open-book monodromy as one dense
-transvection per twist) are written out naively and determinants use
-cofactor expansion, so homology orders and monodromy values are checked
-against genuinely independent computations.
+transvection per twist) are written out naively, determinants use
+cofactor expansion and the SNF pivot rule is spelled out entry by entry, so
+homology orders, monodromy values and pivots are checked against genuinely
+independent computations.
 """
 import itertools
+from collections import Counter
+from unittest.mock import patch
 
+from singlink import openbook
 from singlink.families import Cusp, Elliptic
 from singlink.sl2z import CycleWord
 
@@ -40,6 +44,36 @@ def transvection_product_oracle(form, classes):
         t = [[int(i == j) + c[i] * jc[j] for j in range(r)] for i in range(r)]
         out = [[sum(out[i][k] * t[k][j] for k in range(r)) for j in range(r)] for i in range(r)]
     return tuple(tuple(row) for row in out)
+
+
+def markowitz_pivot_oracle(a, t, rows, cols):
+    """Pivot of stage t written out entry by entry: the least nonzero |x| in
+    the block from (t, t), then the least Markowitz count (other nonzeros in
+    its row times other nonzeros in its column), then row, then column."""
+    nonzero = [(i, j, abs(x)) for i in range(t, rows) for j, x in enumerate(a[i][t:], t) if x]
+    if not nonzero:
+        return None
+    least = min(x for _, _, x in nonzero)
+    row_count = Counter(i for i, _, _ in nonzero)
+    col_count = Counter(j for _, j, _ in nonzero)
+    _, i, j = min(
+        ((row_count[i] - 1) * (col_count[j] - 1), i, j) for i, j, x in nonzero if x == least
+    )
+    return i, j
+
+
+def openbook_presentation(family):
+    """The relation matrix that ``openbook_homology`` reduces for the family."""
+    captured = []
+    reduce = openbook.cokernel
+
+    def capture(matrix):
+        captured.append(matrix)
+        return reduce(matrix)
+
+    with patch.object(openbook, "cokernel", capture):
+        openbook.openbook_homology(family.openbook())
+    return captured[0]
 
 
 def det_cofactor(m):

@@ -60,6 +60,8 @@ def test_two_handle_validation():
         TwoHandleSpec(ChainUnknot(1), -3, 0, -2, 0)  # parity breaks
     with pytest.raises(ValueError, match="not realizable"):
         TwoHandleSpec(ChainUnknot(1), -3, 0, -2, 3)  # out of range
+    with pytest.raises(FramingTooLarge):
+        TwoHandleSpec(ChainUnknot(1), -1, 0, 0, 0)  # tb 0 exceeds tb_max = -1
     handle = TwoHandleSpec(ChainUnknot(1), -3, 0, -2, -1)
     assert handle.to_json_dict() == {"framing": -3, "tb": -2, "rot": -1, "genus": 0}
 

@@ -1,9 +1,13 @@
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from singlink import linalg
+from singlink.families import Cusp, Elliptic
+from singlink.invariants import euler_class
 from singlink.linalg import (
     AbelianGroup,
     cokernel,
@@ -17,8 +21,9 @@ from singlink.linalg import (
     solve_rational,
     symmetric_signature,
 )
+from singlink.sl2z import CycleWord
 
-from helpers import det_cofactor
+from helpers import det_cofactor, markowitz_pivot_oracle, openbook_presentation
 
 matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda r: st.integers(min_value=1, max_value=4).flatmap(
@@ -35,6 +40,61 @@ def test_snf_fixed_cases():
     assert smith_normal_form(((2, 0), (0, 3))).diagonal_entries() == (1, 6)
     assert smith_normal_form(((0, 0), (0, 0))).diagonal_entries() == (0, 0)
     assert smith_normal_form(((6, -3), (5, -3))).diagonal_entries() == (1, 3)
+
+
+def test_non_integer_entries_are_refused():
+    # truncated to integers, these would reduce a different matrix or vector
+    # and pass the self-check on it
+    with pytest.raises(TypeError):
+        smith_normal_form(((1.5, 2), (3, 4.9)))
+    with pytest.raises(TypeError):
+        cokernel(((Fraction(7, 2),),))
+    with pytest.raises(TypeError):
+        euler_class(Cusp(CycleWord((2, 2, 3))), (0, 0, -1.7))
+    with pytest.raises(TypeError):
+        AbelianGroup(0, (2.5,))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Integer matrices up to 8 x 8, entries -6..6, at least half of them zero."""
+    rows = draw(st.integers(min_value=1, max_value=8))
+    cols = draw(st.integers(min_value=1, max_value=8))
+    cells = rows * cols
+    count = draw(st.integers(min_value=0, max_value=cells // 2))
+    places = draw(st.permutations(range(cells)))[:count]
+    values = draw(
+        st.lists(st.sampled_from([*range(-6, 0), *range(1, 7)]), min_size=count, max_size=count)
+    )
+    flat = [0] * cells
+    for k, x in zip(places, values):
+        flat[k] = x
+    return tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows))
+
+
+@settings(max_examples=200)
+@given(sparse_matrices())
+@example(openbook_presentation(Elliptic(25)))
+@example(openbook_presentation(Cusp(CycleWord((3,) * 17))))
+def test_pivot_matches_markowitz_oracle(m):
+    rows, cols = len(m), len(m[0])
+    select = linalg._select_pivot
+    stages = []
+
+    def checked(a, t, rows, cols):
+        pivot = select(a, t, rows, cols)
+        assert pivot == markowitz_pivot_oracle(a, t, rows, cols)
+        stages.append(t)
+        return pivot
+
+    # every stage of a reduction, on the blocks the reduction produces
+    with patch.object(linalg, "_select_pivot", checked):
+        smith_normal_form(m)
+    assert stages == list(range(len(stages)))
+    # every stage offset of the raw matrix, zero blocks included
+    a = [list(row) for row in m]
+    for t in range(min(rows, cols) + 1):
+        assert select(a, t, rows, cols) == markowitz_pivot_oracle(a, t, rows, cols)
 
 
 def test_snf_zero_and_empty():

@@ -1,8 +1,37 @@
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
-from singlink import invariants
+from singlink import invariants, legendrian, linalg
 from singlink.families import Cusp, Elliptic
+from singlink.sl2z import CycleWord
 from singlink.verify import suite_families, verify_family
+
+
+@contextmanager
+def counted_snf():
+    """Count smith_normal_form calls through every singlink name bound to it."""
+    calls = []
+    original = linalg.smith_normal_form
+
+    def counting(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    bound = [
+        (module, name)
+        for key, module in list(sys.modules.items())
+        if key == "singlink" or key.startswith("singlink.")
+        for name, value in list(vars(module).items())
+        if value is original
+    ]
+    for module, name in bound:
+        setattr(module, name, counting)
+    try:
+        yield calls
+    finally:
+        for module, name in bound:
+            setattr(module, name, original)
 
 
 def test_verify_family_checks_are_named():
@@ -29,3 +58,24 @@ def test_d3_check_compares_both_signs(monkeypatch):
     checks = dict(verify_family(Elliptic(3)))
     assert checks["d3 computed for both signs"] is False
     assert checks["triple homology agreement"] is True
+
+
+def test_one_snf_per_pair_of_euler_classes():
+    for family, expected in (
+        (Cusp(CycleWord((2, 3, 4))), 4),
+        (Cusp(CycleWord((3,))), 4),
+        (Elliptic(3), 7),
+    ):
+        with counted_snf() as calls:
+            checks = verify_family(family)
+        assert all(ok for _, ok in checks)
+        assert len(calls) == expected, family
+
+
+def test_euler_classes_match_euler_class_over_suite():
+    for family in suite_families():
+        vectors = tuple(
+            legendrian.canonical_filling(family, sign).rot_vector for sign in ("min", "max")
+        )
+        pair = invariants.euler_classes(family, vectors)
+        assert pair == tuple(invariants.euler_class(family, v) for v in vectors), family
