@@ -81,10 +81,10 @@ def is_canonical(diagram: SteinHandleDiagram) -> bool:
     """True when the diagram realizes adjunction on every handle, possibly
     after reversing the orientation of every attaching circle (which negates
     the whole rot vector)."""
-    direct = all(adjunction_defect(h) == 0 for h in diagram.handles)
     # negating rot turns the defect rot - c into -rot - c = defect - 2 * rot
-    flipped = all(adjunction_defect(h) == 2 * h.rot for h in diagram.handles)
-    return direct or flipped
+    return all(adjunction_defect(h) == 0 for h in diagram.handles) or all(
+        adjunction_defect(h) == 2 * h.rot for h in diagram.handles
+    )
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ exactly the rotation numbers {-s, -s+2, ..., s} with s = tb_max - 1 - f.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 from .families import ChainUnknot, EllipticCore, Family, HandleTag, NodalDoublePass
 from .linalg import IntMatrix, is_symmetric
@@ -101,22 +102,31 @@ class TwoHandleSpec:
         }
 
 
+_slot_of = attrgetter("tag", "smooth_framing")
+
+
 @dataclass(frozen=True)
 class SteinHandleDiagram:
-    """A Legendrian handle diagram of a Stein filling of the link."""
+    """A Legendrian handle diagram of a Stein filling of the link.
+
+    The handles are checked against ``family.handle_slots()``.  An
+    enumeration that has just built that pattern passes it as ``_slots``,
+    so that each of its diagrams is checked without rebuilding it.
+    """
 
     family: Family
     one_handle_count: int
     handles: tuple[TwoHandleSpec, ...]
+    _slots: InitVar[tuple[tuple[HandleTag, int], ...] | None] = field(default=None, kw_only=True)
 
-    def __post_init__(self):
+    def __post_init__(self, _slots):
         object.__setattr__(self, "handles", tuple(self.handles))
         if self.one_handle_count != self.family.one_handle_count:
             raise ValueError(
                 f"{self.family} requires {self.family.one_handle_count} 1-handles"
             )
-        slots = self.family.handle_slots()
-        got = tuple((h.tag, h.smooth_framing) for h in self.handles)
+        slots = self.family.handle_slots() if _slots is None else _slots
+        got = tuple(map(_slot_of, self.handles))
         if got != slots:
             raise ValueError(f"handles {got} do not match the {self.family} pattern {slots}")
 
@@ -144,37 +154,40 @@ class SteinHandleDiagram:
         return f"{self.one_handle_count} one-handles; " + "; ".join(parts)
 
 
-def _diagram(family: Family, slots, rots: tuple[int, ...]) -> SteinHandleDiagram:
-    handles = tuple(
-        TwoHandleSpec(tag, framing, _surface_genus(tag), framing + 1, rot)
-        for (tag, framing), rot in zip(slots, rots)
-    )
-    return SteinHandleDiagram(family, family.one_handle_count, handles)
+def _handle(tag: HandleTag, framing: int, rot: int) -> TwoHandleSpec:
+    return TwoHandleSpec(tag, framing, _surface_genus(tag), framing + 1, rot)
 
 
 def enumerate_stein_fillings(family: Family) -> tuple[SteinHandleDiagram, ...]:
     """All Stein handle diagrams, ordered lexicographically by rot vector.
 
     There are n + 1 of them for the elliptic family and prod(n_i - 1) for a
-    cusp word.
+    cusp word.  Each realizable handle of each slot is built once per call;
+    the diagrams are the product of these per-slot choices and share them.
     """
     slots = family.handle_slots()
-    ranges = [rotation_range(tag, f) for tag, f in slots]
-    return tuple(_diagram(family, slots, rots) for rots in itertools.product(*ranges))
+    choices = [tuple(_handle(tag, f, rot) for rot in rotation_range(tag, f)) for tag, f in slots]
+    count = family.one_handle_count
+    return tuple(
+        SteinHandleDiagram(family, count, handles, _slots=slots)
+        for handles in itertools.product(*choices)
+    )
 
 
 def canonical_filling(family: Family, sign: str = "min") -> SteinHandleDiagram:
     """The diagram with every rotation number at its minimum (or maximum).
 
     These are the two adjunction-realizing diagrams; their rot vectors are
-    negatives of each other.
+    negatives of each other.  Each rotation number is -s or s, taken from
+    the stabilization budget without listing the range between.
     """
     if sign not in ("min", "max"):
         raise ValueError(f"sign must be 'min' or 'max', got {sign!r}")
-    pick = min if sign == "min" else max
-    slots = family.handle_slots()
-    rots = tuple(pick(rotation_range(tag, f)) for tag, f in slots)
-    return _diagram(family, slots, rots)
+    unit = -1 if sign == "min" else 1
+    handles = tuple(
+        _handle(tag, f, unit * _stabilization_budget(tag, f)) for tag, f in family.handle_slots()
+    )
+    return SteinHandleDiagram(family, family.one_handle_count, handles)
 
 
 class PresentationKind(Enum):

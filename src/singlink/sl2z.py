@@ -166,7 +166,8 @@ class CycleWord:
         return tuple(e[i:] + e[:i] for i in range(len(e)))
 
     def least_rotation(self) -> "CycleWord":
-        return CycleWord(min(self.rotations()))
+        """The lexicographically least cyclic rotation, in O(k) time and memory."""
+        return CycleWord(_least_rotation(self.entries))
 
     def to_json_list(self) -> list[int]:
         return list(self.entries)
@@ -192,9 +193,29 @@ def cycle_monodromy(word: CycleWord) -> Sl2Matrix:
     return out
 
 
+def _least_rotation(entries: tuple[int, ...]) -> tuple[int, ...]:
+    """Least cyclic rotation by Duval's Lyndon factorization of entries twice over.
+
+    The least rotation starts at the start of the last Lyndon factor that
+    begins inside the first copy.
+    """
+    k = len(entries)
+    doubled = entries + entries
+    i = start = 0
+    while i < k:
+        start = i
+        j, m = i + 1, i
+        while j < 2 * k and doubled[m] <= doubled[j]:
+            m = i if doubled[m] < doubled[j] else m + 1
+            j += 1
+        while i <= m:
+            i += j - m
+    return doubled[start : start + k]
+
+
 def cyclic_equal(w1: CycleWord, w2: CycleWord) -> bool:
     """True when w2 is a cyclic rotation of w1."""
-    return len(w1) == len(w2) and w2.entries in w1.rotations()
+    return len(w1) == len(w2) and _least_rotation(w1.entries) == _least_rotation(w2.entries)
 
 
 _EXPANSION_LIMIT = 100_000
@@ -224,8 +245,11 @@ def _periodic_expansion(matrix: Sl2Matrix) -> tuple[int, ...]:
     seen: dict[tuple[int, int], int] = {}
     entries: list[int] = []
     while (p, q) not in seen:
-        if len(entries) > _EXPANSION_LIMIT:
-            raise NoFactorization(f"expansion of {matrix} did not become periodic")
+        if len(entries) == _EXPANSION_LIMIT:
+            raise NoFactorization(
+                f"the period of {matrix}, counted with the entries before it, "
+                f"exceeds the limit of {_EXPANSION_LIMIT:,} entries"
+            )
         seen[(p, q)] = len(entries)
         n = _ceil_quadratic(p, q, root)
         entries.append(n)

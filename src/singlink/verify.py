@@ -55,29 +55,31 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     report = invariants.homology_cross_check(family)
     checks.append(("triple homology agreement", report.all_equal))
 
-    fillings = legendrian.enumerate_stein_fillings(family)
-    checks.append(("stein filling count", len(fillings) == expected_count))
-
-    vectors = [d.rot_vector for d in fillings]
-    checks.append(("c1 evaluations pairwise distinct", len(set(vectors)) == len(vectors)))
-
     minimal = legendrian.canonical_filling(family, "min")
     maximal = legendrian.canonical_filling(family, "max")
+    fillings = legendrian.enumerate_stein_fillings(family)
+    vectors = set()
+    zero_defect = []
+    canonical_count = 0
+    for d in fillings:
+        vectors.add(d.rot_vector)
+        if invariants.is_canonical(d):  # zero defect implies canonical
+            canonical_count += 1
+            if all(invariants.adjunction_defect(h) == 0 for h in d.handles):
+                zero_defect.append(d)
+    checks.append(("stein filling count", len(fillings) == expected_count))
+    checks.append(("c1 evaluations pairwise distinct", len(vectors) == len(fillings)))
     checks.append(
         (
             "canonical rot vectors are negatives",
             tuple(-r for r in minimal.rot_vector) == maximal.rot_vector,
         )
     )
-    zero_defect = [
-        d for d in fillings if all(invariants.adjunction_defect(h) == 0 for h in d.handles)
-    ]
-    canonical_set = [d for d in fillings if invariants.is_canonical(d)]
     expected_canonical = 1 if minimal.rot_vector == maximal.rot_vector else 2
     checks.append(
         (
             "adjunction uniqueness",
-            zero_defect == [minimal] and len(canonical_set) == expected_canonical,
+            zero_defect == [minimal] and canonical_count == expected_canonical,
         )
     )
 

@@ -12,7 +12,8 @@ from collections import Counter
 from unittest.mock import patch
 
 from singlink import openbook
-from singlink.families import Cusp, Elliptic
+from singlink.families import ChainUnknot, Cusp, Elliptic
+from singlink.legendrian import SteinHandleDiagram, TwoHandleSpec, rotation_range
 from singlink.sl2z import CycleWord
 
 
@@ -60,6 +61,27 @@ def markowitz_pivot_oracle(a, t, rows, cols):
         ((row_count[i] - 1) * (col_count[j] - 1), i, j) for i, j, x in nonzero if x == least
     )
     return i, j
+
+
+def stein_fillings_oracle(family):
+    """Every Stein handle diagram, each built from k fresh handles.
+
+    The handle genus is read off the tag here (0 for a chain unknot, 1 for
+    the genus-one attaching circles), not from the library's helper.
+    """
+    slots = family.handle_slots()
+    ranges = [rotation_range(tag, f) for tag, f in slots]
+    return tuple(
+        SteinHandleDiagram(
+            family,
+            family.one_handle_count,
+            tuple(
+                TwoHandleSpec(tag, f, 0 if isinstance(tag, ChainUnknot) else 1, f + 1, rot)
+                for (tag, f), rot in zip(slots, rots)
+            ),
+        )
+        for rots in itertools.product(*ranges)
+    )
 
 
 def openbook_presentation(family):

@@ -1,10 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import singlink
 from singlink.cli import (
@@ -110,6 +114,22 @@ def test_factor_output():
 
 def test_factor_rejects_parabolic():
     assert main(["factor", "--matrix", "1,1,0,1"]) == EXIT_INVALID
+
+
+def test_factor_refuses_long_period(capsys):
+    assert main(["factor", "--matrix", "10000000000,1,-1,0"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("singlink: error: ")
+    assert "exceeds the limit of 100,000 entries" in captured.err
+
+
+def test_huge_cusp_entry_gets_an_exit_code(capsys):
+    huge = "9" * 25
+    assert main(["inv", "--cusp", f"3,{huge}", "--d3", "--json"]) == EXIT_UNSUPPORTED
+    assert main(["inv", "--cusp", f"3,{huge}", "--euler", "--json"]) == EXIT_OK
+    assert main(["canonical", "--cusp", f"3,{huge}", "--json"]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_graph_dot_default():
@@ -258,3 +278,81 @@ def test_json_outputs_are_sorted_and_newline_terminated():
         text = payload.decode()
         assert text.endswith("\n")
         assert json.dumps(json.loads(text), sort_keys=True) + "\n" == text
+
+
+# argv fuzzing: every command, flag and a fixed set of awkward tokens
+FUZZ_COMMANDS = {  # each command with the flags it accepts besides --json and --dot
+    "classify": ["--matrix"],
+    "factor": ["--matrix"],
+    "graph": ["--elliptic", "--cusp"],
+    "openbook": ["--elliptic", "--cusp"],
+    "surgery": ["--elliptic", "--cusp"],
+    "enumerate": ["--elliptic", "--cusp"],
+    "canonical": ["--elliptic", "--cusp", "--sign", "--canonical"],
+    "invariants": ["--elliptic", "--cusp", "--sign", "--canonical", "--euler", "--d3"],
+    "inv": ["--elliptic", "--cusp", "--sign", "--canonical", "--euler", "--d3"],
+    "verify": ["--elliptic", "--cusp"],
+}
+FUZZ_VALUES = {  # well-formed values, drawn as often as all the tokens together
+    "--elliptic": ["1", "2", "5"],
+    "--cusp": ["3", "5", "2,3", "3,4,5"],
+    "--matrix": ["5,-2,3,-1", "-5,2,-3,1", "1,1,0,1"],
+    "--sign": ["min", "max"],
+    "--canonical": ["min", "max"],
+}
+FUZZ_TOKENS = [
+    "0", "1", "2", "3", "5", "-1", "-3", "", ",", "2,,3", "1.5", "a", "-",
+    "2,3", "3,4,5", "2,2", "min", "max", "5,-2,3,-1", "1,1,0,1", "-5,2,-3,1", "1,2,3",
+]
+HUGE = "1" + "0" * 24  # 25 digits
+
+
+def _fuzz_words(flag):
+    if flag not in FUZZ_VALUES:
+        return st.just([flag])
+    values = st.sampled_from(FUZZ_VALUES[flag]) | st.sampled_from(FUZZ_TOKENS)
+    return values.map(lambda value: [flag, value])
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A command with some of its own flags, plus any flag or token; no --suite."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    own = st.sampled_from(FUZZ_COMMANDS[command] + ["--json", "--dot"])
+    every = st.sampled_from(sorted({f for fs in FUZZ_COMMANDS.values() for f in fs} | {"--dot"}))
+    stray = st.sampled_from(FUZZ_TOKENS).map(lambda token: [token])
+    items = draw(st.lists(own.flatmap(_fuzz_words), min_size=1, max_size=3))
+    items += draw(st.lists(every.flatmap(_fuzz_words) | stray, max_size=1))
+    items = draw(st.permutations(items))
+    return [command] + [word for words in items for word in words]
+
+
+@st.composite
+def huge_argv(draw):
+    """25-digit family parameters, only where their cost does not grow with them."""
+    head = draw(st.sampled_from([["canonical"], ["inv", "--euler"], ["inv", "--d3"]]))
+    value = draw(st.sampled_from([HUGE, f"3,{HUGE}", f"{HUGE},2", f"2,{HUGE},4"]))
+    items = [head[1:], [draw(st.sampled_from(["--elliptic", "--cusp"])), value]]
+    items.append(draw(st.sampled_from([[], ["--json"]])))
+    items.append(draw(st.sampled_from([[], ["--sign", "min"], ["--canonical", "max"]])))
+    items.append(draw(st.sampled_from([[], [], ["--dot"], ["--d3"], ["--euler"], ["max"]])))
+    items = draw(st.permutations(items))
+    return head[:1] + [word for words in items for word in words]
+
+
+def _run_main(argv):
+    out = io.TextIOWrapper(io.BytesIO())
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_argv())
+def test_fuzzed_argv_exits_with_a_code(argv):
+    assert _run_main(argv) in (EXIT_OK, EXIT_INVALID, EXIT_VERIFY_FAILED, EXIT_UNSUPPORTED)
+
+
+@settings(max_examples=100, deadline=None)
+@given(huge_argv())
+def test_fuzzed_huge_parameters_exit_with_a_code(argv):
+    assert _run_main(argv) in (EXIT_OK, EXIT_INVALID, EXIT_VERIFY_FAILED, EXIT_UNSUPPORTED)

@@ -1,7 +1,9 @@
 import itertools
+import time
 
 import pytest
 
+from singlink import legendrian
 from singlink.families import Cusp, Elliptic
 from singlink.legendrian import (
     ChainUnknot,
@@ -22,7 +24,10 @@ from singlink.legendrian import (
 from singlink.plumbing import cusp_graph, intersection_matrix
 from singlink.sl2z import CycleWord
 
-from helpers import cusp_words, suite_families
+from helpers import cusp_words, stein_fillings_oracle, suite_families
+
+# one ordering of each multiset of the benchmark's enumerate workload
+LARGE_WORDS = [(3,) * 11 + (4,), (4,) * 7 + (3, 2), (6,) * 5 + (3,)]
 
 
 def test_tb_max_constants():
@@ -115,6 +120,65 @@ def test_enumeration_is_lexicographic():
         assert vectors == sorted(vectors)
 
 
+def test_enumeration_matches_per_diagram_oracle_over_suite():
+    for family in suite_families():
+        assert enumerate_stein_fillings(family) == stein_fillings_oracle(family), family
+
+
+@pytest.mark.parametrize("word", LARGE_WORDS)
+def test_enumeration_matches_per_diagram_oracle_on_large_words(word):
+    family = Cusp(CycleWord(word))
+    fillings = enumerate_stein_fillings(family)
+    assert len(fillings) >= 4000
+    assert fillings == stein_fillings_oracle(family)
+
+
+def test_enumeration_builds_each_handle_and_pattern_once(monkeypatch):
+    built, patterns = [], []
+    check = TwoHandleSpec.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(TwoHandleSpec, "__post_init__", counting)
+    for family in [Elliptic(6), Cusp(CycleWord((3, 4, 5))), Cusp(CycleWord(LARGE_WORDS[0]))]:
+        ranges = [rotation_range(tag, f) for tag, f in family.handle_slots()]
+        built.clear()
+        patterns.clear()
+        handle_slots = type(family).handle_slots
+
+        def counting_slots(f):
+            patterns.append(f)
+            return handle_slots(f)
+
+        with monkeypatch.context() as m:
+            m.setattr(type(family), "handle_slots", counting_slots)
+            fillings = enumerate_stein_fillings(family)
+        assert len(built) == sum(len(r) for r in ranges)
+        assert len(patterns) == 1
+        # every diagram takes its handles from those, one per slot
+        for i, rng in enumerate(ranges):
+            assert len({id(d.handles[i]) for d in fillings}) == len(rng)
+
+
+def test_diagram_rejects_wrong_cusp_pattern():
+    family = Cusp(CycleWord((2, 3, 4)))
+    a, b, c = canonical_filling(family, "min").handles
+    with pytest.raises(ValueError, match="pattern"):
+        SteinHandleDiagram(family, 1, (a, c, b))
+    with pytest.raises(ValueError, match="pattern"):
+        SteinHandleDiagram(family, 1, (a, b))
+    with pytest.raises(ValueError, match="pattern"):
+        SteinHandleDiagram(family, 1, (a, b, c, c))
+    shifted = TwoHandleSpec(ChainUnknot(4), -4, 0, -3, c.rot)
+    with pytest.raises(ValueError, match="pattern"):
+        SteinHandleDiagram(family, 1, (a, b, shifted))
+    # the pattern an enumeration passes in is checked the same way
+    with pytest.raises(ValueError, match="pattern"):
+        SteinHandleDiagram(family, 1, (a, c, b), _slots=family.handle_slots())
+
+
 def test_canonical_filling():
     assert canonical_filling(Cusp(CycleWord((2, 2, 3))), "min").rot_vector == (0, 0, -1)
     assert canonical_filling(Elliptic(5), "min").rot_vector == (-5,)
@@ -134,6 +198,25 @@ def test_canonical_rot_equals_framing_rule():
             assert h_min.rot == target
             assert h_max.rot == -target
         assert maximal.rot_vector == tuple(-r for r in minimal.rot_vector)
+
+
+def test_canonical_extremes_match_rotation_range_over_suite():
+    for family in suite_families():
+        ranges = [rotation_range(tag, f) for tag, f in family.handle_slots()]
+        assert canonical_filling(family, "min").rot_vector == tuple(map(min, ranges))
+        assert canonical_filling(family, "max").rot_vector == tuple(map(max, ranges))
+
+
+def test_canonical_filling_does_not_list_the_range(monkeypatch):
+    def refuse(tag, framing):
+        raise AssertionError("canonical_filling listed a rotation range")
+
+    monkeypatch.setattr(legendrian, "rotation_range", refuse)
+    start = time.perf_counter()
+    assert canonical_filling(Elliptic(10**30), "max").rot_vector == (10**30,)
+    huge = 10**25
+    assert canonical_filling(Cusp(CycleWord((3, huge))), "min").rot_vector == (-1, 2 - huge)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_diagram_validation():

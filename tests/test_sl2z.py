@@ -1,4 +1,8 @@
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlink.sl2z import (
     CycleWord,
@@ -102,6 +106,44 @@ def test_cyclic_equal():
     assert cyclic_equal(CycleWord((2, 3)), CycleWord((3, 2)))
     assert not cyclic_equal(CycleWord((2, 2, 3)), CycleWord((2, 3, 3)))
     assert not cyclic_equal(CycleWord((3,)), CycleWord((3, 3)))
+
+
+cycle_words = (
+    st.lists(st.integers(2, 4), min_size=1, max_size=12)
+    .filter(lambda e: max(e) >= 3)
+    .map(CycleWord)
+)
+
+
+@settings(max_examples=300)
+@given(cycle_words, st.integers(0, 11))
+def test_least_rotation_matches_brute_force(word, shift):
+    assert word.least_rotation() == CycleWord(min(word.rotations()))
+    rotated = CycleWord(word.rotations()[shift % len(word)])
+    assert cyclic_equal(word, rotated) and cyclic_equal(rotated, word)
+
+
+@settings(max_examples=300)
+@given(cycle_words, cycle_words)
+def test_cyclic_equal_matches_brute_force(w1, w2):
+    assert cyclic_equal(w1, w2) == (len(w1) == len(w2) and w2.entries in w1.rotations())
+
+
+def test_factor_cycle_long_period_in_linear_memory():
+    # 19,999 entries 2 and one 3: rotations() alone would hold about 400 M entries
+    tracemalloc.start()
+    try:
+        word = factor_cycle(Sl2Matrix(20002, 1, -1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert word == CycleWord((2,) * 19999 + (3,))
+    assert peak < 20 * 2**20
+
+
+def test_factor_cycle_refuses_periods_over_the_limit():
+    with pytest.raises(NoFactorization, match="exceeds the limit of 100,000 entries"):
+        factor_cycle(Sl2Matrix(10_000_000_000, 1, -1, 0))
 
 
 def test_factor_cycle_fixed_cases():
