@@ -342,17 +342,18 @@ def _run_invariants(request: CliRequest):
 def _run_verify(request: CliRequest):
     if request.suite:
         families = suite_families()
-        all_ok = True
+        failures = []
         lines = []
         for family in families:
-            checks = verify_family(family)
-            ok = all(passed for _, passed in checks)
-            all_ok = all_ok and ok
-            lines.append(f"{'ok' if ok else 'FAIL'}: {family.label}")
+            failed = [name for name, passed in verify_family(family) if not passed]
+            if failed:
+                failures.append({"family": family.label, "checks": failed})
+            lines.append(f"{'FAIL' if failed else 'ok'}: {family.label}")
+        all_ok = not failures
         lines.append(f"{'all' if all_ok else 'NOT all'} {len(families)} families ok")
         code = EXIT_OK if all_ok else EXIT_VERIFY_FAILED
         if request.fmt == "json":
-            return code, {"passed": all_ok, "families": len(families)}
+            return code, {"passed": all_ok, "families": len(families), "failures": failures}
         return code, "\n".join(lines)
     checks = verify_family(request.family)
     ok = all(passed for _, passed in checks)

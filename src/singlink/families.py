@@ -14,6 +14,7 @@ from .sl2z import CycleWord, Sl2Matrix, cycle_monodromy
 
 __all__ = [
     "InvalidParameter",
+    "SizeLimitExceeded",
     "ChainUnknot",
     "EllipticCore",
     "NodalDoublePass",
@@ -26,6 +27,11 @@ __all__ = [
 
 class InvalidParameter(ValueError):
     """A numeric parameter outside the allowed range."""
+
+
+class SizeLimitExceeded(InvalidParameter):
+    """The object asked for is larger than a documented limit; raised
+    before any part of it is built."""
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,9 @@ from .linalg import (
     solve_rational,
     symmetric_signature,
 )
-from .openbook import openbook_homology
-from .plumbing import boundary_homology
+from .openbook import OpenBookDescription, openbook_homology
+from .plumbing import PlumbingGraph, intersection_matrix
+from .sl2z import Sl2Matrix
 
 __all__ = [
     "DimensionMismatch",
@@ -47,8 +48,10 @@ __all__ = [
     "is_canonical",
     "euler_class",
     "euler_classes",
+    "reduce_euler_classes",
     "d3_invariant",
     "homology_cross_check",
+    "homology_agreement",
 ]
 
 
@@ -131,6 +134,15 @@ def euler_classes(family: Family, rot_vectors) -> tuple[CohomologyClassRep, ...]
     Euler classes need only one reduction.
     """
     q = family.presentation()
+    return reduce_euler_classes(family, q, smith_normal_form(q), rot_vectors)
+
+
+def reduce_euler_classes(
+    family: Family, q: IntMatrix, snf: SnfResult, rot_vectors
+) -> tuple[CohomologyClassRep, ...]:
+    """``euler_classes`` against a presentation ``q`` of the family that is
+    already reduced to ``snf``, so a caller holding that reduction (for a
+    cusp, the plumbing intersection matrix) does not run it again."""
     vectors = []
     for rot_vector in rot_vectors:
         v = tuple(map(index, rot_vector))
@@ -141,14 +153,14 @@ def euler_classes(family: Family, rot_vectors) -> tuple[CohomologyClassRep, ...]
                 f"rot vector of length {len(v)} does not fit a {len(q)}-component presentation"
             )
         vectors.append(v)
-    snf = smith_normal_form(q)
     return tuple(_reduce_class(q, snf, v) for v in vectors)
 
 
 def _reduce_class(q: IntMatrix, snf: SnfResult, v: tuple[int, ...]) -> CohomologyClassRep:
+    w = mat_vec(snf.u, v)
     reduced = []
     order: int | None = 1
-    for d, c in zip(snf.diagonal_entries(), mat_vec(snf.u, v)):  # Q is square
+    for d, c in zip(snf.diagonal_entries(), w):  # Q is square
         if d:
             r = c % d
             reduced.append(r)
@@ -165,7 +177,7 @@ def _reduce_class(q: IntMatrix, snf: SnfResult, v: tuple[int, ...]) -> Cohomolog
         reduced=tuple(reduced),
         is_zero=is_zero,
         order=order,
-        witness=snf.solve(v) if is_zero else None,
+        witness=snf.solve_reduced(w) if is_zero else None,
     )
 
 
@@ -218,12 +230,35 @@ class HomologyAgreement:
 
 def homology_cross_check(family: Family) -> HomologyAgreement:
     """Compute H_1 three ways: plumbing boundary, Z + coker(A - I) from the
-    torus-bundle monodromy, and the open book presentation."""
-    a = family.monodromy()
+    torus-bundle monodromy, and the open book presentation.
+
+    >>> from singlink.families import Cusp
+    >>> report = homology_cross_check(Cusp((2, 3)))
+    >>> report.all_equal, str(report.openbook)
+    (True, 'Z + Z/2')
+    """
+    graph = family.graph()
+    graph_snf = smith_normal_form(intersection_matrix(graph))
+    return homology_agreement(family, family.monodromy(), graph, graph_snf, family.openbook())
+
+
+def homology_agreement(
+    family: Family,
+    monodromy: Sl2Matrix,
+    graph: PlumbingGraph,
+    graph_snf: SnfResult,
+    book: OpenBookDescription,
+) -> HomologyAgreement:
+    """``homology_cross_check`` from the family's monodromy, plumbing graph
+    and open book, built once by the caller, and the Smith normal form of
+    the graph's intersection matrix, which a cusp shares with its Euler
+    classes.  The three groups still come from three different matrices:
+    the graph's form, A - I and the open-book presentation."""
+    a = monodromy
     delta = ((a.a - 1, a.b), (a.c, a.d - 1))
     return HomologyAgreement(
         family=family,
-        plumbing=boundary_homology(family.graph()),
+        plumbing=graph_snf.cokernel(graph.boundary_free_rank()),
         monodromy=cokernel(delta, extra_free_rank=1),
-        openbook=openbook_homology(family.openbook()),
+        openbook=openbook_homology(book),
     )

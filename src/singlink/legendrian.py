@@ -13,10 +13,18 @@ from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from operator import attrgetter
 
-from .families import ChainUnknot, EllipticCore, Family, HandleTag, NodalDoublePass
+from .families import (
+    ChainUnknot,
+    EllipticCore,
+    Family,
+    HandleTag,
+    NodalDoublePass,
+    SizeLimitExceeded,
+)
 from .linalg import IntMatrix, is_symmetric
 
 __all__ = [
+    "DIAGRAM_LIMIT",
     "ChainUnknot",
     "EllipticCore",
     "NodalDoublePass",
@@ -33,6 +41,12 @@ __all__ = [
     "canonical_filling",
     "to_contact_surgery",
 ]
+
+
+# Most Stein diagrams enumerate_stein_fillings lists: n + 1 for Elliptic(n)
+# and prod(n_i - 1) for a cusp word.  A larger family is refused before any
+# handle is built.
+DIAGRAM_LIMIT = 100_000
 
 
 class FramingTooLarge(ValueError):
@@ -162,10 +176,19 @@ def enumerate_stein_fillings(family: Family) -> tuple[SteinHandleDiagram, ...]:
     """All Stein handle diagrams, ordered lexicographically by rot vector.
 
     There are n + 1 of them for the elliptic family and prod(n_i - 1) for a
-    cusp word.  Each realizable handle of each slot is built once per call;
-    the diagrams are the product of these per-slot choices and share them.
+    cusp word; more than DIAGRAM_LIMIT raises SizeLimitExceeded before any
+    handle is built.  Each realizable handle of each slot is built once per
+    call; the diagrams are the product of these per-slot choices and share
+    them.
     """
     slots = family.handle_slots()
+    diagrams = 1
+    for tag, f in slots:
+        diagrams *= _stabilization_budget(tag, f) + 1  # the length of rotation_range
+        if diagrams > DIAGRAM_LIMIT:
+            raise SizeLimitExceeded(
+                f"{family.label} has more Stein diagrams than the limit of {DIAGRAM_LIMIT:,}"
+            )
     choices = [tuple(_handle(tag, f, rot) for rot in rotation_range(tag, f)) for tag, f in slots]
     count = family.one_handle_count
     return tuple(

@@ -93,7 +93,10 @@ class SnfResult:
     def solve(self, vector, exact: bool = True):
         """One solution x of ``matrix @ x == vector``, over the integers or,
         when not exact, the rationals; None when there is none."""
-        w = mat_vec(self.u, tuple(vector))
+        return self.solve_reduced(mat_vec(self.u, tuple(vector)), exact)
+
+    def solve_reduced(self, w, exact: bool = True):
+        """``solve`` for a vector already carried to ``w = u @ vector``."""
         rows = len(self.diag)
         cols = len(self.v)
         y = [Fraction(0)] * cols if not exact else [0] * cols
@@ -118,6 +121,17 @@ class SnfResult:
             for j in range(len(self.v))
             if j >= rows or self.diag[j][j] == 0
         )
+
+    def cokernel(self, extra_free_rank: int = 0) -> "AbelianGroup":
+        """Cokernel Z^rows / (column span of the matrix) as an AbelianGroup,
+        plus ``extra_free_rank`` free summands.
+
+        >>> smith_normal_form(((2, 0), (0, 0), (0, 3))).cokernel(1)
+        AbelianGroup(free_rank=2, torsion=(6,))
+        """
+        nonzero = [d for d in self.diagonal_entries() if d != 0]
+        free = len(self.u) - len(nonzero) + extra_free_rank
+        return AbelianGroup(free, tuple(d for d in nonzero if d > 1))
 
 
 def _select_pivot(a, t, rows, cols):
@@ -249,9 +263,38 @@ def smith_normal_form(matrix) -> SnfResult:
         t += 1
 
     result = SnfResult(tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v)))
-    if matmul(matmul(result.u, m), result.v) != result.diag:
-        raise RuntimeError("smith normal form verification failed")
+    _check_snf(m, result)
     return result
+
+
+def _sparse_rows(matrix) -> list[list[tuple[int, int]]]:
+    return [[(j, x) for j, x in enumerate(row) if x] for row in matrix]
+
+
+def _check_snf(m: IntMatrix, snf: SnfResult) -> None:
+    """Raise unless ``u @ m @ v == diag`` exactly.
+
+    Every entry of the product is computed, one row of u at a time: that
+    row times m, then times v, each step adding only the nonzero entries
+    of the rows of m and v that a nonzero coefficient selects.  Each row
+    is compared whole with the row of diag, off-diagonal zeros included.
+    """
+    m_rows = _sparse_rows(m)
+    v_rows = _sparse_rows(snf.v)
+    cols = len(snf.v)  # v is square, so u @ m and u @ m @ v have cols columns
+    for u_row, d_row in zip(snf.u, snf.diag):
+        um = [0] * cols
+        for c, m_row in zip(u_row, m_rows):
+            if c:
+                for j, x in m_row:
+                    um[j] += c * x
+        umv = [0] * cols
+        for c, v_row in zip(um, v_rows):
+            if c:
+                for j, x in v_row:
+                    umv[j] += c * x
+        if tuple(umv) != d_row:
+            raise RuntimeError("smith normal form verification failed")
 
 
 @dataclass(frozen=True)
@@ -301,14 +344,7 @@ class AbelianGroup:
 
 def cokernel(matrix, extra_free_rank: int = 0) -> AbelianGroup:
     """Cokernel Z^rows / (column span of ``matrix``) as an AbelianGroup."""
-    m = freeze(matrix)
-    rows = len(m)
-    if rows == 0:
-        return AbelianGroup(extra_free_rank)
-    diag = smith_normal_form(m).diagonal_entries()
-    nonzero = [d for d in diag if d != 0]
-    free = rows - len(nonzero) + extra_free_rank
-    return AbelianGroup(free, tuple(d for d in nonzero if d > 1))
+    return smith_normal_form(matrix).cokernel(extra_free_rank)
 
 
 def solve_integer(matrix, vector):

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import Cusp, Elliptic, Family, InvalidParameter
+from .families import Cusp, Elliptic, Family, SizeLimitExceeded
 from .linalg import AbelianGroup, IntMatrix, cokernel
 from .sl2z import CycleWord
 
 __all__ = [
+    "BOUNDARY_LIMIT",
     "BoundaryLabel",
     "DeltaCurve",
     "GammaCurve",
@@ -35,6 +36,19 @@ __all__ = [
 ]
 
 BoundaryLabel = int | tuple[int, int]
+
+# Most boundary components an open book may have: n for Elliptic(n) and
+# sum(n_i - 2) for a cusp word.  Both constructors refuse a larger page
+# before building it, since every boundary carries a twist and a relation.
+BOUNDARY_LIMIT = 1_000
+
+
+def _check_boundary_count(b: int, family: Family) -> None:
+    if b > BOUNDARY_LIMIT:
+        raise SizeLimitExceeded(
+            f"the open book of {family.label} has more boundary components "
+            f"than the limit of {BOUNDARY_LIMIT:,}"
+        )
 
 
 class UnsupportedOpenBook(ValueError):
@@ -109,19 +123,25 @@ class OpenBookDescription:
 
 def elliptic_openbook(n: int) -> OpenBookDescription:
     """Torus page with n boundaries, one boundary-parallel twist at each."""
-    if n < 1:
-        raise InvalidParameter(f"elliptic parameter must be >= 1, got {n}")
+    family = Elliptic(n)
+    _check_boundary_count(n, family)
     labels = tuple(range(1, n + 1))
     return OpenBookDescription(
         page_genus=1,
         boundary_labels=labels,
         twist_word=tuple(GammaCurve(j) for j in labels),
-        family=Elliptic(n),
+        family=family,
     )
 
 
 def cusp_openbook(word: CycleWord) -> OpenBookDescription:
-    """Torus page with sum(n_i - 2) boundaries and the delta/gamma twist word."""
+    """Torus page with sum(n_i - 2) boundaries and the delta/gamma twist word.
+
+    >>> cusp_openbook(CycleWord((4,))).word_text()
+    'D(δ0)·D(γ1)·D(γ2)'
+    """
+    family = Cusp(word)
+    _check_boundary_count(sum(n - 2 for n in word), family)
     k = len(word)
     if k == 1:
         labels: tuple[BoundaryLabel, ...] = tuple(range(1, word.entries[0] - 1))
@@ -139,7 +159,7 @@ def cusp_openbook(word: CycleWord) -> OpenBookDescription:
         page_genus=1,
         boundary_labels=labels,
         twist_word=twists,
-        family=Cusp(word),
+        family=family,
     )
 
 

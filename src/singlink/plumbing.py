@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .families import ChainUnknot, EllipticCore, Family, InvalidParameter, NodalDoublePass
-from .linalg import AbelianGroup, IntMatrix, cokernel
+from .linalg import AbelianGroup, IntMatrix, smith_normal_form
 from .sl2z import CycleWord
 
 __all__ = [
@@ -78,6 +78,11 @@ class PlumbingGraph:
     def total_genus(self) -> int:
         return sum(v.genus for v in self.vertices)
 
+    def boundary_free_rank(self) -> int:
+        """Free rank of the boundary H_1 beyond the cokernel of the
+        intersection matrix: b_1(graph) + 2 * (total vertex genus)."""
+        return self.first_betti() + 2 * self.total_genus()
+
     def to_json_dict(self) -> dict:
         return {
             "vertices": [{"weight": v.weight, "genus": v.genus} for v in self.vertices],
@@ -131,11 +136,14 @@ def intersection_matrix(graph: PlumbingGraph) -> IntMatrix:
 def boundary_homology(graph: PlumbingGraph) -> AbelianGroup:
     """First homology of the plumbed 3-manifold boundary.
 
-    Free rank is b_1(graph) + 2 * (total vertex genus); torsion is the
-    cokernel of the intersection matrix.
+    Free rank is ``graph.boundary_free_rank()``; torsion is the cokernel of
+    the intersection matrix.
+
+    >>> boundary_homology(cusp_graph(CycleWord((2, 2, 3))))
+    AbelianGroup(free_rank=1, torsion=(3,))
     """
-    free = graph.first_betti() + 2 * graph.total_genus()
-    return cokernel(intersection_matrix(graph), extra_free_rank=free)
+    snf = smith_normal_form(intersection_matrix(graph))
+    return snf.cokernel(graph.boundary_free_rank())
 
 
 @dataclass(frozen=True)

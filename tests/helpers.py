@@ -11,10 +11,11 @@ import itertools
 from collections import Counter
 from unittest.mock import patch
 
-from singlink import openbook
+from singlink import invariants, legendrian, openbook
 from singlink.families import ChainUnknot, Cusp, Elliptic
 from singlink.legendrian import SteinHandleDiagram, TwoHandleSpec, rotation_range
-from singlink.sl2z import CycleWord
+from singlink.linalg import determinant, dot, matmul, smith_normal_form
+from singlink.sl2z import CycleWord, cyclic_equal, factor_cycle
 
 
 def mat2_mul(a, b):
@@ -61,6 +62,86 @@ def markowitz_pivot_oracle(a, t, rows, cols):
         ((row_count[i] - 1) * (col_count[j] - 1), i, j) for i, j, x in nonzero if x == least
     )
     return i, j
+
+
+def dense_snf_check_oracle(m, snf):
+    """The dense SNF self-check: both products formed in full, zeros included."""
+    return matmul(matmul(snf.u, m), snf.v) == snf.diag
+
+
+def verify_family_reference(family):
+    """``verify_family`` assembled from the public one-family entry points:
+    ``homology_cross_check`` and ``euler_classes`` each build the family's
+    objects and reduce its matrices themselves."""
+    checks = []
+    book = family.openbook()
+    a = family.monodromy()
+    if isinstance(family, Elliptic):
+        checks.append(("monodromy is parabolic of trace 2", a.trace == 2))
+        expected = (family.n + 1, family.n, family.n)
+    else:
+        word = family.word
+        checks.append(("monodromy is hyperbolic of trace >= 3", a.trace >= 3))
+        checks.append(("factorization roundtrip", cyclic_equal(factor_cycle(a), word)))
+        q = family.presentation()
+        checks.append(("det identity |det Q| = trace - 2", abs(determinant(q)) == a.trace - 2))
+        count = 1
+        for n in word:
+            count *= n - 1
+        boundaries = sum(n - 2 for n in word)
+        expected = (count, boundaries, len(word) + boundaries)
+    count, boundaries, word_len = expected
+    checks.append(
+        (
+            "open book page data",
+            book.page_genus == 1
+            and book.boundary_count == boundaries
+            and len(book.twist_word) == word_len,
+        )
+    )
+    checks.append(("triple homology agreement", invariants.homology_cross_check(family).all_equal))
+    minimal = legendrian.canonical_filling(family, "min")
+    maximal = legendrian.canonical_filling(family, "max")
+    fillings = legendrian.enumerate_stein_fillings(family)
+    canonical = [d for d in fillings if invariants.is_canonical(d)]
+    zero_defect = [
+        d for d in fillings if all(invariants.adjunction_defect(h) == 0 for h in d.handles)
+    ]
+    checks.append(("stein filling count", len(fillings) == count))
+    checks.append(
+        ("c1 evaluations pairwise distinct", len({d.rot_vector for d in fillings}) == len(fillings))
+    )
+    checks.append(
+        (
+            "canonical rot vectors are negatives",
+            tuple(-r for r in minimal.rot_vector) == maximal.rot_vector,
+        )
+    )
+    expected_canonical = 1 if minimal.rot_vector == maximal.rot_vector else 2
+    checks.append(
+        (
+            "adjunction uniqueness",
+            zero_defect == [minimal] and len(canonical) == expected_canonical,
+        )
+    )
+    reps = invariants.euler_classes(family, (minimal.rot_vector, maximal.rot_vector))
+    checks.append(
+        (
+            "euler class of the canonical structure vanishes",
+            all(rep.is_zero and rep.witness is not None for rep in reps),
+        )
+    )
+    if isinstance(family, Elliptic):
+        surgery = legendrian.to_contact_surgery(minimal)
+        rot = surgery.rot_vector
+        snf = smith_normal_form(surgery.presentation_matrix)
+        base = snf.solve(rot, exact=False)
+        independent = all(dot(k, rot) == 0 for k in snf.kernel_basis())
+        checks.append(("d3 solution-choice independence", base is not None and independent))
+        d3_min = invariants.d3_invariant(surgery)
+        d3_max = invariants.d3_invariant(legendrian.to_contact_surgery(maximal))
+        checks.append(("d3 computed for both signs", d3_min == d3_max))
+    return checks
 
 
 def stein_fillings_oracle(family):

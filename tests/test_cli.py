@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singlink
+from singlink import invariants
 from singlink.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -22,7 +24,7 @@ from singlink.cli import (
     parse_args,
     run,
 )
-from singlink.families import Cusp
+from singlink.families import Cusp, Elliptic
 
 
 def run_cli(args):
@@ -130,6 +132,41 @@ def test_huge_cusp_entry_gets_an_exit_code(capsys):
     assert main(["inv", "--cusp", f"3,{huge}", "--euler", "--json"]) == EXIT_OK
     assert main(["canonical", "--cusp", f"3,{huge}", "--json"]) == EXIT_OK
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["enumerate", "openbook", "verify"])
+@pytest.mark.parametrize("flag, value", [("--cusp", "3," + "9" * 25), ("--elliptic", "9" * 25)])
+def test_huge_family_is_refused_by_a_size_limit(command, flag, value, capsys):
+    assert main([command, flag, value, "--json"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("singlink: error: ")
+    if command == "enumerate":
+        assert "Stein diagrams than the limit of 100,000" in captured.err
+    else:
+        assert "boundary components than the limit of 1,000" in captured.err
+
+
+def test_verify_suite_json_lists_failures(monkeypatch):
+    code, payload = run_cli(["verify", "--suite", "--json"])
+    assert code == EXIT_OK
+    assert json.loads(payload) == {"passed": True, "families": 346, "failures": []}
+    # make the two canonical d3 values of elliptic(3) differ
+    d3 = invariants.d3_invariant
+
+    def broken(diagram):
+        if diagram.family == Elliptic(3):
+            return Fraction(sum(diagram.rot_vector))
+        return d3(diagram)
+
+    monkeypatch.setattr(invariants, "d3_invariant", broken)
+    code, payload = run_cli(["verify", "--suite", "--json"])
+    assert code == EXIT_VERIFY_FAILED
+    assert json.loads(payload) == {
+        "passed": False,
+        "families": 346,
+        "failures": [{"family": "elliptic(3)", "checks": ["d3 computed for both signs"]}],
+    }
 
 
 def test_graph_dot_default():
@@ -329,12 +366,25 @@ def fuzz_argv(draw):
 
 @st.composite
 def huge_argv(draw):
-    """25-digit family parameters, only where their cost does not grow with them."""
-    head = draw(st.sampled_from([["canonical"], ["inv", "--euler"], ["inv", "--d3"]]))
+    """25-digit family parameters: answered where their cost does not grow
+    with them, refused by a size limit where it would."""
+    head = draw(
+        st.sampled_from(
+            [
+                ["canonical"],
+                ["inv", "--euler"],
+                ["inv", "--d3"],
+                ["enumerate"],
+                ["openbook"],
+                ["verify"],
+            ]
+        )
+    )
     value = draw(st.sampled_from([HUGE, f"3,{HUGE}", f"{HUGE},2", f"2,{HUGE},4"]))
     items = [head[1:], [draw(st.sampled_from(["--elliptic", "--cusp"])), value]]
     items.append(draw(st.sampled_from([[], ["--json"]])))
-    items.append(draw(st.sampled_from([[], ["--sign", "min"], ["--canonical", "max"]])))
+    if head[0] in ("canonical", "inv"):
+        items.append(draw(st.sampled_from([[], ["--sign", "min"], ["--canonical", "max"]])))
     items.append(draw(st.sampled_from([[], [], ["--dot"], ["--d3"], ["--euler"], ["max"]])))
     items = draw(st.permutations(items))
     return head[:1] + [word for words in items for word in words]

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from singlink import legendrian
-from singlink.families import Cusp, Elliptic
+from singlink.families import Cusp, Elliptic, SizeLimitExceeded
 from singlink.legendrian import (
     ChainUnknot,
     ContactSurgeryComponent,
@@ -285,3 +285,18 @@ def test_json_shapes():
     cd = to_contact_surgery(diagram).to_json_dict()
     assert cd["components"][0] == {"tb": -1, "rot": 0, "coefficient": 1, "framing": 0}
     assert cd["presentation"]["kind"] == "plumbing_presentation"
+
+
+def test_diagram_limit_is_checked_before_any_handle(monkeypatch):
+    built = []
+    handle = legendrian._handle
+    monkeypatch.setattr(legendrian, "_handle", lambda *a: built.append(a) or handle(*a))
+    monkeypatch.setattr(legendrian, "DIAGRAM_LIMIT", 6)
+    assert len(enumerate_stein_fillings(Cusp(CycleWord((2, 3, 4))))) == 6
+    assert len(enumerate_stein_fillings(Elliptic(5))) == 6
+    built.clear()
+    for family in (Cusp(CycleWord((3, 3, 4))), Elliptic(6), Cusp(CycleWord((3, 10**25)))):
+        with pytest.raises(SizeLimitExceeded, match="than the limit of 6"):
+            enumerate_stein_fillings(family)
+    assert built == []
+    assert issubclass(SizeLimitExceeded, ValueError)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from singlink.families import Cusp, Elliptic, InvalidParameter
+from singlink import openbook
+from singlink.families import Cusp, Elliptic, InvalidParameter, SizeLimitExceeded
 from singlink.linalg import AbelianGroup, cokernel, identity_matrix, matmul
 from singlink.openbook import (
     DeltaCurve,
@@ -247,3 +248,18 @@ def test_description_validation():
             boundary_labels=(1,),
             twist_word=(GammaCurve(2),),
         )
+
+
+def test_boundary_limit_is_checked_before_the_page(monkeypatch):
+    monkeypatch.setattr(openbook, "BOUNDARY_LIMIT", 3)
+    assert cusp_openbook(CycleWord((3, 4))).boundary_count == 3
+    assert elliptic_openbook(3).boundary_count == 3
+    monkeypatch.setattr(openbook, "GammaCurve", None)  # building a page would fail
+    for build in (
+        lambda: cusp_openbook(CycleWord((4, 4))),
+        lambda: cusp_openbook(CycleWord((3, 10**25))),
+        lambda: elliptic_openbook(4),
+        lambda: Elliptic(10**25).openbook(),
+    ):
+        with pytest.raises(SizeLimitExceeded, match="than the limit of 3"):
+            build()

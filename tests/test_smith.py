@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -23,7 +24,13 @@ from singlink.linalg import (
 )
 from singlink.sl2z import CycleWord
 
-from helpers import det_cofactor, markowitz_pivot_oracle, openbook_presentation
+from helpers import (
+    dense_snf_check_oracle,
+    det_cofactor,
+    markowitz_pivot_oracle,
+    openbook_presentation,
+    suite_families,
+)
 
 matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda r: st.integers(min_value=1, max_value=4).flatmap(
@@ -95,6 +102,63 @@ def test_pivot_matches_markowitz_oracle(m):
     a = [list(row) for row in m]
     for t in range(min(rows, cols) + 1):
         assert select(a, t, rows, cols) == markowitz_pivot_oracle(a, t, rows, cols)
+
+
+def _check_accepts(m, snf):
+    try:
+        linalg._check_snf(m, snf)
+    except RuntimeError:
+        return False
+    return True
+
+
+def _with_one_change(snf, which, i, j, delta):
+    rows = [list(row) for row in getattr(snf, which)]
+    rows[i][j] += delta
+    return replace(snf, **{which: tuple(map(tuple, rows))})
+
+
+@settings(max_examples=200)
+@given(sparse_matrices(), st.data())
+def test_sparse_snf_check_accepts_snf_and_rejects_one_change(m, data):
+    snf = smith_normal_form(m)  # ran the check once already
+    assert _check_accepts(m, snf) and dense_snf_check_oracle(m, snf)
+    rows, cols = len(m), len(m[0])
+    # entries whose change changes u @ m @ v: u[i][k] when row k of m is
+    # nonzero, v[k][j] when column k of m is nonzero (u and v are
+    # invertible), and every entry of diag, off-diagonal zeros included
+    targets = [("u", i, k) for i in range(rows) for k in range(rows) if any(m[k])]
+    targets += [
+        ("v", k, j) for k in range(cols) for j in range(cols) if any(row[k] for row in m)
+    ]
+    targets += [("diag", i, j) for i in range(rows) for j in range(cols)]
+    which, i, j = data.draw(st.sampled_from(targets))
+    changed = _with_one_change(snf, which, i, j, data.draw(st.sampled_from([-2, -1, 1, 2])))
+    assert not dense_snf_check_oracle(m, changed)
+    assert not _check_accepts(m, changed)
+
+
+def test_sparse_snf_check_rejects_every_changed_entry_of_diag():
+    for family in (Elliptic(25), Cusp(CycleWord((3,) * 17))):
+        m = openbook_presentation(family)
+        snf = smith_normal_form(m)
+        assert dense_snf_check_oracle(m, snf)
+        for i in range(len(m)):
+            for j in range(len(m[0])):
+                assert not _check_accepts(m, _with_one_change(snf, "diag", i, j, 1))
+
+
+def test_snf_self_check_failure_raises():
+    snf = smith_normal_form(((2, 4), (6, 8)))
+    with patch.object(linalg, "SnfResult", lambda u, diag, v: replace(snf, diag=((1, 1), (0, 4)))):
+        with pytest.raises(RuntimeError, match="verification failed"):
+            smith_normal_form(((2, 4), (6, 8)))
+
+
+def test_snf_agrees_with_dense_check_on_suite_presentations():
+    for family in suite_families():
+        for m in (family.presentation(), openbook_presentation(family)):
+            assert dense_snf_check_oracle(m, smith_normal_form(m))
 
 
 def test_snf_zero_and_empty():

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 from singlink import invariants, legendrian, linalg
 from singlink.families import Cusp, Elliptic
+from singlink.plumbing import intersection_matrix
 from singlink.sl2z import CycleWord
 from singlink.verify import suite_families, verify_family
+
+from helpers import verify_family_reference
 
 
 @contextmanager
@@ -62,8 +65,8 @@ def test_d3_check_compares_both_signs(monkeypatch):
 
 def test_one_snf_per_pair_of_euler_classes():
     for family, expected in (
-        (Cusp(CycleWord((2, 3, 4))), 4),
-        (Cusp(CycleWord((3,))), 4),
+        (Cusp(CycleWord((2, 3, 4))), 3),
+        (Cusp(CycleWord((3,))), 3),
         (Elliptic(3), 7),
     ):
         with counted_snf() as calls:
@@ -79,3 +82,49 @@ def test_euler_classes_match_euler_class_over_suite():
         )
         pair = invariants.euler_classes(family, vectors)
         assert pair == tuple(invariants.euler_class(family, v) for v in vectors), family
+
+
+def test_verify_family_matches_reference_over_suite():
+    for family in suite_families():
+        assert verify_family(family) == verify_family_reference(family), family
+
+
+def test_repeated_calls_run_the_same_snfs():
+    # nothing is kept on the family object or in a module between calls
+    for family in (Cusp(CycleWord((2, 3, 4))), Elliptic(3)):
+        counts = []
+        for _ in range(2):
+            with counted_snf() as calls:
+                verify_family(family)
+            counts.append(len(calls))
+        assert counts[0] == counts[1], family
+
+
+def test_family_objects_built_by_one_verify_call(monkeypatch):
+    for cls, family in ((Cusp, Cusp(CycleWord((2, 3, 4)))), (Elliptic, Elliptic(3))):
+        calls = {}
+        for name in ("openbook", "monodromy", "graph", "presentation"):
+            original = getattr(cls, name)
+
+            def counting(self, _name=name, _original=original):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(self)
+
+            monkeypatch.setattr(cls, name, counting)
+        verify_family(family)
+        monkeypatch.undo()
+        assert calls["monodromy"] == calls["graph"] == 1, family
+        # the second open book is the reference copy that openbook_homology
+        # compares the given one with before using it
+        assert calls["openbook"] == 2, family
+        if cls is Cusp:
+            assert "presentation" not in calls  # the graph's form is the cusp presentation
+        else:
+            # one for the Euler classes, one per canonical surgery diagram
+            assert calls["presentation"] == 3
+
+
+def test_cusp_presentation_is_the_plumbing_form():
+    for family in suite_families():
+        if isinstance(family, Cusp):
+            assert family.presentation() == intersection_matrix(family.graph())
