@@ -44,7 +44,6 @@ from .openbook import (
     DeltaCurve,
     GammaCurve,
     OpenBookDescription,
-    UnsupportedOpenBook,
     curve_homology_classes,
     cusp_openbook,
     elliptic_openbook,

@@ -1,12 +1,13 @@
 """The two link families everything downstream is indexed by.
 
 Each family knows its label, JSON form, monodromy, plumbing graph, open
-book, presentation matrix and Stein handle pattern; outside the
+book page, presentation matrix and Stein handle pattern; outside the
 family-specific checks of verify.py, no module tests which family it holds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import ClassVar
 
 from .linalg import IntMatrix
@@ -39,16 +40,21 @@ class ChainUnknot:
     """Unknot at position ``index`` (1-based) in the surgery chain; genus 0."""
 
     index: int
+    genus: ClassVar[int] = 0
 
 
 @dataclass(frozen=True)
 class EllipticCore:
     """The 2-handle over both 1-handles of the elliptic diagram; capped genus 1."""
 
+    genus: ClassVar[int] = 1
+
 
 @dataclass(frozen=True)
 class NodalDoublePass:
     """The k = 1 unknot running twice over the 1-handle; capped genus 1."""
+
+    genus: ClassVar[int] = 1
 
 
 HandleTag = ChainUnknot | EllipticCore | NodalDoublePass
@@ -62,6 +68,7 @@ class Elliptic:
     one_handle_count: ClassVar[int] = 2
 
     def __post_init__(self):
+        object.__setattr__(self, "n", index(self.n))
         if self.n < 1:
             raise InvalidParameter(f"elliptic parameter must be >= 1, got {self.n}")
 
@@ -82,9 +89,14 @@ class Elliptic:
         return elliptic_graph(self.n)
 
     def openbook(self):
-        from .openbook import elliptic_openbook
+        from .openbook import OpenBookDescription
 
-        return elliptic_openbook(self.n)
+        return OpenBookDescription(self)
+
+    def page_pieces(self) -> tuple[int, tuple[int, ...]]:
+        """(delta curves, boundaries on each planar piece) of the open-book
+        page: one piece with n boundaries, not cut along any delta."""
+        return 0, (self.n,)
 
     def presentation(self) -> IntMatrix:
         """Borromean linking matrix diag(0, 0, -n): the two 0-framed
@@ -123,9 +135,14 @@ class Cusp:
         return cusp_graph(self.word)
 
     def openbook(self):
-        from .openbook import cusp_openbook
+        from .openbook import OpenBookDescription
 
-        return cusp_openbook(self.word)
+        return OpenBookDescription(self)
+
+    def page_pieces(self) -> tuple[int, tuple[int, ...]]:
+        """(delta curves, boundaries on each planar piece) of the open-book
+        page: k deltas cut it into k pieces, piece i with n_i - 2 boundaries."""
+        return len(self.word), tuple(n - 2 for n in self.word)
 
     def presentation(self) -> IntMatrix:
         """The plumbing intersection matrix, one row per 2-handle."""

@@ -56,14 +56,10 @@ class FramingTooLarge(ValueError):
 def tb_max(tag: HandleTag) -> int:
     """Maximal Thurston-Bennequin invariant of the attaching circle.
 
-    -1 for a plain unknot; 1 for the two genus-one attaching circles,
-    matching the bound 2*genus - 1.
+    The bound 2*genus - 1: -1 for a plain unknot, 1 for the two genus-one
+    attaching circles.
     """
-    return -1 if isinstance(tag, ChainUnknot) else 1
-
-
-def _surface_genus(tag: HandleTag) -> int:
-    return 0 if isinstance(tag, ChainUnknot) else 1
+    return 2 * tag.genus - 1
 
 
 def rotation_range(tag: HandleTag, framing: int) -> tuple[int, ...]:
@@ -88,19 +84,18 @@ def _stabilization_budget(tag: HandleTag, framing: int) -> int:
 
 @dataclass(frozen=True)
 class TwoHandleSpec:
-    """A Stein 2-handle: framing tb - 1, rotation within the realizable set."""
+    """A Stein 2-handle: rotation within the realizable set, tb = framing + 1
+    and the surface genus of its tag."""
 
     tag: HandleTag
     smooth_framing: int
-    surface_genus: int
-    tb: int
     rot: int
+    tb: int = field(init=False)
+    surface_genus: int = field(init=False)
 
     def __post_init__(self):
-        if self.smooth_framing != self.tb - 1:
-            raise ValueError(
-                f"framing {self.smooth_framing} must equal tb - 1 = {self.tb - 1}"
-            )
+        object.__setattr__(self, "tb", self.smooth_framing + 1)
+        object.__setattr__(self, "surface_genus", self.tag.genus)
         s = _stabilization_budget(self.tag, self.smooth_framing)
         if abs(self.rot) > s or (s - self.rot) % 2:
             raise ValueError(
@@ -125,20 +120,18 @@ class SteinHandleDiagram:
 
     The handles are checked against ``family.handle_slots()``.  An
     enumeration that has just built that pattern passes it as ``_slots``,
-    so that each of its diagrams is checked without rebuilding it.
+    so that each of its diagrams is checked without rebuilding it.  The
+    1-handle count is the family's.
     """
 
     family: Family
-    one_handle_count: int
     handles: tuple[TwoHandleSpec, ...]
+    one_handle_count: int = field(init=False)
     _slots: InitVar[tuple[tuple[HandleTag, int], ...] | None] = field(default=None, kw_only=True)
 
     def __post_init__(self, _slots):
         object.__setattr__(self, "handles", tuple(self.handles))
-        if self.one_handle_count != self.family.one_handle_count:
-            raise ValueError(
-                f"{self.family} requires {self.family.one_handle_count} 1-handles"
-            )
+        object.__setattr__(self, "one_handle_count", self.family.one_handle_count)
         slots = self.family.handle_slots() if _slots is None else _slots
         got = tuple(map(_slot_of, self.handles))
         if got != slots:
@@ -168,10 +161,6 @@ class SteinHandleDiagram:
         return f"{self.one_handle_count} one-handles; " + "; ".join(parts)
 
 
-def _handle(tag: HandleTag, framing: int, rot: int) -> TwoHandleSpec:
-    return TwoHandleSpec(tag, framing, _surface_genus(tag), framing + 1, rot)
-
-
 def enumerate_stein_fillings(family: Family) -> tuple[SteinHandleDiagram, ...]:
     """All Stein handle diagrams, ordered lexicographically by rot vector.
 
@@ -189,10 +178,11 @@ def enumerate_stein_fillings(family: Family) -> tuple[SteinHandleDiagram, ...]:
             raise SizeLimitExceeded(
                 f"{family.label} has more Stein diagrams than the limit of {DIAGRAM_LIMIT:,}"
             )
-    choices = [tuple(_handle(tag, f, rot) for rot in rotation_range(tag, f)) for tag, f in slots]
-    count = family.one_handle_count
+    choices = [
+        tuple(TwoHandleSpec(tag, f, rot) for rot in rotation_range(tag, f)) for tag, f in slots
+    ]
     return tuple(
-        SteinHandleDiagram(family, count, handles, _slots=slots)
+        SteinHandleDiagram(family, handles, _slots=slots)
         for handles in itertools.product(*choices)
     )
 
@@ -208,9 +198,10 @@ def canonical_filling(family: Family, sign: str = "min") -> SteinHandleDiagram:
         raise ValueError(f"sign must be 'min' or 'max', got {sign!r}")
     unit = -1 if sign == "min" else 1
     handles = tuple(
-        _handle(tag, f, unit * _stabilization_budget(tag, f)) for tag, f in family.handle_slots()
+        TwoHandleSpec(tag, f, unit * _stabilization_budget(tag, f))
+        for tag, f in family.handle_slots()
     )
-    return SteinHandleDiagram(family, family.one_handle_count, handles)
+    return SteinHandleDiagram(family, handles)
 
 
 class PresentationKind(Enum):

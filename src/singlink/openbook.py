@@ -14,7 +14,8 @@ action and for the homology of the total space.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .families import Cusp, Elliptic, Family, SizeLimitExceeded
 from .linalg import AbelianGroup, IntMatrix, cokernel
@@ -27,7 +28,6 @@ __all__ = [
     "GammaCurve",
     "OpenBookDescription",
     "PageHomologyData",
-    "UnsupportedOpenBook",
     "elliptic_openbook",
     "cusp_openbook",
     "curve_homology_classes",
@@ -38,21 +38,9 @@ __all__ = [
 BoundaryLabel = int | tuple[int, int]
 
 # Most boundary components an open book may have: n for Elliptic(n) and
-# sum(n_i - 2) for a cusp word.  Both constructors refuse a larger page
-# before building it, since every boundary carries a twist and a relation.
+# sum(n_i - 2) for a cusp word.  A larger page is refused before any of it
+# is built, since every boundary carries a twist and a relation.
 BOUNDARY_LIMIT = 1_000
-
-
-def _check_boundary_count(b: int, family: Family) -> None:
-    if b > BOUNDARY_LIMIT:
-        raise SizeLimitExceeded(
-            f"the open book of {family.label} has more boundary components "
-            f"than the limit of {BOUNDARY_LIMIT:,}"
-        )
-
-
-class UnsupportedOpenBook(ValueError):
-    """The description does not come from one of the two constructors."""
 
 
 @dataclass(frozen=True)
@@ -90,21 +78,36 @@ def curve_text(curve: TwistCurve) -> str:
 
 @dataclass(frozen=True)
 class OpenBookDescription:
-    """Page genus, labeled boundaries, ordered right-handed twist word."""
+    """The horizontal open book of a family: a genus-one page, its labeled
+    boundaries and the ordered right-handed twist word, all read off
+    ``family.page_pieces()``.
 
-    page_genus: int
-    boundary_labels: tuple[BoundaryLabel, ...]
-    twist_word: tuple[TwistCurve, ...]
-    family: Family | None = None
+    A page with one piece labels its boundaries 1, ..., b; otherwise the
+    j-th boundary on piece i is (i, j).  The word is delta_0, ..., then one
+    gamma per boundary in label order.
+    """
+
+    family: Family
+    page_genus: ClassVar[int] = 1
+    boundary_labels: tuple[BoundaryLabel, ...] = field(init=False)
+    twist_word: tuple[TwistCurve, ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "boundary_labels", tuple(self.boundary_labels))
-        object.__setattr__(self, "twist_word", tuple(self.twist_word))
-        labels = set(self.boundary_labels)
-        gammas = [c for c in self.twist_word if isinstance(c, GammaCurve)]
-        for c in gammas:
-            if c.label not in labels:
-                raise ValueError(f"twist {curve_name(c)} references an unknown boundary")
+        deltas, pieces = self.family.page_pieces()
+        if sum(pieces) > BOUNDARY_LIMIT:
+            raise SizeLimitExceeded(
+                f"the open book of {self.family.label} has more boundary components "
+                f"than the limit of {BOUNDARY_LIMIT:,}"
+            )
+        if len(pieces) == 1:
+            labels: tuple[BoundaryLabel, ...] = tuple(range(1, pieces[0] + 1))
+        else:
+            labels = tuple(
+                (i, j) for i, b in enumerate(pieces, start=1) for j in range(1, b + 1)
+            )
+        twists = tuple(DeltaCurve(i) for i in range(deltas))
+        object.__setattr__(self, "boundary_labels", labels)
+        object.__setattr__(self, "twist_word", twists + tuple(map(GammaCurve, labels)))
 
     @property
     def boundary_count(self) -> int:
@@ -123,15 +126,7 @@ class OpenBookDescription:
 
 def elliptic_openbook(n: int) -> OpenBookDescription:
     """Torus page with n boundaries, one boundary-parallel twist at each."""
-    family = Elliptic(n)
-    _check_boundary_count(n, family)
-    labels = tuple(range(1, n + 1))
-    return OpenBookDescription(
-        page_genus=1,
-        boundary_labels=labels,
-        twist_word=tuple(GammaCurve(j) for j in labels),
-        family=family,
-    )
+    return OpenBookDescription(Elliptic(n))
 
 
 def cusp_openbook(word: CycleWord) -> OpenBookDescription:
@@ -140,27 +135,7 @@ def cusp_openbook(word: CycleWord) -> OpenBookDescription:
     >>> cusp_openbook(CycleWord((4,))).word_text()
     'D(δ0)·D(γ1)·D(γ2)'
     """
-    family = Cusp(word)
-    _check_boundary_count(sum(n - 2 for n in word), family)
-    k = len(word)
-    if k == 1:
-        labels: tuple[BoundaryLabel, ...] = tuple(range(1, word.entries[0] - 1))
-        twists: tuple[TwistCurve, ...] = (DeltaCurve(0),) + tuple(
-            GammaCurve(j) for j in labels
-        )
-    else:
-        labels = tuple(
-            (i, j) for i, n in enumerate(word, start=1) for j in range(1, n - 1)
-        )
-        twists = tuple(DeltaCurve(i) for i in range(k)) + tuple(
-            GammaCurve(lab) for lab in labels
-        )
-    return OpenBookDescription(
-        page_genus=1,
-        boundary_labels=labels,
-        twist_word=twists,
-        family=family,
-    )
+    return OpenBookDescription(Cusp(word))
 
 
 @dataclass(frozen=True)
@@ -190,24 +165,8 @@ def _piece_of(label: BoundaryLabel) -> int:
     return label[0] if isinstance(label, tuple) else 1
 
 
-def _check_supported(ob: OpenBookDescription) -> None:
-    if ob.family is None:
-        raise UnsupportedOpenBook("description carries no family tag")
-    expected = ob.family.openbook()
-    same_word_as_sets = sorted(map(curve_name, ob.twist_word)) == sorted(
-        map(curve_name, expected.twist_word)
-    )
-    if (
-        ob.page_genus != expected.page_genus
-        or ob.boundary_labels != expected.boundary_labels
-        or not same_word_as_sets
-    ):
-        raise UnsupportedOpenBook(f"description does not match {ob.family}")
-
-
 def curve_homology_classes(ob: OpenBookDescription) -> PageHomologyData:
     """Homology classes of the twist curves and the page intersection form."""
-    _check_supported(ob)
     b = ob.boundary_count
     rank = 2 * ob.page_genus + max(b - 1, 0)
     names = ("l", "d") + tuple(f"e{s}" for s in range(1, b))

@@ -10,11 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import ChainUnknot, EllipticCore, Family, InvalidParameter, NodalDoublePass
+from .families import (
+    ChainUnknot,
+    EllipticCore,
+    Family,
+    InvalidParameter,
+    NodalDoublePass,
+    SizeLimitExceeded,
+)
 from .linalg import AbelianGroup, IntMatrix, smith_normal_form
 from .sl2z import CycleWord
 
 __all__ = [
+    "VERTEX_LIMIT",
     "PlumbingVertex",
     "PlumbingGraph",
     "SurgeryDescription",
@@ -25,6 +33,11 @@ __all__ = [
     "smooth_surgery_description",
     "InvalidParameter",
 ]
+
+# Most vertices whose intersection matrix may be built: k for a cusp word of
+# length k.  The matrix is k x k and its Smith normal form costs about k^3,
+# so a longer word is refused before the matrix exists.
+VERTEX_LIMIT = 1_000
 
 
 @dataclass(frozen=True)
@@ -121,8 +134,15 @@ def elliptic_graph(n: int) -> PlumbingGraph:
 
 
 def intersection_matrix(graph: PlumbingGraph) -> IntMatrix:
-    """Symmetric intersection form: Q_ii = weight_i + 2 * loops_i, Q_ij = edge count."""
+    """Symmetric intersection form: Q_ii = weight_i + 2 * loops_i, Q_ij = edge count.
+
+    A graph with more than VERTEX_LIMIT vertices raises SizeLimitExceeded.
+    """
     n = len(graph.vertices)
+    if n > VERTEX_LIMIT:
+        raise SizeLimitExceeded(
+            f"the plumbing graph has more vertices ({n:,}) than the limit of {VERTEX_LIMIT:,}"
+        )
     q = [[0] * n for _ in range(n)]
     for i, v in enumerate(graph.vertices):
         q[i][i] = v.weight + 2 * graph.loop_count(i)

@@ -10,9 +10,10 @@ and ``factor_cycle`` inverts the construction up to cyclic rotation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import isqrt
+from operator import index
 
 __all__ = [
     "Sl2Matrix",
@@ -64,7 +65,7 @@ class Sl2Matrix:
     @classmethod
     def from_rows(cls, rows) -> "Sl2Matrix":
         (a, b), (c, d) = rows
-        return cls(int(a), int(b), int(c), int(d))
+        return cls(*map(index, (a, b, c, d)))
 
     @property
     def trace(self) -> int:
@@ -96,15 +97,13 @@ class MonodromyType(Enum):
 
 @dataclass(frozen=True)
 class MonodromyClass:
-    """Trace classification of an SL(2,Z) matrix."""
+    """Trace classification of an SL(2,Z) matrix; the kind follows from the trace."""
 
-    kind: MonodromyType
     trace: int
+    kind: MonodromyType = field(init=False)
 
     def __post_init__(self):
-        expected = _kind_for_trace(self.trace)
-        if self.kind is not expected:
-            raise ValueError(f"trace {self.trace} is {expected.value}, not {self.kind.value}")
+        object.__setattr__(self, "kind", _kind_for_trace(self.trace))
 
     @property
     def is_cusp_link(self) -> bool:
@@ -131,7 +130,7 @@ def classify(matrix: Sl2Matrix) -> MonodromyClass:
     >>> classify(Sl2Matrix(1, 5, 0, 1)).kind.value
     'parabolic'
     """
-    return MonodromyClass(_kind_for_trace(matrix.trace), matrix.trace)
+    return MonodromyClass(matrix.trace)
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,7 @@ class CycleWord:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(int(n) for n in self.entries)
+        entries = tuple(map(index, self.entries))
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise ValueError(f"invalid cycle word {entries}: word must be nonempty")

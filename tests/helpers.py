@@ -148,21 +148,19 @@ def stein_fillings_oracle(family):
     """Every Stein handle diagram, each built from k fresh handles.
 
     The handle genus is read off the tag here (0 for a chain unknot, 1 for
-    the genus-one attaching circles), not from the library's helper.
+    the genus-one attaching circles), not from the library, and every
+    handle's derived genus and tb are checked against it and the framing.
     """
     slots = family.handle_slots()
     ranges = [rotation_range(tag, f) for tag, f in slots]
-    return tuple(
-        SteinHandleDiagram(
-            family,
-            family.one_handle_count,
-            tuple(
-                TwoHandleSpec(tag, f, 0 if isinstance(tag, ChainUnknot) else 1, f + 1, rot)
-                for (tag, f), rot in zip(slots, rots)
-            ),
-        )
-        for rots in itertools.product(*ranges)
-    )
+    diagrams = []
+    for rots in itertools.product(*ranges):
+        handles = tuple(TwoHandleSpec(tag, f, rot) for (tag, f), rot in zip(slots, rots))
+        for (tag, f), handle in zip(slots, handles):
+            assert handle.surface_genus == (0 if isinstance(tag, ChainUnknot) else 1)
+            assert handle.tb == f + 1
+        diagrams.append(SteinHandleDiagram(family, handles))
+    return tuple(diagrams)
 
 
 def openbook_presentation(family):

@@ -147,6 +147,26 @@ def test_huge_family_is_refused_by_a_size_limit(command, flag, value, capsys):
         assert "boundary components than the limit of 1,000" in captured.err
 
 
+# 1,001 entries: one boundary component and two Stein diagrams, but a
+# plumbing graph with more vertices than plumbing.VERTEX_LIMIT
+LONG_WORD = ",".join(["2"] * 1000 + ["3"])
+
+
+@pytest.mark.parametrize("command", ["inv", "verify", "surgery"])
+def test_long_cusp_word_is_refused_by_the_vertex_limit(command, capsys):
+    assert main([command, "--cusp", LONG_WORD, "--json"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("singlink: error: ")
+    assert "vertices (1,001) than the limit of 1,000" in captured.err
+
+
+@pytest.mark.parametrize("command", ["graph", "openbook"])
+def test_long_cusp_word_still_gets_its_graph_and_openbook(command):
+    code, payload = run_cli([command, "--cusp", LONG_WORD, "--json"])
+    assert code == EXIT_OK and payload.endswith(b"\n")
+
+
 def test_verify_suite_json_lists_failures(monkeypatch):
     code, payload = run_cli(["verify", "--suite", "--json"])
     assert code == EXIT_OK
@@ -366,8 +386,9 @@ def fuzz_argv(draw):
 
 @st.composite
 def huge_argv(draw):
-    """25-digit family parameters: answered where their cost does not grow
-    with them, refused by a size limit where it would."""
+    """25-digit family parameters, and for the commands that build the
+    plumbing form a word longer than its vertex limit: answered where their
+    cost does not grow with them, refused by a size limit where it would."""
     head = draw(
         st.sampled_from(
             [
@@ -377,10 +398,14 @@ def huge_argv(draw):
                 ["enumerate"],
                 ["openbook"],
                 ["verify"],
+                ["surgery"],
             ]
         )
     )
-    value = draw(st.sampled_from([HUGE, f"3,{HUGE}", f"{HUGE},2", f"2,{HUGE},4"]))
+    values = [HUGE, f"3,{HUGE}", f"{HUGE},2", f"2,{HUGE},4"]
+    if head[0] in ("inv", "verify", "surgery"):
+        values.append(LONG_WORD)
+    value = draw(st.sampled_from(values))
     items = [head[1:], [draw(st.sampled_from(["--elliptic", "--cusp"])), value]]
     items.append(draw(st.sampled_from([[], ["--json"]])))
     if head[0] in ("canonical", "inv"):

@@ -20,6 +20,7 @@ from singlink.legendrian import (
     ContactSurgeryDiagram,
     EllipticCore,
     PresentationKind,
+    SteinHandleDiagram,
     TwoHandleSpec,
     canonical_filling,
     enumerate_stein_fillings,
@@ -41,11 +42,11 @@ def test_c1_evaluations_equal_rot():
 
 
 def test_adjunction_defect_fixed():
-    assert adjunction_defect(TwoHandleSpec(ChainUnknot(1), -2, 0, -1, 0)) == 0
+    assert adjunction_defect(TwoHandleSpec(ChainUnknot(1), -2, 0)) == 0
     for n in (1, 4, 9):
-        handle = TwoHandleSpec(EllipticCore(), -n, 1, -n + 1, -n)
+        handle = TwoHandleSpec(EllipticCore(), -n, -n)
         assert adjunction_defect(handle) == 0
-    assert adjunction_defect(TwoHandleSpec(ChainUnknot(1), -4, 0, -3, 0)) == 2
+    assert adjunction_defect(TwoHandleSpec(ChainUnknot(1), -4, 0)) == 2
 
 
 def test_is_canonical_examples():
@@ -55,6 +56,21 @@ def test_is_canonical_examples():
     middle = enumerate_stein_fillings(Elliptic(3))[1]  # rot -1
     assert middle.rot_vector == (-1,)
     assert not is_canonical(middle)
+
+
+def test_hand_built_canonical_handles_are_canonical():
+    # a handle built from its tag, framing and rot gets the tag's genus, so
+    # rot = framing + 2 - 2 * genus (genus read off the tag here) is canonical
+    for family in suite_families():
+        for sign, unit in (("min", 1), ("max", -1)):
+            handles = []
+            for tag, f in family.handle_slots():
+                genus = 0 if isinstance(tag, ChainUnknot) else 1
+                handles.append(TwoHandleSpec(tag, f, unit * (f + 2 - 2 * genus)))
+            diagram = SteinHandleDiagram(family, handles)
+            assert is_canonical(diagram), family
+            assert diagram == canonical_filling(family, sign)
+    assert is_canonical(SteinHandleDiagram(Elliptic(3), (TwoHandleSpec(EllipticCore(), -3, -3),)))
 
 
 def test_adjunction_uniqueness_over_suite():

@@ -59,16 +59,19 @@ def test_rotation_range_symmetric_constant_parity():
 
 
 def test_two_handle_validation():
-    with pytest.raises(ValueError, match="tb - 1"):
-        TwoHandleSpec(ChainUnknot(1), -3, 0, -1, 0)
     with pytest.raises(ValueError, match="not realizable"):
-        TwoHandleSpec(ChainUnknot(1), -3, 0, -2, 0)  # parity breaks
+        TwoHandleSpec(ChainUnknot(1), -3, 0)  # parity breaks
     with pytest.raises(ValueError, match="not realizable"):
-        TwoHandleSpec(ChainUnknot(1), -3, 0, -2, 3)  # out of range
+        TwoHandleSpec(ChainUnknot(1), -3, 3)  # out of range
     with pytest.raises(FramingTooLarge):
-        TwoHandleSpec(ChainUnknot(1), -1, 0, 0, 0)  # tb 0 exceeds tb_max = -1
-    handle = TwoHandleSpec(ChainUnknot(1), -3, 0, -2, -1)
+        TwoHandleSpec(ChainUnknot(1), -1, 0)  # tb 0 exceeds tb_max = -1
+    handle = TwoHandleSpec(ChainUnknot(1), -3, -1)
     assert handle.to_json_dict() == {"framing": -3, "tb": -2, "rot": -1, "genus": 0}
+    assert TwoHandleSpec(EllipticCore(), -3, -3).to_json_dict() == {
+        "framing": -3, "tb": -2, "rot": -3, "genus": 1
+    }
+    with pytest.raises(TypeError):  # tb and genus are not parameters
+        TwoHandleSpec(ChainUnknot(1), -3, 0, -2, -1)
 
 
 def test_enumerate_elliptic_counts_and_sets():
@@ -166,17 +169,17 @@ def test_diagram_rejects_wrong_cusp_pattern():
     family = Cusp(CycleWord((2, 3, 4)))
     a, b, c = canonical_filling(family, "min").handles
     with pytest.raises(ValueError, match="pattern"):
-        SteinHandleDiagram(family, 1, (a, c, b))
+        SteinHandleDiagram(family, (a, c, b))
     with pytest.raises(ValueError, match="pattern"):
-        SteinHandleDiagram(family, 1, (a, b))
+        SteinHandleDiagram(family, (a, b))
     with pytest.raises(ValueError, match="pattern"):
-        SteinHandleDiagram(family, 1, (a, b, c, c))
-    shifted = TwoHandleSpec(ChainUnknot(4), -4, 0, -3, c.rot)
+        SteinHandleDiagram(family, (a, b, c, c))
+    shifted = TwoHandleSpec(ChainUnknot(4), -4, c.rot)
     with pytest.raises(ValueError, match="pattern"):
-        SteinHandleDiagram(family, 1, (a, b, shifted))
+        SteinHandleDiagram(family, (a, b, shifted))
     # the pattern an enumeration passes in is checked the same way
     with pytest.raises(ValueError, match="pattern"):
-        SteinHandleDiagram(family, 1, (a, c, b), _slots=family.handle_slots())
+        SteinHandleDiagram(family, (a, c, b), _slots=family.handle_slots())
 
 
 def test_canonical_filling():
@@ -220,12 +223,15 @@ def test_canonical_filling_does_not_list_the_range(monkeypatch):
 
 
 def test_diagram_validation():
-    handle = TwoHandleSpec(EllipticCore(), -3, 1, -2, -3)
-    with pytest.raises(ValueError, match="1-handles"):
-        SteinHandleDiagram(Elliptic(3), 1, (handle,))
-    wrong_framing = TwoHandleSpec(EllipticCore(), -4, 1, -3, -4)
+    handle = TwoHandleSpec(EllipticCore(), -3, -3)
+    assert SteinHandleDiagram(Elliptic(3), (handle,)).one_handle_count == 2
+    nodal = TwoHandleSpec(NodalDoublePass(), -3, 1)
+    assert SteinHandleDiagram(Cusp(CycleWord((5,))), (nodal,)).one_handle_count == 1
+    wrong_framing = TwoHandleSpec(EllipticCore(), -4, -4)
     with pytest.raises(ValueError, match="pattern"):
-        SteinHandleDiagram(Elliptic(3), 2, (wrong_framing,))
+        SteinHandleDiagram(Elliptic(3), (wrong_framing,))
+    with pytest.raises(TypeError):  # the 1-handle count is the family's
+        SteinHandleDiagram(Elliptic(3), 2, (handle,))
 
 
 def test_contact_surgery_elliptic_frozen():
@@ -289,8 +295,9 @@ def test_json_shapes():
 
 def test_diagram_limit_is_checked_before_any_handle(monkeypatch):
     built = []
-    handle = legendrian._handle
-    monkeypatch.setattr(legendrian, "_handle", lambda *a: built.append(a) or handle(*a))
+    monkeypatch.setattr(
+        legendrian, "TwoHandleSpec", lambda *a: built.append(a) or TwoHandleSpec(*a)
+    )
     monkeypatch.setattr(legendrian, "DIAGRAM_LIMIT", 6)
     assert len(enumerate_stein_fillings(Cusp(CycleWord((2, 3, 4))))) == 6
     assert len(enumerate_stein_fillings(Elliptic(5))) == 6

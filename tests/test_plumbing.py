@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from singlink.families import Cusp, Elliptic, InvalidParameter
+from singlink import plumbing
+from singlink.families import Cusp, Elliptic, InvalidParameter, SizeLimitExceeded
 from singlink.linalg import AbelianGroup, cokernel
 from singlink.plumbing import (
     PlumbingGraph,
@@ -49,6 +50,24 @@ def test_elliptic_graph():
         elliptic_graph(0)
     with pytest.raises(InvalidParameter):
         elliptic_graph(-2)
+
+
+def test_elliptic_parameter_must_be_an_integer():
+    with pytest.raises(TypeError):
+        Elliptic(2.5)
+
+
+def test_vertex_limit_is_checked_before_the_matrix(monkeypatch):
+    monkeypatch.setattr(plumbing, "VERTEX_LIMIT", 3)
+    assert len(intersection_matrix(cusp_graph(CycleWord((2, 2, 3))))) == 3
+    long_graph = cusp_graph(CycleWord((2, 2, 2, 3)))
+    monkeypatch.setattr(PlumbingGraph, "loop_count", None)  # building Q would fail
+    with pytest.raises(SizeLimitExceeded, match=r"vertices \(4\) than the limit of 3"):
+        intersection_matrix(long_graph)
+    for family in (Cusp(CycleWord((2, 2, 2, 3))), Cusp(CycleWord((2,) * 10**4 + (3,)))):
+        with pytest.raises(SizeLimitExceeded):
+            family.presentation()
+        assert len(family.graph().vertices) == len(family.word)  # the graph still builds
 
 
 def test_edge_index_validation():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from singlink.sl2z import (
     CycleWord,
+    MonodromyClass,
     MonodromyType,
     NoFactorization,
     NotCuspClass,
@@ -44,6 +45,14 @@ def test_classify_fixed_cases():
     assert hyperbolic.is_cusp_link and not hyperbolic.is_elliptic_link
 
 
+def test_monodromy_class_kind_follows_the_trace():
+    assert MonodromyClass(3).kind is MonodromyType.HYPERBOLIC
+    assert MonodromyClass(-2).kind is MonodromyType.PARABOLIC
+    assert MonodromyClass(1).kind is MonodromyType.ELLIPTIC
+    with pytest.raises(TypeError):  # the kind is not a parameter
+        MonodromyClass(MonodromyType.PARABOLIC, 2)
+
+
 def test_classify_negative_trace_is_not_cusp():
     m = Sl2Matrix(-5, 2, -3, 1)
     cls = classify(m)
@@ -57,6 +66,16 @@ def test_cycle_word_validation():
     for bad in [(), (2,), (1, 5), (2, 2), (2, 2, 2, 2)]:
         with pytest.raises(ValueError):
             CycleWord(bad)
+
+
+def test_cycle_word_entries_must_be_integers():
+    with pytest.raises(TypeError):
+        CycleWord((3.7, 2))
+
+
+def test_matrix_rows_must_be_integers():
+    with pytest.raises(TypeError):
+        Sl2Matrix.from_rows(((1.9, 0), (0, 1)))
 
 
 def test_single_factor_is_the_generator():
@@ -186,6 +205,24 @@ def test_factor_cycle_conjugation_invariant():
         for p in conjugators:
             conj = p * a * p.inverse()
             assert cyclic_equal(factor_cycle(conj), word), (entries, p)
+
+
+CONJUGATING_LETTERS = (Sl2Matrix(0, -1, 1, 0), Sl2Matrix(1, 1, 0, 1), Sl2Matrix(1, -1, 0, 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.integers(2, 12), min_size=1, max_size=8).filter(lambda e: max(e) >= 3),
+    st.lists(st.sampled_from(CONJUGATING_LETTERS), max_size=8),
+)
+def test_factor_cycle_roundtrips_under_random_conjugation(entries, letters):
+    # P is a product of up to 8 letters S, T, T^-1
+    word = CycleWord(entries)
+    p = Sl2Matrix.identity()
+    for letter in letters:
+        p = p * letter
+    conjugate = p * Sl2Matrix.from_rows(cycle_product_oracle(entries)) * p.inverse()
+    assert cyclic_equal(factor_cycle(conjugate), word)
 
 
 def test_matrix_inverse_and_identity():
