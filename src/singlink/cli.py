@@ -6,7 +6,7 @@ and a trailing newline; DOT is available for the graph subcommand; text is
 a human view and never parsed back.
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure,
-3 unsupported computation (d3 on a cusp presentation).
+3 unsupported computation (a contact surgery diagram, and so d3, of a cusp).
 """
 from __future__ import annotations
 
@@ -255,7 +255,7 @@ def _run_enumerate(request: CliRequest):
             "fillings": [
                 {
                     "rot": list(d.rot_vector),
-                    "c1": list(invariants.c1_evaluations(d)),
+                    "c1": list(d.rot_vector),
                     "handles": [h.to_json_dict() for h in d.handles],
                 }
                 for d in fillings
@@ -317,7 +317,7 @@ def _run_invariants(request: CliRequest):
     euler = _euler_payloads(family, signs)
     try:
         d3: dict | None = {s: _d3_payload(family, s) for s in signs}
-    except invariants.UnsupportedPresentation:
+    except legendrian.UnsupportedPresentation:
         d3 = None
     if request.fmt == "json":
         return EXIT_OK, {"homology": report.to_json_dict(), "euler": euler, "d3": d3}
@@ -399,7 +399,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     try:
         code, payload = run(request)
-    except invariants.UnsupportedPresentation as exc:
+    except legendrian.UnsupportedPresentation as exc:
         print(f"singlink: unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (ValueError, InvalidParameter) as exc:

@@ -84,9 +84,10 @@ class Elliptic:
         return Sl2Matrix(1, self.n, 0, 1)
 
     def graph(self):
-        from .plumbing import elliptic_graph
+        """One genus-one vertex of weight -n."""
+        from .plumbing import PlumbingGraph, PlumbingVertex
 
-        return elliptic_graph(self.n)
+        return PlumbingGraph((PlumbingVertex(-self.n, genus=1),), ())
 
     def openbook(self):
         from .openbook import OpenBookDescription
@@ -130,9 +131,17 @@ class Cusp:
         return cycle_monodromy(self.word)
 
     def graph(self):
-        from .plumbing import cusp_graph
+        """Circular plumbing with weights -n_i; loop for k = 1, double edge for k = 2."""
+        from .plumbing import PlumbingGraph, PlumbingVertex
 
-        return cusp_graph(self.word)
+        k = len(self.word)
+        if k == 1:
+            edges = ((0, 0),)
+        elif k == 2:
+            edges = ((0, 1), (0, 1))
+        else:
+            edges = tuple((i, (i + 1) % k) for i in range(k))
+        return PlumbingGraph(tuple(PlumbingVertex(-n) for n in self.word), edges)
 
     def openbook(self):
         from .openbook import OpenBookDescription

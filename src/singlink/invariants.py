@@ -18,15 +18,14 @@ from operator import index
 from .families import Family
 from .legendrian import (
     ContactSurgeryDiagram,
-    PresentationKind,
     SteinHandleDiagram,
     TwoHandleSpec,
+    UnsupportedPresentation,
 )
 from .linalg import (
     AbelianGroup,
     IntMatrix,
     SnfResult,
-    cokernel,
     dot,
     mat_vec,
     smith_normal_form,
@@ -43,7 +42,6 @@ __all__ = [
     "UnsupportedPresentation",
     "CohomologyClassRep",
     "HomologyAgreement",
-    "c1_evaluations",
     "adjunction_defect",
     "is_canonical",
     "euler_class",
@@ -61,18 +59,6 @@ class DimensionMismatch(ValueError):
 
 class NonTorsionChernClass(ValueError):
     """The Chern class is not torsion, so d3 is undefined."""
-
-
-class UnsupportedPresentation(ValueError):
-    """The computation needs literal linking data, not a plumbing presentation."""
-
-
-def c1_evaluations(diagram: SteinHandleDiagram) -> tuple[int, ...]:
-    """Evaluations of the first Chern class on the handle surface classes.
-
-    For a Stein handle diagram these are exactly the rotation numbers.
-    """
-    return diagram.rot_vector
 
 
 def adjunction_defect(handle: TwoHandleSpec) -> int:
@@ -185,13 +171,8 @@ def d3_invariant(diagram: ContactSurgeryDiagram) -> Fraction:
     """d3 invariant of the contact structure given by the surgery diagram.
 
     Evaluates (c^2 - 3*sigma(Q) - 2*chi)/4 + q with chi = 1 + #components
-    and q = number of (+1)-components; requires the literal linking matrix
-    and a torsion Chern class.
+    and q = number of (+1)-components; requires a torsion Chern class.
     """
-    if diagram.presentation_kind is not PresentationKind.LITERAL_LINKING:
-        raise UnsupportedPresentation(
-            "d3 needs literal linking data; this diagram carries a plumbing presentation"
-        )
     q_matrix = diagram.presentation_matrix
     rot = diagram.rot_vector
     solution = solve_rational(q_matrix, rot)
@@ -259,6 +240,6 @@ def homology_agreement(
     return HomologyAgreement(
         family=family,
         plumbing=graph_snf.cokernel(graph.boundary_free_rank()),
-        monodromy=cokernel(delta, extra_free_rank=1),
+        monodromy=smith_normal_form(delta).cokernel(1),
         openbook=openbook_homology(book),
     )

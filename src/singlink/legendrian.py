@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import InitVar, dataclass, field
-from enum import Enum
 from operator import attrgetter
 
 from .families import (
@@ -34,7 +33,7 @@ __all__ = [
     "rotation_range",
     "TwoHandleSpec",
     "SteinHandleDiagram",
-    "PresentationKind",
+    "UnsupportedPresentation",
     "ContactSurgeryComponent",
     "ContactSurgeryDiagram",
     "enumerate_stein_fillings",
@@ -51,6 +50,11 @@ DIAGRAM_LIMIT = 100_000
 
 class FramingTooLarge(ValueError):
     """No Legendrian realization exists with the requested framing."""
+
+
+class UnsupportedPresentation(ValueError):
+    """The family's presentation is not the linking matrix of the surgery
+    components, so the contact surgery diagram cannot be drawn."""
 
 
 def tb_max(tag: HandleTag) -> int:
@@ -204,11 +208,6 @@ def canonical_filling(family: Family, sign: str = "min") -> SteinHandleDiagram:
     return SteinHandleDiagram(family, handles)
 
 
-class PresentationKind(Enum):
-    LITERAL_LINKING = "literal_linking"
-    PLUMBING_PRESENTATION = "plumbing_presentation"
-
-
 @dataclass(frozen=True)
 class ContactSurgeryComponent:
     """One surgery curve: contact coefficient +1 or -1 on a Legendrian knot."""
@@ -238,11 +237,10 @@ class ContactSurgeryComponent:
 
 @dataclass(frozen=True)
 class ContactSurgeryDiagram:
-    """Contact surgery presentation with its homology presentation matrix."""
+    """Contact surgery presentation with the linking matrix of its components."""
 
     components: tuple[ContactSurgeryComponent, ...]
     presentation_matrix: IntMatrix
-    presentation_kind: PresentationKind
     family: Family | None = None
 
     def __post_init__(self):
@@ -267,22 +265,17 @@ class ContactSurgeryDiagram:
         return {
             "family": None if self.family is None else self.family.to_json_dict(),
             "components": [c.to_json_dict() for c in self.components],
-            "presentation": {
-                "kind": self.presentation_kind.value,
-                "matrix": [list(r) for r in self.presentation_matrix],
-            },
+            "presentation": [list(r) for r in self.presentation_matrix],
         }
 
 
 def to_contact_surgery(diagram: SteinHandleDiagram) -> ContactSurgeryDiagram:
     """Trade every 1-handle for a contact (+1)-surgery on a standard unknot.
 
-    The family's presentation is literal linking data when it has a row for
-    every surgery component, as the elliptic Borromean diag(0, 0, -n) does;
-    a cusp presentation has rows for the 2-handles only, so the plumbing
-    intersection matrix is extended by a zero row and column for the (+1)
-    component, which presents the homology but is not the literal linking
-    data.
+    The family's presentation is taken as the linking matrix of the surgery
+    components, which needs a row for each, as the elliptic Borromean
+    diag(0, 0, -n) has.  A cusp presentation has rows for the 2-handles
+    only, so a cusp diagram raises UnsupportedPresentation.
     """
     plus = tuple(
         ContactSurgeryComponent(-1, 0, 1) for _ in range(diagram.one_handle_count)
@@ -291,9 +284,9 @@ def to_contact_surgery(diagram: SteinHandleDiagram) -> ContactSurgeryDiagram:
         ContactSurgeryComponent(h.tb, h.rot, -1) for h in diagram.handles
     )
     q = diagram.family.presentation()
-    pad = len(plus) + len(minus) - len(q)
-    matrix: IntMatrix = tuple((0,) * (pad + len(q)) for _ in range(pad)) + tuple(
-        (0,) * pad + row for row in q
-    )
-    kind = PresentationKind.PLUMBING_PRESENTATION if pad else PresentationKind.LITERAL_LINKING
-    return ContactSurgeryDiagram(plus + minus, matrix, kind, diagram.family)
+    if len(q) != len(plus) + len(minus):
+        raise UnsupportedPresentation(
+            f"{diagram.family.label} has no linking matrix for its "
+            f"{len(plus) + len(minus)} surgery components"
+        )
+    return ContactSurgeryDiagram(plus + minus, q, diagram.family)

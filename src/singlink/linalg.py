@@ -21,10 +21,6 @@ def freeze(rows) -> IntMatrix:
     return tuple(tuple(map(index, row)) for row in rows)
 
 
-def identity_matrix(n: int) -> IntMatrix:
-    return tuple(map(tuple, _identity_rows(n)))
-
-
 def _identity_rows(n: int) -> list[list[int]]:
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -40,7 +36,9 @@ def matmul(a, b) -> IntMatrix:
 
 
 def mat_vec(a, v):
-    return tuple(sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a)))
+    if a and len(a[0]) != len(v):
+        raise ValueError("matrix and vector dimensions do not match")
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def is_symmetric(a) -> bool:
@@ -92,7 +90,12 @@ class SnfResult:
 
     def solve(self, vector, exact: bool = True):
         """One solution x of ``matrix @ x == vector``, over the integers or,
-        when not exact, the rationals; None when there is none."""
+        when not exact, the rationals; None when there is none.  A vector
+        whose length is not the row count raises ValueError.
+
+        >>> smith_normal_form(((2, 0), (0, 3))).solve((4, 3))
+        (2, 1)
+        """
         return self.solve_reduced(mat_vec(self.u, tuple(vector)), exact)
 
     def solve_reduced(self, w, exact: bool = True):
@@ -309,6 +312,7 @@ class AbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "free_rank", index(self.free_rank))
         object.__setattr__(self, "torsion", tuple(map(index, self.torsion)))
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
@@ -342,39 +346,11 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def cokernel(matrix, extra_free_rank: int = 0) -> AbelianGroup:
-    """Cokernel Z^rows / (column span of ``matrix``) as an AbelianGroup."""
-    return smith_normal_form(matrix).cokernel(extra_free_rank)
-
-
-def solve_integer(matrix, vector):
-    """One integer solution x of ``matrix @ x == vector``, or None."""
-    return _solve(matrix, vector, exact=True)
-
-
 def solve_rational(matrix, vector):
     """One rational solution x of ``matrix @ x == vector``, or None."""
-    return _solve(matrix, vector, exact=False)
-
-
-def _solve(matrix, vector, exact: bool):
-    m = freeze(matrix)
-    rows = len(m)
-    if len(vector) != rows:
+    if len(vector) != len(matrix):
         raise ValueError("vector length does not match matrix rows")
-    if rows == 0:
-        return ()
-    return smith_normal_form(m).solve(vector, exact)
-
-
-def integer_kernel_basis(matrix) -> tuple[IntVector, ...]:
-    """Basis of the integer kernel {x : matrix @ x == 0}."""
-    m = freeze(matrix)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if rows == 0:
-        return tuple(identity_matrix(cols))
-    return smith_normal_form(m).kernel_basis()
+    return smith_normal_form(matrix).solve(vector, exact=False)
 
 
 def symmetric_signature(matrix) -> int:

@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from .families import Cusp, Elliptic, Family, SizeLimitExceeded
-from .linalg import AbelianGroup, IntMatrix, cokernel
-from .sl2z import CycleWord
+from .families import Family, SizeLimitExceeded
+from .linalg import AbelianGroup, IntMatrix, smith_normal_form
 
 __all__ = [
     "BOUNDARY_LIMIT",
@@ -28,8 +27,6 @@ __all__ = [
     "GammaCurve",
     "OpenBookDescription",
     "PageHomologyData",
-    "elliptic_openbook",
-    "cusp_openbook",
     "curve_homology_classes",
     "homological_monodromy_action",
     "openbook_homology",
@@ -85,6 +82,10 @@ class OpenBookDescription:
     A page with one piece labels its boundaries 1, ..., b; otherwise the
     j-th boundary on piece i is (i, j).  The word is delta_0, ..., then one
     gamma per boundary in label order.
+
+    >>> from singlink.families import Cusp
+    >>> OpenBookDescription(Cusp((4,))).word_text()
+    'D(δ0)·D(γ1)·D(γ2)'
     """
 
     family: Family
@@ -122,20 +123,6 @@ class OpenBookDescription:
             "boundaries": self.boundary_count,
             "word": [curve_name(c) for c in self.twist_word],
         }
-
-
-def elliptic_openbook(n: int) -> OpenBookDescription:
-    """Torus page with n boundaries, one boundary-parallel twist at each."""
-    return OpenBookDescription(Elliptic(n))
-
-
-def cusp_openbook(word: CycleWord) -> OpenBookDescription:
-    """Torus page with sum(n_i - 2) boundaries and the delta/gamma twist word.
-
-    >>> cusp_openbook(CycleWord((4,))).word_text()
-    'D(δ0)·D(γ1)·D(γ2)'
-    """
-    return OpenBookDescription(Cusp(word))
 
 
 @dataclass(frozen=True)
@@ -311,4 +298,4 @@ def openbook_homology(ob: OpenBookDescription) -> AbelianGroup:
     for label in ob.boundary_labels[1:]:
         relations.append(corrections[label] + (1,))
     presentation = tuple(zip(*relations))  # columns = relations
-    return cokernel(presentation)
+    return smith_normal_form(presentation).cokernel()

@@ -9,6 +9,7 @@ calculus: diagonal = Euler weight plus twice the loop count, off-diagonal
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .families import (
     ChainUnknot,
@@ -19,15 +20,12 @@ from .families import (
     SizeLimitExceeded,
 )
 from .linalg import AbelianGroup, IntMatrix, smith_normal_form
-from .sl2z import CycleWord
 
 __all__ = [
     "VERTEX_LIMIT",
     "PlumbingVertex",
     "PlumbingGraph",
     "SurgeryDescription",
-    "cusp_graph",
-    "elliptic_graph",
     "intersection_matrix",
     "boundary_homology",
     "smooth_surgery_description",
@@ -46,6 +44,8 @@ class PlumbingVertex:
     genus: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "weight", index(self.weight))
+        object.__setattr__(self, "genus", index(self.genus))
         if self.genus < 0:
             raise InvalidParameter(f"vertex genus must be nonnegative, got {self.genus}")
 
@@ -59,7 +59,7 @@ class PlumbingGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
-        edges = tuple(tuple(sorted(e)) for e in self.edges)
+        edges = tuple(tuple(sorted(map(index, e))) for e in self.edges)
         object.__setattr__(self, "edges", edges)
         n = len(self.vertices)
         for i, j in edges:
@@ -112,27 +112,6 @@ class PlumbingGraph:
         return "\n".join(lines) + "\n"
 
 
-def cusp_graph(word: CycleWord) -> PlumbingGraph:
-    """Circular plumbing with weights -n_i; loop for k = 1, double edge for k = 2."""
-    weights = tuple(-n for n in word)
-    k = len(weights)
-    vertices = tuple(PlumbingVertex(w) for w in weights)
-    if k == 1:
-        edges = ((0, 0),)
-    elif k == 2:
-        edges = ((0, 1), (0, 1))
-    else:
-        edges = tuple((i, (i + 1) % k) for i in range(k))
-    return PlumbingGraph(vertices, edges)
-
-
-def elliptic_graph(n: int) -> PlumbingGraph:
-    """One genus-one vertex of weight -n."""
-    if n < 1:
-        raise InvalidParameter(f"elliptic parameter must be >= 1, got {n}")
-    return PlumbingGraph((PlumbingVertex(-n, genus=1),), ())
-
-
 def intersection_matrix(graph: PlumbingGraph) -> IntMatrix:
     """Symmetric intersection form: Q_ii = weight_i + 2 * loops_i, Q_ij = edge count.
 
@@ -159,7 +138,8 @@ def boundary_homology(graph: PlumbingGraph) -> AbelianGroup:
     Free rank is ``graph.boundary_free_rank()``; torsion is the cokernel of
     the intersection matrix.
 
-    >>> boundary_homology(cusp_graph(CycleWord((2, 2, 3))))
+    >>> from singlink.families import Cusp
+    >>> boundary_homology(Cusp((2, 2, 3)).graph())
     AbelianGroup(free_rank=1, torsion=(3,))
     """
     snf = smith_normal_form(intersection_matrix(graph))

@@ -106,11 +106,12 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     checks.append(("euler class of the canonical structure vanishes", euler_ok))
 
     if isinstance(family, Elliptic):
+        # the surgery diagram's linking matrix is the presentation q, so its
+        # solutions and kernel come from the reduction q_snf already made
         surgery = legendrian.to_contact_surgery(minimal)
         rot = surgery.rot_vector
-        snf = smith_normal_form(surgery.presentation_matrix)
-        base = snf.solve(rot, exact=False)
-        independent = all(dot(k, rot) == 0 for k in snf.kernel_basis())
+        base = q_snf.solve(rot, exact=False)
+        independent = all(dot(k, rot) == 0 for k in q_snf.kernel_basis())
         checks.append(("d3 solution-choice independence", base is not None and independent))
         d3_min = invariants.d3_invariant(surgery)
         d3_max = invariants.d3_invariant(legendrian.to_contact_surgery(maximal))

@@ -166,13 +166,13 @@ def stein_fillings_oracle(family):
 def openbook_presentation(family):
     """The relation matrix that ``openbook_homology`` reduces for the family."""
     captured = []
-    reduce = openbook.cokernel
+    reduce = openbook.smith_normal_form
 
     def capture(matrix):
         captured.append(matrix)
         return reduce(matrix)
 
-    with patch.object(openbook, "cokernel", capture):
+    with patch.object(openbook, "smith_normal_form", capture):
         openbook.openbook_homology(family.openbook())
     return captured[0]
 

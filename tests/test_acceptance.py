@@ -11,16 +11,14 @@ from singlink.cli import parse_args, run
 from singlink.families import Cusp, Elliptic
 from singlink.invariants import (
     adjunction_defect,
-    c1_evaluations,
     d3_invariant,
     euler_class,
     homology_cross_check,
     is_canonical,
 )
 from singlink.legendrian import canonical_filling, enumerate_stein_fillings, to_contact_surgery
-from singlink.linalg import determinant, dot, integer_kernel_basis, mat_vec, solve_rational
-from singlink.openbook import cusp_openbook, elliptic_openbook
-from singlink.plumbing import cusp_graph, intersection_matrix
+from singlink.linalg import determinant, dot, mat_vec, smith_normal_form, solve_rational
+from singlink.plumbing import intersection_matrix
 from singlink.sl2z import cycle_monodromy, cyclic_equal, factor_cycle
 
 from helpers import suite_cusp_words, suite_families
@@ -70,13 +68,13 @@ def test_criterion_03_monodromy():
 def test_criterion_04_openbook_data():
     with criterion(4, "open book page genus, boundary count and word length"):
         for word in suite_cusp_words():
-            book = cusp_openbook(word)
+            book = Cusp(word).openbook()
             boundaries = sum(n - 2 for n in word)
             assert book.page_genus == 1
             assert book.boundary_count == boundaries
             assert len(book.twist_word) == len(word) + boundaries
         for n in range(1, 11):
-            book = elliptic_openbook(n)
+            book = Elliptic(n).openbook()
             assert book.page_genus == 1
             assert book.boundary_count == n
             assert len(book.twist_word) == n
@@ -87,7 +85,7 @@ def test_criterion_05_triple_homology():
         for family in suite_families():
             assert homology_cross_check(family).all_equal
         for word in suite_cusp_words():
-            q = intersection_matrix(cusp_graph(word))
+            q = intersection_matrix(Cusp(word).graph())
             assert abs(determinant(q)) == cycle_monodromy(word).trace - 2
 
 
@@ -138,7 +136,7 @@ def test_criterion_08_d3_invariant():
                 cd = to_contact_surgery(canonical_filling(Elliptic(n), sign))
                 values[sign] = d3_invariant(cd)
                 x = solve_rational(cd.presentation_matrix, cd.rot_vector)
-                for kernel_vector in integer_kernel_basis(cd.presentation_matrix):
+                for kernel_vector in smith_normal_form(cd.presentation_matrix).kernel_basis():
                     shifted = tuple(a + b for a, b in zip(x, kernel_vector))
                     assert dot(shifted, cd.rot_vector) == dot(x, cd.rot_vector)
             assert values["min"].denominator in (1, 2, 4)
@@ -148,7 +146,7 @@ def test_criterion_08_d3_invariant():
 def test_criterion_09_c1_vectors_distinct():
     with criterion(9, "c1 evaluation vectors are pairwise distinct in each enumeration"):
         for family in suite_families():
-            vectors = [c1_evaluations(d) for d in enumerate_stein_fillings(family)]
+            vectors = [d.rot_vector for d in enumerate_stein_fillings(family)]
             assert len(set(vectors)) == len(vectors)
 
 

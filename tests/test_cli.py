@@ -266,8 +266,11 @@ def test_invariants_d3():
     assert json.loads(payload) == {"min": {"num": 1, "den": 2}, "max": {"num": 1, "den": 2}}
 
 
-def test_invariants_d3_on_cusp_exits_3():
+def test_invariants_d3_on_cusp_exits_3(capsys):
     assert main(["invariants", "--cusp", "2,2,3", "--d3"]) == EXIT_UNSUPPORTED
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("singlink: unsupported: cusp(2,2,3) has no linking matrix")
 
 
 def test_invariants_full_report():

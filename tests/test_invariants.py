@@ -8,7 +8,6 @@ from singlink.invariants import (
     NonTorsionChernClass,
     UnsupportedPresentation,
     adjunction_defect,
-    c1_evaluations,
     d3_invariant,
     euler_class,
     homology_cross_check,
@@ -19,26 +18,17 @@ from singlink.legendrian import (
     ContactSurgeryComponent,
     ContactSurgeryDiagram,
     EllipticCore,
-    PresentationKind,
     SteinHandleDiagram,
     TwoHandleSpec,
     canonical_filling,
     enumerate_stein_fillings,
     to_contact_surgery,
 )
-from singlink.linalg import AbelianGroup, dot, integer_kernel_basis, mat_vec, solve_rational
+from singlink import legendrian
+from singlink.linalg import AbelianGroup, dot, mat_vec, smith_normal_form, solve_rational
 from singlink.sl2z import CycleWord, Sl2Matrix
 
 from helpers import suite_families
-
-
-def test_c1_evaluations_equal_rot():
-    diagram = canonical_filling(Cusp(CycleWord((2, 2, 3))), "min")
-    assert c1_evaluations(diagram) == (0, 0, -1) == diagram.rot_vector
-    assert c1_evaluations(canonical_filling(Elliptic(5), "min")) == (-5,)
-    zero = enumerate_stein_fillings(Cusp(CycleWord((3, 3))))[1]
-    assert zero.rot_vector != (0, 0)  # (3,3) has vectors in {-1,1}^2
-    assert c1_evaluations(zero) == zero.rot_vector
 
 
 def test_adjunction_defect_fixed():
@@ -98,7 +88,7 @@ def test_adjunction_uniqueness_over_suite():
 
 def test_c1_vectors_pairwise_distinct():
     for family in suite_families():
-        vectors = [c1_evaluations(d) for d in enumerate_stein_fillings(family)]
+        vectors = [d.rot_vector for d in enumerate_stein_fillings(family)]
         assert len(set(vectors)) == len(vectors)
 
 
@@ -181,30 +171,32 @@ def test_d3_solution_choice_independent():
         cd = to_contact_surgery(canonical_filling(Elliptic(n), "min"))
         q, rot = cd.presentation_matrix, cd.rot_vector
         x = solve_rational(q, rot)
-        for kernel_vector in integer_kernel_basis(q):
+        for kernel_vector in smith_normal_form(q).kernel_basis():
             shifted = tuple(a + b for a, b in zip(x, kernel_vector))
             assert mat_vec(q, shifted) == tuple(map(Fraction, rot))
             assert dot(shifted, rot) == dot(x, rot)
 
 
 def test_d3_unsupported_for_plumbing_presentation():
-    cd = to_contact_surgery(canonical_filling(Cusp(CycleWord((2, 2, 3))), "min"))
+    # the cusp presentation is not a linking matrix of the surgery
+    # components, so no surgery diagram, and so no d3, is produced
+    diagram = canonical_filling(Cusp(CycleWord((2, 2, 3))), "min")
     with pytest.raises(UnsupportedPresentation):
-        d3_invariant(cd)
+        to_contact_surgery(diagram)
+    assert UnsupportedPresentation is legendrian.UnsupportedPresentation
 
 
 def test_d3_rejects_non_torsion_chern_class():
     bad = ContactSurgeryDiagram(
         components=(ContactSurgeryComponent(-2, 1, -1),),
         presentation_matrix=((0,),),
-        presentation_kind=PresentationKind.LITERAL_LINKING,
     )
     with pytest.raises(NonTorsionChernClass):
         d3_invariant(bad)
 
 
 def test_d3_empty_diagram_is_standard_sphere():
-    empty = ContactSurgeryDiagram((), (), PresentationKind.LITERAL_LINKING)
+    empty = ContactSurgeryDiagram((), ())
     assert d3_invariant(empty) == Fraction(-1, 2)
 
 
@@ -213,7 +205,6 @@ def test_d3_all_rot_zero_negative_definite():
     cd = ContactSurgeryDiagram(
         components=(ContactSurgeryComponent(-1, 0, -1), ContactSurgeryComponent(-1, 0, -1)),
         presentation_matrix=((-2, 0), (0, -2)),
-        presentation_kind=PresentationKind.LITERAL_LINKING,
     )
     assert d3_invariant(cd) == Fraction(-3 * (-2) - 2 * 3, 4)
 

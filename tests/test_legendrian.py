@@ -12,16 +12,15 @@ from singlink.legendrian import (
     EllipticCore,
     FramingTooLarge,
     NodalDoublePass,
-    PresentationKind,
     SteinHandleDiagram,
     TwoHandleSpec,
     canonical_filling,
     enumerate_stein_fillings,
     rotation_range,
+    UnsupportedPresentation,
     tb_max,
     to_contact_surgery,
 )
-from singlink.plumbing import cusp_graph, intersection_matrix
 from singlink.sl2z import CycleWord
 
 from helpers import cusp_words, stein_fillings_oracle, suite_families
@@ -240,26 +239,20 @@ def test_contact_surgery_elliptic_frozen():
     assert [(c.tb, c.rot) for c in cd.components] == [(-1, 0), (-1, 0), (0, -1)]
     assert [c.smooth_framing for c in cd.components] == [0, 0, -1]
     assert cd.presentation_matrix == ((0, 0, 0), (0, 0, 0), (0, 0, -1))
-    assert cd.presentation_kind is PresentationKind.LITERAL_LINKING
     assert cd.plus_count == 2
 
 
 def test_contact_surgery_cusp():
-    cd = to_contact_surgery(canonical_filling(Cusp(CycleWord((2, 2, 3))), "min"))
-    assert [(c.tb, c.rot, c.contact_coefficient) for c in cd.components] == [
-        (-1, 0, 1),
-        (-1, 0, -1),
-        (-1, 0, -1),
-        (-2, -1, -1),
-    ]
-    q = intersection_matrix(cusp_graph(CycleWord((2, 2, 3))))
-    expected = ((0, 0, 0, 0),) + tuple((0,) + row for row in q)
-    assert cd.presentation_matrix == expected
-    assert cd.presentation_kind is PresentationKind.PLUMBING_PRESENTATION
+    # a cusp presentation has a row per 2-handle and none for the (+1)
+    # component, so it is not the linking matrix of the surgery diagram
+    for word in ((2, 2, 3), (5,), (3, 3)):
+        diagram = canonical_filling(Cusp(CycleWord(word)), "min")
+        with pytest.raises(UnsupportedPresentation, match="no linking matrix"):
+            to_contact_surgery(diagram)
 
 
 def test_plus_components_match_one_handles():
-    for family in [Elliptic(2), Cusp(CycleWord((3, 3))), Cusp(CycleWord((5,)))]:
+    for family in [Elliptic(n) for n in range(1, 11)]:
         diagram = canonical_filling(family, "min")
         cd = to_contact_surgery(diagram)
         assert cd.plus_count == diagram.one_handle_count
@@ -277,9 +270,9 @@ def test_contact_component_validation():
 def test_contact_diagram_validation():
     comp = ContactSurgeryComponent(-1, 0, 1)
     with pytest.raises(ValueError, match="symmetric"):
-        ContactSurgeryDiagram((comp,), ((0, 1), (0, 0)), PresentationKind.LITERAL_LINKING)
+        ContactSurgeryDiagram((comp,), ((0, 1), (0, 0)))
     with pytest.raises(ValueError, match="size"):
-        ContactSurgeryDiagram((comp,), ((0, 0), (0, 0)), PresentationKind.LITERAL_LINKING)
+        ContactSurgeryDiagram((comp,), ((0, 0), (0, 0)))
 
 
 def test_json_shapes():
@@ -288,9 +281,10 @@ def test_json_shapes():
     assert data["family"] == {"kind": "cusp", "word": [2, 2, 3]}
     assert data["one_handles"] == 1
     assert data["handles"][2] == {"framing": -3, "tb": -2, "rot": -1, "genus": 0}
-    cd = to_contact_surgery(diagram).to_json_dict()
+    cd = to_contact_surgery(canonical_filling(Elliptic(2), "min")).to_json_dict()
+    assert cd["family"] == {"kind": "elliptic", "n": 2}
     assert cd["components"][0] == {"tb": -1, "rot": 0, "coefficient": 1, "framing": 0}
-    assert cd["presentation"]["kind"] == "plumbing_presentation"
+    assert cd["presentation"] == [[0, 0, 0], [0, 0, 0], [0, 0, -2]]
 
 
 def test_diagram_limit_is_checked_before_any_handle(monkeypatch):

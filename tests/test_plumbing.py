@@ -4,13 +4,11 @@ import pytest
 
 from singlink import plumbing
 from singlink.families import Cusp, Elliptic, InvalidParameter, SizeLimitExceeded
-from singlink.linalg import AbelianGroup, cokernel
+from singlink.linalg import AbelianGroup, smith_normal_form
 from singlink.plumbing import (
     PlumbingGraph,
     PlumbingVertex,
     boundary_homology,
-    cusp_graph,
-    elliptic_graph,
     intersection_matrix,
     smooth_surgery_description,
 )
@@ -20,36 +18,36 @@ from helpers import cusp_words, det_cofactor
 
 
 def test_cusp_graph_shapes():
-    g = cusp_graph(CycleWord((2, 2, 3)))
+    g = Cusp(CycleWord((2, 2, 3))).graph()
     assert [v.weight for v in g.vertices] == [-2, -2, -3]
     assert all(v.genus == 0 for v in g.vertices)
     assert sorted(g.edges) == [(0, 1), (0, 2), (1, 2)]
 
-    g1 = cusp_graph(CycleWord((4,)))
+    g1 = Cusp(CycleWord((4,))).graph()
     assert [v.weight for v in g1.vertices] == [-4]
     assert g1.edges == ((0, 0),)
     assert g1.loop_count(0) == 1
 
-    g2 = cusp_graph(CycleWord((2, 3)))
+    g2 = Cusp(CycleWord((2, 3))).graph()
     assert [v.weight for v in g2.vertices] == [-2, -3]
     assert g2.edges == ((0, 1), (0, 1))
 
 
 def test_first_betti_is_one_for_cusp_graphs():
     for word in cusp_words(5, 6):
-        assert cusp_graph(word).first_betti() == 1
+        assert Cusp(word).graph().first_betti() == 1
 
 
 def test_elliptic_graph():
-    g = elliptic_graph(1)
+    g = Elliptic(1).graph()
     assert g.vertices == (PlumbingVertex(-1, genus=1),)
     assert g.edges == ()
     assert g.first_betti() == 0
-    assert elliptic_graph(9).vertices[0].weight == -9
+    assert Elliptic(9).graph().vertices[0].weight == -9
     with pytest.raises(InvalidParameter):
-        elliptic_graph(0)
+        Elliptic(0)
     with pytest.raises(InvalidParameter):
-        elliptic_graph(-2)
+        Elliptic(-2)
 
 
 def test_elliptic_parameter_must_be_an_integer():
@@ -59,8 +57,8 @@ def test_elliptic_parameter_must_be_an_integer():
 
 def test_vertex_limit_is_checked_before_the_matrix(monkeypatch):
     monkeypatch.setattr(plumbing, "VERTEX_LIMIT", 3)
-    assert len(intersection_matrix(cusp_graph(CycleWord((2, 2, 3))))) == 3
-    long_graph = cusp_graph(CycleWord((2, 2, 2, 3)))
+    assert len(intersection_matrix(Cusp(CycleWord((2, 2, 3))).graph())) == 3
+    long_graph = Cusp(CycleWord((2, 2, 2, 3))).graph()
     monkeypatch.setattr(PlumbingGraph, "loop_count", None)  # building Q would fail
     with pytest.raises(SizeLimitExceeded, match=r"vertices \(4\) than the limit of 3"):
         intersection_matrix(long_graph)
@@ -76,20 +74,20 @@ def test_edge_index_validation():
 
 
 def test_intersection_matrix_fixed():
-    assert intersection_matrix(cusp_graph(CycleWord((2, 2, 3)))) == (
+    assert intersection_matrix(Cusp(CycleWord((2, 2, 3))).graph()) == (
         (-2, 1, 1),
         (1, -2, 1),
         (1, 1, -3),
     )
-    assert intersection_matrix(cusp_graph(CycleWord((4,)))) == ((-2,),)
-    assert intersection_matrix(cusp_graph(CycleWord((2, 3)))) == ((-2, 2), (2, -3))
+    assert intersection_matrix(Cusp(CycleWord((4,))).graph()) == ((-2,),)
+    assert intersection_matrix(Cusp(CycleWord((2, 3))).graph()) == ((-2, 2), (2, -3))
     for n in (1, 5, 10):
-        assert intersection_matrix(elliptic_graph(n)) == ((-n,),)
+        assert intersection_matrix(Elliptic(n).graph()) == ((-n,),)
 
 
 def test_intersection_matrix_symmetric_with_negative_diagonal():
-    graphs = [cusp_graph(w) for w in cusp_words(5, 6)]
-    graphs += [elliptic_graph(n) for n in range(1, 11)]
+    graphs = [Cusp(w).graph() for w in cusp_words(5, 6)]
+    graphs += [Elliptic(n).graph() for n in range(1, 11)]
     for g in graphs:
         q = intersection_matrix(g)
         assert q == tuple(zip(*q))
@@ -99,48 +97,48 @@ def test_intersection_matrix_symmetric_with_negative_diagonal():
 def test_det_identity_against_trace():
     # |det Q| = trace(A) - 2, determinant via the independent cofactor oracle
     for word in cusp_words(5, 6):
-        q = intersection_matrix(cusp_graph(word))
+        q = intersection_matrix(Cusp(word).graph())
         trace = cycle_monodromy(word).trace
         assert abs(det_cofactor([list(r) for r in q])) == trace - 2
 
 
 def test_boundary_homology_fixed():
-    assert boundary_homology(elliptic_graph(3)) == AbelianGroup(2, (3,))
-    assert boundary_homology(elliptic_graph(1)) == AbelianGroup(2)
-    assert boundary_homology(cusp_graph(CycleWord((2, 2, 3)))) == AbelianGroup(1, (3,))
-    assert boundary_homology(cusp_graph(CycleWord((4,)))) == AbelianGroup(1, (2,))
+    assert boundary_homology(Elliptic(3).graph()) == AbelianGroup(2, (3,))
+    assert boundary_homology(Elliptic(1).graph()) == AbelianGroup(2)
+    assert boundary_homology(Cusp(CycleWord((2, 2, 3))).graph()) == AbelianGroup(1, (3,))
+    assert boundary_homology(Cusp(CycleWord((4,))).graph()) == AbelianGroup(1, (2,))
 
 
 def test_boundary_homology_matches_monodromy_cokernel():
     for word in cusp_words(4, 5):
         a = cycle_monodromy(word)
         delta = ((a.a - 1, a.b), (a.c, a.d - 1))
-        assert boundary_homology(cusp_graph(word)) == cokernel(delta, extra_free_rank=1)
+        assert boundary_homology(Cusp(word).graph()) == smith_normal_form(delta).cokernel(1)
     for n in range(1, 11):
         delta = ((0, n), (0, 0))
-        assert boundary_homology(elliptic_graph(n)) == cokernel(delta, extra_free_rank=1)
+        assert boundary_homology(Elliptic(n).graph()) == smith_normal_form(delta).cokernel(1)
 
 
 def test_torsion_order_equals_trace_minus_two():
     for word in cusp_words(4, 5):
-        group = boundary_homology(cusp_graph(word))
+        group = boundary_homology(Cusp(word).graph())
         assert group.torsion_order == cycle_monodromy(word).trace - 2
 
 
 def test_dot_emission():
-    dot = cusp_graph(CycleWord((2, 2, 3))).to_dot()
+    dot = Cusp(CycleWord((2, 2, 3))).graph().to_dot()
     assert dot.startswith("graph plumbing {")
     assert dot.endswith("}\n")
     assert dot.count(" -- ") == 3
     assert 'v0 [label="v0 [-2, g=0]"];' in dot
-    loop_dot = cusp_graph(CycleWord((4,))).to_dot()
+    loop_dot = Cusp(CycleWord((4,))).graph().to_dot()
     assert "v0 -- v0;" in loop_dot
-    elliptic_dot = elliptic_graph(5).to_dot()
+    elliptic_dot = Elliptic(5).graph().to_dot()
     assert 'v0 [label="v0 [-5, g=1]"];' in elliptic_dot
 
 
 def test_json_schema_roundtrip():
-    g = cusp_graph(CycleWord((2, 3)))
+    g = Cusp(CycleWord((2, 3))).graph()
     data = json.loads(json.dumps(g.to_json_dict()))
     assert data == {
         "vertices": [{"weight": -2, "genus": 0}, {"weight": -3, "genus": 0}],

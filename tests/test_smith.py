@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 from singlink import linalg
 from singlink.families import Cusp, Elliptic
 from singlink.invariants import euler_class
+from singlink.plumbing import PlumbingGraph, PlumbingVertex, intersection_matrix
 from singlink.linalg import (
     AbelianGroup,
-    cokernel,
     determinant,
     dot,
-    integer_kernel_basis,
     mat_vec,
     matmul,
     smith_normal_form,
-    solve_integer,
     solve_rational,
     symmetric_signature,
 )
@@ -55,11 +53,19 @@ def test_non_integer_entries_are_refused():
     with pytest.raises(TypeError):
         smith_normal_form(((1.5, 2), (3, 4.9)))
     with pytest.raises(TypeError):
-        cokernel(((Fraction(7, 2),),))
+        smith_normal_form(((Fraction(7, 2),),)).cokernel()
     with pytest.raises(TypeError):
         euler_class(Cusp(CycleWord((2, 2, 3))), (0, 0, -1.7))
     with pytest.raises(TypeError):
         AbelianGroup(0, (2.5,))
+    with pytest.raises(TypeError):
+        AbelianGroup(1.5)
+    with pytest.raises(TypeError):
+        intersection_matrix(PlumbingGraph((PlumbingVertex(2.5),), ()))
+    with pytest.raises(TypeError):
+        PlumbingVertex(-2, genus=0.5)
+    with pytest.raises(TypeError):
+        PlumbingGraph((PlumbingVertex(-2), PlumbingVertex(-2)), ((0.5, 1),))
 
 
 @st.composite
@@ -164,7 +170,7 @@ def test_snf_agrees_with_dense_check_on_suite_presentations():
 def test_snf_zero_and_empty():
     snf = smith_normal_form(((0,),))
     assert snf.diag == ((0,),)
-    assert cokernel(((0,),)) == AbelianGroup(1)
+    assert snf.cokernel() == AbelianGroup(1)
 
 
 @settings(max_examples=150)
@@ -209,23 +215,35 @@ def test_solve_integer_roundtrip(rows, xs):
     m = tuple(tuple(r) for r in rows)
     x = (xs * 4)[: len(m[0])]
     v = mat_vec(m, x)
-    solution = solve_integer(m, v)
+    solution = smith_normal_form(m).solve(v)
     assert solution is not None
     assert mat_vec(m, solution) == v
 
 
 def test_solve_integer_unsolvable():
-    assert solve_integer(((2,),), (1,)) is None
-    assert solve_integer(((0,),), (1,)) is None
+    assert smith_normal_form(((2,),)).solve((1,)) is None
+    assert smith_normal_form(((0,),)).solve((1,)) is None
     assert solve_rational(((0,),), (1,)) is None
     assert solve_rational(((2,),), (1,)) == (Fraction(1, 2),)
 
 
 def test_integer_kernel_basis():
-    basis = integer_kernel_basis(((0, 0, 0), (0, 0, 0), (0, 0, -3)))
+    basis = smith_normal_form(((0, 0, 0), (0, 0, 0), (0, 0, -3))).kernel_basis()
     assert len(basis) == 2
     for k in basis:
         assert mat_vec(((0, 0, 0), (0, 0, 0), (0, 0, -3)), k) == (0, 0, 0)
+
+
+def test_solve_refuses_a_vector_of_the_wrong_length():
+    snf = smith_normal_form(((1, 0), (0, 1)))
+    assert snf.solve((3, 4)) == (3, 4)
+    for vector in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="dimensions"):
+            snf.solve(vector)
+        with pytest.raises(ValueError, match="dimensions"):
+            mat_vec(((1, 0), (0, 1)), vector)
+    with pytest.raises(ValueError, match="rows"):
+        solve_rational(((1, 0), (0, 1)), (1,))
 
 
 def test_determinant_matches_cofactor_oracle():
@@ -254,6 +272,9 @@ def test_abelian_group_validation_and_str():
 
 
 def test_cokernel_fixed():
+    def cokernel(m, extra_free_rank=0):
+        return smith_normal_form(m).cokernel(extra_free_rank)
+
     assert cokernel(((-3,),)) == AbelianGroup(0, (3,))
     assert cokernel(((-1,),)) == AbelianGroup(0)
     assert cokernel(((6, -3), (5, -3))) == AbelianGroup(0, (3,))
@@ -309,5 +330,5 @@ def test_chern_pairing_kernel_invariance(rows, xs):
     q = tuple(tuple(rows[i][j] + rows[j][i] for j in range(n)) for i in range(n))
     x = tuple((xs * 4)[:n])
     v = mat_vec(q, x)
-    for k in integer_kernel_basis(q):
+    for k in smith_normal_form(q).kernel_basis():
         assert dot(k, v) == 0

@@ -67,7 +67,7 @@ def test_one_snf_per_pair_of_euler_classes():
     for family, expected in (
         (Cusp(CycleWord((2, 3, 4))), 3),
         (Cusp(CycleWord((3,))), 3),
-        (Elliptic(3), 7),
+        (Elliptic(3), 6),
     ):
         with counted_snf() as calls:
             checks = verify_family(family)
