@@ -7,6 +7,10 @@ a human view and never parsed back.
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure,
 3 unsupported computation (a contact surgery diagram, and so d3, of a cusp).
+
+A command-line call starts a fresh interpreter, so this module imports
+only what parsing and error reporting need; each handler imports the
+modules it runs.
 """
 from __future__ import annotations
 
@@ -15,11 +19,9 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import invariants, legendrian, plumbing, sl2z
-from .families import Cusp, Elliptic, Family, InvalidParameter
-from .verify import suite_families, verify_family
+from . import sl2z
+from .families import Cusp, Elliptic, Family, InvalidParameter, UnsupportedPresentation
 
 __all__ = ["CliRequest", "parse_args", "run", "emit", "main"]
 
@@ -193,7 +195,7 @@ def emit(fmt: str, payload) -> bytes:
     raise ValueError(f"unsupported format {fmt!r}")
 
 
-def _fraction_json(x: Fraction) -> dict:
+def _fraction_json(x) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
@@ -240,6 +242,8 @@ def _run_openbook(request: CliRequest):
 
 
 def _run_surgery(request: CliRequest):
+    from . import plumbing
+
     desc = plumbing.smooth_surgery_description(request.family)
     if request.fmt == "json":
         return EXIT_OK, desc.to_json_dict()
@@ -247,6 +251,8 @@ def _run_surgery(request: CliRequest):
 
 
 def _run_enumerate(request: CliRequest):
+    from . import legendrian
+
     fillings = legendrian.enumerate_stein_fillings(request.family)
     if request.fmt == "json":
         return EXIT_OK, {
@@ -269,6 +275,8 @@ def _run_enumerate(request: CliRequest):
 
 
 def _canonical_json(diagram) -> dict:
+    from . import invariants
+
     data = diagram.to_json_dict()
     data["defects"] = [invariants.adjunction_defect(h) for h in diagram.handles]
     data["is_canonical"] = invariants.is_canonical(diagram)
@@ -276,6 +284,8 @@ def _canonical_json(diagram) -> dict:
 
 
 def _run_canonical(request: CliRequest):
+    from . import invariants, legendrian
+
     signs = (request.sign,) if request.sign else ("min", "max")
     diagrams = {s: legendrian.canonical_filling(request.family, s) for s in signs}
     if request.fmt == "json":
@@ -287,25 +297,36 @@ def _run_canonical(request: CliRequest):
     return EXIT_OK, "\n".join(lines)
 
 
-def _euler_payloads(family: Family, signs) -> dict:
+def _euler_payloads(family: Family, q, q_snf, signs) -> dict:
+    """The Euler class of each canonical structure, reduced against the
+    presentation ``q`` of the family and its Smith normal form ``q_snf``."""
+    from . import invariants, legendrian
+
     vectors = [legendrian.canonical_filling(family, s).rot_vector for s in signs]
-    reps = invariants.euler_classes(family, vectors)
+    reps = invariants.reduce_euler_classes(family, q, q_snf, vectors)
     return {s: rep.to_json_dict() for s, rep in zip(signs, reps)}
 
 
 def _d3_payload(family: Family, sign: str) -> dict:
+    from . import invariants, legendrian
+
     diagram = legendrian.to_contact_surgery(legendrian.canonical_filling(family, sign))
     return _fraction_json(invariants.d3_invariant(diagram))
 
 
 def _run_invariants(request: CliRequest):
+    from . import invariants
+    from .linalg import smith_normal_form
+    from .plumbing import intersection_matrix
+
     family = request.family
     signs = (request.sign,) if request.sign else ("min", "max")
     if request.euler and request.d3:
         raise ValueError("choose at most one of --euler and --d3")
     if request.euler or request.d3:
         if request.euler:
-            payload = _euler_payloads(family, signs)
+            q = family.presentation()
+            payload = _euler_payloads(family, q, smith_normal_form(q), signs)
         else:
             payload = {s: _d3_payload(family, s) for s in signs}
         if request.sign:
@@ -313,11 +334,20 @@ def _run_invariants(request: CliRequest):
         if request.fmt == "json":
             return EXIT_OK, payload
         return EXIT_OK, json.dumps(payload, sort_keys=True)
-    report = invariants.homology_cross_check(family)
-    euler = _euler_payloads(family, signs)
+    # a cusp's presentation is its plumbing form: one reduction then serves
+    # the plumbing H_1 and both Euler classes
+    graph = family.graph()
+    graph_q = intersection_matrix(graph)
+    graph_snf = smith_normal_form(graph_q)
+    report = invariants.homology_agreement(
+        family, family.monodromy(), graph, graph_snf, family.openbook()
+    )
+    q = family.presentation()
+    q_snf = graph_snf if q == graph_q else smith_normal_form(q)
+    euler = _euler_payloads(family, q, q_snf, signs)
     try:
         d3: dict | None = {s: _d3_payload(family, s) for s in signs}
-    except legendrian.UnsupportedPresentation:
+    except UnsupportedPresentation:
         d3 = None
     if request.fmt == "json":
         return EXIT_OK, {"homology": report.to_json_dict(), "euler": euler, "d3": d3}
@@ -340,6 +370,8 @@ def _run_invariants(request: CliRequest):
 
 
 def _run_verify(request: CliRequest):
+    from .verify import suite_families, verify_family
+
     if request.suite:
         families = suite_families()
         failures = []
@@ -399,7 +431,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     try:
         code, payload = run(request)
-    except legendrian.UnsupportedPresentation as exc:
+    except UnsupportedPresentation as exc:
         print(f"singlink: unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (ValueError, InvalidParameter) as exc:

@@ -8,14 +8,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
-from .linalg import IntMatrix
 from .sl2z import CycleWord, Sl2Matrix, cycle_monodromy
+
+if TYPE_CHECKING:
+    from .linalg import IntMatrix
 
 __all__ = [
     "InvalidParameter",
     "SizeLimitExceeded",
+    "UnsupportedPresentation",
     "ChainUnknot",
     "EllipticCore",
     "NodalDoublePass",
@@ -33,6 +36,11 @@ class InvalidParameter(ValueError):
 class SizeLimitExceeded(InvalidParameter):
     """The object asked for is larger than a documented limit; raised
     before any part of it is built."""
+
+
+class UnsupportedPresentation(ValueError):
+    """The family's presentation is not the linking matrix of the surgery
+    components, so the contact surgery diagram cannot be drawn."""
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,7 @@ from math import gcd, lcm
 from operator import index
 
 from .families import Family
-from .legendrian import (
-    ContactSurgeryDiagram,
-    SteinHandleDiagram,
-    TwoHandleSpec,
-    UnsupportedPresentation,
-)
+from .legendrian import ContactSurgeryDiagram, SteinHandleDiagram, TwoHandleSpec
 from .linalg import (
     AbelianGroup,
     IntMatrix,
@@ -39,7 +34,6 @@ from .sl2z import Sl2Matrix
 __all__ = [
     "DimensionMismatch",
     "NonTorsionChernClass",
-    "UnsupportedPresentation",
     "CohomologyClassRep",
     "HomologyAgreement",
     "adjunction_defect",

@@ -19,6 +19,7 @@ from .families import (
     HandleTag,
     NodalDoublePass,
     SizeLimitExceeded,
+    UnsupportedPresentation,
 )
 from .linalg import IntMatrix, is_symmetric
 
@@ -33,7 +34,6 @@ __all__ = [
     "rotation_range",
     "TwoHandleSpec",
     "SteinHandleDiagram",
-    "UnsupportedPresentation",
     "ContactSurgeryComponent",
     "ContactSurgeryDiagram",
     "enumerate_stein_fillings",
@@ -50,11 +50,6 @@ DIAGRAM_LIMIT = 100_000
 
 class FramingTooLarge(ValueError):
     """No Legendrian realization exists with the requested framing."""
-
-
-class UnsupportedPresentation(ValueError):
-    """The family's presentation is not the linking matrix of the surgery
-    components, so the contact surgery diagram cannot be drawn."""
 
 
 def tb_max(tag: HandleTag) -> int:

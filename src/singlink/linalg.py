@@ -96,10 +96,13 @@ class SnfResult:
         >>> smith_normal_form(((2, 0), (0, 3))).solve((4, 3))
         (2, 1)
         """
-        return self.solve_reduced(mat_vec(self.u, tuple(vector)), exact)
+        vector = tuple(vector)
+        self._check_rows(vector)  # mat_vec cannot check against a 0-row u
+        return self.solve_reduced(mat_vec(self.u, vector), exact)
 
     def solve_reduced(self, w, exact: bool = True):
         """``solve`` for a vector already carried to ``w = u @ vector``."""
+        self._check_rows(w)
         rows = len(self.diag)
         cols = len(self.v)
         y = [Fraction(0)] * cols if not exact else [0] * cols
@@ -115,6 +118,13 @@ class SnfResult:
             elif w[i]:
                 return None
         return mat_vec(self.v, tuple(y))
+
+    def _check_rows(self, vector) -> None:
+        if len(vector) != len(self.diag):
+            raise ValueError(
+                f"matrix and vector dimensions do not match: {len(self.diag)} rows, "
+                f"vector of length {len(vector)}"
+            )
 
     def kernel_basis(self) -> tuple[IntVector, ...]:
         """Basis of the integer kernel {x : matrix @ x == 0}."""
@@ -329,9 +339,6 @@ class AbelianGroup:
         for d in self.torsion:
             order *= d
         return order
-
-    def add_free(self, rank: int) -> "AbelianGroup":
-        return AbelianGroup(self.free_rank + rank, self.torsion)
 
     def to_json_dict(self) -> dict:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}

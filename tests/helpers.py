@@ -8,14 +8,42 @@ homology orders, monodromy values and pivots are checked against genuinely
 independent computations.
 """
 import itertools
+import sys
 from collections import Counter
+from contextlib import contextmanager
 from unittest.mock import patch
 
-from singlink import invariants, legendrian, openbook
+from singlink import invariants, legendrian, linalg, openbook
 from singlink.families import ChainUnknot, Cusp, Elliptic
 from singlink.legendrian import SteinHandleDiagram, TwoHandleSpec, rotation_range
 from singlink.linalg import determinant, dot, matmul, smith_normal_form
 from singlink.sl2z import CycleWord, cyclic_equal, factor_cycle
+
+
+@contextmanager
+def counted_snf():
+    """Count smith_normal_form calls through every singlink name bound to it."""
+    calls = []
+    original = linalg.smith_normal_form
+
+    def counting(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    bound = [
+        (module, name)
+        for key, module in list(sys.modules.items())
+        if key == "singlink" or key.startswith("singlink.")
+        for name, value in list(vars(module).items())
+        if value is original
+    ]
+    for module, name in bound:
+        setattr(module, name, counting)
+    try:
+        yield calls
+    finally:
+        for module, name in bound:
+            setattr(module, name, original)
 
 
 def mat2_mul(a, b):

@@ -26,6 +26,8 @@ from singlink.cli import (
 )
 from singlink.families import Cusp, Elliptic
 
+from helpers import counted_snf
+
 
 def run_cli(args):
     request = parse_args(args)
@@ -315,17 +317,93 @@ def test_run_is_deterministic_in_process():
         assert run_cli(args) == run_cli(args)
 
 
-def test_cli_subprocess_deterministic():
-    cmd = [sys.executable, "-m", "singlink", "enumerate", "--cusp", "2,2,3", "--json"]
-    # the child imports the package from wherever this process found it
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports the package from
+    wherever this process found it."""
     src = str(Path(singlink.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_cli_subprocess_deterministic():
+    cmd = [sys.executable, "-m", "singlink", "enumerate", "--cusp", "2,2,3", "--json"]
+    env = child_env()
     first = subprocess.run(cmd, capture_output=True, env=env)
     second = subprocess.run(cmd, capture_output=True, env=env)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["count"] == 2
+
+
+# cold start: a subcommand loads only the modules its handler runs
+LOADED_BY_CLI = {"singlink", "singlink.cli", "singlink.families", "singlink.sl2z"}
+# the child runs main, then prints the singlink modules it holds as its last stderr line
+REPORT_MODULES = """
+import json, sys
+from singlink.cli import main
+code = main(sys.argv[1:])
+names = sorted(m for m in sys.modules if m.split(".")[0] == "singlink")
+print(json.dumps([code, names]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["classify", "--matrix", "5,-2,3,-1"], set()),
+        (["factor", "--matrix", "5,-2,3,-1", "--json"], set()),
+        (["graph", "--cusp", "2,3,4"], {"linalg", "plumbing"}),
+        (["surgery", "--elliptic", "3"], {"linalg", "plumbing"}),
+        (["openbook", "--cusp", "2,3,4", "--json"], {"linalg", "openbook"}),
+        (["enumerate", "--cusp", "2,3,4"], {"linalg", "legendrian"}),
+    ],
+    ids=["classify", "factor", "graph", "surgery", "openbook", "enumerate"],
+)
+def test_light_subcommand_loads_only_its_modules(argv, extra):
+    done = subprocess.run(
+        [sys.executable, "-c", REPORT_MODULES, *argv],
+        capture_output=True,
+        env=child_env(),
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    code, names = json.loads(done.stderr.splitlines()[-1])
+    assert code == EXIT_OK
+    assert set(names) == LOADED_BY_CLI | {f"singlink.{m}" for m in extra}
+    # the same call in this process, where every module is loaded, prints the same
+    assert done.stdout.encode() == run_cli(argv)[1]
+
+
+def test_cusp_d3_exits_3_when_only_the_handler_imports_legendrian():
+    script = (
+        "import sys\n"
+        "from singlink.cli import main\n"
+        "assert 'singlink.legendrian' not in sys.modules\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, "inv", "--cusp", "2,3,4", "--d3"],
+        capture_output=True,
+        env=child_env(),
+        text=True,
+    )
+    assert done.returncode == EXIT_UNSUPPORTED, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("singlink: unsupported: cusp(2,3,4) has no linking matrix")
+
+
+def test_full_report_reduces_a_cusp_presentation_once():
+    # a cusp's presentation is its plumbing form, so the plumbing H_1 and both
+    # Euler classes share one reduction; the elliptic Borromean presentation
+    # is another matrix and keeps its own, as do its two d3 surgery diagrams
+    for argv, shapes in (
+        (["inv", "--cusp", "2,3,4", "--json"], [(3, 3), (2, 2), (5, 4)]),
+        (["inv", "--elliptic", "3", "--json"], [(1, 1), (2, 2), (5, 3), (3, 3), (3, 3), (3, 3)]),
+    ):
+        with counted_snf() as calls:
+            code, _ = run_cli(argv)
+        assert code == EXIT_OK
+        assert [(len(m), len(m[0])) for m in calls] == shapes, argv
 
 
 def test_json_outputs_are_sorted_and_newline_terminated():

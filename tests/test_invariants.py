@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from singlink.families import Cusp, Elliptic
+from singlink import families
+from singlink.families import Cusp, Elliptic, UnsupportedPresentation
 from singlink.invariants import (
     DimensionMismatch,
     NonTorsionChernClass,
-    UnsupportedPresentation,
     adjunction_defect,
     d3_invariant,
     euler_class,
@@ -24,7 +24,6 @@ from singlink.legendrian import (
     enumerate_stein_fillings,
     to_contact_surgery,
 )
-from singlink import legendrian
 from singlink.linalg import AbelianGroup, dot, mat_vec, smith_normal_form, solve_rational
 from singlink.sl2z import CycleWord, Sl2Matrix
 
@@ -181,9 +180,9 @@ def test_d3_unsupported_for_plumbing_presentation():
     # the cusp presentation is not a linking matrix of the surgery
     # components, so no surgery diagram, and so no d3, is produced
     diagram = canonical_filling(Cusp(CycleWord((2, 2, 3))), "min")
-    with pytest.raises(UnsupportedPresentation):
+    with pytest.raises(UnsupportedPresentation) as raised:
         to_contact_surgery(diagram)
-    assert UnsupportedPresentation is legendrian.UnsupportedPresentation
+    assert raised.type is families.UnsupportedPresentation
 
 
 def test_d3_rejects_non_torsion_chern_class():

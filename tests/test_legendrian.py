@@ -4,7 +4,7 @@ import time
 import pytest
 
 from singlink import legendrian
-from singlink.families import Cusp, Elliptic, SizeLimitExceeded
+from singlink.families import Cusp, Elliptic, SizeLimitExceeded, UnsupportedPresentation
 from singlink.legendrian import (
     ChainUnknot,
     ContactSurgeryComponent,
@@ -17,7 +17,6 @@ from singlink.legendrian import (
     canonical_filling,
     enumerate_stein_fillings,
     rotation_range,
-    UnsupportedPresentation,
     tb_max,
     to_contact_surgery,
 )

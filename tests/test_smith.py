@@ -244,6 +244,12 @@ def test_solve_refuses_a_vector_of_the_wrong_length():
             mat_vec(((1, 0), (0, 1)), vector)
     with pytest.raises(ValueError, match="rows"):
         solve_rational(((1, 0), (0, 1)), (1,))
+    # the empty matrix has no row for mat_vec to compare the vector with
+    with pytest.raises(ValueError, match="dimensions"):
+        smith_normal_form(()).solve((1,))
+    assert smith_normal_form(()).solve(()) == ()
+    with pytest.raises(ValueError, match="dimensions"):
+        snf.solve_reduced((1,))
 
 
 def test_determinant_matches_cofactor_oracle():
@@ -268,7 +274,6 @@ def test_abelian_group_validation_and_str():
     assert str(AbelianGroup(0)) == "0"
     assert str(AbelianGroup(1)) == "Z"
     assert AbelianGroup(1, (2, 6)).torsion_order == 12
-    assert AbelianGroup(0, (3,)).add_free(2) == AbelianGroup(2, (3,))
 
 
 def test_cokernel_fixed():

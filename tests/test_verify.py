@@ -1,40 +1,12 @@
-import sys
-from contextlib import contextmanager
 from fractions import Fraction
 
-from singlink import invariants, legendrian, linalg
+from singlink import invariants, legendrian
 from singlink.families import Cusp, Elliptic
 from singlink.plumbing import intersection_matrix
 from singlink.sl2z import CycleWord
 from singlink.verify import suite_families, verify_family
 
-from helpers import verify_family_reference
-
-
-@contextmanager
-def counted_snf():
-    """Count smith_normal_form calls through every singlink name bound to it."""
-    calls = []
-    original = linalg.smith_normal_form
-
-    def counting(matrix):
-        calls.append(matrix)
-        return original(matrix)
-
-    bound = [
-        (module, name)
-        for key, module in list(sys.modules.items())
-        if key == "singlink" or key.startswith("singlink.")
-        for name, value in list(vars(module).items())
-        if value is original
-    ]
-    for module, name in bound:
-        setattr(module, name, counting)
-    try:
-        yield calls
-    finally:
-        for module, name in bound:
-            setattr(module, name, original)
+from helpers import counted_snf, verify_family_reference
 
 
 def test_verify_family_checks_are_named():
