@@ -5,6 +5,9 @@ arguments produce byte-identical output.  JSON is emitted with sorted keys
 and a trailing newline; DOT is available for the graph subcommand; text is
 a human view and never parsed back.
 
+``build_parser`` alone knows the flags, which of them combine and the
+handler (``run``) of each subcommand; argparse refuses bad input with exit 1.
+
 Exit codes: 0 success, 1 invalid input, 2 verification failure,
 3 unsupported computation (a contact surgery diagram, and so d3, of a cusp).
 
@@ -18,12 +21,11 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 from . import sl2z
-from .families import Cusp, Elliptic, Family, InvalidParameter, UnsupportedPresentation
+from .families import Cusp, Elliptic, Family, UnsupportedPresentation
 
-__all__ = ["CliRequest", "parse_args", "run", "emit", "main"]
+__all__ = ["parse_args", "run", "emit", "main"]
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -31,79 +33,89 @@ EXIT_VERIFY_FAILED = 2
 EXIT_UNSUPPORTED = 3
 
 
-@dataclass(frozen=True)
-class CliRequest:
-    command: str
-    family: Family | None = None
-    matrix: sl2z.Sl2Matrix | None = None
-    fmt: str = "text"
-    sign: str | None = None
-    euler: bool = False
-    d3: bool = False
-    suite: bool = False
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 instead of argparse's default 2
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
-def _add_family_flags(parser):
-    parser.add_argument("--elliptic", type=int, metavar="N", help="simple elliptic link, weight -N")
-    parser.add_argument("--cusp", metavar="N1,N2,...", help="cusp link with the given cycle word")
+def _converter(build):
+    """An argparse type that reports a ValueError of ``build`` with its message."""
+
+    def convert(text: str):
+        try:
+            return build(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
-def _add_format_flags(parser):
-    parser.add_argument("--json", action="store_true", help="emit JSON")
-    parser.add_argument("--dot", action="store_true", help="emit DOT (graph subcommand only)")
+@_converter
+def _parse_matrix(text: str) -> sl2z.Sl2Matrix:
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise ValueError(f"matrix needs 4 comma-separated integers, got {text!r}")
+    return sl2z.Sl2Matrix(*map(int, parts))
+
+
+_parse_elliptic = _converter(lambda text: Elliptic(int(text)))
+_parse_cusp = _converter(lambda text: Cusp(tuple(map(int, text.split(",")))))
+
+
+def _add_subcommand(sub, name, run, help, *, family=True, suite=False, fmt="text", aliases=()):
+    """A subcommand that runs ``run``: --json (and --dot where DOT is the default
+    format) and, for a family, exactly one of --elliptic, --cusp (and --suite)."""
+    p = sub.add_parser(name, aliases=aliases, help=help)
+    p.set_defaults(run=run, fmt=fmt)
+    formats = p.add_mutually_exclusive_group()
+    formats.add_argument("--json", dest="fmt", action="store_const", const="json", help="emit JSON")
+    if fmt == "dot":
+        formats.add_argument(
+            "--dot", dest="fmt", action="store_const", const="dot", help="emit DOT (the default)"
+        )
+    if family:
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument(
+            "--elliptic", dest="family", type=_parse_elliptic, metavar="N",
+            help="simple elliptic link, weight -N",
+        )
+        group.add_argument(
+            "--cusp", dest="family", type=_parse_cusp, metavar="N1,N2,...",
+            help="cusp link with the given cycle word",
+        )
+        if suite:
+            group.add_argument(
+                "--suite", action="store_true", help="verify the whole standard suite"
+            )
+    return p
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="singlink", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="trace classification of an SL(2,Z) matrix")
-    p.add_argument("--matrix", required=True, metavar="a,b,c,d")
-    _add_format_flags(p)
-
-    p = sub.add_parser("factor", help="factor a trace >= 3 matrix into a cycle word")
-    p.add_argument("--matrix", required=True, metavar="a,b,c,d")
-    _add_format_flags(p)
-
-    p = sub.add_parser("graph", help="plumbing graph of the link")
-    _add_family_flags(p)
-    _add_format_flags(p)
-
-    p = sub.add_parser("openbook", help="horizontal open book of the link")
-    _add_family_flags(p)
-    _add_format_flags(p)
-
-    p = sub.add_parser("surgery", help="smooth surgery description of the link")
-    _add_family_flags(p)
-    _add_format_flags(p)
-
-    p = sub.add_parser("enumerate", help="all Stein handle diagrams of the link")
-    _add_family_flags(p)
-    _add_format_flags(p)
-
-    p = sub.add_parser("canonical", help="adjunction-realizing handle diagrams")
-    _add_family_flags(p)
-    _add_format_flags(p)
+    for name, run, help in (
+        ("classify", _run_classify, "trace classification of an SL(2,Z) matrix"),
+        ("factor", _run_factor, "factor a trace >= 3 matrix into a cycle word"),
+    ):
+        p = _add_subcommand(sub, name, run, help, family=False)
+        p.add_argument("--matrix", required=True, type=_parse_matrix, metavar="a,b,c,d")
+    _add_subcommand(sub, "graph", _run_graph, "plumbing graph of the link", fmt="dot")
+    _add_subcommand(sub, "openbook", _run_openbook, "horizontal open book of the link")
+    _add_subcommand(sub, "surgery", _run_surgery, "smooth surgery description of the link")
+    _add_subcommand(sub, "enumerate", _run_enumerate, "all Stein handle diagrams of the link")
+    p = _add_subcommand(sub, "canonical", _run_canonical, "adjunction-realizing handle diagrams")
     p.add_argument("--sign", "--canonical", dest="sign", choices=("min", "max"))
-
-    p = sub.add_parser(
-        "invariants", aliases=["inv"], help="homology, Euler class and d3 of the link"
+    p = _add_subcommand(
+        sub, "invariants", _run_invariants, "homology, Euler class and d3 of the link",
+        aliases=["inv"],
     )
-    _add_family_flags(p)
-    _add_format_flags(p)
     p.add_argument("--sign", "--canonical", dest="sign", choices=("min", "max"))
-    p.add_argument("--euler", action="store_true", help="only the Euler class")
-    p.add_argument("--d3", action="store_true", help="only the d3 invariant")
-
-    p = sub.add_parser("verify", help="run the invariant suite, exit 0 iff it passes")
-    _add_family_flags(p)
-    _add_format_flags(p)
-    p.add_argument("--suite", action="store_true", help="verify the whole standard suite")
+    only = p.add_mutually_exclusive_group()
+    only.add_argument("--euler", action="store_true", help="only the Euler class")
+    only.add_argument("--d3", action="store_true", help="only the d3 invariant")
+    _add_subcommand(
+        sub, "verify", _run_verify, "run the invariant suite, exit 0 iff it passes", suite=True
+    )
     return parser
 
 
@@ -129,58 +141,9 @@ def _attach_matrix_values(argv) -> list[str]:
     return args
 
 
-def _parse_matrix(text: str) -> sl2z.Sl2Matrix:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"matrix needs 4 comma-separated integers, got {text!r}")
-    a, b, c, d = (int(p.strip()) for p in parts)
-    return sl2z.Sl2Matrix(a, b, c, d)
-
-
-def _parse_family(ns) -> Family | None:
-    elliptic = getattr(ns, "elliptic", None)
-    cusp = getattr(ns, "cusp", None)
-    if elliptic is not None and cusp is not None:
-        raise ValueError("exactly one of --elliptic and --cusp is allowed")
-    if elliptic is not None:
-        return Elliptic(elliptic)
-    if cusp is not None:
-        entries = tuple(int(p.strip()) for p in cusp.split(","))
-        return Cusp(sl2z.CycleWord(entries))
-    return None
-
-
-def parse_args(argv) -> CliRequest:
-    ns = _parser().parse_args(_attach_matrix_values(argv))
-    command = "invariants" if ns.command == "inv" else ns.command
-    fmt = "text"
-    if getattr(ns, "dot", False) and getattr(ns, "json", False):
-        raise ValueError("choose at most one of --json and --dot")
-    if getattr(ns, "dot", False) and command != "graph":
-        raise ValueError("DOT output is only supported by the graph subcommand")
-    if getattr(ns, "json", False):
-        fmt = "json"
-    elif getattr(ns, "dot", False) or command == "graph":
-        fmt = "dot"
-    matrix = None
-    if getattr(ns, "matrix", None) is not None:
-        matrix = _parse_matrix(ns.matrix)
-    family = _parse_family(ns)
-    if command in ("graph", "openbook", "surgery", "enumerate", "canonical", "invariants"):
-        if family is None:
-            raise ValueError(f"{command} needs --elliptic or --cusp")
-    if command == "verify" and family is None and not getattr(ns, "suite", False):
-        raise ValueError("verify needs --elliptic, --cusp or --suite")
-    return CliRequest(
-        command=command,
-        family=family,
-        matrix=matrix,
-        fmt=fmt,
-        sign=getattr(ns, "sign", None),
-        euler=getattr(ns, "euler", False),
-        d3=getattr(ns, "d3", False),
-        suite=getattr(ns, "suite", False),
-    )
+def parse_args(argv) -> argparse.Namespace:
+    """The namespace of one command line; argparse exits 1 on bad input."""
+    return _parser().parse_args(_attach_matrix_values(argv))
 
 
 def emit(fmt: str, payload) -> bytes:
@@ -195,11 +158,7 @@ def emit(fmt: str, payload) -> bytes:
     raise ValueError(f"unsupported format {fmt!r}")
 
 
-def _fraction_json(x) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
-
-
-def _run_classify(request: CliRequest):
+def _run_classify(request):
     cls = sl2z.classify(request.matrix)
     if request.fmt == "json":
         return EXIT_OK, {
@@ -216,21 +175,21 @@ def _run_classify(request: CliRequest):
     )
 
 
-def _run_factor(request: CliRequest):
+def _run_factor(request):
     word = sl2z.factor_cycle(request.matrix)
     if request.fmt == "json":
         return EXIT_OK, word.to_json_list()
     return EXIT_OK, str(word)
 
 
-def _run_graph(request: CliRequest):
+def _run_graph(request):
     graph = request.family.graph()
     if request.fmt == "json":
         return EXIT_OK, graph.to_json_dict()
-    return EXIT_OK, graph.to_dot()  # parse_args gives graph no text format
+    return EXIT_OK, graph.to_dot()  # graph's default format is DOT, not text
 
 
-def _run_openbook(request: CliRequest):
+def _run_openbook(request):
     book = request.family.openbook()
     if request.fmt == "json":
         return EXIT_OK, book.to_json_dict()
@@ -241,7 +200,7 @@ def _run_openbook(request: CliRequest):
     )
 
 
-def _run_surgery(request: CliRequest):
+def _run_surgery(request):
     from . import plumbing
 
     desc = plumbing.smooth_surgery_description(request.family)
@@ -250,7 +209,7 @@ def _run_surgery(request: CliRequest):
     return EXIT_OK, desc.to_text()
 
 
-def _run_enumerate(request: CliRequest):
+def _run_enumerate(request):
     from . import legendrian
 
     fillings = legendrian.enumerate_stein_fillings(request.family)
@@ -283,7 +242,7 @@ def _canonical_json(diagram) -> dict:
     return data
 
 
-def _run_canonical(request: CliRequest):
+def _run_canonical(request):
     from . import invariants, legendrian
 
     signs = (request.sign,) if request.sign else ("min", "max")
@@ -311,18 +270,17 @@ def _d3_payload(family: Family, sign: str) -> dict:
     from . import invariants, legendrian
 
     diagram = legendrian.to_contact_surgery(legendrian.canonical_filling(family, sign))
-    return _fraction_json(invariants.d3_invariant(diagram))
+    d3 = invariants.d3_invariant(diagram)
+    return {"num": d3.numerator, "den": d3.denominator}
 
 
-def _run_invariants(request: CliRequest):
+def _run_invariants(request):
     from . import invariants
     from .linalg import smith_normal_form
     from .plumbing import intersection_matrix
 
     family = request.family
     signs = (request.sign,) if request.sign else ("min", "max")
-    if request.euler and request.d3:
-        raise ValueError("choose at most one of --euler and --d3")
     if request.euler or request.d3:
         if request.euler:
             q = family.presentation()
@@ -358,9 +316,7 @@ def _run_invariants(request: CliRequest):
         f"agreement: {'yes' if report.all_equal else 'NO'}",
     ]
     for s in signs:
-        e = euler[s]
-        witness = e["witness"]
-        lines.append(f"euler[{s}]: zero={e['is_zero']} witness={witness}")
+        lines.append(f"euler[{s}]: zero={euler[s]['is_zero']} witness={euler[s]['witness']}")
     if d3 is not None:
         for s in signs:
             lines.append(f"d3[{s}]: {d3[s]['num']}/{d3[s]['den']}")
@@ -369,7 +325,7 @@ def _run_invariants(request: CliRequest):
     return EXIT_OK, "\n".join(lines)
 
 
-def _run_verify(request: CliRequest):
+def _run_verify(request):
     from .verify import suite_families, verify_family
 
     if request.suite:
@@ -401,22 +357,9 @@ def _run_verify(request: CliRequest):
     return code, "\n".join(lines)
 
 
-_HANDLERS = {
-    "classify": _run_classify,
-    "factor": _run_factor,
-    "graph": _run_graph,
-    "openbook": _run_openbook,
-    "surgery": _run_surgery,
-    "enumerate": _run_enumerate,
-    "canonical": _run_canonical,
-    "invariants": _run_invariants,
-    "verify": _run_verify,
-}
-
-
-def run(request: CliRequest) -> tuple[int, bytes]:
-    """Execute a request; returns (exit code, output bytes)."""
-    code, payload = _HANDLERS[request.command](request)
+def run(request: argparse.Namespace) -> tuple[int, bytes]:
+    """Execute a parsed request; returns (exit code, output bytes)."""
+    code, payload = request.run(request)
     return code, emit(request.fmt, payload)
 
 
@@ -426,15 +369,12 @@ def main(argv=None) -> int:
         request = parse_args(args)
     except SystemExit as exc:  # argparse already printed the diagnostic
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID
-    except (ValueError, InvalidParameter) as exc:
-        print(f"singlink: error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     try:
         code, payload = run(request)
     except UnsupportedPresentation as exc:
         print(f"singlink: unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (ValueError, InvalidParameter) as exc:
+    except ValueError as exc:  # InvalidParameter and SizeLimitExceeded too
         print(f"singlink: error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     sys.stdout.buffer.write(payload)

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import InitVar, dataclass, field
-from operator import attrgetter
+from operator import attrgetter, index
 
 from .families import (
-    ChainUnknot,
-    EllipticCore,
+    EllipticCore,  # for the rotation_range doctest
     Family,
     HandleTag,
-    NodalDoublePass,
     SizeLimitExceeded,
     UnsupportedPresentation,
 )
@@ -25,10 +23,6 @@ from .linalg import IntMatrix, is_symmetric
 
 __all__ = [
     "DIAGRAM_LIMIT",
-    "ChainUnknot",
-    "EllipticCore",
-    "NodalDoublePass",
-    "HandleTag",
     "FramingTooLarge",
     "tb_max",
     "rotation_range",
@@ -93,6 +87,8 @@ class TwoHandleSpec:
     surface_genus: int = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "smooth_framing", index(self.smooth_framing))
+        object.__setattr__(self, "rot", index(self.rot))
         object.__setattr__(self, "tb", self.smooth_framing + 1)
         object.__setattr__(self, "surface_genus", self.tag.genus)
         s = _stabilization_budget(self.tag, self.smooth_framing)

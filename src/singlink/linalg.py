@@ -53,7 +53,7 @@ def determinant(a) -> int:
     n = len(a)
     if n == 0:
         return 1
-    m = [list(row) for row in a]
+    m = [list(row) for row in freeze(a)]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -355,8 +355,6 @@ class AbelianGroup:
 
 def solve_rational(matrix, vector):
     """One rational solution x of ``matrix @ x == vector``, or None."""
-    if len(vector) != len(matrix):
-        raise ValueError("vector length does not match matrix rows")
     return smith_normal_form(matrix).solve(vector, exact=False)
 
 
@@ -366,6 +364,7 @@ def symmetric_signature(matrix) -> int:
     Computed by exact rational congruence diagonalization, so degenerate
     forms are handled without any numerical tolerance.
     """
+    matrix = freeze(matrix)
     if not is_symmetric(matrix):
         raise ValueError("signature requires a symmetric matrix")
     n = len(matrix)

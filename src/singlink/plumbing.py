@@ -29,7 +29,6 @@ __all__ = [
     "intersection_matrix",
     "boundary_homology",
     "smooth_surgery_description",
-    "InvalidParameter",
 ]
 
 # Most vertices whose intersection matrix may be built: k for a cusp word of

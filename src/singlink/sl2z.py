@@ -53,6 +53,8 @@ class Sl2Matrix:
     d: int
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "d"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError(
                 f"determinant must be 1, got {self.a * self.d - self.b * self.c}"
@@ -65,7 +67,7 @@ class Sl2Matrix:
     @classmethod
     def from_rows(cls, rows) -> "Sl2Matrix":
         (a, b), (c, d) = rows
-        return cls(*map(index, (a, b, c, d)))
+        return cls(a, b, c, d)
 
     @property
     def trace(self) -> int:
@@ -186,10 +188,10 @@ def cycle_monodromy(word: CycleWord) -> Sl2Matrix:
     >>> cycle_monodromy(CycleWord((2, 3)))
     Sl2Matrix(a=5, b=-2, c=3, d=-1)
     """
-    out = Sl2Matrix.identity()
-    for n in word:
-        out = out * cycle_factor(n)
-    return out
+    a, b, c, d = 1, 0, 0, 1
+    for n in word:  # right-multiply by cycle_factor(n), in plain integers
+        a, b, c, d = a * n + b, -a, c * n + d, -c
+    return Sl2Matrix(a, b, c, d)
 
 
 def _least_rotation(entries: tuple[int, ...]) -> tuple[int, ...]:

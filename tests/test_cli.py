@@ -18,7 +18,6 @@ from singlink.cli import (
     EXIT_OK,
     EXIT_UNSUPPORTED,
     EXIT_VERIFY_FAILED,
-    CliRequest,
     emit,
     main,
     parse_args,
@@ -47,26 +46,79 @@ def test_parse_enumerate_json():
     assert request.fmt == "json"
 
 
-def test_parse_rejects_invalid_cycle_word():
-    with pytest.raises(ValueError, match=">= 3"):
-        parse_args(["enumerate", "--cusp", "2,2"])
+def refused(argv, capsys) -> str:
+    """parse_args exits 1 on argv; the stderr it printed."""
+    with pytest.raises(SystemExit) as info:
+        parse_args(argv)
+    assert info.value.code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_parse_rejects_invalid_cycle_word(capsys):
+    assert ">= 3" in refused(["enumerate", "--cusp", "2,2"], capsys)
     assert main(["enumerate", "--cusp", "2,2"]) == EXIT_INVALID
 
 
-def test_parse_rejects_bad_matrix():
-    with pytest.raises(ValueError):
-        parse_args(["classify", "--matrix", "1,2,3"])
-    with pytest.raises(ValueError, match="determinant"):
-        parse_args(["classify", "--matrix", "1,0,0,2"])
+def test_parse_rejects_bad_matrix(capsys):
+    assert "4 comma-separated" in refused(["classify", "--matrix", "1,2,3"], capsys)
+    assert "determinant" in refused(["classify", "--matrix", "1,0,0,2"], capsys)
 
 
-def test_parse_requires_exactly_one_family():
-    with pytest.raises(ValueError, match="exactly one"):
-        parse_args(["graph", "--elliptic", "3", "--cusp", "2,3"])
-    with pytest.raises(ValueError, match="needs"):
-        parse_args(["graph"])
-    with pytest.raises(ValueError, match="needs"):
-        parse_args(["verify"])
+def test_parse_requires_exactly_one_family(capsys):
+    assert "not allowed with" in refused(["graph", "--elliptic", "3", "--cusp", "2,3"], capsys)
+    assert "is required" in refused(["graph"], capsys)
+    assert "is required" in refused(["verify"], capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "--cusp", "2,3", "--json", "--dot"],
+        ["openbook", "--cusp", "3", "--dot"],
+        ["inv", "--cusp", "2,3", "--euler", "--d3"],
+        ["graph"],
+        ["verify"],
+        ["graph", "--elliptic", "3", "--cusp", "2,3"],
+        ["verify", "--suite", "--cusp", "2,3"],
+    ],
+    ids=" ".join,
+)
+def test_flag_rules_exit_1_with_empty_stdout(argv, capsys):
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ": error: " in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, same",
+    [
+        (["inv", "--cusp", "2,3,4", "--json"], ["invariants", "--cusp", "2,3,4", "--json"]),
+        (["inv", "--elliptic", "2", "--d3"], ["invariants", "--elliptic", "2", "--d3"]),
+        (["canonical", "--elliptic", "3", "--canonical", "max"],
+         ["canonical", "--elliptic", "3", "--sign", "max"]),
+        (["inv", "--cusp", "2,3", "--euler", "--canonical", "min"],
+         ["inv", "--cusp", "2,3", "--euler", "--sign", "min"]),
+        (["graph", "--cusp", "2,2,3", "--dot"], ["graph", "--cusp", "2,2,3"]),
+    ],
+    ids=" ".join,
+)
+def test_spellings_of_one_request_print_the_same_bytes(argv, same):
+    assert run_cli(argv) == run_cli(same)
+
+
+SUBCOMMANDS = [
+    "classify", "factor", "graph", "openbook", "surgery", "enumerate", "canonical",
+    "invariants", "inv", "verify",
+]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_subcommand_help_exits_0(command, capsys):
+    assert main([command, "--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(f"usage: singlink {command}")
 
 
 def test_parse_same_argv_twice_gives_equal_requests():

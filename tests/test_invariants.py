@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from singlink import families
-from singlink.families import Cusp, Elliptic, UnsupportedPresentation
+from singlink.families import ChainUnknot, Cusp, Elliptic, EllipticCore, UnsupportedPresentation
 from singlink.invariants import (
     DimensionMismatch,
     NonTorsionChernClass,
@@ -14,10 +14,8 @@ from singlink.invariants import (
     is_canonical,
 )
 from singlink.legendrian import (
-    ChainUnknot,
     ContactSurgeryComponent,
     ContactSurgeryDiagram,
-    EllipticCore,
     SteinHandleDiagram,
     TwoHandleSpec,
     canonical_filling,

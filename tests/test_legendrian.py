@@ -4,14 +4,19 @@ import time
 import pytest
 
 from singlink import legendrian
-from singlink.families import Cusp, Elliptic, SizeLimitExceeded, UnsupportedPresentation
-from singlink.legendrian import (
+from singlink.families import (
     ChainUnknot,
+    Cusp,
+    Elliptic,
+    EllipticCore,
+    NodalDoublePass,
+    SizeLimitExceeded,
+    UnsupportedPresentation,
+)
+from singlink.legendrian import (
     ContactSurgeryComponent,
     ContactSurgeryDiagram,
-    EllipticCore,
     FramingTooLarge,
-    NodalDoublePass,
     SteinHandleDiagram,
     TwoHandleSpec,
     canonical_filling,
@@ -70,6 +75,11 @@ def test_two_handle_validation():
     }
     with pytest.raises(TypeError):  # tb and genus are not parameters
         TwoHandleSpec(ChainUnknot(1), -3, 0, -2, -1)
+    # a float framing would give a float tb
+    with pytest.raises(TypeError):
+        TwoHandleSpec(EllipticCore(), -3.0, -3)
+    with pytest.raises(TypeError):
+        TwoHandleSpec(EllipticCore(), -3, -3.0)
 
 
 def test_enumerate_elliptic_counts_and_sets():

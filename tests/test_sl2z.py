@@ -76,6 +76,8 @@ def test_cycle_word_entries_must_be_integers():
 def test_matrix_rows_must_be_integers():
     with pytest.raises(TypeError):
         Sl2Matrix.from_rows(((1.9, 0), (0, 1)))
+    with pytest.raises(TypeError):  # determinant one, but not an integer matrix
+        Sl2Matrix(1.0, 0, 0, 1.0)
 
 
 def test_single_factor_is_the_generator():

@@ -66,6 +66,10 @@ def test_non_integer_entries_are_refused():
         PlumbingVertex(-2, genus=0.5)
     with pytest.raises(TypeError):
         PlumbingGraph((PlumbingVertex(-2), PlumbingVertex(-2)), ((0.5, 1),))
+    with pytest.raises(TypeError):
+        determinant(((1.5, 0), (0, 2)))
+    with pytest.raises(TypeError):
+        symmetric_signature(((0.5,),))
 
 
 @st.composite
@@ -244,6 +248,8 @@ def test_solve_refuses_a_vector_of_the_wrong_length():
             mat_vec(((1, 0), (0, 1)), vector)
     with pytest.raises(ValueError, match="rows"):
         solve_rational(((1, 0), (0, 1)), (1,))
+    with pytest.raises(ValueError, match="dimensions"):
+        solve_rational((), (1,))
     # the empty matrix has no row for mat_vec to compare the vector with
     with pytest.raises(ValueError, match="dimensions"):
         smith_normal_form(()).solve((1,))
