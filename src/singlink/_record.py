@@ -1,0 +1,42 @@
+"""The base of the package's immutable value records.
+
+A record class names its fields in ``__slots__`` and sets each one once,
+in its own ``__init__``, through ``object.__setattr__``.  The base gives it
+the rest: assigning or deleting an attribute raises AttributeError, two
+records are equal when they are of the same class and their fields are
+equal, the hash follows that equality, the repr is
+``Name(field=value, ...)``, and copy and pickle work.
+"""
+from operator import attrgetter
+
+
+class Record:
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # one getter per class keeps __eq__ and __hash__ to a single C call;
+        # a record without fields is told apart by its class alone
+        cls._values = attrgetter(*(cls.__slots__ or ("__class__",)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the slots through here, not through __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)

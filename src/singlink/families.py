@@ -6,10 +6,10 @@ family-specific checks of verify.py, no module tests which family it holds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING
 
+from ._record import Record
 from .sl2z import CycleWord, Sl2Matrix, cycle_monodromy
 
 if TYPE_CHECKING:
@@ -43,42 +43,44 @@ class UnsupportedPresentation(ValueError):
     components, so the contact surgery diagram cannot be drawn."""
 
 
-@dataclass(frozen=True)
-class ChainUnknot:
+class ChainUnknot(Record):
     """Unknot at position ``index`` (1-based) in the surgery chain; genus 0."""
 
-    index: int
-    genus: ClassVar[int] = 0
+    __slots__ = ("index",)
+    genus = 0
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
-class EllipticCore:
+class EllipticCore(Record):
     """The 2-handle over both 1-handles of the elliptic diagram; capped genus 1."""
 
-    genus: ClassVar[int] = 1
+    __slots__ = ()
+    genus = 1
 
 
-@dataclass(frozen=True)
-class NodalDoublePass:
+class NodalDoublePass(Record):
     """The k = 1 unknot running twice over the 1-handle; capped genus 1."""
 
-    genus: ClassVar[int] = 1
+    __slots__ = ()
+    genus = 1
 
 
 HandleTag = ChainUnknot | EllipticCore | NodalDoublePass
 
 
-@dataclass(frozen=True)
-class Elliptic:
+class Elliptic(Record):
     """Link of a simple elliptic singularity; minimal resolution weight -n."""
 
-    n: int
-    one_handle_count: ClassVar[int] = 2
+    __slots__ = ("n",)
+    one_handle_count = 2
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", index(self.n))
-        if self.n < 1:
-            raise InvalidParameter(f"elliptic parameter must be >= 1, got {self.n}")
+    def __init__(self, n: int):
+        n = index(n)
+        if n < 1:
+            raise InvalidParameter(f"elliptic parameter must be >= 1, got {n}")
+        object.__setattr__(self, "n", n)
 
     @property
     def label(self) -> str:
@@ -117,16 +119,16 @@ class Elliptic:
         return ((EllipticCore(), -self.n),)
 
 
-@dataclass(frozen=True)
-class Cusp:
+class Cusp(Record):
     """Link of a cusp singularity, indexed by its cycle word."""
 
-    word: CycleWord
-    one_handle_count: ClassVar[int] = 1
+    __slots__ = ("word",)
+    one_handle_count = 1
 
-    def __post_init__(self):
-        if not isinstance(self.word, CycleWord):
-            object.__setattr__(self, "word", CycleWord(tuple(self.word)))
+    def __init__(self, word: CycleWord):
+        if not isinstance(word, CycleWord):
+            word = CycleWord(tuple(word))
+        object.__setattr__(self, "word", word)
 
     @property
     def label(self) -> str:

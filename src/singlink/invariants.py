@@ -10,11 +10,11 @@ diagram with q many (+1)-components, normalized so the standard tight
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from operator import index
+from typing import TYPE_CHECKING
 
+from ._record import Record
 from .families import Family
 from .legendrian import ContactSurgeryDiagram, SteinHandleDiagram, TwoHandleSpec
 from .linalg import (
@@ -30,6 +30,9 @@ from .linalg import (
 from .openbook import OpenBookDescription, openbook_homology
 from .plumbing import PlumbingGraph, intersection_matrix
 from .sl2z import Sl2Matrix
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "DimensionMismatch",
@@ -70,8 +73,7 @@ def is_canonical(diagram: SteinHandleDiagram) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class CohomologyClassRep:
+class CohomologyClassRep(Record):
     """A class sum(v_j * meridian_j) reduced in the cokernel of Q.
 
     ``reduced`` is the image of the vector in Smith normal form coordinates
@@ -80,12 +82,23 @@ class CohomologyClassRep:
     integers.  ``order`` is None for classes of infinite order.
     """
 
-    vector: tuple[int, ...]
-    presentation: IntMatrix
-    reduced: tuple[int, ...]
-    is_zero: bool
-    order: int | None
-    witness: tuple[int, ...] | None
+    __slots__ = ("vector", "presentation", "reduced", "is_zero", "order", "witness")
+
+    def __init__(
+        self,
+        vector: tuple[int, ...],
+        presentation: IntMatrix,
+        reduced: tuple[int, ...],
+        is_zero: bool,
+        order: int | None,
+        witness: tuple[int, ...] | None,
+    ):
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "reduced", reduced)
+        object.__setattr__(self, "is_zero", is_zero)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "witness", witness)
 
     def to_json_dict(self) -> dict:
         return {
@@ -167,6 +180,8 @@ def d3_invariant(diagram: ContactSurgeryDiagram) -> Fraction:
     Evaluates (c^2 - 3*sigma(Q) - 2*chi)/4 + q with chi = 1 + #components
     and q = number of (+1)-components; requires a torsion Chern class.
     """
+    from fractions import Fraction
+
     q_matrix = diagram.presentation_matrix
     rot = diagram.rot_vector
     solution = solve_rational(q_matrix, rot)
@@ -180,14 +195,22 @@ def d3_invariant(diagram: ContactSurgeryDiagram) -> Fraction:
     return (c2 - 3 * sigma - 2 * chi) / 4 + diagram.plus_count
 
 
-@dataclass(frozen=True)
-class HomologyAgreement:
+class HomologyAgreement(Record):
     """The three independent H_1 computations and whether they agree."""
 
-    family: Family
-    plumbing: AbelianGroup
-    monodromy: AbelianGroup
-    openbook: AbelianGroup
+    __slots__ = ("family", "plumbing", "monodromy", "openbook")
+
+    def __init__(
+        self,
+        family: Family,
+        plumbing: AbelianGroup,
+        monodromy: AbelianGroup,
+        openbook: AbelianGroup,
+    ):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "plumbing", plumbing)
+        object.__setattr__(self, "monodromy", monodromy)
+        object.__setattr__(self, "openbook", openbook)
 
     @property
     def all_equal(self) -> bool:

@@ -9,9 +9,9 @@ exactly the rotation numbers {-s, -s+2, ..., s} with s = tb_max - 1 - f.
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass, field
 from operator import attrgetter, index
 
+from ._record import Record
 from .families import (
     EllipticCore,  # for the rotation_range doctest
     Family,
@@ -75,27 +75,22 @@ def _stabilization_budget(tag: HandleTag, framing: int) -> int:
     return s
 
 
-@dataclass(frozen=True)
-class TwoHandleSpec:
+class TwoHandleSpec(Record):
     """A Stein 2-handle: rotation within the realizable set, tb = framing + 1
     and the surface genus of its tag."""
 
-    tag: HandleTag
-    smooth_framing: int
-    rot: int
-    tb: int = field(init=False)
-    surface_genus: int = field(init=False)
+    __slots__ = ("tag", "smooth_framing", "rot", "tb", "surface_genus")
 
-    def __post_init__(self):
-        object.__setattr__(self, "smooth_framing", index(self.smooth_framing))
-        object.__setattr__(self, "rot", index(self.rot))
-        object.__setattr__(self, "tb", self.smooth_framing + 1)
-        object.__setattr__(self, "surface_genus", self.tag.genus)
-        s = _stabilization_budget(self.tag, self.smooth_framing)
-        if abs(self.rot) > s or (s - self.rot) % 2:
-            raise ValueError(
-                f"rot {self.rot} not realizable at framing {self.smooth_framing} for {self.tag}"
-            )
+    def __init__(self, tag: HandleTag, smooth_framing: int, rot: int):
+        smooth_framing, rot = index(smooth_framing), index(rot)
+        s = _stabilization_budget(tag, smooth_framing)
+        if abs(rot) > s or (s - rot) % 2:
+            raise ValueError(f"rot {rot} not realizable at framing {smooth_framing} for {tag}")
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "smooth_framing", smooth_framing)
+        object.__setattr__(self, "rot", rot)
+        object.__setattr__(self, "tb", smooth_framing + 1)
+        object.__setattr__(self, "surface_genus", tag.genus)
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,8 +104,7 @@ class TwoHandleSpec:
 _slot_of = attrgetter("tag", "smooth_framing")
 
 
-@dataclass(frozen=True)
-class SteinHandleDiagram:
+class SteinHandleDiagram(Record):
     """A Legendrian handle diagram of a Stein filling of the link.
 
     The handles are checked against ``family.handle_slots()``.  An
@@ -119,18 +113,23 @@ class SteinHandleDiagram:
     1-handle count is the family's.
     """
 
-    family: Family
-    handles: tuple[TwoHandleSpec, ...]
-    one_handle_count: int = field(init=False)
-    _slots: InitVar[tuple[tuple[HandleTag, int], ...] | None] = field(default=None, kw_only=True)
+    __slots__ = ("family", "handles", "one_handle_count")
 
-    def __post_init__(self, _slots):
-        object.__setattr__(self, "handles", tuple(self.handles))
-        object.__setattr__(self, "one_handle_count", self.family.one_handle_count)
-        slots = self.family.handle_slots() if _slots is None else _slots
-        got = tuple(map(_slot_of, self.handles))
+    def __init__(
+        self,
+        family: Family,
+        handles: tuple[TwoHandleSpec, ...],
+        *,
+        _slots: tuple[tuple[HandleTag, int], ...] | None = None,
+    ):
+        handles = tuple(handles)
+        slots = family.handle_slots() if _slots is None else _slots
+        got = tuple(map(_slot_of, handles))
         if got != slots:
-            raise ValueError(f"handles {got} do not match the {self.family} pattern {slots}")
+            raise ValueError(f"handles {got} do not match the {family} pattern {slots}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "handles", handles)
+        object.__setattr__(self, "one_handle_count", family.one_handle_count)
 
     @property
     def rot_vector(self) -> tuple[int, ...]:
@@ -199,19 +198,19 @@ def canonical_filling(family: Family, sign: str = "min") -> SteinHandleDiagram:
     return SteinHandleDiagram(family, handles)
 
 
-@dataclass(frozen=True)
-class ContactSurgeryComponent:
+class ContactSurgeryComponent(Record):
     """One surgery curve: contact coefficient +1 or -1 on a Legendrian knot."""
 
-    tb: int
-    rot: int
-    contact_coefficient: int
+    __slots__ = ("tb", "rot", "contact_coefficient")
 
-    def __post_init__(self):
-        if self.contact_coefficient not in (1, -1):
+    def __init__(self, tb: int, rot: int, contact_coefficient: int):
+        if contact_coefficient not in (1, -1):
             raise ValueError("contact coefficient must be +1 or -1")
-        if self.contact_coefficient == 1 and (self.tb, self.rot) != (-1, 0):
+        if contact_coefficient == 1 and (tb, rot) != (-1, 0):
             raise ValueError("+1 components are standard Legendrian unknots (tb -1, rot 0)")
+        object.__setattr__(self, "tb", tb)
+        object.__setattr__(self, "rot", rot)
+        object.__setattr__(self, "contact_coefficient", contact_coefficient)
 
     @property
     def smooth_framing(self) -> int:
@@ -226,23 +225,26 @@ class ContactSurgeryComponent:
         }
 
 
-@dataclass(frozen=True)
-class ContactSurgeryDiagram:
+class ContactSurgeryDiagram(Record):
     """Contact surgery presentation with the linking matrix of its components."""
 
-    components: tuple[ContactSurgeryComponent, ...]
-    presentation_matrix: IntMatrix
-    family: Family | None = None
+    __slots__ = ("components", "presentation_matrix", "family")
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(
-            self, "presentation_matrix", tuple(tuple(r) for r in self.presentation_matrix)
-        )
-        if not is_symmetric(self.presentation_matrix):
+    def __init__(
+        self,
+        components: tuple[ContactSurgeryComponent, ...],
+        presentation_matrix: IntMatrix,
+        family: Family | None = None,
+    ):
+        components = tuple(components)
+        presentation_matrix = tuple(tuple(r) for r in presentation_matrix)
+        if not is_symmetric(presentation_matrix):
             raise ValueError("presentation matrix must be symmetric")
-        if len(self.presentation_matrix) != len(self.components):
+        if len(presentation_matrix) != len(components):
             raise ValueError("presentation matrix size must match component count")
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "presentation_matrix", presentation_matrix)
+        object.__setattr__(self, "family", family)
 
     @property
     def rot_vector(self) -> tuple[int, ...]:

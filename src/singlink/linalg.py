@@ -4,14 +4,15 @@ Everything here works on plain Python integers (arbitrary precision) or
 ``fractions.Fraction``; no floating point is used anywhere.  Matrices are
 tuples of tuples, rows first.  Integer entries are taken with
 ``operator.index``, so a float, Fraction or string entry raises TypeError
-instead of being truncated.
+instead of being truncated.  ``fractions`` is imported only by the code
+that makes a Fraction, since most command-line calls never do.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from operator import index, mul
+
+from ._record import Record
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -72,17 +73,19 @@ def determinant(a) -> int:
     return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Record):
     """Smith normal form ``u @ matrix @ v == diag`` with unimodular u, v.
 
     The diagonal entries are nonnegative and form a divisibility chain
     d1 | d2 | ... (trailing zeros allowed).
     """
 
-    u: IntMatrix
-    diag: IntMatrix
-    v: IntMatrix
+    __slots__ = ("u", "diag", "v")
+
+    def __init__(self, u: IntMatrix, diag: IntMatrix, v: IntMatrix):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "v", v)
 
     def diagonal_entries(self) -> IntVector:
         n = min(len(self.diag), len(self.diag[0]) if self.diag else 0)
@@ -105,7 +108,9 @@ class SnfResult:
         self._check_rows(w)
         rows = len(self.diag)
         cols = len(self.v)
-        y = [Fraction(0)] * cols if not exact else [0] * cols
+        if not exact:
+            from fractions import Fraction
+        y = [0 if exact else Fraction(0)] * cols
         for i in range(rows):
             d = self.diag[i][i] if i < cols else 0
             if d:
@@ -310,28 +315,28 @@ def _check_snf(m: IntMatrix, snf: SnfResult) -> None:
             raise RuntimeError("smith normal form verification failed")
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """A finitely generated abelian group Z^free_rank + Z/d1 + Z/d2 + ...
 
     The torsion entries are the invariant factors: each is at least 2 and
     d1 | d2 | ..., so equal groups compare equal structurally.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        object.__setattr__(self, "free_rank", index(self.free_rank))
-        object.__setattr__(self, "torsion", tuple(map(index, self.torsion)))
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        free_rank = index(free_rank)
+        torsion = tuple(map(index, torsion))
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise ValueError("invariant factors must be at least 2")
-        for d, e in zip(self.torsion, self.torsion[1:]):
+        for d, e in zip(torsion, torsion[1:]):
             if e % d:
                 raise ValueError("invariant factors must form a divisibility chain")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @property
     def torsion_order(self) -> int:
@@ -364,6 +369,8 @@ def symmetric_signature(matrix) -> int:
     Computed by exact rational congruence diagonalization, so degenerate
     forms are handled without any numerical tolerance.
     """
+    from fractions import Fraction
+
     matrix = freeze(matrix)
     if not is_symmetric(matrix):
         raise ValueError("signature requires a symmetric matrix")

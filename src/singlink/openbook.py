@@ -14,9 +14,7 @@ action and for the homology of the total space.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import ClassVar
-
+from ._record import Record
 from .families import Family, SizeLimitExceeded
 from .linalg import AbelianGroup, IntMatrix, smith_normal_form
 
@@ -40,18 +38,22 @@ BoundaryLabel = int | tuple[int, int]
 BOUNDARY_LIMIT = 1_000
 
 
-@dataclass(frozen=True)
-class DeltaCurve:
+class DeltaCurve(Record):
     """Twist curve where two page pieces were glued; delta_index in text."""
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
-class GammaCurve:
+class GammaCurve(Record):
     """Boundary-parallel twist curve at the labeled boundary."""
 
-    label: BoundaryLabel
+    __slots__ = ("label",)
+
+    def __init__(self, label: BoundaryLabel):
+        object.__setattr__(self, "label", label)
 
 
 TwistCurve = DeltaCurve | GammaCurve
@@ -73,8 +75,7 @@ def curve_text(curve: TwistCurve) -> str:
     return f"γ{curve.label}"
 
 
-@dataclass(frozen=True)
-class OpenBookDescription:
+class OpenBookDescription(Record):
     """The horizontal open book of a family: a genus-one page, its labeled
     boundaries and the ordered right-handed twist word, all read off
     ``family.page_pieces()``.
@@ -88,16 +89,14 @@ class OpenBookDescription:
     'D(δ0)·D(γ1)·D(γ2)'
     """
 
-    family: Family
-    page_genus: ClassVar[int] = 1
-    boundary_labels: tuple[BoundaryLabel, ...] = field(init=False)
-    twist_word: tuple[TwistCurve, ...] = field(init=False)
+    __slots__ = ("family", "boundary_labels", "twist_word")
+    page_genus = 1
 
-    def __post_init__(self):
-        deltas, pieces = self.family.page_pieces()
+    def __init__(self, family: Family):
+        deltas, pieces = family.page_pieces()
         if sum(pieces) > BOUNDARY_LIMIT:
             raise SizeLimitExceeded(
-                f"the open book of {self.family.label} has more boundary components "
+                f"the open book of {family.label} has more boundary components "
                 f"than the limit of {BOUNDARY_LIMIT:,}"
             )
         if len(pieces) == 1:
@@ -107,6 +106,7 @@ class OpenBookDescription:
                 (i, j) for i, b in enumerate(pieces, start=1) for j in range(1, b + 1)
             )
         twists = tuple(DeltaCurve(i) for i in range(deltas))
+        object.__setattr__(self, "family", family)
         object.__setattr__(self, "boundary_labels", labels)
         object.__setattr__(self, "twist_word", twists + tuple(map(GammaCurve, labels)))
 
@@ -125,8 +125,7 @@ class OpenBookDescription:
         }
 
 
-@dataclass(frozen=True)
-class PageHomologyData:
+class PageHomologyData(Record):
     """Basis of H_1(page), intersection form, and the twist-curve classes.
 
     The basis is (l, d, e_1, ..., e_{b-1}): l is a longitude crossing every
@@ -137,10 +136,19 @@ class PageHomologyData:
     <l, d> = 1.
     """
 
-    basis_names: tuple[str, ...]
-    intersection_form: IntMatrix
-    curve_classes: dict[TwistCurve, tuple[int, ...]]
-    boundary_classes: dict[BoundaryLabel, tuple[int, ...]]
+    __slots__ = ("basis_names", "intersection_form", "curve_classes", "boundary_classes")
+
+    def __init__(
+        self,
+        basis_names: tuple[str, ...],
+        intersection_form: IntMatrix,
+        curve_classes: dict[TwistCurve, tuple[int, ...]],
+        boundary_classes: dict[BoundaryLabel, tuple[int, ...]],
+    ):
+        object.__setattr__(self, "basis_names", basis_names)
+        object.__setattr__(self, "intersection_form", intersection_form)
+        object.__setattr__(self, "curve_classes", curve_classes)
+        object.__setattr__(self, "boundary_classes", boundary_classes)
 
     @property
     def rank(self) -> int:

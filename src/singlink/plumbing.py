@@ -8,9 +8,9 @@ calculus: diagonal = Euler weight plus twice the loop count, off-diagonal
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 
+from ._record import Record
 from .families import (
     ChainUnknot,
     EllipticCore,
@@ -37,33 +37,33 @@ __all__ = [
 VERTEX_LIMIT = 1_000
 
 
-@dataclass(frozen=True)
-class PlumbingVertex:
-    weight: int
-    genus: int = 0
+class PlumbingVertex(Record):
+    __slots__ = ("weight", "genus")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weight", index(self.weight))
-        object.__setattr__(self, "genus", index(self.genus))
-        if self.genus < 0:
-            raise InvalidParameter(f"vertex genus must be nonnegative, got {self.genus}")
+    def __init__(self, weight: int, genus: int = 0):
+        weight, genus = index(weight), index(genus)
+        if genus < 0:
+            raise InvalidParameter(f"vertex genus must be nonnegative, got {genus}")
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "genus", genus)
 
 
-@dataclass(frozen=True)
-class PlumbingGraph:
+class PlumbingGraph(Record):
     """Weighted multigraph; edges are unordered index pairs, loops allowed."""
 
-    vertices: tuple[PlumbingVertex, ...]
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        edges = tuple(tuple(sorted(map(index, e))) for e in self.edges)
-        object.__setattr__(self, "edges", edges)
-        n = len(self.vertices)
+    def __init__(
+        self, vertices: tuple[PlumbingVertex, ...], edges: tuple[tuple[int, int], ...]
+    ):
+        vertices = tuple(vertices)
+        edges = tuple(tuple(sorted(map(index, e))) for e in edges)
+        n = len(vertices)
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise InvalidParameter(f"edge ({i}, {j}) out of range for {n} vertices")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
     def loop_count(self, vertex: int) -> int:
         return sum(1 for i, j in self.edges if i == j == vertex)
@@ -145,14 +145,18 @@ def boundary_homology(graph: PlumbingGraph) -> AbelianGroup:
     return snf.cokernel(graph.boundary_free_rank())
 
 
-@dataclass(frozen=True)
-class SurgeryDescription:
+class SurgeryDescription(Record):
     """Symbolic smooth surgery presentation; emission only, nothing consumes it."""
 
-    kind: str
-    framings: tuple[int, ...]
-    notes: tuple[str, ...]
-    family_json: dict
+    __slots__ = ("kind", "framings", "notes", "family_json")
+
+    def __init__(
+        self, kind: str, framings: tuple[int, ...], notes: tuple[str, ...], family_json: dict
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "framings", framings)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "family_json", family_json)
 
     def to_json_dict(self) -> dict:
         return {

@@ -10,10 +10,11 @@ and ``factor_cycle`` inverts the construction up to cyclic rotation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from math import isqrt
 from operator import index
+
+from ._record import Record
 
 __all__ = [
     "Sl2Matrix",
@@ -43,22 +44,19 @@ class NoFactorization(ValueError):
     """No cycle word reproduces the conjugacy class of the matrix."""
 
 
-@dataclass(frozen=True)
-class Sl2Matrix:
+class Sl2Matrix(Record):
     """A 2x2 integer matrix [[a, b], [c, d]] of determinant one."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, index(getattr(self, name)))
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError(
-                f"determinant must be 1, got {self.a * self.d - self.b * self.c}"
-            )
+    def __init__(self, a: int, b: int, c: int, d: int):
+        a, b, c, d = index(a), index(b), index(c), index(d)
+        if a * d - b * c != 1:
+            raise ValueError(f"determinant must be 1, got {a * d - b * c}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     @classmethod
     def identity(cls) -> "Sl2Matrix":
@@ -97,15 +95,15 @@ class MonodromyType(Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-@dataclass(frozen=True)
-class MonodromyClass:
-    """Trace classification of an SL(2,Z) matrix; the kind follows from the trace."""
+class MonodromyClass(Record):
+    """Classification of an SL(2,Z) matrix; its trace and kind follow from it."""
 
-    trace: int
-    kind: MonodromyType = field(init=False)
+    __slots__ = ("matrix", "trace", "kind")
 
-    def __post_init__(self):
-        object.__setattr__(self, "kind", _kind_for_trace(self.trace))
+    def __init__(self, matrix: Sl2Matrix):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "trace", matrix.trace)
+        object.__setattr__(self, "kind", _kind_for_trace(matrix.trace))
 
     @property
     def is_cusp_link(self) -> bool:
@@ -114,8 +112,15 @@ class MonodromyClass:
 
     @property
     def is_elliptic_link(self) -> bool:
-        """True for the parabolic trace-2 class realized by simple elliptic links."""
-        return self.trace == 2
+        """True for the conjugates of the simple elliptic monodromies
+        [[1, n], [0, 1]], n >= 1.
+
+        A trace-2 matrix other than I is conjugate to [[1, m], [0, 1]] and
+        has b = m * p1^2, c = -m * p2^2 for some (p1, p2) != (0, 0), so
+        m >= 1 exactly when b > 0 or c < 0.  I (the 3-torus) and the
+        conjugates with m <= -1 are not elliptic links.
+        """
+        return self.trace == 2 and (self.matrix.b > 0 or self.matrix.c < 0)
 
 
 def _kind_for_trace(trace: int) -> MonodromyType:
@@ -127,27 +132,25 @@ def _kind_for_trace(trace: int) -> MonodromyType:
 
 
 def classify(matrix: Sl2Matrix) -> MonodromyClass:
-    """Classify a torus-bundle monodromy by its trace.
+    """Classify a torus-bundle monodromy.
 
     >>> classify(Sl2Matrix(1, 5, 0, 1)).kind.value
     'parabolic'
     """
-    return MonodromyClass(matrix.trace)
+    return MonodromyClass(matrix)
 
 
-@dataclass(frozen=True)
-class CycleWord:
+class CycleWord(Record):
     """The tuple (n_1, ..., n_k) parameterizing a cusp monodromy.
 
     Valid words have every n_i >= 2 with some n_i >= 3 when k > 1, and
     n_1 >= 3 when k = 1.
     """
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        entries = tuple(map(index, self.entries))
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: tuple[int, ...]):
+        entries = tuple(map(index, entries))
         if not entries:
             raise ValueError(f"invalid cycle word {entries}: word must be nonempty")
         if len(entries) == 1:
@@ -155,6 +158,7 @@ class CycleWord:
                 raise ValueError(f"invalid cycle word {entries}: {CYCLE_WORD_RULE}")
         elif min(entries) < 2 or max(entries) < 3:
             raise ValueError(f"invalid cycle word {entries}: {CYCLE_WORD_RULE}")
+        object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -150,15 +150,23 @@ def test_unknown_subcommand_exits_1():
 
 
 def test_classify_output():
-    code, payload = run_cli(["classify", "--matrix", "5,-2,3,-1", "--json"])
-    assert code == EXIT_OK
-    data = json.loads(payload)
-    assert data == {
-        "class": "hyperbolic",
-        "trace": 4,
-        "is_cusp_link": True,
-        "is_elliptic_link": False,
-    }
+    for matrix, kind, trace, cusp, elliptic in (
+        ("5,-2,3,-1", "hyperbolic", 4, True, False),
+        ("1,0,0,1", "parabolic", 2, False, False),  # the 3-torus
+        ("1,-3,0,1", "parabolic", 2, False, False),
+        ("1,0,3,1", "parabolic", 2, False, False),
+        ("1,3,0,1", "parabolic", 2, False, True),  # Elliptic(3)
+        ("1,0,-3,1", "parabolic", 2, False, True),
+        ("-1,3,0,-1", "parabolic", -2, False, False),
+    ):
+        code, payload = run_cli(["classify", f"--matrix={matrix}", "--json"])
+        assert code == EXIT_OK
+        assert json.loads(payload) == {
+            "class": kind,
+            "trace": trace,
+            "is_cusp_link": cusp,
+            "is_elliptic_link": elliptic,
+        }, matrix
 
 
 def test_factor_output():
@@ -388,15 +396,30 @@ def test_cli_subprocess_deterministic():
 
 
 # cold start: a subcommand loads only the modules its handler runs
-LOADED_BY_CLI = {"singlink", "singlink.cli", "singlink.families", "singlink.sl2z"}
-# the child runs main, then prints the singlink modules it holds as its last stderr line
+LOADED_BY_CLI = {
+    "singlink", "singlink._record", "singlink.cli", "singlink.families", "singlink.sl2z"
+}
+# the child runs main, then prints the modules it holds as its last stderr line
 REPORT_MODULES = """
 import json, sys
 from singlink.cli import main
 code = main(sys.argv[1:])
-names = sorted(m for m in sys.modules if m.split(".")[0] == "singlink")
-print(json.dumps([code, names]), file=sys.stderr)
+print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)
 """
+
+
+def loaded_modules(argv, *python_flags) -> tuple[int, set[str], str]:
+    """main(argv) in a fresh interpreter: its exit code, the modules it then
+    holds and its stdout."""
+    done = subprocess.run(
+        [sys.executable, *python_flags, "-c", REPORT_MODULES, *argv],
+        capture_output=True,
+        env=child_env(),
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    code, names = json.loads(done.stderr.splitlines()[-1])
+    return code, set(names), done.stdout
 
 
 @pytest.mark.parametrize(
@@ -412,18 +435,42 @@ print(json.dumps([code, names]), file=sys.stderr)
     ids=["classify", "factor", "graph", "surgery", "openbook", "enumerate"],
 )
 def test_light_subcommand_loads_only_its_modules(argv, extra):
-    done = subprocess.run(
-        [sys.executable, "-c", REPORT_MODULES, *argv],
-        capture_output=True,
-        env=child_env(),
-        text=True,
-    )
-    assert done.returncode == 0, done.stderr
-    code, names = json.loads(done.stderr.splitlines()[-1])
+    code, names, stdout = loaded_modules(argv)
     assert code == EXIT_OK
-    assert set(names) == LOADED_BY_CLI | {f"singlink.{m}" for m in extra}
+    assert {m for m in names if m.split(".")[0] == "singlink"} == LOADED_BY_CLI | {
+        f"singlink.{m}" for m in extra
+    }
     # the same call in this process, where every module is loaded, prints the same
-    assert done.stdout.encode() == run_cli(argv)[1]
+    assert stdout.encode() == run_cli(argv)[1]
+
+
+@pytest.mark.parametrize(
+    "argv, makes_fractions",
+    [
+        (["classify", "--matrix", "5,-2,3,-1"], False),
+        (["factor", "--matrix", "5,-2,3,-1"], False),
+        (["graph", "--cusp", "2,3,4"], False),
+        (["openbook", "--cusp", "2,3,4"], False),
+        (["surgery", "--elliptic", "3"], False),
+        (["enumerate", "--cusp", "2,3,4"], False),
+        (["canonical", "--elliptic", "3"], False),
+        (["inv", "--elliptic", "3", "--euler"], False),
+        (["invariants", "--cusp", "2,3,4"], False),
+        (["verify", "--cusp", "2,3,4"], False),
+        (["invariants", "--elliptic", "3"], True),
+        (["inv", "--elliptic", "3", "--d3"], True),
+        (["verify", "--elliptic", "3"], True),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_no_call_loads_dataclasses_and_only_rational_work_loads_fractions(
+    argv, makes_fractions
+):
+    # -S: no site hook may load either module before the package does
+    code, names, _ = loaded_modules(argv, "-S")
+    assert code == EXIT_OK
+    assert "dataclasses" not in names
+    assert ("fractions" in names) is makes_fractions
 
 
 def test_cusp_d3_exits_3_when_only_the_handler_imports_legendrian():

@@ -1,0 +1,115 @@
+"""The contract every value record of the package keeps: equality by class
+and field values, a hash that follows it, no assignment or deletion, a
+repr that names the class, and copies that compare equal."""
+import copy
+import pickle
+
+import pytest
+
+from singlink._record import Record
+from singlink.families import ChainUnknot, Cusp, Elliptic, EllipticCore, NodalDoublePass
+from singlink.invariants import euler_class, homology_cross_check
+from singlink.legendrian import (
+    ContactSurgeryComponent,
+    TwoHandleSpec,
+    canonical_filling,
+    to_contact_surgery,
+)
+from singlink.linalg import AbelianGroup, smith_normal_form
+from singlink.openbook import DeltaCurve, GammaCurve, curve_homology_classes
+from singlink.plumbing import PlumbingVertex, smooth_surgery_description
+from singlink.sl2z import CycleWord, MonodromyClass, Sl2Matrix
+
+# (build, another): each call of build makes a new record with the same field
+# values; another() makes one that must compare unequal to it
+RECORDS = [
+    (lambda: ChainUnknot(1), lambda: ChainUnknot(2)),
+    (EllipticCore, NodalDoublePass),
+    (NodalDoublePass, EllipticCore),
+    (lambda: Elliptic(3), lambda: Elliptic(4)),
+    (lambda: Cusp((2, 3)), lambda: Cusp((3, 2))),
+    (lambda: Sl2Matrix(2, 1, 1, 1), lambda: Sl2Matrix(1, 1, 1, 2)),
+    (
+        lambda: MonodromyClass(Sl2Matrix(1, 1, 0, 1)),
+        lambda: MonodromyClass(Sl2Matrix(1, 0, -1, 1)),
+    ),
+    (lambda: CycleWord((2, 3)), lambda: CycleWord((3, 2))),
+    (lambda: smith_normal_form(((2, 0), (0, 3))), lambda: smith_normal_form(((2, 0), (0, 5)))),
+    (lambda: AbelianGroup(1, (2,)), lambda: AbelianGroup(1, (3,))),
+    (lambda: PlumbingVertex(-2), lambda: PlumbingVertex(-2, genus=1)),
+    (lambda: Cusp((2, 3)).graph(), lambda: Cusp((2, 4)).graph()),
+    (
+        lambda: smooth_surgery_description(Elliptic(2)),
+        lambda: smooth_surgery_description(Elliptic(3)),
+    ),
+    (lambda: DeltaCurve(0), lambda: GammaCurve(0)),
+    (lambda: GammaCurve(1), lambda: GammaCurve((1, 1))),
+    (lambda: Elliptic(2).openbook(), lambda: Elliptic(3).openbook()),
+    (
+        lambda: curve_homology_classes(Cusp((3, 4)).openbook()),
+        lambda: curve_homology_classes(Cusp((4, 3)).openbook()),
+    ),
+    (lambda: TwoHandleSpec(EllipticCore(), -3, 1), lambda: TwoHandleSpec(EllipticCore(), -3, -1)),
+    (lambda: canonical_filling(Elliptic(2), "min"), lambda: canonical_filling(Elliptic(2), "max")),
+    (lambda: ContactSurgeryComponent(-1, 0, 1), lambda: ContactSurgeryComponent(-1, 0, -1)),
+    (
+        lambda: to_contact_surgery(canonical_filling(Elliptic(2), "min")),
+        lambda: to_contact_surgery(canonical_filling(Elliptic(2), "max")),
+    ),
+    (lambda: euler_class(Elliptic(2), (1,)), lambda: euler_class(Elliptic(2), (2,))),
+    (lambda: homology_cross_check(Elliptic(2)), lambda: homology_cross_check(Elliptic(3))),
+]
+
+
+def test_every_record_class_is_listed():
+    listed = [type(build()) for build, _ in RECORDS]
+    assert len(listed) == len(set(listed)) == 23
+    assert set(listed) == set(Record.__subclasses__())
+
+
+@pytest.mark.parametrize(
+    "build, another", RECORDS, ids=[type(build()).__name__ for build, _ in RECORDS]
+)
+def test_record_contract(build, another):
+    a, b = build(), build()
+    cls = type(a)
+    assert a is not b
+    assert a == b and not a != b
+    values = tuple(getattr(a, name) for name in cls.__slots__)
+    try:
+        hash(values)
+    except TypeError:  # a dict field: the record is as unhashable as its values
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    other = another()
+    assert a != other and other != a
+    assert a != values and values != a
+
+    for name in (*cls.__slots__, "unlisted"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert not hasattr(a, "__dict__")
+    assert tuple(getattr(a, name) for name in cls.__slots__) == values == tuple(
+        getattr(b, name) for name in cls.__slots__
+    )
+    assert repr(a).startswith(f"{cls.__name__}(")
+    assert all(f"{name}=" in repr(a) for name in cls.__slots__)
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is cls and twin == a
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (DeltaCurve(0), GammaCurve(0)),
+        (EllipticCore(), NodalDoublePass()),
+        (ChainUnknot(1), ChainUnknot(2)),
+    ],
+)
+def test_records_of_another_class_or_value_are_unequal(first, second):
+    assert first != second and second != first
+    assert {first: 1, second: 2}[first] == 1

@@ -46,11 +46,24 @@ def test_classify_fixed_cases():
 
 
 def test_monodromy_class_kind_follows_the_trace():
-    assert MonodromyClass(3).kind is MonodromyType.HYPERBOLIC
-    assert MonodromyClass(-2).kind is MonodromyType.PARABOLIC
-    assert MonodromyClass(1).kind is MonodromyType.ELLIPTIC
-    with pytest.raises(TypeError):  # the kind is not a parameter
-        MonodromyClass(MonodromyType.PARABOLIC, 2)
+    for (a, b, c, d), trace, kind in (
+        ((2, 1, 1, 1), 3, MonodromyType.HYPERBOLIC),
+        ((-1, 0, 0, -1), -2, MonodromyType.PARABOLIC),
+        ((1, -1, 1, 0), 1, MonodromyType.ELLIPTIC),
+    ):
+        cls = MonodromyClass(Sl2Matrix(a, b, c, d))
+        assert (cls.trace, cls.kind) == (trace, kind)
+    with pytest.raises(TypeError):  # trace and kind are not parameters
+        MonodromyClass(Sl2Matrix.identity(), 2)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 50), st.integers(-5, 5), st.integers(-5, 5), st.booleans())
+def test_elliptic_link_is_conjugation_invariant(n, x, y, positive):
+    # P = [[1, x], [0, 1]] [[1, 0], [y, 1]] ranges over many SL(2,Z) matrices
+    p = Sl2Matrix(1, x, 0, 1) * Sl2Matrix(1, 0, y, 1)
+    t = Sl2Matrix(1, n if positive else -n, 0, 1)
+    assert classify(p * t * p.inverse()).is_elliptic_link is positive
 
 
 def test_classify_negative_trace_is_not_cusp():

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -12,6 +11,7 @@ from singlink.invariants import euler_class
 from singlink.plumbing import PlumbingGraph, PlumbingVertex, intersection_matrix
 from singlink.linalg import (
     AbelianGroup,
+    SnfResult,
     determinant,
     dot,
     mat_vec,
@@ -125,7 +125,8 @@ def _check_accepts(m, snf):
 def _with_one_change(snf, which, i, j, delta):
     rows = [list(row) for row in getattr(snf, which)]
     rows[i][j] += delta
-    return replace(snf, **{which: tuple(map(tuple, rows))})
+    fields = {"u": snf.u, "diag": snf.diag, "v": snf.v, which: tuple(map(tuple, rows))}
+    return SnfResult(**fields)
 
 
 @settings(max_examples=200)
@@ -160,7 +161,8 @@ def test_sparse_snf_check_rejects_every_changed_entry_of_diag():
 
 def test_snf_self_check_failure_raises():
     snf = smith_normal_form(((2, 4), (6, 8)))
-    with patch.object(linalg, "SnfResult", lambda u, diag, v: replace(snf, diag=((1, 1), (0, 4)))):
+    broken = SnfResult(snf.u, ((1, 1), (0, 4)), snf.v)
+    with patch.object(linalg, "SnfResult", lambda u, diag, v: broken):
         with pytest.raises(RuntimeError, match="verification failed"):
             smith_normal_form(((2, 4), (6, 8)))
 
