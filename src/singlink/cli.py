@@ -34,6 +34,9 @@ EXIT_UNSUPPORTED = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # the subparsers too: every flag has one spelling
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # exit 1 instead of argparse's default 2
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
@@ -256,13 +259,12 @@ def _run_canonical(request):
     return EXIT_OK, "\n".join(lines)
 
 
-def _euler_payloads(family: Family, q, q_snf, signs) -> dict:
-    """The Euler class of each canonical structure, reduced against the
-    presentation ``q`` of the family and its Smith normal form ``q_snf``."""
-    from . import invariants, legendrian
+def _euler_payloads(reduction, signs) -> dict:
+    """The Euler class of each canonical structure, from one reduction of Q."""
+    from . import legendrian
 
-    vectors = [legendrian.canonical_filling(family, s).rot_vector for s in signs]
-    reps = invariants.reduce_euler_classes(family, q, q_snf, vectors)
+    vectors = [legendrian.canonical_filling(reduction.family, s).rot_vector for s in signs]
+    reps = reduction.euler_classes(vectors)
     return {s: rep.to_json_dict() for s, rep in zip(signs, reps)}
 
 
@@ -275,16 +277,13 @@ def _d3_payload(family: Family, sign: str) -> dict:
 
 
 def _run_invariants(request):
-    from . import invariants
-    from .linalg import smith_normal_form
-    from .plumbing import intersection_matrix
+    from .invariants import FamilyReduction
 
     family = request.family
     signs = (request.sign,) if request.sign else ("min", "max")
     if request.euler or request.d3:
         if request.euler:
-            q = family.presentation()
-            payload = _euler_payloads(family, q, smith_normal_form(q), signs)
+            payload = _euler_payloads(FamilyReduction(family), signs)
         else:
             payload = {s: _d3_payload(family, s) for s in signs}
         if request.sign:
@@ -292,17 +291,9 @@ def _run_invariants(request):
         if request.fmt == "json":
             return EXIT_OK, payload
         return EXIT_OK, json.dumps(payload, sort_keys=True)
-    # a cusp's presentation is its plumbing form: one reduction then serves
-    # the plumbing H_1 and both Euler classes
-    graph = family.graph()
-    graph_q = intersection_matrix(graph)
-    graph_snf = smith_normal_form(graph_q)
-    report = invariants.homology_agreement(
-        family, family.monodromy(), graph, graph_snf, family.openbook()
-    )
-    q = family.presentation()
-    q_snf = graph_snf if q == graph_q else smith_normal_form(q)
-    euler = _euler_payloads(family, q, q_snf, signs)
+    reduction = FamilyReduction(family)
+    report = reduction.homology(family.monodromy(), family.openbook())
+    euler = _euler_payloads(reduction, signs)
     try:
         d3: dict | None = {s: _d3_payload(family, s) for s in signs}
     except UnsupportedPresentation:

@@ -7,13 +7,9 @@ family-specific checks of verify.py, no module tests which family it holds.
 from __future__ import annotations
 
 from operator import index
-from typing import TYPE_CHECKING
 
 from ._record import Record
 from .sl2z import CycleWord, Sl2Matrix, cycle_monodromy
-
-if TYPE_CHECKING:
-    from .linalg import IntMatrix
 
 __all__ = [
     "InvalidParameter",
@@ -75,6 +71,7 @@ class Elliptic(Record):
 
     __slots__ = ("n",)
     one_handle_count = 2
+    presentation_is_plumbing_form = False  # Q has rows for the 1-handles
 
     def __init__(self, n: int):
         n = index(n)
@@ -109,7 +106,7 @@ class Elliptic(Record):
         page: one piece with n boundaries, not cut along any delta."""
         return 0, (self.n,)
 
-    def presentation(self) -> IntMatrix:
+    def presentation(self) -> tuple[tuple[int, ...], ...]:
         """Borromean linking matrix diag(0, 0, -n): the two 0-framed
         components are the 1-handles, the last one the 2-handle."""
         return ((0, 0, 0), (0, 0, 0), (0, 0, -self.n))
@@ -124,6 +121,7 @@ class Cusp(Record):
 
     __slots__ = ("word",)
     one_handle_count = 1
+    presentation_is_plumbing_form = True
 
     def __init__(self, word: CycleWord):
         if not isinstance(word, CycleWord):
@@ -163,7 +161,7 @@ class Cusp(Record):
         page: k deltas cut it into k pieces, piece i with n_i - 2 boundaries."""
         return len(self.word), tuple(n - 2 for n in self.word)
 
-    def presentation(self) -> IntMatrix:
+    def presentation(self) -> tuple[tuple[int, ...], ...]:
         """The plumbing intersection matrix, one row per 2-handle."""
         from .plumbing import intersection_matrix
 

@@ -3,16 +3,19 @@
 First Chern class evaluations on handle surfaces equal rotation numbers;
 the adjunction defect of a handle is rot - (framing - 2*genus + 2); the
 Euler class of the boundary contact structure lives in the cokernel of the
-family's presentation matrix; and the d3 invariant of a plane field with
+family's presentation matrix Q; and the d3 invariant of a plane field with
 torsion Chern class is (c^2 - 3*sigma - 2*chi)/4 + q for a contact surgery
 diagram with q many (+1)-components, normalized so the standard tight
 3-sphere has d3 = -1/2.
+
+``FamilyReduction(family)`` reduces Q once for both checks that rest on
+it, the Euler classes and the three-way H_1; ``euler_class`` and
+``homology_cross_check`` are one-call forms of its two methods.
 """
 from __future__ import annotations
 
 from math import gcd, lcm
 from operator import index
-from typing import TYPE_CHECKING
 
 from ._record import Record
 from .families import Family
@@ -28,25 +31,20 @@ from .linalg import (
     symmetric_signature,
 )
 from .openbook import OpenBookDescription, openbook_homology
-from .plumbing import PlumbingGraph, intersection_matrix
+from .plumbing import intersection_matrix
 from .sl2z import Sl2Matrix
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "DimensionMismatch",
     "NonTorsionChernClass",
     "CohomologyClassRep",
     "HomologyAgreement",
+    "FamilyReduction",
     "adjunction_defect",
     "is_canonical",
     "euler_class",
-    "euler_classes",
-    "reduce_euler_classes",
     "d3_invariant",
     "homology_cross_check",
-    "homology_agreement",
 ]
 
 
@@ -117,36 +115,7 @@ def euler_class(family: Family, rot_vector) -> CohomologyClassRep:
     placed in the last slots, the 1-handle slots taking coefficient zero.
     Entries must be integers: anything else raises TypeError.
     """
-    return euler_classes(family, (rot_vector,))[0]
-
-
-def euler_classes(family: Family, rot_vectors) -> tuple[CohomologyClassRep, ...]:
-    """``euler_class`` of each vector, from one Smith normal form of Q.
-
-    Both canonical structures of a family share the presentation, so their
-    Euler classes need only one reduction.
-    """
-    q = family.presentation()
-    return reduce_euler_classes(family, q, smith_normal_form(q), rot_vectors)
-
-
-def reduce_euler_classes(
-    family: Family, q: IntMatrix, snf: SnfResult, rot_vectors
-) -> tuple[CohomologyClassRep, ...]:
-    """``euler_classes`` against a presentation ``q`` of the family that is
-    already reduced to ``snf``, so a caller holding that reduction (for a
-    cusp, the plumbing intersection matrix) does not run it again."""
-    vectors = []
-    for rot_vector in rot_vectors:
-        v = tuple(map(index, rot_vector))
-        if len(v) != len(q) and len(v) == len(family.handle_slots()):
-            v = (0,) * (len(q) - len(v)) + v
-        if len(v) != len(q):
-            raise DimensionMismatch(
-                f"rot vector of length {len(v)} does not fit a {len(q)}-component presentation"
-            )
-        vectors.append(v)
-    return tuple(_reduce_class(q, snf, v) for v in vectors)
+    return FamilyReduction(family).euler_classes((rot_vector,))[0]
 
 
 def _reduce_class(q: IntMatrix, snf: SnfResult, v: tuple[int, ...]) -> CohomologyClassRep:
@@ -174,8 +143,8 @@ def _reduce_class(q: IntMatrix, snf: SnfResult, v: tuple[int, ...]) -> Cohomolog
     )
 
 
-def d3_invariant(diagram: ContactSurgeryDiagram) -> Fraction:
-    """d3 invariant of the contact structure given by the surgery diagram.
+def d3_invariant(diagram: ContactSurgeryDiagram):
+    """d3 invariant, a Fraction, of the contact structure of the surgery diagram.
 
     Evaluates (c^2 - 3*sigma(Q) - 2*chi)/4 + q with chi = 1 + #components
     and q = number of (+1)-components; requires a torsion Chern class.
@@ -235,28 +204,66 @@ def homology_cross_check(family: Family) -> HomologyAgreement:
     >>> report.all_equal, str(report.openbook)
     (True, 'Z + Z/2')
     """
-    graph = family.graph()
-    graph_snf = smith_normal_form(intersection_matrix(graph))
-    return homology_agreement(family, family.monodromy(), graph, graph_snf, family.openbook())
+    return FamilyReduction(family).homology(family.monodromy(), family.openbook())
 
 
-def homology_agreement(
-    family: Family,
-    monodromy: Sl2Matrix,
-    graph: PlumbingGraph,
-    graph_snf: SnfResult,
-    book: OpenBookDescription,
-) -> HomologyAgreement:
-    """``homology_cross_check`` from the family's monodromy, plumbing graph
-    and open book, built once by the caller, and the Smith normal form of
-    the graph's intersection matrix, which a cusp shares with its Euler
-    classes.  The three groups still come from three different matrices:
-    the graph's form, A - I and the open-book presentation."""
-    a = monodromy
-    delta = ((a.a - 1, a.b), (a.c, a.d - 1))
-    return HomologyAgreement(
-        family=family,
-        plumbing=graph_snf.cokernel(graph.boundary_free_rank()),
-        monodromy=smith_normal_form(delta).cokernel(1),
-        openbook=openbook_homology(book),
-    )
+class FamilyReduction(Record):
+    """The family's presentation Q with its Smith normal form, made once.
+
+    The plumbing graph is built once; when Q is the graph's form (a cusp),
+    Q is read off it, so ``Cusp.presentation()`` never rebuilds the graph.
+    The open book and the monodromy are not built here: a caller that
+    needs them passes them to ``homology``.
+
+    >>> from singlink.families import Cusp
+    >>> reduction = FamilyReduction(Cusp((2, 3)))
+    >>> [rep.witness for rep in reduction.euler_classes([(0, -1), (0, 1)])]
+    [(1, 1), (-1, -1)]
+    >>> family = reduction.family
+    >>> str(reduction.homology(family.monodromy(), family.openbook()).plumbing)
+    'Z + Z/2'
+    """
+
+    __slots__ = ("family", "graph", "presentation", "snf")
+
+    def __init__(self, family: Family):
+        graph = family.graph()
+        plumbing_form = family.presentation_is_plumbing_form
+        q = intersection_matrix(graph) if plumbing_form else family.presentation()
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "presentation", q)
+        object.__setattr__(self, "snf", smith_normal_form(q))
+
+    def euler_classes(self, rot_vectors) -> tuple[CohomologyClassRep, ...]:
+        """``euler_class`` of each vector, all from the one reduction of Q."""
+        q = self.presentation
+        vectors = []
+        for rot_vector in rot_vectors:
+            v = tuple(map(index, rot_vector))
+            if len(v) != len(q) and len(v) == len(self.family.handle_slots()):
+                v = (0,) * (len(q) - len(v)) + v
+            if len(v) != len(q):
+                raise DimensionMismatch(
+                    f"rot vector of length {len(v)} does not fit a {len(q)}-component presentation"
+                )
+            vectors.append(v)
+        return tuple(_reduce_class(q, self.snf, v) for v in vectors)
+
+    def homology(self, monodromy: Sl2Matrix, book: OpenBookDescription) -> HomologyAgreement:
+        """``homology_cross_check`` from the family's monodromy and open book.
+
+        The three groups come from three different matrices: the graph's
+        form, A - I and the open-book presentation.  The graph's form is Q
+        itself when Q is the plumbing form, and is reduced here otherwise.
+        """
+        plumbing_form = self.family.presentation_is_plumbing_form
+        graph_snf = self.snf if plumbing_form else smith_normal_form(intersection_matrix(self.graph))
+        a = monodromy
+        delta = ((a.a - 1, a.b), (a.c, a.d - 1))
+        return HomologyAgreement(
+            family=self.family,
+            plumbing=graph_snf.cokernel(self.graph.boundary_free_rank()),
+            monodromy=smith_normal_form(delta).cokernel(1),
+            openbook=openbook_homology(book),
+        )

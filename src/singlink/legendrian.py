@@ -107,10 +107,10 @@ _slot_of = attrgetter("tag", "smooth_framing")
 class SteinHandleDiagram(Record):
     """A Legendrian handle diagram of a Stein filling of the link.
 
-    The handles are checked against ``family.handle_slots()``.  An
-    enumeration that has just built that pattern passes it as ``_slots``,
-    so that each of its diagrams is checked without rebuilding it.  The
-    1-handle count is the family's.
+    The handles are checked against ``family.handle_slots()``.  A caller
+    that has just built that pattern (the enumeration, the canonical
+    filling) passes it as ``_slots``, so that its diagrams are checked
+    without rebuilding it.  The 1-handle count is the family's.
     """
 
     __slots__ = ("family", "handles", "one_handle_count")
@@ -191,11 +191,11 @@ def canonical_filling(family: Family, sign: str = "min") -> SteinHandleDiagram:
     if sign not in ("min", "max"):
         raise ValueError(f"sign must be 'min' or 'max', got {sign!r}")
     unit = -1 if sign == "min" else 1
+    slots = family.handle_slots()
     handles = tuple(
-        TwoHandleSpec(tag, f, unit * _stabilization_budget(tag, f))
-        for tag, f in family.handle_slots()
+        TwoHandleSpec(tag, f, unit * _stabilization_budget(tag, f)) for tag, f in slots
     )
-    return SteinHandleDiagram(family, handles)
+    return SteinHandleDiagram(family, handles, _slots=slots)
 
 
 class ContactSurgeryComponent(Record):

@@ -10,8 +10,7 @@ import itertools
 
 from . import invariants, legendrian
 from .families import Cusp, Elliptic, Family
-from .linalg import determinant, dot, smith_normal_form
-from .plumbing import intersection_matrix
+from .linalg import determinant, dot
 from .sl2z import CycleWord, cyclic_equal, factor_cycle
 
 __all__ = ["SUITE_MAX_K", "SUITE_MAX_ENTRY", "SUITE_MAX_ELLIPTIC", "verify_family", "suite_families"]
@@ -24,8 +23,9 @@ SUITE_MAX_ELLIPTIC = 10
 def verify_family(family: Family) -> list[tuple[str, bool]]:
     """The per-family invariant suite; returns (check name, passed) pairs.
 
-    The open book, monodromy and plumbing graph are built once per call,
-    and the plumbing form, which is a cusp's presentation, is reduced once;
+    The open book and monodromy are built once per call, and one
+    ``invariants.FamilyReduction`` reduces the presentation Q once for the
+    Euler classes, a cusp's plumbing H_1 and the elliptic d3 solves;
     nothing is kept between calls.
 
     >>> all(passed for _, passed in verify_family(Elliptic(2)))
@@ -34,14 +34,10 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     checks: list[tuple[str, bool]] = []
     book = family.openbook()
     a = family.monodromy()
-    graph = family.graph()
-    graph_q = intersection_matrix(graph)
-    graph_snf = smith_normal_form(graph_q)
+    reduction = invariants.FamilyReduction(family)
 
     if isinstance(family, Elliptic):
         checks.append(("monodromy is parabolic of trace 2", a.trace == 2))
-        q = family.presentation()
-        q_snf = smith_normal_form(q)
         expected_count = family.n + 1
         expected_boundaries = family.n
         expected_word_len = family.n
@@ -49,10 +45,8 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
         word = family.word
         checks.append(("monodromy is hyperbolic of trace >= 3", a.trace >= 3))
         checks.append(("factorization roundtrip", cyclic_equal(factor_cycle(a), word)))
-        # a cusp's presentation is its plumbing form: one reduction serves
-        # the plumbing H_1 and both Euler classes
-        q, q_snf = graph_q, graph_snf
-        checks.append(("det identity |det Q| = trace - 2", abs(determinant(q)) == a.trace - 2))
+        det = determinant(reduction.presentation)
+        checks.append(("det identity |det Q| = trace - 2", abs(det) == a.trace - 2))
         expected_count = 1
         for n in word:
             expected_count *= n - 1
@@ -68,7 +62,7 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
         )
     )
 
-    report = invariants.homology_agreement(family, a, graph, graph_snf, book)
+    report = reduction.homology(a, book)
     checks.append(("triple homology agreement", report.all_equal))
 
     minimal = legendrian.canonical_filling(family, "min")
@@ -99,19 +93,17 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
         )
     )
 
-    reps = invariants.reduce_euler_classes(
-        family, q, q_snf, (minimal.rot_vector, maximal.rot_vector)
-    )
+    reps = reduction.euler_classes((minimal.rot_vector, maximal.rot_vector))
     euler_ok = all(rep.is_zero and rep.witness is not None for rep in reps)
     checks.append(("euler class of the canonical structure vanishes", euler_ok))
 
     if isinstance(family, Elliptic):
-        # the surgery diagram's linking matrix is the presentation q, so its
-        # solutions and kernel come from the reduction q_snf already made
+        # the surgery diagram's linking matrix is the presentation Q, so its
+        # solutions and kernel come from the reduction already made
         surgery = legendrian.to_contact_surgery(minimal)
         rot = surgery.rot_vector
-        base = q_snf.solve(rot, exact=False)
-        independent = all(dot(k, rot) == 0 for k in q_snf.kernel_basis())
+        base = reduction.snf.solve(rot, exact=False)
+        independent = all(dot(k, rot) == 0 for k in reduction.snf.kernel_basis())
         checks.append(("d3 solution-choice independence", base is not None and independent))
         d3_min = invariants.d3_invariant(surgery)
         d3_max = invariants.d3_invariant(legendrian.to_contact_surgery(maximal))

@@ -99,8 +99,8 @@ def dense_snf_check_oracle(m, snf):
 
 def verify_family_reference(family):
     """``verify_family`` assembled from the public one-family entry points:
-    ``homology_cross_check`` and ``euler_classes`` each build the family's
-    objects and reduce its matrices themselves."""
+    ``homology_cross_check`` and each ``euler_class`` call build the
+    family's objects and reduce its matrices themselves."""
     checks = []
     book = family.openbook()
     a = family.monodromy()
@@ -152,7 +152,7 @@ def verify_family_reference(family):
             zero_defect == [minimal] and len(canonical) == expected_canonical,
         )
     )
-    reps = invariants.euler_classes(family, (minimal.rot_vector, maximal.rot_vector))
+    reps = [invariants.euler_class(family, d.rot_vector) for d in (minimal, maximal)]
     checks.append(
         (
             "euler class of the canonical structure vanishes",

@@ -82,6 +82,9 @@ def test_parse_requires_exactly_one_family(capsys):
         ["verify"],
         ["graph", "--elliptic", "3", "--cusp", "2,3"],
         ["verify", "--suite", "--cusp", "2,3"],
+        # no flag may be abbreviated, so each has one spelling
+        ["factor", "--mat", "-5,2,-3,1"],
+        ["graph", "--ell", "3"],
     ],
     ids=" ".join,
 )
@@ -193,6 +196,8 @@ def test_huge_cusp_entry_gets_an_exit_code(capsys):
     assert main(["inv", "--cusp", f"3,{huge}", "--d3", "--json"]) == EXIT_UNSUPPORTED
     assert main(["inv", "--cusp", f"3,{huge}", "--euler", "--json"]) == EXIT_OK
     assert main(["canonical", "--cusp", f"3,{huge}", "--json"]) == EXIT_OK
+    # its open book is over the boundary limit, but the Euler class needs none
+    assert main(["inv", "--elliptic", huge, "--euler", "--json"]) == EXIT_OK
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -466,10 +471,11 @@ def test_light_subcommand_loads_only_its_modules(argv, extra):
 def test_no_call_loads_dataclasses_and_only_rational_work_loads_fractions(
     argv, makes_fractions
 ):
-    # -S: no site hook may load either module before the package does
+    # -S: no site hook may load these modules before the package does
     code, names, _ = loaded_modules(argv, "-S")
     assert code == EXIT_OK
     assert "dataclasses" not in names
+    assert "typing" not in names  # the package imports it nowhere
     assert ("fractions" in names) is makes_fractions
 
 
@@ -497,7 +503,7 @@ def test_full_report_reduces_a_cusp_presentation_once():
     # is another matrix and keeps its own, as do its two d3 surgery diagrams
     for argv, shapes in (
         (["inv", "--cusp", "2,3,4", "--json"], [(3, 3), (2, 2), (5, 4)]),
-        (["inv", "--elliptic", "3", "--json"], [(1, 1), (2, 2), (5, 3), (3, 3), (3, 3), (3, 3)]),
+        (["inv", "--elliptic", "3", "--json"], [(3, 3), (1, 1), (2, 2), (5, 3), (3, 3), (3, 3)]),
     ):
         with counted_snf() as calls:
             code, _ = run_cli(argv)

@@ -218,6 +218,23 @@ def test_canonical_extremes_match_rotation_range_over_suite():
         assert canonical_filling(family, "max").rot_vector == tuple(map(max, ranges))
 
 
+def test_canonical_filling_builds_the_handle_pattern_once(monkeypatch):
+    for family in (Elliptic(3), Cusp(CycleWord((2, 3, 4)))):
+        patterns = []
+        handle_slots = type(family).handle_slots
+
+        def counting_slots(f, _handle_slots=handle_slots):
+            patterns.append(f)
+            return _handle_slots(f)
+
+        with monkeypatch.context() as m:
+            m.setattr(type(family), "handle_slots", counting_slots)
+            for sign in ("min", "max"):
+                patterns.clear()
+                canonical_filling(family, sign)
+                assert patterns == [family], (family, sign)
+
+
 def test_canonical_filling_does_not_list_the_range(monkeypatch):
     def refuse(tag, framing):
         raise AssertionError("canonical_filling listed a rotation range")

@@ -8,7 +8,7 @@ import pytest
 
 from singlink._record import Record
 from singlink.families import ChainUnknot, Cusp, Elliptic, EllipticCore, NodalDoublePass
-from singlink.invariants import euler_class, homology_cross_check
+from singlink.invariants import FamilyReduction, euler_class, homology_cross_check
 from singlink.legendrian import (
     ContactSurgeryComponent,
     TwoHandleSpec,
@@ -58,12 +58,13 @@ RECORDS = [
     ),
     (lambda: euler_class(Elliptic(2), (1,)), lambda: euler_class(Elliptic(2), (2,))),
     (lambda: homology_cross_check(Elliptic(2)), lambda: homology_cross_check(Elliptic(3))),
+    (lambda: FamilyReduction(Cusp((2, 3))), lambda: FamilyReduction(Cusp((3, 2)))),
 ]
 
 
 def test_every_record_class_is_listed():
     listed = [type(build()) for build, _ in RECORDS]
-    assert len(listed) == len(set(listed)) == 23
+    assert len(listed) == len(set(listed)) == 24
     assert set(listed) == set(Record.__subclasses__())
 
 

@@ -52,7 +52,7 @@ def test_euler_classes_match_euler_class_over_suite():
         vectors = tuple(
             legendrian.canonical_filling(family, sign).rot_vector for sign in ("min", "max")
         )
-        pair = invariants.euler_classes(family, vectors)
+        pair = invariants.FamilyReduction(family).euler_classes(vectors)
         assert pair == tuple(invariants.euler_class(family, v) for v in vectors), family
 
 
@@ -96,5 +96,5 @@ def test_family_objects_built_by_one_verify_call(monkeypatch):
 
 def test_cusp_presentation_is_the_plumbing_form():
     for family in suite_families():
-        if isinstance(family, Cusp):
-            assert family.presentation() == intersection_matrix(family.graph())
+        is_form = family.presentation() == intersection_matrix(family.graph())
+        assert family.presentation_is_plumbing_form is is_form, family
