@@ -9,6 +9,7 @@ that makes a Fraction, since most command-line calls never do.
 """
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain
 from operator import index, mul
 
@@ -20,13 +21,6 @@ IntVector = tuple[int, ...]
 
 def freeze(rows) -> IntMatrix:
     return tuple(tuple(map(index, row)) for row in rows)
-
-
-def _identity_rows(n: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    return rows
 
 
 def matmul(a, b) -> IntMatrix:
@@ -152,7 +146,7 @@ class SnfResult(Record):
         return AbelianGroup(free, tuple(d for d in nonzero if d > 1))
 
 
-def _select_pivot(a, t, rows, cols):
+def _select_pivot(a, t):
     """Pivot of stage t: the smallest nonzero absolute value in the block
     from (t, t), ties broken by the Markowitz count (other nonzeros in its
     row times other nonzeros in its column), then by lowest row and column.
@@ -161,35 +155,39 @@ def _select_pivot(a, t, rows, cols):
     index alone grew the entries to hundreds of thousands of bits on 45 x 44
     open-book presentations whose invariant factors have fewer than 30.
 
-    The block is flattened row by row, so a flat index k is the position
-    (k // width, k % width) and orders ties exactly as (row, column) does;
-    the line counts are taken only when the least value occurs twice.
+    ``a`` holds the rows as dicts of their nonzeros, each row from t on in
+    columns t and beyond only, so the scan reads the block's nonzeros alone;
+    the column counts are taken only when the least value occurs twice.
     """
-    width = cols - t
-    block = [row[t:] for row in a[t:]]
-    flat = list(chain.from_iterable(block))
-    least = min(map(abs, filter(None, flat)), default=0)
+    block = a[t:]
+    least = min(map(abs, chain.from_iterable(map(dict.values, block))), default=0)
     if not least:
         return None
-    plus = flat.count(least)
-    minus = flat.count(-least)
-    if plus + minus == 1:
-        k = flat.index(least if plus else -least)
-    else:
-        ties = []
-        for value, n in ((least, plus), (-least, minus)):
-            k = -1
-            for _ in range(n):
-                k = flat.index(value, k + 1)
-                ties.append(k)
-        height = rows - t
-        row_count = [width - row.count(0) for row in block]
-        col_count = [height - col.count(0) for col in zip(*block)]
-        _, k = min(
-            ((row_count[k // width] - 1) * (col_count[k % width] - 1), k) for k in ties
-        )
-    i, j = divmod(k, width)
-    return t + i, t + j
+    ends = (least, -least)
+    ties = [(i, j) for i, row in enumerate(block, t) for j, x in row.items() if x in ends]
+    if len(ties) == 1:
+        return ties[0]
+    col_count = Counter(chain.from_iterable(block))
+    return min(((len(a[i]) - 1) * (col_count[j] - 1), i, j) for i, j in ties)[1:]
+
+
+def _add_scaled(dst: dict, src: dict, factor: int) -> None:
+    """dst += factor * src on sparse lines, keeping only nonzero entries."""
+    if factor:
+        for k, y in src.items():
+            x = dst.get(k, 0) + factor * y
+            if x:
+                dst[k] = x
+            else:
+                del dst[k]
+
+
+def _dense(lines, width: int) -> IntMatrix:
+    rows = [[0] * width for _ in lines]
+    for row, line in zip(rows, lines):
+        for k, x in line.items():
+            row[k] = x
+    return tuple(map(tuple, rows))
 
 
 def smith_normal_form(matrix) -> SnfResult:
@@ -198,89 +196,91 @@ def smith_normal_form(matrix) -> SnfResult:
     The pivot at each stage is the smallest nonzero absolute value in the
     remaining block, ties broken by the sparsest row and column and then by
     lowest row and column index (see _select_pivot), so the output is
-    reproducible.
+    reproducible.  The working matrix and u are kept as sparse rows and v
+    as sparse columns, so each operation costs the nonzeros it touches.
 
     >>> smith_normal_form(((2, 0), (0, 3))).diagonal_entries()
     (1, 6)
     """
     m = freeze(matrix)
-    a = [list(row) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if any(len(row) != cols for row in a):
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    if any(len(row) != cols for row in m):
         raise ValueError("ragged matrix")
-    u = _identity_rows(rows)
-    v = _identity_rows(cols)
+    a = [{j: x for j, x in enumerate(row) if x} for row in m]
+    u = [{i: 1} for i in range(rows)]
+    v = [{j: 1} for j in range(cols)]  # columns of v
 
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
+    # Column operations act on columns t and beyond, where rows above t are zero.
     def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        for row in a[t:]:
+            x = row.pop(i, 0)
+            y = row.pop(j, 0)
+            if y:
+                row[i] = y
+            if x:
+                row[j] = x
+        v[i], v[j] = v[j], v[i]
 
     def add_row(src, dst, factor):
-        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, factor):
-        for row in a:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
+        _add_scaled(a[dst], a[src], factor)
+        _add_scaled(u[dst], u[src], factor)
 
     t = 0
     while True:
-        pivot = _select_pivot(a, t, rows, cols)
+        pivot = _select_pivot(a, t)
         if pivot is None:
             break
         pi, pj = pivot
         if pi != t:
-            swap_rows(t, pi)
+            a[t], a[pi] = a[pi], a[t]
+            u[t], u[pi] = u[pi], u[t]
         if pj != t:
             swap_cols(t, pj)
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = {j: -x for j, x in a[t].items()}
+            u[t] = {j: -x for j, x in u[t].items()}
         while True:
-            # Clear the pivot column with row operations.
+            # Clear the pivot column; a remainder becomes a smaller pivot and the pass repeats.
+            swapped = False
             for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)  # remainder is a smaller positive pivot
-            if any([row[t] for row in a[t + 1 :]]):
+                if t in a[i]:
+                    add_row(t, i, -(a[i][t] // a[t][t]))
+                    if t in a[i]:
+                        a[t], a[i] = a[i], a[t]
+                        u[t], u[i] = u[i], u[t]
+                        swapped = True
+            if swapped:
                 continue
-            # Clear the pivot row with column operations.
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-            if any(a[t][t + 1 :]) or any([row[t] for row in a[t + 1 :]]):
+            # Clear the pivot row with column operations.  Column t is
+            # nonzero in row t alone until a swap brings in another column.
+            row_t = a[t]
+            for j in sorted(row_t)[1:]:
+                q, r = divmod(row_t[j], row_t[t])
+                if swapped:
+                    for row in a[t:]:
+                        if t in row:
+                            _add_scaled(row, {j: row[t]}, -q)
+                elif r:
+                    row_t[j] = r
+                else:
+                    del row_t[j]
+                _add_scaled(v[j], v[t], -q)
+                if j in row_t:
+                    swap_cols(t, j)
+                    swapped = True
+            if swapped:
                 continue
-            # Enforce divisibility of the remaining block by the pivot; a unit
-            # pivot divides everything.
+            # Make the pivot divide the rest of the block, as a unit pivot does.
             p = a[t][t]
-            culprit = None
-            if p != 1:
-                culprit = next(
-                    (i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1 :])), None
-                )
+            below = range(t + 1, rows) if p != 1 else ()
+            culprit = next((i for i in below if any(x % p for x in a[i].values())), None)
             if culprit is None:
                 break
             add_row(culprit, t, 1)
         t += 1
 
-    result = SnfResult(tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v)))
+    result = SnfResult(_dense(u, rows), _dense(a, cols), tuple(zip(*_dense(v, cols))))
     _check_snf(m, result)
     return result
 

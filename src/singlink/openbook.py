@@ -169,15 +169,12 @@ def curve_homology_classes(ob: OpenBookDescription) -> PageHomologyData:
     def unit(i: int) -> tuple[int, ...]:
         return tuple(1 if j == i else 0 for j in range(rank))
 
-    boundary_classes: dict[BoundaryLabel, tuple[int, ...]] = {}
-    for s, label in enumerate(ob.boundary_labels):
-        if s < b - 1:
-            boundary_classes[label] = unit(2 + s)
-        else:
-            boundary_classes[label] = tuple(
-                -sum(boundary_classes[lab][i] for lab in ob.boundary_labels[: b - 1])
-                for i in range(rank)
-            )
+    boundary_classes: dict[BoundaryLabel, tuple[int, ...]] = {
+        label: unit(2 + s) for s, label in enumerate(ob.boundary_labels[:-1])
+    }
+    if b:
+        # minus the sum of the e-units
+        boundary_classes[ob.boundary_labels[-1]] = (0, 0) + (-1,) * (b - 1)
 
     form = [[0] * rank for _ in range(rank)]
     form[0][1] = 1
@@ -217,15 +214,20 @@ def _twisted_columns(data: PageHomologyData, twist_word) -> dict[int, list[int]]
     intersection form: only the columns j with (Jc)_j != 0 change, and a
     class in the radical (Jc = 0) twists as the identity and is skipped.
     Those columns lie in the support of J, so phi is kept as the identity
-    plus its columns over that support, keyed by index.
+    plus its columns over that support, keyed by index.  The nonzeros of J
+    are read once, and Jc is summed over them alone.
     """
-    form = data.intersection_form
-    support = [j for j, row in enumerate(form) if any(row)]
-    cols = {j: [1 if i == j else 0 for i in range(data.rank)] for j in support}
+    entries = [
+        (j, k, f) for j, row in enumerate(data.intersection_form) for k, f in enumerate(row) if f
+    ]
+    cols = {j: [1 if i == j else 0 for i in range(data.rank)] for j, _, _ in entries}
     for curve in twist_word:
         c = data.curve_classes[curve]
-        jc = {j: v for j in support if (v := sum(f * x for f, x in zip(form[j], c)))}
-        if not jc:
+        jc: dict[int, int] = {}
+        for j, k, f in entries:
+            if c[k]:
+                jc[j] = jc.get(j, 0) + f * c[k]
+        if not any(jc.values()):
             continue
         phi_c = list(c)  # every column off the support is still a unit vector
         for k, col in cols.items():
@@ -233,7 +235,8 @@ def _twisted_columns(data: PageHomologyData, twist_word) -> dict[int, list[int]]
                 phi_c = [p + c[k] * x for p, x in zip(phi_c, col)]
                 phi_c[k] -= c[k]
         for j, v in jc.items():
-            cols[j] = [x + v * y for x, y in zip(cols[j], phi_c)]
+            if v:
+                cols[j] = [x + v * y for x, y in zip(cols[j], phi_c)]
     return cols
 
 
@@ -273,37 +276,39 @@ def _section_corrections(ob: OpenBookDescription, data: PageHomologyData):
         if isinstance(c, DeltaCurve)
     }
 
+    # The labels run piece by piece, so the deltas crossed on the way to one
+    # boundary are those crossed on the way to the one before, and more.
     corrections = {}
+    corr = list(data.boundary_classes[base])
+    crossed = _piece_of(base)
     for label in labels[1:]:
-        corr = list(data.boundary_classes[base])
-        for m in range(_piece_of(base), _piece_of(label)):
+        for m in range(crossed, _piece_of(label)):
             corr = [a + x for a, x in zip(corr, delta_cls[m])]
-        corr = [a - x for a, x in zip(corr, data.boundary_classes[label])]
-        corrections[label] = tuple(corr)
+        crossed = max(crossed, _piece_of(label))
+        corrections[label] = tuple(a - x for a, x in zip(corr, data.boundary_classes[label]))
     return corrections
 
 
 def openbook_homology(ob: OpenBookDescription) -> AbelianGroup:
     """First homology of the 3-manifold carrying the open book.
 
-    Presented on the page basis plus the section class t of the mapping
-    torus, with relations (phi - 1)x for every basis vector x and one
-    meridian relation per boundary: t = 0 at the base boundary and
-    t + correction(L) = 0 elsewhere (see _section_corrections).  The page
-    data is built once, phi comes from the rank-1 twist updates of
-    _twisted_columns, and the (phi - 1)e_j relations that are zero (every
-    column phi leaves fixed) are dropped before the Smith normal form.
+    The mapping torus of the page has H_1 generated by the page basis and
+    the section class t, with relations (phi - 1)x for every basis vector
+    x.  Gluing in the binding adds one meridian relation per boundary:
+    t = 0 at the base boundary and t + correction(L) = 0 elsewhere (see
+    _section_corrections).  The first relation eliminates t, so H_1 is
+    presented on the page basis alone, one row per basis vector, by the
+    nonzero (phi - 1)e_j columns from the rank-1 twist updates of
+    _twisted_columns and by correction(L) for every boundary L but the
+    base.  A page with no relation reduces a matrix with no columns.
     """
     data = curve_homology_classes(ob)
     relations = []
     for j, col in _twisted_columns(data, ob.twist_word).items():
         col[j] -= 1
         if any(col):
-            relations.append(tuple(col) + (0,))
-    rank = data.rank
-    relations.append((0,) * rank + (1,))
+            relations.append(col)
     corrections = _section_corrections(ob, data)
-    for label in ob.boundary_labels[1:]:
-        relations.append(corrections[label] + (1,))
-    presentation = tuple(zip(*relations))  # columns = relations
+    relations.extend(corrections[label] for label in ob.boundary_labels[1:])
+    presentation = tuple(tuple(col[i] for col in relations) for i in range(data.rank))
     return smith_normal_form(presentation).cokernel()

@@ -5,7 +5,8 @@ products (the cycle-word product and the open-book monodromy as one dense
 transvection per twist) are written out naively, determinants use
 cofactor expansion and the SNF pivot rule is spelled out entry by entry, so
 homology orders, monodromy values and pivots are checked against genuinely
-independent computations.
+independent computations.  ``dense_snf_oracle`` is the Smith normal form
+on dense lists that the sparse one must match operation for operation.
 """
 import itertools
 import sys
@@ -16,7 +17,7 @@ from unittest.mock import patch
 from singlink import invariants, legendrian, linalg, openbook
 from singlink.families import ChainUnknot, Cusp, Elliptic
 from singlink.legendrian import SteinHandleDiagram, TwoHandleSpec, rotation_range
-from singlink.linalg import determinant, dot, matmul, smith_normal_form
+from singlink.linalg import SnfResult, determinant, dot, freeze, matmul, smith_normal_form
 from singlink.sl2z import CycleWord, cyclic_equal, factor_cycle
 
 
@@ -90,6 +91,113 @@ def markowitz_pivot_oracle(a, t, rows, cols):
         ((row_count[i] - 1) * (col_count[j] - 1), i, j) for i, j, x in nonzero if x == least
     )
     return i, j
+
+
+def _dense_select_pivot(a, t, rows, cols):
+    """Pivot of stage t on a dense block: the least nonzero |x| in the block
+    from (t, t), then the least Markowitz count, then row, then column.
+
+    The block is flattened row by row, so a flat index k is the position
+    (k // width, k % width) and orders ties exactly as (row, column) does;
+    the line counts are taken only when the least value occurs twice.
+    """
+    width = cols - t
+    block = [row[t:] for row in a[t:]]
+    flat = list(itertools.chain.from_iterable(block))
+    least = min(map(abs, filter(None, flat)), default=0)
+    if not least:
+        return None
+    plus = flat.count(least)
+    minus = flat.count(-least)
+    if plus + minus == 1:
+        k = flat.index(least if plus else -least)
+    else:
+        ties = []
+        for value, n in ((least, plus), (-least, minus)):
+            k = -1
+            for _ in range(n):
+                k = flat.index(value, k + 1)
+                ties.append(k)
+        height = rows - t
+        row_count = [width - row.count(0) for row in block]
+        col_count = [height - col.count(0) for col in zip(*block)]
+        _, k = min(((row_count[k // width] - 1) * (col_count[k % width] - 1), k) for k in ties)
+    i, j = divmod(k, width)
+    return t + i, t + j
+
+
+def dense_snf_oracle(matrix):
+    """Smith normal form on dense lists, with the same pivots and the same
+    row and column operations as ``linalg.smith_normal_form``, which must
+    return the same u, diag and v.  Every operation touches whole rows and
+    columns, zeros included, and nothing is checked here."""
+    a = [list(row) for row in freeze(matrix)]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a + v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, factor):
+        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, factor):
+        for row in a + v:
+            row[dst] += factor * row[src]
+
+    t = 0
+    while True:
+        pivot = _dense_select_pivot(a, t, rows, cols)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        if a[t][t] < 0:
+            negate_row(t)
+        while True:
+            # Clear the pivot column with row operations.
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    add_row(t, i, -(a[i][t] // a[t][t]))
+                    if a[i][t]:
+                        swap_rows(t, i)  # remainder is a smaller positive pivot
+            if any([row[t] for row in a[t + 1 :]]):
+                continue
+            # Clear the pivot row with column operations.
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    add_col(t, j, -(a[t][j] // a[t][t]))
+                    if a[t][j]:
+                        swap_cols(t, j)
+            if any(a[t][t + 1 :]) or any([row[t] for row in a[t + 1 :]]):
+                continue
+            # Enforce divisibility of the remaining block by the pivot.
+            p = a[t][t]
+            culprit = None
+            if p != 1:
+                culprit = next(
+                    (i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1 :])), None
+                )
+            if culprit is None:
+                break
+            add_row(culprit, t, 1)
+        t += 1
+    return SnfResult(tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v)))
 
 
 def dense_snf_check_oracle(m, snf):

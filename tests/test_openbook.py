@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from singlink import openbook
 from singlink.families import Cusp, Elliptic, InvalidParameter, SizeLimitExceeded
+from singlink.invariants import FamilyReduction
 from singlink.linalg import AbelianGroup, matmul, smith_normal_form
 from singlink.openbook import (
     DeltaCurve,
@@ -219,6 +220,16 @@ def test_triple_homology_agreement_over_suite():
         oracle = smith_normal_form(((0, n), (0, 0))).cokernel(1)
         assert openbook_homology(Elliptic(n).openbook()) == oracle
         assert boundary_homology(Elliptic(n).graph()) == oracle
+
+
+def test_large_open_books_reduce():
+    # large enough that a dense pivot scan of every stage takes seconds;
+    # no time bound is asserted, only the groups
+    assert openbook_homology(Elliptic(400).openbook()) == AbelianGroup(2, (400,))
+    family = Cusp(CycleWord((3,) * 64))
+    agreement = FamilyReduction(family).homology(family.monodromy(), family.openbook())
+    assert agreement.all_equal
+    assert agreement.openbook.torsion_order == family.monodromy().trace - 2
 
 
 def test_gamma_reordering_changes_nothing():

@@ -24,6 +24,7 @@ from singlink.sl2z import CycleWord
 
 from helpers import (
     dense_snf_check_oracle,
+    dense_snf_oracle,
     det_cofactor,
     markowitz_pivot_oracle,
     openbook_presentation,
@@ -98,9 +99,10 @@ def test_pivot_matches_markowitz_oracle(m):
     select = linalg._select_pivot
     stages = []
 
-    def checked(a, t, rows, cols):
-        pivot = select(a, t, rows, cols)
-        assert pivot == markowitz_pivot_oracle(a, t, rows, cols)
+    def checked(a, t):
+        pivot = select(a, t)
+        dense = [[row.get(j, 0) for j in range(cols)] for row in a]
+        assert pivot == markowitz_pivot_oracle(dense, t, rows, cols)
         stages.append(t)
         return pivot
 
@@ -108,10 +110,59 @@ def test_pivot_matches_markowitz_oracle(m):
     with patch.object(linalg, "_select_pivot", checked):
         smith_normal_form(m)
     assert stages == list(range(len(stages)))
-    # every stage offset of the raw matrix, zero blocks included
-    a = [list(row) for row in m]
+    # every stage offset of the raw matrix, zero blocks included, with the
+    # rows holding only the block's columns as the reduction's rows do
     for t in range(min(rows, cols) + 1):
-        assert select(a, t, rows, cols) == markowitz_pivot_oracle(a, t, rows, cols)
+        a = [{j: x for j, x in enumerate(row) if x and j >= t} for row in m]
+        assert select(a, t) == markowitz_pivot_oracle(m, t, rows, cols)
+
+
+@st.composite
+def matrices_with_zero_lines(draw):
+    """Integer matrices of every shape from 0 x 0 to 8 x 8, entries -50..50,
+    with some rows and columns zeroed."""
+    rows = draw(st.integers(min_value=0, max_value=8))
+    cols = draw(st.integers(min_value=0, max_value=8))
+    entries = st.one_of(st.just(0), st.integers(min_value=-50, max_value=50))
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    m = draw(st.lists(row, min_size=rows, max_size=rows))
+    zero_rows = draw(st.sets(st.integers(min_value=0, max_value=max(rows - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=max(cols - 1, 0))))
+    return tuple(
+        tuple(0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row))
+        for i, row in enumerate(m)
+    )
+
+
+def _assert_matches_dense_oracle(m):
+    snf, oracle = smith_normal_form(m), dense_snf_oracle(m)
+    assert (snf.u, snf.diag, snf.v) == (oracle.u, oracle.diag, oracle.v)
+
+
+@settings(max_examples=300)
+@given(matrices_with_zero_lines())
+@example(())
+@example(((), ()))
+@example(openbook_presentation(Elliptic(25)))
+@example(openbook_presentation(Cusp(CycleWord((3,) * 17))))
+def test_sparse_snf_matches_dense_oracle(m):
+    _assert_matches_dense_oracle(m)
+
+
+def test_sparse_snf_matches_dense_oracle_on_every_presentation():
+    for family in suite_families():
+        a = family.monodromy()
+        for m in (
+            family.presentation(),
+            ((a.a - 1, a.b), (a.c, a.d - 1)),
+            intersection_matrix(family.graph()),
+            openbook_presentation(family),
+        ):
+            _assert_matches_dense_oracle(m)
+    for n in range(1, 41):
+        _assert_matches_dense_oracle(openbook_presentation(Elliptic(n)))
+    for k in range(1, 25):
+        _assert_matches_dense_oracle(openbook_presentation(Cusp(CycleWord((3,) * k))))
 
 
 def _check_accepts(m, snf):
