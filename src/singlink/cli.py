@@ -9,7 +9,8 @@ a human view and never parsed back.
 handler (``run``) of each subcommand; argparse refuses bad input with exit 1.
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure,
-3 unsupported computation (a contact surgery diagram, and so d3, of a cusp).
+3 unsupported computation (d3 of a cusp, whose presentation has no row
+for the 1-handle).
 
 A command-line call starts a fresh interpreter, so this module imports
 only what parsing and error reporting need; each handler imports the
@@ -23,7 +24,7 @@ import json
 import sys
 
 from . import sl2z
-from .families import Cusp, Elliptic, Family, UnsupportedPresentation
+from .families import Cusp, Elliptic, UnsupportedPresentation
 
 __all__ = ["parse_args", "run", "emit", "main"]
 
@@ -259,33 +260,31 @@ def _run_canonical(request):
     return EXIT_OK, "\n".join(lines)
 
 
-def _euler_payloads(reduction, signs) -> dict:
+def _euler_payloads(reduction, diagrams) -> dict:
     """The Euler class of each canonical structure, from one reduction of Q."""
-    from . import legendrian
-
-    vectors = [legendrian.canonical_filling(reduction.family, s).rot_vector for s in signs]
-    reps = reduction.euler_classes(vectors)
-    return {s: rep.to_json_dict() for s, rep in zip(signs, reps)}
+    reps = reduction.euler_classes([d.rot_vector for d in diagrams.values()])
+    return {s: rep.to_json_dict() for s, rep in zip(diagrams, reps)}
 
 
-def _d3_payload(family: Family, sign: str) -> dict:
-    from . import invariants, legendrian
+def _d3_payloads(diagrams) -> dict:
+    from . import invariants
 
-    diagram = legendrian.to_contact_surgery(legendrian.canonical_filling(family, sign))
-    d3 = invariants.d3_invariant(diagram)
-    return {"num": d3.numerator, "den": d3.denominator}
+    d3s = {s: invariants.d3_invariant(d) for s, d in diagrams.items()}
+    return {s: {"num": d3.numerator, "den": d3.denominator} for s, d3 in d3s.items()}
 
 
 def _run_invariants(request):
+    from . import legendrian
     from .invariants import FamilyReduction
 
     family = request.family
     signs = (request.sign,) if request.sign else ("min", "max")
+    diagrams = {s: legendrian.canonical_filling(family, s) for s in signs}
     if request.euler or request.d3:
         if request.euler:
-            payload = _euler_payloads(FamilyReduction(family), signs)
+            payload = _euler_payloads(FamilyReduction(family), diagrams)
         else:
-            payload = {s: _d3_payload(family, s) for s in signs}
+            payload = _d3_payloads(diagrams)
         if request.sign:
             payload = payload[request.sign]
         if request.fmt == "json":
@@ -293,9 +292,9 @@ def _run_invariants(request):
         return EXIT_OK, json.dumps(payload, sort_keys=True)
     reduction = FamilyReduction(family)
     report = reduction.homology(family.monodromy(), family.openbook())
-    euler = _euler_payloads(reduction, signs)
+    euler = _euler_payloads(reduction, diagrams)
     try:
-        d3: dict | None = {s: _d3_payload(family, s) for s in signs}
+        d3: dict | None = _d3_payloads(diagrams)
     except UnsupportedPresentation:
         d3 = None
     if request.fmt == "json":

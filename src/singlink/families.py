@@ -35,8 +35,9 @@ class SizeLimitExceeded(InvalidParameter):
 
 
 class UnsupportedPresentation(ValueError):
-    """The family's presentation is not the linking matrix of the surgery
-    components, so the contact surgery diagram cannot be drawn."""
+    """The family's presentation is not the linking matrix of the Stein
+    diagram read as a contact surgery (a row per 1-handle and per 2-handle),
+    so ``invariants.d3_invariant`` cannot evaluate d3 on it."""
 
 
 class ChainUnknot(Record):

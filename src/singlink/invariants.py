@@ -4,9 +4,10 @@ First Chern class evaluations on handle surfaces equal rotation numbers;
 the adjunction defect of a handle is rot - (framing - 2*genus + 2); the
 Euler class of the boundary contact structure lives in the cokernel of the
 family's presentation matrix Q; and the d3 invariant of a plane field with
-torsion Chern class is (c^2 - 3*sigma - 2*chi)/4 + q for a contact surgery
-diagram with q many (+1)-components, normalized so the standard tight
-3-sphere has d3 = -1/2.
+torsion Chern class is read off the Stein diagram itself, each 1-handle
+taken as a contact (+1)-surgery on a standard Legendrian unknot and each
+2-handle as a (-1)-surgery: (c^2 - 3*sigma - 2*chi)/4 + q with q the
+1-handle count, normalized so the standard tight 3-sphere has d3 = -1/2.
 
 ``FamilyReduction(family)`` reduces Q once for both checks that rest on
 it, the Euler classes and the three-way H_1; ``euler_class`` and
@@ -18,8 +19,8 @@ from math import gcd, lcm
 from operator import index
 
 from ._record import Record
-from .families import Family
-from .legendrian import ContactSurgeryDiagram, SteinHandleDiagram, TwoHandleSpec
+from .families import Family, UnsupportedPresentation
+from .legendrian import SteinHandleDiagram, TwoHandleSpec
 from .linalg import (
     AbelianGroup,
     IntMatrix,
@@ -143,16 +144,27 @@ def _reduce_class(q: IntMatrix, snf: SnfResult, v: tuple[int, ...]) -> Cohomolog
     )
 
 
-def d3_invariant(diagram: ContactSurgeryDiagram):
-    """d3 invariant, a Fraction, of the contact structure of the surgery diagram.
+def d3_invariant(diagram: SteinHandleDiagram):
+    """d3 invariant, a Fraction, of the contact structure of the Stein diagram.
 
-    Evaluates (c^2 - 3*sigma(Q) - 2*chi)/4 + q with chi = 1 + #components
-    and q = number of (+1)-components; requires a torsion Chern class.
+    Each 1-handle is a contact (+1)-surgery on a standard Legendrian unknot
+    (tb -1, rot 0) and each 2-handle a (-1)-surgery, with the family's
+    presentation Q as the linking matrix of these components.  Evaluates
+    (c^2 - 3*sigma(Q) - 2*chi)/4 + q, where c is the rot vector with a zero
+    per 1-handle in front, chi = 1 + #components and q = #1-handles;
+    requires a torsion Chern class.  Q needs a row per component, as the
+    elliptic Borromean diag(0, 0, -n) has; a cusp presentation has rows for
+    the 2-handles only, so a cusp diagram raises UnsupportedPresentation.
     """
-    from fractions import Fraction
+    family = diagram.family
+    q_matrix = family.presentation()
+    rot = (0,) * diagram.one_handle_count + diagram.rot_vector
+    if len(q_matrix) != len(rot):
+        raise UnsupportedPresentation(
+            f"{family.label} has no linking matrix for its {len(rot)} surgery components"
+        )
+    from fractions import Fraction  # after the refusal: a cusp report imports none
 
-    q_matrix = diagram.presentation_matrix
-    rot = diagram.rot_vector
     solution = solve_rational(q_matrix, rot)
     if solution is None:
         raise NonTorsionChernClass("Q x = rot has no rational solution")
@@ -160,8 +172,8 @@ def d3_invariant(diagram: ContactSurgeryDiagram):
     # differ by a kernel vector, which pairs to zero with the image of Q.
     c2 = Fraction(dot(solution, rot))
     sigma = symmetric_signature(q_matrix)
-    chi = 1 + len(diagram.components)
-    return (c2 - 3 * sigma - 2 * chi) / 4 + diagram.plus_count
+    chi = 1 + len(q_matrix)
+    return (c2 - 3 * sigma - 2 * chi) / 4 + diagram.one_handle_count
 
 
 class HomologyAgreement(Record):

@@ -17,9 +17,7 @@ from .families import (
     Family,
     HandleTag,
     SizeLimitExceeded,
-    UnsupportedPresentation,
 )
-from .linalg import IntMatrix, is_symmetric
 
 __all__ = [
     "DIAGRAM_LIMIT",
@@ -28,11 +26,8 @@ __all__ = [
     "rotation_range",
     "TwoHandleSpec",
     "SteinHandleDiagram",
-    "ContactSurgeryComponent",
-    "ContactSurgeryDiagram",
     "enumerate_stein_fillings",
     "canonical_filling",
-    "to_contact_surgery",
 ]
 
 
@@ -197,89 +192,3 @@ def canonical_filling(family: Family, sign: str = "min") -> SteinHandleDiagram:
     )
     return SteinHandleDiagram(family, handles, _slots=slots)
 
-
-class ContactSurgeryComponent(Record):
-    """One surgery curve: contact coefficient +1 or -1 on a Legendrian knot."""
-
-    __slots__ = ("tb", "rot", "contact_coefficient")
-
-    def __init__(self, tb: int, rot: int, contact_coefficient: int):
-        if contact_coefficient not in (1, -1):
-            raise ValueError("contact coefficient must be +1 or -1")
-        if contact_coefficient == 1 and (tb, rot) != (-1, 0):
-            raise ValueError("+1 components are standard Legendrian unknots (tb -1, rot 0)")
-        object.__setattr__(self, "tb", tb)
-        object.__setattr__(self, "rot", rot)
-        object.__setattr__(self, "contact_coefficient", contact_coefficient)
-
-    @property
-    def smooth_framing(self) -> int:
-        return self.tb + self.contact_coefficient
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tb": self.tb,
-            "rot": self.rot,
-            "coefficient": self.contact_coefficient,
-            "framing": self.smooth_framing,
-        }
-
-
-class ContactSurgeryDiagram(Record):
-    """Contact surgery presentation with the linking matrix of its components."""
-
-    __slots__ = ("components", "presentation_matrix", "family")
-
-    def __init__(
-        self,
-        components: tuple[ContactSurgeryComponent, ...],
-        presentation_matrix: IntMatrix,
-        family: Family | None = None,
-    ):
-        components = tuple(components)
-        presentation_matrix = tuple(tuple(r) for r in presentation_matrix)
-        if not is_symmetric(presentation_matrix):
-            raise ValueError("presentation matrix must be symmetric")
-        if len(presentation_matrix) != len(components):
-            raise ValueError("presentation matrix size must match component count")
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "presentation_matrix", presentation_matrix)
-        object.__setattr__(self, "family", family)
-
-    @property
-    def rot_vector(self) -> tuple[int, ...]:
-        return tuple(c.rot for c in self.components)
-
-    @property
-    def plus_count(self) -> int:
-        return sum(1 for c in self.components if c.contact_coefficient == 1)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": None if self.family is None else self.family.to_json_dict(),
-            "components": [c.to_json_dict() for c in self.components],
-            "presentation": [list(r) for r in self.presentation_matrix],
-        }
-
-
-def to_contact_surgery(diagram: SteinHandleDiagram) -> ContactSurgeryDiagram:
-    """Trade every 1-handle for a contact (+1)-surgery on a standard unknot.
-
-    The family's presentation is taken as the linking matrix of the surgery
-    components, which needs a row for each, as the elliptic Borromean
-    diag(0, 0, -n) has.  A cusp presentation has rows for the 2-handles
-    only, so a cusp diagram raises UnsupportedPresentation.
-    """
-    plus = tuple(
-        ContactSurgeryComponent(-1, 0, 1) for _ in range(diagram.one_handle_count)
-    )
-    minus = tuple(
-        ContactSurgeryComponent(h.tb, h.rot, -1) for h in diagram.handles
-    )
-    q = diagram.family.presentation()
-    if len(q) != len(plus) + len(minus):
-        raise UnsupportedPresentation(
-            f"{diagram.family.label} has no linking matrix for its "
-            f"{len(plus) + len(minus)} surgery components"
-        )
-    return ContactSurgeryDiagram(plus + minus, q, diagram.family)

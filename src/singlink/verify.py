@@ -33,6 +33,8 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     """
     checks: list[tuple[str, bool]] = []
     book = family.openbook()
+    # a family over DIAGRAM_LIMIT is refused here, before Q is reduced
+    fillings = legendrian.enumerate_stein_fillings(family)
     a = family.monodromy()
     reduction = invariants.FamilyReduction(family)
 
@@ -67,7 +69,6 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
 
     minimal = legendrian.canonical_filling(family, "min")
     maximal = legendrian.canonical_filling(family, "max")
-    fillings = legendrian.enumerate_stein_fillings(family)
     vectors = set()
     zero_defect = []
     canonical_count = 0
@@ -98,15 +99,14 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     checks.append(("euler class of the canonical structure vanishes", euler_ok))
 
     if isinstance(family, Elliptic):
-        # the surgery diagram's linking matrix is the presentation Q, so its
-        # solutions and kernel come from the reduction already made
-        surgery = legendrian.to_contact_surgery(minimal)
-        rot = surgery.rot_vector
+        # d3 solves Q x = rot on the zero-padded rot vector the Euler class
+        # reduced, so its solutions and kernel come from that reduction
+        rot = reps[0].vector
         base = reduction.snf.solve(rot, exact=False)
         independent = all(dot(k, rot) == 0 for k in reduction.snf.kernel_basis())
         checks.append(("d3 solution-choice independence", base is not None and independent))
-        d3_min = invariants.d3_invariant(surgery)
-        d3_max = invariants.d3_invariant(legendrian.to_contact_surgery(maximal))
+        d3_min = invariants.d3_invariant(minimal)
+        d3_max = invariants.d3_invariant(maximal)
         checks.append(("d3 computed for both signs", d3_min == d3_max))
     return checks
 

@@ -268,14 +268,13 @@ def verify_family_reference(family):
         )
     )
     if isinstance(family, Elliptic):
-        surgery = legendrian.to_contact_surgery(minimal)
-        rot = surgery.rot_vector
-        snf = smith_normal_form(surgery.presentation_matrix)
+        rot = (0,) * minimal.one_handle_count + minimal.rot_vector
+        snf = smith_normal_form(family.presentation())
         base = snf.solve(rot, exact=False)
         independent = all(dot(k, rot) == 0 for k in snf.kernel_basis())
         checks.append(("d3 solution-choice independence", base is not None and independent))
-        d3_min = invariants.d3_invariant(surgery)
-        d3_max = invariants.d3_invariant(legendrian.to_contact_surgery(maximal))
+        d3_min = invariants.d3_invariant(minimal)
+        d3_max = invariants.d3_invariant(maximal)
         checks.append(("d3 computed for both signs", d3_min == d3_max))
     return checks
 

@@ -16,7 +16,7 @@ from singlink.invariants import (
     homology_cross_check,
     is_canonical,
 )
-from singlink.legendrian import canonical_filling, enumerate_stein_fillings, to_contact_surgery
+from singlink.legendrian import canonical_filling, enumerate_stein_fillings
 from singlink.linalg import determinant, dot, mat_vec, smith_normal_form, solve_rational
 from singlink.plumbing import intersection_matrix
 from singlink.sl2z import cycle_monodromy, cyclic_equal, factor_cycle
@@ -129,16 +129,18 @@ def test_criterion_07_adjunction_uniqueness():
 
 def test_criterion_08_d3_invariant():
     with criterion(8, "d3 = 1/2 for elliptic n=1, solution-choice independent, both signs"):
-        assert d3_invariant(to_contact_surgery(canonical_filling(Elliptic(1), "min"))) == Fraction(1, 2)
+        assert d3_invariant(canonical_filling(Elliptic(1), "min")) == Fraction(1, 2)
         for n in range(1, 11):
             values = {}
+            q = Elliptic(n).presentation()
             for sign in ("min", "max"):
-                cd = to_contact_surgery(canonical_filling(Elliptic(n), sign))
-                values[sign] = d3_invariant(cd)
-                x = solve_rational(cd.presentation_matrix, cd.rot_vector)
-                for kernel_vector in smith_normal_form(cd.presentation_matrix).kernel_basis():
+                diagram = canonical_filling(Elliptic(n), sign)
+                values[sign] = d3_invariant(diagram)
+                rot = (0,) * diagram.one_handle_count + diagram.rot_vector
+                x = solve_rational(q, rot)
+                for kernel_vector in smith_normal_form(q).kernel_basis():
                     shifted = tuple(a + b for a, b in zip(x, kernel_vector))
-                    assert dot(shifted, cd.rot_vector) == dot(x, cd.rot_vector)
+                    assert dot(shifted, rot) == dot(x, rot)
             assert values["min"].denominator in (1, 2, 4)
             assert values["max"].denominator in (1, 2, 4)
 

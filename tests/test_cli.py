@@ -435,7 +435,7 @@ def loaded_modules(argv, *python_flags) -> tuple[int, set[str], str]:
         (["graph", "--cusp", "2,3,4"], {"linalg", "plumbing"}),
         (["surgery", "--elliptic", "3"], {"linalg", "plumbing"}),
         (["openbook", "--cusp", "2,3,4", "--json"], {"linalg", "openbook"}),
-        (["enumerate", "--cusp", "2,3,4"], {"linalg", "legendrian"}),
+        (["enumerate", "--cusp", "2,3,4"], {"legendrian"}),
     ],
     ids=["classify", "factor", "graph", "surgery", "openbook", "enumerate"],
 )
@@ -500,7 +500,7 @@ def test_cusp_d3_exits_3_when_only_the_handler_imports_legendrian():
 def test_full_report_reduces_a_cusp_presentation_once():
     # a cusp's presentation is its plumbing form, so the plumbing H_1 and both
     # Euler classes share one reduction; the elliptic Borromean presentation
-    # is another matrix and keeps its own, as do its two d3 surgery diagrams
+    # is another matrix and keeps its own, as does each of its two d3 values
     for argv, shapes in (
         (["inv", "--cusp", "2,3,4", "--json"], [(3, 3), (2, 2), (4, 3)]),
         (["inv", "--elliptic", "3", "--json"], [(3, 3), (1, 1), (2, 2), (4, 2), (3, 3), (3, 3)]),
@@ -534,7 +534,7 @@ FUZZ_COMMANDS = {  # each command with the flags it accepts besides --json and -
     "canonical": ["--elliptic", "--cusp", "--sign", "--canonical"],
     "invariants": ["--elliptic", "--cusp", "--sign", "--canonical", "--euler", "--d3"],
     "inv": ["--elliptic", "--cusp", "--sign", "--canonical", "--euler", "--d3"],
-    "verify": ["--elliptic", "--cusp"],
+    "verify": ["--elliptic", "--cusp", "--suite"],
 }
 FUZZ_VALUES = {  # well-formed values, drawn as often as all the tokens together
     "--elliptic": ["1", "2", "5"],

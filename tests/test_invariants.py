@@ -14,13 +14,10 @@ from singlink.invariants import (
     is_canonical,
 )
 from singlink.legendrian import (
-    ContactSurgeryComponent,
-    ContactSurgeryDiagram,
     SteinHandleDiagram,
     TwoHandleSpec,
     canonical_filling,
     enumerate_stein_fillings,
-    to_contact_surgery,
 )
 from singlink.linalg import AbelianGroup, dot, mat_vec, smith_normal_form, solve_rational
 from singlink.sl2z import CycleWord, Sl2Matrix
@@ -151,7 +148,7 @@ def test_euler_canonical_vanishes_with_unit_witnesses():
 
 
 def test_d3_elliptic_one_half():
-    value = d3_invariant(to_contact_surgery(canonical_filling(Elliptic(1), "min")))
+    value = d3_invariant(canonical_filling(Elliptic(1), "min"))
     assert value == Fraction(1, 2)
 
 
@@ -159,14 +156,27 @@ def test_d3_formula_both_signs():
     # q=2, chi=4, sigma=-1 and c^2 = -n give ((-n) + 3 - 8)/4 + 2 = (3 - n)/4
     for n in range(1, 11):
         for sign in ("min", "max"):
-            cd = to_contact_surgery(canonical_filling(Elliptic(n), sign))
-            assert d3_invariant(cd) == Fraction(3 - n, 4)
+            assert d3_invariant(canonical_filling(Elliptic(n), sign)) == Fraction(3 - n, 4)
+
+
+def test_d3_matches_gompf_on_every_elliptic_filling():
+    # Gompf's formula on the Stein filling itself, whose 2-handle form is
+    # (-n): c1^2 = -r^2/n, sigma = -1, chi = 1 - 2 + 1 = 0, so
+    # d3 = (c1^2 - 3*sigma - 2*chi)/4 = (3 - r^2/n)/4
+    fillings = 0
+    for n in range(1, 11):
+        for diagram in enumerate_stein_fillings(Elliptic(n)):
+            (r,) = diagram.rot_vector
+            assert d3_invariant(diagram) == (3 - Fraction(r * r, n)) / 4, (n, r)
+            fillings += 1
+    assert fillings == 65
 
 
 def test_d3_solution_choice_independent():
     for n in (1, 4, 9):
-        cd = to_contact_surgery(canonical_filling(Elliptic(n), "min"))
-        q, rot = cd.presentation_matrix, cd.rot_vector
+        diagram = canonical_filling(Elliptic(n), "min")
+        q = diagram.family.presentation()
+        rot = (0,) * diagram.one_handle_count + diagram.rot_vector
         x = solve_rational(q, rot)
         for kernel_vector in smith_normal_form(q).kernel_basis():
             shifted = tuple(a + b for a, b in zip(x, kernel_vector))
@@ -175,35 +185,20 @@ def test_d3_solution_choice_independent():
 
 
 def test_d3_unsupported_for_plumbing_presentation():
-    # the cusp presentation is not a linking matrix of the surgery
-    # components, so no surgery diagram, and so no d3, is produced
+    # the cusp presentation has no row for the 1-handle's (+1)-surgery, so
+    # it is not the linking matrix of the surgery components and no d3 is
+    # produced
     diagram = canonical_filling(Cusp(CycleWord((2, 2, 3))), "min")
     with pytest.raises(UnsupportedPresentation) as raised:
-        to_contact_surgery(diagram)
+        d3_invariant(diagram)
     assert raised.type is families.UnsupportedPresentation
 
 
-def test_d3_rejects_non_torsion_chern_class():
-    bad = ContactSurgeryDiagram(
-        components=(ContactSurgeryComponent(-2, 1, -1),),
-        presentation_matrix=((0,),),
-    )
+def test_d3_rejects_non_torsion_chern_class(monkeypatch):
+    # with Q = diag(0, 0, 0), Q x = (0, 0, -3) has no rational solution
+    monkeypatch.setattr(Elliptic, "presentation", lambda self: ((0, 0, 0),) * 3)
     with pytest.raises(NonTorsionChernClass):
-        d3_invariant(bad)
-
-
-def test_d3_empty_diagram_is_standard_sphere():
-    empty = ContactSurgeryDiagram((), ())
-    assert d3_invariant(empty) == Fraction(-1, 2)
-
-
-def test_d3_all_rot_zero_negative_definite():
-    # c^2 = 0, so the value is (-3*sigma - 2*chi)/4 + q with q = 0
-    cd = ContactSurgeryDiagram(
-        components=(ContactSurgeryComponent(-1, 0, -1), ContactSurgeryComponent(-1, 0, -1)),
-        presentation_matrix=((-2, 0), (0, -2)),
-    )
-    assert d3_invariant(cd) == Fraction(-3 * (-2) - 2 * 3, 4)
+        d3_invariant(canonical_filling(Elliptic(3), "min"))
 
 
 def test_elliptic_monodromy_convention():

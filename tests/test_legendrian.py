@@ -1,5 +1,6 @@
 import itertools
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -13,9 +14,8 @@ from singlink.families import (
     SizeLimitExceeded,
     UnsupportedPresentation,
 )
+from singlink.invariants import d3_invariant
 from singlink.legendrian import (
-    ContactSurgeryComponent,
-    ContactSurgeryDiagram,
     FramingTooLarge,
     SteinHandleDiagram,
     TwoHandleSpec,
@@ -23,7 +23,6 @@ from singlink.legendrian import (
     enumerate_stein_fillings,
     rotation_range,
     tb_max,
-    to_contact_surgery,
 )
 from singlink.sl2z import CycleWord
 
@@ -260,45 +259,35 @@ def test_diagram_validation():
 
 
 def test_contact_surgery_elliptic_frozen():
-    cd = to_contact_surgery(canonical_filling(Elliptic(1), "min"))
-    assert [c.contact_coefficient for c in cd.components] == [1, 1, -1]
-    assert [(c.tb, c.rot) for c in cd.components] == [(-1, 0), (-1, 0), (0, -1)]
-    assert [c.smooth_framing for c in cd.components] == [0, 0, -1]
-    assert cd.presentation_matrix == ((0, 0, 0), (0, 0, 0), (0, 0, -1))
-    assert cd.plus_count == 2
+    # Elliptic(1) read as a contact surgery: a (+1)-surgery on a standard
+    # unknot (tb -1, so framing 0) per 1-handle and a (-1)-surgery on the
+    # 2-handle (tb 0, so framing -1), with Q as their linking matrix
+    diagram = canonical_filling(Elliptic(1), "min")
+    (handle,) = diagram.handles
+    assert diagram.one_handle_count == 2
+    assert (handle.tb, handle.rot, handle.smooth_framing) == (0, -1, -1)
+    assert diagram.family.presentation() == ((0, 0, 0), (0, 0, 0), (0, 0, -1))
+    # c^2 = -1, sigma = -1, chi = 4 and q = 2
+    assert d3_invariant(diagram) == Fraction(-1 + 3 - 8, 4) + 2
 
 
 def test_contact_surgery_cusp():
-    # a cusp presentation has a row per 2-handle and none for the (+1)
-    # component, so it is not the linking matrix of the surgery diagram
+    # a cusp presentation has a row per 2-handle and none for the 1-handle's
+    # (+1)-surgery, so it is not the linking matrix of the surgery components
     for word in ((2, 2, 3), (5,), (3, 3)):
         diagram = canonical_filling(Cusp(CycleWord(word)), "min")
         with pytest.raises(UnsupportedPresentation, match="no linking matrix"):
-            to_contact_surgery(diagram)
+            d3_invariant(diagram)
 
 
 def test_plus_components_match_one_handles():
+    # the elliptic presentation has a zero-framed row per 1-handle, taken
+    # as a (+1)-surgery on a standard unknot, ahead of a row per 2-handle
     for family in [Elliptic(n) for n in range(1, 11)]:
         diagram = canonical_filling(family, "min")
-        cd = to_contact_surgery(diagram)
-        assert cd.plus_count == diagram.one_handle_count
-
-
-def test_contact_component_validation():
-    with pytest.raises(ValueError, match="standard"):
-        ContactSurgeryComponent(0, 0, 1)
-    with pytest.raises(ValueError, match="coefficient"):
-        ContactSurgeryComponent(-1, 0, 2)
-    comp = ContactSurgeryComponent(-2, 1, -1)
-    assert comp.smooth_framing == -3
-
-
-def test_contact_diagram_validation():
-    comp = ContactSurgeryComponent(-1, 0, 1)
-    with pytest.raises(ValueError, match="symmetric"):
-        ContactSurgeryDiagram((comp,), ((0, 1), (0, 0)))
-    with pytest.raises(ValueError, match="size"):
-        ContactSurgeryDiagram((comp,), ((0, 0), (0, 0)))
+        q = family.presentation()
+        assert len(q) == diagram.one_handle_count + len(diagram.handles)
+        assert all(q[i][i] == 0 for i in range(diagram.one_handle_count))
 
 
 def test_json_shapes():
@@ -307,10 +296,6 @@ def test_json_shapes():
     assert data["family"] == {"kind": "cusp", "word": [2, 2, 3]}
     assert data["one_handles"] == 1
     assert data["handles"][2] == {"framing": -3, "tb": -2, "rot": -1, "genus": 0}
-    cd = to_contact_surgery(canonical_filling(Elliptic(2), "min")).to_json_dict()
-    assert cd["family"] == {"kind": "elliptic", "n": 2}
-    assert cd["components"][0] == {"tb": -1, "rot": 0, "coefficient": 1, "framing": 0}
-    assert cd["presentation"] == [[0, 0, 0], [0, 0, 0], [0, 0, -2]]
 
 
 def test_diagram_limit_is_checked_before_any_handle(monkeypatch):

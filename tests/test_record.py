@@ -9,12 +9,7 @@ import pytest
 from singlink._record import Record
 from singlink.families import ChainUnknot, Cusp, Elliptic, EllipticCore, NodalDoublePass
 from singlink.invariants import FamilyReduction, euler_class, homology_cross_check
-from singlink.legendrian import (
-    ContactSurgeryComponent,
-    TwoHandleSpec,
-    canonical_filling,
-    to_contact_surgery,
-)
+from singlink.legendrian import TwoHandleSpec, canonical_filling
 from singlink.linalg import AbelianGroup, smith_normal_form
 from singlink.openbook import DeltaCurve, GammaCurve, curve_homology_classes
 from singlink.plumbing import PlumbingVertex, smooth_surgery_description
@@ -51,11 +46,6 @@ RECORDS = [
     ),
     (lambda: TwoHandleSpec(EllipticCore(), -3, 1), lambda: TwoHandleSpec(EllipticCore(), -3, -1)),
     (lambda: canonical_filling(Elliptic(2), "min"), lambda: canonical_filling(Elliptic(2), "max")),
-    (lambda: ContactSurgeryComponent(-1, 0, 1), lambda: ContactSurgeryComponent(-1, 0, -1)),
-    (
-        lambda: to_contact_surgery(canonical_filling(Elliptic(2), "min")),
-        lambda: to_contact_surgery(canonical_filling(Elliptic(2), "max")),
-    ),
     (lambda: euler_class(Elliptic(2), (1,)), lambda: euler_class(Elliptic(2), (2,))),
     (lambda: homology_cross_check(Elliptic(2)), lambda: homology_cross_check(Elliptic(3))),
     (lambda: FamilyReduction(Cusp((2, 3))), lambda: FamilyReduction(Cusp((3, 2)))),
@@ -64,7 +54,7 @@ RECORDS = [
 
 def test_every_record_class_is_listed():
     listed = [type(build()) for build, _ in RECORDS]
-    assert len(listed) == len(set(listed)) == 24
+    assert len(listed) == len(set(listed)) == 22
     assert set(listed) == set(Record.__subclasses__())
 
 

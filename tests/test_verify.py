@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import pytest
+
 from singlink import invariants, legendrian
-from singlink.families import Cusp, Elliptic
+from singlink.families import Cusp, Elliptic, SizeLimitExceeded
 from singlink.plumbing import intersection_matrix
 from singlink.sl2z import CycleWord
 from singlink.verify import suite_families, verify_family
@@ -90,7 +92,7 @@ def test_family_objects_built_by_one_verify_call(monkeypatch):
         if cls is Cusp:
             assert "presentation" not in calls  # the graph's form is the cusp presentation
         else:
-            # one for the Euler classes, one per canonical surgery diagram
+            # one for the Euler classes, one per canonical d3
             assert calls["presentation"] == 3
 
 
@@ -98,3 +100,14 @@ def test_cusp_presentation_is_the_plumbing_form():
     for family in suite_families():
         is_form = family.presentation() == intersection_matrix(family.graph())
         assert family.presentation_is_plumbing_form is is_form, family
+
+
+def test_verify_refuses_before_it_reduces(monkeypatch):
+    # 2^17 Stein diagrams is over DIAGRAM_LIMIT: the enumeration refuses
+    # the family before any presentation is reduced
+    def no_reduction(family):
+        raise AssertionError(f"{family.label} was reduced before its refusal")
+
+    monkeypatch.setattr(invariants, "FamilyReduction", no_reduction)
+    with pytest.raises(SizeLimitExceeded, match="more Stein diagrams than the limit"):
+        verify_family(Cusp((3,) * 17))
