@@ -296,12 +296,19 @@ def openbook_homology(ob: OpenBookDescription) -> AbelianGroup:
     the section class t, with relations (phi - 1)x for every basis vector
     x.  Gluing in the binding adds one meridian relation per boundary:
     t = 0 at the base boundary and t + correction(L) = 0 elsewhere (see
-    _section_corrections).  The first relation eliminates t, so H_1 is
-    presented on the page basis alone, one row per basis vector, by the
+    _section_corrections).  The base relation eliminates t.  For every
+    boundary L but the base and the last, correction(L) is -1 on L's own
+    generator e_s and 0 on every later one, so it writes e_s through the
+    earlier generators.  Substituting these in generator order (Tietze
+    elimination) writes every e_s through l, d and e_1, and H_1 is
+    presented on those three alone, one row each, by the images of the
     nonzero (phi - 1)e_j columns from the rank-1 twist updates of
-    _twisted_columns and by correction(L) for every boundary L but the
-    base.  A page with no relation reduces a matrix with no columns.
+    _twisted_columns (at most two, on l and d) and of the last boundary's
+    correction.  A correction of any other shape raises RuntimeError.  A
+    page with no relation reduces a matrix with no columns.
     """
+    from operator import mul
+
     data = curve_homology_classes(ob)
     relations = []
     for j, col in _twisted_columns(data, ob.twist_word).items():
@@ -309,6 +316,22 @@ def openbook_homology(ob: OpenBookDescription) -> AbelianGroup:
         if any(col):
             relations.append(col)
     corrections = _section_corrections(ob, data)
-    relations.extend(corrections[label] for label in ob.boundary_labels[1:])
-    presentation = tuple(tuple(col[i] for col in relations) for i in range(data.rank))
+    labels = ob.boundary_labels
+    if len(labels) > 1:
+        relations.append(corrections[labels[-1]])
+    # images[r][g]: coefficient of kept generator r in the image of generator g
+    kept = min(data.rank, 3)
+    images = [[int(g == r) for g in range(kept)] for r in range(kept)]
+    for g in range(kept, data.rank):
+        relation = corrections[labels[g - 2]]
+        if relation[g] != -1 or any(relation[g + 1 :]):
+            raise RuntimeError(
+                f"the meridian relation at boundary {labels[g - 2]} does not "
+                f"eliminate {data.basis_names[g]}"
+            )
+        for image in images:  # map stops at the end of image, before g
+            image.append(sum(map(mul, relation, image)))
+    presentation = tuple(
+        tuple(sum(map(mul, col, image)) for col in relations) for image in images
+    )
     return smith_normal_form(presentation).cokernel()

@@ -6,13 +6,14 @@ transvection per twist) are written out naively, determinants use
 cofactor expansion and the SNF pivot rule is spelled out entry by entry, so
 homology orders, monodromy values and pivots are checked against genuinely
 independent computations.  ``dense_snf_oracle`` is the Smith normal form
-on dense lists that the sparse one must match operation for operation.
+on dense lists that the sparse one must match operation for operation, and
+``openbook_presentation`` the open-book presentation before any relation is
+substituted away.
 """
 import itertools
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from unittest.mock import patch
 
 from singlink import invariants, legendrian, linalg, openbook
 from singlink.families import ChainUnknot, Cusp, Elliptic
@@ -299,17 +300,24 @@ def stein_fillings_oracle(family):
 
 
 def openbook_presentation(family):
-    """The relation matrix that ``openbook_homology`` reduces for the family."""
-    captured = []
-    reduce = openbook.smith_normal_form
+    """The family's full open-book presentation on the page basis.
 
-    def capture(matrix):
-        captured.append(matrix)
-        return reduce(matrix)
-
-    with patch.object(openbook, "smith_normal_form", capture):
-        openbook.openbook_homology(family.openbook())
-    return captured[0]
+    One row per page generator (l, d, e_1, ..., e_{b-1}) and one column per
+    relation: the nonzero (phi - 1)e_j columns and correction(L) for every
+    boundary L but the base.  ``openbook_homology`` substitutes all but the
+    last correction away and reduces only three rows, so this matrix is an
+    oracle for its cokernel and a large input for the SNF tests.
+    """
+    ob = family.openbook()
+    data = openbook.curve_homology_classes(ob)
+    relations = []
+    for j, col in openbook._twisted_columns(data, ob.twist_word).items():
+        col[j] -= 1
+        if any(col):
+            relations.append(col)
+    corrections = openbook._section_corrections(ob, data)
+    relations.extend(corrections[label] for label in ob.boundary_labels[1:])
+    return tuple(tuple(col[i] for col in relations) for i in range(data.rank))
 
 
 def det_cofactor(m):

@@ -20,7 +20,13 @@ from singlink.openbook import (
 from singlink.plumbing import boundary_homology
 from singlink.sl2z import CycleWord, cycle_monodromy
 
-from helpers import cusp_words, cycle_product_oracle, transvection_product_oracle
+from helpers import (
+    cusp_words,
+    cycle_product_oracle,
+    openbook_presentation,
+    suite_families,
+    transvection_product_oracle,
+)
 
 
 def test_elliptic_openbook_page_data():
@@ -226,10 +232,45 @@ def test_large_open_books_reduce():
     # large enough that a dense pivot scan of every stage takes seconds;
     # no time bound is asserted, only the groups
     assert openbook_homology(Elliptic(400).openbook()) == AbelianGroup(2, (400,))
-    family = Cusp(CycleWord((3,) * 64))
-    agreement = FamilyReduction(family).homology(family.monodromy(), family.openbook())
-    assert agreement.all_equal
-    assert agreement.openbook.torsion_order == family.monodromy().trace - 2
+    for k in (64, 256):
+        family = Cusp(CycleWord((3,) * k))
+        agreement = FamilyReduction(family).homology(family.monodromy(), family.openbook())
+        assert agreement.all_equal
+        assert agreement.openbook.torsion_order == family.monodromy().trace - 2
+
+
+def test_reduced_presentation_matches_the_full_one():
+    # the full presentation keeps every page generator and every meridian
+    # relation; substituting the relations away must not change the group
+    families = suite_families() + [Elliptic(n) for n in range(1, 41)]
+    families += [Cusp(CycleWord((3,) * k)) for k in range(1, 25)]
+    word = (2, 2, 2, 3) * 8
+    families += [Cusp(CycleWord(word[r:] + word[:r])) for r in range(len(word))]
+    for family in families:
+        full = smith_normal_form(openbook_presentation(family)).cokernel()
+        assert openbook_homology(family.openbook()) == full, family.label
+
+
+@pytest.mark.parametrize("change", ["scaled", "later"])
+def test_relation_that_does_not_eliminate_its_generator_raises(monkeypatch, change):
+    ob = Cusp(CycleWord((3, 3, 4))).openbook()  # 4 boundaries: e_2 and e_3 are eliminated
+    corrections = openbook._section_corrections
+
+    def broken(ob, data):
+        out = corrections(ob, data)
+        label = ob.boundary_labels[1]  # eliminates e_2, at index 3
+        relation = list(out[label])
+        assert relation[3] == -1 and not any(relation[4:])
+        if change == "scaled":
+            relation[3] = -2
+        else:
+            relation[4] = 1
+        out[label] = tuple(relation)
+        return out
+
+    monkeypatch.setattr(openbook, "_section_corrections", broken)
+    with pytest.raises(RuntimeError, match="does not eliminate e2"):
+        openbook_homology(ob)
 
 
 def test_gamma_reordering_changes_nothing():
