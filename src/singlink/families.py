@@ -46,9 +46,6 @@ class ChainUnknot(Record):
     __slots__ = ("index",)
     genus = 0
 
-    def __init__(self, index: int):
-        object.__setattr__(self, "index", index)
-
 
 class EllipticCore(Record):
     """The 2-handle over both 1-handles of the elliptic diagram; capped genus 1."""

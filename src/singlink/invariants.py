@@ -22,7 +22,6 @@ from ._record import Record
 from .families import Family, UnsupportedPresentation
 from .legendrian import SteinHandleDiagram, TwoHandleSpec
 from .linalg import (
-    AbelianGroup,
     IntMatrix,
     SnfResult,
     dot,
@@ -59,7 +58,7 @@ class NonTorsionChernClass(ValueError):
 
 def adjunction_defect(handle: TwoHandleSpec) -> int:
     """rot - (framing - 2*genus + 2); zero exactly at adjunction equality."""
-    return handle.rot - (handle.smooth_framing - 2 * handle.surface_genus + 2)
+    return handle.rot - (handle.smooth_framing - 2 * handle.tag.genus + 2)
 
 
 def is_canonical(diagram: SteinHandleDiagram) -> bool:
@@ -82,22 +81,6 @@ class CohomologyClassRep(Record):
     """
 
     __slots__ = ("vector", "presentation", "reduced", "is_zero", "order", "witness")
-
-    def __init__(
-        self,
-        vector: tuple[int, ...],
-        presentation: IntMatrix,
-        reduced: tuple[int, ...],
-        is_zero: bool,
-        order: int | None,
-        witness: tuple[int, ...] | None,
-    ):
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "reduced", reduced)
-        object.__setattr__(self, "is_zero", is_zero)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "witness", witness)
 
     def to_json_dict(self) -> dict:
         return {
@@ -134,14 +117,8 @@ def _reduce_class(q: IntMatrix, snf: SnfResult, v: tuple[int, ...]) -> Cohomolog
             if c:
                 order = None
     is_zero = all(x == 0 for x in reduced)
-    return CohomologyClassRep(
-        vector=v,
-        presentation=q,
-        reduced=tuple(reduced),
-        is_zero=is_zero,
-        order=order,
-        witness=snf.solve_reduced(w) if is_zero else None,
-    )
+    witness = snf.solve_reduced(w) if is_zero else None
+    return CohomologyClassRep(v, q, tuple(reduced), is_zero, order, witness)
 
 
 def d3_invariant(diagram: SteinHandleDiagram):
@@ -180,18 +157,6 @@ class HomologyAgreement(Record):
     """The three independent H_1 computations and whether they agree."""
 
     __slots__ = ("family", "plumbing", "monodromy", "openbook")
-
-    def __init__(
-        self,
-        family: Family,
-        plumbing: AbelianGroup,
-        monodromy: AbelianGroup,
-        openbook: AbelianGroup,
-    ):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "plumbing", plumbing)
-        object.__setattr__(self, "monodromy", monodromy)
-        object.__setattr__(self, "openbook", openbook)
 
     @property
     def all_equal(self) -> bool:
@@ -274,8 +239,8 @@ class FamilyReduction(Record):
         a = monodromy
         delta = ((a.a - 1, a.b), (a.c, a.d - 1))
         return HomologyAgreement(
-            family=self.family,
-            plumbing=graph_snf.cokernel(self.graph.boundary_free_rank()),
-            monodromy=smith_normal_form(delta).cokernel(1),
-            openbook=openbook_homology(book),
+            self.family,
+            graph_snf.cokernel(self.graph.boundary_free_rank()),
+            smith_normal_form(delta).cokernel(1),
+            openbook_homology(book),
         )

@@ -74,7 +74,7 @@ class TwoHandleSpec(Record):
     """A Stein 2-handle: rotation within the realizable set, tb = framing + 1
     and the surface genus of its tag."""
 
-    __slots__ = ("tag", "smooth_framing", "rot", "tb", "surface_genus")
+    __slots__ = ("tag", "smooth_framing", "rot")
 
     def __init__(self, tag: HandleTag, smooth_framing: int, rot: int):
         smooth_framing, rot = index(smooth_framing), index(rot)
@@ -84,8 +84,14 @@ class TwoHandleSpec(Record):
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "smooth_framing", smooth_framing)
         object.__setattr__(self, "rot", rot)
-        object.__setattr__(self, "tb", smooth_framing + 1)
-        object.__setattr__(self, "surface_genus", tag.genus)
+
+    @property
+    def tb(self) -> int:
+        return self.smooth_framing + 1
+
+    @property
+    def surface_genus(self) -> int:
+        return self.tag.genus
 
     def to_json_dict(self) -> dict:
         return {
@@ -108,7 +114,7 @@ class SteinHandleDiagram(Record):
     without rebuilding it.  The 1-handle count is the family's.
     """
 
-    __slots__ = ("family", "handles", "one_handle_count")
+    __slots__ = ("family", "handles")
 
     def __init__(
         self,
@@ -124,7 +130,10 @@ class SteinHandleDiagram(Record):
             raise ValueError(f"handles {got} do not match the {family} pattern {slots}")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "handles", handles)
-        object.__setattr__(self, "one_handle_count", family.one_handle_count)
+
+    @property
+    def one_handle_count(self) -> int:
+        return self.family.one_handle_count
 
     @property
     def rot_vector(self) -> tuple[int, ...]:
@@ -140,7 +149,7 @@ class SteinHandleDiagram(Record):
     def to_text(self) -> str:
         parts = []
         for h in self.handles:
-            s = tb_max(h.tag) - h.tb
+            s = _stabilization_budget(h.tag, h.smooth_framing)
             left = (s - h.rot) // 2
             right = (s + h.rot) // 2
             parts.append(

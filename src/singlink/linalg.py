@@ -76,11 +76,6 @@ class SnfResult(Record):
 
     __slots__ = ("u", "diag", "v")
 
-    def __init__(self, u: IntMatrix, diag: IntMatrix, v: IntMatrix):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "v", v)
-
     def diagonal_entries(self) -> IntVector:
         n = min(len(self.diag), len(self.diag[0]) if self.diag else 0)
         return tuple(self.diag[i][i] for i in range(n))
@@ -337,13 +332,6 @@ class AbelianGroup(Record):
                 raise ValueError("invariant factors must form a divisibility chain")
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", torsion)
-
-    @property
-    def torsion_order(self) -> int:
-        order = 1
-        for d in self.torsion:
-            order *= d
-        return order
 
     def to_json_dict(self) -> dict:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}

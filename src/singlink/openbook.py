@@ -43,17 +43,11 @@ class DeltaCurve(Record):
 
     __slots__ = ("index",)
 
-    def __init__(self, index: int):
-        object.__setattr__(self, "index", index)
-
 
 class GammaCurve(Record):
     """Boundary-parallel twist curve at the labeled boundary."""
 
     __slots__ = ("label",)
-
-    def __init__(self, label: BoundaryLabel):
-        object.__setattr__(self, "label", label)
 
 
 TwistCurve = DeltaCurve | GammaCurve
@@ -138,18 +132,6 @@ class PageHomologyData(Record):
 
     __slots__ = ("basis_names", "intersection_form", "curve_classes", "boundary_classes")
 
-    def __init__(
-        self,
-        basis_names: tuple[str, ...],
-        intersection_form: IntMatrix,
-        curve_classes: dict[TwistCurve, tuple[int, ...]],
-        boundary_classes: dict[BoundaryLabel, tuple[int, ...]],
-    ):
-        object.__setattr__(self, "basis_names", basis_names)
-        object.__setattr__(self, "intersection_form", intersection_form)
-        object.__setattr__(self, "curve_classes", curve_classes)
-        object.__setattr__(self, "boundary_classes", boundary_classes)
-
     @property
     def rank(self) -> int:
         return len(self.basis_names)
@@ -198,12 +180,7 @@ def curve_homology_classes(ob: OpenBookDescription) -> PageHomologyData:
                 for label in by_piece.get(curve.index, []):
                     acc = [a + x for a, x in zip(acc, boundary_classes[label])]
             classes[curve] = tuple(acc)
-    return PageHomologyData(
-        basis_names=names,
-        intersection_form=tuple(tuple(row) for row in form),
-        curve_classes=classes,
-        boundary_classes=boundary_classes,
-    )
+    return PageHomologyData(names, tuple(tuple(row) for row in form), classes, boundary_classes)
 
 
 def _twisted_columns(data: PageHomologyData, twist_word) -> dict[int, list[int]]:

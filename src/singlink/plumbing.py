@@ -150,14 +150,6 @@ class SurgeryDescription(Record):
 
     __slots__ = ("kind", "framings", "notes", "family_json")
 
-    def __init__(
-        self, kind: str, framings: tuple[int, ...], notes: tuple[str, ...], family_json: dict
-    ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "framings", framings)
-        object.__setattr__(self, "notes", notes)
-        object.__setattr__(self, "family_json", family_json)
-
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -209,9 +201,5 @@ def smooth_surgery_description(family: Family) -> SurgeryDescription:
     are the diagonal of the family's presentation matrix."""
     kind, notes = _SURGERY_PICTURES[type(family.handle_slots()[0][0])]
     q = family.presentation()
-    return SurgeryDescription(
-        kind=kind,
-        framings=tuple(q[i][i] for i in range(len(q))),
-        notes=notes,
-        family_json=family.to_json_dict(),
-    )
+    framings = tuple(q[i][i] for i in range(len(q)))
+    return SurgeryDescription(kind, framings, notes, family.to_json_dict())

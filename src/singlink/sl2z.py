@@ -24,7 +24,6 @@ __all__ = [
     "NotCuspClass",
     "NoFactorization",
     "classify",
-    "cycle_factor",
     "cycle_monodromy",
     "factor_cycle",
     "cyclic_equal",
@@ -58,21 +57,9 @@ class Sl2Matrix(Record):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
 
-    @classmethod
-    def identity(cls) -> "Sl2Matrix":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
-    def from_rows(cls, rows) -> "Sl2Matrix":
-        (a, b), (c, d) = rows
-        return cls(a, b, c, d)
-
     @property
     def trace(self) -> int:
         return self.a + self.d
-
-    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.b), (self.c, self.d))
 
     def inverse(self) -> "Sl2Matrix":
         return Sl2Matrix(self.d, -self.b, -self.c, self.a)
@@ -98,12 +85,15 @@ class MonodromyType(Enum):
 class MonodromyClass(Record):
     """Classification of an SL(2,Z) matrix; its trace and kind follow from it."""
 
-    __slots__ = ("matrix", "trace", "kind")
+    __slots__ = ("matrix",)
 
-    def __init__(self, matrix: Sl2Matrix):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "trace", matrix.trace)
-        object.__setattr__(self, "kind", _kind_for_trace(matrix.trace))
+    @property
+    def trace(self) -> int:
+        return self.matrix.trace
+
+    @property
+    def kind(self) -> MonodromyType:
+        return _kind_for_trace(self.matrix.trace)
 
     @property
     def is_cusp_link(self) -> bool:
@@ -166,10 +156,6 @@ class CycleWord(Record):
     def __iter__(self):
         return iter(self.entries)
 
-    def rotations(self):
-        e = self.entries
-        return tuple(e[i:] + e[:i] for i in range(len(e)))
-
     def least_rotation(self) -> "CycleWord":
         """The lexicographically least cyclic rotation, in O(k) time and memory."""
         return CycleWord(_least_rotation(self.entries))
@@ -181,11 +167,6 @@ class CycleWord(Record):
         return "(" + ", ".join(str(n) for n in self.entries) + ")"
 
 
-def cycle_factor(n: int) -> Sl2Matrix:
-    """The single normal-form factor M(n) = [[n, -1], [1, 0]]."""
-    return Sl2Matrix(n, -1, 1, 0)
-
-
 def cycle_monodromy(word: CycleWord) -> Sl2Matrix:
     """Multiply out the cycle word in index order.
 
@@ -193,7 +174,7 @@ def cycle_monodromy(word: CycleWord) -> Sl2Matrix:
     Sl2Matrix(a=5, b=-2, c=3, d=-1)
     """
     a, b, c, d = 1, 0, 0, 1
-    for n in word:  # right-multiply by cycle_factor(n), in plain integers
+    for n in word:  # right-multiply by M(n), in plain integers
         a, b, c, d = a * n + b, -a, c * n + d, -c
     return Sl2Matrix(a, b, c, d)
 

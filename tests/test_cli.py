@@ -24,6 +24,7 @@ from singlink.cli import (
     run,
 )
 from singlink.families import Cusp, Elliptic
+from singlink.sl2z import Sl2Matrix
 
 from helpers import counted_snf
 
@@ -36,7 +37,7 @@ def run_cli(args):
 def test_parse_classify():
     request = parse_args(["classify", "--matrix", "5,-2,3,-1"])
     assert request.command == "classify"
-    assert request.matrix.rows() == ((5, -2), (3, -1))
+    assert request.matrix == Sl2Matrix(5, -2, 3, -1)
 
 
 def test_parse_enumerate_json():
@@ -140,7 +141,7 @@ def test_negative_leading_matrix_entry(command):
     spaced = parse_args([command, "--matrix", "-5,2,-3,1"])
     attached = parse_args([command, "--matrix=-5,2,-3,1"])
     assert spaced == attached
-    assert spaced.matrix.rows() == ((-5, 2), (-3, 1))
+    assert spaced.matrix == Sl2Matrix(-5, 2, -3, 1)
     out = run_cli([command, "--matrix", "-1,1,-5,4", "--json"])
     assert out == run_cli([command, "--matrix=-1,1,-5,4", "--json"])
     assert out[0] == EXIT_OK
