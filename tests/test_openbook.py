@@ -22,9 +22,12 @@ from singlink.plumbing import boundary_homology
 from singlink.sl2z import CycleWord, cycle_monodromy
 
 from helpers import (
+    counted_snf,
     cusp_words,
     cycle_product_oracle,
     openbook_presentation,
+    section_corrections_oracle,
+    substituted_presentation_oracle,
     suite_families,
     transvection_product_oracle,
 )
@@ -230,14 +233,59 @@ def test_triple_homology_agreement_over_suite():
 
 
 def test_large_open_books_reduce():
-    # large enough that a dense pivot scan of every stage takes seconds;
-    # no time bound is asserted, only the groups
+    # up to the boundary limit, each against Z + coker(A - I); no time bound
+    # is asserted, only the groups
     assert openbook_homology(Elliptic(400).openbook()) == AbelianGroup(2, (400,))
+    assert openbook_homology(Elliptic(1000).openbook()) == AbelianGroup(2, (1000,))
+    assert Cusp((2, 3, 4, 5) * 150).openbook().boundary_count == 900
+    for family in (Elliptic(1000), Cusp(CycleWord((3,) * 1000)), Cusp((2, 3, 4, 5) * 150)):
+        a = family.monodromy()
+        monodromy = smith_normal_form(((a.a - 1, a.b), (a.c, a.d - 1))).cokernel(1)
+        assert openbook_homology(family.openbook()) == monodromy, family.label
     for k in (64, 256):
         family = Cusp(CycleWord((3,) * k))
         agreement = FamilyReduction(family).homology(family.monodromy(), family.openbook())
         assert agreement.all_equal
         assert math.prod(agreement.openbook.torsion) == family.monodromy().trace - 2
+
+
+def _handed_to_snf(ob):
+    """The one matrix openbook_homology hands smith_normal_form."""
+    with counted_snf() as calls:
+        openbook_homology(ob)
+    (matrix,) = calls
+    return matrix
+
+
+def test_snf_gets_the_substituted_page_basis_matrix():
+    # the one-pass presentation is the page-basis substitution, entry for entry
+    families = suite_families() + [Elliptic(n) for n in range(1, 61)]
+    families += [Cusp(CycleWord((3,) * k)) for k in range(1, 31)]
+    word = (2, 2, 2, 3) * 8
+    families += [Cusp(CycleWord(word[r:] + word[:r])) for r in range(len(word))]
+    assert len(suite_families()) == 346
+    for family in families:
+        ob = family.openbook()
+        assert _handed_to_snf(ob) == substituted_presentation_oracle(ob), family.label
+
+
+entry = st.integers(min_value=2, max_value=12)
+# a word ending in 2s has its last boundary on an earlier piece, so the
+# deltas after that piece carry the dense last boundary class
+words_ending_in_twos = st.tuples(
+    st.lists(entry, min_size=1, max_size=7).filter(lambda e: max(e) >= 3),
+    st.integers(min_value=1, max_value=7),
+).map(lambda p: p[0] + [2] * min(p[1], 8 - len(p[0])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(cycle_words, words_ending_in_twos))
+@example([3, 2])
+@example([2, 5, 4, 2, 2])
+@example([12, 2, 12, 2, 2, 2, 2, 2])
+def test_snf_gets_the_substituted_matrix_on_random_words(entries):
+    ob = Cusp(CycleWord(tuple(entries))).openbook()
+    assert _handed_to_snf(ob) == substituted_presentation_oracle(ob)
 
 
 def test_reduced_presentation_matches_the_full_one():
@@ -252,24 +300,27 @@ def test_reduced_presentation_matches_the_full_one():
         assert openbook_homology(family.openbook()) == full, family.label
 
 
+# Pages whose labels do not run piece by piece.  The second label's relation
+# must eliminate e_2 (index 3), but on the page basis it is -2 there (the
+# last boundary moved onto piece 1, which delta_1 crosses) or it touches e_3
+# (the second piece's boundary listed after the third piece's).
+MISORDERED_PAGES = {
+    "scaled": ((4, 3), ((1, 1), (2, 1), (1, 2))),
+    "later": ((3, 3, 4), ((1, 1), (3, 1), (2, 1), (3, 2))),
+}
+
+
 @pytest.mark.parametrize("change", ["scaled", "later"])
-def test_relation_that_does_not_eliminate_its_generator_raises(monkeypatch, change):
-    ob = Cusp(CycleWord((3, 3, 4))).openbook()  # 4 boundaries: e_2 and e_3 are eliminated
-    corrections = openbook._section_corrections
-
-    def broken(ob, data):
-        out = corrections(ob, data)
-        label = ob.boundary_labels[1]  # eliminates e_2, at index 3
-        relation = list(out[label])
-        assert relation[3] == -1 and not any(relation[4:])
-        if change == "scaled":
-            relation[3] = -2
-        else:
-            relation[4] = 1
-        out[label] = tuple(relation)
-        return out
-
-    monkeypatch.setattr(openbook, "_section_corrections", broken)
+def test_relation_that_does_not_eliminate_its_generator_raises(change):
+    word, labels = MISORDERED_PAGES[change]
+    ob = Cusp(CycleWord(word)).openbook()
+    assert sorted(ob.boundary_labels) == sorted(labels)
+    object.__setattr__(ob, "boundary_labels", labels)
+    relation = section_corrections_oracle(ob, curve_homology_classes(ob))[labels[1]]
+    if change == "scaled":
+        assert relation[3] == -2 and not any(relation[4:])
+    else:
+        assert relation[3] == -1 and any(relation[4:])
     with pytest.raises(RuntimeError, match="does not eliminate e2"):
         openbook_homology(ob)
 
