@@ -217,22 +217,22 @@ def _run_enumerate(request):
     from . import legendrian
 
     fillings = legendrian.enumerate_stein_fillings(request.family)
+    # c1 evaluates to the rot vector, so each diagram's is read once for both
     if request.fmt == "json":
+        entries = []
+        for d in fillings:
+            rot = list(d.rot_vector)
+            entries.append(
+                {"rot": rot, "c1": rot, "handles": [h.to_json_dict() for h in d.handles]}
+            )
         return EXIT_OK, {
             "family": request.family.to_json_dict(),
             "count": len(fillings),
-            "fillings": [
-                {
-                    "rot": list(d.rot_vector),
-                    "c1": list(d.rot_vector),
-                    "handles": [h.to_json_dict() for h in d.handles],
-                }
-                for d in fillings
-            ],
+            "fillings": entries,
         }
     lines = [f"count {len(fillings)}"]
     for d in fillings:
-        rot = ", ".join(str(r) for r in d.rot_vector)
+        rot = ", ".join(map(str, d.rot_vector))
         lines.append(f"rot=({rot}) c1=({rot})")
     return EXIT_OK, "\n".join(lines)
 

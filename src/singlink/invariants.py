@@ -1,13 +1,17 @@
 """Contact-geometric invariants and the homology cross-check harness.
 
-First Chern class evaluations on handle surfaces equal rotation numbers;
-the adjunction defect of a handle is rot - (framing - 2*genus + 2); the
-Euler class of the boundary contact structure lives in the cokernel of the
-family's presentation matrix Q; and the d3 invariant of a plane field with
-torsion Chern class is read off the Stein diagram itself, each 1-handle
-taken as a contact (+1)-surgery on a standard Legendrian unknot and each
-2-handle as a (-1)-surgery: (c^2 - 3*sigma - 2*chi)/4 + q with q the
-1-handle count, normalized so the standard tight 3-sphere has d3 = -1/2.
+First Chern class evaluations on handle surfaces equal rotation numbers.
+The adjunction formula framing - 2*genus + 2 is written once, as the
+adjunction vector of a handle pattern: the rot vector at which every
+handle has zero adjunction defect.  A handle's defect is its rot minus its
+slot's entry of that vector, and a diagram is canonical when its whole rot
+vector equals the adjunction vector or its negative.  The Euler class of
+the boundary contact structure lives in the cokernel of the family's
+presentation matrix Q; and the d3 invariant of a plane field with torsion
+Chern class is read off the Stein diagram itself, each 1-handle taken as a
+contact (+1)-surgery on a standard Legendrian unknot and each 2-handle as
+a (-1)-surgery: (c^2 - 3*sigma - 2*chi)/4 + q with q the 1-handle count,
+normalized so the standard tight 3-sphere has d3 = -1/2.
 
 ``FamilyReduction(family)`` reduces Q once for both checks that rest on
 it, the Euler classes and the three-way H_1; ``euler_class`` and
@@ -40,6 +44,7 @@ __all__ = [
     "CohomologyClassRep",
     "HomologyAgreement",
     "FamilyReduction",
+    "adjunction_vector",
     "adjunction_defect",
     "is_canonical",
     "euler_class",
@@ -56,19 +61,36 @@ class NonTorsionChernClass(ValueError):
     """The Chern class is not torsion, so d3 is undefined."""
 
 
+def adjunction_vector(slots) -> tuple[int, ...]:
+    """The adjunction vector c of a handle pattern: framing - 2*genus + 2
+    for each (tag, smooth framing) slot, the rot vector at which every
+    handle has zero adjunction defect.
+
+    >>> from singlink.families import Cusp
+    >>> adjunction_vector(Cusp((3, 4, 5)).handle_slots())
+    (-1, -2, -3)
+    """
+    return tuple([framing - 2 * tag.genus + 2 for tag, framing in slots])
+
+
 def adjunction_defect(handle: TwoHandleSpec) -> int:
-    """rot - (framing - 2*genus + 2); zero exactly at adjunction equality."""
-    return handle.rot - (handle.smooth_framing - 2 * handle.tag.genus + 2)
+    """rot minus the handle's entry of the adjunction vector; zero exactly
+    at adjunction equality."""
+    (target,) = adjunction_vector(((handle.tag, handle.smooth_framing),))
+    return handle.rot - target
 
 
 def is_canonical(diagram: SteinHandleDiagram) -> bool:
-    """True when the diagram realizes adjunction on every handle, possibly
-    after reversing the orientation of every attaching circle (which negates
-    the whole rot vector)."""
-    # negating rot turns the defect rot - c into -rot - c = defect - 2 * rot
-    return all(adjunction_defect(h) == 0 for h in diagram.handles) or all(
-        adjunction_defect(h) == 2 * h.rot for h in diagram.handles
-    )
+    """True when the rot vector is the family's adjunction vector c or -c.
+
+    At c every handle realizes adjunction equality; -c is the same diagram
+    with the orientation of every attaching circle reversed, which negates
+    the whole rot vector.  The defect rot - c equals 2*rot exactly when
+    rot = -c, so this is adjunction equality on every handle after a
+    possible reversal, decided by one comparison of whole vectors.
+    """
+    c = adjunction_vector(diagram.family.handle_slots())
+    return diagram.rot_vector in (c, tuple(-x for x in c))
 
 
 class CohomologyClassRep(Record):

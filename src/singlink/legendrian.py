@@ -103,6 +103,8 @@ class TwoHandleSpec(Record):
 
 
 _slot_of = attrgetter("tag", "smooth_framing")
+_rot_of = attrgetter("rot")
+_set = object.__setattr__
 
 
 class SteinHandleDiagram(Record):
@@ -128,8 +130,8 @@ class SteinHandleDiagram(Record):
         got = tuple(map(_slot_of, handles))
         if got != slots:
             raise ValueError(f"handles {got} do not match the {family} pattern {slots}")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "handles", handles)
+        _set(self, "family", family)
+        _set(self, "handles", handles)
 
     @property
     def one_handle_count(self) -> int:
@@ -137,7 +139,7 @@ class SteinHandleDiagram(Record):
 
     @property
     def rot_vector(self) -> tuple[int, ...]:
-        return tuple(h.rot for h in self.handles)
+        return tuple(map(_rot_of, self.handles))
 
     def to_json_dict(self) -> dict:
         return {
@@ -180,8 +182,10 @@ def enumerate_stein_fillings(family: Family) -> tuple[SteinHandleDiagram, ...]:
         tuple(TwoHandleSpec(tag, f, rot) for rot in rotation_range(tag, f)) for tag, f in slots
     ]
     return tuple(
-        SteinHandleDiagram(family, handles, _slots=slots)
-        for handles in itertools.product(*choices)
+        [
+            SteinHandleDiagram(family, handles, _slots=slots)
+            for handles in itertools.product(*choices)
+        ]
     )
 
 

@@ -25,8 +25,13 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
 
     The open book and monodromy are built once per call, and one
     ``invariants.FamilyReduction`` reduces the presentation Q once for the
-    Euler classes, a cusp's plumbing H_1 and the elliptic d3 solves;
-    nothing is kept between calls.
+    Euler classes, a cusp's plumbing H_1 and the elliptic d3 solves.  The
+    Stein filling checks compute the family's adjunction vector c once and
+    compare each diagram's whole rot vector with c and -c, with no call per
+    handle: the rot vectors must be pairwise distinct, the minimal
+    canonical filling must be the only diagram at c (zero adjunction defect
+    on every handle), and the two canonical fillings the only ones at c or
+    -c.  Nothing is kept between calls.
 
     >>> all(passed for _, passed in verify_family(Elliptic(2)))
     True
@@ -69,17 +74,9 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
 
     minimal = legendrian.canonical_filling(family, "min")
     maximal = legendrian.canonical_filling(family, "max")
-    vectors = set()
-    zero_defect = []
-    canonical_count = 0
-    for d in fillings:
-        vectors.add(d.rot_vector)
-        if invariants.is_canonical(d):  # zero defect implies canonical
-            canonical_count += 1
-            if all(invariants.adjunction_defect(h) == 0 for h in d.handles):
-                zero_defect.append(d)
+    rots, canonical, zero_defect = _adjunction_classes(family, fillings)
     checks.append(("stein filling count", len(fillings) == expected_count))
-    checks.append(("c1 evaluations pairwise distinct", len(vectors) == len(fillings)))
+    checks.append(("c1 evaluations pairwise distinct", len(set(rots)) == len(fillings)))
     checks.append(
         (
             "canonical rot vectors are negatives",
@@ -90,7 +87,7 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     checks.append(
         (
             "adjunction uniqueness",
-            zero_defect == [minimal] and canonical_count == expected_canonical,
+            zero_defect == [minimal] and len(canonical) == expected_canonical,
         )
     )
 
@@ -109,6 +106,23 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
         d3_max = invariants.d3_invariant(maximal)
         checks.append(("d3 computed for both signs", d3_min == d3_max))
     return checks
+
+
+def _adjunction_classes(family: Family, fillings):
+    """The fillings' rot vectors, the canonical fillings and those of zero
+    adjunction defect.
+
+    The adjunction vector c is computed once; each diagram's rot vector is
+    read once and compared whole with c and -c.  A diagram is canonical
+    when its rot vector is c or -c, and has zero defect on every handle
+    exactly when it is c.
+    """
+    c = invariants.adjunction_vector(family.handle_slots())
+    targets = (c, tuple(-x for x in c))
+    rots = [d.rot_vector for d in fillings]
+    canonical = [(d, rot) for d, rot in zip(fillings, rots) if rot in targets]
+    zero_defect = [d for d, rot in canonical if rot == c]
+    return rots, [d for d, _ in canonical], zero_defect
 
 
 def suite_families() -> tuple[Family, ...]:

@@ -11,7 +11,9 @@ on dense lists that the sparse one must match operation for operation.
 basis before any relation is substituted away, and
 ``substituted_presentation_oracle`` the same presentation substituted down
 to l, d and e_1 on that basis, the matrix ``openbook_homology`` builds in
-one pass without it.
+one pass without it.  ``is_canonical_oracle`` and
+``has_zero_defect_oracle`` decide adjunction equality handle by handle,
+where the library compares whole rot vectors with the adjunction vector.
 """
 import itertools
 import sys
@@ -300,6 +302,27 @@ def stein_fillings_oracle(family):
             assert handle.tb == f + 1
         diagrams.append(SteinHandleDiagram(family, handles))
     return tuple(diagrams)
+
+
+def adjunction_defect_oracle(handle):
+    """rot - (framing - 2*genus + 2) of one handle, the genus read off the
+    tag here (0 for a chain unknot, 1 for the genus-one attaching circles)."""
+    genus = 0 if isinstance(handle.tag, ChainUnknot) else 1
+    return handle.rot - (handle.smooth_framing - 2 * genus + 2)
+
+
+def has_zero_defect_oracle(diagram):
+    """Adjunction equality on every handle, decided handle by handle."""
+    return all(adjunction_defect_oracle(h) == 0 for h in diagram.handles)
+
+
+def is_canonical_oracle(diagram):
+    """Adjunction equality on every handle, possibly after reversing the
+    orientation of every attaching circle, decided handle by handle."""
+    # negating rot turns the defect rot - c into -rot - c = defect - 2 * rot
+    return has_zero_defect_oracle(diagram) or all(
+        adjunction_defect_oracle(h) == 2 * h.rot for h in diagram.handles
+    )
 
 
 def section_corrections_oracle(ob, data):

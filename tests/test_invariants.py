@@ -8,6 +8,7 @@ from singlink.invariants import (
     DimensionMismatch,
     NonTorsionChernClass,
     adjunction_defect,
+    adjunction_vector,
     d3_invariant,
     euler_class,
     homology_cross_check,
@@ -22,7 +23,7 @@ from singlink.legendrian import (
 from singlink.linalg import AbelianGroup, dot, mat_vec, smith_normal_form, solve_rational
 from singlink.sl2z import CycleWord, Sl2Matrix
 
-from helpers import suite_families
+from helpers import adjunction_defect_oracle, suite_families
 
 
 def test_adjunction_defect_fixed():
@@ -31,6 +32,16 @@ def test_adjunction_defect_fixed():
         handle = TwoHandleSpec(EllipticCore(), -n, -n)
         assert adjunction_defect(handle) == 0
     assert adjunction_defect(TwoHandleSpec(ChainUnknot(1), -4, 0)) == 2
+
+
+def test_adjunction_vector_is_the_minimal_canonical_rot_vector_over_suite():
+    for family in suite_families():
+        c = adjunction_vector(family.handle_slots())
+        assert c == canonical_filling(family, "min").rot_vector, family
+        for d in enumerate_stein_fillings(family):
+            defects = [adjunction_defect(h) for h in d.handles]
+            assert defects == [adjunction_defect_oracle(h) for h in d.handles], family
+            assert defects == [r - t for r, t in zip(d.rot_vector, c)], family
 
 
 def test_is_canonical_examples():

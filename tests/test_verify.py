@@ -1,14 +1,23 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlink import invariants, legendrian
 from singlink.families import Cusp, Elliptic, SizeLimitExceeded
+from singlink.legendrian import SteinHandleDiagram, TwoHandleSpec, rotation_range
 from singlink.plumbing import intersection_matrix
 from singlink.sl2z import CycleWord
-from singlink.verify import suite_families, verify_family
+from singlink.verify import _adjunction_classes, suite_families, verify_family
 
-from helpers import counted_snf, verify_family_reference
+from helpers import (
+    counted_snf,
+    has_zero_defect_oracle,
+    is_canonical_oracle,
+    verify_family_reference,
+)
 
 
 def test_verify_family_checks_are_named():
@@ -111,3 +120,128 @@ def test_verify_refuses_before_it_reduces(monkeypatch):
     monkeypatch.setattr(invariants, "FamilyReduction", no_reduction)
     with pytest.raises(SizeLimitExceeded, match="more Stein diagrams than the limit"):
         verify_family(Cusp((3,) * 17))
+
+
+def assert_classes_match_oracles(family, diagrams):
+    """``is_canonical`` and the classes ``verify_family`` forms, against
+    the handle-by-handle oracles."""
+    rots, canonical, zero_defect = _adjunction_classes(family, diagrams)
+    assert rots == [d.rot_vector for d in diagrams], family
+    expected = [is_canonical_oracle(d) for d in diagrams]
+    assert [invariants.is_canonical(d) for d in diagrams] == expected, family
+    assert canonical == [d for d, ok in zip(diagrams, expected) if ok], family
+    assert zero_defect == [d for d in diagrams if has_zero_defect_oracle(d)], family
+
+
+def test_adjunction_classes_match_oracles_over_suite():
+    for family in suite_families():
+        assert_classes_match_oracles(family, legendrian.enumerate_stein_fillings(family))
+
+
+def test_adjunction_classes_match_oracles_on_mixed_diagrams():
+    # every handle at -s or +s, so all but the two canonical diagrams mix
+    # the two extremes; a zero-budget slot (n = 2) has -s = +s
+    families = (
+        Cusp(CycleWord((3, 4, 5))),
+        Cusp(CycleWord((2, 3, 2, 6))),
+        Cusp(CycleWord((4,))),
+        Cusp(CycleWord((3, 3, 3, 3, 3))),
+        Elliptic(4),
+    )
+    for family in families:
+        slots = family.handle_slots()
+        ranges = [rotation_range(tag, f) for tag, f in slots]
+        diagrams = [
+            SteinHandleDiagram(
+                family,
+                [TwoHandleSpec(tag, f, r[side]) for (tag, f), r, side in zip(slots, ranges, sides)],
+            )
+            for sides in itertools.product((0, -1), repeat=len(slots))
+        ]
+        assert_classes_match_oracles(family, diagrams)
+        assert sum(map(is_canonical_oracle, diagrams)) >= 1, family
+
+
+cusp_words = st.lists(st.integers(2, 6), min_size=1, max_size=6).filter(lambda w: max(w) >= 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cusp_words)
+def test_adjunction_classes_match_oracles_on_cusp_words(word):
+    family = Cusp(CycleWord(word))
+    assert_classes_match_oracles(family, legendrian.enumerate_stein_fillings(family))
+
+
+FILLING_CHECKS = (
+    "stein filling count",
+    "c1 evaluations pairwise distinct",
+    "adjunction uniqueness",
+)
+
+# each way of breaking the enumeration, and the filling checks it must fail
+ENUMERATION_MUTATIONS = {
+    "duplicate minimal": (
+        lambda fillings, minimal, maximal: fillings + (minimal,),
+        FILLING_CHECKS,
+    ),
+    "drop minimal": (
+        lambda fillings, minimal, maximal: tuple(d for d in fillings if d != minimal),
+        ("stein filling count", "adjunction uniqueness"),
+    ),
+    "drop maximal": (
+        lambda fillings, minimal, maximal: tuple(d for d in fillings if d != maximal),
+        ("stein filling count", "adjunction uniqueness"),
+    ),
+}
+
+
+def failed_checks(family):
+    return {name for name, passed in verify_family(family) if not passed}
+
+
+@pytest.mark.parametrize("mutation", sorted(ENUMERATION_MUTATIONS))
+def test_broken_enumeration_fails_exactly_its_checks(monkeypatch, mutation):
+    family = Cusp(CycleWord((3, 4, 5)))
+    names = [name for name, _ in verify_family(family)]
+    assert failed_checks(family) == set()
+    mutate, failing = ENUMERATION_MUTATIONS[mutation]
+    original = legendrian.enumerate_stein_fillings
+    minimal = legendrian.canonical_filling(family, "min")
+    maximal = legendrian.canonical_filling(family, "max")
+    monkeypatch.setattr(
+        legendrian,
+        "enumerate_stein_fillings",
+        lambda f: mutate(original(f), minimal, maximal),
+    )
+    assert [name for name, _ in verify_family(family)] == names
+    assert failed_checks(family) == set(failing)
+
+
+def test_shifted_adjunction_formula_fails_uniqueness(monkeypatch):
+    family = Cusp(CycleWord((3, 4, 5)))
+    original = invariants.adjunction_vector
+
+    def shifted(slots):
+        c = original(slots)
+        return (c[0] + 2,) + c[1:]
+
+    monkeypatch.setattr(invariants, "adjunction_vector", shifted)
+    assert failed_checks(family) == {"adjunction uniqueness"}
+
+
+def test_every_diagram_of_one_verify_call_is_checked(monkeypatch):
+    # each enumerated diagram and the two canonical fillings go through the
+    # constructor, and with it the check against the handle pattern
+    for family in (Cusp(CycleWord((3, 4, 5))), Elliptic(3), Cusp(CycleWord((2, 3)))):
+        count = len(legendrian.enumerate_stein_fillings(family))
+        built = []
+        original = SteinHandleDiagram.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[0])
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SteinHandleDiagram, "__init__", counting)
+        verify_family(family)
+        monkeypatch.undo()
+        assert built == [family] * (count + 2), family
