@@ -35,7 +35,7 @@ EXIT_UNSUPPORTED = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):  # the subparsers too: every flag has one spelling
+    def __init__(self, **kwargs):  # the subparsers too: no flag may be abbreviated
         super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):  # exit 1 instead of argparse's default 2
@@ -266,11 +266,10 @@ def _euler_payloads(reduction, diagrams) -> dict:
     return {s: rep.to_json_dict() for s, rep in zip(diagrams, reps)}
 
 
-def _d3_payloads(diagrams) -> dict:
-    from . import invariants
-
-    d3s = {s: invariants.d3_invariant(d) for s, d in diagrams.items()}
-    return {s: {"num": d3.numerator, "den": d3.denominator} for s, d3 in d3s.items()}
+def _d3_payloads(reduction, diagrams) -> dict:
+    """The d3 invariant of each canonical structure, from one reduction of Q."""
+    d3s = reduction.d3_invariants(diagrams.values())
+    return {s: {"num": d3.numerator, "den": d3.denominator} for s, d3 in zip(diagrams, d3s)}
 
 
 def _run_invariants(request):
@@ -280,21 +279,18 @@ def _run_invariants(request):
     family = request.family
     signs = (request.sign,) if request.sign else ("min", "max")
     diagrams = {s: legendrian.canonical_filling(family, s) for s in signs}
+    reduction = FamilyReduction(family)
     if request.euler or request.d3:
-        if request.euler:
-            payload = _euler_payloads(FamilyReduction(family), diagrams)
-        else:
-            payload = _d3_payloads(diagrams)
+        payload = (_euler_payloads if request.euler else _d3_payloads)(reduction, diagrams)
         if request.sign:
             payload = payload[request.sign]
         if request.fmt == "json":
             return EXIT_OK, payload
         return EXIT_OK, json.dumps(payload, sort_keys=True)
-    reduction = FamilyReduction(family)
     report = reduction.homology(family.monodromy(), family.openbook())
     euler = _euler_payloads(reduction, diagrams)
     try:
-        d3: dict | None = _d3_payloads(diagrams)
+        d3: dict | None = _d3_payloads(reduction, diagrams)
     except UnsupportedPresentation:
         d3 = None
     if request.fmt == "json":

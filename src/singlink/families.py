@@ -37,7 +37,7 @@ class SizeLimitExceeded(InvalidParameter):
 class UnsupportedPresentation(ValueError):
     """The family's presentation is not the linking matrix of the Stein
     diagram read as a contact surgery (a row per 1-handle and per 2-handle),
-    so ``invariants.d3_invariant`` cannot evaluate d3 on it."""
+    so ``invariants.FamilyReduction.d3_invariants`` cannot evaluate d3 on it."""
 
 
 class ChainUnknot(Record):

@@ -13,9 +13,10 @@ contact (+1)-surgery on a standard Legendrian unknot and each 2-handle as
 a (-1)-surgery: (c^2 - 3*sigma - 2*chi)/4 + q with q the 1-handle count,
 normalized so the standard tight 3-sphere has d3 = -1/2.
 
-``FamilyReduction(family)`` reduces Q once for both checks that rest on
-it, the Euler classes and the three-way H_1; ``euler_class`` and
-``homology_cross_check`` are one-call forms of its two methods.
+``FamilyReduction(family)`` reduces Q once for the three things that rest
+on it, the Euler classes, the d3 invariants and the three-way H_1;
+``euler_class``, ``d3_invariant`` and ``homology_cross_check`` are
+one-call forms of its three methods.
 """
 from __future__ import annotations
 
@@ -25,17 +26,9 @@ from operator import index
 from ._record import Record
 from .families import Family, UnsupportedPresentation
 from .legendrian import SteinHandleDiagram, TwoHandleSpec
-from .linalg import (
-    IntMatrix,
-    SnfResult,
-    dot,
-    mat_vec,
-    smith_normal_form,
-    solve_rational,
-    symmetric_signature,
-)
+from .linalg import IntMatrix, SnfResult, dot, mat_vec, smith_normal_form, symmetric_signature
 from .openbook import OpenBookDescription, openbook_homology
-from .plumbing import intersection_matrix
+from .plumbing import boundary_homology, intersection_matrix
 from .sl2z import Sl2Matrix
 
 __all__ = [
@@ -144,35 +137,9 @@ def _reduce_class(q: IntMatrix, snf: SnfResult, v: tuple[int, ...]) -> Cohomolog
 
 
 def d3_invariant(diagram: SteinHandleDiagram):
-    """d3 invariant, a Fraction, of the contact structure of the Stein diagram.
-
-    Each 1-handle is a contact (+1)-surgery on a standard Legendrian unknot
-    (tb -1, rot 0) and each 2-handle a (-1)-surgery, with the family's
-    presentation Q as the linking matrix of these components.  Evaluates
-    (c^2 - 3*sigma(Q) - 2*chi)/4 + q, where c is the rot vector with a zero
-    per 1-handle in front, chi = 1 + #components and q = #1-handles;
-    requires a torsion Chern class.  Q needs a row per component, as the
-    elliptic Borromean diag(0, 0, -n) has; a cusp presentation has rows for
-    the 2-handles only, so a cusp diagram raises UnsupportedPresentation.
-    """
-    family = diagram.family
-    q_matrix = family.presentation()
-    rot = (0,) * diagram.one_handle_count + diagram.rot_vector
-    if len(q_matrix) != len(rot):
-        raise UnsupportedPresentation(
-            f"{family.label} has no linking matrix for its {len(rot)} surgery components"
-        )
-    from fractions import Fraction  # after the refusal: a cusp report imports none
-
-    solution = solve_rational(q_matrix, rot)
-    if solution is None:
-        raise NonTorsionChernClass("Q x = rot has no rational solution")
-    # c^2 = x . rot for any rational solution x of Q x = rot: two solutions
-    # differ by a kernel vector, which pairs to zero with the image of Q.
-    c2 = Fraction(dot(solution, rot))
-    sigma = symmetric_signature(q_matrix)
-    chi = 1 + len(q_matrix)
-    return (c2 - 3 * sigma - 2 * chi) / 4 + diagram.one_handle_count
+    """d3 invariant, a Fraction, of the contact structure of the Stein
+    diagram: ``FamilyReduction.d3_invariants`` of the diagram alone."""
+    return FamilyReduction(diagram.family).d3_invariants((diagram,))[0]
 
 
 class HomologyAgreement(Record):
@@ -249,20 +216,64 @@ class FamilyReduction(Record):
             vectors.append(v)
         return tuple(_reduce_class(q, self.snf, v) for v in vectors)
 
+    def d3_invariants(self, diagrams) -> tuple:
+        """d3 invariant, a Fraction, of each Stein diagram of the family, all
+        from the one reduction of Q and one signature of it.
+
+        Each 1-handle is a contact (+1)-surgery on a standard Legendrian
+        unknot (tb -1, rot 0) and each 2-handle a (-1)-surgery, with Q as the
+        linking matrix of these components.  Evaluates (c^2 - 3*sigma(Q) -
+        2*chi)/4 + q, where c is the rot vector with a zero per 1-handle in
+        front, chi = 1 + #components and q = #1-handles; c^2 = x . c for any
+        rational solution x of Q x = c, since two solutions differ by a
+        kernel vector, which pairs to zero with the image of Q.  Requires a
+        torsion Chern class.  Q needs a row per component, as the elliptic
+        Borromean diag(0, 0, -n) has; a cusp presentation has rows for the
+        2-handles only, so a cusp raises UnsupportedPresentation.
+
+        >>> from singlink.families import Elliptic
+        >>> from singlink.legendrian import canonical_filling
+        >>> diagrams = [canonical_filling(Elliptic(5), sign) for sign in ("min", "max")]
+        >>> [str(d3) for d3 in FamilyReduction(Elliptic(5)).d3_invariants(diagrams)]
+        ['-1/2', '-1/2']
+        """
+        family, q = self.family, self.presentation
+        ones = family.one_handle_count
+        components = ones + len(family.handle_slots())
+        if components != len(q):
+            raise UnsupportedPresentation(
+                f"{family.label} has no linking matrix for its {components} surgery components"
+            )
+        from fractions import Fraction  # after the refusal: a cusp report imports none
+
+        sigma = symmetric_signature(q)
+        chi = 1 + len(q)
+        values = []
+        for diagram in diagrams:
+            rot = (0,) * ones + diagram.rot_vector
+            solution = self.snf.solve(rot, exact=False)
+            if solution is None:
+                raise NonTorsionChernClass("Q x = rot has no rational solution")
+            values.append((Fraction(dot(solution, rot)) - 3 * sigma - 2 * chi) / 4 + ones)
+        return tuple(values)
+
     def homology(self, monodromy: Sl2Matrix, book: OpenBookDescription) -> HomologyAgreement:
         """``homology_cross_check`` from the family's monodromy and open book.
 
         The three groups come from three different matrices: the graph's
         form, A - I and the open-book presentation.  The graph's form is Q
-        itself when Q is the plumbing form, and is reduced here otherwise.
+        itself when Q is the plumbing form, and ``boundary_homology``
+        reduces it otherwise.
         """
-        plumbing_form = self.family.presentation_is_plumbing_form
-        graph_snf = self.snf if plumbing_form else smith_normal_form(intersection_matrix(self.graph))
+        if self.family.presentation_is_plumbing_form:
+            plumbing = self.snf.cokernel(self.graph.boundary_free_rank())
+        else:
+            plumbing = boundary_homology(self.graph)
         a = monodromy
         delta = ((a.a - 1, a.b), (a.c, a.d - 1))
         return HomologyAgreement(
             self.family,
-            graph_snf.cokernel(self.graph.boundary_free_rank()),
+            plumbing,
             smith_normal_form(delta).cokernel(1),
             openbook_homology(book),
         )

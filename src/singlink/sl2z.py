@@ -61,17 +61,6 @@ class Sl2Matrix(Record):
     def trace(self) -> int:
         return self.a + self.d
 
-    def inverse(self) -> "Sl2Matrix":
-        return Sl2Matrix(self.d, -self.b, -self.c, self.a)
-
-    def __mul__(self, other: "Sl2Matrix") -> "Sl2Matrix":
-        return Sl2Matrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     def __str__(self) -> str:
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 

@@ -3,6 +3,7 @@
 ``verify_family`` recomputes every headline invariant of one family and
 cross-checks it against a closed form or an independent computation;
 ``suite_families`` lists the families the standard suite runs it on.
+Every check that rests on the presentation Q reads one reduction of it.
 """
 from __future__ import annotations
 
@@ -25,13 +26,14 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
 
     The open book and monodromy are built once per call, and one
     ``invariants.FamilyReduction`` reduces the presentation Q once for the
-    Euler classes, a cusp's plumbing H_1 and the elliptic d3 solves.  The
-    Stein filling checks compute the family's adjunction vector c once and
-    compare each diagram's whole rot vector with c and -c, with no call per
-    handle: the rot vectors must be pairwise distinct, the minimal
-    canonical filling must be the only diagram at c (zero adjunction defect
-    on every handle), and the two canonical fillings the only ones at c or
-    -c.  Nothing is kept between calls.
+    Euler classes, a cusp's plumbing H_1 and both elliptic d3 values, which
+    share one signature of Q.  The Stein filling checks compute the
+    family's adjunction vector c once and compare each diagram's whole rot
+    vector with c and -c, with no call per handle: the rot vectors must be
+    pairwise distinct, the minimal canonical filling must be the only
+    diagram at c (zero adjunction defect on every handle), and the two
+    canonical fillings the only ones at c or -c.  Nothing is kept between
+    calls.
 
     >>> all(passed for _, passed in verify_family(Elliptic(2)))
     True
@@ -102,8 +104,7 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
         base = reduction.snf.solve(rot, exact=False)
         independent = all(dot(k, rot) == 0 for k in reduction.snf.kernel_basis())
         checks.append(("d3 solution-choice independence", base is not None and independent))
-        d3_min = invariants.d3_invariant(minimal)
-        d3_max = invariants.d3_invariant(maximal)
+        d3_min, d3_max = reduction.d3_invariants((minimal, maximal))
         checks.append(("d3 computed for both signs", d3_min == d3_max))
     return checks
 

@@ -14,43 +14,62 @@ to l, d and e_1 on that basis, the matrix ``openbook_homology`` builds in
 one pass without it.  ``is_canonical_oracle`` and
 ``has_zero_defect_oracle`` decide adjunction equality handle by handle,
 where the library compares whole rot vectors with the adjunction vector.
+``d3_oracle`` evaluates d3 on one diagram alone, with its own
+presentation, rational solve and signature, where the library reads every
+diagram's d3 off the family's one reduction of Q.
 """
 import itertools
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from fractions import Fraction
 
 from singlink import invariants, legendrian, linalg, openbook
-from singlink.families import ChainUnknot, Cusp, Elliptic
+from singlink.families import ChainUnknot, Cusp, Elliptic, UnsupportedPresentation
 from singlink.legendrian import SteinHandleDiagram, TwoHandleSpec, rotation_range
-from singlink.linalg import SnfResult, determinant, dot, freeze, matmul, smith_normal_form
+from singlink.linalg import (
+    SnfResult,
+    determinant,
+    dot,
+    freeze,
+    matmul,
+    smith_normal_form,
+    solve_rational,
+    symmetric_signature,
+)
 from singlink.sl2z import CycleWord, cyclic_equal, factor_cycle
 
 
-@contextmanager
 def counted_snf():
     """Count smith_normal_form calls through every singlink name bound to it."""
-    calls = []
-    original = linalg.smith_normal_form
+    return counted_linalg("smith_normal_form")
 
-    def counting(matrix):
+
+@contextmanager
+def counted_linalg(name):
+    """Count calls of ``linalg.<name>`` through every singlink name bound to
+    it; the list holds each call's first argument, the matrix."""
+    calls = []
+    original = getattr(linalg, name)
+
+    def counting(matrix, *args):
         calls.append(matrix)
-        return original(matrix)
+        return original(matrix, *args)
 
     bound = [
-        (module, name)
+        (module, attr)
         for key, module in list(sys.modules.items())
         if key == "singlink" or key.startswith("singlink.")
-        for name, value in list(vars(module).items())
+        for attr, value in list(vars(module).items())
         if value is original
     ]
-    for module, name in bound:
-        setattr(module, name, counting)
+    for module, attr in bound:
+        setattr(module, attr, counting)
     try:
         yield calls
     finally:
-        for module, name in bound:
-            setattr(module, name, original)
+        for module, attr in bound:
+            setattr(module, attr, original)
 
 
 def mat2_mul(a, b):
@@ -283,6 +302,24 @@ def verify_family_reference(family):
         d3_max = invariants.d3_invariant(maximal)
         checks.append(("d3 computed for both signs", d3_min == d3_max))
     return checks
+
+
+def d3_oracle(diagram):
+    """d3 of one Stein diagram on its own: the family's presentation Q is
+    built for this diagram alone, solved over the rationals on the rot vector
+    with a zero per 1-handle in front, and its signature taken again.  The
+    value is (c^2 - 3*sigma - 2*chi)/4 + q with chi = 1 + len(Q) and q the
+    1-handle count; a Q without a row per component raises
+    UnsupportedPresentation."""
+    q = diagram.family.presentation()
+    rot = (0,) * diagram.one_handle_count + diagram.rot_vector
+    if len(q) != len(rot):
+        raise UnsupportedPresentation(f"{diagram.family.label}: {len(rot)} components")
+    solution = solve_rational(q, rot)
+    if solution is None:
+        raise invariants.NonTorsionChernClass("Q x = rot has no rational solution")
+    c2 = Fraction(dot(solution, rot))
+    return (c2 - 3 * symmetric_signature(q) - 2 * (1 + len(q))) / 4 + diagram.one_handle_count
 
 
 def stein_fillings_oracle(family):

@@ -26,7 +26,7 @@ from singlink.cli import (
 from singlink.families import Cusp, Elliptic
 from singlink.sl2z import Sl2Matrix
 
-from helpers import counted_snf
+from helpers import counted_linalg, counted_snf
 
 
 def run_cli(args):
@@ -240,14 +240,14 @@ def test_verify_suite_json_lists_failures(monkeypatch):
     assert code == EXIT_OK
     assert json.loads(payload) == {"passed": True, "families": 346, "failures": []}
     # make the two canonical d3 values of elliptic(3) differ
-    d3 = invariants.d3_invariant
+    d3_invariants = invariants.FamilyReduction.d3_invariants
 
-    def broken(diagram):
-        if diagram.family == Elliptic(3):
-            return Fraction(sum(diagram.rot_vector))
-        return d3(diagram)
+    def broken(self, diagrams):
+        if self.family == Elliptic(3):
+            return tuple(Fraction(sum(d.rot_vector)) for d in diagrams)
+        return d3_invariants(self, diagrams)
 
-    monkeypatch.setattr(invariants, "d3_invariant", broken)
+    monkeypatch.setattr(invariants.FamilyReduction, "d3_invariants", broken)
     code, payload = run_cli(["verify", "--suite", "--json"])
     assert code == EXIT_VERIFY_FAILED
     assert json.loads(payload) == {
@@ -501,15 +501,30 @@ def test_cusp_d3_exits_3_when_only_the_handler_imports_legendrian():
 def test_full_report_reduces_a_cusp_presentation_once():
     # a cusp's presentation is its plumbing form, so the plumbing H_1 and both
     # Euler classes share one reduction; the elliptic Borromean presentation
-    # is another matrix and keeps its own, as does each of its two d3 values
+    # is another matrix, reduced once for both Euler classes and both d3
+    # values, and the graph's 1 x 1 form keeps its own reduction
     for argv, shapes in (
         (["inv", "--cusp", "2,3,4", "--json"], [(3, 3), (2, 2), (3, 2)]),
-        (["inv", "--elliptic", "3", "--json"], [(3, 3), (1, 1), (2, 2), (3, 1), (3, 3), (3, 3)]),
+        (["inv", "--elliptic", "3", "--json"], [(3, 3), (1, 1), (2, 2), (3, 1)]),
     ):
         with counted_snf() as calls:
             code, _ = run_cli(argv)
         assert code == EXIT_OK
         assert [(len(m), len(m[0])) for m in calls] == shapes, argv
+
+
+def test_d3_call_reduces_q_once_and_takes_one_signature(capsys):
+    # both canonical d3 values come from one reduction of Q and one signature;
+    # a cusp is refused after its one reduction, before any signature
+    for argv, code, shapes, signatures in (
+        (["inv", "--elliptic", "3", "--d3"], EXIT_OK, [(3, 3)], 1),
+        (["inv", "--cusp", "2,3,4", "--d3"], EXIT_UNSUPPORTED, [(3, 3)], 0),
+    ):
+        with counted_snf() as snfs, counted_linalg("symmetric_signature") as sigmas:
+            assert main(argv) == code, argv
+        assert [(len(m), len(m[0])) for m in snfs] == shapes, argv
+        assert len(sigmas) == signatures, argv
+    capsys.readouterr()
 
 
 def test_json_outputs_are_sorted_and_newline_terminated():

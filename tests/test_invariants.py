@@ -6,6 +6,7 @@ from singlink import families
 from singlink.families import ChainUnknot, Cusp, Elliptic, EllipticCore, UnsupportedPresentation
 from singlink.invariants import (
     DimensionMismatch,
+    FamilyReduction,
     NonTorsionChernClass,
     adjunction_defect,
     adjunction_vector,
@@ -23,7 +24,7 @@ from singlink.legendrian import (
 from singlink.linalg import AbelianGroup, dot, mat_vec, smith_normal_form, solve_rational
 from singlink.sl2z import CycleWord, Sl2Matrix
 
-from helpers import adjunction_defect_oracle, suite_families
+from helpers import adjunction_defect_oracle, d3_oracle, suite_families
 
 
 def test_adjunction_defect_fixed():
@@ -183,6 +184,28 @@ def test_d3_matches_gompf_on_every_elliptic_filling():
     assert fillings == 65
 
 
+def test_d3_invariants_match_the_oracle_on_every_elliptic_filling():
+    fillings = 0
+    for n in range(1, 11):
+        family = Elliptic(n)
+        diagrams = enumerate_stein_fillings(family)
+        values = FamilyReduction(family).d3_invariants(diagrams)
+        assert values == tuple(map(d3_oracle, diagrams)), n
+        assert values == tuple(map(d3_invariant, diagrams)), n
+        fillings += len(diagrams)
+    assert fillings == 65
+
+
+def test_d3_invariants_on_the_canonical_fillings():
+    for n in [*range(1, 61), 10**30]:
+        family = Elliptic(n)
+        diagrams = [canonical_filling(family, sign) for sign in ("min", "max")]
+        values = FamilyReduction(family).d3_invariants(diagrams)
+        assert values == (Fraction(3 - n, 4),) * 2, n
+        assert values == tuple(map(d3_oracle, diagrams)), n
+        assert values == tuple(map(d3_invariant, diagrams)), n
+
+
 def test_d3_solution_choice_independent():
     for n in (1, 4, 9):
         diagram = canonical_filling(Elliptic(n), "min")
@@ -198,11 +221,20 @@ def test_d3_solution_choice_independent():
 def test_d3_unsupported_for_plumbing_presentation():
     # the cusp presentation has no row for the 1-handle's (+1)-surgery, so
     # it is not the linking matrix of the surgery components and no d3 is
-    # produced
-    diagram = canonical_filling(Cusp(CycleWord((2, 2, 3))), "min")
+    # produced, by the one-call form or the method, for any diagram list
+    family = Cusp(CycleWord((2, 2, 3)))
+    diagram = canonical_filling(family, "min")
     with pytest.raises(UnsupportedPresentation) as raised:
         d3_invariant(diagram)
     assert raised.type is families.UnsupportedPresentation
+    message = "cusp(2,2,3) has no linking matrix for its 4 surgery components"
+    assert str(raised.value) == message
+    for diagrams in ((diagram,), ()):
+        with pytest.raises(UnsupportedPresentation) as raised:
+            FamilyReduction(family).d3_invariants(diagrams)
+        assert str(raised.value) == message
+    with pytest.raises(UnsupportedPresentation):
+        d3_oracle(diagram)
 
 
 def test_d3_rejects_non_torsion_chern_class(monkeypatch):

@@ -13,6 +13,7 @@ from singlink.sl2z import CycleWord
 from singlink.verify import _adjunction_classes, suite_families, verify_family
 
 from helpers import (
+    counted_linalg,
     counted_snf,
     has_zero_defect_oracle,
     is_canonical_oracle,
@@ -39,7 +40,9 @@ def test_d3_check_compares_both_signs(monkeypatch):
     assert checks["d3 computed for both signs"] is True
     # a d3 that differs between the two canonical structures must fail the check
     monkeypatch.setattr(
-        invariants, "d3_invariant", lambda diagram: Fraction(sum(diagram.rot_vector))
+        invariants.FamilyReduction,
+        "d3_invariants",
+        lambda self, diagrams: tuple(Fraction(sum(d.rot_vector)) for d in diagrams),
     )
     checks = dict(verify_family(Elliptic(3)))
     assert checks["d3 computed for both signs"] is False
@@ -47,15 +50,17 @@ def test_d3_check_compares_both_signs(monkeypatch):
 
 
 def test_one_snf_per_pair_of_euler_classes():
-    for family, expected in (
-        (Cusp(CycleWord((2, 3, 4))), 3),
-        (Cusp(CycleWord((3,))), 3),
-        (Elliptic(3), 6),
+    # the elliptic d3 values share Q's reduction and take one signature of it
+    for family, expected, signatures in (
+        (Cusp(CycleWord((2, 3, 4))), 3, 0),
+        (Cusp(CycleWord((3,))), 3, 0),
+        (Elliptic(3), 4, 1),
     ):
-        with counted_snf() as calls:
+        with counted_snf() as calls, counted_linalg("symmetric_signature") as sigmas:
             checks = verify_family(family)
         assert all(ok for _, ok in checks)
         assert len(calls) == expected, family
+        assert len(sigmas) == signatures, family
 
 
 def test_euler_classes_match_euler_class_over_suite():
@@ -101,8 +106,8 @@ def test_family_objects_built_by_one_verify_call(monkeypatch):
         if cls is Cusp:
             assert "presentation" not in calls  # the graph's form is the cusp presentation
         else:
-            # one for the Euler classes, one per canonical d3
-            assert calls["presentation"] == 3
+            # one reduction for the Euler classes and both canonical d3 values
+            assert calls["presentation"] == 1
 
 
 def test_cusp_presentation_is_the_plumbing_form():
