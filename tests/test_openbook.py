@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from singlink import openbook
 from singlink.families import Cusp, Elliptic, InvalidParameter, SizeLimitExceeded
 from singlink.invariants import FamilyReduction
-from singlink.linalg import AbelianGroup, matmul, smith_normal_form
+from singlink.linalg import AbelianGroup, dot, matmul, smith_normal_form
 from singlink.openbook import (
     DeltaCurve,
     GammaCurve,
@@ -325,17 +325,30 @@ def test_relation_that_does_not_eliminate_its_generator_raises(change):
         openbook_homology(ob)
 
 
-def test_gamma_reordering_changes_nothing():
-    # every gamma lies in the radical of the page form, so where the gammas
-    # stand in the word does not change the monodromy action
-    for entries in [(4, 4), (3, 2, 4), (5,)]:
+def test_twist_curves_pair_to_zero():
+    # the precondition of the closed form in homological_monodromy_action:
+    # any two twist-curve classes pair to 0, so the twists commute
+    families = suite_families() + [Elliptic(n) for n in range(1, 21)]
+    families += [Cusp(word) for word in oracle_cusp_words()]
+    for family in families:
+        data = curve_homology_classes(family.openbook())
+        form = data.intersection_form
+        classes = list(data.curve_classes.values())
+        for c in classes:
+            jc = [dot(row, c) for row in form]
+            assert all(dot(x, jc) == 0 for x in classes), family.label
+
+
+def test_every_twist_order_gives_the_closed_form():
+    # the twists commute, so the ordered product over every permutation of
+    # the whole twist word, deltas included, is the one closed form
+    for entries in [(4, 4), (3, 2, 4), (5,), (2, 3, 2, 4)]:
         ob = Cusp(CycleWord(entries)).openbook()
-        page = curve_homology_classes(ob)
-        deltas = tuple(c for c in ob.twist_word if isinstance(c, DeltaCurve))
-        gammas = [c for c in ob.twist_word if isinstance(c, GammaCurve)]
-        columns = openbook._twisted_columns(page, ob.twist_word)
-        for perm in itertools.permutations(gammas):
-            assert openbook._twisted_columns(page, deltas + perm) == columns
+        data = curve_homology_classes(ob)
+        form, phi = data.intersection_form, homological_monodromy_action(ob)
+        for perm in itertools.permutations(ob.twist_word):
+            classes = [data.curve_classes[c] for c in perm]
+            assert transvection_product_oracle(form, classes) == phi
 
 
 def test_boundary_limit_is_checked_before_the_page(monkeypatch):
