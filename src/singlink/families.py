@@ -1,7 +1,7 @@
 """The two link families everything downstream is indexed by.
 
 Each family knows its label, JSON form, monodromy, plumbing graph, open
-book page, presentation matrix and Stein handle pattern; outside the
+book page and Stein handle pattern (Q is read off the graph); outside the
 family-specific checks of verify.py, no module tests which family it holds.
 """
 from __future__ import annotations
@@ -35,9 +35,9 @@ class SizeLimitExceeded(InvalidParameter):
 
 
 class UnsupportedPresentation(ValueError):
-    """The family's presentation is not the linking matrix of the Stein
-    diagram read as a contact surgery (a row per 1-handle and per 2-handle),
-    so ``invariants.FamilyReduction.d3_invariants`` cannot evaluate d3 on it."""
+    """Q has no row for a cusp's cycle 1-handle, so it is not the contact
+    surgery linking matrix (a row per 1-handle and per 2-handle) that
+    ``invariants.FamilyReduction.d3_invariants`` evaluates d3 on."""
 
 
 class ChainUnknot(Record):
@@ -69,7 +69,6 @@ class Elliptic(Record):
 
     __slots__ = ("n",)
     one_handle_count = 2
-    presentation_is_plumbing_form = False  # Q has rows for the 1-handles
 
     def __init__(self, n: int):
         n = index(n)
@@ -104,11 +103,6 @@ class Elliptic(Record):
         page: one piece with n boundaries, not cut along any delta."""
         return 0, (self.n,)
 
-    def presentation(self) -> tuple[tuple[int, ...], ...]:
-        """Borromean linking matrix diag(0, 0, -n): the two 0-framed
-        components are the 1-handles, the last one the 2-handle."""
-        return ((0, 0, 0), (0, 0, 0), (0, 0, -self.n))
-
     def handle_slots(self) -> tuple[tuple[HandleTag, int], ...]:
         """(tag, smooth framing) of each Stein 2-handle."""
         return ((EllipticCore(), -self.n),)
@@ -119,7 +113,6 @@ class Cusp(Record):
 
     __slots__ = ("word",)
     one_handle_count = 1
-    presentation_is_plumbing_form = True
 
     def __init__(self, word: CycleWord):
         if not isinstance(word, CycleWord):
@@ -158,12 +151,6 @@ class Cusp(Record):
         """(delta curves, boundaries on each planar piece) of the open-book
         page: k deltas cut it into k pieces, piece i with n_i - 2 boundaries."""
         return len(self.word), tuple(n - 2 for n in self.word)
-
-    def presentation(self) -> tuple[tuple[int, ...], ...]:
-        """The plumbing intersection matrix, one row per 2-handle."""
-        from .plumbing import intersection_matrix
-
-        return intersection_matrix(self.graph())
 
     def handle_slots(self) -> tuple[tuple[HandleTag, int], ...]:
         """(tag, smooth framing) of each Stein 2-handle."""

@@ -28,7 +28,7 @@ from .families import Family, UnsupportedPresentation
 from .legendrian import SteinHandleDiagram, TwoHandleSpec
 from .linalg import IntMatrix, SnfResult, dot, mat_vec, smith_normal_form, symmetric_signature
 from .openbook import OpenBookDescription, openbook_homology
-from .plumbing import boundary_homology, intersection_matrix
+from .plumbing import presentation_matrix
 from .sl2z import Sl2Matrix
 
 __all__ = [
@@ -176,10 +176,10 @@ def homology_cross_check(family: Family) -> HomologyAgreement:
 class FamilyReduction(Record):
     """The family's presentation Q with its Smith normal form, made once.
 
-    The plumbing graph is built once; when Q is the graph's form (a cusp),
-    Q is read off it, so ``Cusp.presentation()`` never rebuilds the graph.
-    The open book and the monodromy are not built here: a caller that
-    needs them passes them to ``homology``.
+    The plumbing graph is built once and Q is read off it by
+    ``plumbing.presentation_matrix``, the same way for both families.  The
+    open book and the monodromy are not built here: a caller that needs
+    them passes them to ``homology``.
 
     >>> from singlink.families import Cusp
     >>> reduction = FamilyReduction(Cusp((2, 3)))
@@ -194,8 +194,7 @@ class FamilyReduction(Record):
 
     def __init__(self, family: Family):
         graph = family.graph()
-        plumbing_form = family.presentation_is_plumbing_form
-        q = intersection_matrix(graph) if plumbing_form else family.presentation()
+        q = presentation_matrix(graph)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "presentation", q)
@@ -227,9 +226,9 @@ class FamilyReduction(Record):
         front, chi = 1 + #components and q = #1-handles; c^2 = x . c for any
         rational solution x of Q x = c, since two solutions differ by a
         kernel vector, which pairs to zero with the image of Q.  Requires a
-        torsion Chern class.  Q needs a row per component, as the elliptic
-        Borromean diag(0, 0, -n) has; a cusp presentation has rows for the
-        2-handles only, so a cusp raises UnsupportedPresentation.
+        torsion Chern class.  Q needs a row per component: it has one per
+        genus 1-handle, as in the elliptic diag(0, 0, -n), but none for a
+        cusp's cycle 1-handle, so a cusp raises UnsupportedPresentation.
 
         >>> from singlink.families import Elliptic
         >>> from singlink.legendrian import canonical_filling
@@ -260,15 +259,11 @@ class FamilyReduction(Record):
     def homology(self, monodromy: Sl2Matrix, book: OpenBookDescription) -> HomologyAgreement:
         """``homology_cross_check`` from the family's monodromy and open book.
 
-        The three groups come from three different matrices: the graph's
-        form, A - I and the open-book presentation.  The graph's form is Q
-        itself when Q is the plumbing form, and ``boundary_homology``
-        reduces it otherwise.
+        The three groups come from three different matrices: Q, A - I and
+        the open-book presentation.  Q's genus rows give the plumbing H_1
+        all its free rank but the graph's first Betti number.
         """
-        if self.family.presentation_is_plumbing_form:
-            plumbing = self.snf.cokernel(self.graph.boundary_free_rank())
-        else:
-            plumbing = boundary_homology(self.graph)
+        plumbing = self.snf.cokernel(self.graph.first_betti())
         a = monodromy
         delta = ((a.a - 1, a.b), (a.c, a.d - 1))
         return HomologyAgreement(

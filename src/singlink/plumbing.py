@@ -4,7 +4,7 @@ Cusp links live on a circular plumbing of spheres (a loop with one vertex
 when k = 1, a double edge when k = 2); simple elliptic links on a single
 genus-one vertex.  The intersection matrix follows the usual plumbing
 calculus: diagonal = Euler weight plus twice the loop count, off-diagonal
-= edge multiplicity.
+= edge multiplicity; a family's presentation matrix pads it with genus rows.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ __all__ = [
     "PlumbingGraph",
     "SurgeryDescription",
     "intersection_matrix",
+    "presentation_matrix",
     "boundary_homology",
     "smooth_surgery_description",
 ]
@@ -131,6 +132,21 @@ def intersection_matrix(graph: PlumbingGraph) -> IntMatrix:
     return tuple(tuple(row) for row in q)
 
 
+def presentation_matrix(graph: PlumbingGraph) -> IntMatrix:
+    """Linking matrix Q of the plumbing's Stein diagram: a genus-g vertex is
+    drawn with 2g dotted circles its 2-handle links zero times, so Q is
+    2 * total genus zero rows and columns, then the intersection form.  A
+    cycle of the graph, the 1-handle of a cusp, gets no row.
+
+    >>> from singlink.families import Elliptic
+    >>> presentation_matrix(Elliptic(4).graph())
+    ((0, 0, 0), (0, 0, 0), (0, 0, -4))
+    """
+    form = intersection_matrix(graph)
+    zeros = (0,) * (2 * graph.total_genus())
+    return (zeros + (0,) * len(form),) * len(zeros) + tuple(zeros + row for row in form)
+
+
 def boundary_homology(graph: PlumbingGraph) -> AbelianGroup:
     """First homology of the plumbed 3-manifold boundary.
 
@@ -198,8 +214,8 @@ def smooth_surgery_description(family: Family) -> SurgeryDescription:
     with framings (0, 0, -n) (elliptic).
 
     The picture follows from the tag of the first 2-handle, and the framings
-    are the diagonal of the family's presentation matrix."""
+    are the diagonal of ``presentation_matrix(family.graph())``."""
     kind, notes = _SURGERY_PICTURES[type(family.handle_slots()[0][0])]
-    q = family.presentation()
+    q = presentation_matrix(family.graph())
     framings = tuple(q[i][i] for i in range(len(q)))
     return SurgeryDescription(kind, framings, notes, family.to_json_dict())

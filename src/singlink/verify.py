@@ -26,11 +26,12 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
 
     The open book and monodromy are built once per call, and one
     ``invariants.FamilyReduction`` reduces the presentation Q once for the
-    Euler classes, a cusp's plumbing H_1 and both elliptic d3 values, which
+    Euler classes, the plumbing H_1 and both elliptic d3 values, which
     share one signature of Q.  The Stein filling checks compute the
     family's adjunction vector c once and compare each diagram's whole rot
-    vector with c and -c, with no call per handle: the rot vectors must be
-    pairwise distinct, the minimal canonical filling must be the only
+    vector with c and -c, with no call per handle: the rot vectors must
+    strictly increase in the enumeration's lexicographic order (so they are
+    pairwise distinct), the minimal canonical filling must be the only
     diagram at c (zero adjunction defect on every handle), and the two
     canonical fillings the only ones at c or -c.  Nothing is kept between
     calls.
@@ -78,7 +79,8 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     maximal = legendrian.canonical_filling(family, "max")
     rots, canonical, zero_defect = _adjunction_classes(family, fillings)
     checks.append(("stein filling count", len(fillings) == expected_count))
-    checks.append(("c1 evaluations pairwise distinct", len(set(rots)) == len(fillings)))
+    increasing = all(a < b for a, b in itertools.pairwise(rots))
+    checks.append(("c1 evaluations pairwise distinct", increasing))
     checks.append(
         (
             "canonical rot vectors are negatives",

@@ -14,9 +14,11 @@ to l, d and e_1 on that basis, the matrix ``openbook_homology`` builds in
 one pass without it.  ``is_canonical_oracle`` and
 ``has_zero_defect_oracle`` decide adjunction equality handle by handle,
 where the library compares whole rot vectors with the adjunction vector.
-``d3_oracle`` evaluates d3 on one diagram alone, with its own
-presentation, rational solve and signature, where the library reads every
-diagram's d3 off the family's one reduction of Q.
+``presentation_oracle`` writes each family's presentation matrix Q out
+from the family's own parameters, where the library reads Q off the
+plumbing graph.  ``d3_oracle`` evaluates d3 on one diagram alone, with that
+presentation, its own rational solve and signature, where the library
+reads every diagram's d3 off the family's one reduction of Q.
 """
 import itertools
 import sys
@@ -230,6 +232,26 @@ def dense_snf_check_oracle(m, snf):
     return matmul(matmul(snf.u, m), snf.v) == snf.diag
 
 
+def presentation_oracle(family):
+    """The family's presentation matrix Q from its parameters alone.
+
+    Elliptic(n) is the Borromean diag(0, 0, -n): two 0-framed rows for the
+    1-handles, then the 2-handle.  A cusp word n_1, ..., n_k is the circular
+    form: -n_i on the diagonal and 1 added at (i, i + 1) and (i + 1, i),
+    indices mod k, so k = 2 puts 2 off the diagonal and k = 1 gives -n + 2.
+    """
+    if isinstance(family, Elliptic):
+        return ((0, 0, 0), (0, 0, 0), (0, 0, -family.n))
+    word = tuple(family.word)
+    k = len(word)
+    q = [[0] * k for _ in range(k)]
+    for i, n in enumerate(word):
+        q[i][i] -= n
+        q[i][(i + 1) % k] += 1
+        q[(i + 1) % k][i] += 1
+    return tuple(map(tuple, q))
+
+
 def verify_family_reference(family):
     """``verify_family`` assembled from the public one-family entry points:
     ``homology_cross_check`` and each ``euler_class`` call build the
@@ -244,7 +266,7 @@ def verify_family_reference(family):
         word = family.word
         checks.append(("monodromy is hyperbolic of trace >= 3", a.trace >= 3))
         checks.append(("factorization roundtrip", cyclic_equal(factor_cycle(a), word)))
-        q = family.presentation()
+        q = presentation_oracle(family)
         checks.append(("det identity |det Q| = trace - 2", abs(determinant(q)) == a.trace - 2))
         count = 1
         for n in word:
@@ -294,7 +316,7 @@ def verify_family_reference(family):
     )
     if isinstance(family, Elliptic):
         rot = (0,) * minimal.one_handle_count + minimal.rot_vector
-        snf = smith_normal_form(family.presentation())
+        snf = smith_normal_form(presentation_oracle(family))
         base = snf.solve(rot, exact=False)
         independent = all(dot(k, rot) == 0 for k in snf.kernel_basis())
         checks.append(("d3 solution-choice independence", base is not None and independent))
@@ -305,13 +327,14 @@ def verify_family_reference(family):
 
 
 def d3_oracle(diagram):
-    """d3 of one Stein diagram on its own: the family's presentation Q is
-    built for this diagram alone, solved over the rationals on the rot vector
-    with a zero per 1-handle in front, and its signature taken again.  The
+    """d3 of one Stein diagram on its own: ``presentation_oracle`` of its
+    family is built for this diagram alone, solved over the rationals on the
+    rot vector with a zero per 1-handle in front, and its signature taken
+    again.  The
     value is (c^2 - 3*sigma - 2*chi)/4 + q with chi = 1 + len(Q) and q the
     1-handle count; a Q without a row per component raises
     UnsupportedPresentation."""
-    q = diagram.family.presentation()
+    q = presentation_oracle(diagram.family)
     rot = (0,) * diagram.one_handle_count + diagram.rot_vector
     if len(q) != len(rot):
         raise UnsupportedPresentation(f"{diagram.family.label}: {len(rot)} components")

@@ -21,7 +21,7 @@ from singlink.linalg import determinant, dot, mat_vec, smith_normal_form, solve_
 from singlink.plumbing import intersection_matrix
 from singlink.sl2z import cycle_monodromy, cyclic_equal, factor_cycle
 
-from helpers import suite_cusp_words, suite_families
+from helpers import presentation_oracle, suite_cusp_words, suite_families
 
 
 @contextmanager
@@ -132,7 +132,7 @@ def test_criterion_08_d3_invariant():
         assert d3_invariant(canonical_filling(Elliptic(1), "min")) == Fraction(1, 2)
         for n in range(1, 11):
             values = {}
-            q = Elliptic(n).presentation()
+            q = presentation_oracle(Elliptic(n))
             for sign in ("min", "max"):
                 diagram = canonical_filling(Elliptic(n), sign)
                 values[sign] = d3_invariant(diagram)

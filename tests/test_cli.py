@@ -499,13 +499,12 @@ def test_cusp_d3_exits_3_when_only_the_handler_imports_legendrian():
 
 
 def test_full_report_reduces_a_cusp_presentation_once():
-    # a cusp's presentation is its plumbing form, so the plumbing H_1 and both
-    # Euler classes share one reduction; the elliptic Borromean presentation
-    # is another matrix, reduced once for both Euler classes and both d3
-    # values, and the graph's 1 x 1 form keeps its own reduction
+    # Q is read off the plumbing graph for both families, so the plumbing
+    # H_1, both Euler classes and both elliptic d3 values share its one
+    # reduction; then A - I and the open-book presentation
     for argv, shapes in (
         (["inv", "--cusp", "2,3,4", "--json"], [(3, 3), (2, 2), (3, 2)]),
-        (["inv", "--elliptic", "3", "--json"], [(3, 3), (1, 1), (2, 2), (3, 1)]),
+        (["inv", "--elliptic", "3", "--json"], [(3, 3), (2, 2), (3, 1)]),
     ):
         with counted_snf() as calls:
             code, _ = run_cli(argv)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from singlink import families
+from singlink import families, invariants
 from singlink.families import ChainUnknot, Cusp, Elliptic, EllipticCore, UnsupportedPresentation
 from singlink.invariants import (
     DimensionMismatch,
@@ -22,9 +22,10 @@ from singlink.legendrian import (
     enumerate_stein_fillings,
 )
 from singlink.linalg import AbelianGroup, dot, mat_vec, smith_normal_form, solve_rational
+from singlink.plumbing import boundary_homology
 from singlink.sl2z import CycleWord, Sl2Matrix
 
-from helpers import adjunction_defect_oracle, d3_oracle, suite_families
+from helpers import adjunction_defect_oracle, d3_oracle, presentation_oracle, suite_families
 
 
 def test_adjunction_defect_fixed():
@@ -98,11 +99,6 @@ def test_c1_vectors_pairwise_distinct():
         assert len(set(vectors)) == len(vectors)
 
 
-def test_family_presentation():
-    assert Elliptic(4).presentation() == ((0, 0, 0), (0, 0, 0), (0, 0, -4))
-    assert Cusp(CycleWord((2, 3))).presentation() == ((-2, 2), (2, -3))
-
-
 def test_euler_class_fixed():
     rep = euler_class(Cusp(CycleWord((2, 2, 3))), (0, 0, -1))
     assert rep.is_zero and rep.order == 1
@@ -135,7 +131,7 @@ def test_euler_class_dimension_mismatch():
 
 def test_euler_reduced_form_invariance():
     family = Cusp(CycleWord((3, 4)))
-    q = family.presentation()
+    q = presentation_oracle(family)
     base = (1, -1)
     rep = euler_class(family, base)
     for combo in [(1, 0), (0, 1), (2, -3)]:
@@ -147,7 +143,7 @@ def test_euler_reduced_form_invariance():
 
 def test_euler_canonical_vanishes_with_unit_witnesses():
     for family in suite_families():
-        k = len(family.presentation())
+        k = len(presentation_oracle(family))
         for sign, unit in (("min", 1), ("max", -1)):
             diagram = canonical_filling(family, sign)
             rep = euler_class(family, diagram.rot_vector)
@@ -209,7 +205,7 @@ def test_d3_invariants_on_the_canonical_fillings():
 def test_d3_solution_choice_independent():
     for n in (1, 4, 9):
         diagram = canonical_filling(Elliptic(n), "min")
-        q = diagram.family.presentation()
+        q = presentation_oracle(diagram.family)
         rot = (0,) * diagram.one_handle_count + diagram.rot_vector
         x = solve_rational(q, rot)
         for kernel_vector in smith_normal_form(q).kernel_basis():
@@ -239,9 +235,29 @@ def test_d3_unsupported_for_plumbing_presentation():
 
 def test_d3_rejects_non_torsion_chern_class(monkeypatch):
     # with Q = diag(0, 0, 0), Q x = (0, 0, -3) has no rational solution
-    monkeypatch.setattr(Elliptic, "presentation", lambda self: ((0, 0, 0),) * 3)
+    monkeypatch.setattr(invariants, "presentation_matrix", lambda graph: ((0, 0, 0),) * 3)
     with pytest.raises(NonTorsionChernClass):
         d3_invariant(canonical_filling(Elliptic(3), "min"))
+
+
+def test_padded_presentation_agrees_with_the_plumbing_route():
+    # Q carries 2 * genus zero rows, so its cokernel plus the graph's first
+    # Betti number is the boundary H_1 that boundary_homology reads off the
+    # unpadded form plus boundary_free_rank; the 1-handles are the zero rows
+    # and the graph's cycles, and since a cycle gets no row of Q, d3 is
+    # refused exactly when the graph has one
+    for family in [*suite_families(), *(Elliptic(n) for n in range(1, 41))]:
+        reduction = FamilyReduction(family)
+        graph = reduction.graph
+        report = reduction.homology(family.monodromy(), family.openbook())
+        assert report.plumbing == boundary_homology(graph), family
+        assert family.one_handle_count == graph.boundary_free_rank(), family
+        diagrams = (canonical_filling(family, "min"),)
+        if graph.first_betti() > 0:
+            with pytest.raises(UnsupportedPresentation):
+                reduction.d3_invariants(diagrams)
+        else:
+            assert reduction.d3_invariants(diagrams) == (Fraction(3 - family.n, 4),)
 
 
 def test_elliptic_monodromy_convention():

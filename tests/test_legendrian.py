@@ -24,6 +24,7 @@ from singlink.legendrian import (
     rotation_range,
     tb_max,
 )
+from singlink.plumbing import presentation_matrix
 from singlink.sl2z import CycleWord
 
 from helpers import cusp_words, stein_fillings_oracle, suite_families
@@ -266,7 +267,7 @@ def test_contact_surgery_elliptic_frozen():
     (handle,) = diagram.handles
     assert diagram.one_handle_count == 2
     assert (handle.tb, handle.rot, handle.smooth_framing) == (0, -1, -1)
-    assert diagram.family.presentation() == ((0, 0, 0), (0, 0, 0), (0, 0, -1))
+    assert presentation_matrix(diagram.family.graph()) == ((0, 0, 0), (0, 0, 0), (0, 0, -1))
     # c^2 = -1, sigma = -1, chi = 4 and q = 2
     assert d3_invariant(diagram) == Fraction(-1 + 3 - 8, 4) + 2
 
@@ -285,7 +286,7 @@ def test_plus_components_match_one_handles():
     # as a (+1)-surgery on a standard unknot, ahead of a row per 2-handle
     for family in [Elliptic(n) for n in range(1, 11)]:
         diagram = canonical_filling(family, "min")
-        q = family.presentation()
+        q = presentation_matrix(family.graph())
         assert len(q) == diagram.one_handle_count + len(diagram.handles)
         assert all(q[i][i] == 0 for i in range(diagram.one_handle_count))
 

@@ -11,11 +11,12 @@ from singlink.plumbing import (
     PlumbingVertex,
     boundary_homology,
     intersection_matrix,
+    presentation_matrix,
     smooth_surgery_description,
 )
 from singlink.sl2z import CycleWord, cycle_monodromy
 
-from helpers import cusp_words, det_cofactor
+from helpers import cusp_words, det_cofactor, presentation_oracle, suite_families
 
 
 def test_cusp_graph_shapes():
@@ -65,7 +66,7 @@ def test_vertex_limit_is_checked_before_the_matrix(monkeypatch):
         intersection_matrix(long_graph)
     for family in (Cusp(CycleWord((2, 2, 2, 3))), Cusp(CycleWord((2,) * 10**4 + (3,)))):
         with pytest.raises(SizeLimitExceeded):
-            family.presentation()
+            presentation_matrix(family.graph())
         assert len(family.graph().vertices) == len(family.word)  # the graph still builds
 
 
@@ -84,6 +85,18 @@ def test_intersection_matrix_fixed():
     assert intersection_matrix(Cusp(CycleWord((2, 3))).graph()) == ((-2, 2), (2, -3))
     for n in (1, 5, 10):
         assert intersection_matrix(Elliptic(n).graph()) == ((-n,),)
+
+
+def test_presentation_matrix_matches_oracle():
+    # 2 * genus zero rows and columns, then the intersection form
+    for family in [*suite_families(), *(Elliptic(n) for n in range(1, 41))]:
+        assert presentation_matrix(family.graph()) == presentation_oracle(family), family
+    graph = PlumbingGraph((PlumbingVertex(-3, genus=2), PlumbingVertex(-2)), ((0, 1),))
+    zero = (0,) * 6
+    assert presentation_matrix(graph) == (zero,) * 4 + (
+        (0, 0, 0, 0, -3, 1),
+        (0, 0, 0, 0, 1, -2),
+    )
 
 
 def test_intersection_matrix_symmetric_with_negative_diagonal():

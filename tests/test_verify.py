@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from singlink import invariants, legendrian
 from singlink.families import Cusp, Elliptic, SizeLimitExceeded
 from singlink.legendrian import SteinHandleDiagram, TwoHandleSpec, rotation_range
-from singlink.plumbing import intersection_matrix
 from singlink.sl2z import CycleWord
 from singlink.verify import _adjunction_classes, suite_families, verify_family
 
@@ -54,7 +53,7 @@ def test_one_snf_per_pair_of_euler_classes():
     for family, expected, signatures in (
         (Cusp(CycleWord((2, 3, 4))), 3, 0),
         (Cusp(CycleWord((3,))), 3, 0),
-        (Elliptic(3), 4, 1),
+        (Elliptic(3), 3, 1),
     ):
         with counted_snf() as calls, counted_linalg("symmetric_signature") as sigmas:
             checks = verify_family(family)
@@ -91,7 +90,7 @@ def test_repeated_calls_run_the_same_snfs():
 def test_family_objects_built_by_one_verify_call(monkeypatch):
     for cls, family in ((Cusp, Cusp(CycleWord((2, 3, 4)))), (Elliptic, Elliptic(3))):
         calls = {}
-        for name in ("openbook", "monodromy", "graph", "presentation"):
+        for name in ("openbook", "monodromy", "graph"):
             original = getattr(cls, name)
 
             def counting(self, _name=name, _original=original):
@@ -101,19 +100,25 @@ def test_family_objects_built_by_one_verify_call(monkeypatch):
             monkeypatch.setattr(cls, name, counting)
         verify_family(family)
         monkeypatch.undo()
+        # Q is read off the one graph, for the Euler classes, the plumbing
+        # H_1 and both canonical d3 values
         assert calls["monodromy"] == calls["graph"] == 1, family
         assert calls["openbook"] == 1, family
-        if cls is Cusp:
-            assert "presentation" not in calls  # the graph's form is the cusp presentation
-        else:
-            # one reduction for the Euler classes and both canonical d3 values
-            assert calls["presentation"] == 1
 
 
-def test_cusp_presentation_is_the_plumbing_form():
-    for family in suite_families():
-        is_form = family.presentation() == intersection_matrix(family.graph())
-        assert family.presentation_is_plumbing_form is is_form, family
+def test_c1_distinct_check_sees_a_repeat_and_a_swap(monkeypatch):
+    # the check reads strictly increasing rot vectors in enumeration order,
+    # so a repeated diagram fails it, and so does a swapped pair, whose rot
+    # vectors are still pairwise distinct
+    family = Cusp(CycleWord((2, 3, 4)))
+    check = "c1 evaluations pairwise distinct"
+    fillings = legendrian.enumerate_stein_fillings(family)
+    assert dict(verify_family(family))[check]
+    swapped = (fillings[1], fillings[0], *fillings[2:])
+    assert len({d.rot_vector for d in swapped}) == len(swapped)
+    for altered in ((*fillings[:2], *fillings[1:]), swapped):
+        monkeypatch.setattr(legendrian, "enumerate_stein_fillings", lambda f, _d=altered: _d)
+        assert not dict(verify_family(family))[check]
 
 
 def test_verify_refuses_before_it_reduces(monkeypatch):
