@@ -22,7 +22,7 @@ from singlink.legendrian import (
     enumerate_stein_fillings,
 )
 from singlink.linalg import AbelianGroup, dot, mat_vec, smith_normal_form, solve_rational
-from singlink.plumbing import boundary_homology
+from singlink.plumbing import boundary_homology, presentation_matrix
 from singlink.sl2z import CycleWord, Sl2Matrix
 
 from helpers import adjunction_defect_oracle, d3_oracle, presentation_oracle, suite_families
@@ -97,6 +97,12 @@ def test_c1_vectors_pairwise_distinct():
     for family in suite_families():
         vectors = [d.rot_vector for d in enumerate_stein_fillings(family)]
         assert len(set(vectors)) == len(vectors)
+
+
+def test_family_presentation():
+    # Elliptic(n): two zero rows for the genus-1 handles, then -n
+    assert presentation_matrix(Elliptic(4).graph()) == ((0, 0, 0), (0, 0, 0), (0, 0, -4))
+    assert presentation_matrix(Cusp(CycleWord((2, 3))).graph()) == ((-2, 2), (2, -3))
 
 
 def test_euler_class_fixed():

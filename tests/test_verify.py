@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from singlink import invariants, legendrian
 from singlink.families import Cusp, Elliptic, SizeLimitExceeded
 from singlink.legendrian import SteinHandleDiagram, TwoHandleSpec, rotation_range
+from singlink.plumbing import intersection_matrix, presentation_matrix
 from singlink.sl2z import CycleWord
 from singlink.verify import _adjunction_classes, suite_families, verify_family
 
@@ -119,6 +120,14 @@ def test_c1_distinct_check_sees_a_repeat_and_a_swap(monkeypatch):
     for altered in ((*fillings[:2], *fillings[1:]), swapped):
         monkeypatch.setattr(legendrian, "enumerate_stein_fillings", lambda f, _d=altered: _d)
         assert not dict(verify_family(family))[check]
+
+
+def test_cusp_presentation_is_the_plumbing_form():
+    # Q is the bare plumbing form exactly for the genus-zero (cusp) graphs
+    for family in suite_families():
+        graph = family.graph()
+        is_form = presentation_matrix(graph) == intersection_matrix(graph)
+        assert is_form is isinstance(family, Cusp), family
 
 
 def test_verify_refuses_before_it_reduces(monkeypatch):
