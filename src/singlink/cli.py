@@ -163,19 +163,19 @@ def emit(fmt: str, payload) -> bytes:
 
 
 def _run_classify(request):
-    cls = sl2z.classify(request.matrix)
+    matrix = request.matrix
     if request.fmt == "json":
         return EXIT_OK, {
-            "class": cls.kind.value,
-            "trace": cls.trace,
-            "is_cusp_link": cls.is_cusp_link,
-            "is_elliptic_link": cls.is_elliptic_link,
+            "class": matrix.kind.value,
+            "trace": matrix.trace,
+            "is_cusp_link": matrix.is_cusp_link,
+            "is_elliptic_link": matrix.is_elliptic_link,
         }
     return EXIT_OK, (
-        f"class: {cls.kind.value}\n"
-        f"trace: {cls.trace}\n"
-        f"cusp link monodromy: {'yes' if cls.is_cusp_link else 'no'}\n"
-        f"simple elliptic link monodromy: {'yes' if cls.is_elliptic_link else 'no'}"
+        f"class: {matrix.kind.value}\n"
+        f"trace: {matrix.trace}\n"
+        f"cusp link monodromy: {'yes' if matrix.is_cusp_link else 'no'}\n"
+        f"simple elliptic link monodromy: {'yes' if matrix.is_elliptic_link else 'no'}"
     )
 
 

@@ -3,6 +3,7 @@
 Each family knows its label, JSON form, monodromy, plumbing graph, open
 book page and Stein handle pattern (Q is read off the graph); outside the
 family-specific checks of verify.py, no module tests which family it holds.
+A handle pattern pairs each smooth framing with one of three tag constants.
 """
 from __future__ import annotations
 
@@ -19,6 +20,9 @@ __all__ = [
     "EllipticCore",
     "NodalDoublePass",
     "HandleTag",
+    "CHAIN_UNKNOT",
+    "ELLIPTIC_CORE",
+    "NODAL_DOUBLE_PASS",
     "Elliptic",
     "Cusp",
     "Family",
@@ -41,10 +45,11 @@ class UnsupportedPresentation(ValueError):
 
 
 class ChainUnknot(Record):
-    """Unknot at position ``index`` (1-based) in the surgery chain; genus 0."""
+    """An unknot of the cusp surgery chain; genus 0."""
 
-    __slots__ = ("index",)
+    __slots__ = ()
     genus = 0
+    picture = "chain-with-ring"
 
 
 class EllipticCore(Record):
@@ -52,6 +57,7 @@ class EllipticCore(Record):
 
     __slots__ = ()
     genus = 1
+    picture = "borromean"
 
 
 class NodalDoublePass(Record):
@@ -59,9 +65,15 @@ class NodalDoublePass(Record):
 
     __slots__ = ()
     genus = 1
+    picture = "nodal-double-pass"
 
 
 HandleTag = ChainUnknot | EllipticCore | NodalDoublePass
+
+# the one instance of each tag, with its genus and surgery picture name
+CHAIN_UNKNOT = ChainUnknot()
+ELLIPTIC_CORE = EllipticCore()
+NODAL_DOUBLE_PASS = NodalDoublePass()
 
 
 class Elliptic(Record):
@@ -105,7 +117,7 @@ class Elliptic(Record):
 
     def handle_slots(self) -> tuple[tuple[HandleTag, int], ...]:
         """(tag, smooth framing) of each Stein 2-handle."""
-        return ((EllipticCore(), -self.n),)
+        return ((ELLIPTIC_CORE, -self.n),)
 
 
 class Cusp(Record):
@@ -156,8 +168,8 @@ class Cusp(Record):
         """(tag, smooth framing) of each Stein 2-handle."""
         entries = self.word.entries
         if len(entries) == 1:
-            return ((NodalDoublePass(), -entries[0] + 2),)
-        return tuple((ChainUnknot(i), -n) for i, n in enumerate(entries, start=1))
+            return ((NODAL_DOUBLE_PASS, -entries[0] + 2),)
+        return tuple([(CHAIN_UNKNOT, -n) for n in entries])
 
 
 Family = Elliptic | Cusp

@@ -59,8 +59,8 @@ def adjunction_vector(slots) -> tuple[int, ...]:
     for each (tag, smooth framing) slot, the rot vector at which every
     handle has zero adjunction defect.
 
-    >>> from singlink.families import Cusp
-    >>> adjunction_vector(Cusp((3, 4, 5)).handle_slots())
+    >>> from singlink.families import CHAIN_UNKNOT
+    >>> adjunction_vector([(CHAIN_UNKNOT, -n) for n in (3, 4, 5)])  # cusp (3, 4, 5)
     (-1, -2, -3)
     """
     return tuple([framing - 2 * tag.genus + 2 for tag, framing in slots])
@@ -74,7 +74,7 @@ def adjunction_defect(handle: TwoHandleSpec) -> int:
 
 
 def is_canonical(diagram: SteinHandleDiagram) -> bool:
-    """True when the rot vector is the family's adjunction vector c or -c.
+    """True when the rot vector is the handles' adjunction vector c or -c.
 
     At c every handle realizes adjunction equality; -c is the same diagram
     with the orientation of every attaching circle reversed, which negates
@@ -82,7 +82,7 @@ def is_canonical(diagram: SteinHandleDiagram) -> bool:
     rot = -c, so this is adjunction equality on every handle after a
     possible reversal, decided by one comparison of whole vectors.
     """
-    c = adjunction_vector(diagram.family.handle_slots())
+    c = adjunction_vector([(h.tag, h.smooth_framing) for h in diagram.handles])
     return diagram.rot_vector in (c, tuple(-x for x in c))
 
 
@@ -177,9 +177,9 @@ class FamilyReduction(Record):
     """The family's presentation Q with its Smith normal form, made once.
 
     The plumbing graph is built once and Q is read off it by
-    ``plumbing.presentation_matrix``, the same way for both families.  The
-    open book and the monodromy are not built here: a caller that needs
-    them passes them to ``homology``.
+    ``plumbing.presentation_matrix``, the same way for both families; a
+    2-handle per vertex, the other rows of Q 1-handles.  The open book and
+    the monodromy are not built here: a caller passes them to ``homology``.
 
     >>> from singlink.families import Cusp
     >>> reduction = FamilyReduction(Cusp((2, 3)))
@@ -206,7 +206,7 @@ class FamilyReduction(Record):
         vectors = []
         for rot_vector in rot_vectors:
             v = tuple(map(index, rot_vector))
-            if len(v) != len(q) and len(v) == len(self.family.handle_slots()):
+            if len(v) != len(q) and len(v) == len(self.graph.vertices):
                 v = (0,) * (len(q) - len(v)) + v
             if len(v) != len(q):
                 raise DimensionMismatch(
@@ -228,7 +228,7 @@ class FamilyReduction(Record):
         kernel vector, which pairs to zero with the image of Q.  Requires a
         torsion Chern class.  Q needs a row per component: it has one per
         genus 1-handle, as in the elliptic diag(0, 0, -n), but none for a
-        cusp's cycle 1-handle, so a cusp raises UnsupportedPresentation.
+        graph cycle's 1-handle, so a cusp raises UnsupportedPresentation.
 
         >>> from singlink.families import Elliptic
         >>> from singlink.legendrian import canonical_filling
@@ -236,15 +236,15 @@ class FamilyReduction(Record):
         >>> [str(d3) for d3 in FamilyReduction(Elliptic(5)).d3_invariants(diagrams)]
         ['-1/2', '-1/2']
         """
-        family, q = self.family, self.presentation
-        ones = family.one_handle_count
-        components = ones + len(family.handle_slots())
-        if components != len(q):
+        graph, q = self.graph, self.presentation
+        if graph.first_betti():
+            components = graph.boundary_free_rank() + len(graph.vertices)
             raise UnsupportedPresentation(
-                f"{family.label} has no linking matrix for its {components} surgery components"
+                f"{self.family.label} has no linking matrix for its {components} surgery components"
             )
         from fractions import Fraction  # after the refusal: a cusp report imports none
 
+        ones = len(q) - len(graph.vertices)
         sigma = symmetric_signature(q)
         chi = 1 + len(q)
         values = []

@@ -13,7 +13,7 @@ from operator import attrgetter, index
 
 from ._record import Record
 from .families import (
-    EllipticCore,  # for the rotation_range doctest
+    ELLIPTIC_CORE,  # for the rotation_range doctest
     Family,
     HandleTag,
     SizeLimitExceeded,
@@ -53,7 +53,7 @@ def tb_max(tag: HandleTag) -> int:
 def rotation_range(tag: HandleTag, framing: int) -> tuple[int, ...]:
     """All realizable rotation numbers at the given smooth framing.
 
-    >>> rotation_range(EllipticCore(), -3)
+    >>> rotation_range(ELLIPTIC_CORE, -3)
     (-3, -1, 1, 3)
     """
     s = _stabilization_budget(tag, framing)

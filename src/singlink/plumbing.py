@@ -11,14 +11,7 @@ from __future__ import annotations
 from operator import index
 
 from ._record import Record
-from .families import (
-    ChainUnknot,
-    EllipticCore,
-    Family,
-    InvalidParameter,
-    NodalDoublePass,
-    SizeLimitExceeded,
-)
+from .families import Family, InvalidParameter, SizeLimitExceeded
 from .linalg import AbelianGroup, IntMatrix, smith_normal_form
 
 __all__ = [
@@ -66,9 +59,6 @@ class PlumbingGraph(Record):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
 
-    def loop_count(self, vertex: int) -> int:
-        return sum(1 for i, j in self.edges if i == j == vertex)
-
     def component_count(self) -> int:
         n = len(self.vertices)
         parent = list(range(n))
@@ -115,7 +105,8 @@ class PlumbingGraph(Record):
 def intersection_matrix(graph: PlumbingGraph) -> IntMatrix:
     """Symmetric intersection form: Q_ii = weight_i + 2 * loops_i, Q_ij = edge count.
 
-    A graph with more than VERTEX_LIMIT vertices raises SizeLimitExceeded.
+    Built in one pass over the edges.  A graph with more than VERTEX_LIMIT
+    vertices raises SizeLimitExceeded.
     """
     n = len(graph.vertices)
     if n > VERTEX_LIMIT:
@@ -124,9 +115,11 @@ def intersection_matrix(graph: PlumbingGraph) -> IntMatrix:
         )
     q = [[0] * n for _ in range(n)]
     for i, v in enumerate(graph.vertices):
-        q[i][i] = v.weight + 2 * graph.loop_count(i)
+        q[i][i] = v.weight
     for i, j in graph.edges:
-        if i != j:
+        if i == j:
+            q[i][i] += 2
+        else:
             q[i][j] += 1
             q[j][i] += 1
     return tuple(tuple(row) for row in q)
@@ -176,30 +169,28 @@ class SurgeryDescription(Record):
 
     def to_text(self) -> str:
         body = "[" + ", ".join(str(f) for f in self.framings) + "]"
-        if self.kind == "chain-with-ring":
-            return f"chain {body} + 0-framed ring; " + "; ".join(self.notes)
-        if self.kind == "nodal-double-pass":
-            return f"single {self.framings[0]}-framed unknot; " + "; ".join(self.notes)
-        return f"Borromean framings {body}; " + "; ".join(self.notes)
+        head = _SURGERY_PICTURES[self.kind][0].format(body=body, first=self.framings[0])
+        return head + "; " + "; ".join(self.notes)
 
 
+# (text head, notes) of each surgery picture, keyed by its handle tag's ``picture``
 _SURGERY_PICTURES = {
-    EllipticCore: (
-        "borromean",
+    "borromean": (
+        "Borromean framings {body}",
         (
             "pairwise linking numbers are zero",
             "the two 0-framed components trade for dotted circles (1-handles)",
         ),
     ),
-    NodalDoublePass: (
-        "nodal-double-pass",
+    "nodal-double-pass": (
+        "single {first}-framed unknot",
         (
             "runs over the 1-handle twice with zero linking",
             "the 1-handle is equivalently a 0-framed unknot",
         ),
     ),
-    ChainUnknot: (
-        "chain-with-ring",
+    "chain-with-ring": (
+        "chain {body} + 0-framed ring",
         (
             "the chain closes up through the 0-framed ring",
             "the ring trades for a dotted circle (1-handle)",
@@ -213,9 +204,9 @@ def smooth_surgery_description(family: Family) -> SurgeryDescription:
     a double-pass unknot over a 1-handle (cusp, k = 1), or Borromean rings
     with framings (0, 0, -n) (elliptic).
 
-    The picture follows from the tag of the first 2-handle, and the framings
-    are the diagonal of ``presentation_matrix(family.graph())``."""
-    kind, notes = _SURGERY_PICTURES[type(family.handle_slots()[0][0])]
+    The picture is the ``picture`` name of the first 2-handle's tag, and the
+    framings are the diagonal of ``presentation_matrix(family.graph())``."""
+    kind = family.handle_slots()[0][0].picture
     q = presentation_matrix(family.graph())
     framings = tuple(q[i][i] for i in range(len(q)))
-    return SurgeryDescription(kind, framings, notes, family.to_json_dict())
+    return SurgeryDescription(kind, framings, _SURGERY_PICTURES[kind][1], family.to_json_dict())

@@ -6,7 +6,8 @@ The cusp normal form used throughout the package is the product
 
 Every valid cycle word (all entries >= 2 with at least one >= 3, or a
 single entry >= 3) multiplies out to a hyperbolic matrix of trace >= 3,
-and ``factor_cycle`` inverts the construction up to cyclic rotation.
+and ``factor_cycle`` inverts the construction up to cyclic rotation.  A
+matrix classifies itself by its trace, through ``Sl2Matrix.kind``.
 """
 from __future__ import annotations
 
@@ -20,10 +21,8 @@ __all__ = [
     "Sl2Matrix",
     "CycleWord",
     "MonodromyType",
-    "MonodromyClass",
     "NotCuspClass",
     "NoFactorization",
-    "classify",
     "cycle_monodromy",
     "factor_cycle",
     "cyclic_equal",
@@ -61,28 +60,13 @@ class Sl2Matrix(Record):
     def trace(self) -> int:
         return self.a + self.d
 
-    def __str__(self) -> str:
-        return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
-
-
-class MonodromyType(Enum):
-    ELLIPTIC = "elliptic"
-    PARABOLIC = "parabolic"
-    HYPERBOLIC = "hyperbolic"
-
-
-class MonodromyClass(Record):
-    """Classification of an SL(2,Z) matrix; its trace and kind follow from it."""
-
-    __slots__ = ("matrix",)
-
-    @property
-    def trace(self) -> int:
-        return self.matrix.trace
-
     @property
     def kind(self) -> MonodromyType:
-        return _kind_for_trace(self.matrix.trace)
+        """Elliptic for |trace| < 2, parabolic for |trace| = 2, else hyperbolic."""
+        trace = abs(self.trace)
+        if trace < 2:
+            return MonodromyType.ELLIPTIC
+        return MonodromyType.PARABOLIC if trace == 2 else MonodromyType.HYPERBOLIC
 
     @property
     def is_cusp_link(self) -> bool:
@@ -99,24 +83,16 @@ class MonodromyClass(Record):
         m >= 1 exactly when b > 0 or c < 0.  I (the 3-torus) and the
         conjugates with m <= -1 are not elliptic links.
         """
-        return self.trace == 2 and (self.matrix.b > 0 or self.matrix.c < 0)
+        return self.trace == 2 and (self.b > 0 or self.c < 0)
+
+    def __str__(self) -> str:
+        return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 
 
-def _kind_for_trace(trace: int) -> MonodromyType:
-    if abs(trace) < 2:
-        return MonodromyType.ELLIPTIC
-    if abs(trace) == 2:
-        return MonodromyType.PARABOLIC
-    return MonodromyType.HYPERBOLIC
-
-
-def classify(matrix: Sl2Matrix) -> MonodromyClass:
-    """Classify a torus-bundle monodromy.
-
-    >>> classify(Sl2Matrix(1, 5, 0, 1)).kind.value
-    'parabolic'
-    """
-    return MonodromyClass(matrix)
+class MonodromyType(Enum):
+    ELLIPTIC = "elliptic"
+    PARABOLIC = "parabolic"
+    HYPERBOLIC = "hyperbolic"
 
 
 class CycleWord(Record):

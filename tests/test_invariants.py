@@ -29,11 +29,11 @@ from helpers import adjunction_defect_oracle, d3_oracle, presentation_oracle, su
 
 
 def test_adjunction_defect_fixed():
-    assert adjunction_defect(TwoHandleSpec(ChainUnknot(1), -2, 0)) == 0
+    assert adjunction_defect(TwoHandleSpec(ChainUnknot(), -2, 0)) == 0
     for n in (1, 4, 9):
         handle = TwoHandleSpec(EllipticCore(), -n, -n)
         assert adjunction_defect(handle) == 0
-    assert adjunction_defect(TwoHandleSpec(ChainUnknot(1), -4, 0)) == 2
+    assert adjunction_defect(TwoHandleSpec(ChainUnknot(), -4, 0)) == 2
 
 
 def test_adjunction_vector_is_the_minimal_canonical_rot_vector_over_suite():

@@ -5,7 +5,11 @@ from fractions import Fraction
 import pytest
 
 from singlink import legendrian
+from singlink._record import Record
 from singlink.families import (
+    CHAIN_UNKNOT,
+    ELLIPTIC_CORE,
+    NODAL_DOUBLE_PASS,
     ChainUnknot,
     Cusp,
     Elliptic,
@@ -34,25 +38,25 @@ LARGE_WORDS = [(3,) * 11 + (4,), (4,) * 7 + (3, 2), (6,) * 5 + (3,)]
 
 
 def test_tb_max_constants():
-    assert tb_max(ChainUnknot(1)) == -1
+    assert tb_max(ChainUnknot()) == -1
     assert tb_max(EllipticCore()) == 1
     assert tb_max(NodalDoublePass()) == 1
 
 
 def test_rotation_range_fixed():
-    assert rotation_range(ChainUnknot(1), -2) == (0,)
-    assert rotation_range(ChainUnknot(1), -5) == (-3, -1, 1, 3)
+    assert rotation_range(ChainUnknot(), -2) == (0,)
+    assert rotation_range(ChainUnknot(), -5) == (-3, -1, 1, 3)
     assert rotation_range(EllipticCore(), -3) == (-3, -1, 1, 3)
     assert rotation_range(EllipticCore(), -1) == (-1, 1)
     assert rotation_range(NodalDoublePass(), -2) == (-2, 0, 2)  # framing -n+2 with n = 4
     with pytest.raises(FramingTooLarge):
-        rotation_range(ChainUnknot(1), 0)
+        rotation_range(ChainUnknot(), 0)
     with pytest.raises(FramingTooLarge):
         rotation_range(EllipticCore(), 1)
 
 
 def test_rotation_range_symmetric_constant_parity():
-    tags = [ChainUnknot(1), EllipticCore(), NodalDoublePass()]
+    tags = [ChainUnknot(), EllipticCore(), NodalDoublePass()]
     for tag in tags:
         for framing in range(-8, tb_max(tag)):
             rng = rotation_range(tag, framing)
@@ -63,18 +67,18 @@ def test_rotation_range_symmetric_constant_parity():
 
 def test_two_handle_validation():
     with pytest.raises(ValueError, match="not realizable"):
-        TwoHandleSpec(ChainUnknot(1), -3, 0)  # parity breaks
+        TwoHandleSpec(ChainUnknot(), -3, 0)  # parity breaks
     with pytest.raises(ValueError, match="not realizable"):
-        TwoHandleSpec(ChainUnknot(1), -3, 3)  # out of range
+        TwoHandleSpec(ChainUnknot(), -3, 3)  # out of range
     with pytest.raises(FramingTooLarge):
-        TwoHandleSpec(ChainUnknot(1), -1, 0)  # tb 0 exceeds tb_max = -1
-    handle = TwoHandleSpec(ChainUnknot(1), -3, -1)
+        TwoHandleSpec(ChainUnknot(), -1, 0)  # tb 0 exceeds tb_max = -1
+    handle = TwoHandleSpec(ChainUnknot(), -3, -1)
     assert handle.to_json_dict() == {"framing": -3, "tb": -2, "rot": -1, "genus": 0}
     assert TwoHandleSpec(EllipticCore(), -3, -3).to_json_dict() == {
         "framing": -3, "tb": -2, "rot": -3, "genus": 1
     }
     with pytest.raises(TypeError):  # tb and genus are not parameters
-        TwoHandleSpec(ChainUnknot(1), -3, 0, -2, -1)
+        TwoHandleSpec(ChainUnknot(), -3, 0, -2, -1)
     # a float framing would give a float tb
     with pytest.raises(TypeError):
         TwoHandleSpec(EllipticCore(), -3.0, -3)
@@ -113,7 +117,7 @@ def test_enumerate_cusp_structure():
     fillings = enumerate_stein_fillings(Cusp(CycleWord((2, 2, 3))))
     assert [d.rot_vector for d in fillings] == [(0, 0, -1), (0, 0, 1)]
     for d in fillings:
-        assert [h.tag for h in d.handles] == [ChainUnknot(1), ChainUnknot(2), ChainUnknot(3)]
+        assert [h.tag for h in d.handles] == [ChainUnknot()] * 3
         assert [h.smooth_framing for h in d.handles] == [-2, -2, -3]
         assert all(h.surface_genus == 0 for h in d.handles)
 
@@ -182,12 +186,29 @@ def test_diagram_rejects_wrong_cusp_pattern():
         SteinHandleDiagram(family, (a, b))
     with pytest.raises(ValueError, match="pattern"):
         SteinHandleDiagram(family, (a, b, c, c))
-    shifted = TwoHandleSpec(ChainUnknot(4), -4, c.rot)
-    with pytest.raises(ValueError, match="pattern"):
-        SteinHandleDiagram(family, (a, b, shifted))
     # the pattern an enumeration passes in is checked the same way
     with pytest.raises(ValueError, match="pattern"):
         SteinHandleDiagram(family, (a, c, b), _slots=family.handle_slots())
+
+
+def test_handle_slots_share_the_tag_constants(monkeypatch):
+    families = (Elliptic(3), Elliptic(7), Cusp((4,)), Cusp((5,)), Cusp((2, 3, 4)), Cusp((3, 5)))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"handle_slots built a {type(self).__name__}")
+
+    # building a pattern constructs no record: every record constructor refuses
+    for cls in (Record, *Record.__subclasses__()):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    tags = {}
+    for family in families + families:  # every call, every family
+        for tag, _ in family.handle_slots():
+            assert tags.setdefault(type(tag), tag) is tag, family
+    monkeypatch.undo()
+    assert tags[ChainUnknot] is CHAIN_UNKNOT
+    assert tags[EllipticCore] is ELLIPTIC_CORE
+    assert tags[NodalDoublePass] is NODAL_DOUBLE_PASS
+    assert len(tags) == 3
 
 
 def test_canonical_filling():

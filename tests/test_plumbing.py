@@ -4,7 +4,15 @@ import math
 import pytest
 
 from singlink import plumbing
-from singlink.families import Cusp, Elliptic, InvalidParameter, SizeLimitExceeded
+from singlink.families import (
+    CHAIN_UNKNOT,
+    ELLIPTIC_CORE,
+    NODAL_DOUBLE_PASS,
+    Cusp,
+    Elliptic,
+    InvalidParameter,
+    SizeLimitExceeded,
+)
 from singlink.linalg import AbelianGroup, smith_normal_form
 from singlink.plumbing import (
     PlumbingGraph,
@@ -28,7 +36,7 @@ def test_cusp_graph_shapes():
     g1 = Cusp(CycleWord((4,))).graph()
     assert [v.weight for v in g1.vertices] == [-4]
     assert g1.edges == ((0, 0),)
-    assert g1.loop_count(0) == 1
+    assert intersection_matrix(g1) == ((-2,),)  # the loop adds 2 to the weight -4
 
     g2 = Cusp(CycleWord((2, 3))).graph()
     assert [v.weight for v in g2.vertices] == [-2, -3]
@@ -61,8 +69,10 @@ def test_vertex_limit_is_checked_before_the_matrix(monkeypatch):
     monkeypatch.setattr(plumbing, "VERTEX_LIMIT", 3)
     assert len(intersection_matrix(Cusp(CycleWord((2, 2, 3))).graph())) == 3
     long_graph = Cusp(CycleWord((2, 2, 2, 3))).graph()
-    monkeypatch.setattr(PlumbingGraph, "loop_count", None)  # building Q would fail
-    with pytest.raises(SizeLimitExceeded, match=r"vertices \(4\) than the limit of 3"):
+    with monkeypatch.context() as m, pytest.raises(
+        SizeLimitExceeded, match=r"vertices \(4\) than the limit of 3"
+    ):
+        m.setattr(PlumbingGraph, "edges", None)  # building Q would fail
         intersection_matrix(long_graph)
     for family in (Cusp(CycleWord((2, 2, 2, 3))), Cusp(CycleWord((2,) * 10**4 + (3,)))):
         with pytest.raises(SizeLimitExceeded):
@@ -163,6 +173,13 @@ def test_json_schema_roundtrip():
         tuple(tuple(e) for e in data["edges"]),
     )
     assert rebuilt == g
+
+
+def test_every_tag_picture_has_a_surgery_picture():
+    pictures = {tag.picture for tag in (CHAIN_UNKNOT, ELLIPTIC_CORE, NODAL_DOUBLE_PASS)}
+    assert pictures == set(plumbing._SURGERY_PICTURES)
+    for family in (Cusp((2, 3)), Cusp((4,)), Elliptic(2)):
+        assert smooth_surgery_description(family).kind == family.handle_slots()[0][0].picture
 
 
 def test_surgery_descriptions():

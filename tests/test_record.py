@@ -13,21 +13,17 @@ from singlink.legendrian import TwoHandleSpec, canonical_filling
 from singlink.linalg import AbelianGroup, smith_normal_form
 from singlink.openbook import DeltaCurve, GammaCurve, curve_homology_classes
 from singlink.plumbing import PlumbingVertex, smooth_surgery_description
-from singlink.sl2z import CycleWord, MonodromyClass, Sl2Matrix
+from singlink.sl2z import CycleWord, Sl2Matrix
 
 # (build, another): each call of build makes a new record with the same field
 # values; another() makes one that must compare unequal to it
 RECORDS = [
-    (lambda: ChainUnknot(1), lambda: ChainUnknot(2)),
+    (ChainUnknot, EllipticCore),
     (EllipticCore, NodalDoublePass),
     (NodalDoublePass, EllipticCore),
     (lambda: Elliptic(3), lambda: Elliptic(4)),
     (lambda: Cusp((2, 3)), lambda: Cusp((3, 2))),
     (lambda: Sl2Matrix(2, 1, 1, 1), lambda: Sl2Matrix(1, 1, 1, 2)),
-    (
-        lambda: MonodromyClass(Sl2Matrix(1, 1, 0, 1)),
-        lambda: MonodromyClass(Sl2Matrix(1, 0, -1, 1)),
-    ),
     (lambda: CycleWord((2, 3)), lambda: CycleWord((3, 2))),
     (lambda: smith_normal_form(((2, 0), (0, 3))), lambda: smith_normal_form(((2, 0), (0, 5)))),
     (lambda: AbelianGroup(1, (2,)), lambda: AbelianGroup(1, (3,))),
@@ -54,7 +50,7 @@ RECORDS = [
 
 def test_every_record_class_is_listed():
     listed = [type(build()) for build, _ in RECORDS]
-    assert len(listed) == len(set(listed)) == 22
+    assert len(listed) == len(set(listed)) == 21
     assert set(listed) == set(Record.__subclasses__())
 
 
@@ -98,7 +94,7 @@ def test_record_contract(build, another):
     [
         (DeltaCurve(0), GammaCurve(0)),
         (EllipticCore(), NodalDoublePass()),
-        (ChainUnknot(1), ChainUnknot(2)),
+        (ChainUnknot(), EllipticCore()),
     ],
 )
 def test_records_of_another_class_or_value_are_unequal(first, second):

@@ -19,7 +19,6 @@ def test_store_only_records_are_the_expected_classes():
         "EllipticCore",
         "GammaCurve",
         "HomologyAgreement",
-        "MonodromyClass",
         "NodalDoublePass",
         "PageHomologyData",
         "SnfResult",

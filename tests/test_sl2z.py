@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 
 from singlink.sl2z import (
     CycleWord,
-    MonodromyClass,
     MonodromyType,
     NoFactorization,
     NotCuspClass,
     Sl2Matrix,
-    classify,
     cycle_monodromy,
     cyclic_equal,
     factor_cycle,
@@ -45,17 +43,17 @@ def test_determinant_checked_at_construction():
 
 
 def test_classify_fixed_cases():
-    parabolic = classify(Sl2Matrix(1, 5, 0, 1))
+    parabolic = Sl2Matrix(1, 5, 0, 1)
     assert parabolic.kind is MonodromyType.PARABOLIC
     assert parabolic.trace == 2
     assert parabolic.is_elliptic_link and not parabolic.is_cusp_link
 
-    elliptic = classify(Sl2Matrix(0, -1, 1, 0))
+    elliptic = Sl2Matrix(0, -1, 1, 0)
     assert elliptic.kind is MonodromyType.ELLIPTIC
     assert elliptic.trace == 0
     assert not elliptic.is_cusp_link and not elliptic.is_elliptic_link
 
-    hyperbolic = classify(Sl2Matrix(5, -2, 3, -1))
+    hyperbolic = Sl2Matrix(5, -2, 3, -1)
     assert hyperbolic.kind is MonodromyType.HYPERBOLIC
     assert hyperbolic.trace == 4
     assert hyperbolic.is_cusp_link and not hyperbolic.is_elliptic_link
@@ -67,10 +65,10 @@ def test_monodromy_class_kind_follows_the_trace():
         ((-1, 0, 0, -1), -2, MonodromyType.PARABOLIC),
         ((1, -1, 1, 0), 1, MonodromyType.ELLIPTIC),
     ):
-        cls = MonodromyClass(Sl2Matrix(a, b, c, d))
-        assert (cls.trace, cls.kind) == (trace, kind)
+        matrix = Sl2Matrix(a, b, c, d)
+        assert (matrix.trace, matrix.kind) == (trace, kind)
     with pytest.raises(TypeError):  # trace and kind are not parameters
-        MonodromyClass(Sl2Matrix(1, 0, 0, 1), 2)
+        Sl2Matrix(1, 0, 0, 1, 2)
 
 
 @settings(max_examples=100)
@@ -79,14 +77,13 @@ def test_elliptic_link_is_conjugation_invariant(n, x, y, positive):
     # P = [[1, x], [0, 1]] [[1, 0], [y, 1]] ranges over many SL(2,Z) matrices
     p = product(Sl2Matrix(1, x, 0, 1), Sl2Matrix(1, 0, y, 1))
     t = Sl2Matrix(1, n if positive else -n, 0, 1)
-    assert classify(conjugate(p, t)).is_elliptic_link is positive
+    assert conjugate(p, t).is_elliptic_link is positive
 
 
 def test_classify_negative_trace_is_not_cusp():
     m = Sl2Matrix(-5, 2, -3, 1)
-    cls = classify(m)
-    assert cls.kind is MonodromyType.HYPERBOLIC
-    assert not cls.is_cusp_link
+    assert m.kind is MonodromyType.HYPERBOLIC
+    assert not m.is_cusp_link
 
 
 def test_cycle_word_validation():

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,13 @@ from singlink.families import Cusp, Elliptic, SizeLimitExceeded
 from singlink.legendrian import SteinHandleDiagram, TwoHandleSpec, rotation_range
 from singlink.plumbing import intersection_matrix, presentation_matrix
 from singlink.sl2z import CycleWord
-from singlink.verify import _adjunction_classes, suite_families, verify_family
+from singlink.verify import (
+    SUITE_MAX_ENTRY,
+    SUITE_MAX_K,
+    _adjunction_classes,
+    suite_families,
+    verify_family,
+)
 
 from helpers import (
     counted_linalg,
@@ -189,6 +196,27 @@ cusp_words = st.lists(st.integers(2, 6), min_size=1, max_size=6).filter(lambda w
 def test_adjunction_classes_match_oracles_on_cusp_words(word):
     family = Cusp(CycleWord(word))
     assert_classes_match_oracles(family, legendrian.enumerate_stein_fillings(family))
+
+
+def _diagram_count(word):
+    return math.prod(n - 1 for n in word)
+
+
+# cusp words the suite leaves out (a longer word or a larger entry), small
+# enough to enumerate, and elliptic parameters up to 500
+families_beyond_the_suite = st.one_of(
+    st.lists(st.integers(2, 9), min_size=1, max_size=6)
+    .filter(lambda w: max(w) >= 3 and (len(w) > SUITE_MAX_K or max(w) > SUITE_MAX_ENTRY))
+    .filter(lambda w: _diagram_count(w) <= 5_000)
+    .map(Cusp),
+    st.integers(1, 500).map(Elliptic),
+)
+
+
+@settings(max_examples=90, deadline=None)
+@given(families_beyond_the_suite)
+def test_verify_family_passes_beyond_the_suite(family):
+    assert [name for name, ok in verify_family(family) if not ok] == [], family
 
 
 FILLING_CHECKS = (
