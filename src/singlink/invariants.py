@@ -27,6 +27,7 @@ from ._record import Record
 from .families import Family, UnsupportedPresentation
 from .legendrian import SteinHandleDiagram, TwoHandleSpec
 from .linalg import IntMatrix, SnfResult, dot, mat_vec, smith_normal_form, symmetric_signature
+from .linalg import two_column_cokernel
 from .openbook import OpenBookDescription, openbook_homology
 from .plumbing import presentation_matrix
 from .sl2z import Sl2Matrix
@@ -261,7 +262,9 @@ class FamilyReduction(Record):
 
         The three groups come from three different matrices: Q, A - I and
         the open-book presentation.  Q's genus rows give the plumbing H_1
-        all its free rank but the graph's first Betti number.
+        all its free rank but the graph's first Betti number.  The other two
+        have at most two columns and are read off their minors, with no
+        elimination, so they check Q's Smith normal form independently.
         """
         plumbing = self.snf.cokernel(self.graph.first_betti())
         a = monodromy
@@ -269,6 +272,6 @@ class FamilyReduction(Record):
         return HomologyAgreement(
             self.family,
             plumbing,
-            smith_normal_form(delta).cokernel(1),
+            two_column_cokernel(delta, 1),
             openbook_homology(book),
         )

@@ -5,12 +5,13 @@ Everything here works on plain Python integers (arbitrary precision) or
 tuples of tuples, rows first.  Integer entries are taken with
 ``operator.index``, so a float, Fraction or string entry raises TypeError
 instead of being truncated.  ``fractions`` is imported only by the code
-that makes a Fraction, since most command-line calls never do.
+that makes a Fraction, since most command-line calls never do.  Only
+``two_column_cokernel`` finds a cokernel without ``smith_normal_form``.
 """
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain
+from itertools import combinations
+from math import gcd
 from operator import index, mul
 
 from ._record import Record
@@ -151,19 +152,23 @@ def _select_pivot(a, t):
     open-book presentations whose invariant factors have fewer than 30.
 
     ``a`` holds the rows as dicts of their nonzeros, each row from t on in
-    columns t and beyond only, so the scan reads the block's nonzeros alone;
-    the column counts are taken only when the least value occurs twice.
+    columns t and beyond only, so one pass over the block's nonzeros finds
+    the least value; the column counts are taken only when it occurs twice.
     """
-    block = a[t:]
-    least = min(map(abs, chain.from_iterable(map(dict.values, block))), default=0)
-    if not least:
-        return None
-    ends = (least, -least)
-    ties = [(i, j) for i, row in enumerate(block, t) for j, x in row.items() if x in ends]
-    if len(ties) == 1:
-        return ties[0]
-    col_count = Counter(chain.from_iterable(block))
-    return min(((len(a[i]) - 1) * (col_count[j] - 1), i, j) for i, j in ties)[1:]
+    least, ties = 0, []
+    for i in range(t, len(a)):
+        for j, x in a[i].items():
+            if x == least or x == -least:
+                ties.append((i, j))
+            elif abs(x) < least or not least:
+                least, ties = abs(x), [(i, j)]
+    if len(ties) < 2:
+        return ties[0] if ties else None
+    col_count = {}
+    for row in a[t:]:
+        for j in row:
+            col_count[j] = col_count.get(j, 0) + 1
+    return min([((len(a[i]) - 1) * (col_count[j] - 1), i, j) for i, j in ties])[1:]
 
 
 def _add_scaled(dst: dict, src: dict, factor: int) -> None:
@@ -177,12 +182,8 @@ def _add_scaled(dst: dict, src: dict, factor: int) -> None:
                 del dst[k]
 
 
-def _dense(lines, width: int) -> IntMatrix:
-    rows = [[0] * width for _ in lines]
-    for row, line in zip(rows, lines):
-        for k, x in line.items():
-            row[k] = x
-    return tuple(map(tuple, rows))
+def _sparse(rows) -> list[dict]:
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
 def smith_normal_form(matrix) -> SnfResult:
@@ -202,36 +203,23 @@ def smith_normal_form(matrix) -> SnfResult:
     cols = len(m[0]) if rows else 0
     if any(len(row) != cols for row in m):
         raise ValueError("ragged matrix")
-    a = [{j: x for j, x in enumerate(row) if x} for row in m]
+    a = _sparse(m)
     u = [{i: 1} for i in range(rows)]
     v = [{j: 1} for j in range(cols)]  # columns of v
-
-    # Column operations act on columns t and beyond, where rows above t are zero.
-    def swap_cols(i, j):
-        for row in a[t:]:
-            x = row.pop(i, 0)
-            y = row.pop(j, 0)
-            if y:
-                row[i] = y
-            if x:
-                row[j] = x
-        v[i], v[j] = v[j], v[i]
-
-    def add_row(src, dst, factor):
-        _add_scaled(a[dst], a[src], factor)
-        _add_scaled(u[dst], u[src], factor)
-
     t = 0
-    while True:
-        pivot = _select_pivot(a, t)
-        if pivot is None:
-            break
+    while (pivot := _select_pivot(a, t)) is not None:
         pi, pj = pivot
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
             u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            swap_cols(t, pj)
+        if pj != t:  # column operations act on rows t and beyond, the rest being zero
+            for row in a[t:]:
+                x, y = row.pop(t, 0), row.pop(pj, 0)
+                if y:
+                    row[t] = y
+                if x:
+                    row[pj] = x
+            v[t], v[pj] = v[pj], v[t]
         if a[t][t] < 0:
             a[t] = {j: -x for j, x in a[t].items()}
             u[t] = {j: -x for j, x in u[t].items()}
@@ -239,10 +227,13 @@ def smith_normal_form(matrix) -> SnfResult:
             # Clear the pivot column; a remainder becomes a smaller pivot and the pass repeats.
             swapped = False
             for i in range(t + 1, rows):
-                if t in a[i]:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
-                    if t in a[i]:
-                        a[t], a[i] = a[i], a[t]
+                row = a[i]
+                if t in row:
+                    q = -(row[t] // a[t][t])
+                    _add_scaled(row, a[t], q)
+                    _add_scaled(u[i], u[t], q)
+                    if t in row:
+                        a[t], a[i] = row, a[t]
                         u[t], u[i] = u[i], u[t]
                         swapped = True
             if swapped:
@@ -262,52 +253,83 @@ def smith_normal_form(matrix) -> SnfResult:
                     del row_t[j]
                 _add_scaled(v[j], v[t], -q)
                 if j in row_t:
-                    swap_cols(t, j)
+                    for row in a[t:]:
+                        x, y = row.pop(t, 0), row.pop(j, 0)
+                        if y:
+                            row[t] = y
+                        if x:
+                            row[j] = x
+                    v[t], v[j] = v[j], v[t]
                     swapped = True
             if swapped:
                 continue
             # Make the pivot divide the rest of the block, as a unit pivot does.
-            p = a[t][t]
+            p = row_t[t]
             below = range(t + 1, rows) if p != 1 else ()
-            culprit = next((i for i in below if any(x % p for x in a[i].values())), None)
+            culprit = next((i for i in below if any([x % p for x in a[i].values()])), None)
             if culprit is None:
                 break
-            add_row(culprit, t, 1)
+            _add_scaled(row_t, a[culprit], 1)
+            _add_scaled(u[t], u[culprit], 1)
         t += 1
 
-    result = SnfResult(_dense(u, rows), _dense(a, cols), tuple(zip(*_dense(v, cols))))
-    _check_snf(m, result)
+    v_rows = [{} for _ in v]
+    for j, line in enumerate(v):
+        for k, x in line.items():
+            v_rows[k][j] = x
+    out = [[0] * rows for _ in u], [[0] * cols for _ in a], [[0] * cols for _ in v]
+    for lines, dense in zip((u, a, v_rows), out):
+        for line, row in zip(lines, dense):
+            for k, x in line.items():
+                row[k] = x
+    result = SnfResult(*[tuple(map(tuple, x)) for x in out])
+    _check_snf(m, u, result.diag, v_rows)
     return result
 
 
-def _sparse_rows(matrix) -> list[list[tuple[int, int]]]:
-    return [[(j, x) for j, x in enumerate(row) if x] for row in matrix]
-
-
-def _check_snf(m: IntMatrix, snf: SnfResult) -> None:
-    """Raise unless ``u @ m @ v == diag`` exactly.
+def _check_snf(m: IntMatrix, u: list[dict], diag: IntMatrix, v: list[dict]) -> None:
+    """Raise unless ``u @ m @ v == diag`` exactly, with u and v given as
+    rows of their nonzeros, as the reduction holds them.
 
     Every entry of the product is computed, one row of u at a time: that
-    row times m, then times v, each step adding only the nonzero entries
-    of the rows of m and v that a nonzero coefficient selects.  Each row
-    is compared whole with the row of diag, off-diagonal zeros included.
+    row times m, then times v, each adding only the rows of m and v that a
+    nonzero coefficient selects.  Each row is compared whole with diag's,
+    off-diagonal zeros included.
     """
-    m_rows = _sparse_rows(m)
-    v_rows = _sparse_rows(snf.v)
-    cols = len(snf.v)  # v is square, so u @ m and u @ m @ v have cols columns
-    for u_row, d_row in zip(snf.u, snf.diag):
-        um = [0] * cols
-        for c, m_row in zip(u_row, m_rows):
+    m_rows = _sparse(m)
+    for u_row, d_row in zip(u, diag):
+        um = [0] * len(v)  # v is square, so u @ m and u @ m @ v have len(v) columns
+        for k, c in u_row.items():
+            for j, x in m_rows[k].items():
+                um[j] += c * x
+        umv = [0] * len(v)
+        for c, v_row in zip(um, v):
             if c:
-                for j, x in m_row:
-                    um[j] += c * x
-        umv = [0] * cols
-        for c, v_row in zip(um, v_rows):
-            if c:
-                for j, x in v_row:
+                for j, x in v_row.items():
                     umv[j] += c * x
         if tuple(umv) != d_row:
             raise RuntimeError("smith normal form verification failed")
+
+
+def two_column_cokernel(matrix, extra_free_rank: int = 0) -> "AbelianGroup":
+    """``smith_normal_form(matrix).cokernel(extra_free_rank)`` for at most
+    two columns, read off the determinantal divisors with no elimination:
+    d1 is the gcd of the entries and d1 * d2 that of the 2 x 2 minors.  A
+    third column raises ValueError, as a ragged matrix does.
+
+    >>> two_column_cokernel(((2, 0), (0, 0), (0, 3)), 1)
+    AbelianGroup(free_rank=2, torsion=(6,))
+    """
+    m = freeze(matrix)
+    cols = len(m[0]) if m else 0
+    if any(len(row) != cols for row in m):
+        raise ValueError("ragged matrix")
+    if cols > 2:
+        raise ValueError("more than two columns")
+    d1 = gcd(*[x for row in m for x in row])
+    minors = gcd(*[x * w - y * z for (x, y), (z, w) in combinations(m, 2)]) if cols == 2 else 0
+    nonzero = [d for d in (d1, minors // d1 if minors else 0) if d]
+    return AbelianGroup(len(m) - len(nonzero) + extra_free_rank, [d for d in nonzero if d > 1])
 
 
 class AbelianGroup(Record):

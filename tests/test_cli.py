@@ -501,15 +501,16 @@ def test_cusp_d3_exits_3_when_only_the_handler_imports_legendrian():
 def test_full_report_reduces_a_cusp_presentation_once():
     # Q is read off the plumbing graph for both families, so the plumbing
     # H_1, both Euler classes and both elliptic d3 values share its one
-    # reduction; then A - I and the open-book presentation
-    for argv, shapes in (
-        (["inv", "--cusp", "2,3,4", "--json"], [(3, 3), (2, 2), (3, 2)]),
-        (["inv", "--elliptic", "3", "--json"], [(3, 3), (2, 2), (3, 1)]),
+    # reduction; A - I and the open-book presentation go to the minors
+    for argv, minors in (
+        (["inv", "--cusp", "2,3,4", "--json"], [(2, 2), (3, 2)]),
+        (["inv", "--elliptic", "3", "--json"], [(2, 2), (3, 1)]),
     ):
-        with counted_snf() as calls:
+        with counted_snf() as calls, counted_linalg("two_column_cokernel") as small:
             code, _ = run_cli(argv)
         assert code == EXIT_OK
-        assert [(len(m), len(m[0])) for m in calls] == shapes, argv
+        assert [(len(m), len(m[0])) for m in calls] == [(3, 3)], argv
+        assert [(len(m), len(m[0])) for m in small] == minors, argv
 
 
 def test_d3_call_reduces_q_once_and_takes_one_signature(capsys):

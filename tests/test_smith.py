@@ -19,10 +19,12 @@ from singlink.linalg import (
     smith_normal_form,
     solve_rational,
     symmetric_signature,
+    two_column_cokernel,
 )
 from singlink.sl2z import CycleWord
 
 from helpers import (
+    cycle_product_oracle,
     dense_snf_check_oracle,
     dense_snf_oracle,
     det_cofactor,
@@ -56,6 +58,10 @@ def test_non_integer_entries_are_refused():
         smith_normal_form(((1.5, 2), (3, 4.9)))
     with pytest.raises(TypeError):
         smith_normal_form(((Fraction(7, 2),),)).cokernel()
+    with pytest.raises(TypeError):
+        two_column_cokernel(((1.5, 2), (3, 4)))
+    with pytest.raises(TypeError):
+        two_column_cokernel(((Fraction(7, 2),),))
     with pytest.raises(TypeError):
         euler_class(Cusp(CycleWord((2, 2, 3))), (0, 0, -1.7))
     with pytest.raises(TypeError):
@@ -166,9 +172,26 @@ def test_sparse_snf_matches_dense_oracle_on_every_presentation():
         _assert_matches_dense_oracle(openbook_presentation(Cusp(CycleWord((3,) * k))))
 
 
+def test_sparse_snf_matches_dense_oracle_on_the_growth_witness():
+    # entries at most 32, yet v's entries grow to tens of thousands of bits;
+    # found by Hypothesis past its deadline, so pinned here without one
+    m = (
+        (0, 23, -32, 0, 0, 0, 0),
+        (0, 9, 0, 0, 0, 0, 0),
+        (-8, 0, 27, 0, 10, 0, 0),
+        (0, -15, -32, 0, 0, 0, -8),
+        (0, 0, 22, 0, 8, 0, 0),
+        (0, 0, 32, 11, 0, 0, 0),
+        (8, 0, -25, 0, 23, 0, 0),
+    )
+    snf, oracle = smith_normal_form(m), dense_snf_oracle(m)
+    assert (snf.u, snf.diag, snf.v) == (oracle.u, oracle.diag, oracle.v)
+    assert snf.diagonal_entries() == (1, 1, 1, 1, 8, 176, 0)
+
+
 def _check_accepts(m, snf):
     try:
-        linalg._check_snf(m, snf)
+        linalg._check_snf(m, linalg._sparse(snf.u), snf.diag, linalg._sparse(snf.v))
     except RuntimeError:
         return False
     return True
@@ -344,6 +367,40 @@ def test_cokernel_fixed():
     assert cokernel(((6, -3), (5, -3))) == AbelianGroup(0, (3,))
     assert cokernel(((0, 0), (0, 0))) == AbelianGroup(2)
     assert cokernel(((2, 0), (0, 2)), extra_free_rank=1) == AbelianGroup(1, (2, 2))
+
+
+def _a_minus_i(entries):
+    (a, b), (c, d) = cycle_product_oracle(entries)
+    return [[a - 1, b], [c, d - 1]]
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=0, max_value=3).flatmap(
+        lambda r: st.integers(min_value=0, max_value=2).flatmap(
+            lambda c: st.lists(
+                st.lists(st.integers(min_value=-9, max_value=9), min_size=c, max_size=c),
+                min_size=r,
+                max_size=r,
+            )
+        )
+    ),
+    st.sampled_from([0, 1]),
+)
+@example(_a_minus_i([3] * 1000), 1)  # a trace of 1,389 bits
+def test_two_column_cokernel_matches_smith_normal_form(rows, extra_free_rank):
+    m = tuple(map(tuple, rows))
+    expected = smith_normal_form(m).cokernel(extra_free_rank)
+    assert two_column_cokernel(m, extra_free_rank) == expected
+
+
+def test_two_column_cokernel_refusals():
+    with pytest.raises(ValueError, match="two columns"):
+        two_column_cokernel(((1, 2, 3),))
+    with pytest.raises(ValueError, match="ragged"):
+        two_column_cokernel(((1, 2), (3,)))
+    with pytest.raises(ValueError, match="ragged"):
+        two_column_cokernel(((1,), (2, 3)))
 
 
 def test_signature_fixed_cases():
