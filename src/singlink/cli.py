@@ -274,9 +274,11 @@ def _d3_payloads(reduction, diagrams) -> dict:
 
 def _run_invariants(request):
     from . import legendrian
-    from .invariants import FamilyReduction
+    from .invariants import FamilyReduction, check_d3_supported
 
     family = request.family
+    if request.d3:  # a cusp is refused before Q is reduced
+        check_d3_supported(family, family.graph())
     signs = (request.sign,) if request.sign else ("min", "max")
     diagrams = {s: legendrian.canonical_filling(family, s) for s in signs}
     reduction = FamilyReduction(family)

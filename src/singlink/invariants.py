@@ -29,7 +29,7 @@ from .legendrian import SteinHandleDiagram, TwoHandleSpec
 from .linalg import IntMatrix, SnfResult, dot, mat_vec, smith_normal_form, symmetric_signature
 from .linalg import two_column_cokernel
 from .openbook import OpenBookDescription, openbook_homology
-from .plumbing import presentation_matrix
+from .plumbing import PlumbingGraph, presentation_matrix
 from .sl2z import Sl2Matrix
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "adjunction_defect",
     "is_canonical",
     "euler_class",
+    "check_d3_supported",
     "d3_invariant",
     "homology_cross_check",
 ]
@@ -137,6 +138,18 @@ def _reduce_class(q: IntMatrix, snf: SnfResult, v: tuple[int, ...]) -> Cohomolog
     return CohomologyClassRep(v, q, tuple(reduced), is_zero, order, witness)
 
 
+def check_d3_supported(family: Family, graph: PlumbingGraph) -> None:
+    """Refuse d3 where Q is not the linking matrix of the surgery components:
+    Q has a row per genus 1-handle, as in the elliptic diag(0, 0, -n), but
+    none for a graph cycle's 1-handle, so a cusp raises
+    UnsupportedPresentation.  The graph alone decides, before Q is reduced."""
+    if graph.first_betti():
+        components = graph.boundary_free_rank() + len(graph.vertices)
+        raise UnsupportedPresentation(
+            f"{family.label} has no linking matrix for its {components} surgery components"
+        )
+
+
 def d3_invariant(diagram: SteinHandleDiagram):
     """d3 invariant, a Fraction, of the contact structure of the Stein
     diagram: ``FamilyReduction.d3_invariants`` of the diagram alone."""
@@ -227,9 +240,8 @@ class FamilyReduction(Record):
         front, chi = 1 + #components and q = #1-handles; c^2 = x . c for any
         rational solution x of Q x = c, since two solutions differ by a
         kernel vector, which pairs to zero with the image of Q.  Requires a
-        torsion Chern class.  Q needs a row per component: it has one per
-        genus 1-handle, as in the elliptic diag(0, 0, -n), but none for a
-        graph cycle's 1-handle, so a cusp raises UnsupportedPresentation.
+        torsion Chern class and a row of Q per component, so
+        ``check_d3_supported`` refuses a cusp first.
 
         >>> from singlink.families import Elliptic
         >>> from singlink.legendrian import canonical_filling
@@ -238,11 +250,7 @@ class FamilyReduction(Record):
         ['-1/2', '-1/2']
         """
         graph, q = self.graph, self.presentation
-        if graph.first_betti():
-            components = graph.boundary_free_rank() + len(graph.vertices)
-            raise UnsupportedPresentation(
-                f"{self.family.label} has no linking matrix for its {components} surgery components"
-            )
+        check_d3_supported(self.family, graph)
         from fractions import Fraction  # after the refusal: a cusp report imports none
 
         ones = len(q) - len(graph.vertices)

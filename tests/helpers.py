@@ -458,8 +458,8 @@ def substituted_presentation_oracle(ob):
     in l, d and e_1.  The rows are those three generators and the columns
     the images of the nonzero (phi - 1)e_j columns and of the last
     boundary's correction.  Every class is a dense page vector, so this
-    costs O(b^2) in the boundary count b: about 0.3 s for Elliptic(1000)
-    and 0.6 s for (3,)^1000, where ``openbook_homology`` takes 1 and 6 ms.
+    costs O(b^2) in the boundary count b: about 0.6 s for Elliptic(1000)
+    and 1 s for (3,)^1000, where ``openbook_homology`` takes 0.01 and 1 ms.
     """
     data, relations, corrections = _page_relations(ob)
     labels = ob.boundary_labels

@@ -515,10 +515,11 @@ def test_full_report_reduces_a_cusp_presentation_once():
 
 def test_d3_call_reduces_q_once_and_takes_one_signature(capsys):
     # both canonical d3 values come from one reduction of Q and one signature;
-    # a cusp is refused after its one reduction, before any signature
+    # a cusp is refused before Q is reduced, at any length
     for argv, code, shapes, signatures in (
         (["inv", "--elliptic", "3", "--d3"], EXIT_OK, [(3, 3)], 1),
-        (["inv", "--cusp", "2,3,4", "--d3"], EXIT_UNSUPPORTED, [(3, 3)], 0),
+        (["inv", "--cusp", "2,3,4", "--d3"], EXIT_UNSUPPORTED, [], 0),
+        (["inv", "--cusp", ",".join(["3"] * 1000), "--d3"], EXIT_UNSUPPORTED, [], 0),
     ):
         with counted_snf() as snfs, counted_linalg("symmetric_signature") as sigmas:
             assert main(argv) == code, argv
