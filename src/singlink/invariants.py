@@ -152,8 +152,10 @@ def check_d3_supported(family: Family, graph: PlumbingGraph) -> None:
 
 def d3_invariant(diagram: SteinHandleDiagram):
     """d3 invariant, a Fraction, of the contact structure of the Stein
-    diagram: ``FamilyReduction.d3_invariants`` of the diagram alone."""
-    return FamilyReduction(diagram.family).d3_invariants((diagram,))[0]
+    diagram alone, a cusp refused on its graph before Q is reduced."""
+    family = diagram.family
+    check_d3_supported(family, family.graph())
+    return FamilyReduction(family).d3_invariants((diagram,))[0]
 
 
 class HomologyAgreement(Record):

@@ -6,7 +6,8 @@ tuples of tuples, rows first.  Integer entries are taken with
 ``operator.index``, so a float, Fraction or string entry raises TypeError
 instead of being truncated.  ``fractions`` is imported only by the code
 that makes a Fraction, since most command-line calls never do.  Only
-``two_column_cokernel`` finds a cokernel without ``smith_normal_form``.
+``two_column_cokernel`` finds a cokernel without ``smith_normal_form``,
+which shares its rows of nonzeros with ``symmetric_signature``.
 """
 from __future__ import annotations
 
@@ -376,55 +377,33 @@ def solve_rational(matrix, vector):
 def symmetric_signature(matrix) -> int:
     """Signature of a symmetric integer matrix, zero eigenvalues excluded.
 
-    Computed by exact rational congruence diagonalization, so degenerate
-    forms are handled without any numerical tolerance.
+    Exact rational congruence diagonalization on rows of nonzeros, as
+    ``smith_normal_form`` keeps them.  Each step pivots on the nonzero
+    diagonal entry of the sparsest row, counts its sign and leaves the
+    Schur complement, symmetric again.  On an all-zero diagonal,
+    x_p -> x_p + x_j with Q_pj != 0 first makes Q_pp = 2 Q_pj.
     """
     from fractions import Fraction
 
     matrix = freeze(matrix)
     if not is_symmetric(matrix):
         raise ValueError("signature requires a symmetric matrix")
-    n = len(matrix)
-    b = [[Fraction(x) for x in row] for row in matrix]
-
-    def add_sym(src, dst, factor):
-        for col in range(n):
-            b[dst][col] += factor * b[src][col]
-        for row in range(n):
-            b[row][dst] += factor * b[row][src]
-
-    def swap_sym(i, j):
-        b[i], b[j] = b[j], b[i]
-        for row in b:
-            row[i], row[j] = row[j], row[i]
-
+    rows = {i: {j: Fraction(x) for j, x in row.items()} for i, row in enumerate(_sparse(matrix))}
     signature = 0
-    for t in range(n):
-        if b[t][t] == 0:
-            found = next((i for i in range(t + 1, n) if b[i][i] != 0), None)
-            if found is not None:
-                swap_sym(t, found)
-            else:
-                pair = next(
-                    (
-                        (i, j)
-                        for i in range(t, n)
-                        for j in range(i + 1, n)
-                        if b[i][j] != 0
-                    ),
-                    None,
-                )
-                if pair is None:
-                    break
-                i, j = pair
-                add_sym(j, i, 1)  # makes b[i][i] = 2*b[i][j] != 0
-                if i != t:
-                    swap_sym(t, i)
-        p = b[t][t]
-        for i in range(t + 1, n):
-            if b[i][t]:
-                add_sym(t, i, -b[i][t] / p)
-        signature += 1 if p > 0 else -1
+    while any(rows.values()):
+        p = min((i for i in rows if i in rows[i]), key=lambda i: len(rows[i]), default=None)
+        if p is None:
+            p = next(i for i in rows if rows[i])
+            j = next(iter(rows[p]))
+            _add_scaled(rows[p], rows[j], 1)
+            for row in rows.values():  # a zero added to a missing key would raise KeyError
+                if j in row:
+                    _add_scaled(row, {p: row[j]}, 1)
+        pivot = rows.pop(p)
+        signature += 1 if pivot[p] > 0 else -1
+        for i in pivot:
+            if i != p:
+                _add_scaled(rows[i], pivot, -rows[i][p] / pivot[p])
     return signature
 
 

@@ -6,7 +6,9 @@ transvection per twist) are written out naively, determinants use
 cofactor expansion and the SNF pivot rule is spelled out entry by entry, so
 homology orders, monodromy values and pivots are checked against genuinely
 independent computations.  ``dense_snf_oracle`` is the Smith normal form
-on dense lists that the sparse one must match operation for operation.
+on dense lists that the sparse one must match operation for operation,
+and ``dense_signature_oracle`` the dense ``Fraction`` congruence
+diagonalization that ``symmetric_signature`` replaced on sparse rows.
 ``openbook_presentation`` is the open-book presentation on the dense page
 basis before any relation is substituted away, and
 ``substituted_presentation_oracle`` the same presentation substituted down
@@ -17,8 +19,8 @@ where the library compares whole rot vectors with the adjunction vector.
 ``presentation_oracle`` writes each family's presentation matrix Q out
 from the family's own parameters, where the library reads Q off the
 plumbing graph.  ``d3_oracle`` evaluates d3 on one diagram alone, with that
-presentation, its own rational solve and signature, where the library
-reads every diagram's d3 off the family's one reduction of Q.
+presentation, its own rational solve and the dense signature, where the
+library reads every diagram's d3 off the family's one reduction of Q.
 """
 import itertools
 import sys
@@ -34,10 +36,10 @@ from singlink.linalg import (
     determinant,
     dot,
     freeze,
+    is_symmetric,
     matmul,
     smith_normal_form,
     solve_rational,
-    symmetric_signature,
 )
 from singlink.sl2z import CycleWord, cyclic_equal, factor_cycle
 
@@ -232,6 +234,61 @@ def dense_snf_check_oracle(m, snf):
     return matmul(matmul(snf.u, m), snf.v) == snf.diag
 
 
+def dense_signature_oracle(matrix) -> int:
+    """Signature of a symmetric integer matrix, zero eigenvalues excluded.
+
+    Computed by exact rational congruence diagonalization, so degenerate
+    forms are handled without any numerical tolerance.
+    """
+    from fractions import Fraction
+
+    matrix = freeze(matrix)
+    if not is_symmetric(matrix):
+        raise ValueError("signature requires a symmetric matrix")
+    n = len(matrix)
+    b = [[Fraction(x) for x in row] for row in matrix]
+
+    def add_sym(src, dst, factor):
+        for col in range(n):
+            b[dst][col] += factor * b[src][col]
+        for row in range(n):
+            b[row][dst] += factor * b[row][src]
+
+    def swap_sym(i, j):
+        b[i], b[j] = b[j], b[i]
+        for row in b:
+            row[i], row[j] = row[j], row[i]
+
+    signature = 0
+    for t in range(n):
+        if b[t][t] == 0:
+            found = next((i for i in range(t + 1, n) if b[i][i] != 0), None)
+            if found is not None:
+                swap_sym(t, found)
+            else:
+                pair = next(
+                    (
+                        (i, j)
+                        for i in range(t, n)
+                        for j in range(i + 1, n)
+                        if b[i][j] != 0
+                    ),
+                    None,
+                )
+                if pair is None:
+                    break
+                i, j = pair
+                add_sym(j, i, 1)  # makes b[i][i] = 2*b[i][j] != 0
+                if i != t:
+                    swap_sym(t, i)
+        p = b[t][t]
+        for i in range(t + 1, n):
+            if b[i][t]:
+                add_sym(t, i, -b[i][t] / p)
+        signature += 1 if p > 0 else -1
+    return signature
+
+
 def presentation_oracle(family):
     """The family's presentation matrix Q from its parameters alone.
 
@@ -330,9 +387,9 @@ def d3_oracle(diagram):
     """d3 of one Stein diagram on its own: ``presentation_oracle`` of its
     family is built for this diagram alone, solved over the rationals on the
     rot vector with a zero per 1-handle in front, and its signature taken
-    again.  The
-    value is (c^2 - 3*sigma - 2*chi)/4 + q with chi = 1 + len(Q) and q the
-    1-handle count; a Q without a row per component raises
+    by ``dense_signature_oracle``, which shares no elimination with the
+    library.  The value is (c^2 - 3*sigma - 2*chi)/4 + q with chi = 1 +
+    len(Q) and q the 1-handle count; a Q without a row per component raises
     UnsupportedPresentation."""
     q = presentation_oracle(diagram.family)
     rot = (0,) * diagram.one_handle_count + diagram.rot_vector
@@ -342,7 +399,7 @@ def d3_oracle(diagram):
     if solution is None:
         raise invariants.NonTorsionChernClass("Q x = rot has no rational solution")
     c2 = Fraction(dot(solution, rot))
-    return (c2 - 3 * symmetric_signature(q) - 2 * (1 + len(q))) / 4 + diagram.one_handle_count
+    return (c2 - 3 * dense_signature_oracle(q) - 2 * (1 + len(q))) / 4 + diagram.one_handle_count
 
 
 def stein_fillings_oracle(family):

@@ -25,7 +25,13 @@ from singlink.linalg import AbelianGroup, dot, mat_vec, smith_normal_form, solve
 from singlink.plumbing import boundary_homology, presentation_matrix
 from singlink.sl2z import CycleWord, Sl2Matrix
 
-from helpers import adjunction_defect_oracle, d3_oracle, presentation_oracle, suite_families
+from helpers import (
+    adjunction_defect_oracle,
+    counted_snf,
+    d3_oracle,
+    presentation_oracle,
+    suite_families,
+)
 
 
 def test_adjunction_defect_fixed():
@@ -237,6 +243,18 @@ def test_d3_unsupported_for_plumbing_presentation():
         assert str(raised.value) == message
     with pytest.raises(UnsupportedPresentation):
         d3_oracle(diagram)
+
+
+def test_d3_invariant_refuses_a_cusp_before_reducing_q():
+    # the graph's cycle decides the refusal, so a 400-vertex cusp costs no
+    # SNF, while an elliptic diagram still reduces its Q once
+    diagram = canonical_filling(Cusp(CycleWord((3,) * 400)), "min")
+    with counted_snf() as calls, pytest.raises(UnsupportedPresentation):
+        d3_invariant(diagram)
+    assert calls == []
+    with counted_snf() as calls:
+        assert d3_invariant(canonical_filling(Elliptic(3), "min")) == 0
+    assert len(calls) == 1
 
 
 def test_d3_rejects_non_torsion_chern_class(monkeypatch):

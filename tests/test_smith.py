@@ -25,6 +25,7 @@ from singlink.sl2z import CycleWord
 
 from helpers import (
     cycle_product_oracle,
+    dense_signature_oracle,
     dense_snf_check_oracle,
     dense_snf_oracle,
     det_cofactor,
@@ -410,8 +411,63 @@ def test_signature_fixed_cases():
     assert symmetric_signature(((2, 0), (0, -3))) == 0
     assert symmetric_signature(((1, 1), (1, 1))) == 1
     assert symmetric_signature(()) == 0
+    assert symmetric_signature(((0, 1, 0), (1, 0, 1), (0, 1, 0))) == 0
     with pytest.raises(ValueError):
         symmetric_signature(((0, 1), (2, 0)))
+
+
+@st.composite
+def symmetric_matrices(draw, zero_diagonal=False):
+    """Symmetric integer matrices up to 8 x 8, entries -50..50, about half
+    of them zero."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    entries = st.one_of(st.just(0), st.integers(min_value=-50, max_value=50))
+    q = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1 if zero_diagonal else i, n):
+            q[i][j] = q[j][i] = draw(entries)
+    return tuple(map(tuple, q))
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """Sums of fewer than n signed squares v v^T, entries of v -2..2, so
+    the rank is below n and every entry at most 28 in size."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    q = [[0] * n for _ in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=n - 1))):
+        v = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n))
+        sign = draw(st.sampled_from((1, -1)))
+        for i in range(n):
+            for j in range(n):
+                q[i][j] += sign * v[i] * v[j]
+    return tuple(map(tuple, q))
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        symmetric_matrices(),
+        symmetric_matrices(zero_diagonal=True),
+        rank_deficient_matrices(),
+    )
+)
+@example(((0, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 1, 0)))  # the path, diagonal 0
+@example(((0, 0), (0, 0)))
+@example(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))  # two hyperbolic blocks
+def test_signature_matches_dense_oracle(q):
+    assert symmetric_signature(q) == dense_signature_oracle(q)
+
+
+def test_signature_at_the_vertex_limit():
+    # negative definite forms of plumbing.VERTEX_LIMIT vertices, and paths
+    # with a zero diagonal, which take the x_p -> x_p + x_j step at every pivot
+    for word in ((3,) * 1000, (3, 2) * 500):
+        q = intersection_matrix(Cusp(CycleWord(word)).graph())
+        assert symmetric_signature(q) == -1000, word[:2]
+    for n in (1000, 1001):
+        path = tuple(tuple(int(abs(i - j) == 1) for j in range(n)) for i in range(n))
+        assert symmetric_signature(path) == 0, n
 
 
 @settings(max_examples=80)
