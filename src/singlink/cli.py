@@ -216,17 +216,23 @@ def _run_surgery(request):
 def _run_enumerate(request):
     from . import legendrian
 
-    fillings = legendrian.enumerate_stein_fillings(request.family)
+    family = request.family
+    fillings = legendrian.enumerate_stein_fillings(family)
     # c1 evaluates to the rot vector, so each diagram's is read once for both
     if request.fmt == "json":
+        # each slot's handle dict is built once per realizable rot and shared
+        spec, rotations = legendrian.TwoHandleSpec, legendrian.rotation_range
+        handle_json = [
+            {r: spec(*slot, r).to_json_dict() for r in rotations(*slot)}
+            for slot in family.handle_slots()
+        ]
         entries = []
         for d in fillings:
             rot = list(d.rot_vector)
-            entries.append(
-                {"rot": rot, "c1": rot, "handles": [h.to_json_dict() for h in d.handles]}
-            )
+            handles = [by_rot[r] for by_rot, r in zip(handle_json, rot)]
+            entries.append({"rot": rot, "c1": rot, "handles": handles})
         return EXIT_OK, {
-            "family": request.family.to_json_dict(),
+            "family": family.to_json_dict(),
             "count": len(fillings),
             "fillings": entries,
         }

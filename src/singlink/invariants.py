@@ -26,7 +26,7 @@ from operator import index
 from ._record import Record
 from .families import Family, UnsupportedPresentation
 from .legendrian import SteinHandleDiagram, TwoHandleSpec
-from .linalg import IntMatrix, SnfResult, dot, mat_vec, smith_normal_form, symmetric_signature
+from .linalg import IntMatrix, SnfResult, dot, smith_normal_form, symmetric_signature
 from .linalg import two_column_cokernel
 from .openbook import OpenBookDescription, openbook_homology
 from .plumbing import PlumbingGraph, presentation_matrix
@@ -84,7 +84,7 @@ def is_canonical(diagram: SteinHandleDiagram) -> bool:
     rot = -c, so this is adjunction equality on every handle after a
     possible reversal, decided by one comparison of whole vectors.
     """
-    c = adjunction_vector([(h.tag, h.smooth_framing) for h in diagram.handles])
+    c = adjunction_vector(diagram.family.handle_slots())
     return diagram.rot_vector in (c, tuple(-x for x in c))
 
 
@@ -120,10 +120,10 @@ def euler_class(family: Family, rot_vector) -> CohomologyClassRep:
 
 
 def _reduce_class(q: IntMatrix, snf: SnfResult, v: tuple[int, ...]) -> CohomologyClassRep:
-    w = mat_vec(snf.u, v)
+    w = snf.reduce(v)
     reduced = []
     order: int | None = 1
-    for d, c in zip(snf.diagonal_entries(), w):  # Q is square
+    for d, c in zip(snf.diagonal, w):  # Q is square
         if d:
             r = c % d
             reduced.append(r)
@@ -134,7 +134,7 @@ def _reduce_class(q: IntMatrix, snf: SnfResult, v: tuple[int, ...]) -> Cohomolog
             if c:
                 order = None
     is_zero = all(x == 0 for x in reduced)
-    witness = snf.solve_reduced(w) if is_zero else None
+    witness = snf.solve(v) if is_zero else None
     return CohomologyClassRep(v, q, tuple(reduced), is_zero, order, witness)
 
 

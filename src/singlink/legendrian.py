@@ -9,7 +9,7 @@ exactly the rotation numbers {-s, -s+2, ..., s} with s = tb_max - 1 - f.
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter, index
+from operator import index
 
 from ._record import Record
 from .families import (
@@ -70,6 +70,16 @@ def _stabilization_budget(tag: HandleTag, framing: int) -> int:
     return s
 
 
+def _check_rot(tag: HandleTag, framing: int, rot) -> int:
+    """rot as an int, refused unless |rot| <= s and s - rot is even, with s
+    the stabilization budget of the slot (tag, framing)."""
+    rot = index(rot)
+    s = _stabilization_budget(tag, framing)
+    if abs(rot) > s or (s - rot) % 2:
+        raise ValueError(f"rot {rot} not realizable at framing {framing} for {tag}")
+    return rot
+
+
 class TwoHandleSpec(Record):
     """A Stein 2-handle: rotation within the realizable set, tb = framing + 1
     and the surface genus of its tag."""
@@ -77,10 +87,8 @@ class TwoHandleSpec(Record):
     __slots__ = ("tag", "smooth_framing", "rot")
 
     def __init__(self, tag: HandleTag, smooth_framing: int, rot: int):
-        smooth_framing, rot = index(smooth_framing), index(rot)
-        s = _stabilization_budget(tag, smooth_framing)
-        if abs(rot) > s or (s - rot) % 2:
-            raise ValueError(f"rot {rot} not realizable at framing {smooth_framing} for {tag}")
+        smooth_framing = index(smooth_framing)
+        rot = _check_rot(tag, smooth_framing, rot)
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "smooth_framing", smooth_framing)
         object.__setattr__(self, "rot", rot)
@@ -102,44 +110,37 @@ class TwoHandleSpec(Record):
         }
 
 
-_slot_of = attrgetter("tag", "smooth_framing")
-_rot_of = attrgetter("rot")
 _set = object.__setattr__
 
 
 class SteinHandleDiagram(Record):
     """A Legendrian handle diagram of a Stein filling of the link.
 
-    The handles are checked against ``family.handle_slots()``.  A caller
-    that has just built that pattern (the enumeration, the canonical
-    filling) passes it as ``_slots``, so that its diagrams are checked
-    without rebuilding it.  The 1-handle count is the family's.
+    In Gompf's standard form the family's handle slots and one rotation
+    number per slot fix the diagram, so that is all it stores: each rot is
+    checked against its slot's stabilization budget, and the 2-handles
+    are built from the slots on each read.  The 1-handle count is the
+    family's.
     """
 
-    __slots__ = ("family", "handles")
+    __slots__ = ("family", "rot_vector")
 
-    def __init__(
-        self,
-        family: Family,
-        handles: tuple[TwoHandleSpec, ...],
-        *,
-        _slots: tuple[tuple[HandleTag, int], ...] | None = None,
-    ):
-        handles = tuple(handles)
-        slots = family.handle_slots() if _slots is None else _slots
-        got = tuple(map(_slot_of, handles))
-        if got != slots:
-            raise ValueError(f"handles {got} do not match the {family} pattern {slots}")
+    def __init__(self, family: Family, rot_vector: tuple[int, ...]):
+        slots = family.handle_slots()
+        rots = tuple(rot_vector)
+        if len(rots) != len(slots):
+            raise ValueError(f"{len(rots)} rotation numbers for the {len(slots)} slots of {family}")
         _set(self, "family", family)
-        _set(self, "handles", handles)
+        _set(self, "rot_vector", tuple([_check_rot(*slot, r) for slot, r in zip(slots, rots)]))
 
     @property
     def one_handle_count(self) -> int:
         return self.family.one_handle_count
 
     @property
-    def rot_vector(self) -> tuple[int, ...]:
-        return tuple(map(_rot_of, self.handles))
+    def handles(self) -> tuple[TwoHandleSpec, ...]:
+        slots = self.family.handle_slots()
+        return tuple([TwoHandleSpec(*slot, r) for slot, r in zip(slots, self.rot_vector)])
 
     def to_json_dict(self) -> dict:
         return {
@@ -161,14 +162,21 @@ class SteinHandleDiagram(Record):
         return f"{self.one_handle_count} one-handles; " + "; ".join(parts)
 
 
+def _realized(family: Family, rot_vector: tuple[int, ...]) -> SteinHandleDiagram:
+    """A diagram of rots taken off the slots' budgets, so not checked again."""
+    diagram = object.__new__(SteinHandleDiagram)
+    _set(diagram, "family", family)
+    _set(diagram, "rot_vector", rot_vector)
+    return diagram
+
+
 def enumerate_stein_fillings(family: Family) -> tuple[SteinHandleDiagram, ...]:
     """All Stein handle diagrams, ordered lexicographically by rot vector.
 
     There are n + 1 of them for the elliptic family and prod(n_i - 1) for a
     cusp word; more than DIAGRAM_LIMIT raises SizeLimitExceeded before any
-    handle is built.  Each realizable handle of each slot is built once per
-    call; the diagrams are the product of these per-slot choices and share
-    them.
+    diagram is built.  The rot vectors are the product of the slots'
+    rotation ranges, so no rot is checked again and no handle is built.
     """
     slots = family.handle_slots()
     diagrams = 1
@@ -178,15 +186,8 @@ def enumerate_stein_fillings(family: Family) -> tuple[SteinHandleDiagram, ...]:
             raise SizeLimitExceeded(
                 f"{family.label} has more Stein diagrams than the limit of {DIAGRAM_LIMIT:,}"
             )
-    choices = [
-        tuple(TwoHandleSpec(tag, f, rot) for rot in rotation_range(tag, f)) for tag, f in slots
-    ]
-    return tuple(
-        [
-            SteinHandleDiagram(family, handles, _slots=slots)
-            for handles in itertools.product(*choices)
-        ]
-    )
+    ranges = [rotation_range(*slot) for slot in slots]
+    return tuple([_realized(family, rots) for rots in itertools.product(*ranges)])
 
 
 def canonical_filling(family: Family, sign: str = "min") -> SteinHandleDiagram:
@@ -199,9 +200,5 @@ def canonical_filling(family: Family, sign: str = "min") -> SteinHandleDiagram:
     if sign not in ("min", "max"):
         raise ValueError(f"sign must be 'min' or 'max', got {sign!r}")
     unit = -1 if sign == "min" else 1
-    slots = family.handle_slots()
-    handles = tuple(
-        TwoHandleSpec(tag, f, unit * _stabilization_budget(tag, f)) for tag, f in slots
-    )
-    return SteinHandleDiagram(family, handles, _slots=slots)
-
+    rots = tuple([unit * _stabilization_budget(*slot) for slot in family.handle_slots()])
+    return _realized(family, rots)

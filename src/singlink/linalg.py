@@ -32,12 +32,6 @@ def matmul(a, b) -> IntMatrix:
     return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
-def mat_vec(a, v):
-    if a and len(a[0]) != len(v):
-        raise ValueError("matrix and vector dimensions do not match")
-    return tuple([sum(map(mul, row, v)) for row in a])
-
-
 def is_symmetric(a) -> bool:
     n = len(a)
     return all(len(row) == n for row in a) and all(
@@ -70,65 +64,85 @@ def determinant(a) -> int:
 
 
 class SnfResult(Record):
-    """Smith normal form ``u @ matrix @ v == diag`` with unimodular u, v.
+    """Smith normal form ``u @ matrix @ v == D`` with unimodular u, v.
 
-    The diagonal entries are nonnegative and form a divisibility chain
-    d1 | d2 | ... (trailing zeros allowed).
+    D's ``diagonal`` is nonnegative and forms a divisibility chain
+    d1 | d2 | ... (trailing zeros allowed).  The matrix is kept as sparse
+    rows, v and u^-1 as sparse columns, and u as the log of its row
+    operations: (i, t, q) is row i += q * row t, or a swap of rows i and t
+    when q is 0, so (t, t, -2) negates row t.  The dense ``u``, ``diag``
+    and ``v`` are built on demand, for the tests.
     """
 
-    __slots__ = ("u", "diag", "v")
+    __slots__ = ("matrix_rows", "diagonal", "v_columns", "u_inverse", "row_log")
 
-    def diagonal_entries(self) -> IntVector:
-        n = min(len(self.diag), len(self.diag[0]) if self.diag else 0)
-        return tuple(self.diag[i][i] for i in range(n))
+    @property
+    def u(self) -> IntMatrix:
+        n = len(self.u_inverse)
+        return tuple(zip(*[self.reduce([int(i == k) for i in range(n)]) for k in range(n)]))
+
+    @property
+    def diag(self) -> IntMatrix:
+        d, rows, cols = self.diagonal, len(self.u_inverse), len(self.v_columns)
+        return tuple(tuple(d[i] if i == j else 0 for j in range(cols)) for i in range(rows))
+
+    @property
+    def v(self) -> IntMatrix:
+        n = len(self.v_columns)
+        return tuple(tuple(col.get(i, 0) for col in self.v_columns) for i in range(n))
+
+    def reduce(self, vector) -> list:
+        """``w = u @ vector``, by replaying the row operations on it, and
+        RuntimeError unless ``u^-1 @ w == vector``.  A vector whose length
+        is not the row count raises ValueError."""
+        if len(vector) != (n := len(self.u_inverse)):
+            raise ValueError(f"dimensions do not match: {n} rows, vector of length {len(vector)}")
+        w = list(vector)
+        for i, t, q in self.row_log:
+            if q:
+                w[i] += q * w[t]
+            else:
+                w[i], w[t] = w[t], w[i]
+        back = [0] * len(w)
+        for c, col in zip(w, self.u_inverse):
+            for i, x in col.items():
+                back[i] += c * x
+        if back != list(vector):
+            raise RuntimeError("smith normal form row log check failed")
+        return w
 
     def solve(self, vector, exact: bool = True):
         """One solution x of ``matrix @ x == vector``, over the integers or,
         when not exact, the rationals; None when there is none.  A vector
-        whose length is not the row count raises ValueError.
+        whose length is not the row count raises ValueError, and a solution
+        that fails ``matrix @ x == vector`` RuntimeError.
 
         >>> smith_normal_form(((2, 0), (0, 3))).solve((4, 3))
         (2, 1)
         """
         vector = tuple(vector)
-        self._check_rows(vector)  # mat_vec cannot check against a 0-row u
-        return self.solve_reduced(mat_vec(self.u, vector), exact)
-
-    def solve_reduced(self, w, exact: bool = True):
-        """``solve`` for a vector already carried to ``w = u @ vector``."""
-        self._check_rows(w)
-        rows = len(self.diag)
-        cols = len(self.v)
         if not exact:
             from fractions import Fraction
-        y = [0 if exact else Fraction(0)] * cols
-        for i in range(rows):
-            d = self.diag[i][i] if i < cols else 0
-            if d:
-                if exact:
-                    if w[i] % d:
-                        return None
-                    y[i] = w[i] // d
-                else:
-                    y[i] = Fraction(w[i], d)
-            elif w[i]:
+        x = {}  # x = v @ y, y_i = w_i / d_i
+        for i, c in enumerate(self.reduce(vector)):
+            d = self.diagonal[i] if i < len(self.diagonal) else 0
+            if d and (not exact or c % d == 0):
+                _add_scaled(x, self.v_columns[i], c // d if exact else Fraction(c, d))
+            elif c:  # d is 0, or d does not divide c
                 return None
-        return mat_vec(self.v, tuple(y))
-
-    def _check_rows(self, vector) -> None:
-        if len(vector) != len(self.diag):
-            raise ValueError(
-                f"matrix and vector dimensions do not match: {len(self.diag)} rows, "
-                f"vector of length {len(vector)}"
-            )
+        mx = [sum([z * x.get(k, 0) for k, z in row.items()]) for row in self.matrix_rows]
+        if mx != list(vector):
+            raise RuntimeError("smith normal form solution check failed")
+        zero = 0 if exact else Fraction(0)
+        return tuple([x.get(k, zero) for k in range(len(self.v_columns))])
 
     def kernel_basis(self) -> tuple[IntVector, ...]:
         """Basis of the integer kernel {x : matrix @ x == 0}."""
-        rows = len(self.diag)
+        cols = len(self.v_columns)
         return tuple(
-            tuple(row[j] for row in self.v)
-            for j in range(len(self.v))
-            if j >= rows or self.diag[j][j] == 0
+            tuple(col.get(k, 0) for k in range(cols))
+            for j, col in enumerate(self.v_columns)
+            if j >= len(self.diagonal) or self.diagonal[j] == 0
         )
 
     def cokernel(self, extra_free_rank: int = 0) -> "AbelianGroup":
@@ -138,8 +152,8 @@ class SnfResult(Record):
         >>> smith_normal_form(((2, 0), (0, 0), (0, 3))).cokernel(1)
         AbelianGroup(free_rank=2, torsion=(6,))
         """
-        nonzero = [d for d in self.diagonal_entries() if d != 0]
-        free = len(self.u) - len(nonzero) + extra_free_rank
+        nonzero = [d for d in self.diagonal if d != 0]
+        free = len(self.u_inverse) - len(nonzero) + extra_free_rank
         return AbelianGroup(free, tuple(d for d in nonzero if d > 1))
 
 
@@ -193,10 +207,12 @@ def smith_normal_form(matrix) -> SnfResult:
     The pivot at each stage is the smallest nonzero absolute value in the
     remaining block, ties broken by the sparsest row and column and then by
     lowest row and column index (see _select_pivot), so the output is
-    reproducible.  The working matrix and u are kept as sparse rows and v
+    reproducible.  The working matrix is kept as sparse rows and v and u^-1
     as sparse columns, so each operation costs the nonzeros it touches.
+    Each row operation is logged and mirrored on u^-1 as its inverse column
+    operation: row_i += q * row_t as col_t -= q * col_i.
 
-    >>> smith_normal_form(((2, 0), (0, 3))).diagonal_entries()
+    >>> smith_normal_form(((2, 0), (0, 3))).diagonal
     (1, 6)
     """
     m = freeze(matrix)
@@ -204,15 +220,27 @@ def smith_normal_form(matrix) -> SnfResult:
     cols = len(m[0]) if rows else 0
     if any(len(row) != cols for row in m):
         raise ValueError("ragged matrix")
-    a = _sparse(m)
-    u = [{i: 1} for i in range(rows)]
+    m_rows = _sparse(m)
+    a = [dict(row) for row in m_rows]
+    log = []
+    u_inv = [{i: 1} for i in range(rows)]  # columns of u^-1
     v = [{j: 1} for j in range(cols)]  # columns of v
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
+        log.append((i, j, 0))
+
+    def add_row(i, t, q):
+        _add_scaled(a[i], a[t], q)
+        _add_scaled(u_inv[t], u_inv[i], -q)
+        log.append((i, t, q))
+
     t = 0
     while (pivot := _select_pivot(a, t)) is not None:
         pi, pj = pivot
         if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
+            swap_rows(t, pi)
         if pj != t:  # column operations act on rows t and beyond, the rest being zero
             for row in a[t:]:
                 x, y = row.pop(t, 0), row.pop(pj, 0)
@@ -223,7 +251,8 @@ def smith_normal_form(matrix) -> SnfResult:
             v[t], v[pj] = v[pj], v[t]
         if a[t][t] < 0:
             a[t] = {j: -x for j, x in a[t].items()}
-            u[t] = {j: -x for j, x in u[t].items()}
+            u_inv[t] = {j: -x for j, x in u_inv[t].items()}
+            log.append((t, t, -2))
         while True:
             # Clear the pivot column; a remainder becomes a smaller pivot and the pass repeats.
             swapped = False
@@ -231,11 +260,10 @@ def smith_normal_form(matrix) -> SnfResult:
                 row = a[i]
                 if t in row:
                     q = -(row[t] // a[t][t])
-                    _add_scaled(row, a[t], q)
-                    _add_scaled(u[i], u[t], q)
+                    if q:
+                        add_row(i, t, q)
                     if t in row:
-                        a[t], a[i] = row, a[t]
-                        u[t], u[i] = u[i], u[t]
+                        swap_rows(t, i)
                         swapped = True
             if swapped:
                 continue
@@ -270,45 +298,29 @@ def smith_normal_form(matrix) -> SnfResult:
             culprit = next((i for i in below if any([x % p for x in a[i].values()])), None)
             if culprit is None:
                 break
-            _add_scaled(row_t, a[culprit], 1)
-            _add_scaled(u[t], u[culprit], 1)
+            add_row(t, culprit, 1)
         t += 1
 
-    v_rows = [{} for _ in v]
-    for j, line in enumerate(v):
-        for k, x in line.items():
-            v_rows[k][j] = x
-    out = [[0] * rows for _ in u], [[0] * cols for _ in a], [[0] * cols for _ in v]
-    for lines, dense in zip((u, a, v_rows), out):
-        for line, row in zip(lines, dense):
-            for k, x in line.items():
-                row[k] = x
-    result = SnfResult(*[tuple(map(tuple, x)) for x in out])
-    _check_snf(m, u, result.diag, v_rows)
-    return result
+    diagonal = tuple([a[i].get(i, 0) for i in range(min(rows, cols))])
+    _check_snf(m_rows, diagonal, v, u_inv)
+    return SnfResult(m_rows, diagonal, v, u_inv, log)
 
 
-def _check_snf(m: IntMatrix, u: list[dict], diag: IntMatrix, v: list[dict]) -> None:
-    """Raise unless ``u @ m @ v == diag`` exactly, with u and v given as
-    rows of their nonzeros, as the reduction holds them.
-
-    Every entry of the product is computed, one row of u at a time: that
-    row times m, then times v, each adding only the rows of m and v that a
-    nonzero coefficient selects.  Each row is compared whole with diag's,
-    off-diagonal zeros included.
-    """
-    m_rows = _sparse(m)
-    for u_row, d_row in zip(u, diag):
-        um = [0] * len(v)  # v is square, so u @ m and u @ m @ v have len(v) columns
-        for k, c in u_row.items():
-            for j, x in m_rows[k].items():
-                um[j] += c * x
-        umv = [0] * len(v)
-        for c, v_row in zip(um, v):
-            if c:
-                for j, x in v_row.items():
-                    umv[j] += c * x
-        if tuple(umv) != d_row:
+def _check_snf(m_rows: list[dict], diagonal: IntVector, v: list[dict], u_inv: list[dict]) -> None:
+    """Raise unless ``m @ v == u^-1 @ D`` exactly, on m's sparse rows and
+    the sparse columns of v and u^-1; u^-1 is a product of elementary
+    operations by construction, so this is ``u @ m @ v == D``.  Each column
+    of m @ v is compared whole with d_j times column j of u^-1."""
+    m_cols = [{} for _ in v]
+    for i, row in enumerate(m_rows):
+        for j, x in row.items():
+            m_cols[j][i] = x
+    for j, v_col in enumerate(v):
+        mv = {}
+        for k, x in v_col.items():
+            _add_scaled(mv, m_cols[k], x)
+        d = diagonal[j] if j < len(diagonal) else 0
+        if mv != ({i: d * x for i, x in u_inv[j].items()} if d else {}):
             raise RuntimeError("smith normal form verification failed")
 
 

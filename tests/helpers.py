@@ -24,15 +24,15 @@ library reads every diagram's d3 off the family's one reduction of Q.
 """
 import itertools
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
+from operator import mul
 
 from singlink import invariants, legendrian, linalg, openbook
 from singlink.families import ChainUnknot, Cusp, Elliptic, UnsupportedPresentation
 from singlink.legendrian import SteinHandleDiagram, TwoHandleSpec, rotation_range
 from singlink.linalg import (
-    SnfResult,
     determinant,
     dot,
     freeze,
@@ -155,10 +155,13 @@ def _dense_select_pivot(a, t, rows, cols):
     return t + i, t + j
 
 
+DenseSnf = namedtuple("DenseSnf", "u diag v")
+
+
 def dense_snf_oracle(matrix):
     """Smith normal form on dense lists, with the same pivots and the same
-    row and column operations as ``linalg.smith_normal_form``, which must
-    return the same u, diag and v.  Every operation touches whole rows and
+    row and column operations as ``linalg.smith_normal_form``, whose dense
+    ``u``, ``diag`` and ``v`` must be the same.  Every operation touches whole rows and
     columns, zeros included, and nothing is checked here."""
     a = [list(row) for row in freeze(matrix)]
     rows = len(a)
@@ -226,7 +229,14 @@ def dense_snf_oracle(matrix):
                 break
             add_row(culprit, t, 1)
         t += 1
-    return SnfResult(tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v)))
+    return DenseSnf(tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v)))
+
+
+def mat_vec(a, v):
+    """a @ v for a dense matrix and a vector."""
+    if a and len(a[0]) != len(v):
+        raise ValueError("matrix and vector dimensions do not match")
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def dense_snf_check_oracle(m, snf):
@@ -403,7 +413,8 @@ def d3_oracle(diagram):
 
 
 def stein_fillings_oracle(family):
-    """Every Stein handle diagram, each built from k fresh handles.
+    """Every Stein handle diagram, each built from its rot vector by the
+    checking constructor and its handles compared with k fresh ones.
 
     The handle genus is read off the tag here (0 for a chain unknot, 1 for
     the genus-one attaching circles), not from the library, and every
@@ -417,7 +428,9 @@ def stein_fillings_oracle(family):
         for (tag, f), handle in zip(slots, handles):
             assert handle.surface_genus == (0 if isinstance(tag, ChainUnknot) else 1)
             assert handle.tb == f + 1
-        diagrams.append(SteinHandleDiagram(family, handles))
+        diagram = SteinHandleDiagram(family, rots)
+        assert diagram.handles == handles
+        diagrams.append(diagram)
     return tuple(diagrams)
 
 

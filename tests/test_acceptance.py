@@ -17,11 +17,11 @@ from singlink.invariants import (
     is_canonical,
 )
 from singlink.legendrian import canonical_filling, enumerate_stein_fillings
-from singlink.linalg import determinant, dot, mat_vec, smith_normal_form, solve_rational
+from singlink.linalg import determinant, dot, smith_normal_form, solve_rational
 from singlink.plumbing import intersection_matrix
 from singlink.sl2z import cycle_monodromy, cyclic_equal, factor_cycle
 
-from helpers import presentation_oracle, suite_cusp_words, suite_families
+from helpers import mat_vec, presentation_oracle, suite_cusp_words, suite_families
 
 
 @contextmanager

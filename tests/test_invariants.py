@@ -21,7 +21,7 @@ from singlink.legendrian import (
     canonical_filling,
     enumerate_stein_fillings,
 )
-from singlink.linalg import AbelianGroup, dot, mat_vec, smith_normal_form, solve_rational
+from singlink.linalg import AbelianGroup, dot, smith_normal_form, solve_rational
 from singlink.plumbing import boundary_homology, presentation_matrix
 from singlink.sl2z import CycleWord, Sl2Matrix
 
@@ -29,6 +29,7 @@ from helpers import (
     adjunction_defect_oracle,
     counted_snf,
     d3_oracle,
+    mat_vec,
     presentation_oracle,
     suite_families,
 )
@@ -66,14 +67,15 @@ def test_hand_built_canonical_handles_are_canonical():
     # rot = framing + 2 - 2 * genus (genus read off the tag here) is canonical
     for family in suite_families():
         for sign, unit in (("min", 1), ("max", -1)):
-            handles = []
+            rots = []
             for tag, f in family.handle_slots():
                 genus = 0 if isinstance(tag, ChainUnknot) else 1
-                handles.append(TwoHandleSpec(tag, f, unit * (f + 2 - 2 * genus)))
-            diagram = SteinHandleDiagram(family, handles)
+                rots.append(unit * (f + 2 - 2 * genus))
+            diagram = SteinHandleDiagram(family, rots)
             assert is_canonical(diagram), family
             assert diagram == canonical_filling(family, sign)
-    assert is_canonical(SteinHandleDiagram(Elliptic(3), (TwoHandleSpec(EllipticCore(), -3, -3),)))
+            assert diagram.handles == canonical_filling(family, sign).handles
+    assert is_canonical(SteinHandleDiagram(Elliptic(3), (-3,)))
 
 
 def test_adjunction_uniqueness_over_suite():

@@ -148,19 +148,13 @@ def test_enumeration_matches_per_diagram_oracle_on_large_words(word):
     assert fillings == stein_fillings_oracle(family)
 
 
-def test_enumeration_builds_each_handle_and_pattern_once(monkeypatch):
-    built, patterns = [], []
-    check = TwoHandleSpec.__init__
+def test_enumeration_builds_no_handle_and_reads_the_pattern_once(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("the enumeration built a TwoHandleSpec")
 
-    def counting(self, *args):
-        built.append(self)
-        check(self, *args)
-
-    monkeypatch.setattr(TwoHandleSpec, "__init__", counting)
     for family in [Elliptic(6), Cusp(CycleWord((3, 4, 5))), Cusp(CycleWord(LARGE_WORDS[0]))]:
-        ranges = [rotation_range(tag, f) for tag, f in family.handle_slots()]
-        built.clear()
-        patterns.clear()
+        expected = stein_fillings_oracle(family)
+        patterns = []
         handle_slots = type(family).handle_slots
 
         def counting_slots(f):
@@ -168,27 +162,53 @@ def test_enumeration_builds_each_handle_and_pattern_once(monkeypatch):
             return handle_slots(f)
 
         with monkeypatch.context() as m:
+            m.setattr(TwoHandleSpec, "__init__", refuse)
             m.setattr(type(family), "handle_slots", counting_slots)
             fillings = enumerate_stein_fillings(family)
-        assert len(built) == sum(len(r) for r in ranges)
-        assert len(patterns) == 1
-        # every diagram takes its handles from those, one per slot
-        for i, rng in enumerate(ranges):
-            assert len({id(d.handles[i]) for d in fillings}) == len(rng)
+        assert patterns == [family]
+        assert fillings == expected
+        # the rot vector is stored, not rebuilt on each read
+        assert all(d.rot_vector is d.rot_vector for d in fillings)
+
+
+# for each tag, a family whose last slot has that tag, a realizable rot
+# vector, and vectors the constructor refuses: a last rot out of range and
+# one of the wrong parity
+PATTERNS = [
+    (Cusp(CycleWord((2, 3, 4))), (0, -1, 2), [(0, -1, 4), (0, 1, 1)]),
+    (Elliptic(3), (-3,), [(5,), (-2,)]),
+    (Cusp(CycleWord((5,))), (1,), [(-5,), (0,)]),
+]
 
 
 def test_diagram_rejects_wrong_cusp_pattern():
-    family = Cusp(CycleWord((2, 3, 4)))
-    a, b, c = canonical_filling(family, "min").handles
-    with pytest.raises(ValueError, match="pattern"):
-        SteinHandleDiagram(family, (a, c, b))
-    with pytest.raises(ValueError, match="pattern"):
-        SteinHandleDiagram(family, (a, b))
-    with pytest.raises(ValueError, match="pattern"):
-        SteinHandleDiagram(family, (a, b, c, c))
-    # the pattern an enumeration passes in is checked the same way
-    with pytest.raises(ValueError, match="pattern"):
-        SteinHandleDiagram(family, (a, c, b), _slots=family.handle_slots())
+    assert {type(family.handle_slots()[-1][0]) for family, _, _ in PATTERNS} == {
+        ChainUnknot, EllipticCore, NodalDoublePass
+    }
+    for family, rots, refused in PATTERNS:
+        assert SteinHandleDiagram(family, rots) in enumerate_stein_fillings(family)
+        for bad in (rots[:-1], rots + (rots[-1],), ()):  # a rot vector of the wrong length
+            with pytest.raises(ValueError, match="rotation numbers for the"):
+                SteinHandleDiagram(family, bad)
+        for bad in refused:
+            with pytest.raises(ValueError, match="not realizable"):
+                SteinHandleDiagram(family, bad)
+        for entry in (float(rots[-1]), Fraction(rots[-1]), str(rots[-1])):
+            with pytest.raises(TypeError):
+                SteinHandleDiagram(family, rots[:-1] + (entry,))
+
+
+def test_diagram_validation():
+    for family, rots, _ in PATTERNS:
+        diagram = SteinHandleDiagram(family, list(rots))
+        assert diagram.rot_vector == rots and type(diagram.rot_vector) is tuple
+        assert diagram.one_handle_count == family.one_handle_count
+        slots = family.handle_slots()
+        assert diagram.handles == tuple(TwoHandleSpec(*slot, r) for slot, r in zip(slots, rots))
+        with pytest.raises(TypeError):  # the 1-handle count is the family's
+            SteinHandleDiagram(family, 2, rots)
+        with pytest.raises(TypeError):  # a diagram is its rot vector, not its handles
+            SteinHandleDiagram(family, diagram.handles)
 
 
 def test_handle_slots_share_the_tag_constants(monkeypatch):
@@ -268,18 +288,6 @@ def test_canonical_filling_does_not_list_the_range(monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
-def test_diagram_validation():
-    handle = TwoHandleSpec(EllipticCore(), -3, -3)
-    assert SteinHandleDiagram(Elliptic(3), (handle,)).one_handle_count == 2
-    nodal = TwoHandleSpec(NodalDoublePass(), -3, 1)
-    assert SteinHandleDiagram(Cusp(CycleWord((5,))), (nodal,)).one_handle_count == 1
-    wrong_framing = TwoHandleSpec(EllipticCore(), -4, -4)
-    with pytest.raises(ValueError, match="pattern"):
-        SteinHandleDiagram(Elliptic(3), (wrong_framing,))
-    with pytest.raises(TypeError):  # the 1-handle count is the family's
-        SteinHandleDiagram(Elliptic(3), 2, (handle,))
-
-
 def test_contact_surgery_elliptic_frozen():
     # Elliptic(1) read as a contact surgery: a (+1)-surgery on a standard
     # unknot (tb -1, so framing 0) per 1-handle and a (-1)-surgery on the
@@ -325,6 +333,11 @@ def test_diagram_limit_is_checked_before_any_handle(monkeypatch):
     monkeypatch.setattr(
         legendrian, "TwoHandleSpec", lambda *a: built.append(a) or TwoHandleSpec(*a)
     )
+    monkeypatch.setattr(
+        legendrian, "rotation_range", lambda *a: built.append(a) or rotation_range(*a)
+    )
+    realized = legendrian._realized
+    monkeypatch.setattr(legendrian, "_realized", lambda *a: built.append(a) or realized(*a))
     monkeypatch.setattr(legendrian, "DIAGRAM_LIMIT", 6)
     assert len(enumerate_stein_fillings(Cusp(CycleWord((2, 3, 4))))) == 6
     assert len(enumerate_stein_fillings(Elliptic(5))) == 6

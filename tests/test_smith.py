@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singlink import linalg
+from singlink.cli import parse_args, run
 from singlink.families import Cusp, Elliptic
 from singlink.invariants import euler_class
 from singlink.plumbing import PlumbingGraph, PlumbingVertex, intersection_matrix
@@ -14,7 +16,6 @@ from singlink.linalg import (
     SnfResult,
     determinant,
     dot,
-    mat_vec,
     matmul,
     smith_normal_form,
     solve_rational,
@@ -22,6 +23,7 @@ from singlink.linalg import (
     two_column_cokernel,
 )
 from singlink.sl2z import CycleWord
+from singlink.verify import verify_family
 
 from helpers import (
     cycle_product_oracle,
@@ -30,6 +32,7 @@ from helpers import (
     dense_snf_oracle,
     det_cofactor,
     markowitz_pivot_oracle,
+    mat_vec,
     openbook_presentation,
     presentation_oracle,
     suite_families,
@@ -47,9 +50,9 @@ matrices = st.integers(min_value=1, max_value=4).flatmap(
 
 
 def test_snf_fixed_cases():
-    assert smith_normal_form(((2, 0), (0, 3))).diagonal_entries() == (1, 6)
-    assert smith_normal_form(((0, 0), (0, 0))).diagonal_entries() == (0, 0)
-    assert smith_normal_form(((6, -3), (5, -3))).diagonal_entries() == (1, 3)
+    assert smith_normal_form(((2, 0), (0, 3))).diagonal == (1, 6)
+    assert smith_normal_form(((0, 0), (0, 0))).diagonal == (0, 0)
+    assert smith_normal_form(((6, -3), (5, -3))).diagonal == (1, 3)
 
 
 def test_non_integer_entries_are_refused():
@@ -126,11 +129,11 @@ def test_pivot_matches_markowitz_oracle(m):
 
 
 @st.composite
-def matrices_with_zero_lines(draw):
-    """Integer matrices of every shape from 0 x 0 to 8 x 8, entries -50..50,
-    with some rows and columns zeroed."""
-    rows = draw(st.integers(min_value=0, max_value=8))
-    cols = draw(st.integers(min_value=0, max_value=8))
+def matrices_with_zero_lines(draw, size=8):
+    """Integer matrices of every shape from 0 x 0 to size x size, entries
+    -50..50, with some rows and columns zeroed."""
+    rows = draw(st.integers(min_value=0, max_value=size))
+    cols = draw(st.integers(min_value=0, max_value=size))
     entries = st.one_of(st.just(0), st.integers(min_value=-50, max_value=50))
     row = st.lists(entries, min_size=cols, max_size=cols)
     m = draw(st.lists(row, min_size=rows, max_size=rows))
@@ -173,74 +176,170 @@ def test_sparse_snf_matches_dense_oracle_on_every_presentation():
         _assert_matches_dense_oracle(openbook_presentation(Cusp(CycleWord((3,) * k))))
 
 
+# entries at most 32, yet v's entries grow to tens of thousands of bits
+GROWTH_WITNESS = (
+    (0, 23, -32, 0, 0, 0, 0),
+    (0, 9, 0, 0, 0, 0, 0),
+    (-8, 0, 27, 0, 10, 0, 0),
+    (0, -15, -32, 0, 0, 0, -8),
+    (0, 0, 22, 0, 8, 0, 0),
+    (0, 0, 32, 11, 0, 0, 0),
+    (8, 0, -25, 0, 23, 0, 0),
+)
+
+
 def test_sparse_snf_matches_dense_oracle_on_the_growth_witness():
-    # entries at most 32, yet v's entries grow to tens of thousands of bits;
     # found by Hypothesis past its deadline, so pinned here without one
-    m = (
-        (0, 23, -32, 0, 0, 0, 0),
-        (0, 9, 0, 0, 0, 0, 0),
-        (-8, 0, 27, 0, 10, 0, 0),
-        (0, -15, -32, 0, 0, 0, -8),
-        (0, 0, 22, 0, 8, 0, 0),
-        (0, 0, 32, 11, 0, 0, 0),
-        (8, 0, -25, 0, 23, 0, 0),
-    )
+    m = GROWTH_WITNESS
     snf, oracle = smith_normal_form(m), dense_snf_oracle(m)
     assert (snf.u, snf.diag, snf.v) == (oracle.u, oracle.diag, oracle.v)
-    assert snf.diagonal_entries() == (1, 1, 1, 1, 8, 176, 0)
+    assert snf.diagonal == (1, 1, 1, 1, 8, 176, 0)
+    identity = tuple(tuple(int(i == j) for j in range(7)) for i in range(7))
+    assert matmul(oracle.u, _dense_u_inverse(snf)) == identity
 
 
-def _check_accepts(m, snf):
+def _check_accepts(snf):
     try:
-        linalg._check_snf(m, linalg._sparse(snf.u), snf.diag, linalg._sparse(snf.v))
+        linalg._check_snf(snf.matrix_rows, snf.diagonal, snf.v_columns, snf.u_inverse)
     except RuntimeError:
         return False
     return True
 
 
 def _with_one_change(snf, which, i, j, delta):
-    rows = [list(row) for row in getattr(snf, which)]
-    rows[i][j] += delta
-    fields = {"u": snf.u, "diag": snf.diag, "v": snf.v, which: tuple(map(tuple, rows))}
-    return SnfResult(fields["u"], fields["diag"], fields["v"])
+    """The result with entry j of D, or entry (i, j) of v or of u^-1, moved
+    by delta; v and u^-1 are held as sparse columns, so (i, j) is row i of
+    column j."""
+    fields = {name: getattr(snf, name) for name in SnfResult.__slots__}
+    if which == "diagonal":
+        d = list(snf.diagonal)
+        d[j] += delta
+        fields[which] = tuple(d)
+    else:
+        columns = [dict(col) for col in fields[which]]
+        columns[j][i] = columns[j].get(i, 0) + delta
+        if not columns[j][i]:
+            del columns[j][i]
+        fields[which] = columns
+    return SnfResult(*fields.values())
+
+
+def _dense_u_inverse(snf):
+    return [[col.get(i, 0) for col in snf.u_inverse] for i in range(len(snf.u_inverse))]
+
+
+def _dense_inverse_check(m, snf):
+    """m @ v == u^-1 @ D with every product formed in full, zeros included."""
+    return matmul(m, snf.v) == matmul(_dense_u_inverse(snf), snf.diag)
 
 
 @settings(max_examples=200)
 @given(sparse_matrices(), st.data())
 def test_sparse_snf_check_accepts_snf_and_rejects_one_change(m, data):
     snf = smith_normal_form(m)  # ran the check once already
-    assert _check_accepts(m, snf) and dense_snf_check_oracle(m, snf)
+    assert _check_accepts(snf) and dense_snf_check_oracle(m, snf)
+    assert _dense_inverse_check(m, snf)
     rows, cols = len(m), len(m[0])
-    # entries whose change changes u @ m @ v: u[i][k] when row k of m is
-    # nonzero, v[k][j] when column k of m is nonzero (u and v are
-    # invertible), and every entry of diag, off-diagonal zeros included
-    targets = [("u", i, k) for i in range(rows) for k in range(rows) if any(m[k])]
+    d = snf.diagonal
+    # entries whose change changes m @ v - u^-1 @ D: every entry of D (u^-1
+    # is invertible), v's row k when column k of m is nonzero, and u^-1's
+    # column j when d_j is nonzero
+    targets = [("diagonal", 0, j) for j in range(len(d))]
     targets += [
-        ("v", k, j) for k in range(cols) for j in range(cols) if any(row[k] for row in m)
+        ("v_columns", k, j) for k in range(cols) for j in range(cols) if any(row[k] for row in m)
     ]
-    targets += [("diag", i, j) for i in range(rows) for j in range(cols)]
+    targets += [("u_inverse", i, j) for i in range(rows) for j in range(len(d)) if d[j]]
     which, i, j = data.draw(st.sampled_from(targets))
     changed = _with_one_change(snf, which, i, j, data.draw(st.sampled_from([-2, -1, 1, 2])))
-    assert not dense_snf_check_oracle(m, changed)
-    assert not _check_accepts(m, changed)
+    assert not _dense_inverse_check(m, changed)
+    assert not _check_accepts(changed)
 
 
 def test_sparse_snf_check_rejects_every_changed_entry_of_diag():
     for family in (Elliptic(25), Cusp(CycleWord((3,) * 17))):
         m = openbook_presentation(family)
         snf = smith_normal_form(m)
-        assert dense_snf_check_oracle(m, snf)
-        for i in range(len(m)):
-            for j in range(len(m[0])):
-                assert not _check_accepts(m, _with_one_change(snf, "diag", i, j, 1))
+        assert dense_snf_check_oracle(m, snf) and _check_accepts(snf)
+        rows, cols = len(m), len(m[0])
+        for j in range(len(snf.diagonal)):
+            assert not _check_accepts(_with_one_change(snf, "diagonal", 0, j, 1))
+            for i in range(rows):
+                if snf.diagonal[j]:
+                    assert not _check_accepts(_with_one_change(snf, "u_inverse", i, j, 1))
+        for k in range(cols):
+            for j in range(cols):
+                if any(row[k] for row in m):
+                    assert not _check_accepts(_with_one_change(snf, "v_columns", k, j, 1))
 
 
 def test_snf_self_check_failure_raises():
-    snf = smith_normal_form(((2, 4), (6, 8)))
-    broken = SnfResult(snf.u, ((1, 1), (0, 4)), snf.v)
-    with patch.object(linalg, "SnfResult", lambda u, diag, v: broken):
-        with pytest.raises(RuntimeError, match="verification failed"):
-            smith_normal_form(((2, 4), (6, 8)))
+    # smith_normal_form hands what it built to the self-check; with one
+    # entry of D, of v or of u^-1 changed on the way, it must raise
+    check = linalg._check_snf
+    for which in ("diagonal", "v_columns", "u_inverse"):
+
+        def changed(*built, which=which):
+            snf = _with_one_change(SnfResult(*built, []), which, 0, 0, 1)
+            check(snf.matrix_rows, snf.diagonal, snf.v_columns, snf.u_inverse)
+
+        with patch.object(linalg, "_check_snf", changed):
+            with pytest.raises(RuntimeError, match="verification failed"):
+                smith_normal_form(((2, 4), (6, 8)))
+
+
+def test_row_log_and_solution_checks_raise():
+    m = ((2, 4), (6, 8))
+    snf = smith_normal_form(m)
+    assert snf.solve((2, 6)) == (1, 0) and len(snf.row_log) > 1
+    # a log with one operation dropped no longer inverts u^-1, and replaying
+    # it on the unit vectors, as the dense u does, shows that
+    for k in range(len(snf.row_log)):
+        log = snf.row_log[:k] + snf.row_log[k + 1 :]
+        dropped = SnfResult(snf.matrix_rows, snf.diagonal, snf.v_columns, snf.u_inverse, log)
+        with pytest.raises(RuntimeError, match="row log check failed"):
+            dropped.u
+    # a changed v gives a solution that the matrix refutes
+    with pytest.raises(RuntimeError, match="solution check failed"):
+        _with_one_change(snf, "v_columns", 1, 0, 1).solve((2, 6))
+
+
+vectors = st.lists(st.integers(min_value=-5, max_value=5), min_size=8, max_size=8)
+
+
+# the growth witness takes over a second here, past the deadline, so it is
+# pinned in test_sparse_snf_matches_dense_oracle_on_the_growth_witness
+@settings(max_examples=200, deadline=200)
+@given(matrices_with_zero_lines(6), vectors, vectors)
+def test_row_log_replays_u_and_inverts_u_inverse(m, xs, bs):
+    snf = smith_normal_form(m)
+    rows, cols = len(m), len(m[0]) if m else 0
+    # the log applied to the identity is u, and u times the sparse u^-1 is I
+    assert snf.u == dense_snf_oracle(m).u
+    identity = tuple(tuple(int(i == j) for j in range(rows)) for i in range(rows))
+    assert matmul(snf.u, _dense_u_inverse(snf)) == identity
+    # every solution solves, over the integers and the rationals
+    b, other = mat_vec(m, xs[:cols]), tuple(bs[:rows])
+    for exact in (True, False):
+        x = snf.solve(b, exact)
+        assert x is not None and mat_vec(m, x) == b
+        x = snf.solve(other, exact)
+        assert x is None or mat_vec(m, x) == other
+
+
+def test_no_production_path_reads_the_dense_transforms(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a dense transform was built")
+
+    for name in ("u", "diag", "v"):
+        monkeypatch.setattr(SnfResult, name, property(refuse))
+    for family in suite_families():
+        assert all(passed for _, passed in verify_family(family)), family
+    code, out = run(parse_args(["inv", "--cusp", ",".join(["3"] * 200), "--json"]))
+    report = json.loads(out)
+    assert code == 0 and report["homology"]["all_equal"] is True
+    assert report["euler"]["min"]["is_zero"] is True
+    with pytest.raises(AssertionError, match="dense transform"):
+        smith_normal_form(((2, 4), (6, 8))).u
 
 
 def test_snf_agrees_with_dense_check_on_suite_presentations():
@@ -266,7 +365,7 @@ def test_snf_properties(rows):
     assert abs(det_cofactor([list(r) for r in snf.u])) == 1
     assert abs(det_cofactor([list(r) for r in snf.v])) == 1
     # nonnegative diagonal with divisibility chain, zeros trailing
-    d = snf.diagonal_entries()
+    d = snf.diagonal
     assert all(x >= 0 for x in d)
     for a, b in zip(d, d[1:]):
         if a == 0:
@@ -328,12 +427,12 @@ def test_solve_refuses_a_vector_of_the_wrong_length():
         solve_rational(((1, 0), (0, 1)), (1,))
     with pytest.raises(ValueError, match="dimensions"):
         solve_rational((), (1,))
-    # the empty matrix has no row for mat_vec to compare the vector with
+    # the empty matrix has no row to compare the vector with
     with pytest.raises(ValueError, match="dimensions"):
         smith_normal_form(()).solve((1,))
     assert smith_normal_form(()).solve(()) == ()
     with pytest.raises(ValueError, match="dimensions"):
-        snf.solve_reduced((1,))
+        snf.reduce((1,))
 
 
 def test_determinant_matches_cofactor_oracle():

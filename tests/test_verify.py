@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from singlink import invariants, legendrian
 from singlink.families import Cusp, Elliptic, SizeLimitExceeded
-from singlink.legendrian import SteinHandleDiagram, TwoHandleSpec, rotation_range
+from singlink.legendrian import SteinHandleDiagram, rotation_range
 from singlink.plumbing import intersection_matrix, presentation_matrix
 from singlink.sl2z import CycleWord
 from singlink.verify import (
@@ -181,10 +181,7 @@ def test_adjunction_classes_match_oracles_on_mixed_diagrams():
         slots = family.handle_slots()
         ranges = [rotation_range(tag, f) for tag, f in slots]
         diagrams = [
-            SteinHandleDiagram(
-                family,
-                [TwoHandleSpec(tag, f, r[side]) for (tag, f), r, side in zip(slots, ranges, sides)],
-            )
+            SteinHandleDiagram(family, [r[side] for r, side in zip(ranges, sides)])
             for sides in itertools.product((0, -1), repeat=len(slots))
         ]
         assert_classes_match_oracles(family, diagrams)
@@ -280,18 +277,21 @@ def test_shifted_adjunction_formula_fails_uniqueness(monkeypatch):
 
 
 def test_every_diagram_of_one_verify_call_is_checked(monkeypatch):
-    # each enumerated diagram and the two canonical fillings go through the
-    # constructor, and with it the check against the handle pattern
+    # each enumerated diagram and the two canonical fillings are built from
+    # rot vectors taken off the slots' budgets; each of those vectors must
+    # pass the checking constructor and give the same diagram
+    realized = legendrian._realized
     for family in (Cusp(CycleWord((3, 4, 5))), Elliptic(3), Cusp(CycleWord((2, 3)))):
         count = len(legendrian.enumerate_stein_fillings(family))
         built = []
-        original = SteinHandleDiagram.__init__
 
-        def counting(self, *args, **kwargs):
-            built.append(args[0])
-            original(self, *args, **kwargs)
+        def checked(family, rots):
+            built.append(family)
+            diagram = realized(family, rots)
+            assert SteinHandleDiagram(family, rots) == diagram
+            return diagram
 
-        monkeypatch.setattr(SteinHandleDiagram, "__init__", counting)
-        verify_family(family)
+        monkeypatch.setattr(legendrian, "_realized", checked)
+        assert all(passed for _, passed in verify_family(family))
         monkeypatch.undo()
         assert built == [family] * (count + 2), family
