@@ -134,7 +134,7 @@ def _reduce_class(q: IntMatrix, snf: SnfResult, v: tuple[int, ...]) -> Cohomolog
             if c:
                 order = None
     is_zero = all(x == 0 for x in reduced)
-    witness = snf.solve(v) if is_zero else None
+    witness = snf.lift(v, w) if is_zero else None
     return CohomologyClassRep(v, q, tuple(reduced), is_zero, order, witness)
 
 

@@ -26,12 +26,13 @@ __all__ = [
     "rotation_range",
     "TwoHandleSpec",
     "SteinHandleDiagram",
+    "filling_rot_vectors",
     "enumerate_stein_fillings",
     "canonical_filling",
 ]
 
 
-# Most Stein diagrams enumerate_stein_fillings lists: n + 1 for Elliptic(n)
+# Most Stein diagrams filling_rot_vectors lists: n + 1 for Elliptic(n)
 # and prod(n_i - 1) for a cusp word.  A larger family is refused before any
 # handle is built.
 DIAGRAM_LIMIT = 100_000
@@ -170,13 +171,14 @@ def _realized(family: Family, rot_vector: tuple[int, ...]) -> SteinHandleDiagram
     return diagram
 
 
-def enumerate_stein_fillings(family: Family) -> tuple[SteinHandleDiagram, ...]:
-    """All Stein handle diagrams, ordered lexicographically by rot vector.
+def filling_rot_vectors(family: Family) -> itertools.product:
+    """The rot vectors of all Stein handle diagrams, in lexicographic order.
 
-    There are n + 1 of them for the elliptic family and prod(n_i - 1) for a
-    cusp word; more than DIAGRAM_LIMIT raises SizeLimitExceeded before any
-    diagram is built.  The rot vectors are the product of the slots'
-    rotation ranges, so no rot is checked again and no handle is built.
+    A plain function, so a family with more than DIAGRAM_LIMIT diagrams
+    (n + 1 for the elliptic family, prod(n_i - 1) for a cusp word) raises
+    SizeLimitExceeded at the call, before any vector is made.  Returns the
+    lazy product of the slots' rotation ranges, one tuple at a time, so no
+    rot is checked again and no diagram is built.
     """
     slots = family.handle_slots()
     diagrams = 1
@@ -186,8 +188,14 @@ def enumerate_stein_fillings(family: Family) -> tuple[SteinHandleDiagram, ...]:
             raise SizeLimitExceeded(
                 f"{family.label} has more Stein diagrams than the limit of {DIAGRAM_LIMIT:,}"
             )
-    ranges = [rotation_range(*slot) for slot in slots]
-    return tuple([_realized(family, rots) for rots in itertools.product(*ranges)])
+    return itertools.product(*[rotation_range(*slot) for slot in slots])
+
+
+def enumerate_stein_fillings(family: Family) -> tuple[SteinHandleDiagram, ...]:
+    """All Stein handle diagrams, ordered lexicographically by rot vector:
+    one diagram per vector of ``filling_rot_vectors``, which refuses a
+    family over DIAGRAM_LIMIT before any diagram is built."""
+    return tuple([_realized(family, r) for r in filling_rot_vectors(family)])
 
 
 def canonical_filling(family: Family, sign: str = "min") -> SteinHandleDiagram:

@@ -120,21 +120,31 @@ class SnfResult(Record):
         >>> smith_normal_form(((2, 0), (0, 3))).solve((4, 3))
         (2, 1)
         """
-        vector = tuple(vector)
-        if not exact:
+        return self.lift(vector, self.reduce(vector), exact)
+
+    def lift(self, vector, w, exact: bool = True):
+        """``solve(vector, exact)`` from ``w = reduce(vector)``, with no
+        second replay of the log: x = v @ y with y_i = w_i / d_i.  None
+        when some w_i is nonzero and d_i is 0 or, when exact, does not
+        divide it; RuntimeError unless ``matrix @ x == vector``."""
+        if exact:
+            x = [0] * len(self.v_columns)
+        else:
             from fractions import Fraction
-        x = {}  # x = v @ y, y_i = w_i / d_i
-        for i, c in enumerate(self.reduce(vector)):
+
+            x = [Fraction(0)] * len(self.v_columns)
+        for i, c in enumerate(w):
             d = self.diagonal[i] if i < len(self.diagonal) else 0
             if d and (not exact or c % d == 0):
-                _add_scaled(x, self.v_columns[i], c // d if exact else Fraction(c, d))
+                y = c // d if exact else Fraction(c, d)
+                for k, z in self.v_columns[i].items():
+                    x[k] += y * z
             elif c:  # d is 0, or d does not divide c
                 return None
-        mx = [sum([z * x.get(k, 0) for k, z in row.items()]) for row in self.matrix_rows]
+        mx = [sum([z * x[k] for k, z in row.items()]) for row in self.matrix_rows]
         if mx != list(vector):
             raise RuntimeError("smith normal form solution check failed")
-        zero = 0 if exact else Fraction(0)
-        return tuple([x.get(k, zero) for k in range(len(self.v_columns))])
+        return tuple(x)
 
     def kernel_basis(self) -> tuple[IntVector, ...]:
         """Basis of the integer kernel {x : matrix @ x == 0}."""
@@ -403,7 +413,7 @@ def symmetric_signature(matrix) -> int:
     rows = {i: {j: Fraction(x) for j, x in row.items()} for i, row in enumerate(_sparse(matrix))}
     signature = 0
     while any(rows.values()):
-        p = min((i for i in rows if i in rows[i]), key=lambda i: len(rows[i]), default=None)
+        p = min([(len(r), i) for i, r in rows.items() if i in r], default=(0, None))[1]
         if p is None:
             p = next(i for i in rows if rows[i])
             j = next(iter(rows[p]))

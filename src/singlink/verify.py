@@ -27,10 +27,12 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     The open book and monodromy are built once per call, and one
     ``invariants.FamilyReduction`` reduces the presentation Q once for the
     Euler classes, the plumbing H_1 and both elliptic d3 values, which
-    share one signature of Q.  The Stein filling checks compute the
-    family's adjunction vector c once and compare each diagram's whole rot
-    vector with c and -c, with no call per handle: the rot vectors must
-    strictly increase in the enumeration's lexicographic order (so they are
+    share one signature of Q.  The Stein filling checks read the rot
+    vectors of ``legendrian.filling_rot_vectors`` one at a time, building
+    no diagram for them and holding no list: one pass counts them and
+    compares each with the one before it and with the family's adjunction
+    vector c and its negative.  The count must be the closed form, the
+    vectors must strictly increase in lexicographic order (so they are
     pairwise distinct), the minimal canonical filling must be the only
     diagram at c (zero adjunction defect on every handle), and the two
     canonical fillings the only ones at c or -c.  Nothing is kept between
@@ -42,7 +44,7 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     checks: list[tuple[str, bool]] = []
     book = family.openbook()
     # a family over DIAGRAM_LIMIT is refused here, before Q is reduced
-    fillings = legendrian.enumerate_stein_fillings(family)
+    rot_vectors = legendrian.filling_rot_vectors(family)
     a = family.monodromy()
     reduction = invariants.FamilyReduction(family)
 
@@ -77,9 +79,9 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
 
     minimal = legendrian.canonical_filling(family, "min")
     maximal = legendrian.canonical_filling(family, "max")
-    rots, canonical, zero_defect = _adjunction_classes(family, fillings)
-    checks.append(("stein filling count", len(fillings) == expected_count))
-    increasing = all(a < b for a, b in itertools.pairwise(rots))
+    c = invariants.adjunction_vector(family.handle_slots())
+    count, increasing, at_c, at_minus_c = _filling_pass(c, rot_vectors)
+    checks.append(("stein filling count", count == expected_count))
     checks.append(("c1 evaluations pairwise distinct", increasing))
     checks.append(
         (
@@ -91,7 +93,7 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     checks.append(
         (
             "adjunction uniqueness",
-            zero_defect == [minimal] and len(canonical) == expected_canonical,
+            at_c == 1 and minimal.rot_vector == c and at_c + at_minus_c == expected_canonical,
         )
     )
 
@@ -111,21 +113,29 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     return checks
 
 
-def _adjunction_classes(family: Family, fillings):
-    """The fillings' rot vectors, the canonical fillings and those of zero
-    adjunction defect.
+def _filling_pass(c: tuple[int, ...], rot_vectors) -> tuple[int, bool, int, int]:
+    """One pass over the rot vectors: their count, whether they strictly
+    increase, and how many equal the adjunction vector c and how many -c.
 
-    The adjunction vector c is computed once; each diagram's rot vector is
-    read once and compared whole with c and -c.  A diagram is canonical
-    when its rot vector is c or -c, and has zero defect on every handle
+    Each vector is compared whole with the one before it, with c and, when
+    -c is another vector, with -c; a diagram is canonical when its rot
+    vector is c or -c, and has zero adjunction defect on every handle
     exactly when it is c.
     """
-    c = invariants.adjunction_vector(family.handle_slots())
-    targets = (c, tuple(-x for x in c))
-    rots = [d.rot_vector for d in fillings]
-    canonical = [(d, rot) for d, rot in zip(fillings, rots) if rot in targets]
-    zero_defect = [d for d, rot in canonical if rot == c]
-    return rots, [d for d, _ in canonical], zero_defect
+    minus_c = tuple([-x for x in c])
+    count = at_c = at_minus_c = 0
+    increasing = True
+    previous = None
+    for rots in rot_vectors:
+        count += 1
+        if previous is not None and previous >= rots:
+            increasing = False
+        previous = rots
+        if rots == c:
+            at_c += 1
+        elif rots == minus_c:  # never true when c == -c
+            at_minus_c += 1
+    return count, increasing, at_c, at_minus_c
 
 
 def suite_families() -> tuple[Family, ...]:

@@ -21,7 +21,7 @@ from singlink.legendrian import (
     canonical_filling,
     enumerate_stein_fillings,
 )
-from singlink.linalg import AbelianGroup, dot, smith_normal_form, solve_rational
+from singlink.linalg import AbelianGroup, SnfResult, dot, smith_normal_form, solve_rational
 from singlink.plumbing import boundary_homology, presentation_matrix
 from singlink.sl2z import CycleWord, Sl2Matrix
 
@@ -105,6 +105,25 @@ def test_c1_vectors_pairwise_distinct():
     for family in suite_families():
         vectors = [d.rot_vector for d in enumerate_stein_fillings(family)]
         assert len(set(vectors)) == len(vectors)
+
+
+def test_euler_classes_replay_each_log_once(monkeypatch):
+    # each vector's log is replayed once: a zero class's witness is lifted
+    # from that reduction, not solved again, and still solves Q x = v
+    reduce = SnfResult.reduce
+    calls = []
+    monkeypatch.setattr(SnfResult, "reduce", lambda snf, v: calls.append(v) or reduce(snf, v))
+    for family in (Cusp(CycleWord((2, 3, 4))), Cusp(CycleWord((3, 5))), Elliptic(3)):
+        reduction = FamilyReduction(family)
+        vectors = [d.rot_vector for d in enumerate_stein_fillings(family)]
+        calls.clear()
+        reps = reduction.euler_classes(vectors)
+        assert len(calls) == len(vectors), family
+        assert any(rep.is_zero for rep in reps) and not all(rep.is_zero for rep in reps), family
+        for rep in reps:
+            assert (rep.witness is not None) is rep.is_zero, family
+            if rep.is_zero:
+                assert mat_vec(reduction.presentation, rep.witness) == rep.vector, family
 
 
 def test_family_presentation():

@@ -25,6 +25,7 @@ from singlink.legendrian import (
     TwoHandleSpec,
     canonical_filling,
     enumerate_stein_fillings,
+    filling_rot_vectors,
     rotation_range,
     tb_max,
 )
@@ -137,7 +138,9 @@ def test_enumeration_is_lexicographic():
 
 def test_enumeration_matches_per_diagram_oracle_over_suite():
     for family in suite_families():
-        assert enumerate_stein_fillings(family) == stein_fillings_oracle(family), family
+        oracle = stein_fillings_oracle(family)
+        assert enumerate_stein_fillings(family) == oracle, family
+        assert list(filling_rot_vectors(family)) == [d.rot_vector for d in oracle], family
 
 
 @pytest.mark.parametrize("word", LARGE_WORDS)
@@ -345,5 +348,8 @@ def test_diagram_limit_is_checked_before_any_handle(monkeypatch):
     for family in (Cusp(CycleWord((3, 3, 4))), Elliptic(6), Cusp(CycleWord((3, 10**25)))):
         with pytest.raises(SizeLimitExceeded, match="than the limit of 6"):
             enumerate_stein_fillings(family)
+        # the rot vectors are refused at the call, not at the first vector
+        with pytest.raises(SizeLimitExceeded, match="than the limit of 6"):
+            filling_rot_vectors(family)
     assert built == []
     assert issubclass(SizeLimitExceeded, ValueError)

@@ -303,6 +303,23 @@ def test_row_log_and_solution_checks_raise():
         _with_one_change(snf, "v_columns", 1, 0, 1).solve((2, 6))
 
 
+def test_lift_reuses_the_reduction_and_checks_its_solution():
+    m = ((2, 4), (6, 8))
+    snf = smith_normal_form(m)
+    for b in ((2, 6), (4, 12), (1, 0), (0, 4), (0, 0)):
+        w = snf.reduce(b)
+        for exact in (True, False):
+            assert snf.lift(b, w, exact) == snf.solve(b, exact)
+    # a w that is not u @ b still divides through the diagonal, and the
+    # matrix refutes the x it lifts to
+    b = (2, 6)
+    w = snf.reduce(b)
+    shifted = [w[0] + snf.diagonal[0], *w[1:]]
+    for exact in (True, False):
+        with pytest.raises(RuntimeError, match="solution check failed"):
+            snf.lift(b, shifted, exact)
+
+
 vectors = st.lists(st.integers(min_value=-5, max_value=5), min_size=8, max_size=8)
 
 

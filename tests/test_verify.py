@@ -14,7 +14,7 @@ from singlink.sl2z import CycleWord
 from singlink.verify import (
     SUITE_MAX_ENTRY,
     SUITE_MAX_K,
-    _adjunction_classes,
+    _filling_pass,
     suite_families,
     verify_family,
 )
@@ -119,16 +119,16 @@ def test_family_objects_built_by_one_verify_call(monkeypatch):
 
 def test_c1_distinct_check_sees_a_repeat_and_a_swap(monkeypatch):
     # the check reads strictly increasing rot vectors in enumeration order,
-    # so a repeated diagram fails it, and so does a swapped pair, whose rot
+    # so a repeated vector fails it, and so does a swapped pair, whose rot
     # vectors are still pairwise distinct
     family = Cusp(CycleWord((2, 3, 4)))
     check = "c1 evaluations pairwise distinct"
-    fillings = legendrian.enumerate_stein_fillings(family)
+    vectors = list(legendrian.filling_rot_vectors(family))
     assert dict(verify_family(family))[check]
-    swapped = (fillings[1], fillings[0], *fillings[2:])
-    assert len({d.rot_vector for d in swapped}) == len(swapped)
-    for altered in ((*fillings[:2], *fillings[1:]), swapped):
-        monkeypatch.setattr(legendrian, "enumerate_stein_fillings", lambda f, _d=altered: _d)
+    swapped = [vectors[1], vectors[0], *vectors[2:]]
+    assert len(set(swapped)) == len(swapped)
+    for altered in ([*vectors[:2], *vectors[1:]], swapped):
+        monkeypatch.setattr(legendrian, "filling_rot_vectors", lambda f, _v=altered: iter(_v))
         assert not dict(verify_family(family))[check]
 
 
@@ -151,25 +151,32 @@ def test_verify_refuses_before_it_reduces(monkeypatch):
         verify_family(Cusp((3,) * 17))
 
 
-def assert_classes_match_oracles(family, diagrams):
-    """``is_canonical`` and the classes ``verify_family`` forms, against
-    the handle-by-handle oracles."""
-    rots, canonical, zero_defect = _adjunction_classes(family, diagrams)
-    assert rots == [d.rot_vector for d in diagrams], family
-    expected = [is_canonical_oracle(d) for d in diagrams]
-    assert [invariants.is_canonical(d) for d in diagrams] == expected, family
-    assert canonical == [d for d, ok in zip(diagrams, expected) if ok], family
-    assert zero_defect == [d for d in diagrams if has_zero_defect_oracle(d)], family
+def assert_pass_matches_oracles(family, diagrams, rot_vectors):
+    """``is_canonical`` and the streamed filling pass ``verify_family``
+    makes over ``rot_vectors``, the rot vectors of ``diagrams`` in order,
+    against the handle-by-handle oracles."""
+    c = invariants.adjunction_vector(family.handle_slots())
+    count, increasing, at_c, at_minus_c = _filling_pass(c, rot_vectors)
+    canonical = [is_canonical_oracle(d) for d in diagrams]
+    zero_defect = [has_zero_defect_oracle(d) for d in diagrams]
+    assert [invariants.is_canonical(d) for d in diagrams] == canonical, family
+    assert count == len(diagrams), family
+    rots = [d.rot_vector for d in diagrams]
+    assert increasing is all(a < b for a, b in itertools.pairwise(rots)), family
+    assert at_c == sum(zero_defect), family
+    assert at_minus_c == sum(ok and not zero for ok, zero in zip(canonical, zero_defect)), family
 
 
-def test_adjunction_classes_match_oracles_over_suite():
+def test_filling_pass_matches_oracles_over_suite():
     for family in suite_families():
-        assert_classes_match_oracles(family, legendrian.enumerate_stein_fillings(family))
+        diagrams = legendrian.enumerate_stein_fillings(family)
+        assert_pass_matches_oracles(family, diagrams, legendrian.filling_rot_vectors(family))
 
 
-def test_adjunction_classes_match_oracles_on_mixed_diagrams():
+def test_filling_pass_matches_oracles_on_mixed_diagrams():
     # every handle at -s or +s, so all but the two canonical diagrams mix
-    # the two extremes; a zero-budget slot (n = 2) has -s = +s
+    # the two extremes; a zero-budget slot (n = 2) has -s = +s, so its
+    # vectors repeat, and the reversed order decreases
     families = (
         Cusp(CycleWord((3, 4, 5))),
         Cusp(CycleWord((2, 3, 2, 6))),
@@ -184,7 +191,8 @@ def test_adjunction_classes_match_oracles_on_mixed_diagrams():
             SteinHandleDiagram(family, [r[side] for r, side in zip(ranges, sides)])
             for sides in itertools.product((0, -1), repeat=len(slots))
         ]
-        assert_classes_match_oracles(family, diagrams)
+        for ordered in (diagrams, diagrams[::-1]):
+            assert_pass_matches_oracles(family, ordered, (d.rot_vector for d in ordered))
         assert sum(map(is_canonical_oracle, diagrams)) >= 1, family
 
 
@@ -193,9 +201,10 @@ cusp_words = st.lists(st.integers(2, 6), min_size=1, max_size=6).filter(lambda w
 
 @settings(max_examples=40, deadline=None)
 @given(cusp_words)
-def test_adjunction_classes_match_oracles_on_cusp_words(word):
+def test_filling_pass_matches_oracles_on_cusp_words(word):
     family = Cusp(CycleWord(word))
-    assert_classes_match_oracles(family, legendrian.enumerate_stein_fillings(family))
+    diagrams = legendrian.enumerate_stein_fillings(family)
+    assert_pass_matches_oracles(family, diagrams, legendrian.filling_rot_vectors(family))
 
 
 def _diagram_count(word):
@@ -225,18 +234,19 @@ FILLING_CHECKS = (
     "adjunction uniqueness",
 )
 
-# each way of breaking the enumeration, and the filling checks it must fail
+# each way of breaking the stream of rot vectors, and the filling checks
+# it must fail; minimal and maximal are the two canonical rot vectors
 ENUMERATION_MUTATIONS = {
     "duplicate minimal": (
-        lambda fillings, minimal, maximal: fillings + (minimal,),
+        lambda vectors, minimal, maximal: itertools.chain(vectors, [minimal]),
         FILLING_CHECKS,
     ),
     "drop minimal": (
-        lambda fillings, minimal, maximal: tuple(d for d in fillings if d != minimal),
+        lambda vectors, minimal, maximal: (r for r in vectors if r != minimal),
         ("stein filling count", "adjunction uniqueness"),
     ),
     "drop maximal": (
-        lambda fillings, minimal, maximal: tuple(d for d in fillings if d != maximal),
+        lambda vectors, minimal, maximal: (r for r in vectors if r != maximal),
         ("stein filling count", "adjunction uniqueness"),
     ),
 }
@@ -252,12 +262,12 @@ def test_broken_enumeration_fails_exactly_its_checks(monkeypatch, mutation):
     names = [name for name, _ in verify_family(family)]
     assert failed_checks(family) == set()
     mutate, failing = ENUMERATION_MUTATIONS[mutation]
-    original = legendrian.enumerate_stein_fillings
-    minimal = legendrian.canonical_filling(family, "min")
-    maximal = legendrian.canonical_filling(family, "max")
+    original = legendrian.filling_rot_vectors
+    minimal = legendrian.canonical_filling(family, "min").rot_vector
+    maximal = legendrian.canonical_filling(family, "max").rot_vector
     monkeypatch.setattr(
         legendrian,
-        "enumerate_stein_fillings",
+        "filling_rot_vectors",
         lambda f: mutate(original(f), minimal, maximal),
     )
     assert [name for name, _ in verify_family(family)] == names
@@ -277,21 +287,35 @@ def test_shifted_adjunction_formula_fails_uniqueness(monkeypatch):
 
 
 def test_every_diagram_of_one_verify_call_is_checked(monkeypatch):
-    # each enumerated diagram and the two canonical fillings are built from
-    # rot vectors taken off the slots' budgets; each of those vectors must
-    # pass the checking constructor and give the same diagram
+    # verify streams the rot vectors taken off the slots' budgets and builds
+    # only the two canonical fillings; every streamed vector must pass the
+    # checking constructor, there must be as many as the closed form says,
+    # and each of the two diagrams built must equal the checked one
     realized = legendrian._realized
-    for family in (Cusp(CycleWord((3, 4, 5))), Elliptic(3), Cusp(CycleWord((2, 3)))):
-        count = len(legendrian.enumerate_stein_fillings(family))
-        built = []
+    rot_vectors = legendrian.filling_rot_vectors
+    for family, count in (
+        (Cusp(CycleWord((3, 4, 5))), _diagram_count((3, 4, 5))),
+        (Elliptic(3), 3 + 1),
+        (Cusp(CycleWord((2, 3))), _diagram_count((2, 3))),
+    ):
+        streamed, built = [], []
+
+        def checked_vectors(family):
+            for rots in rot_vectors(family):
+                streamed.append(rots)
+                assert SteinHandleDiagram(family, rots).rot_vector == rots
+                yield rots
 
         def checked(family, rots):
-            built.append(family)
+            built.append(rots)
             diagram = realized(family, rots)
             assert SteinHandleDiagram(family, rots) == diagram
             return diagram
 
+        monkeypatch.setattr(legendrian, "filling_rot_vectors", checked_vectors)
         monkeypatch.setattr(legendrian, "_realized", checked)
         assert all(passed for _, passed in verify_family(family))
         monkeypatch.undo()
-        assert built == [family] * (count + 2), family
+        assert len(streamed) == count, family
+        canonical = [legendrian.canonical_filling(family, s).rot_vector for s in ("min", "max")]
+        assert built == canonical, family
