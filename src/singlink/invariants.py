@@ -11,7 +11,8 @@ presentation matrix Q; and the d3 invariant of a plane field with torsion
 Chern class is read off the Stein diagram itself, each 1-handle taken as a
 contact (+1)-surgery on a standard Legendrian unknot and each 2-handle as
 a (-1)-surgery: (c^2 - 3*sigma - 2*chi)/4 + q with q the 1-handle count,
-normalized so the standard tight 3-sphere has d3 = -1/2.
+normalized so the standard tight 3-sphere has d3 = -1/2; c^2 pairs c with
+the witness of its Euler class (of k*c, over k, for a class of order k).
 
 ``FamilyReduction(family)`` reduces Q once for the three things that rest
 on it, the Euler classes, the d3 invariants and the three-way H_1;
@@ -238,12 +239,12 @@ class FamilyReduction(Record):
         Each 1-handle is a contact (+1)-surgery on a standard Legendrian
         unknot (tb -1, rot 0) and each 2-handle a (-1)-surgery, with Q as the
         linking matrix of these components.  Evaluates (c^2 - 3*sigma(Q) -
-        2*chi)/4 + q, where c is the rot vector with a zero per 1-handle in
-        front, chi = 1 + #components and q = #1-handles; c^2 = x . c for any
-        rational solution x of Q x = c, since two solutions differ by a
-        kernel vector, which pairs to zero with the image of Q.  Requires a
-        torsion Chern class and a row of Q per component, so
-        ``check_d3_supported`` refuses a cusp first.
+        2*chi)/4 + q, with c the rot vector as ``euler_classes`` pads it,
+        chi = 1 + #components and q = #1-handles.  c^2 = x . c for any
+        rational x with Q x = c (a kernel vector pairs to zero with the
+        image of Q): the witness when c's Euler class vanishes, else y/k
+        with Q y = k*c for the class's order k.  Requires a torsion Chern
+        class and a row of Q per component, as ``check_d3_supported`` checks.
 
         >>> from singlink.families import Elliptic
         >>> from singlink.legendrian import canonical_filling
@@ -259,12 +260,12 @@ class FamilyReduction(Record):
         sigma = symmetric_signature(q)
         chi = 1 + len(q)
         values = []
-        for diagram in diagrams:
-            rot = (0,) * ones + diagram.rot_vector
-            solution = self.snf.solve(rot, exact=False)
-            if solution is None:
+        for rep in self.euler_classes([diagram.rot_vector for diagram in diagrams]):
+            c, k = rep.vector, rep.order
+            if k is None:
                 raise NonTorsionChernClass("Q x = rot has no rational solution")
-            values.append((Fraction(dot(solution, rot)) - 3 * sigma - 2 * chi) / 4 + ones)
+            x = rep.witness if rep.is_zero else self.snf.solve([k * y for y in c])
+            values.append((Fraction(dot(x, c), k) - 3 * sigma - 2 * chi) / 4 + ones)
         return tuple(values)
 
     def homology(self, monodromy: Sl2Matrix, book: OpenBookDescription) -> HomologyAgreement:

@@ -4,10 +4,11 @@ Everything here works on plain Python integers (arbitrary precision) or
 ``fractions.Fraction``; no floating point is used anywhere.  Matrices are
 tuples of tuples, rows first.  Integer entries are taken with
 ``operator.index``, so a float, Fraction or string entry raises TypeError
-instead of being truncated.  ``fractions`` is imported only by the code
-that makes a Fraction, since most command-line calls never do.  Only
-``two_column_cokernel`` finds a cokernel without ``smith_normal_form``,
-which shares its rows of nonzeros with ``symmetric_signature``.
+instead of being truncated.  ``fractions`` is imported only in
+``solve_rational`` and ``symmetric_signature``, since most command-line
+calls never make a Fraction.  Only ``two_column_cokernel`` finds a
+cokernel without ``smith_normal_form``, which shares its rows of
+nonzeros and its column addition with ``symmetric_signature``.
 """
 from __future__ import annotations
 
@@ -111,36 +112,30 @@ class SnfResult(Record):
             raise RuntimeError("smith normal form row log check failed")
         return w
 
-    def solve(self, vector, exact: bool = True):
-        """One solution x of ``matrix @ x == vector``, over the integers or,
-        when not exact, the rationals; None when there is none.  A vector
-        whose length is not the row count raises ValueError, and a solution
-        that fails ``matrix @ x == vector`` RuntimeError.
+    def solve(self, vector):
+        """One integer solution x of ``matrix @ x == vector``, or None.  A
+        vector whose length is not the row count raises ValueError, and a
+        solution that fails ``matrix @ x == vector`` RuntimeError.
 
         >>> smith_normal_form(((2, 0), (0, 3))).solve((4, 3))
         (2, 1)
         """
-        return self.lift(vector, self.reduce(vector), exact)
+        return self.lift(vector, self.reduce(vector))
 
-    def lift(self, vector, w, exact: bool = True):
-        """``solve(vector, exact)`` from ``w = reduce(vector)``, with no
-        second replay of the log: x = v @ y with y_i = w_i / d_i.  None
-        when some w_i is nonzero and d_i is 0 or, when exact, does not
-        divide it; RuntimeError unless ``matrix @ x == vector``."""
-        if exact:
-            x = [0] * len(self.v_columns)
-        else:
-            from fractions import Fraction
-
-            x = [Fraction(0)] * len(self.v_columns)
+    def lift(self, vector, w):
+        """``solve(vector)`` from ``w = reduce(vector)``, with no second
+        replay of the log: x = v @ y with y_i = w_i / d_i.  None when some
+        w_i is nonzero and d_i is 0 or does not divide it; RuntimeError
+        unless ``matrix @ x == vector``."""
+        x = [0] * len(self.v_columns)
         for i, c in enumerate(w):
-            d = self.diagonal[i] if i < len(self.diagonal) else 0
-            if d and (not exact or c % d == 0):
-                y = c // d if exact else Fraction(c, d)
+            if c:
+                d = self.diagonal[i] if i < len(self.diagonal) else 0
+                if not d or c % d:
+                    return None
+                y = c // d
                 for k, z in self.v_columns[i].items():
                     x[k] += y * z
-            elif c:  # d is 0, or d does not divide c
-                return None
         mx = [sum([z * x[k] for k, z in row.items()]) for row in self.matrix_rows]
         if mx != list(vector):
             raise RuntimeError("smith normal form solution check failed")
@@ -207,6 +202,13 @@ def _add_scaled(dst: dict, src: dict, factor: int) -> None:
                 del dst[k]
 
 
+def _add_column(rows, dst, src, factor: int) -> None:
+    """Column dst += factor * column src, on the sparse rows that hold src."""
+    for row in rows:
+        if src in row:
+            _add_scaled(row, {dst: row[src]}, factor)
+
+
 def _sparse(rows) -> list[dict]:
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
@@ -246,19 +248,22 @@ def smith_normal_form(matrix) -> SnfResult:
         _add_scaled(u_inv[t], u_inv[i], -q)
         log.append((i, t, q))
 
+    def swap_columns(t, j):  # on rows t and beyond, the rest being zero
+        for row in a[t:]:
+            x, y = row.pop(t, 0), row.pop(j, 0)
+            if y:
+                row[t] = y
+            if x:
+                row[j] = x
+        v[t], v[j] = v[j], v[t]
+
     t = 0
     while (pivot := _select_pivot(a, t)) is not None:
         pi, pj = pivot
         if pi != t:
             swap_rows(t, pi)
-        if pj != t:  # column operations act on rows t and beyond, the rest being zero
-            for row in a[t:]:
-                x, y = row.pop(t, 0), row.pop(pj, 0)
-                if y:
-                    row[t] = y
-                if x:
-                    row[pj] = x
-            v[t], v[pj] = v[pj], v[t]
+        if pj != t:
+            swap_columns(t, pj)
         if a[t][t] < 0:
             a[t] = {j: -x for j, x in a[t].items()}
             u_inv[t] = {j: -x for j, x in u_inv[t].items()}
@@ -281,24 +286,11 @@ def smith_normal_form(matrix) -> SnfResult:
             # nonzero in row t alone until a swap brings in another column.
             row_t = a[t]
             for j in sorted(row_t)[1:]:
-                q, r = divmod(row_t[j], row_t[t])
-                if swapped:
-                    for row in a[t:]:
-                        if t in row:
-                            _add_scaled(row, {j: row[t]}, -q)
-                elif r:
-                    row_t[j] = r
-                else:
-                    del row_t[j]
+                q = row_t[j] // row_t[t]
+                _add_column(a[t:] if swapped else (row_t,), j, t, -q)
                 _add_scaled(v[j], v[t], -q)
                 if j in row_t:
-                    for row in a[t:]:
-                        x, y = row.pop(t, 0), row.pop(j, 0)
-                        if y:
-                            row[t] = y
-                        if x:
-                            row[j] = x
-                    v[t], v[j] = v[j], v[t]
+                    swap_columns(t, j)
                     swapped = True
             if swapped:
                 continue
@@ -392,8 +384,15 @@ class AbelianGroup(Record):
 
 
 def solve_rational(matrix, vector):
-    """One rational solution x of ``matrix @ x == vector``, or None."""
-    return smith_normal_form(matrix).solve(vector, exact=False)
+    """One rational solution x of ``matrix @ x == vector``, or None: the
+    integer solution for m * vector over m, where every nonzero d_i divides
+    the last nonzero invariant factor m, so x_i = (v @ y)_i, y_i = w_i / d_i."""
+    from fractions import Fraction
+
+    snf = smith_normal_form(matrix)
+    m = max(snf.diagonal, default=0) or 1
+    x = snf.solve([m * b for b in vector])
+    return None if x is None else tuple([Fraction(y, m) for y in x])
 
 
 def symmetric_signature(matrix) -> int:
@@ -412,21 +411,20 @@ def symmetric_signature(matrix) -> int:
         raise ValueError("signature requires a symmetric matrix")
     rows = {i: {j: Fraction(x) for j, x in row.items()} for i, row in enumerate(_sparse(matrix))}
     signature = 0
-    while any(rows.values()):
+    while True:
         p = min([(len(r), i) for i, r in rows.items() if i in r], default=(0, None))[1]
         if p is None:
-            p = next(i for i in rows if rows[i])
+            p = next((i for i, r in rows.items() if r), None)
+            if p is None:  # no nonzero entry is left
+                return signature
             j = next(iter(rows[p]))
             _add_scaled(rows[p], rows[j], 1)
-            for row in rows.values():  # a zero added to a missing key would raise KeyError
-                if j in row:
-                    _add_scaled(row, {p: row[j]}, 1)
+            _add_column(rows.values(), p, j, 1)
         pivot = rows.pop(p)
         signature += 1 if pivot[p] > 0 else -1
         for i in pivot:
             if i != p:
                 _add_scaled(rows[i], pivot, -rows[i][p] / pivot[p])
-    return signature
 
 
 def dot(u, v):

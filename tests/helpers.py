@@ -383,8 +383,9 @@ def verify_family_reference(family):
     )
     if isinstance(family, Elliptic):
         rot = (0,) * minimal.one_handle_count + minimal.rot_vector
-        snf = smith_normal_form(presentation_oracle(family))
-        base = snf.solve(rot, exact=False)
+        q = presentation_oracle(family)
+        snf = smith_normal_form(q)
+        base = solve_rational(q, rot)
         independent = all(dot(k, rot) == 0 for k in snf.kernel_basis())
         checks.append(("d3 solution-choice independence", base is not None and independent))
         d3_min = invariants.d3_invariant(minimal)

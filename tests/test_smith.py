@@ -306,18 +306,24 @@ def test_row_log_and_solution_checks_raise():
 def test_lift_reuses_the_reduction_and_checks_its_solution():
     m = ((2, 4), (6, 8))
     snf = smith_normal_form(m)
+    last = max(snf.diagonal)
     for b in ((2, 6), (4, 12), (1, 0), (0, 4), (0, 0)):
         w = snf.reduce(b)
-        for exact in (True, False):
-            assert snf.lift(b, w, exact) == snf.solve(b, exact)
+        assert snf.lift(b, w) == snf.solve(b)
+        # the rational solution lifts last * b, and is the integer one when
+        # there is one
+        x, integer = solve_rational(m, b), snf.solve(b)
+        assert mat_vec(m, x) == b and (integer is None or x == integer)
+        assert tuple(last * y for y in x) == snf.lift([last * c for c in b], [last * c for c in w])
+    assert snf.solve((1, 0)) is None
     # a w that is not u @ b still divides through the diagonal, and the
-    # matrix refutes the x it lifts to
+    # matrix refutes the x it lifts to, on b and on the rational path's last * b
     b = (2, 6)
     w = snf.reduce(b)
     shifted = [w[0] + snf.diagonal[0], *w[1:]]
-    for exact in (True, False):
+    for scale in (1, last):
         with pytest.raises(RuntimeError, match="solution check failed"):
-            snf.lift(b, shifted, exact)
+            snf.lift([scale * c for c in b], [scale * c for c in shifted])
 
 
 vectors = st.lists(st.integers(min_value=-5, max_value=5), min_size=8, max_size=8)
@@ -328,19 +334,28 @@ vectors = st.lists(st.integers(min_value=-5, max_value=5), min_size=8, max_size=
 @settings(max_examples=200, deadline=200)
 @given(matrices_with_zero_lines(6), vectors, vectors)
 def test_row_log_replays_u_and_inverts_u_inverse(m, xs, bs):
-    snf = smith_normal_form(m)
+    snf, dense = smith_normal_form(m), dense_snf_oracle(m)
     rows, cols = len(m), len(m[0]) if m else 0
     # the log applied to the identity is u, and u times the sparse u^-1 is I
-    assert snf.u == dense_snf_oracle(m).u
+    assert snf.u == dense.u
     identity = tuple(tuple(int(i == j) for j in range(rows)) for i in range(rows))
     assert matmul(snf.u, _dense_u_inverse(snf)) == identity
     # every solution solves, over the integers and the rationals
     b, other = mat_vec(m, xs[:cols]), tuple(bs[:rows])
-    for exact in (True, False):
-        x = snf.solve(b, exact)
+    for solve in (snf.solve, lambda vector: solve_rational(m, vector)):
+        x = solve(b)
         assert x is not None and mat_vec(m, x) == b
-        x = snf.solve(other, exact)
+        x = solve(other)
         assert x is None or mat_vec(m, x) == other
+    # the rational solution is v @ y with y_i = w_i / d_i on the oracle's u,
+    # D and v, and None exactly when some w_i is nonzero where d_i is 0
+    k = min(rows, cols)
+    d = [dense.diag[i][i] for i in range(k)] + [0] * (rows - k)
+    for vector in (b, other):
+        w = mat_vec(dense.u, vector)
+        y = [Fraction(w[i], d[i]) if i < k and d[i] else 0 for i in range(cols)]
+        expected = None if any(c and not e for c, e in zip(w, d)) else mat_vec(dense.v, y)
+        assert solve_rational(m, vector) == expected
 
 
 def test_no_production_path_reads_the_dense_transforms(monkeypatch):

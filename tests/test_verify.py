@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from singlink import invariants, legendrian
 from singlink.families import Cusp, Elliptic, SizeLimitExceeded
 from singlink.legendrian import SteinHandleDiagram, rotation_range
+from singlink.linalg import SnfResult
 from singlink.plumbing import intersection_matrix, presentation_matrix
 from singlink.sl2z import CycleWord
 from singlink.verify import (
@@ -56,14 +57,21 @@ def test_d3_check_compares_both_signs(monkeypatch):
     assert checks["triple homology agreement"] is True
 
 
-def test_one_snf_per_pair_of_euler_classes():
+def test_one_snf_per_pair_of_euler_classes(monkeypatch):
     # the elliptic d3 values share Q's reduction and take one signature of it;
-    # A - I and the open-book presentation go to the minors, not the SNF
-    for family, signatures in (
-        (Cusp(CycleWord((2, 3, 4))), 0),
-        (Cusp(CycleWord((3,))), 0),
-        (Elliptic(3), 1),
+    # A - I and the open-book presentation go to the minors, not the SNF.
+    # Q's row log is replayed once per Euler vector: twice for the canonical
+    # pair, and for an elliptic family twice more in d3_invariants' own
+    # euler_classes call, while the d3 independence check replays none
+    reduce = SnfResult.reduce
+    replays = []
+    monkeypatch.setattr(SnfResult, "reduce", lambda snf, v: replays.append(v) or reduce(snf, v))
+    for family, signatures, expected_replays in (
+        (Cusp(CycleWord((2, 3, 4))), 0, 2),
+        (Cusp(CycleWord((3,))), 0, 2),
+        (Elliptic(3), 1, 4),
     ):
+        replays.clear()
         with counted_snf() as calls, counted_linalg("symmetric_signature") as sigmas:
             with counted_linalg("two_column_cokernel") as minors:
                 checks = verify_family(family)
@@ -71,6 +79,7 @@ def test_one_snf_per_pair_of_euler_classes():
         assert len(calls) == 1, family
         assert len(minors) == 2, family
         assert len(sigmas) == signatures, family
+        assert len(replays) == expected_replays, family
 
 
 def test_euler_classes_match_euler_class_over_suite():
