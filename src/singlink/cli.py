@@ -9,8 +9,8 @@ a human view and never parsed back.
 handler (``run``) of each subcommand; argparse refuses bad input with exit 1.
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure,
-3 unsupported computation (d3 of a cusp, whose presentation has no row
-for the 1-handle).
+3 unsupported computation (d3 of a cusp, held back until its value is
+cross-checked against the resolution graph).
 
 A command-line call starts a fresh interpreter, so this module imports
 only what parsing and error reporting need; each handler imports the
@@ -266,18 +266,6 @@ def _run_canonical(request):
     return EXIT_OK, "\n".join(lines)
 
 
-def _euler_payloads(reduction, diagrams) -> dict:
-    """The Euler class of each canonical structure, from one reduction of Q."""
-    reps = reduction.euler_classes([d.rot_vector for d in diagrams.values()])
-    return {s: rep.to_json_dict() for s, rep in zip(diagrams, reps)}
-
-
-def _d3_payloads(reduction, diagrams) -> dict:
-    """The d3 invariant of each canonical structure, from one reduction of Q."""
-    d3s = reduction.d3_invariants(diagrams.values())
-    return {s: {"num": d3.numerator, "den": d3.denominator} for s, d3 in zip(diagrams, d3s)}
-
-
 def _run_invariants(request):
     from . import legendrian
     from .invariants import FamilyReduction, check_d3_supported
@@ -286,21 +274,31 @@ def _run_invariants(request):
     if request.d3:  # a cusp is refused before Q is reduced
         check_d3_supported(family, family.graph())
     signs = (request.sign,) if request.sign else ("min", "max")
-    diagrams = {s: legendrian.canonical_filling(family, s) for s in signs}
+    rots = [legendrian.canonical_filling(family, s).rot_vector for s in signs]
     reduction = FamilyReduction(family)
+    reps = reduction.euler_classes(rots)
+    # each witness is printed with a 0 per genus 1-handle in front, indexed
+    # as the framings of `surgery` are
+    zeros = [0] * (2 * reduction.graph.total_genus())
+    euler = {s: rep.to_json_dict() for s, rep in zip(signs, reps)}
+    for data in euler.values():
+        if data["witness"] is not None:
+            data["witness"] = zeros + data["witness"]
+    d3: dict | None = None
+    if not request.euler:
+        try:
+            d3s = reduction.d3_invariants(reps)
+            d3 = {s: {"num": v.numerator, "den": v.denominator} for s, v in zip(signs, d3s)}
+        except UnsupportedPresentation:  # a cusp; with --d3 it was refused above
+            pass
     if request.euler or request.d3:
-        payload = (_euler_payloads if request.euler else _d3_payloads)(reduction, diagrams)
+        payload = euler if request.euler else d3
         if request.sign:
             payload = payload[request.sign]
         if request.fmt == "json":
             return EXIT_OK, payload
         return EXIT_OK, json.dumps(payload, sort_keys=True)
     report = reduction.homology(family.monodromy(), family.openbook())
-    euler = _euler_payloads(reduction, diagrams)
-    try:
-        d3: dict | None = _d3_payloads(reduction, diagrams)
-    except UnsupportedPresentation:
-        d3 = None
     if request.fmt == "json":
         return EXIT_OK, {"homology": report.to_json_dict(), "euler": euler, "d3": d3}
     lines = [

@@ -39,9 +39,9 @@ class SizeLimitExceeded(InvalidParameter):
 
 
 class UnsupportedPresentation(ValueError):
-    """Q has no row for a cusp's cycle 1-handle, so it is not the contact
-    surgery linking matrix (a row per 1-handle and per 2-handle) that
-    ``invariants.FamilyReduction.d3_invariants`` evaluates d3 on."""
+    """d3 of a cusp, refused: Gompf's formula on Q applies to it, but its
+    value waits for a cross-check against the resolution graph (see
+    ``invariants.check_d3_supported``)."""
 
 
 class ChainUnknot(Record):

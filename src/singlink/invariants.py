@@ -6,13 +6,13 @@ adjunction vector of a handle pattern: the rot vector at which every
 handle has zero adjunction defect.  A handle's defect is its rot minus its
 slot's entry of that vector, and a diagram is canonical when its whole rot
 vector equals the adjunction vector or its negative.  The Euler class of
-the boundary contact structure lives in the cokernel of the family's
-presentation matrix Q; and the d3 invariant of a plane field with torsion
-Chern class is read off the Stein diagram itself, each 1-handle taken as a
-contact (+1)-surgery on a standard Legendrian unknot and each 2-handle as
-a (-1)-surgery: (c^2 - 3*sigma - 2*chi)/4 + q with q the 1-handle count,
-normalized so the standard tight 3-sphere has d3 = -1/2; c^2 pairs c with
-the witness of its Euler class (of k*c, over k, for a class of order k).
+the boundary contact structure lives in the cokernel of Q, the plumbing
+intersection form, which is the linking matrix of the Stein 2-handles; and
+the d3 invariant of a plane field with torsion Chern class is Gompf's
+(c^2 - 3*sigma(Q) - 2*chi)/4 on the Stein filling, chi = 1 - #1-handles +
+#2-handles, normalized so the standard tight 3-sphere has d3 = -1/2; c^2
+pairs c with the witness of its Euler class (of k*c, over k, for a class
+of order k).
 
 ``FamilyReduction(family)`` reduces Q once for the three things that rest
 on it, the Euler classes, the d3 invariants and the three-way H_1;
@@ -30,7 +30,7 @@ from .legendrian import SteinHandleDiagram, TwoHandleSpec
 from .linalg import IntMatrix, SnfResult, dot, smith_normal_form, symmetric_signature
 from .linalg import two_column_cokernel
 from .openbook import OpenBookDescription, openbook_homology
-from .plumbing import PlumbingGraph, presentation_matrix
+from .plumbing import PlumbingGraph, intersection_matrix
 from .sl2z import Sl2Matrix
 
 __all__ = [
@@ -111,11 +111,10 @@ class CohomologyClassRep(Record):
 def euler_class(family: Family, rot_vector) -> CohomologyClassRep:
     """Euler class of the contact structure with the given rotation numbers.
 
-    The vector is indexed by the components of the family's presentation
-    (three for elliptic, the k plumbing vertices for a cusp word); a vector
-    with one entry per 2-handle, such as the elliptic handle rot alone, is
-    placed in the last slots, the 1-handle slots taking coefficient zero.
-    Entries must be integers: anything else raises TypeError.
+    The vector has one entry per 2-handle, that is per plumbing vertex (one
+    for elliptic, k for a cusp word); any other length raises
+    DimensionMismatch.  Entries must be integers: anything else raises
+    TypeError.
     """
     return FamilyReduction(family).euler_classes((rot_vector,))[0]
 
@@ -140,12 +139,13 @@ def _reduce_class(q: IntMatrix, snf: SnfResult, v: tuple[int, ...]) -> Cohomolog
 
 
 def check_d3_supported(family: Family, graph: PlumbingGraph) -> None:
-    """Refuse d3 where Q is not the linking matrix of the surgery components:
-    Q has a row per genus 1-handle, as in the elliptic diag(0, 0, -n), but
-    none for a graph cycle's 1-handle, so a cusp raises
-    UnsupportedPresentation.  The graph alone decides, before Q is reduced."""
+    """Refuse d3 of a family whose graph has a cycle, a cusp, with
+    UnsupportedPresentation.  Gompf's formula on Q applies to a cusp too,
+    but its value is not reported until the resolution-graph cross-check
+    and the benchmark's cusp checks land with it.  The graph alone decides,
+    before Q is reduced."""
     if graph.first_betti():
-        components = graph.boundary_free_rank() + len(graph.vertices)
+        components = family.one_handle_count + len(graph.vertices)
         raise UnsupportedPresentation(
             f"{family.label} has no linking matrix for its {components} surgery components"
         )
@@ -156,7 +156,8 @@ def d3_invariant(diagram: SteinHandleDiagram):
     diagram alone, a cusp refused on its graph before Q is reduced."""
     family = diagram.family
     check_d3_supported(family, family.graph())
-    return FamilyReduction(family).d3_invariants((diagram,))[0]
+    reduction = FamilyReduction(family)
+    return reduction.d3_invariants(reduction.euler_classes((diagram.rot_vector,)))[0]
 
 
 class HomologyAgreement(Record):
@@ -193,10 +194,10 @@ def homology_cross_check(family: Family) -> HomologyAgreement:
 class FamilyReduction(Record):
     """The family's presentation Q with its Smith normal form, made once.
 
-    The plumbing graph is built once and Q is read off it by
-    ``plumbing.presentation_matrix``, the same way for both families; a
-    2-handle per vertex, the other rows of Q 1-handles.  The open book and
-    the monodromy are not built here: a caller passes them to ``homology``.
+    The plumbing graph is built once and Q is its intersection form, the
+    linking matrix of the Stein 2-handles (one per vertex), the same way for
+    both families.  The open book and the monodromy are not built here: a
+    caller passes them to ``homology``.
 
     >>> from singlink.families import Cusp
     >>> reduction = FamilyReduction(Cusp((2, 3)))
@@ -211,7 +212,7 @@ class FamilyReduction(Record):
 
     def __init__(self, family: Family):
         graph = family.graph()
-        q = presentation_matrix(graph)
+        q = intersection_matrix(graph)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "presentation", q)
@@ -223,8 +224,6 @@ class FamilyReduction(Record):
         vectors = []
         for rot_vector in rot_vectors:
             v = tuple(map(index, rot_vector))
-            if len(v) != len(q) and len(v) == len(self.graph.vertices):
-                v = (0,) * (len(q) - len(v)) + v
             if len(v) != len(q):
                 raise DimensionMismatch(
                     f"rot vector of length {len(v)} does not fit a {len(q)}-component presentation"
@@ -232,52 +231,50 @@ class FamilyReduction(Record):
             vectors.append(v)
         return tuple(_reduce_class(q, self.snf, v) for v in vectors)
 
-    def d3_invariants(self, diagrams) -> tuple:
-        """d3 invariant, a Fraction, of each Stein diagram of the family, all
-        from the one reduction of Q and one signature of it.
+    def d3_invariants(self, classes) -> tuple:
+        """d3 invariant, a Fraction, of the Stein diagram behind each Euler
+        class of ``euler_classes``, all from one signature of Q.
 
-        Each 1-handle is a contact (+1)-surgery on a standard Legendrian
-        unknot (tb -1, rot 0) and each 2-handle a (-1)-surgery, with Q as the
-        linking matrix of these components.  Evaluates (c^2 - 3*sigma(Q) -
-        2*chi)/4 + q, with c the rot vector as ``euler_classes`` pads it,
-        chi = 1 + #components and q = #1-handles.  c^2 = x . c for any
-        rational x with Q x = c (a kernel vector pairs to zero with the
-        image of Q): the witness when c's Euler class vanishes, else y/k
-        with Q y = k*c for the class's order k.  Requires a torsion Chern
-        class and a row of Q per component, as ``check_d3_supported`` checks.
+        Gompf's formula on the Stein filling: (c^2 - 3*sigma(Q) - 2*chi)/4,
+        with c the rot vector, Q the linking matrix of the 2-handles and
+        chi = 1 - #1-handles + #2-handles.  c^2 = x . c for any rational x
+        with Q x = c (a kernel vector pairs to zero with the image of Q):
+        the witness when c's Euler class vanishes, else y/k with Q y = k*c
+        for the class's order k.  Requires a torsion Chern class and a
+        family that ``check_d3_supported`` accepts.
 
         >>> from singlink.families import Elliptic
         >>> from singlink.legendrian import canonical_filling
-        >>> diagrams = [canonical_filling(Elliptic(5), sign) for sign in ("min", "max")]
-        >>> [str(d3) for d3 in FamilyReduction(Elliptic(5)).d3_invariants(diagrams)]
+        >>> reduction = FamilyReduction(Elliptic(5))
+        >>> rots = [canonical_filling(Elliptic(5), sign).rot_vector for sign in ("min", "max")]
+        >>> [str(d3) for d3 in reduction.d3_invariants(reduction.euler_classes(rots))]
         ['-1/2', '-1/2']
         """
-        graph, q = self.graph, self.presentation
-        check_d3_supported(self.family, graph)
+        q = self.presentation
+        check_d3_supported(self.family, self.graph)
         from fractions import Fraction  # after the refusal: a cusp report imports none
 
-        ones = len(q) - len(graph.vertices)
         sigma = symmetric_signature(q)
-        chi = 1 + len(q)
+        chi = 1 - self.family.one_handle_count + len(q)
         values = []
-        for rep in self.euler_classes([diagram.rot_vector for diagram in diagrams]):
+        for rep in classes:
             c, k = rep.vector, rep.order
             if k is None:
                 raise NonTorsionChernClass("Q x = rot has no rational solution")
             x = rep.witness if rep.is_zero else self.snf.solve([k * y for y in c])
-            values.append((Fraction(dot(x, c), k) - 3 * sigma - 2 * chi) / 4 + ones)
+            values.append((Fraction(dot(x, c), k) - 3 * sigma - 2 * chi) / 4)
         return tuple(values)
 
     def homology(self, monodromy: Sl2Matrix, book: OpenBookDescription) -> HomologyAgreement:
         """``homology_cross_check`` from the family's monodromy and open book.
 
         The three groups come from three different matrices: Q, A - I and
-        the open-book presentation.  Q's genus rows give the plumbing H_1
-        all its free rank but the graph's first Betti number.  The other two
-        have at most two columns and are read off their minors, with no
-        elimination, so they check Q's Smith normal form independently.
+        the open-book presentation.  The plumbing H_1 is Q's cokernel plus
+        the graph's ``boundary_free_rank``.  The other two have at most two
+        columns and are read off their minors, with no elimination, so they
+        check Q's Smith normal form independently.
         """
-        plumbing = self.snf.cokernel(self.graph.first_betti())
+        plumbing = self.snf.cokernel(self.graph.boundary_free_rank())
         a = monodromy
         delta = ((a.a - 1, a.b), (a.c, a.d - 1))
         return HomologyAgreement(

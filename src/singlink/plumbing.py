@@ -4,7 +4,8 @@ Cusp links live on a circular plumbing of spheres (a loop with one vertex
 when k = 1, a double edge when k = 2); simple elliptic links on a single
 genus-one vertex.  The intersection matrix follows the usual plumbing
 calculus: diagonal = Euler weight plus twice the loop count, off-diagonal
-= edge multiplicity; a family's presentation matrix pads it with genus rows.
+= edge multiplicity; it is the linking matrix of the Stein 2-handles, the
+one form every invariant reads.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ __all__ = [
     "PlumbingGraph",
     "SurgeryDescription",
     "intersection_matrix",
-    "presentation_matrix",
     "boundary_homology",
     "smooth_surgery_description",
 ]
@@ -126,21 +126,6 @@ def intersection_matrix(graph: PlumbingGraph) -> IntMatrix:
     return tuple(tuple(row) for row in q)
 
 
-def presentation_matrix(graph: PlumbingGraph) -> IntMatrix:
-    """Linking matrix Q of the plumbing's Stein diagram: a genus-g vertex is
-    drawn with 2g dotted circles its 2-handle links zero times, so Q is
-    2 * total genus zero rows and columns, then the intersection form.  A
-    cycle of the graph, the 1-handle of a cusp, gets no row.
-
-    >>> from singlink.families import Elliptic
-    >>> presentation_matrix(Elliptic(4).graph())
-    ((0, 0, 0), (0, 0, 0), (0, 0, -4))
-    """
-    form = intersection_matrix(graph)
-    zeros = (0,) * (2 * graph.total_genus())
-    return (zeros + (0,) * len(form),) * len(zeros) + tuple(zeros + row for row in form)
-
-
 def boundary_homology(graph: PlumbingGraph) -> AbelianGroup:
     """First homology of the plumbed 3-manifold boundary.
 
@@ -206,8 +191,10 @@ def smooth_surgery_description(family: Family) -> SurgeryDescription:
     with framings (0, 0, -n) (elliptic).
 
     The picture is the ``picture`` name of the first 2-handle's tag, and the
-    framings are the diagonal of ``presentation_matrix(family.graph())``."""
+    framings are a 0 per genus 1-handle (2 per unit of vertex genus), then
+    the diagonal of the intersection form."""
     kind = family.handle_slots()[0][0].picture
-    q = presentation_matrix(family.graph())
-    framings = tuple(q[i][i] for i in range(len(q)))
+    graph = family.graph()
+    q = intersection_matrix(graph)
+    framings = (0,) * (2 * graph.total_genus()) + tuple(q[i][i] for i in range(len(q)))
     return SurgeryDescription(kind, framings, _SURGERY_PICTURES[kind][1], family.to_json_dict())

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from . import invariants, legendrian
-from .families import Cusp, Elliptic, Family
+from .families import Cusp, Elliptic, Family, UnsupportedPresentation
 from .linalg import determinant, dot
 from .sl2z import CycleWord, cyclic_equal, factor_cycle
 
@@ -26,15 +26,16 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
 
     The open book and monodromy are built once per call, and one
     ``invariants.FamilyReduction`` reduces the presentation Q once for the
-    Euler classes, the plumbing H_1 and both elliptic d3 values, which
-    share one signature of Q.  The Stein filling checks read the rot
-    vectors of ``legendrian.filling_rot_vectors`` one at a time, building
-    no diagram for them and holding no list: one pass counts them and
-    compares each with the one before it and with the family's adjunction
-    vector c and its negative.  The count must be the closed form, the
-    vectors must strictly increase in lexicographic order (so they are
-    pairwise distinct), the minimal canonical filling must be the only
-    diagram at c (zero adjunction defect on every handle), and the two
+    Euler classes, the plumbing H_1 and both d3 values, which read the two
+    Euler classes and share one signature of Q; a family whose d3 is
+    refused ends its checks at the Euler class.  The Stein filling checks
+    read the rot vectors of ``legendrian.filling_rot_vectors`` one at a
+    time, building no diagram for them and holding no list: one pass counts
+    them and compares each with the one before it and with the family's
+    adjunction vector c and its negative.  The count must be the closed
+    form, the vectors must strictly increase in lexicographic order (so
+    they are pairwise distinct), the minimal canonical filling must be the
+    only diagram at c (zero adjunction defect on every handle), and the two
     canonical fillings the only ones at c or -c.  Nothing is kept between
     calls.
 
@@ -101,15 +102,18 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     euler_ok = all(rep.is_zero and rep.witness is not None for rep in reps)
     checks.append(("euler class of the canonical structure vanishes", euler_ok))
 
-    if isinstance(family, Elliptic):
-        # Q x = rot has a rational solution exactly when the Euler class of
-        # the padded rot vector is torsion; the kernel pairs to zero with it
-        rot = reps[0].vector
-        independent = all(dot(k, rot) == 0 for k in reduction.snf.kernel_basis())
-        torsion = reps[0].order is not None
-        checks.append(("d3 solution-choice independence", torsion and independent))
-        d3_min, d3_max = reduction.d3_invariants((minimal, maximal))
-        checks.append(("d3 computed for both signs", d3_min == d3_max))
+    try:
+        d3_min, d3_max = reduction.d3_invariants(reps)
+    except UnsupportedPresentation:
+        return checks
+    # Q x = rot has a rational solution exactly when the Euler class of the
+    # rot vector is torsion; the kernel pairs to zero with it (it is empty
+    # on the nonsingular Q of both families, so this cannot fail)
+    rot = reps[0].vector
+    independent = all(dot(k, rot) == 0 for k in reduction.snf.kernel_basis())
+    torsion = reps[0].order is not None
+    checks.append(("d3 solution-choice independence", torsion and independent))
+    checks.append(("d3 computed for both signs", d3_min == d3_max))
     return checks
 
 

@@ -21,6 +21,8 @@ from the family's own parameters, where the library reads Q off the
 plumbing graph.  ``d3_oracle`` evaluates d3 on one diagram alone, with that
 presentation, its own rational solve and the dense signature, where the
 library reads every diagram's d3 off the family's one reduction of Q.
+``resolution_d3_oracle`` reads d3 of the canonical structure off the
+resolution graph, with no Stein diagram at all.
 """
 import itertools
 import sys
@@ -41,6 +43,7 @@ from singlink.linalg import (
     smith_normal_form,
     solve_rational,
 )
+from singlink.plumbing import intersection_matrix
 from singlink.sl2z import CycleWord, cyclic_equal, factor_cycle
 
 
@@ -411,6 +414,38 @@ def d3_oracle(diagram):
         raise invariants.NonTorsionChernClass("Q x = rot has no rational solution")
     c2 = Fraction(dot(solution, rot))
     return (c2 - 3 * dense_signature_oracle(q) - 2 * (1 + len(q))) / 4 + diagram.one_handle_count
+
+
+def _fraction_solve(q, b):
+    """x with q x = b over the rationals, q square and nonsingular, by
+    Gauss-Jordan elimination on Fractions."""
+    n = len(q)
+    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(q, b)]
+    for t in range(n):
+        p = next(i for i in range(t, n) if a[i][t])
+        a[t], a[p] = a[p], a[t]
+        for i in range(n):
+            if i != t and a[i][t]:
+                f = a[i][t] / a[t][t]
+                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+    return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def resolution_d3_oracle(family):
+    """d3 of the canonical contact structure read off the resolution graph:
+    (K^2 + 3|V| - 2 chi(E))/4.  The resolution is an almost-complex filling
+    whose complex tangencies give the canonical structure, with c1 = -K,
+    signature -|V| and Euler characteristic chi(E) = sum(2 - 2 g_v) -
+    #edges (loops counted).  K is fixed by adjunction on each vertex,
+    K.E_v = a_v = -Q_vv + 2 (g_v + loops_v) - 2, so K^2 = a^T Q^-1 a.  Only
+    the graph's genus, loops and form are read, never a Stein diagram."""
+    graph = family.graph()
+    q = intersection_matrix(graph)
+    loops = Counter(i for i, j in graph.edges if i == j)
+    a = [-q[v][v] + 2 * (vertex.genus + loops[v]) - 2 for v, vertex in enumerate(graph.vertices)]
+    k2 = dot(_fraction_solve(q, a), a)
+    chi = sum(2 - 2 * vertex.genus for vertex in graph.vertices) - len(graph.edges)
+    return (k2 + 3 * len(graph.vertices) - 2 * chi) / 4
 
 
 def stein_fillings_oracle(family):

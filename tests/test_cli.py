@@ -24,9 +24,11 @@ from singlink.cli import (
     run,
 )
 from singlink.families import Cusp, Elliptic
+from singlink.legendrian import canonical_filling
+from singlink.linalg import SnfResult
 from singlink.sl2z import Sl2Matrix
 
-from helpers import counted_linalg, counted_snf
+from helpers import counted_linalg, counted_snf, mat_vec, presentation_oracle, suite_families
 
 
 def run_cli(args):
@@ -242,10 +244,10 @@ def test_verify_suite_json_lists_failures(monkeypatch):
     # make the two canonical d3 values of elliptic(3) differ
     d3_invariants = invariants.FamilyReduction.d3_invariants
 
-    def broken(self, diagrams):
+    def broken(self, reps):
         if self.family == Elliptic(3):
-            return tuple(Fraction(sum(d.rot_vector)) for d in diagrams)
-        return d3_invariants(self, diagrams)
+            return tuple(Fraction(sum(rep.vector)) for rep in reps)
+        return d3_invariants(self, reps)
 
     monkeypatch.setattr(invariants.FamilyReduction, "d3_invariants", broken)
     code, payload = run_cli(["verify", "--suite", "--json"])
@@ -352,6 +354,30 @@ def test_invariants_full_report():
     code, payload = run_cli(["invariants", "--elliptic", "2", "--json"])
     data = json.loads(payload)
     assert data["d3"]["min"] == {"num": 1, "den": 4}
+
+
+def test_euler_witnesses_are_indexed_as_the_surgery_framings():
+    # each printed witness has a 0 per genus 1-handle in front, so it has
+    # one entry per surgery framing and the padded presentation maps it to
+    # the canonical rot vector with 2 * genus zeros in front
+    for family in suite_families():
+        if isinstance(family, Elliptic):
+            flag = ["--elliptic", str(family.n)]
+        else:
+            flag = ["--cusp", ",".join(map(str, family.word))]
+        _, surgery = run_cli(["surgery", *flag, "--json"])
+        framings = json.loads(surgery)["framings"]
+        _, report = run_cli(["inv", *flag, "--json"])
+        euler = json.loads(report)["euler"]
+        _, alone = run_cli(["inv", *flag, "--euler", "--json"])
+        assert json.loads(alone) == euler, family
+        q = presentation_oracle(family)
+        zeros = (0,) * (2 * family.graph().total_genus())
+        for sign in ("min", "max"):
+            w = euler[sign]["witness"]
+            assert len(w) == len(framings), (family, sign)
+            rot = canonical_filling(family, sign).rot_vector
+            assert mat_vec(q, w) == zeros + rot, (family, sign)
 
 
 def test_verify_single_family():
@@ -498,26 +524,32 @@ def test_cusp_d3_exits_3_when_only_the_handler_imports_legendrian():
     assert done.stderr.startswith("singlink: unsupported: cusp(2,3,4) has no linking matrix")
 
 
-def test_full_report_reduces_a_cusp_presentation_once():
+def test_full_report_reduces_a_cusp_presentation_once(monkeypatch):
     # Q is read off the plumbing graph for both families, so the plumbing
     # H_1, both Euler classes and both elliptic d3 values share its one
-    # reduction; A - I and the open-book presentation go to the minors
-    for argv, minors in (
-        (["inv", "--cusp", "2,3,4", "--json"], [(2, 2), (3, 2)]),
-        (["inv", "--elliptic", "3", "--json"], [(2, 2), (3, 1)]),
+    # reduction, and Q's row log is replayed once per canonical vector;
+    # A - I and the open-book presentation go to the minors
+    reduce = SnfResult.reduce
+    replays = []
+    monkeypatch.setattr(SnfResult, "reduce", lambda snf, v: replays.append(v) or reduce(snf, v))
+    for argv, shapes, minors in (
+        (["inv", "--cusp", "2,3,4", "--json"], [(3, 3)], [(2, 2), (3, 2)]),
+        (["inv", "--elliptic", "3", "--json"], [(1, 1)], [(2, 2), (3, 1)]),
     ):
+        replays.clear()
         with counted_snf() as calls, counted_linalg("two_column_cokernel") as small:
             code, _ = run_cli(argv)
         assert code == EXIT_OK
-        assert [(len(m), len(m[0])) for m in calls] == [(3, 3)], argv
+        assert [(len(m), len(m[0])) for m in calls] == shapes, argv
         assert [(len(m), len(m[0])) for m in small] == minors, argv
+        assert len(replays) == 2, argv
 
 
 def test_d3_call_reduces_q_once_and_takes_one_signature(capsys):
     # both canonical d3 values come from one reduction of Q and one signature;
     # a cusp is refused before Q is reduced, at any length
     for argv, code, shapes, signatures in (
-        (["inv", "--elliptic", "3", "--d3"], EXIT_OK, [(3, 3)], 1),
+        (["inv", "--elliptic", "3", "--d3"], EXIT_OK, [(1, 1)], 1),
         (["inv", "--cusp", "2,3,4", "--d3"], EXIT_UNSUPPORTED, [], 0),
         (["inv", "--cusp", ",".join(["3"] * 1000), "--d3"], EXIT_UNSUPPORTED, [], 0),
     ):

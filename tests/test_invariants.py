@@ -22,7 +22,7 @@ from singlink.legendrian import (
     enumerate_stein_fillings,
 )
 from singlink.linalg import AbelianGroup, SnfResult, dot, smith_normal_form, solve_rational
-from singlink.plumbing import boundary_homology, presentation_matrix
+from singlink.plumbing import boundary_homology, intersection_matrix
 from singlink.sl2z import CycleWord, Sl2Matrix
 
 from helpers import (
@@ -31,6 +31,7 @@ from helpers import (
     d3_oracle,
     mat_vec,
     presentation_oracle,
+    resolution_d3_oracle,
     suite_families,
 )
 
@@ -127,9 +128,10 @@ def test_euler_classes_replay_each_log_once(monkeypatch):
 
 
 def test_family_presentation():
-    # Elliptic(n): two zero rows for the genus-1 handles, then -n
-    assert presentation_matrix(Elliptic(4).graph()) == ((0, 0, 0), (0, 0, 0), (0, 0, -4))
-    assert presentation_matrix(Cusp(CycleWord((2, 3))).graph()) == ((-2, 2), (2, -3))
+    # Q is the linking matrix of the 2-handles: (-n) for Elliptic(n)
+    for n in (1, 4, 10**30):
+        assert FamilyReduction(Elliptic(n)).presentation == ((-n,),)
+    assert FamilyReduction(Cusp(CycleWord((2, 3)))).presentation == ((-2, 2), (2, -3))
 
 
 def test_euler_class_fixed():
@@ -139,19 +141,22 @@ def test_euler_class_fixed():
     assert mat_vec(rep.presentation, rep.witness) == (0, 0, -1)
 
     for n in (1, 3, 7):
-        rep = euler_class(Elliptic(n), (0, 0, -n))
-        assert rep.is_zero and rep.witness == (0, 0, 1)
-        short = euler_class(Elliptic(n), (-n,))
-        assert short.is_zero and short.witness == (0, 0, 1)
+        rep = euler_class(Elliptic(n), (-n,))
+        assert rep.is_zero and rep.witness == (1,)
+        assert mat_vec(rep.presentation, rep.witness) == (-n,)
+        with pytest.raises(DimensionMismatch):
+            euler_class(Elliptic(n), (0, 0, -n))
 
-    nonzero = euler_class(Elliptic(3), (0, 0, -1))
+    nonzero = euler_class(Elliptic(3), (-1,))
     assert not nonzero.is_zero
     assert nonzero.order == 3
     assert nonzero.witness is None
 
 
-def test_euler_class_infinite_order():
-    rep = euler_class(Elliptic(3), (1, 0, 0))
+def test_euler_class_infinite_order(monkeypatch):
+    # with Q = (0), every nonzero class has infinite order
+    monkeypatch.setattr(invariants, "intersection_matrix", lambda graph: ((0,),))
+    rep = euler_class(Elliptic(3), (1,))
     assert not rep.is_zero and rep.order is None
 
 
@@ -175,17 +180,14 @@ def test_euler_reduced_form_invariance():
 
 
 def test_euler_canonical_vanishes_with_unit_witnesses():
+    # one entry per 2-handle: k for a cusp word, 1 for Elliptic(n)
     for family in suite_families():
-        k = len(presentation_oracle(family))
+        k = len(family.word) if isinstance(family, Cusp) else 1
         for sign, unit in (("min", 1), ("max", -1)):
             diagram = canonical_filling(family, sign)
             rep = euler_class(family, diagram.rot_vector)
             assert rep.is_zero, (family, sign)
-            assert rep.witness is not None
-            if isinstance(family, Cusp):
-                assert rep.witness == tuple(unit for _ in range(k))
-            else:
-                assert rep.witness == (0, 0, unit)
+            assert rep.witness == (unit,) * k, (family, sign)
 
 
 def test_d3_elliptic_one_half():
@@ -194,7 +196,8 @@ def test_d3_elliptic_one_half():
 
 
 def test_d3_formula_both_signs():
-    # q=2, chi=4, sigma=-1 and c^2 = -n give ((-n) + 3 - 8)/4 + 2 = (3 - n)/4
+    # Gompf on Q = (-n): c^2 = -n, sigma = -1 and chi = 1 - 2 + 1 = 0 give
+    # (-n + 3 - 0)/4 = (3 - n)/4
     for n in range(1, 11):
         for sign in ("min", "max"):
             assert d3_invariant(canonical_filling(Elliptic(n), sign)) == Fraction(3 - n, 4)
@@ -213,12 +216,18 @@ def test_d3_matches_gompf_on_every_elliptic_filling():
     assert fillings == 65
 
 
+def _d3_values(family, diagrams):
+    """d3 of each diagram from the Euler classes of one reduction of Q."""
+    reduction = FamilyReduction(family)
+    return reduction.d3_invariants(reduction.euler_classes([d.rot_vector for d in diagrams]))
+
+
 def test_d3_invariants_match_the_oracle_on_every_elliptic_filling():
     fillings = 0
     for n in range(1, 11):
         family = Elliptic(n)
         diagrams = enumerate_stein_fillings(family)
-        values = FamilyReduction(family).d3_invariants(diagrams)
+        values = _d3_values(family, diagrams)
         assert values == tuple(map(d3_oracle, diagrams)), n
         assert values == tuple(map(d3_invariant, diagrams)), n
         fillings += len(diagrams)
@@ -229,7 +238,7 @@ def test_d3_invariants_on_the_canonical_fillings():
     for n in [*range(1, 61), 10**30]:
         family = Elliptic(n)
         diagrams = [canonical_filling(family, sign) for sign in ("min", "max")]
-        values = FamilyReduction(family).d3_invariants(diagrams)
+        values = _d3_values(family, diagrams)
         assert values == (Fraction(3 - n, 4),) * 2, n
         assert values == tuple(map(d3_oracle, diagrams)), n
         assert values == tuple(map(d3_invariant, diagrams)), n
@@ -248,9 +257,10 @@ def test_d3_solution_choice_independent():
 
 
 def test_d3_unsupported_for_plumbing_presentation():
-    # the cusp presentation has no row for the 1-handle's (+1)-surgery, so
-    # it is not the linking matrix of the surgery components and no d3 is
-    # produced, by the one-call form or the method, for any diagram list
+    # a cusp's d3 is held back until it is cross-checked against the
+    # resolution graph, so none is produced, by the one-call form or the
+    # method, for any list of classes; the oracle's (+1)-surgery reading
+    # has no row for the cusp's 1-handle and refuses it too
     family = Cusp(CycleWord((2, 2, 3)))
     diagram = canonical_filling(family, "min")
     with pytest.raises(UnsupportedPresentation) as raised:
@@ -258,12 +268,31 @@ def test_d3_unsupported_for_plumbing_presentation():
     assert raised.type is families.UnsupportedPresentation
     message = "cusp(2,2,3) has no linking matrix for its 4 surgery components"
     assert str(raised.value) == message
-    for diagrams in ((diagram,), ()):
+    reduction = FamilyReduction(family)
+    for reps in (reduction.euler_classes((diagram.rot_vector,)), ()):
         with pytest.raises(UnsupportedPresentation) as raised:
-            FamilyReduction(family).d3_invariants(diagrams)
+            reduction.d3_invariants(reps)
         assert str(raised.value) == message
     with pytest.raises(UnsupportedPresentation):
         d3_oracle(diagram)
+
+
+def test_d3_on_q2_matches_the_closed_forms_and_the_resolution_graph(monkeypatch):
+    # with the cusp refusal lifted, Gompf's formula on Q gives each
+    # canonical structure (k - sum(n_i - 2))/4 on a cusp and (3 - n)/4 on
+    # Elliptic(n), and so does the resolution graph, which reads genus and
+    # loops off the graph and no Legendrian data
+    monkeypatch.setattr(invariants, "check_d3_supported", lambda family, graph: None)
+    cusps = [f for f in suite_families() if isinstance(f, Cusp)]
+    assert len(cusps) == 336
+    for family in [*cusps, *(Elliptic(n) for n in range(1, 41))]:
+        if isinstance(family, Cusp):
+            expected = Fraction(len(family.word) - sum(n - 2 for n in family.word), 4)
+        else:
+            expected = Fraction(3 - family.n, 4)
+        assert resolution_d3_oracle(family) == expected, family
+        diagrams = [canonical_filling(family, sign) for sign in ("min", "max")]
+        assert _d3_values(family, diagrams) == (expected, expected), family
 
 
 def test_d3_invariant_refuses_a_cusp_before_reducing_q():
@@ -279,30 +308,30 @@ def test_d3_invariant_refuses_a_cusp_before_reducing_q():
 
 
 def test_d3_rejects_non_torsion_chern_class(monkeypatch):
-    # with Q = diag(0, 0, 0), Q x = (0, 0, -3) has no rational solution
-    monkeypatch.setattr(invariants, "presentation_matrix", lambda graph: ((0, 0, 0),) * 3)
+    # with Q = (0), Q x = (-3) has no rational solution
+    monkeypatch.setattr(invariants, "intersection_matrix", lambda graph: ((0,),))
     with pytest.raises(NonTorsionChernClass):
         d3_invariant(canonical_filling(Elliptic(3), "min"))
 
 
-def test_padded_presentation_agrees_with_the_plumbing_route():
-    # Q carries 2 * genus zero rows, so its cokernel plus the graph's first
-    # Betti number is the boundary H_1 that boundary_homology reads off the
-    # unpadded form plus boundary_free_rank; the 1-handles are the zero rows
-    # and the graph's cycles, and since a cycle gets no row of Q, d3 is
-    # refused exactly when the graph has one
+def test_presentation_agrees_with_the_plumbing_route():
+    # for every family Q is the intersection form, so the plumbing H_1 is
+    # the group boundary_homology reads off the graph; the 1-handles are
+    # the genus and cycle generators, boundary_free_rank of them, and d3 is
+    # refused exactly when the graph has a cycle
     for family in [*suite_families(), *(Elliptic(n) for n in range(1, 41))]:
         reduction = FamilyReduction(family)
         graph = reduction.graph
+        assert reduction.presentation == intersection_matrix(graph), family
         report = reduction.homology(family.monodromy(), family.openbook())
         assert report.plumbing == boundary_homology(graph), family
         assert family.one_handle_count == graph.boundary_free_rank(), family
-        diagrams = (canonical_filling(family, "min"),)
+        reps = reduction.euler_classes((canonical_filling(family, "min").rot_vector,))
         if graph.first_betti() > 0:
             with pytest.raises(UnsupportedPresentation):
-                reduction.d3_invariants(diagrams)
+                reduction.d3_invariants(reps)
         else:
-            assert reduction.d3_invariants(diagrams) == (Fraction(3 - family.n, 4),)
+            assert reduction.d3_invariants(reps) == (Fraction(3 - family.n, 4),)
 
 
 def test_elliptic_monodromy_convention():

@@ -29,10 +29,9 @@ from singlink.legendrian import (
     rotation_range,
     tb_max,
 )
-from singlink.plumbing import presentation_matrix
 from singlink.sl2z import CycleWord
 
-from helpers import cusp_words, stein_fillings_oracle, suite_families
+from helpers import cusp_words, presentation_oracle, stein_fillings_oracle, suite_families
 
 # one ordering of each multiset of the benchmark's enumerate workload
 LARGE_WORDS = [(3,) * 11 + (4,), (4,) * 7 + (3, 2), (6,) * 5 + (3,)]
@@ -294,12 +293,13 @@ def test_canonical_filling_does_not_list_the_range(monkeypatch):
 def test_contact_surgery_elliptic_frozen():
     # Elliptic(1) read as a contact surgery: a (+1)-surgery on a standard
     # unknot (tb -1, so framing 0) per 1-handle and a (-1)-surgery on the
-    # 2-handle (tb 0, so framing -1), with Q as their linking matrix
+    # 2-handle (tb 0, so framing -1), with the padded Q as their linking
+    # matrix, gives the d3 that Gompf's formula gives on the 2-handle alone
     diagram = canonical_filling(Elliptic(1), "min")
     (handle,) = diagram.handles
     assert diagram.one_handle_count == 2
     assert (handle.tb, handle.rot, handle.smooth_framing) == (0, -1, -1)
-    assert presentation_matrix(diagram.family.graph()) == ((0, 0, 0), (0, 0, 0), (0, 0, -1))
+    assert presentation_oracle(diagram.family) == ((0, 0, 0), (0, 0, 0), (0, 0, -1))
     # c^2 = -1, sigma = -1, chi = 4 and q = 2
     assert d3_invariant(diagram) == Fraction(-1 + 3 - 8, 4) + 2
 
@@ -318,7 +318,7 @@ def test_plus_components_match_one_handles():
     # as a (+1)-surgery on a standard unknot, ahead of a row per 2-handle
     for family in [Elliptic(n) for n in range(1, 11)]:
         diagram = canonical_filling(family, "min")
-        q = presentation_matrix(family.graph())
+        q = presentation_oracle(family)
         assert len(q) == diagram.one_handle_count + len(diagram.handles)
         assert all(q[i][i] == 0 for i in range(diagram.one_handle_count))
 

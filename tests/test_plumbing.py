@@ -19,7 +19,6 @@ from singlink.plumbing import (
     PlumbingVertex,
     boundary_homology,
     intersection_matrix,
-    presentation_matrix,
     smooth_surgery_description,
 )
 from singlink.sl2z import CycleWord, cycle_monodromy
@@ -76,7 +75,7 @@ def test_vertex_limit_is_checked_before_the_matrix(monkeypatch):
         intersection_matrix(long_graph)
     for family in (Cusp(CycleWord((2, 2, 2, 3))), Cusp(CycleWord((2,) * 10**4 + (3,)))):
         with pytest.raises(SizeLimitExceeded):
-            presentation_matrix(family.graph())
+            smooth_surgery_description(family)
         assert len(family.graph().vertices) == len(family.word)  # the graph still builds
 
 
@@ -98,15 +97,25 @@ def test_intersection_matrix_fixed():
 
 
 def test_presentation_matrix_matches_oracle():
-    # 2 * genus zero rows and columns, then the intersection form
+    # the surgery framings are the diagonal of the padded presentation:
+    # 2 * genus zeros, then the diagonal of the intersection form
     for family in [*suite_families(), *(Elliptic(n) for n in range(1, 41))]:
-        assert presentation_matrix(family.graph()) == presentation_oracle(family), family
+        q = presentation_oracle(family)
+        framings = smooth_surgery_description(family).framings
+        assert framings == tuple(q[i][i] for i in range(len(q))), family
     graph = PlumbingGraph((PlumbingVertex(-3, genus=2), PlumbingVertex(-2)), ((0, 1),))
-    zero = (0,) * 6
-    assert presentation_matrix(graph) == (zero,) * 4 + (
-        (0, 0, 0, 0, -3, 1),
-        (0, 0, 0, 0, 1, -2),
-    )
+
+    class GenusTwo:  # the three things smooth_surgery_description reads
+        def handle_slots(self):
+            return ((ELLIPTIC_CORE, -3),)
+
+        def graph(self):
+            return graph
+
+        def to_json_dict(self):
+            return {}
+
+    assert smooth_surgery_description(GenusTwo()).framings == (0, 0, 0, 0, -3, -2)
 
 
 def test_intersection_matrix_symmetric_with_negative_diagonal():

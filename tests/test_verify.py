@@ -10,7 +10,7 @@ from singlink import invariants, legendrian
 from singlink.families import Cusp, Elliptic, SizeLimitExceeded
 from singlink.legendrian import SteinHandleDiagram, rotation_range
 from singlink.linalg import SnfResult
-from singlink.plumbing import intersection_matrix, presentation_matrix
+from singlink.plumbing import intersection_matrix
 from singlink.sl2z import CycleWord
 from singlink.verify import (
     SUITE_MAX_ENTRY,
@@ -50,7 +50,7 @@ def test_d3_check_compares_both_signs(monkeypatch):
     monkeypatch.setattr(
         invariants.FamilyReduction,
         "d3_invariants",
-        lambda self, diagrams: tuple(Fraction(sum(d.rot_vector)) for d in diagrams),
+        lambda self, reps: tuple(Fraction(sum(rep.vector)) for rep in reps),
     )
     checks = dict(verify_family(Elliptic(3)))
     assert checks["d3 computed for both signs"] is False
@@ -60,16 +60,16 @@ def test_d3_check_compares_both_signs(monkeypatch):
 def test_one_snf_per_pair_of_euler_classes(monkeypatch):
     # the elliptic d3 values share Q's reduction and take one signature of it;
     # A - I and the open-book presentation go to the minors, not the SNF.
-    # Q's row log is replayed once per Euler vector: twice for the canonical
-    # pair, and for an elliptic family twice more in d3_invariants' own
-    # euler_classes call, while the d3 independence check replays none
+    # Q's row log is replayed once per Euler vector, twice for the canonical
+    # pair: d3_invariants reads those two classes and the d3 independence
+    # check replays none
     reduce = SnfResult.reduce
     replays = []
     monkeypatch.setattr(SnfResult, "reduce", lambda snf, v: replays.append(v) or reduce(snf, v))
     for family, signatures, expected_replays in (
         (Cusp(CycleWord((2, 3, 4))), 0, 2),
         (Cusp(CycleWord((3,))), 0, 2),
-        (Elliptic(3), 1, 4),
+        (Elliptic(3), 1, 2),
     ):
         replays.clear()
         with counted_snf() as calls, counted_linalg("symmetric_signature") as sigmas:
@@ -141,12 +141,15 @@ def test_c1_distinct_check_sees_a_repeat_and_a_swap(monkeypatch):
         assert not dict(verify_family(family))[check]
 
 
-def test_cusp_presentation_is_the_plumbing_form():
-    # Q is the bare plumbing form exactly for the genus-zero (cusp) graphs
-    for family in suite_families():
-        graph = family.graph()
-        is_form = presentation_matrix(graph) == intersection_matrix(graph)
-        assert is_form is isinstance(family, Cusp), family
+def test_presentation_is_the_plumbing_form():
+    # Q is the bare plumbing form for every family, genus or not, and verify
+    # reduces that one matrix
+    for family in [*suite_families(), *(Elliptic(n) for n in range(11, 41))]:
+        form = intersection_matrix(family.graph())
+        assert invariants.FamilyReduction(family).presentation == form, family
+        with counted_snf() as calls:
+            verify_family(family)
+        assert calls == [form], family
 
 
 def test_verify_refuses_before_it_reduces(monkeypatch):
