@@ -10,9 +10,10 @@ the boundary contact structure lives in the cokernel of Q, the plumbing
 intersection form, which is the linking matrix of the Stein 2-handles; and
 the d3 invariant of a plane field with torsion Chern class is Gompf's
 (c^2 - 3*sigma(Q) - 2*chi)/4 on the Stein filling, chi = 1 - #1-handles +
-#2-handles, normalized so the standard tight 3-sphere has d3 = -1/2; c^2
-pairs c with the witness of its Euler class (of k*c, over k, for a class
-of order k).
+#2-handles, normalized so the standard tight 3-sphere has d3 = -1/2.  Q is
+nonsingular for every family (|det Q| = trace - 2 for a cusp, n for
+Elliptic(n)), so every class is torsion: its record keeps its order k and
+one integer solution y of Q y = k*c, and c^2 = y.c / k.
 
 ``FamilyReduction(family)`` reduces Q once for the three things that rest
 on it, the Euler classes, the d3 invariants and the three-way H_1;
@@ -27,7 +28,7 @@ from operator import index
 from ._record import Record
 from .families import Family, UnsupportedPresentation
 from .legendrian import SteinHandleDiagram, TwoHandleSpec
-from .linalg import IntMatrix, SnfResult, dot, smith_normal_form, symmetric_signature
+from .linalg import SnfResult, dot, smith_normal_form, symmetric_signature
 from .linalg import two_column_cokernel
 from .openbook import OpenBookDescription, openbook_homology
 from .plumbing import PlumbingGraph, intersection_matrix
@@ -35,7 +36,6 @@ from .sl2z import Sl2Matrix
 
 __all__ = [
     "DimensionMismatch",
-    "NonTorsionChernClass",
     "CohomologyClassRep",
     "HomologyAgreement",
     "FamilyReduction",
@@ -51,10 +51,6 @@ __all__ = [
 
 class DimensionMismatch(ValueError):
     """Vector length does not match the family's presentation."""
-
-
-class NonTorsionChernClass(ValueError):
-    """The Chern class is not torsion, so d3 is undefined."""
 
 
 def adjunction_vector(slots) -> tuple[int, ...]:
@@ -90,15 +86,23 @@ def is_canonical(diagram: SteinHandleDiagram) -> bool:
 
 
 class CohomologyClassRep(Record):
-    """A class sum(v_j * meridian_j) reduced in the cokernel of Q.
+    """The class of ``vector`` in the cokernel of a nonsingular Q.
 
-    ``reduced`` is the image of the vector in Smith normal form coordinates
-    (entry i taken mod d_i when d_i > 0); the class vanishes iff every
-    reduced entry is zero, in which case ``witness`` solves Q x = v over the
-    integers.  ``order`` is None for classes of infinite order.
+    ``order`` is its order k in that finite group and ``solution`` one
+    integer y with Q y = k * vector.  The class vanishes when k == 1, and
+    then the solution is its ``witness``.
     """
 
-    __slots__ = ("vector", "presentation", "reduced", "is_zero", "order", "witness")
+    __slots__ = ("vector", "order", "solution")
+
+    @property
+    def is_zero(self) -> bool:
+        return self.order == 1
+
+    @property
+    def witness(self):
+        """The integer solution of Q x = vector, or None for a nonzero class."""
+        return self.solution if self.order == 1 else None
 
     def to_json_dict(self) -> dict:
         return {
@@ -119,23 +123,12 @@ def euler_class(family: Family, rot_vector) -> CohomologyClassRep:
     return FamilyReduction(family).euler_classes((rot_vector,))[0]
 
 
-def _reduce_class(q: IntMatrix, snf: SnfResult, v: tuple[int, ...]) -> CohomologyClassRep:
+def _reduce_class(snf: SnfResult, v: tuple[int, ...]) -> CohomologyClassRep:
+    """The class of v from one replay of the row log: with w = u v, entry i
+    has order d_i / gcd(d_i, w_i), and k v lifts from k w."""
     w = snf.reduce(v)
-    reduced = []
-    order: int | None = 1
-    for d, c in zip(snf.diagonal, w):  # Q is square
-        if d:
-            r = c % d
-            reduced.append(r)
-            if r and order is not None:
-                order = lcm(order, d // gcd(d, r))
-        else:
-            reduced.append(c)
-            if c:
-                order = None
-    is_zero = all(x == 0 for x in reduced)
-    witness = snf.lift(v, w) if is_zero else None
-    return CohomologyClassRep(v, q, tuple(reduced), is_zero, order, witness)
+    k = lcm(*[d // gcd(d, c) for d, c in zip(snf.diagonal, w)])
+    return CohomologyClassRep(v, k, snf.lift([k * x for x in v], [k * c for c in w]))
 
 
 def check_d3_supported(family: Family, graph: PlumbingGraph) -> None:
@@ -145,10 +138,8 @@ def check_d3_supported(family: Family, graph: PlumbingGraph) -> None:
     and the benchmark's cusp checks land with it.  The graph alone decides,
     before Q is reduced."""
     if graph.first_betti():
-        components = family.one_handle_count + len(graph.vertices)
-        raise UnsupportedPresentation(
-            f"{family.label} has no linking matrix for its {components} surgery components"
-        )
+        message = f"d3 of {family.label} waits for the resolution-graph cross-check"
+        raise UnsupportedPresentation(message)
 
 
 def d3_invariant(diagram: SteinHandleDiagram):
@@ -196,8 +187,9 @@ class FamilyReduction(Record):
 
     The plumbing graph is built once and Q is its intersection form, the
     linking matrix of the Stein 2-handles (one per vertex), the same way for
-    both families.  The open book and the monodromy are not built here: a
-    caller passes them to ``homology``.
+    both families.  A Q with a zero invariant factor raises ValueError, so
+    every Euler class has finite order.  The open book and the monodromy
+    are not built here: a caller passes them to ``homology``.
 
     >>> from singlink.families import Cusp
     >>> reduction = FamilyReduction(Cusp((2, 3)))
@@ -213,10 +205,13 @@ class FamilyReduction(Record):
     def __init__(self, family: Family):
         graph = family.graph()
         q = intersection_matrix(graph)
+        snf = smith_normal_form(q)
+        if 0 in snf.diagonal:
+            raise ValueError(f"the intersection form of {family.label} is singular")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "presentation", q)
-        object.__setattr__(self, "snf", smith_normal_form(q))
+        object.__setattr__(self, "snf", snf)
 
     def euler_classes(self, rot_vectors) -> tuple[CohomologyClassRep, ...]:
         """``euler_class`` of each vector, all from the one reduction of Q."""
@@ -229,7 +224,7 @@ class FamilyReduction(Record):
                     f"rot vector of length {len(v)} does not fit a {len(q)}-component presentation"
                 )
             vectors.append(v)
-        return tuple(_reduce_class(q, self.snf, v) for v in vectors)
+        return tuple(_reduce_class(self.snf, v) for v in vectors)
 
     def d3_invariants(self, classes) -> tuple:
         """d3 invariant, a Fraction, of the Stein diagram behind each Euler
@@ -237,11 +232,9 @@ class FamilyReduction(Record):
 
         Gompf's formula on the Stein filling: (c^2 - 3*sigma(Q) - 2*chi)/4,
         with c the rot vector, Q the linking matrix of the 2-handles and
-        chi = 1 - #1-handles + #2-handles.  c^2 = x . c for any rational x
-        with Q x = c (a kernel vector pairs to zero with the image of Q):
-        the witness when c's Euler class vanishes, else y/k with Q y = k*c
-        for the class's order k.  Requires a torsion Chern class and a
-        family that ``check_d3_supported`` accepts.
+        chi = 1 - #1-handles + #2-handles.  c^2 = x . c with Q x = c, that
+        is y . c / k for the class's order k and its solution y, Q y = k*c.
+        Requires a family that ``check_d3_supported`` accepts.
 
         >>> from singlink.families import Elliptic
         >>> from singlink.legendrian import canonical_filling
@@ -258,11 +251,8 @@ class FamilyReduction(Record):
         chi = 1 - self.family.one_handle_count + len(q)
         values = []
         for rep in classes:
-            c, k = rep.vector, rep.order
-            if k is None:
-                raise NonTorsionChernClass("Q x = rot has no rational solution")
-            x = rep.witness if rep.is_zero else self.snf.solve([k * y for y in c])
-            values.append((Fraction(dot(x, c), k) - 3 * sigma - 2 * chi) / 4)
+            c2 = Fraction(dot(rep.solution, rep.vector), rep.order)
+            values.append((c2 - 3 * sigma - 2 * chi) / 4)
         return tuple(values)
 
     def homology(self, monodromy: Sl2Matrix, book: OpenBookDescription) -> HomologyAgreement:

@@ -99,20 +99,17 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     )
 
     reps = reduction.euler_classes((minimal.rot_vector, maximal.rot_vector))
-    euler_ok = all(rep.is_zero and rep.witness is not None for rep in reps)
+    euler_ok = all(rep.is_zero for rep in reps)
     checks.append(("euler class of the canonical structure vanishes", euler_ok))
 
     try:
         d3_min, d3_max = reduction.d3_invariants(reps)
     except UnsupportedPresentation:
         return checks
-    # Q x = rot has a rational solution exactly when the Euler class of the
-    # rot vector is torsion; the kernel pairs to zero with it (it is empty
-    # on the nonsingular Q of both families, so this cannot fail)
-    rot = reps[0].vector
-    independent = all(dot(k, rot) == 0 for k in reduction.snf.kernel_basis())
-    torsion = reps[0].order is not None
-    checks.append(("d3 solution-choice independence", torsion and independent))
+    # the kernel of Q pairs to zero with the rot vector (it is empty, since
+    # FamilyReduction refuses a singular Q, so this cannot fail)
+    independent = all(dot(k, reps[0].vector) == 0 for k in reduction.snf.kernel_basis())
+    checks.append(("d3 solution-choice independence", independent))
     checks.append(("d3 computed for both signs", d3_min == d3_max))
     return checks
 

@@ -22,7 +22,9 @@ plumbing graph.  ``d3_oracle`` evaluates d3 on one diagram alone, with that
 presentation, its own rational solve and the dense signature, where the
 library reads every diagram's d3 off the family's one reduction of Q.
 ``resolution_d3_oracle`` reads d3 of the canonical structure off the
-resolution graph, with no Stein diagram at all.
+resolution graph, with no Stein diagram at all, and ``brieskorn_count``
+reads the signature and Milnor number of a Brieskorn Milnor fibre off its
+exponents.
 """
 import itertools
 import sys
@@ -411,7 +413,7 @@ def d3_oracle(diagram):
         raise UnsupportedPresentation(f"{diagram.family.label}: {len(rot)} components")
     solution = solve_rational(q, rot)
     if solution is None:
-        raise invariants.NonTorsionChernClass("Q x = rot has no rational solution")
+        raise ValueError("Q x = rot has no rational solution")
     c2 = Fraction(dot(solution, rot))
     return (c2 - 3 * dense_signature_oracle(q) - 2 * (1 + len(q))) / 4 + diagram.one_handle_count
 
@@ -446,6 +448,22 @@ def resolution_d3_oracle(family):
     k2 = dot(_fraction_solve(q, a), a)
     chi = sum(2 - 2 * vertex.genus for vertex in graph.vertices) - len(graph.edges)
     return (k2 + 3 * len(graph.vertices) - 2 * chi) / 4
+
+
+def brieskorn_count(exponents):
+    """(sigma, mu, mu0) of the Milnor fibre of x_1^a_1 + ... + x_m^a_m by
+    Brieskorn's count over j with 0 < j_i < a_i and s = sum(j_i / a_i):
+    mu counts every j, mu0 those with s an integer, and sigma is the number
+    with 0 < s mod 2 < 1 minus the number with 1 < s mod 2 < 2."""
+    sigma = mu = mu0 = 0
+    for j in itertools.product(*[range(1, a) for a in exponents]):
+        s = sum(Fraction(x, a) for x, a in zip(j, exponents)) % 2
+        mu += 1
+        if s.denominator == 1:
+            mu0 += 1
+        else:
+            sigma += 1 if s < 1 else -1
+    return sigma, mu, mu0
 
 
 def stein_fillings_oracle(family):

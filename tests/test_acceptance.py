@@ -97,7 +97,7 @@ def test_criterion_06_euler_class_vanishes():
                 rep = euler_class(family, canonical_filling(family, sign).rot_vector)
                 assert rep.is_zero
                 assert rep.witness == (unit,) * size
-                assert mat_vec(rep.presentation, rep.witness) == rep.vector
+                assert mat_vec(intersection_matrix(family.graph()), rep.witness) == rep.vector
 
 
 def test_criterion_07_adjunction_uniqueness():

@@ -340,7 +340,8 @@ def test_invariants_d3_on_cusp_exits_3(capsys):
     assert main(["invariants", "--cusp", "2,2,3", "--d3"]) == EXIT_UNSUPPORTED
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("singlink: unsupported: cusp(2,2,3) has no linking matrix")
+    reason = "d3 of cusp(2,2,3) waits for the resolution-graph cross-check"
+    assert err == f"singlink: unsupported: {reason}\n"
 
 
 def test_invariants_full_report():
@@ -521,7 +522,7 @@ def test_cusp_d3_exits_3_when_only_the_handler_imports_legendrian():
     )
     assert done.returncode == EXIT_UNSUPPORTED, done.stderr
     assert done.stdout == ""
-    assert done.stderr.startswith("singlink: unsupported: cusp(2,3,4) has no linking matrix")
+    assert done.stderr.startswith("singlink: unsupported: d3 of cusp(2,3,4) waits for the")
 
 
 def test_full_report_reduces_a_cusp_presentation_once(monkeypatch):

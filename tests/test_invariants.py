@@ -1,13 +1,16 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlink import families, invariants
 from singlink.families import ChainUnknot, Cusp, Elliptic, EllipticCore, UnsupportedPresentation
 from singlink.invariants import (
+    CohomologyClassRep,
     DimensionMismatch,
     FamilyReduction,
-    NonTorsionChernClass,
     adjunction_defect,
     adjunction_vector,
     d3_invariant,
@@ -20,13 +23,16 @@ from singlink.legendrian import (
     TwoHandleSpec,
     canonical_filling,
     enumerate_stein_fillings,
+    rotation_range,
 )
 from singlink.linalg import AbelianGroup, SnfResult, dot, smith_normal_form, solve_rational
 from singlink.plumbing import boundary_homology, intersection_matrix
 from singlink.sl2z import CycleWord, Sl2Matrix
 
 from helpers import (
+    _fraction_solve,
     adjunction_defect_oracle,
+    brieskorn_count,
     counted_snf,
     d3_oracle,
     mat_vec,
@@ -135,15 +141,16 @@ def test_family_presentation():
 
 
 def test_euler_class_fixed():
-    rep = euler_class(Cusp(CycleWord((2, 2, 3))), (0, 0, -1))
+    family = Cusp(CycleWord((2, 2, 3)))
+    rep = euler_class(family, (0, 0, -1))
     assert rep.is_zero and rep.order == 1
-    assert rep.witness == (1, 1, 1)
-    assert mat_vec(rep.presentation, rep.witness) == (0, 0, -1)
+    assert rep.witness == rep.solution == (1, 1, 1)
+    assert mat_vec(intersection_matrix(family.graph()), rep.witness) == (0, 0, -1)
 
     for n in (1, 3, 7):
         rep = euler_class(Elliptic(n), (-n,))
         assert rep.is_zero and rep.witness == (1,)
-        assert mat_vec(rep.presentation, rep.witness) == (-n,)
+        assert mat_vec(intersection_matrix(Elliptic(n).graph()), rep.witness) == (-n,)
         with pytest.raises(DimensionMismatch):
             euler_class(Elliptic(n), (0, 0, -n))
 
@@ -151,13 +158,44 @@ def test_euler_class_fixed():
     assert not nonzero.is_zero
     assert nonzero.order == 3
     assert nonzero.witness is None
+    assert nonzero.solution == (1,)  # Q y = 3 * (-1) with Q = (-3)
+    assert nonzero.to_json_dict() == {"is_zero": False, "order": 3, "witness": None}
+    assert CohomologyClassRep.__slots__ == ("vector", "order", "solution")
 
 
-def test_euler_class_infinite_order(monkeypatch):
-    # with Q = (0), every nonzero class has infinite order
+def test_family_reduction_refuses_a_singular_form(monkeypatch):
+    # every family's Q is nonsingular; a zero invariant factor would let a
+    # class have infinite order, so the reduction refuses it at once
     monkeypatch.setattr(invariants, "intersection_matrix", lambda graph: ((0,),))
-    rep = euler_class(Elliptic(3), (1,))
-    assert not rep.is_zero and rep.order is None
+    with pytest.raises(ValueError, match="singular"):
+        FamilyReduction(Elliptic(3))
+    with pytest.raises(ValueError, match="singular"):
+        d3_invariant(canonical_filling(Elliptic(3), "min"))
+
+
+@st.composite
+def cusp_classes(draw):
+    """A cycle word with k <= 8 and entries 2..9 and a rot vector whose
+    entries are drawn from each slot's rotation range."""
+    word = draw(st.lists(st.integers(2, 9), min_size=1, max_size=8).filter(lambda w: max(w) > 2))
+    family = Cusp(CycleWord(word))
+    rots = tuple(draw(st.sampled_from(rotation_range(tag, f))) for tag, f in family.handle_slots())
+    return family, rots
+
+
+@settings(max_examples=200, deadline=None)
+@given(cusp_classes())
+def test_euler_class_order_and_solution_match_the_rational_solve(case):
+    # the order is the least k with k * x integral, x the rational solution
+    # of Q x = v found by Gauss-Jordan elimination on Fractions
+    family, rots = case
+    rep = euler_class(family, rots)
+    q = intersection_matrix(family.graph())
+    assert mat_vec(q, rep.solution) == tuple(rep.order * r for r in rots)
+    x = _fraction_solve(q, rots)
+    assert rep.order == lcm(*[y.denominator for y in x])
+    assert rep.is_zero is all(y.denominator == 1 for y in x)
+    assert (rep.witness is None) is not rep.is_zero
 
 
 def test_euler_class_dimension_mismatch():
@@ -168,15 +206,18 @@ def test_euler_class_dimension_mismatch():
 
 
 def test_euler_reduced_form_invariance():
+    # v and v + Q combo are one class: the same order k, and the solution of
+    # Q y = k v moves by k * combo
     family = Cusp(CycleWord((3, 4)))
-    q = presentation_oracle(family)
+    q = intersection_matrix(family.graph())
     base = (1, -1)
     rep = euler_class(family, base)
+    assert rep.order == 8  # |det Q| = trace - 2 = 8, and (1, -1) generates
     for combo in [(1, 0), (0, 1), (2, -3)]:
-        shifted = tuple(
-            base[i] + sum(combo[j] * q[i][j] for j in range(len(q))) for i in range(len(q))
-        )
-        assert euler_class(family, shifted).reduced == rep.reduced
+        shifted = tuple(b + c for b, c in zip(base, mat_vec(q, combo)))
+        moved = euler_class(family, shifted)
+        assert moved.order == rep.order
+        assert moved.solution == tuple(y + rep.order * c for y, c in zip(rep.solution, combo))
 
 
 def test_euler_canonical_vanishes_with_unit_witnesses():
@@ -266,7 +307,7 @@ def test_d3_unsupported_for_plumbing_presentation():
     with pytest.raises(UnsupportedPresentation) as raised:
         d3_invariant(diagram)
     assert raised.type is families.UnsupportedPresentation
-    message = "cusp(2,2,3) has no linking matrix for its 4 surgery components"
+    message = "d3 of cusp(2,2,3) waits for the resolution-graph cross-check"
     assert str(raised.value) == message
     reduction = FamilyReduction(family)
     for reps in (reduction.euler_classes((diagram.rot_vector,)), ()):
@@ -307,11 +348,51 @@ def test_d3_invariant_refuses_a_cusp_before_reducing_q():
     assert len(calls) == 1
 
 
-def test_d3_rejects_non_torsion_chern_class(monkeypatch):
-    # with Q = (0), Q x = (-3) has no rational solution
-    monkeypatch.setattr(invariants, "intersection_matrix", lambda graph: ((0,),))
-    with pytest.raises(NonTorsionChernClass):
-        d3_invariant(canonical_filling(Elliptic(3), "min"))
+def test_d3_of_a_nonzero_class_replays_the_log_once(monkeypatch):
+    # d3 reads the order and solution the Euler class already holds, so a
+    # nonzero torsion class costs one replay of Q's row log, not a second
+    # solve of Q y = k c
+    reduce = SnfResult.reduce
+    calls = []
+    monkeypatch.setattr(SnfResult, "reduce", lambda snf, v: calls.append(v) or reduce(snf, v))
+    reduction = FamilyReduction(Elliptic(3))
+    (rep,) = reduction.euler_classes(((-1,),))
+    assert (rep.order, calls) == (3, [(-1,)])
+    assert reduction.d3_invariants((rep,)) == ((3 - Fraction(1, 3)) / 4,)
+    assert calls == [(-1,)]
+    diagrams = enumerate_stein_fillings(Cusp(CycleWord((3, 5))))
+    monkeypatch.setattr(invariants, "check_d3_supported", lambda family, graph: None)
+    calls.clear()
+    _d3_values(diagrams[0].family, diagrams)
+    assert len(calls) == len(diagrams) == 8
+
+
+def test_d3_matches_the_milnor_fibre():
+    # the Milnor fibre is a second Stein filling of the canonical structure,
+    # with c1 = 0 and chi = 1 + mu, so d3 = (-3 sigma - 2 (1 + mu))/4; for
+    # Elliptic(1..3) sigma and mu come from Brieskorn's count on x^2 + y^3
+    # + z^6, x^2 + y^4 + z^4 and x^3 + y^3 + z^3, and for n = 4..9 from
+    # chi = 12 - n and sigma = n - 9
+    assert brieskorn_count((2, 3, 5)) == (-8, 8, 0)
+    assert brieskorn_count((2, 3, 7)) == (-8, 12, 0)
+    fibres = {1: (2, 3, 6), 2: (2, 4, 4), 3: (3, 3, 3)}
+    expected = {1: (-8, 10, 2), 2: (-7, 9, 2), 3: (-6, 8, 2)}
+    for n in range(1, 10):
+        family = Elliptic(n)
+        if n in fibres:
+            sigma, mu, mu0 = brieskorn_count(fibres[n])
+            assert (sigma, mu, mu0) == expected[n]
+            assert mu0 == homology_cross_check(family).plumbing.free_rank
+        else:
+            sigma, mu = n - 9, 11 - n
+        milnor = Fraction(-3 * sigma - 2 * (1 + mu), 4)
+        diagrams = [canonical_filling(family, sign) for sign in ("min", "max")]
+        assert _d3_values(family, diagrams) == (milnor, milnor), n
+    assert [Fraction(-3 * s - 2 * (1 + m), 4) for s, m, _ in expected.values()] == [
+        Fraction(1, 2),
+        Fraction(1, 4),
+        0,
+    ]
 
 
 def test_presentation_agrees_with_the_plumbing_route():

@@ -305,11 +305,11 @@ def test_contact_surgery_elliptic_frozen():
 
 
 def test_contact_surgery_cusp():
-    # a cusp presentation has a row per 2-handle and none for the 1-handle's
-    # (+1)-surgery, so it is not the linking matrix of the surgery components
+    # Gompf's formula applies to a cusp's Q, but its d3 is held back until
+    # the value is cross-checked against the resolution graph
     for word in ((2, 2, 3), (5,), (3, 3)):
         diagram = canonical_filling(Cusp(CycleWord(word)), "min")
-        with pytest.raises(UnsupportedPresentation, match="no linking matrix"):
+        with pytest.raises(UnsupportedPresentation, match="resolution-graph cross-check"):
             d3_invariant(diagram)
 
 
