@@ -217,8 +217,8 @@ def _run_enumerate(request):
     from . import legendrian
 
     family = request.family
-    fillings = legendrian.enumerate_stein_fillings(family)
-    # c1 evaluates to the rot vector, so each diagram's is read once for both
+    rot_vectors = legendrian.filling_rot_vectors(family)
+    # c1 evaluates to the rot vector, so each vector is read once for both
     if request.fmt == "json":
         # each slot's handle dict is built once per realizable rot and shared
         spec, rotations = legendrian.TwoHandleSpec, legendrian.rotation_range
@@ -227,20 +227,20 @@ def _run_enumerate(request):
             for slot in family.handle_slots()
         ]
         entries = []
-        for d in fillings:
-            rot = list(d.rot_vector)
+        for rots in rot_vectors:
+            rot = list(rots)
             handles = [by_rot[r] for by_rot, r in zip(handle_json, rot)]
             entries.append({"rot": rot, "c1": rot, "handles": handles})
         return EXIT_OK, {
             "family": family.to_json_dict(),
-            "count": len(fillings),
+            "count": len(entries),
             "fillings": entries,
         }
-    lines = [f"count {len(fillings)}"]
-    for d in fillings:
-        rot = ", ".join(map(str, d.rot_vector))
+    lines = []
+    for rots in rot_vectors:
+        rot = ", ".join(map(str, rots))
         lines.append(f"rot=({rot}) c1=({rot})")
-    return EXIT_OK, "\n".join(lines)
+    return EXIT_OK, "\n".join([f"count {len(lines)}", *lines])
 
 
 def _canonical_json(diagram) -> dict:

@@ -1,8 +1,9 @@
 """The two link families everything downstream is indexed by.
 
 Each family knows its label, JSON form, monodromy, plumbing graph, open
-book page and Stein handle pattern (Q is read off the graph); outside the
-family-specific checks of verify.py, no module tests which family it holds.
+book page, Stein handle pattern and diagram count (Q is read off the graph);
+outside the family-specific checks of verify.py, no module tests which
+family it holds.
 A handle pattern pairs each smooth framing with one of three tag constants.
 """
 from __future__ import annotations
@@ -92,6 +93,11 @@ class Elliptic(Record):
     def label(self) -> str:
         return f"elliptic({self.n})"
 
+    @property
+    def filling_count(self) -> int:
+        """Stein handle diagrams: n + 1, one per rot of the elliptic core."""
+        return self.n + 1
+
     def to_json_dict(self) -> dict:
         return {"kind": "elliptic", "n": self.n}
 
@@ -134,6 +140,13 @@ class Cusp(Record):
     @property
     def label(self) -> str:
         return "cusp(" + ",".join(str(n) for n in self.word) + ")"
+
+    @property
+    def filling_count(self) -> int:
+        """Stein handle diagrams: prod(n_i - 1), n_i - 1 rots per handle."""
+        from math import prod
+
+        return prod([n - 1 for n in self.word])
 
     def to_json_dict(self) -> dict:
         return {"kind": "cusp", "word": self.word.to_json_list()}

@@ -32,9 +32,8 @@ __all__ = [
 ]
 
 
-# Most Stein diagrams filling_rot_vectors lists: n + 1 for Elliptic(n)
-# and prod(n_i - 1) for a cusp word.  A larger family is refused before any
-# handle is built.
+# Most Stein diagrams filling_rot_vectors lists, compared with the family's
+# filling_count.  A larger family is refused before any handle is built.
 DIAGRAM_LIMIT = 100_000
 
 
@@ -174,21 +173,16 @@ def _realized(family: Family, rot_vector: tuple[int, ...]) -> SteinHandleDiagram
 def filling_rot_vectors(family: Family) -> itertools.product:
     """The rot vectors of all Stein handle diagrams, in lexicographic order.
 
-    A plain function, so a family with more than DIAGRAM_LIMIT diagrams
-    (n + 1 for the elliptic family, prod(n_i - 1) for a cusp word) raises
-    SizeLimitExceeded at the call, before any vector is made.  Returns the
-    lazy product of the slots' rotation ranges, one tuple at a time, so no
-    rot is checked again and no diagram is built.
+    A plain function, so a family whose ``filling_count`` is over
+    DIAGRAM_LIMIT raises SizeLimitExceeded at the call, before any vector is
+    made.  Returns the lazy product of the slots' rotation ranges, one
+    tuple at a time, so no rot is checked again and no diagram is built.
     """
-    slots = family.handle_slots()
-    diagrams = 1
-    for tag, f in slots:
-        diagrams *= _stabilization_budget(tag, f) + 1  # the length of rotation_range
-        if diagrams > DIAGRAM_LIMIT:
-            raise SizeLimitExceeded(
-                f"{family.label} has more Stein diagrams than the limit of {DIAGRAM_LIMIT:,}"
-            )
-    return itertools.product(*[rotation_range(*slot) for slot in slots])
+    if family.filling_count > DIAGRAM_LIMIT:
+        raise SizeLimitExceeded(
+            f"{family.label} has more Stein diagrams than the limit of {DIAGRAM_LIMIT:,}"
+        )
+    return itertools.product(*[rotation_range(*slot) for slot in family.handle_slots()])
 
 
 def enumerate_stein_fillings(family: Family) -> tuple[SteinHandleDiagram, ...]:

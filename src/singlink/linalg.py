@@ -9,6 +9,9 @@ instead of being truncated.  ``fractions`` is imported only in
 calls never make a Fraction.  Only ``two_column_cokernel`` finds a
 cokernel without ``smith_normal_form``, which shares its rows of
 nonzeros and its column addition with ``symmetric_signature``.
+``determinant``, ``matmul`` and ``solve_rational`` are kept for the tests
+and the benchmark's layer tracer only; the package reads |det Q| off the
+Smith normal form's diagonal.
 """
 from __future__ import annotations
 

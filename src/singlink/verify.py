@@ -3,15 +3,17 @@
 ``verify_family`` recomputes every headline invariant of one family and
 cross-checks it against a closed form or an independent computation;
 ``suite_families`` lists the families the standard suite runs it on.
-Every check that rests on the presentation Q reads one reduction of it.
+Every check that rests on the presentation Q reads one reduction of it,
+|det Q| included, and the Stein diagram count is the family's own.
 """
 from __future__ import annotations
 
 import itertools
+from math import prod
 
 from . import invariants, legendrian
 from .families import Cusp, Elliptic, Family, UnsupportedPresentation
-from .linalg import determinant, dot
+from .linalg import dot
 from .sl2z import CycleWord, cyclic_equal, factor_cycle
 
 __all__ = ["SUITE_MAX_K", "SUITE_MAX_ENTRY", "SUITE_MAX_ELLIPTIC", "verify_family", "suite_families"]
@@ -28,16 +30,18 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     ``invariants.FamilyReduction`` reduces the presentation Q once for the
     Euler classes, the plumbing H_1 and both d3 values, which read the two
     Euler classes and share one signature of Q; a family whose d3 is
-    refused ends its checks at the Euler class.  The Stein filling checks
-    read the rot vectors of ``legendrian.filling_rot_vectors`` one at a
-    time, building no diagram for them and holding no list: one pass counts
-    them and compares each with the one before it and with the family's
-    adjunction vector c and its negative.  The count must be the closed
-    form, the vectors must strictly increase in lexicographic order (so
-    they are pairwise distinct), the minimal canonical filling must be the
-    only diagram at c (zero adjunction defect on every handle), and the two
-    canonical fillings the only ones at c or -c.  Nothing is kept between
-    calls.
+    refused ends its checks at the Euler class.  A cusp's |det Q| is the
+    product of that reduction's diagonal D, since ``smith_normal_form``
+    checks u Q v = D exactly with unimodular u and v.  The Stein filling
+    checks read the rot vectors of ``legendrian.filling_rot_vectors`` one
+    at a time, building no diagram for them and holding no list: one pass
+    counts them and compares each with the one before it and with the
+    family's adjunction vector c and its negative.  The count must be the
+    family's ``filling_count``, the vectors must strictly increase in
+    lexicographic order (so they are pairwise distinct), the minimal
+    canonical filling must be the only diagram at c (zero adjunction defect
+    on every handle), and the two canonical fillings the only ones at c or
+    -c.  Nothing is kept between calls.
 
     >>> all(passed for _, passed in verify_family(Elliptic(2)))
     True
@@ -51,18 +55,14 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
 
     if isinstance(family, Elliptic):
         checks.append(("monodromy is parabolic of trace 2", a.trace == 2))
-        expected_count = family.n + 1
         expected_boundaries = family.n
         expected_word_len = family.n
     else:
         word = family.word
         checks.append(("monodromy is hyperbolic of trace >= 3", a.trace >= 3))
         checks.append(("factorization roundtrip", cyclic_equal(factor_cycle(a), word)))
-        det = determinant(reduction.presentation)
-        checks.append(("det identity |det Q| = trace - 2", abs(det) == a.trace - 2))
-        expected_count = 1
-        for n in word:
-            expected_count *= n - 1
+        det = prod(reduction.snf.diagonal)  # |det Q|: D is nonnegative
+        checks.append(("det identity |det Q| = trace - 2", det == a.trace - 2))
         expected_boundaries = sum(n - 2 for n in word)
         expected_word_len = len(word) + expected_boundaries
 
@@ -82,7 +82,7 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     maximal = legendrian.canonical_filling(family, "max")
     c = invariants.adjunction_vector(family.handle_slots())
     count, increasing, at_c, at_minus_c = _filling_pass(c, rot_vectors)
-    checks.append(("stein filling count", count == expected_count))
+    checks.append(("stein filling count", count == family.filling_count))
     checks.append(("c1 evaluations pairwise distinct", increasing))
     checks.append(
         (

@@ -561,6 +561,21 @@ def test_d3_call_reduces_q_once_and_takes_one_signature(capsys):
     capsys.readouterr()
 
 
+def test_no_subcommand_calls_determinant(capsys):
+    # verify reads |det Q| off Q's Smith normal form; no handler takes a
+    # dense determinant
+    matrix = ["--matrix", "3,-1,1,0"]
+    with counted_linalg("determinant") as calls:
+        for command in ("classify", "factor"):
+            assert main([command, *matrix]) == EXIT_OK, command
+        commands = ("graph", "openbook", "surgery", "enumerate", "canonical", "inv", "verify")
+        for family in (["--cusp", "2,3,4"], ["--elliptic", "3"]):
+            for command in commands:
+                assert main([command, *family, "--json"]) == EXIT_OK, (command, family)
+    assert calls == []
+    capsys.readouterr()
+
+
 def test_json_outputs_are_sorted_and_newline_terminated():
     for args in [
         ["classify", "--matrix", "5,-2,3,-1", "--json"],

@@ -82,6 +82,31 @@ def test_one_snf_per_pair_of_euler_classes(monkeypatch):
         assert len(replays) == expected_replays, family
 
 
+def test_suite_pass_calls_no_determinant():
+    # |det Q| is the product of the diagonal of Q's one Smith normal form
+    with counted_linalg("determinant") as calls:
+        for family in suite_families():
+            assert all(ok for _, ok in verify_family(family)), family
+    assert calls == []
+
+
+def test_shifted_q_fails_the_det_identity(monkeypatch):
+    family = Cusp(CycleWord((2, 3, 4)))
+    names = [name for name, _ in verify_family(family)]
+    original = invariants.intersection_matrix
+
+    def shifted(graph):
+        q = [list(row) for row in original(graph)]
+        q[0][0] -= 1
+        return tuple(map(tuple, q))
+
+    monkeypatch.setattr(invariants, "intersection_matrix", shifted)
+    checks = verify_family(family)
+    assert [name for name, _ in checks] == names
+    assert dict(checks)["det identity |det Q| = trace - 2"] is False
+    assert dict(checks)["factorization roundtrip"] is True
+
+
 def test_euler_classes_match_euler_class_over_suite():
     for family in suite_families():
         vectors = tuple(
