@@ -33,6 +33,8 @@ EXIT_INVALID = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_UNSUPPORTED = 3
 
+_JSON = json.JSONEncoder(sort_keys=True)  # json.dumps(payload, sort_keys=True), built once
+
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):  # the subparsers too: no flag may be abbreviated
@@ -155,7 +157,7 @@ def emit(fmt: str, payload) -> bytes:
     if payload is None or payload == "":
         return b""
     if fmt == "json":
-        return (json.dumps(payload, sort_keys=True) + "\n").encode()
+        return (_JSON.encode(payload) + "\n").encode()
     if fmt in ("text", "dot"):
         text = payload if isinstance(payload, str) else str(payload)
         return text.encode() if text.endswith("\n") else (text + "\n").encode()
@@ -268,7 +270,7 @@ def _run_canonical(request):
 
 def _run_invariants(request):
     from . import legendrian
-    from .invariants import FamilyReduction, check_d3_supported
+    from .invariants import FamilyReduction, check_d3_supported, d3_supported
 
     family = request.family
     if request.d3:  # a cusp is refused before Q is reduced
@@ -285,19 +287,16 @@ def _run_invariants(request):
         if data["witness"] is not None:
             data["witness"] = zeros + data["witness"]
     d3: dict | None = None
-    if not request.euler:
-        try:
-            d3s = reduction.d3_invariants(reps)
-            d3 = {s: {"num": v.numerator, "den": v.denominator} for s, v in zip(signs, d3s)}
-        except UnsupportedPresentation:  # a cusp; with --d3 it was refused above
-            pass
+    if not request.euler and d3_supported(reduction.graph):  # a cusp's d3 is None
+        d3s = reduction.d3_invariants(reps)
+        d3 = {s: {"num": v.numerator, "den": v.denominator} for s, v in zip(signs, d3s)}
     if request.euler or request.d3:
         payload = euler if request.euler else d3
         if request.sign:
             payload = payload[request.sign]
         if request.fmt == "json":
             return EXIT_OK, payload
-        return EXIT_OK, json.dumps(payload, sort_keys=True)
+        return EXIT_OK, _JSON.encode(payload)
     report = reduction.homology(family.monodromy(), family.openbook())
     if request.fmt == "json":
         return EXIT_OK, {"homology": report.to_json_dict(), "euler": euler, "d3": d3}

@@ -43,6 +43,7 @@ __all__ = [
     "adjunction_defect",
     "is_canonical",
     "euler_class",
+    "d3_supported",
     "check_d3_supported",
     "d3_invariant",
     "homology_cross_check",
@@ -131,13 +132,15 @@ def _reduce_class(snf: SnfResult, v: tuple[int, ...]) -> CohomologyClassRep:
     return CohomologyClassRep(v, k, snf.lift([k * x for x in v], [k * c for c in w]))
 
 
+def d3_supported(graph: PlumbingGraph) -> bool:
+    """False for a graph with a cycle, a cusp's, whose d3 waits for the
+    resolution-graph cross-check; it is decided before Q is reduced."""
+    return not graph.first_betti()
+
+
 def check_d3_supported(family: Family, graph: PlumbingGraph) -> None:
-    """Refuse d3 of a family whose graph has a cycle, a cusp, with
-    UnsupportedPresentation.  Gompf's formula on Q applies to a cusp too,
-    but its value is not reported until the resolution-graph cross-check
-    and the benchmark's cusp checks land with it.  The graph alone decides,
-    before Q is reduced."""
-    if graph.first_betti():
+    """``d3_supported``, raising UnsupportedPresentation where it is false."""
+    if not d3_supported(graph):
         message = f"d3 of {family.label} waits for the resolution-graph cross-check"
         raise UnsupportedPresentation(message)
 

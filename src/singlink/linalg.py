@@ -207,13 +207,25 @@ def _add_scaled(dst: dict, src: dict, factor: int) -> None:
 
 def _add_column(rows, dst, src, factor: int) -> None:
     """Column dst += factor * column src, on the sparse rows that hold src."""
+    if factor:
+        for row in rows:
+            if src in row:
+                x = row.get(dst, 0) + factor * row[src]
+                if x:
+                    row[dst] = x
+                else:
+                    del row[dst]
+
+
+def _swap_columns(rows, v: list[dict], t: int, j: int) -> None:
+    """Swap columns t and j of the sparse rows, and columns t and j of v."""
     for row in rows:
-        if src in row:
-            _add_scaled(row, {dst: row[src]}, factor)
-
-
-def _sparse(rows) -> list[dict]:
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+        x, y = row.pop(t, 0), row.pop(j, 0)
+        if y:
+            row[t] = y
+        if x:
+            row[j] = x
+    v[t], v[j] = v[j], v[t]
 
 
 def smith_normal_form(matrix) -> SnfResult:
@@ -230,43 +242,25 @@ def smith_normal_form(matrix) -> SnfResult:
     >>> smith_normal_form(((2, 0), (0, 3))).diagonal
     (1, 6)
     """
-    m = freeze(matrix)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if any(len(row) != cols for row in m):
-        raise ValueError("ragged matrix")
-    m_rows = _sparse(m)
-    a = [dict(row) for row in m_rows]
+    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
+    m_rows, a = [], []  # the input's rows of nonzeros and their working copies
+    for row in matrix:
+        if len(row) != cols:
+            raise ValueError("ragged matrix")
+        m_rows.append({j: x for j, x in enumerate(map(index, row)) if x})
+        a.append(m_rows[-1].copy())
     log = []
     u_inv = [{i: 1} for i in range(rows)]  # columns of u^-1
     v = [{j: 1} for j in range(cols)]  # columns of v
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
-        log.append((i, j, 0))
-
-    def add_row(i, t, q):
-        _add_scaled(a[i], a[t], q)
-        _add_scaled(u_inv[t], u_inv[i], -q)
-        log.append((i, t, q))
-
-    def swap_columns(t, j):  # on rows t and beyond, the rest being zero
-        for row in a[t:]:
-            x, y = row.pop(t, 0), row.pop(j, 0)
-            if y:
-                row[t] = y
-            if x:
-                row[j] = x
-        v[t], v[j] = v[j], v[t]
 
     t = 0
     while (pivot := _select_pivot(a, t)) is not None:
         pi, pj = pivot
         if pi != t:
-            swap_rows(t, pi)
+            a[t], a[pi], u_inv[t], u_inv[pi] = a[pi], a[t], u_inv[pi], u_inv[t]
+            log.append((t, pi, 0))
         if pj != t:
-            swap_columns(t, pj)
+            _swap_columns(a[t:], v, t, pj)
         if a[t][t] < 0:
             a[t] = {j: -x for j, x in a[t].items()}
             u_inv[t] = {j: -x for j, x in u_inv[t].items()}
@@ -277,11 +271,13 @@ def smith_normal_form(matrix) -> SnfResult:
             for i in range(t + 1, rows):
                 row = a[i]
                 if t in row:
-                    q = -(row[t] // a[t][t])
-                    if q:
-                        add_row(i, t, q)
+                    if q := -(row[t] // a[t][t]):  # row_i += q * row_t
+                        _add_scaled(row, a[t], q)
+                        _add_scaled(u_inv[t], u_inv[i], -q)
+                        log.append((i, t, q))
                     if t in row:
-                        swap_rows(t, i)
+                        a[t], a[i], u_inv[t], u_inv[i] = row, a[t], u_inv[i], u_inv[t]
+                        log.append((t, i, 0))
                         swapped = True
             if swapped:
                 continue
@@ -293,7 +289,7 @@ def smith_normal_form(matrix) -> SnfResult:
                 _add_column(a[t:] if swapped else (row_t,), j, t, -q)
                 _add_scaled(v[j], v[t], -q)
                 if j in row_t:
-                    swap_columns(t, j)
+                    _swap_columns(a[t:], v, t, j)
                     swapped = True
             if swapped:
                 continue
@@ -303,7 +299,9 @@ def smith_normal_form(matrix) -> SnfResult:
             culprit = next((i for i in below if any([x % p for x in a[i].values()])), None)
             if culprit is None:
                 break
-            add_row(t, culprit, 1)
+            _add_scaled(row_t, a[culprit], 1)
+            _add_scaled(u_inv[culprit], u_inv[t], -1)
+            log.append((t, culprit, 1))
         t += 1
 
     diagonal = tuple([a[i].get(i, 0) for i in range(min(rows, cols))])
@@ -412,7 +410,7 @@ def symmetric_signature(matrix) -> int:
     matrix = freeze(matrix)
     if not is_symmetric(matrix):
         raise ValueError("signature requires a symmetric matrix")
-    rows = {i: {j: Fraction(x) for j, x in row.items()} for i, row in enumerate(_sparse(matrix))}
+    rows = {i: {j: Fraction(x) for j, x in enumerate(row) if x} for i, row in enumerate(matrix)}
     signature = 0
     while True:
         p = min([(len(r), i) for i, r in rows.items() if i in r], default=(0, None))[1]

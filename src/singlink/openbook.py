@@ -55,6 +55,15 @@ class GammaCurve(Record):
 TwistCurve = DeltaCurve | GammaCurve
 
 
+def _curves(cls, values) -> list:
+    """cls(value) for each value, made past the base constructor's arity check."""
+    curves, name = [], cls.__slots__[0]
+    for value in values:
+        curves.append(curve := object.__new__(cls))
+        object.__setattr__(curve, name, value)
+    return curves
+
+
 def curve_name(curve: TwistCurve, alphabet=("delta", "gamma", "_")) -> str:
     """The curve's label in an alphabet (delta, gamma, separator); the text
     rendering uses ("δ", "γ", ",")."""
@@ -105,8 +114,8 @@ class OpenBookDescription(Record):
 
     @property
     def twist_word(self) -> tuple[TwistCurve, ...]:
-        deltas = tuple(map(DeltaCurve, range(self.family.page_pieces()[0])))
-        return deltas + tuple(map(GammaCurve, self.boundary_labels))
+        deltas = _curves(DeltaCurve, range(self.family.page_pieces()[0]))
+        return tuple(deltas + _curves(GammaCurve, self.boundary_labels))
 
     def word_text(self) -> str:
         return "·".join(f"D({curve_name(c, ('δ', 'γ', ','))})" for c in self.twist_word)
@@ -154,12 +163,8 @@ def curve_homology_classes(ob: OpenBookDescription) -> PageHomologyData:
     b = len(labels)  # at least 1 for every family
     rank = 2 * ob.page_genus + b - 1
     names = ("l", "d") + tuple(f"e{s}" for s in range(1, b))
-
-    def unit(i: int) -> tuple[int, ...]:
-        return tuple(1 if j == i else 0 for j in range(rank))
-
     boundary_classes: dict[BoundaryLabel, tuple[int, ...]] = {
-        label: unit(2 + s) for s, label in enumerate(labels[:-1])
+        label: tuple([int(j == 2 + s) for j in range(rank)]) for s, label in enumerate(labels[:-1])
     }
     boundary_classes[labels[-1]] = (0, 0) + (-1,) * (b - 1)  # minus the sum of the e-units
 
@@ -169,7 +174,7 @@ def curve_homology_classes(ob: OpenBookDescription) -> PageHomologyData:
     by_piece: dict[int, list[BoundaryLabel]] = {}
     for label in labels:
         by_piece.setdefault(_piece_of(label), []).append(label)
-    acc = unit(1)  # [delta_0] = d
+    acc = (0, 1) + (0,) * (rank - 2)  # [delta_0] = d
     for curve in word:  # the deltas come first, in index order
         if isinstance(curve, DeltaCurve):
             # planar piece relation: delta_i adds piece i's boundary classes

@@ -26,9 +26,9 @@ __all__ = [
 ]
 
 # Most vertices whose intersection matrix may be built: k for a cusp word of
-# length k.  The k x k Smith normal form of (3,)^k grows about as k^2 (0.07,
-# 0.22, 0.87 s at k = 250, 500, 1000 on a shared 2-core x86 machine), so a
-# longer word is refused before the matrix exists.
+# length k.  The k x k Smith normal form of (3,)^k grows about as k^2 (0.06,
+# 0.24, 0.72 s at k = 250, 500, 1000: best of 5 in one process, Python 3.11,
+# a shared 2-core Intel Xeon), so a longer word is refused before it is built.
 VERTEX_LIMIT = 1_000
 
 
@@ -61,20 +61,14 @@ class PlumbingGraph(Record):
         object.__setattr__(self, "edges", edges)
 
     def component_count(self) -> int:
-        n = len(self.vertices)
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        parent = list(range(len(self.vertices)))  # union-find, halving paths
         for i, j in self.edges:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-        return len({find(i) for i in range(n)})
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            parent[i] = j
+        return sum([i == p for i, p in enumerate(parent)])  # one root per component
 
     def first_betti(self) -> int:
         return len(self.edges) - len(self.vertices) + self.component_count()

@@ -12,7 +12,7 @@ import itertools
 from math import prod
 
 from . import invariants, legendrian
-from .families import Cusp, Elliptic, Family, UnsupportedPresentation
+from .families import Cusp, Elliptic, Family
 from .linalg import dot
 from .sl2z import CycleWord, cyclic_equal, factor_cycle
 
@@ -30,7 +30,8 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     ``invariants.FamilyReduction`` reduces the presentation Q once for the
     Euler classes, the plumbing H_1 and both d3 values, which read the two
     Euler classes and share one signature of Q; a family whose d3 is
-    refused ends its checks at the Euler class.  A cusp's |det Q| is the
+    refused, which ``invariants.d3_supported`` decides from the graph
+    without raising, ends its checks at the Euler class.  A cusp's |det Q| is the
     product of that reduction's diagonal D, since ``smith_normal_form``
     checks u Q v = D exactly with unimodular u and v.  The Stein filling
     checks read the rot vectors of ``legendrian.filling_rot_vectors`` one
@@ -102,10 +103,9 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     euler_ok = all(rep.is_zero for rep in reps)
     checks.append(("euler class of the canonical structure vanishes", euler_ok))
 
-    try:
-        d3_min, d3_max = reduction.d3_invariants(reps)
-    except UnsupportedPresentation:
+    if not invariants.d3_supported(reduction.graph):
         return checks
+    d3_min, d3_max = reduction.d3_invariants(reps)
     # the kernel of Q pairs to zero with the rot vector (it is empty, since
     # FamilyReduction refuses a singular Q, so this cannot fail)
     independent = all(dot(k, reps[0].vector) == 0 for k in reduction.snf.kernel_basis())

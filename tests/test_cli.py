@@ -400,6 +400,37 @@ def test_emit_behaviour():
         emit("yaml", {"a": 1})
 
 
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=0x2FFFF)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(JSON_VALUES, max_size=4) | st.dictionaries(st.text(), JSON_VALUES, max_size=4))
+def test_emit_json_is_json_dumps_with_sorted_keys(payload):
+    # emit keeps one encoder for every call; it must print what a fresh
+    # json.dumps(payload, sort_keys=True) prints, byte for byte
+    expected = (json.dumps(payload, sort_keys=True) + "\n").encode()
+    assert emit("json", payload) == expected
+
+
+def test_emit_json_on_a_fixed_nested_payload():
+    payload = {
+        "z": [None, True, False, 2**64 + 1, -(2**70)],
+        "é": {"b": "γ1", "a": ["δ0", {"y": 1, "x": "ü"}]},
+        "a": {"m": None, "c": {"k": 3, "j": False}},
+    }
+    expected = (json.dumps(payload, sort_keys=True) + "\n").encode()
+    assert emit("json", payload) == expected
+    assert expected.startswith(b'{"a": {"c": {"j": false, "k": 3}, "m": null}')
+    assert b"18446744073709551617" in expected and b"\\u03b3" in expected
+
+
 def test_run_is_deterministic_in_process():
     for args in [
         ["enumerate", "--cusp", "2,3,4", "--json"],

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from singlink import plumbing
 from singlink.families import (
@@ -45,6 +47,37 @@ def test_cusp_graph_shapes():
 def test_first_betti_is_one_for_cusp_graphs():
     for word in cusp_words(5, 6):
         assert Cusp(word).graph().first_betti() == 1
+
+
+@st.composite
+def multigraphs(draw):
+    """Multigraphs of 1 to 12 vertices with up to 15 edges, loops allowed."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=15))
+
+
+@given(multigraphs())
+def test_component_count_matches_a_search(graph):
+    # the union-find count against a depth-first search over the same edges
+    n, edges = graph
+    neighbours = {i: set() for i in range(n)}
+    for i, j in edges:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    seen, components = set(), 0
+    for start in range(n):
+        if start not in seen:
+            components += 1
+            stack = [start]
+            while stack:
+                x = stack.pop()
+                if x not in seen:
+                    seen.add(x)
+                    stack.extend(neighbours[x])
+    g = PlumbingGraph([PlumbingVertex(-2)] * n, edges)
+    assert g.component_count() == components
+    assert g.first_betti() == len(edges) - n + components
 
 
 def test_elliptic_graph():

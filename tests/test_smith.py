@@ -120,6 +120,8 @@ def test_pivot_matches_markowitz_oracle(m):
     # every stage of a reduction, on the blocks the reduction produces
     with patch.object(linalg, "_select_pivot", checked):
         smith_normal_form(m)
+    # a reduction that stopped calling _select_pivot would check nothing
+    assert stages or not any(x for row in m for x in row)
     assert stages == list(range(len(stages)))
     # every stage offset of the raw matrix, zero blocks included, with the
     # rows holding only the block's columns as the reduction's rows do

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlink import invariants, legendrian
-from singlink.families import Cusp, Elliptic, SizeLimitExceeded
+from singlink.cli import EXIT_UNSUPPORTED, main
+from singlink.families import Cusp, Elliptic, SizeLimitExceeded, UnsupportedPresentation
 from singlink.legendrian import SteinHandleDiagram, rotation_range
 from singlink.linalg import SnfResult
 from singlink.plumbing import intersection_matrix
@@ -105,6 +107,31 @@ def test_shifted_q_fails_the_det_identity(monkeypatch):
     assert [name for name, _ in checks] == names
     assert dict(checks)["det identity |det Q| = trace - 2"] is False
     assert dict(checks)["factorization roundtrip"] is True
+
+
+def test_suite_pass_constructs_no_refusal(monkeypatch, capsys):
+    # verify reads the cusp d3 refusal off the graph as a boolean, so a pass
+    # over the suite makes no UnsupportedPresentation; inv still refuses a
+    # cusp's --d3 with exit 3 and reports its d3 as null without --d3
+    made = []
+    init = UnsupportedPresentation.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(UnsupportedPresentation, "__init__", counting)
+    for family in suite_families():
+        assert all(ok for _, ok in verify_family(family)), family
+    assert made == []
+    assert main(["inv", "--cusp", "2,3,4", "--d3"]) == EXIT_UNSUPPORTED
+    out, err = capsys.readouterr()
+    reason = "d3 of cusp(2,3,4) waits for the resolution-graph cross-check"
+    assert (out, err) == ("", f"singlink: unsupported: {reason}\n")
+    assert made == [(reason,)]  # the patch sees the refusal it counts
+    assert main(["inv", "--cusp", "2,3,4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["d3"] is None
+    assert made == [(reason,)]
 
 
 def test_euler_classes_match_euler_class_over_suite():
