@@ -19,9 +19,8 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        # one getter per class keeps __eq__ and __hash__ to a single C call;
-        # a record without fields is told apart by its class alone
-        cls._values = attrgetter(*(cls.__slots__ or ("__class__",)))
+        # one getter per class keeps __eq__ and __hash__ to a single C call
+        cls._values = attrgetter(*cls.__slots__)
 
     def __init__(self, *values):
         names = self.__slots__

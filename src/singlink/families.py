@@ -1,10 +1,10 @@
 """The two link families everything downstream is indexed by.
 
 Each family knows its label, JSON form, monodromy, plumbing graph, open
-book page, Stein handle pattern and diagram count (Q is read off the graph);
-outside the family-specific checks of verify.py, no module tests which
-family it holds.
-A handle pattern pairs each smooth framing with one of three tag constants.
+book page, Stein handle pattern, surgery picture and diagram count (Q is
+read off the graph); outside the family-specific checks of verify.py, no
+module tests which family it holds.
+A handle pattern is one (genus, smooth framing) slot per Stein 2-handle.
 """
 from __future__ import annotations
 
@@ -17,13 +17,6 @@ __all__ = [
     "InvalidParameter",
     "SizeLimitExceeded",
     "UnsupportedPresentation",
-    "ChainUnknot",
-    "EllipticCore",
-    "NodalDoublePass",
-    "HandleTag",
-    "CHAIN_UNKNOT",
-    "ELLIPTIC_CORE",
-    "NODAL_DOUBLE_PASS",
     "Elliptic",
     "Cusp",
     "Family",
@@ -45,43 +38,16 @@ class UnsupportedPresentation(ValueError):
     ``invariants.check_d3_supported``)."""
 
 
-class ChainUnknot(Record):
-    """An unknot of the cusp surgery chain; genus 0."""
-
-    __slots__ = ()
-    genus = 0
-    picture = "chain-with-ring"
-
-
-class EllipticCore(Record):
-    """The 2-handle over both 1-handles of the elliptic diagram; capped genus 1."""
-
-    __slots__ = ()
-    genus = 1
-    picture = "borromean"
-
-
-class NodalDoublePass(Record):
-    """The k = 1 unknot running twice over the 1-handle; capped genus 1."""
-
-    __slots__ = ()
-    genus = 1
-    picture = "nodal-double-pass"
-
-
-HandleTag = ChainUnknot | EllipticCore | NodalDoublePass
-
-# the one instance of each tag, with its genus and surgery picture name
-CHAIN_UNKNOT = ChainUnknot()
-ELLIPTIC_CORE = EllipticCore()
-NODAL_DOUBLE_PASS = NodalDoublePass()
-
-
 class Elliptic(Record):
-    """Link of a simple elliptic singularity; minimal resolution weight -n."""
+    """Link of a simple elliptic singularity; minimal resolution weight -n.
+
+    >>> Elliptic(3).handle_slots(), Elliptic(3).surgery_picture
+    (((1, -3),), 'borromean')
+    """
 
     __slots__ = ("n",)
     one_handle_count = 2
+    surgery_picture = "borromean"
 
     def __init__(self, n: int):
         n = index(n)
@@ -121,13 +87,19 @@ class Elliptic(Record):
         page: one piece with n boundaries, not cut along any delta."""
         return 0, (self.n,)
 
-    def handle_slots(self) -> tuple[tuple[HandleTag, int], ...]:
-        """(tag, smooth framing) of each Stein 2-handle."""
-        return ((ELLIPTIC_CORE, -self.n),)
+    def handle_slots(self) -> tuple[tuple[int, int], ...]:
+        """(genus, smooth framing) of the 2-handle over both 1-handles."""
+        return ((1, -self.n),)
 
 
 class Cusp(Record):
-    """Link of a cusp singularity, indexed by its cycle word."""
+    """Link of a cusp singularity, indexed by its cycle word.
+
+    >>> for family in (Cusp((4,)), Cusp((2, 3))):
+    ...     print(family.handle_slots(), family.surgery_picture)
+    ((1, -2),) nodal-double-pass
+    ((0, -2), (0, -3)) chain-with-ring
+    """
 
     __slots__ = ("word",)
     one_handle_count = 1
@@ -177,12 +149,17 @@ class Cusp(Record):
         page: k deltas cut it into k pieces, piece i with n_i - 2 boundaries."""
         return len(self.word), tuple(n - 2 for n in self.word)
 
-    def handle_slots(self) -> tuple[tuple[HandleTag, int], ...]:
-        """(tag, smooth framing) of each Stein 2-handle."""
+    @property
+    def surgery_picture(self) -> str:
+        return "nodal-double-pass" if len(self.word) == 1 else "chain-with-ring"
+
+    def handle_slots(self) -> tuple[tuple[int, int], ...]:
+        """(genus, smooth framing) of each Stein 2-handle: for k = 1 an unknot
+        running twice over the 1-handle, capped genus 1; else chain unknots."""
         entries = self.word.entries
         if len(entries) == 1:
-            return ((NODAL_DOUBLE_PASS, -entries[0] + 2),)
-        return tuple([(CHAIN_UNKNOT, -n) for n in entries])
+            return ((1, 2 - entries[0]),)
+        return tuple([(0, -n) for n in entries])
 
 
 Family = Elliptic | Cusp

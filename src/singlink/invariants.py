@@ -2,10 +2,11 @@
 
 First Chern class evaluations on handle surfaces equal rotation numbers.
 The adjunction formula framing - 2*genus + 2 is written once, as the
-adjunction vector of a handle pattern: the rot vector at which every
-handle has zero adjunction defect.  A handle's defect is its rot minus its
-slot's entry of that vector, and a diagram is canonical when its whole rot
-vector equals the adjunction vector or its negative.  The Euler class of
+adjunction vector of a handle pattern, one (genus, smooth framing) slot
+per handle: the rot vector at which every handle has zero adjunction
+defect.  A handle's defect is its rot minus its slot's entry of that
+vector, and a diagram is canonical when its whole rot vector equals the
+adjunction vector or its negative.  The Euler class of
 the boundary contact structure lives in the cokernel of Q, the plumbing
 intersection form, which is the linking matrix of the Stein 2-handles; and
 the d3 invariant of a plane field with torsion Chern class is Gompf's
@@ -56,20 +57,19 @@ class DimensionMismatch(ValueError):
 
 def adjunction_vector(slots) -> tuple[int, ...]:
     """The adjunction vector c of a handle pattern: framing - 2*genus + 2
-    for each (tag, smooth framing) slot, the rot vector at which every
+    for each (genus, smooth framing) slot, the rot vector at which every
     handle has zero adjunction defect.
 
-    >>> from singlink.families import CHAIN_UNKNOT
-    >>> adjunction_vector([(CHAIN_UNKNOT, -n) for n in (3, 4, 5)])  # cusp (3, 4, 5)
+    >>> adjunction_vector([(0, -n) for n in (3, 4, 5)])  # cusp (3, 4, 5)
     (-1, -2, -3)
     """
-    return tuple([framing - 2 * tag.genus + 2 for tag, framing in slots])
+    return tuple([framing - 2 * genus + 2 for genus, framing in slots])
 
 
 def adjunction_defect(handle: TwoHandleSpec) -> int:
     """rot minus the handle's entry of the adjunction vector; zero exactly
     at adjunction equality."""
-    (target,) = adjunction_vector(((handle.tag, handle.smooth_framing),))
+    (target,) = adjunction_vector(((handle.genus, handle.smooth_framing),))
     return handle.rot - target
 
 

@@ -2,9 +2,10 @@
 
 Stein 2-handles are attached along Legendrian unknots with smooth framing
 tb - 1.  Stabilizing trades tb for rotation number, two units of rot per
-pair of zigzags, so a handle whose attaching circle has maximal
-Thurston-Bennequin invariant tb_max and prescribed framing f realizes
-exactly the rotation numbers {-s, -s+2, ..., s} with s = tb_max - 1 - f.
+pair of zigzags.  A handle in the slot (g, f), its attaching circle of
+capped genus g and so of maximal Thurston-Bennequin invariant
+tb_max = 2g - 1, at smooth framing f, realizes exactly the rotation
+numbers {-s, -s+2, ..., s} with s = tb_max - 1 - f.
 """
 from __future__ import annotations
 
@@ -12,12 +13,7 @@ import itertools
 from operator import index
 
 from ._record import Record
-from .families import (
-    ELLIPTIC_CORE,  # for the rotation_range doctest
-    Family,
-    HandleTag,
-    SizeLimitExceeded,
-)
+from .families import Family, InvalidParameter, SizeLimitExceeded
 
 __all__ = [
     "DIAGRAM_LIMIT",
@@ -41,55 +37,56 @@ class FramingTooLarge(ValueError):
     """No Legendrian realization exists with the requested framing."""
 
 
-def tb_max(tag: HandleTag) -> int:
-    """Maximal Thurston-Bennequin invariant of the attaching circle.
+def tb_max(genus: int) -> int:
+    """Maximal Thurston-Bennequin invariant 2*genus - 1 of an attaching
+    circle of that capped genus: TypeError unless the genus is an int,
+    InvalidParameter if it is negative."""
+    genus = index(genus)
+    if genus < 0:
+        raise InvalidParameter(f"genus must be nonnegative, got {genus}")
+    return 2 * genus - 1
 
-    The bound 2*genus - 1: -1 for a plain unknot, 1 for the two genus-one
-    attaching circles.
-    """
-    return 2 * tag.genus - 1
 
+def rotation_range(genus: int, framing: int) -> tuple[int, ...]:
+    """All realizable rotation numbers at the given genus and smooth framing.
 
-def rotation_range(tag: HandleTag, framing: int) -> tuple[int, ...]:
-    """All realizable rotation numbers at the given smooth framing.
-
-    >>> rotation_range(ELLIPTIC_CORE, -3)
+    >>> rotation_range(1, -3)
     (-3, -1, 1, 3)
     """
-    s = _stabilization_budget(tag, framing)
+    s = _stabilization_budget(genus, framing)
     return tuple(range(-s, s + 1, 2))
 
 
-def _stabilization_budget(tag: HandleTag, framing: int) -> int:
+def _stabilization_budget(genus: int, framing: int) -> int:
     """s = tb_max - 1 - framing, the largest realizable |rot|."""
-    s = tb_max(tag) - 1 - framing
+    s = tb_max(genus) - 1 - framing
     if s < 0:
         raise FramingTooLarge(
-            f"framing {framing} exceeds tb_max - 1 = {tb_max(tag) - 1} for {tag}"
+            f"framing {framing} exceeds tb_max - 1 = {tb_max(genus) - 1} for genus {genus}"
         )
     return s
 
 
-def _check_rot(tag: HandleTag, framing: int, rot) -> int:
+def _check_rot(genus: int, framing: int, rot) -> int:
     """rot as an int, refused unless |rot| <= s and s - rot is even, with s
-    the stabilization budget of the slot (tag, framing)."""
+    the stabilization budget of the slot (genus, framing)."""
     rot = index(rot)
-    s = _stabilization_budget(tag, framing)
+    s = _stabilization_budget(genus, framing)
     if abs(rot) > s or (s - rot) % 2:
-        raise ValueError(f"rot {rot} not realizable at framing {framing} for {tag}")
+        raise ValueError(f"rot {rot} not realizable at framing {framing} for genus {genus}")
     return rot
 
 
 class TwoHandleSpec(Record):
-    """A Stein 2-handle: rotation within the realizable set, tb = framing + 1
-    and the surface genus of its tag."""
+    """A Stein 2-handle: the genus of its capped attaching circle, its
+    smooth framing, a rotation within the realizable set and tb = framing + 1."""
 
-    __slots__ = ("tag", "smooth_framing", "rot")
+    __slots__ = ("genus", "smooth_framing", "rot")
 
-    def __init__(self, tag: HandleTag, smooth_framing: int, rot: int):
-        smooth_framing = index(smooth_framing)
-        rot = _check_rot(tag, smooth_framing, rot)
-        object.__setattr__(self, "tag", tag)
+    def __init__(self, genus: int, smooth_framing: int, rot: int):
+        genus, smooth_framing = index(genus), index(smooth_framing)
+        rot = _check_rot(genus, smooth_framing, rot)
+        object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "smooth_framing", smooth_framing)
         object.__setattr__(self, "rot", rot)
 
@@ -97,16 +94,12 @@ class TwoHandleSpec(Record):
     def tb(self) -> int:
         return self.smooth_framing + 1
 
-    @property
-    def surface_genus(self) -> int:
-        return self.tag.genus
-
     def to_json_dict(self) -> dict:
         return {
             "framing": self.smooth_framing,
             "tb": self.tb,
             "rot": self.rot,
-            "genus": self.surface_genus,
+            "genus": self.genus,
         }
 
 
@@ -152,7 +145,7 @@ class SteinHandleDiagram(Record):
     def to_text(self) -> str:
         parts = []
         for h in self.handles:
-            s = _stabilization_budget(h.tag, h.smooth_framing)
+            s = _stabilization_budget(h.genus, h.smooth_framing)
             left = (s - h.rot) // 2
             right = (s + h.rot) // 2
             parts.append(

@@ -153,7 +153,7 @@ class SurgeryDescription(Record):
         return head + "; " + "; ".join(self.notes)
 
 
-# (text head, notes) of each surgery picture, keyed by its handle tag's ``picture``
+# (text head, notes) of each surgery picture, keyed by the family's ``surgery_picture``
 _SURGERY_PICTURES = {
     "borromean": (
         "Borromean framings {body}",
@@ -184,10 +184,10 @@ def smooth_surgery_description(family: Family) -> SurgeryDescription:
     a double-pass unknot over a 1-handle (cusp, k = 1), or Borromean rings
     with framings (0, 0, -n) (elliptic).
 
-    The picture is the ``picture`` name of the first 2-handle's tag, and the
-    framings are a 0 per genus 1-handle (2 per unit of vertex genus), then
-    the diagonal of the intersection form."""
-    kind = family.handle_slots()[0][0].picture
+    The picture is the family's ``surgery_picture``, and the framings are a
+    0 per genus 1-handle (2 per unit of vertex genus), then the diagonal of
+    the intersection form."""
+    kind = family.surgery_picture
     graph = family.graph()
     q = intersection_matrix(graph)
     framings = (0,) * (2 * graph.total_genus()) + tuple(q[i][i] for i in range(len(q)))

@@ -13,7 +13,9 @@ diagonalization that ``symmetric_signature`` replaced on sparse rows.
 basis before any relation is substituted away, and
 ``substituted_presentation_oracle`` the same presentation substituted down
 to l, d and e_1 on that basis, the matrix ``openbook_homology`` builds in
-one pass without it.  ``is_canonical_oracle`` and
+one pass without it.  ``handle_slots_oracle`` reads each Stein 2-handle's
+genus and framing off the plumbing graph, where the library writes each
+family's handle pattern out by hand.  ``is_canonical_oracle`` and
 ``has_zero_defect_oracle`` decide adjunction equality handle by handle,
 where the library compares whole rot vectors with the adjunction vector.
 ``presentation_oracle`` writes each family's presentation matrix Q out
@@ -34,7 +36,7 @@ from fractions import Fraction
 from operator import mul
 
 from singlink import invariants, legendrian, linalg, openbook
-from singlink.families import ChainUnknot, Cusp, Elliptic, UnsupportedPresentation
+from singlink.families import Cusp, Elliptic, UnsupportedPresentation
 from singlink.legendrian import SteinHandleDiagram, TwoHandleSpec, rotation_range
 from singlink.linalg import (
     determinant,
@@ -466,46 +468,58 @@ def brieskorn_count(exponents):
     return sigma, mu, mu0
 
 
+def handle_slots_oracle(family):
+    """(genus, smooth framing) of each Stein 2-handle, read off the plumbing
+    graph, one per vertex: the genus is the vertex's genus plus its loop
+    count, and the framing its weight plus 2 per loop (a loop is a
+    self-plumbing, so the attaching circle runs twice over a 1-handle)."""
+    graph = family.graph()
+    loops = Counter(i for i, j in graph.edges if i == j)
+    return tuple(
+        (vertex.genus + loops[v], vertex.weight + 2 * loops[v])
+        for v, vertex in enumerate(graph.vertices)
+    )
+
+
 def stein_fillings_oracle(family):
     """Every Stein handle diagram, each built from its rot vector by the
     checking constructor and its handles compared with k fresh ones.
 
-    The handle genus is read off the tag here (0 for a chain unknot, 1 for
-    the genus-one attaching circles), not from the library, and every
-    handle's derived genus and tb are checked against it and the framing.
+    Each handle's genus and framing are read off the plumbing graph by
+    ``handle_slots_oracle``, not from the library's handle pattern, and
+    every handle's tb is checked against the framing.
     """
-    slots = family.handle_slots()
-    ranges = [rotation_range(tag, f) for tag, f in slots]
+    slots = handle_slots_oracle(family)
+    ranges = [rotation_range(g, f) for g, f in slots]
     diagrams = []
     for rots in itertools.product(*ranges):
-        handles = tuple(TwoHandleSpec(tag, f, rot) for (tag, f), rot in zip(slots, rots))
-        for (tag, f), handle in zip(slots, handles):
-            assert handle.surface_genus == (0 if isinstance(tag, ChainUnknot) else 1)
-            assert handle.tb == f + 1
+        handles = tuple(TwoHandleSpec(g, f, rot) for (g, f), rot in zip(slots, rots))
+        assert [handle.tb for handle in handles] == [f + 1 for _, f in slots]
         diagram = SteinHandleDiagram(family, rots)
         assert diagram.handles == handles
         diagrams.append(diagram)
     return tuple(diagrams)
 
 
-def adjunction_defect_oracle(handle):
-    """rot - (framing - 2*genus + 2) of one handle, the genus read off the
-    tag here (0 for a chain unknot, 1 for the genus-one attaching circles)."""
-    genus = 0 if isinstance(handle.tag, ChainUnknot) else 1
-    return handle.rot - (handle.smooth_framing - 2 * genus + 2)
+def adjunction_defects_oracle(diagram):
+    """rot - (framing - 2*genus + 2) of each handle, the genus and framing
+    read off the plumbing graph by ``handle_slots_oracle``."""
+    slots = handle_slots_oracle(diagram.family)
+    return [rot - (f - 2 * g + 2) for rot, (g, f) in zip(diagram.rot_vector, slots)]
 
 
 def has_zero_defect_oracle(diagram):
     """Adjunction equality on every handle, decided handle by handle."""
-    return all(adjunction_defect_oracle(h) == 0 for h in diagram.handles)
+    return all(defect == 0 for defect in adjunction_defects_oracle(diagram))
 
 
 def is_canonical_oracle(diagram):
     """Adjunction equality on every handle, possibly after reversing the
     orientation of every attaching circle, decided handle by handle."""
     # negating rot turns the defect rot - c into -rot - c = defect - 2 * rot
-    return has_zero_defect_oracle(diagram) or all(
-        adjunction_defect_oracle(h) == 2 * h.rot for h in diagram.handles
+    defects = adjunction_defects_oracle(diagram)
+    return all(defect == 0 for defect in defects) or all(
+        defect == 2 * rot for defect, rot in zip(defects, diagram.rot_vector)
     )
 
 

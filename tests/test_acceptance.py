@@ -114,7 +114,7 @@ def test_criterion_07_adjunction_uniqueness():
                 d
                 for d in fillings
                 if all(
-                    -h.rot - (h.smooth_framing - 2 * h.surface_genus + 2) == 0
+                    -h.rot - (h.smooth_framing - 2 * h.genus + 2) == 0
                     for h in d.handles
                 )
             ]

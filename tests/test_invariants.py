@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlink import families, invariants
-from singlink.families import ChainUnknot, Cusp, Elliptic, EllipticCore, UnsupportedPresentation
+from singlink.families import Cusp, Elliptic, UnsupportedPresentation
 from singlink.invariants import (
     CohomologyClassRep,
     DimensionMismatch,
@@ -31,10 +31,11 @@ from singlink.sl2z import CycleWord, Sl2Matrix
 
 from helpers import (
     _fraction_solve,
-    adjunction_defect_oracle,
+    adjunction_defects_oracle,
     brieskorn_count,
     counted_snf,
     d3_oracle,
+    handle_slots_oracle,
     mat_vec,
     presentation_oracle,
     resolution_d3_oracle,
@@ -43,11 +44,11 @@ from helpers import (
 
 
 def test_adjunction_defect_fixed():
-    assert adjunction_defect(TwoHandleSpec(ChainUnknot(), -2, 0)) == 0
+    assert adjunction_defect(TwoHandleSpec(0, -2, 0)) == 0
     for n in (1, 4, 9):
-        handle = TwoHandleSpec(EllipticCore(), -n, -n)
+        handle = TwoHandleSpec(1, -n, -n)
         assert adjunction_defect(handle) == 0
-    assert adjunction_defect(TwoHandleSpec(ChainUnknot(), -4, 0)) == 2
+    assert adjunction_defect(TwoHandleSpec(0, -4, 0)) == 2
 
 
 def test_adjunction_vector_is_the_minimal_canonical_rot_vector_over_suite():
@@ -56,7 +57,7 @@ def test_adjunction_vector_is_the_minimal_canonical_rot_vector_over_suite():
         assert c == canonical_filling(family, "min").rot_vector, family
         for d in enumerate_stein_fillings(family):
             defects = [adjunction_defect(h) for h in d.handles]
-            assert defects == [adjunction_defect_oracle(h) for h in d.handles], family
+            assert defects == adjunction_defects_oracle(d), family
             assert defects == [r - t for r, t in zip(d.rot_vector, c)], family
 
 
@@ -70,14 +71,11 @@ def test_is_canonical_examples():
 
 
 def test_hand_built_canonical_handles_are_canonical():
-    # a handle built from its tag, framing and rot gets the tag's genus, so
-    # rot = framing + 2 - 2 * genus (genus read off the tag here) is canonical
+    # rot = framing + 2 - 2 * genus on every handle, with the genus and
+    # framing read off the plumbing graph here, is canonical
     for family in suite_families():
         for sign, unit in (("min", 1), ("max", -1)):
-            rots = []
-            for tag, f in family.handle_slots():
-                genus = 0 if isinstance(tag, ChainUnknot) else 1
-                rots.append(unit * (f + 2 - 2 * genus))
+            rots = [unit * (f + 2 - 2 * g) for g, f in handle_slots_oracle(family)]
             diagram = SteinHandleDiagram(family, rots)
             assert is_canonical(diagram), family
             assert diagram == canonical_filling(family, sign)
@@ -98,7 +96,7 @@ def test_adjunction_uniqueness_over_suite():
             d
             for d in fillings
             if all(
-                -h.rot - (h.smooth_framing - 2 * h.surface_genus + 2) == 0
+                -h.rot - (h.smooth_framing - 2 * h.genus + 2) == 0
                 for h in d.handles
             )
         ]
@@ -179,7 +177,7 @@ def cusp_classes(draw):
     entries are drawn from each slot's rotation range."""
     word = draw(st.lists(st.integers(2, 9), min_size=1, max_size=8).filter(lambda w: max(w) > 2))
     family = Cusp(CycleWord(word))
-    rots = tuple(draw(st.sampled_from(rotation_range(tag, f))) for tag, f in family.handle_slots())
+    rots = tuple(draw(st.sampled_from(rotation_range(g, f))) for g, f in family.handle_slots())
     return family, rots
 
 

@@ -7,14 +7,9 @@ import pytest
 from singlink import legendrian
 from singlink._record import Record
 from singlink.families import (
-    CHAIN_UNKNOT,
-    ELLIPTIC_CORE,
-    NODAL_DOUBLE_PASS,
-    ChainUnknot,
     Cusp,
     Elliptic,
-    EllipticCore,
-    NodalDoublePass,
+    InvalidParameter,
     SizeLimitExceeded,
     UnsupportedPresentation,
 )
@@ -38,52 +33,75 @@ LARGE_WORDS = [(3,) * 11 + (4,), (4,) * 7 + (3, 2), (6,) * 5 + (3,)]
 
 
 def test_tb_max_constants():
-    assert tb_max(ChainUnknot()) == -1
-    assert tb_max(EllipticCore()) == 1
-    assert tb_max(NodalDoublePass()) == 1
+    assert tb_max(0) == -1  # a chain unknot
+    assert tb_max(1) == 1  # the elliptic 2-handle and the k = 1 double pass
+    assert tb_max(3) == 5
 
 
 def test_rotation_range_fixed():
-    assert rotation_range(ChainUnknot(), -2) == (0,)
-    assert rotation_range(ChainUnknot(), -5) == (-3, -1, 1, 3)
-    assert rotation_range(EllipticCore(), -3) == (-3, -1, 1, 3)
-    assert rotation_range(EllipticCore(), -1) == (-1, 1)
-    assert rotation_range(NodalDoublePass(), -2) == (-2, 0, 2)  # framing -n+2 with n = 4
+    assert rotation_range(0, -2) == (0,)
+    assert rotation_range(0, -5) == (-3, -1, 1, 3)
+    assert rotation_range(1, -3) == (-3, -1, 1, 3)
+    assert rotation_range(1, -1) == (-1, 1)
+    assert rotation_range(1, -2) == (-2, 0, 2)  # the k = 1 framing -n + 2 with n = 4
     with pytest.raises(FramingTooLarge):
-        rotation_range(ChainUnknot(), 0)
+        rotation_range(0, 0)
     with pytest.raises(FramingTooLarge):
-        rotation_range(EllipticCore(), 1)
+        rotation_range(1, 1)
 
 
 def test_rotation_range_symmetric_constant_parity():
-    tags = [ChainUnknot(), EllipticCore(), NodalDoublePass()]
-    for tag in tags:
-        for framing in range(-8, tb_max(tag)):
-            rng = rotation_range(tag, framing)
+    for genus in (0, 1, 2):
+        for framing in range(-8, tb_max(genus)):
+            rng = rotation_range(genus, framing)
             assert tuple(-r for r in reversed(rng)) == rng
             assert len({r % 2 for r in rng}) == 1
-            assert len(rng) == tb_max(tag) - 1 - framing + 1
+            assert len(rng) == tb_max(genus) - 1 - framing + 1
 
 
 def test_two_handle_validation():
     with pytest.raises(ValueError, match="not realizable"):
-        TwoHandleSpec(ChainUnknot(), -3, 0)  # parity breaks
+        TwoHandleSpec(0, -3, 0)  # parity breaks
     with pytest.raises(ValueError, match="not realizable"):
-        TwoHandleSpec(ChainUnknot(), -3, 3)  # out of range
+        TwoHandleSpec(0, -3, 3)  # out of range
     with pytest.raises(FramingTooLarge):
-        TwoHandleSpec(ChainUnknot(), -1, 0)  # tb 0 exceeds tb_max = -1
-    handle = TwoHandleSpec(ChainUnknot(), -3, -1)
+        TwoHandleSpec(0, -1, 0)  # tb 0 exceeds tb_max = -1
+    handle = TwoHandleSpec(0, -3, -1)
     assert handle.to_json_dict() == {"framing": -3, "tb": -2, "rot": -1, "genus": 0}
-    assert TwoHandleSpec(EllipticCore(), -3, -3).to_json_dict() == {
+    assert TwoHandleSpec(1, -3, -3).to_json_dict() == {
         "framing": -3, "tb": -2, "rot": -3, "genus": 1
     }
-    with pytest.raises(TypeError):  # tb and genus are not parameters
-        TwoHandleSpec(ChainUnknot(), -3, 0, -2, -1)
+    with pytest.raises(TypeError):  # tb is not a parameter
+        TwoHandleSpec(0, -3, 0, -2)
+    genus = TwoHandleSpec(True, -3, -3).genus  # stored as the int it stands for
+    assert genus == 1 and type(genus) is int
     # a float framing would give a float tb
     with pytest.raises(TypeError):
-        TwoHandleSpec(EllipticCore(), -3.0, -3)
+        TwoHandleSpec(1, -3.0, -3)
     with pytest.raises(TypeError):
-        TwoHandleSpec(EllipticCore(), -3, -3.0)
+        TwoHandleSpec(1, -3, -3.0)
+
+
+# each rule that reads a genus, called at a slot it accepts when the genus is 1
+GENUS_RULES = {
+    "tb_max": tb_max,
+    "rotation_range": lambda genus: rotation_range(genus, -3),
+    "TwoHandleSpec": lambda genus: TwoHandleSpec(genus, -3, -3),
+}
+
+
+@pytest.mark.parametrize("rule", GENUS_RULES.values(), ids=GENUS_RULES.keys())
+def test_genus_is_a_nonnegative_int(rule):
+    # a plain int genus can be wrong where a handle type could not: every
+    # rule refuses a negative genus and anything but an int
+    rule(1)
+    rule(True)  # a bool is an int
+    for genus in (-1, -2, -10**30):
+        with pytest.raises(InvalidParameter, match="genus must be nonnegative"):
+            rule(genus)
+    for genus in (1.0, Fraction(1), "1"):
+        with pytest.raises(TypeError):
+            rule(genus)
 
 
 def test_enumerate_elliptic_counts_and_sets():
@@ -95,9 +113,8 @@ def test_enumerate_elliptic_counts_and_sets():
         for d in fillings:
             assert d.one_handle_count == 2
             handle = d.handles[0]
-            assert isinstance(handle.tag, EllipticCore)
+            assert handle.genus == 1
             assert handle.smooth_framing == -n == handle.tb - 1
-            assert handle.surface_genus == 1
 
 
 def test_enumerate_cusp_counts():
@@ -117,16 +134,14 @@ def test_enumerate_cusp_structure():
     fillings = enumerate_stein_fillings(Cusp(CycleWord((2, 2, 3))))
     assert [d.rot_vector for d in fillings] == [(0, 0, -1), (0, 0, 1)]
     for d in fillings:
-        assert [h.tag for h in d.handles] == [ChainUnknot()] * 3
+        assert [h.genus for h in d.handles] == [0] * 3
         assert [h.smooth_framing for h in d.handles] == [-2, -2, -3]
-        assert all(h.surface_genus == 0 for h in d.handles)
 
     nodal = enumerate_stein_fillings(Cusp(CycleWord((4,))))
     assert [d.rot_vector for d in nodal] == [(-2,), (0,), (2,)]
     handle = nodal[0].handles[0]
-    assert isinstance(handle.tag, NodalDoublePass)
+    assert handle.genus == 1
     assert handle.smooth_framing == -2
-    assert handle.surface_genus == 1
 
 
 def test_enumeration_is_lexicographic():
@@ -173,7 +188,7 @@ def test_enumeration_builds_no_handle_and_reads_the_pattern_once(monkeypatch):
         assert all(d.rot_vector is d.rot_vector for d in fillings)
 
 
-# for each tag, a family whose last slot has that tag, a realizable rot
+# a family of each surgery picture, a realizable rot
 # vector, and vectors the constructor refuses: a last rot out of range and
 # one of the wrong parity
 PATTERNS = [
@@ -184,9 +199,7 @@ PATTERNS = [
 
 
 def test_diagram_rejects_wrong_cusp_pattern():
-    assert {type(family.handle_slots()[-1][0]) for family, _, _ in PATTERNS} == {
-        ChainUnknot, EllipticCore, NodalDoublePass
-    }
+    assert [family.handle_slots()[-1] for family, _, _ in PATTERNS] == [(0, -4), (1, -3), (1, -3)]
     for family, rots, refused in PATTERNS:
         assert SteinHandleDiagram(family, rots) in enumerate_stein_fillings(family)
         for bad in (rots[:-1], rots + (rots[-1],), ()):  # a rot vector of the wrong length
@@ -213,7 +226,7 @@ def test_diagram_validation():
             SteinHandleDiagram(family, diagram.handles)
 
 
-def test_handle_slots_share_the_tag_constants(monkeypatch):
+def test_handle_slots_build_no_record(monkeypatch):
     families = (Elliptic(3), Elliptic(7), Cusp((4,)), Cusp((5,)), Cusp((2, 3, 4)), Cusp((3, 5)))
 
     def refuse(self, *args, **kwargs):
@@ -222,15 +235,17 @@ def test_handle_slots_share_the_tag_constants(monkeypatch):
     # building a pattern constructs no record: every record constructor refuses
     for cls in (Record, *Record.__subclasses__()):
         monkeypatch.setattr(cls, "__init__", refuse)
-    tags = {}
-    for family in families + families:  # every call, every family
-        for tag, _ in family.handle_slots():
-            assert tags.setdefault(type(tag), tag) is tag, family
+    slots = [family.handle_slots() for family in families]
     monkeypatch.undo()
-    assert tags[ChainUnknot] is CHAIN_UNKNOT
-    assert tags[EllipticCore] is ELLIPTIC_CORE
-    assert tags[NodalDoublePass] is NODAL_DOUBLE_PASS
-    assert len(tags) == 3
+    assert slots == [
+        ((1, -3),),
+        ((1, -7),),
+        ((1, -2),),
+        ((1, -3),),
+        ((0, -2), (0, -3), (0, -4)),
+        ((0, -3), (0, -5)),
+    ]
+    assert all(type(x) is int for pattern in slots for slot in pattern for x in slot)
 
 
 def test_canonical_filling():
@@ -248,7 +263,7 @@ def test_canonical_rot_equals_framing_rule():
         minimal = canonical_filling(family, "min")
         maximal = canonical_filling(family, "max")
         for h_min, h_max in zip(minimal.handles, maximal.handles):
-            target = h_min.smooth_framing - 2 * h_min.surface_genus + 2
+            target = h_min.smooth_framing - 2 * h_min.genus + 2
             assert h_min.rot == target
             assert h_max.rot == -target
         assert maximal.rot_vector == tuple(-r for r in minimal.rot_vector)
@@ -256,7 +271,7 @@ def test_canonical_rot_equals_framing_rule():
 
 def test_canonical_extremes_match_rotation_range_over_suite():
     for family in suite_families():
-        ranges = [rotation_range(tag, f) for tag, f in family.handle_slots()]
+        ranges = [rotation_range(*slot) for slot in family.handle_slots()]
         assert canonical_filling(family, "min").rot_vector == tuple(map(min, ranges))
         assert canonical_filling(family, "max").rot_vector == tuple(map(max, ranges))
 
@@ -279,7 +294,7 @@ def test_canonical_filling_builds_the_handle_pattern_once(monkeypatch):
 
 
 def test_canonical_filling_does_not_list_the_range(monkeypatch):
-    def refuse(tag, framing):
+    def refuse(genus, framing):
         raise AssertionError("canonical_filling listed a rotation range")
 
     monkeypatch.setattr(legendrian, "rotation_range", refuse)

@@ -1,20 +1,14 @@
 import json
 import math
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlink import plumbing
-from singlink.families import (
-    CHAIN_UNKNOT,
-    ELLIPTIC_CORE,
-    NODAL_DOUBLE_PASS,
-    Cusp,
-    Elliptic,
-    InvalidParameter,
-    SizeLimitExceeded,
-)
+from singlink.families import Cusp, Elliptic, InvalidParameter, SizeLimitExceeded
+from singlink.invariants import adjunction_vector
 from singlink.linalg import AbelianGroup, smith_normal_form
 from singlink.plumbing import (
     PlumbingGraph,
@@ -139,8 +133,7 @@ def test_presentation_matrix_matches_oracle():
     graph = PlumbingGraph((PlumbingVertex(-3, genus=2), PlumbingVertex(-2)), ((0, 1),))
 
     class GenusTwo:  # the three things smooth_surgery_description reads
-        def handle_slots(self):
-            return ((ELLIPTIC_CORE, -3),)
+        surgery_picture = "borromean"
 
         def graph(self):
             return graph
@@ -217,11 +210,41 @@ def test_json_schema_roundtrip():
     assert rebuilt == g
 
 
-def test_every_tag_picture_has_a_surgery_picture():
-    pictures = {tag.picture for tag in (CHAIN_UNKNOT, ELLIPTIC_CORE, NODAL_DOUBLE_PASS)}
-    assert pictures == set(plumbing._SURGERY_PICTURES)
-    for family in (Cusp((2, 3)), Cusp((4,)), Elliptic(2)):
-        assert smooth_surgery_description(family).kind == family.handle_slots()[0][0].picture
+def test_every_family_picture_has_a_surgery_picture():
+    families = (Cusp((2, 3)), Cusp((4,)), Elliptic(2))
+    assert {family.surgery_picture for family in families} == set(plumbing._SURGERY_PICTURES)
+    for family in families:
+        assert smooth_surgery_description(family).kind == family.surgery_picture
+
+
+def assert_stein_side_matches_plumbing_side(family):
+    """Slot v is (genus_v + loops_v, Q_vv) and the adjunction vector is -a."""
+    graph = family.graph()
+    q = intersection_matrix(graph)
+    loops = Counter(i for i, j in graph.edges if i == j)
+    genera = [vertex.genus + loops[v] for v, vertex in enumerate(graph.vertices)]
+    slots = family.handle_slots()
+    assert slots == tuple((g, q[v][v]) for v, g in enumerate(genera)), family
+    a = [-q[v][v] + 2 * g - 2 for v, g in enumerate(genera)]
+    assert adjunction_vector(slots) == tuple(-x for x in a), family
+
+
+def test_handle_slots_match_the_plumbing_graph():
+    """The hand-written Stein handle pattern against the plumbing graph, over
+    the suite and Elliptic(1..40): slot v is (genus_v + loops_v, Q_vv), the
+    capped attaching circle gaining a handle per loop at the vertex (so the
+    k = 1 slot is (1, 2 - n)) and the framing Q's diagonal entry.  Then the
+    adjunction vector of the slots is -a, where a_v = K.E_v =
+    -Q_vv + 2 (genus_v + loops_v) - 2 is the canonical-class vector of the
+    resolution, fixed by adjunction on each vertex."""
+    for family in [*suite_families(), *(Elliptic(n) for n in range(1, 41))]:
+        assert_stein_side_matches_plumbing_side(family)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 9), min_size=1, max_size=8).filter(lambda w: max(w) > 2))
+def test_cusp_handle_slots_match_the_plumbing_graph(word):
+    assert_stein_side_matches_plumbing_side(Cusp(CycleWord(word)))
 
 
 def test_surgery_descriptions():

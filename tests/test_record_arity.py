@@ -13,13 +13,10 @@ STORE_ONLY = sorted(
 
 def test_store_only_records_are_the_expected_classes():
     assert [cls.__name__ for cls in STORE_ONLY] == [
-        "ChainUnknot",
         "CohomologyClassRep",
         "DeltaCurve",
-        "EllipticCore",
         "GammaCurve",
         "HomologyAgreement",
-        "NodalDoublePass",
         "PageHomologyData",
         "SnfResult",
         "SurgeryDescription",

@@ -250,7 +250,7 @@ def test_filling_pass_matches_oracles_on_mixed_diagrams():
     )
     for family in families:
         slots = family.handle_slots()
-        ranges = [rotation_range(tag, f) for tag, f in slots]
+        ranges = [rotation_range(g, f) for g, f in slots]
         diagrams = [
             SteinHandleDiagram(family, [r[side] for r, side in zip(ranges, sides)])
             for sides in itertools.product((0, -1), repeat=len(slots))
