@@ -5,14 +5,16 @@ built from k planar pieces glued in a cycle along curves delta_0, ...,
 delta_{k-1}; the boundary-parallel curves between delta_{i-1} and delta_i
 are gamma_{i,1}, ..., gamma_{i,n_i-2}.  The monodromy is one right-handed
 twist along every delta and every gamma.  The elliptic open book has the
-same page genus, n boundary components and one boundary-parallel twist at
-each.
+same page genus, one piece with n boundary components and one
+boundary-parallel twist at each.
 
 The open book stores only its family and reads the rest off
 ``family.page_pieces()``: the labels and the twist word on each read, and
-the homology of the total space in one pass over the pieces.  Curves are
-modeled through their classes in the first homology of the page together
-with the intersection form; that is enough for the monodromy action.
+the homology of the total space in one pass over the pieces.  A boundary
+is labeled (i, j), pieces numbered from 1, and a twist curve is the pair
+("delta", i) or ("gamma", (i, j)).  Curves are modeled through their
+classes in the first homology of the page together with the intersection
+form; that is enough for the monodromy action.
 """
 from __future__ import annotations
 
@@ -23,8 +25,6 @@ from .linalg import AbelianGroup, IntMatrix, two_column_cokernel
 __all__ = [
     "BOUNDARY_LIMIT",
     "BoundaryLabel",
-    "DeltaCurve",
-    "GammaCurve",
     "OpenBookDescription",
     "PageHomologyData",
     "curve_homology_classes",
@@ -32,7 +32,7 @@ __all__ = [
     "openbook_homology",
 ]
 
-BoundaryLabel = int | tuple[int, int]
+BoundaryLabel = tuple[int, int]
 
 # Most boundary components an open book may have: n for Elliptic(n) and
 # sum(n_i - 2) for a cusp word.  A larger page is refused before any of it
@@ -40,39 +40,9 @@ BoundaryLabel = int | tuple[int, int]
 BOUNDARY_LIMIT = 1_000
 
 
-class DeltaCurve(Record):
-    """Twist curve where two page pieces were glued; delta_index in text."""
-
-    __slots__ = ("index",)
-
-
-class GammaCurve(Record):
-    """Boundary-parallel twist curve at the labeled boundary."""
-
-    __slots__ = ("label",)
-
-
-TwistCurve = DeltaCurve | GammaCurve
-
-
-def _curves(cls, values) -> list:
-    """cls(value) for each value, made past the base constructor's arity check."""
-    curves, name = [], cls.__slots__[0]
-    for value in values:
-        curves.append(curve := object.__new__(cls))
-        object.__setattr__(curve, name, value)
-    return curves
-
-
-def curve_name(curve: TwistCurve, alphabet=("delta", "gamma", "_")) -> str:
-    """The curve's label in an alphabet (delta, gamma, separator); the text
-    rendering uses ("δ", "γ", ",")."""
-    delta, gamma, sep = alphabet
-    if isinstance(curve, DeltaCurve):
-        return f"{delta}{curve.index}"
-    if isinstance(curve.label, tuple):
-        return f"{gamma}{curve.label[0]}{sep}{curve.label[1]}"
-    return f"{gamma}{curve.label}"
+def _labels(pieces: tuple[int, ...]) -> list[BoundaryLabel]:
+    """(i, j) for the j-th boundary on piece i, pieces numbered from 1."""
+    return [(i, j) for i, b in enumerate(pieces, start=1) for j in range(1, b + 1)]
 
 
 class OpenBookDescription(Record):
@@ -81,11 +51,12 @@ class OpenBookDescription(Record):
     family; the labels and the word are built from ``family.page_pieces()``
     on each read, and the boundary count is the sum of the pieces.
 
-    A page with one piece labels its boundaries 1, ..., b; otherwise the
-    j-th boundary on piece i is (i, j).  The word is delta_0, ..., then one
-    gamma per boundary in label order.
+    The word is ("delta", 0), ..., then ("gamma", (i, j)) for the j-th
+    boundary on piece i, pieces numbered from 1, in label order.
 
     >>> from singlink.families import Cusp
+    >>> OpenBookDescription(Cusp((4,))).twist_word
+    (('delta', 0), ('gamma', (1, 1)), ('gamma', (1, 2)))
     >>> OpenBookDescription(Cusp((4,))).word_text()
     'D(δ0)·D(γ1)·D(γ2)'
     """
@@ -107,24 +78,33 @@ class OpenBookDescription(Record):
 
     @property
     def boundary_labels(self) -> tuple[BoundaryLabel, ...]:
-        pieces = self.family.page_pieces()[1]
-        if len(pieces) == 1:
-            return tuple(range(1, pieces[0] + 1))
-        return tuple((i, j) for i, b in enumerate(pieces, start=1) for j in range(1, b + 1))
+        return tuple(_labels(self.family.page_pieces()[1]))
 
     @property
-    def twist_word(self) -> tuple[TwistCurve, ...]:
-        deltas = _curves(DeltaCurve, range(self.family.page_pieces()[0]))
-        return tuple(deltas + _curves(GammaCurve, self.boundary_labels))
+    def twist_word(self) -> tuple[tuple[str, int | BoundaryLabel], ...]:
+        deltas, pieces = self.family.page_pieces()
+        gammas = [("gamma", label) for label in _labels(pieces)]
+        return tuple([("delta", i) for i in range(deltas)] + gammas)
+
+    def curve_names(self, alphabet=("delta", "gamma", "_")) -> list[str]:
+        """The twist word's names in an alphabet (delta, gamma, separator).
+        A page of one piece prints its gammas gamma{j}, any other page
+        gamma{i}{separator}{j}; the text rendering uses ("δ", "γ", ",")."""
+        delta, gamma, sep = alphabet
+        deltas, pieces = self.family.page_pieces()
+        one_piece = len(pieces) == 1
+        return [f"{delta}{i}" for i in range(deltas)] + [
+            f"{gamma}{j}" if one_piece else f"{gamma}{i}{sep}{j}" for i, j in _labels(pieces)
+        ]
 
     def word_text(self) -> str:
-        return "·".join(f"D({curve_name(c, ('δ', 'γ', ','))})" for c in self.twist_word)
+        return "·".join(f"D({name})" for name in self.curve_names(("δ", "γ", ",")))
 
     def to_json_dict(self) -> dict:
         return {
             "genus": self.page_genus,
             "boundaries": self.boundary_count,
-            "word": [curve_name(c) for c in self.twist_word],
+            "word": self.curve_names(),
         }
 
 
@@ -152,13 +132,9 @@ class PageHomologyData(Record):
         return tuple(tuple(pairing.get((i, j), 0) for j in range(r)) for i in range(r))
 
 
-def _piece_of(label: BoundaryLabel) -> int:
-    """Planar piece a boundary sits on; the k = 1 page has the one piece 1."""
-    return label[0] if isinstance(label, tuple) else 1
-
-
 def curve_homology_classes(ob: OpenBookDescription) -> PageHomologyData:
-    """Homology classes of the twist curves and of the boundaries."""
+    """Homology classes of the twist curves and of the boundaries, keyed by
+    the (kind, label) pairs of the twist word and by the boundary labels."""
     labels, word = ob.boundary_labels, ob.twist_word
     b = len(labels)  # at least 1 for every family
     rank = 2 * ob.page_genus + b - 1
@@ -168,19 +144,17 @@ def curve_homology_classes(ob: OpenBookDescription) -> PageHomologyData:
     }
     boundary_classes[labels[-1]] = (0, 0) + (-1,) * (b - 1)  # minus the sum of the e-units
 
-    classes: dict[TwistCurve, tuple[int, ...]] = {
-        c: boundary_classes[c.label] for c in word if isinstance(c, GammaCurve)
-    }
+    classes = {(kind, x): boundary_classes[x] for kind, x in word if kind == "gamma"}
     by_piece: dict[int, list[BoundaryLabel]] = {}
     for label in labels:
-        by_piece.setdefault(_piece_of(label), []).append(label)
+        by_piece.setdefault(label[0], []).append(label)
     acc = (0, 1) + (0,) * (rank - 2)  # [delta_0] = d
-    for curve in word:  # the deltas come first, in index order
-        if isinstance(curve, DeltaCurve):
+    for kind, i in word:  # the deltas come first, in index order
+        if kind == "delta":
             # planar piece relation: delta_i adds piece i's boundary classes
-            for label in by_piece.get(curve.index, ()):
+            for label in by_piece.get(i, ()):
                 acc = tuple(a + x for a, x in zip(acc, boundary_classes[label]))
-            classes[curve] = acc
+            classes[kind, i] = acc
     return PageHomologyData(names, classes, boundary_classes)
 
 

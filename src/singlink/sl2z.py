@@ -179,13 +179,40 @@ def _ceil_quadratic(p: int, q: int, root: int) -> int:
     return (-p - root - 1) // (-q) + 1
 
 
+def _blocks(p: int, q: int, disc: int, root: int):
+    """The expansion of (p + sqrt(D)) / q in blocks: (entry, count, p, q)
+    for an entry other than 2 (count 1) or a whole run of 2s, with the state
+    after the block.
+
+    With x = 1 + 1/y, an entry 2 maps y = (P + sqrt(D)) / Q to y - 1, so
+    the run has floor(y) entries and ends in one step at any length.
+    """
+    while True:
+        n = _ceil_quadratic(p, q, root)
+        if n == 2:
+            p, q = q - p, (disc - (q - p) ** 2) // q  # y
+            count = _ceil_quadratic(p, q, root) - 1  # floor(y), y irrational
+            p -= count * q  # y - count, in (0, 1)
+            q = (disc - p * p) // q
+            p = q - p  # x = 1 + 1/(y - count)
+        else:
+            count, p = 1, n * q - p
+            q = (p * p - disc) // q
+        yield n, count, p, q
+
+
 def _periodic_expansion(matrix: Sl2Matrix) -> tuple[int, ...]:
     """Period of the minus continued fraction of the attracting fixed point.
 
     The fixed point x = (a - d + sqrt(tr^2 - 4)) / (2c) is expanded as
     x = n - 1/x' with n = ceil(x); complete quotients are tracked exactly
-    as integer pairs (p, q) meaning (p + sqrt(D)) / q, and the first
-    repeated state delimits the period.
+    as integer pairs (p, q) meaning (p + sqrt(D)) / q, one step per block
+    of ``_blocks``.  A quotient x > 1 with conjugate in (0, 1) is reduced,
+    and the expansion of a reduced quotient is purely periodic (Zagier,
+    *Zetafunktionen und quadratische Körper*, 1981).  So the state at the
+    end of the first block that starts reduced comes back a period later,
+    again at the end of a block; the period runs from it to its return and
+    is refused once it passes the limit, whatever came before it.
     """
     disc = matrix.trace**2 - 4
     root = isqrt(disc)
@@ -193,22 +220,23 @@ def _periodic_expansion(matrix: Sl2Matrix) -> tuple[int, ...]:
         # trace >= 3 rules both out; guards hand-built inputs
         raise NoFactorization(f"{matrix} has no cycle factorization")
     p, q = matrix.a - matrix.d, 2 * matrix.c
-    seen: dict[tuple[int, int], int] = {}
-    entries: list[int] = []
-    while (p, q) not in seen:
-        if len(entries) == _EXPANSION_LIMIT:
+    if (p * p - disc) % q:  # q | p^2 - D here makes it hold at every later state
+        raise NoFactorization(f"expansion of {matrix} left the quadratic lattice")
+    blocks = _blocks(p, q, disc, root)
+    reduced = False
+    while not reduced:  # the block after the first reduced state ends on the period's path
+        reduced = q > 0 and root < p <= root + q and q - p <= root  # x > 1 > conjugate > 0
+        _, _, p, q = next(blocks)
+    start = (p, q)
+    period: list[int] = []
+    for n, count, p, q in blocks:
+        if len(period) + count > _EXPANSION_LIMIT:
             raise NoFactorization(
-                f"the period of {matrix}, counted with the entries before it, "
-                f"exceeds the limit of {_EXPANSION_LIMIT:,} entries"
+                f"the period of {matrix} exceeds the limit of {_EXPANSION_LIMIT:,} entries"
             )
-        seen[(p, q)] = len(entries)
-        n = _ceil_quadratic(p, q, root)
-        entries.append(n)
-        p = n * q - p
-        if (p * p - disc) % q:
-            raise NoFactorization(f"expansion of {matrix} left the quadratic lattice")
-        q = (p * p - disc) // q
-    return tuple(entries[seen[(p, q)] :])
+        period += [n] * count
+        if (p, q) == start:
+            return tuple(period)
 
 
 def factor_cycle(matrix: Sl2Matrix) -> CycleWord:

@@ -536,18 +536,16 @@ def section_corrections_oracle(ob, data):
     """
     labels = ob.boundary_labels
     base = labels[0]
-    delta_cls = {
-        c.index: data.curve_classes[c] for c in ob.twist_word if isinstance(c, openbook.DeltaCurve)
-    }
-    # The labels run piece by piece, so the deltas crossed on the way to one
-    # boundary are those crossed on the way to the one before, and more.
+    delta_cls = {c[1]: data.curve_classes[c] for c in ob.twist_word if c[0] == "delta"}
+    # The labels (piece, j) run piece by piece, so the deltas crossed on the
+    # way to one boundary are those crossed on the way to the one before, and more.
     corrections = {}
     corr = list(data.boundary_classes[base])
-    crossed = openbook._piece_of(base)
+    crossed = base[0]
     for label in labels[1:]:
-        for m in range(crossed, openbook._piece_of(label)):
+        for m in range(crossed, label[0]):
             corr = [a + x for a, x in zip(corr, delta_cls[m])]
-        crossed = max(crossed, openbook._piece_of(label))
+        crossed = max(crossed, label[0])
         corrections[label] = tuple(a - x for a, x in zip(corr, data.boundary_classes[label]))
     return corrections
 

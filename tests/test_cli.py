@@ -182,6 +182,13 @@ def test_factor_output():
     assert payload == b"(2, 3)\n"
 
 
+def test_factor_takes_a_long_run_of_twos_before_the_period():
+    # M(2)^100010 M(3) M(2)^-100010: its expansion opens with about 100,010
+    # entries 2, which do not count against the 100,000-entry period limit
+    argv = ["factor", "--matrix", "-10002000097,10002100109,-10001900089,10002000100"]
+    assert run_cli(argv) == (EXIT_OK, b"(3)\n")
+
+
 def test_factor_rejects_parabolic():
     assert main(["factor", "--matrix", "1,1,0,1"]) == EXIT_INVALID
 
@@ -536,6 +543,41 @@ def test_no_call_loads_dataclasses_and_only_rational_work_loads_fractions(
     assert "dataclasses" not in names
     assert "typing" not in names  # the package imports it nowhere
     assert ("fractions" in names) is makes_fractions
+
+
+STDLIB_ONLY = """
+import sys
+before = set(sys.modules)
+import json
+from singlink.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(set(sys.modules) - before)
+print(json.dumps([codes, loaded]), file=sys.stderr)
+"""
+
+
+def test_the_package_loads_only_the_standard_library():
+    # site is on, so a third-party module that an import falls back from
+    # quietly would show; the -S tests above cannot see one
+    argvs = [
+        ["verify", "--suite"],
+        ["enumerate", "--cusp", "2,3,4", "--json"],
+        ["inv", "--elliptic", "3"],
+        ["canonical", "--elliptic", "3", "--json"],
+        ["factor", "--matrix", "5,-2,3,-1"],
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", STDLIB_ONLY, json.dumps(argvs)],
+        capture_output=True,
+        env=child_env(),
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    codes, loaded = json.loads(done.stderr.splitlines()[-1])
+    assert codes == [EXIT_OK] * len(argvs)
+    assert "singlink.verify" in loaded and "singlink.legendrian" in loaded
+    outside = [m for m in loaded if m.split(".")[0] not in sys.stdlib_module_names | {"singlink"}]
+    assert outside == []
 
 
 def test_cusp_d3_exits_3_when_only_the_handler_imports_legendrian():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from collections import Counter
 
@@ -7,12 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singlink import openbook
+from singlink.cli import EXIT_OK, parse_args, run
 from singlink.families import Cusp, Elliptic, InvalidParameter, SizeLimitExceeded
 from singlink.invariants import FamilyReduction
 from singlink.linalg import AbelianGroup, dot, matmul, smith_normal_form
 from singlink.openbook import (
-    DeltaCurve,
-    GammaCurve,
     OpenBookDescription,
     curve_homology_classes,
     homological_monodromy_action,
@@ -37,8 +37,8 @@ def test_elliptic_openbook_page_data():
     ob = Elliptic(3).openbook()
     assert ob.page_genus == 1
     assert ob.boundary_count == 3
-    assert ob.twist_word == (GammaCurve(1), GammaCurve(2), GammaCurve(3))
-    assert Counter(c.label for c in ob.twist_word) == {1: 1, 2: 1, 3: 1}
+    assert ob.twist_word == (("gamma", (1, 1)), ("gamma", (1, 2)), ("gamma", (1, 3)))
+    assert ob.boundary_labels == ((1, 1), (1, 2), (1, 3))
 
     ob1 = Elliptic(1).openbook()
     assert ob1.boundary_count == 1 and len(ob1.twist_word) == 1
@@ -53,7 +53,7 @@ def test_description_is_read_off_the_family():
     assert OpenBookDescription(Cusp(word)) == Cusp(word).openbook()
     assert OpenBookDescription(Cusp(word)).boundary_labels == ((2, 1), (3, 1), (3, 2))
     with pytest.raises(TypeError):
-        OpenBookDescription(1, (1,), (GammaCurve(1),))
+        OpenBookDescription(1, (1,), (("gamma", (1, 1)),))
 
 
 def test_elliptic_page_euler_characteristic():
@@ -65,25 +65,15 @@ def test_elliptic_page_euler_characteristic():
 def test_cusp_openbook_words():
     ob = Cusp(CycleWord((2, 2, 3))).openbook()
     assert ob.boundary_count == 1
-    assert ob.twist_word == (
-        DeltaCurve(0),
-        DeltaCurve(1),
-        DeltaCurve(2),
-        GammaCurve((3, 1)),
-    )
+    assert ob.twist_word == (("delta", 0), ("delta", 1), ("delta", 2), ("gamma", (3, 1)))
 
     ob1 = Cusp(CycleWord((4,))).openbook()
     assert ob1.boundary_count == 2
-    assert ob1.twist_word == (DeltaCurve(0), GammaCurve(1), GammaCurve(2))
+    assert ob1.twist_word == (("delta", 0), ("gamma", (1, 1)), ("gamma", (1, 2)))
 
     ob2 = Cusp(CycleWord((3, 3))).openbook()
     assert ob2.boundary_count == 2
-    assert ob2.twist_word == (
-        DeltaCurve(0),
-        DeltaCurve(1),
-        GammaCurve((1, 1)),
-        GammaCurve((2, 1)),
-    )
+    assert ob2.twist_word == (("delta", 0), ("delta", 1), ("gamma", (1, 1)), ("gamma", (2, 1)))
 
 
 def test_page_data_over_suite():
@@ -93,8 +83,9 @@ def test_page_data_over_suite():
         assert ob.page_genus == 1
         assert ob.boundary_count == boundaries
         assert len(ob.twist_word) == len(word) + boundaries
-        gammas = Counter(c.label for c in ob.twist_word if isinstance(c, GammaCurve))
+        gammas = Counter(label for kind, label in ob.twist_word if kind == "gamma")
         assert gammas == {label: 1 for label in ob.boundary_labels}
+        assert all(kind == "delta" for kind, _ in ob.twist_word[: len(word)])
 
 
 def test_word_rendering():
@@ -111,14 +102,14 @@ def test_curve_classes_fixed():
     assert data.basis_names == ("l", "d")
     d_vec = (0, 1)
     for i in range(3):
-        assert data.curve_classes[DeltaCurve(i)] == d_vec
-    assert data.curve_classes[GammaCurve((3, 1))] == (0, 0)
+        assert data.curve_classes["delta", i] == d_vec
+    assert data.curve_classes["gamma", (3, 1)] == (0, 0)
 
     data = curve_homology_classes(Cusp(CycleWord((4,))).openbook())
     assert data.basis_names == ("l", "d", "e1")
-    assert data.curve_classes[DeltaCurve(0)] == (0, 1, 0)
-    assert data.curve_classes[GammaCurve(1)] == (0, 0, 1)
-    assert data.curve_classes[GammaCurve(2)] == (0, 0, -1)
+    assert data.curve_classes["delta", 0] == (0, 1, 0)
+    assert data.curve_classes["gamma", (1, 1)] == (0, 0, 1)
+    assert data.curve_classes["gamma", (1, 2)] == (0, 0, -1)
 
 
 def test_basis_size_invariant():
@@ -213,6 +204,46 @@ def test_openbook_homology_matches_plumbing_and_monodromy(entries):
     assert math.prod(homology.torsion) == a[0][0] + a[1][1] - 2
 
 
+def labels_from_the_word(entries):
+    """(i, j) for the j-th boundary on piece i, read off the entries alone:
+    Elliptic(n), given as the int n, has one piece with n boundaries, and
+    letter i of a cusp word a piece with n_i - 2."""
+    letters = (entries + 2,) if isinstance(entries, int) else entries
+    return [(i, j) for i, n in enumerate(letters, start=1) for j in range(1, n - 1)]
+
+
+def names_from_the_word(entries):
+    """delta0, ..., then gamma{j} on a page of one piece (an elliptic page
+    or a one-letter word), else gamma{i}_{j}, in label order."""
+    one_piece = isinstance(entries, int) or len(entries) == 1
+    deltas = [] if isinstance(entries, int) else [f"delta{i}" for i in range(len(entries))]
+    return deltas + [
+        f"gamma{j}" if one_piece else f"gamma{i}_{j}" for i, j in labels_from_the_word(entries)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(cycle_words, st.integers(min_value=1, max_value=40)))
+@example([2, 2, 3])  # one nonempty piece of three still prints gamma3_1
+@example([3, 2, 3])  # an empty piece between two nonempty ones
+def test_openbook_names_are_read_off_the_word(entries):
+    flag, value = (
+        ("--elliptic", str(entries))
+        if isinstance(entries, int)
+        else ("--cusp", ",".join(map(str, entries)))
+    )
+    names = names_from_the_word(entries)
+    code, payload = run(parse_args(["openbook", flag, value, "--json"]))
+    assert code == EXIT_OK and json.loads(payload)["word"] == names
+    code, payload = run(parse_args(["openbook", flag, value]))
+    text = payload.decode().split(", page:")[0]
+    greek = [name.replace("delta", "δ").replace("gamma", "γ").replace("_", ",") for name in names]
+    assert text == "·".join(f"D({name})" for name in greek)
+    ob = (Elliptic(entries) if isinstance(entries, int) else Cusp(tuple(entries))).openbook()
+    assert list(ob.boundary_labels) == labels_from_the_word(entries)
+    assert len(ob.boundary_labels) == ob.boundary_count
+
+
 def test_openbook_homology_fixed():
     assert openbook_homology(Elliptic(3).openbook()) == AbelianGroup(2, (3,))
     assert openbook_homology(Cusp(CycleWord((2, 2, 3))).openbook()) == AbelianGroup(1, (3,))
@@ -263,11 +294,22 @@ def test_large_open_books_reduce():
         assert math.prod(agreement.openbook.torsion) == family.monodromy().trace - 2
 
 
+def forbid_the_page(monkeypatch):
+    """Make reading the boundary labels or the twist word, or building any
+    label list, raise AssertionError."""
+
+    def build_page(*args):
+        raise AssertionError("a page was built")
+
+    monkeypatch.setattr(openbook, "_labels", build_page)
+    for name in ("boundary_labels", "twist_word"):
+        monkeypatch.setattr(OpenBookDescription, name, property(build_page))
+
+
 def test_openbook_homology_builds_no_page(monkeypatch):
-    # the open book is its family's page pieces: with the curve records
-    # gone, no label, twist word or page class can be built
-    monkeypatch.setattr(openbook, "DeltaCurve", None)
-    monkeypatch.setattr(openbook, "GammaCurve", None)
+    # the open book is its family's page pieces: with the labels and the
+    # word unreadable, no label, twist word or page class can be built
+    forbid_the_page(monkeypatch)
     for family in LIMIT_FAMILIES:
         ob = family.openbook()
         assert ob.boundary_count == sum(family.page_pieces()[1])
@@ -360,7 +402,7 @@ def test_boundary_limit_is_checked_before_the_page(monkeypatch):
     monkeypatch.setattr(openbook, "BOUNDARY_LIMIT", 3)
     assert Cusp(CycleWord((3, 4))).openbook().boundary_count == 3
     assert Elliptic(3).openbook().boundary_count == 3
-    monkeypatch.setattr(openbook, "GammaCurve", None)  # building a page would fail
+    forbid_the_page(monkeypatch)
     for build in (
         lambda: Cusp(CycleWord((4, 4))).openbook(),
         lambda: Cusp(CycleWord((3, 10**25))).openbook(),

@@ -9,11 +9,16 @@ import pytest
 
 from singlink._record import Record
 from singlink.families import Cusp, Elliptic
-from singlink.invariants import FamilyReduction, euler_class, homology_cross_check
+from singlink.invariants import (
+    FamilyReduction,
+    HomologyAgreement,
+    euler_class,
+    homology_cross_check,
+)
 from singlink.legendrian import TwoHandleSpec, canonical_filling
 from singlink.linalg import AbelianGroup, smith_normal_form
-from singlink.openbook import DeltaCurve, GammaCurve, curve_homology_classes
-from singlink.plumbing import PlumbingVertex, smooth_surgery_description
+from singlink.openbook import curve_homology_classes
+from singlink.plumbing import PlumbingVertex, SurgeryDescription, smooth_surgery_description
 from singlink.sl2z import CycleWord, Sl2Matrix
 
 # (build, another): each call of build makes a new record with the same field
@@ -31,8 +36,6 @@ RECORDS = [
         lambda: smooth_surgery_description(Elliptic(2)),
         lambda: smooth_surgery_description(Elliptic(3)),
     ),
-    (lambda: DeltaCurve(0), lambda: GammaCurve(0)),
-    (lambda: GammaCurve(1), lambda: GammaCurve((1, 1))),
     (lambda: Elliptic(2).openbook(), lambda: Elliptic(3).openbook()),
     (
         lambda: curve_homology_classes(Cusp((3, 4)).openbook()),
@@ -48,7 +51,7 @@ RECORDS = [
 
 def test_every_record_class_is_listed():
     listed = [type(build()) for build, _ in RECORDS]
-    assert len(listed) == len(set(listed)) == 18
+    assert len(listed) == len(set(listed)) == 16
     assert set(listed) == set(Record.__subclasses__())
 
 
@@ -102,8 +105,8 @@ def test_record_contract(build, another):
 @pytest.mark.parametrize(
     "first, second",
     [
-        (DeltaCurve(0), GammaCurve(0)),
-        (Elliptic(1), GammaCurve(1)),
+        (SurgeryDescription(1, 2, 3, 4), HomologyAgreement(1, 2, 3, 4)),
+        (Sl2Matrix(1, 0, 0, 1), SurgeryDescription(1, 0, 0, 1)),
         (Elliptic(2), Elliptic(3)),
     ],
 )

@@ -195,6 +195,10 @@ def test_factor_cycle_refuses_periods_over_the_limit():
 
 def test_factor_cycle_fixed_cases():
     assert factor_cycle(Sl2Matrix(3, -1, 1, 0)) == CycleWord((3,))
+    # M(3) conjugated by x -> x/(x + 1): both fixed points lie in (0, 1), so
+    # the first quotient is below 1 with its conjugate in (0, 1), and is
+    # not yet reduced
+    assert factor_cycle(Sl2Matrix(4, -1, 5, -1)) == CycleWord((3,))
     assert factor_cycle(Sl2Matrix(5, -2, 3, -1)) == CycleWord((2, 3))
     with pytest.raises(NotCuspClass):
         factor_cycle(Sl2Matrix(1, 1, 0, 1))
@@ -250,3 +254,41 @@ def test_factor_cycle_roundtrips_under_random_conjugation(entries, letters):
     oracle = cycle_product_oracle(entries)
     conj = conjugate(p, Sl2Matrix(*oracle[0], *oracle[1]))
     assert cyclic_equal(factor_cycle(conj), word)
+
+
+def power_of_two_letter(r):
+    """M(2)^r = [[r + 1, -r], [r, 1 - r]]: conjugating by it puts a run of
+    about r entries 2 in front of the period."""
+    return Sl2Matrix(r + 1, -r, r, 1 - r)
+
+
+def test_long_run_of_twos_before_the_period_is_not_counted():
+    # P M(3) P^-1 with P = M(2)^r: the expansion opens with about r entries
+    # 2, and the limit applies to the period (3) alone
+    for r in (100_010, 10**30):
+        conj = conjugate(power_of_two_letter(r), cycle_monodromy(CycleWord((3,))))
+        assert factor_cycle(conj) == CycleWord((3,))
+    assert conjugate(power_of_two_letter(100_010), cycle_monodromy(CycleWord((3,)))) == (
+        Sl2Matrix(-10002000097, 10002100109, -10001900089, 10002000100)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(2, 9), min_size=1, max_size=6).filter(lambda e: max(e) >= 3),
+    st.integers(1, 10**6),
+    st.lists(
+        st.one_of(
+            st.sampled_from(CONJUGATING_LETTERS),
+            st.integers(2, 9).map(lambda n: Sl2Matrix(n, -1, 1, 0)),  # M(n)
+            st.integers(1, 10**6).map(power_of_two_letter),
+        ),
+        max_size=6,
+    ),
+)
+def test_factor_cycle_under_conjugation_by_long_runs_of_twos(entries, r, letters):
+    # P includes M(2)^r, so the expansion may open with up to about 10^6
+    # entries 2 before the period
+    p = product(*letters[:2], power_of_two_letter(r), *letters[2:])
+    conj = conjugate(p, cycle_monodromy(CycleWord(tuple(entries))))
+    assert factor_cycle(conj) == CycleWord(tuple(entries)).least_rotation()
