@@ -45,14 +45,17 @@ def _labels(pieces: tuple[int, ...]) -> list[BoundaryLabel]:
     return [(i, j) for i, b in enumerate(pieces, start=1) for j in range(1, b + 1)]
 
 
+def _word(deltas: int, pieces: tuple[int, ...]) -> list[tuple[str, int | BoundaryLabel]]:
+    """The twist word: ("delta", i) for each delta, then ("gamma", (i, j))
+    for the j-th boundary on piece i, in label order."""
+    return [("delta", i) for i in range(deltas)] + [("gamma", lb) for lb in _labels(pieces)]
+
+
 class OpenBookDescription(Record):
     """The horizontal open book of a family: a genus-one page, its labeled
     boundaries and the ordered right-handed twist word.  It stores only the
     family; the labels and the word are built from ``family.page_pieces()``
     on each read, and the boundary count is the sum of the pieces.
-
-    The word is ("delta", 0), ..., then ("gamma", (i, j)) for the j-th
-    boundary on piece i, pieces numbered from 1, in label order.
 
     >>> from singlink.families import Cusp
     >>> OpenBookDescription(Cusp((4,))).twist_word
@@ -82,9 +85,7 @@ class OpenBookDescription(Record):
 
     @property
     def twist_word(self) -> tuple[tuple[str, int | BoundaryLabel], ...]:
-        deltas, pieces = self.family.page_pieces()
-        gammas = [("gamma", label) for label in _labels(pieces)]
-        return tuple([("delta", i) for i in range(deltas)] + gammas)
+        return tuple(_word(*self.family.page_pieces()))
 
     def curve_names(self, alphabet=("delta", "gamma", "_")) -> list[str]:
         """The twist word's names in an alphabet (delta, gamma, separator).
@@ -93,19 +94,18 @@ class OpenBookDescription(Record):
         delta, gamma, sep = alphabet
         deltas, pieces = self.family.page_pieces()
         one_piece = len(pieces) == 1
-        return [f"{delta}{i}" for i in range(deltas)] + [
-            f"{gamma}{j}" if one_piece else f"{gamma}{i}{sep}{j}" for i, j in _labels(pieces)
+        return [
+            f"{delta}{x}" if kind == "delta" else f"{gamma}{x[1]}" if one_piece
+            else f"{gamma}{x[0]}{sep}{x[1]}"
+            for kind, x in _word(deltas, pieces)
         ]
 
     def word_text(self) -> str:
         return "·".join(f"D({name})" for name in self.curve_names(("δ", "γ", ",")))
 
     def to_json_dict(self) -> dict:
-        return {
-            "genus": self.page_genus,
-            "boundaries": self.boundary_count,
-            "word": self.curve_names(),
-        }
+        word = self.curve_names()
+        return {"genus": self.page_genus, "boundaries": self.boundary_count, "word": word}
 
 
 class PageHomologyData(Record):

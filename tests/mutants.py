@@ -9,11 +9,11 @@ mutant that survives means the tests cannot see that edit: mend the
 tests, not the mutant.  An old text that is not found exactly once is an
 error, so the list cannot go stale quietly.
 
-Run it from anywhere, for every mutant or for those named:
+Run it from anywhere; it runs every mutant:
 
-    python tests/mutants.py [name ...]
+    python tests/mutants.py
 
-It exits 0 when every mutant run is caught and 1 otherwise.
+It exits 0 when every mutant is caught and 1 otherwise.
 """
 import os
 import shutil
@@ -121,21 +121,17 @@ def run(path: str, text: str, tests: list[str]) -> tuple[int, float]:
         return done.returncode, time.perf_counter() - start
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {m[0] for m in MUTANTS}
-    if unknown:
-        raise SystemExit(f"unknown mutants: {sorted(unknown)}")
-    chosen = [m for m in MUTANTS if not names or m[0] in names]
-    texts = [mutated(ROOT, path, old, new) for _, path, old, new, _ in chosen]  # none stale
+def main() -> int:
+    texts = [mutated(ROOT, path, old, new) for _, path, old, new, _ in MUTANTS]  # none stale
     survived = 0
-    for (name, path, _, _, tests), text in zip(chosen, texts):
+    for (name, path, _, _, tests), text in zip(MUTANTS, texts):
         code, seconds = run(path, text, tests)
         verdict = "caught" if code == 1 else f"NOT CAUGHT (pytest exit {code})"
         survived += code != 1
         print(f"{verdict:<28} {seconds:5.1f} s  {name}  [{' '.join(tests)}]", flush=True)
-    print(f"{len(chosen) - survived} of {len(chosen)} mutants caught")
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants caught")
     return int(survived > 0)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
