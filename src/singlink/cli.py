@@ -223,15 +223,14 @@ def _run_enumerate(request):
     # c1 evaluates to the rot vector, so each vector is read once for both
     if request.fmt == "json":
         # each slot's handle dict is built once per realizable rot and shared
-        spec, rotations = legendrian.TwoHandleSpec, legendrian.rotation_range
-        handle_json = [
-            {r: spec(*slot, r).to_json_dict() for r in rotations(*slot)}
+        slot_json = [
+            {r: legendrian.handle_json(*slot, r) for r in legendrian.rotation_range(*slot)}
             for slot in family.handle_slots()
         ]
         entries = []
         for rots in rot_vectors:
             rot = list(rots)
-            handles = [by_rot[r] for by_rot, r in zip(handle_json, rot)]
+            handles = [by_rot[r] for by_rot, r in zip(slot_json, rot)]
             entries.append({"rot": rot, "c1": rot, "handles": handles})
         return EXIT_OK, {
             "family": family.to_json_dict(),
@@ -249,7 +248,7 @@ def _canonical_json(diagram) -> dict:
     from . import invariants
 
     data = diagram.to_json_dict()
-    data["defects"] = [invariants.adjunction_defect(h) for h in diagram.handles]
+    data["defects"] = list(invariants.adjunction_defects(diagram))
     data["is_canonical"] = invariants.is_canonical(diagram)
     return data
 
@@ -263,7 +262,7 @@ def _run_canonical(request):
         return EXIT_OK, {s: _canonical_json(d) for s, d in diagrams.items()}
     lines = []
     for s, d in diagrams.items():
-        defects = ", ".join(str(invariants.adjunction_defect(h)) for h in d.handles)
+        defects = ", ".join(map(str, invariants.adjunction_defects(d)))
         lines.append(f"{s}: {d.to_text()}; adjunction defects ({defects})")
     return EXIT_OK, "\n".join(lines)
 

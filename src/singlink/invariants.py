@@ -4,9 +4,9 @@ First Chern class evaluations on handle surfaces equal rotation numbers.
 The adjunction formula framing - 2*genus + 2 is written once, as the
 adjunction vector of a handle pattern, one (genus, smooth framing) slot
 per handle: the rot vector at which every handle has zero adjunction
-defect.  A handle's defect is its rot minus its slot's entry of that
-vector, and a diagram is canonical when its whole rot vector equals the
-adjunction vector or its negative.  The Euler class of
+defect.  A diagram's defects are its rot vector minus that vector, and
+a diagram is canonical when its whole rot vector equals the adjunction
+vector or its negative.  The Euler class of
 the boundary contact structure lives in the cokernel of Q, the plumbing
 intersection form, which is the linking matrix of the Stein 2-handles; and
 the d3 invariant of a plane field with torsion Chern class is Gompf's
@@ -28,7 +28,7 @@ from operator import index
 
 from ._record import Record
 from .families import Family, UnsupportedPresentation
-from .legendrian import SteinHandleDiagram, TwoHandleSpec
+from .legendrian import SteinHandleDiagram
 from .linalg import SnfResult, dot, smith_normal_form, symmetric_signature
 from .linalg import two_column_cokernel
 from .openbook import OpenBookDescription, openbook_homology
@@ -41,7 +41,7 @@ __all__ = [
     "HomologyAgreement",
     "FamilyReduction",
     "adjunction_vector",
-    "adjunction_defect",
+    "adjunction_defects",
     "is_canonical",
     "euler_class",
     "d3_supported",
@@ -66,11 +66,11 @@ def adjunction_vector(slots) -> tuple[int, ...]:
     return tuple([framing - 2 * genus + 2 for genus, framing in slots])
 
 
-def adjunction_defect(handle: TwoHandleSpec) -> int:
-    """rot minus the handle's entry of the adjunction vector; zero exactly
-    at adjunction equality."""
-    (target,) = adjunction_vector(((handle.genus, handle.smooth_framing),))
-    return handle.rot - target
+def adjunction_defects(diagram: SteinHandleDiagram) -> tuple[int, ...]:
+    """The rot vector minus the adjunction vector, one defect per handle;
+    a handle's defect is zero exactly at adjunction equality."""
+    c = adjunction_vector(diagram.family.handle_slots())
+    return tuple([r - x for r, x in zip(diagram.rot_vector, c)])
 
 
 def is_canonical(diagram: SteinHandleDiagram) -> bool:

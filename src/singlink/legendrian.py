@@ -5,7 +5,9 @@ tb - 1.  Stabilizing trades tb for rotation number, two units of rot per
 pair of zigzags.  A handle in the slot (g, f), its attaching circle of
 capped genus g and so of maximal Thurston-Bennequin invariant
 tb_max = 2g - 1, at smooth framing f, realizes exactly the rotation
-numbers {-s, -s+2, ..., s} with s = tb_max - 1 - f.
+numbers {-s, -s+2, ..., s} with s = tb_max - 1 - f.  A 2-handle is no
+record of its own: it is the triple (g, f, rot) of its slot and its
+rotation number, and ``handle_json`` writes it out with tb = f + 1.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ __all__ = [
     "FramingTooLarge",
     "tb_max",
     "rotation_range",
-    "TwoHandleSpec",
+    "handle_json",
     "SteinHandleDiagram",
     "filling_rot_vectors",
     "enumerate_stein_fillings",
@@ -58,8 +60,9 @@ def rotation_range(genus: int, framing: int) -> tuple[int, ...]:
 
 
 def _stabilization_budget(genus: int, framing: int) -> int:
-    """s = tb_max - 1 - framing, the largest realizable |rot|."""
-    s = tb_max(genus) - 1 - framing
+    """s = tb_max - 1 - framing, the largest realizable |rot|: TypeError
+    unless the framing is an int, as for the genus."""
+    s = tb_max(genus) - 1 - index(framing)
     if s < 0:
         raise FramingTooLarge(
             f"framing {framing} exceeds tb_max - 1 = {tb_max(genus) - 1} for genus {genus}"
@@ -77,30 +80,13 @@ def _check_rot(genus: int, framing: int, rot) -> int:
     return rot
 
 
-class TwoHandleSpec(Record):
-    """A Stein 2-handle: the genus of its capped attaching circle, its
-    smooth framing, a rotation within the realizable set and tb = framing + 1."""
+def handle_json(genus: int, framing: int, rot: int) -> dict:
+    """The JSON of the 2-handle (genus, framing, rot), with tb = framing + 1.
 
-    __slots__ = ("genus", "smooth_framing", "rot")
-
-    def __init__(self, genus: int, smooth_framing: int, rot: int):
-        genus, smooth_framing = index(genus), index(smooth_framing)
-        rot = _check_rot(genus, smooth_framing, rot)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "smooth_framing", smooth_framing)
-        object.__setattr__(self, "rot", rot)
-
-    @property
-    def tb(self) -> int:
-        return self.smooth_framing + 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "framing": self.smooth_framing,
-            "tb": self.tb,
-            "rot": self.rot,
-            "genus": self.genus,
-        }
+    >>> handle_json(0, -3, -1)
+    {'framing': -3, 'tb': -2, 'rot': -1, 'genus': 0}
+    """
+    return {"framing": framing, "tb": framing + 1, "rot": rot, "genus": genus}
 
 
 _set = object.__setattr__
@@ -111,9 +97,9 @@ class SteinHandleDiagram(Record):
 
     In Gompf's standard form the family's handle slots and one rotation
     number per slot fix the diagram, so that is all it stores: each rot is
-    checked against its slot's stabilization budget, and the 2-handles
-    are built from the slots on each read.  The 1-handle count is the
-    family's.
+    checked against its slot's stabilization budget, and a 2-handle is the
+    triple (genus, smooth framing, rot) of its slot and its rotation
+    number.  The 1-handle count is the family's.
     """
 
     __slots__ = ("family", "rot_vector")
@@ -131,26 +117,26 @@ class SteinHandleDiagram(Record):
         return self.family.one_handle_count
 
     @property
-    def handles(self) -> tuple[TwoHandleSpec, ...]:
+    def handles(self) -> tuple[tuple[int, int, int], ...]:
+        """The (genus, smooth framing, rot) triple of each 2-handle."""
         slots = self.family.handle_slots()
-        return tuple([TwoHandleSpec(*slot, r) for slot, r in zip(slots, self.rot_vector)])
+        return tuple([(*slot, r) for slot, r in zip(slots, self.rot_vector)])
 
     def to_json_dict(self) -> dict:
         return {
             "family": self.family.to_json_dict(),
             "one_handles": self.one_handle_count,
-            "handles": [h.to_json_dict() for h in self.handles],
+            "handles": [handle_json(*h) for h in self.handles],
         }
 
     def to_text(self) -> str:
         parts = []
-        for h in self.handles:
-            s = _stabilization_budget(h.genus, h.smooth_framing)
-            left = (s - h.rot) // 2
-            right = (s + h.rot) // 2
+        for genus, framing, rot in self.handles:
+            s = _stabilization_budget(genus, framing)
+            h = handle_json(genus, framing, rot)
             parts.append(
-                f"framing {h.smooth_framing}, tb {h.tb}, rot {h.rot} "
-                f"({left} left / {right} right zigzags)"
+                f"framing {framing}, tb {h['tb']}, rot {rot} "
+                f"({(s - rot) // 2} left / {(s + rot) // 2} right zigzags)"
             )
         return f"{self.one_handle_count} one-handles; " + "; ".join(parts)
 

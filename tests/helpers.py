@@ -37,7 +37,7 @@ from operator import mul
 
 from singlink import invariants, legendrian, linalg, openbook
 from singlink.families import Cusp, Elliptic, UnsupportedPresentation
-from singlink.legendrian import SteinHandleDiagram, TwoHandleSpec, rotation_range
+from singlink.legendrian import SteinHandleDiagram, rotation_range
 from singlink.linalg import (
     determinant,
     dot,
@@ -362,7 +362,7 @@ def verify_family_reference(family):
     fillings = legendrian.enumerate_stein_fillings(family)
     canonical = [d for d in fillings if invariants.is_canonical(d)]
     zero_defect = [
-        d for d in fillings if all(invariants.adjunction_defect(h) == 0 for h in d.handles)
+        d for d in fillings if not any(invariants.adjunction_defects(d))
     ]
     checks.append(("stein filling count", len(fillings) == count))
     checks.append(
@@ -487,16 +487,19 @@ def stein_fillings_oracle(family):
 
     Each handle's genus and framing are read off the plumbing graph by
     ``handle_slots_oracle``, not from the library's handle pattern, and
-    every handle's tb is checked against the framing.
+    each diagram's handle JSON is checked against dicts written out here,
+    with tb = framing + 1.
     """
     slots = handle_slots_oracle(family)
     ranges = [rotation_range(g, f) for g, f in slots]
     diagrams = []
     for rots in itertools.product(*ranges):
-        handles = tuple(TwoHandleSpec(g, f, rot) for (g, f), rot in zip(slots, rots))
-        assert [handle.tb for handle in handles] == [f + 1 for _, f in slots]
+        handles = tuple((g, f, rot) for (g, f), rot in zip(slots, rots))
         diagram = SteinHandleDiagram(family, rots)
         assert diagram.handles == handles
+        assert diagram.to_json_dict()["handles"] == [
+            {"framing": f, "tb": f + 1, "rot": rot, "genus": g} for g, f, rot in handles
+        ]
         diagrams.append(diagram)
     return tuple(diagrams)
 

@@ -94,6 +94,48 @@ MUTANTS = [
         "q > 0 and root < p <= root + q",
         ["tests/test_sl2z.py"],
     ),
+    (
+        "signature skips the column step on a zero diagonal",
+        "src/singlink/linalg.py",
+        "            _add_column(rows.values(), p, j, 1)\n",
+        "",
+        ["tests/test_smith.py"],
+    ),
+    (
+        "boundary free rank counts each genus once",
+        "src/singlink/plumbing.py",
+        "self.first_betti() + 2 * self.total_genus()",
+        "self.first_betti() + self.total_genus()",
+        ["tests/test_plumbing.py"],
+    ),
+    (
+        "SNF pivot ties ignore the Markowitz count",
+        "src/singlink/linalg.py",
+        "((len(a[i]) - 1) * (col_count[j] - 1), i, j)",
+        "(0, i, j)",
+        ["tests/test_smith.py"],
+    ),
+    (
+        "two-column cokernel takes the minors' gcd as d2",
+        "src/singlink/linalg.py",
+        "minors // d1 if minors",
+        "minors if minors",
+        ["tests/test_smith.py", "tests/test_openbook.py"],
+    ),
+    (
+        "a rot of the wrong parity is realizable",
+        "src/singlink/legendrian.py",
+        "abs(rot) > s or (s - rot) % 2",
+        "abs(rot) > s",
+        ["tests/test_legendrian.py"],
+    ),
+    (
+        "handle JSON writes tb as the framing",
+        "src/singlink/legendrian.py",
+        '"tb": framing + 1',
+        '"tb": framing',
+        ["tests/test_legendrian.py"],
+    ),
 ]
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from singlink.cli import parse_args, run
 from singlink.families import Cusp, Elliptic
 from singlink.invariants import (
-    adjunction_defect,
+    adjunction_defects,
     d3_invariant,
     euler_class,
     homology_cross_check,
@@ -39,7 +39,7 @@ def test_criterion_01_elliptic_counting():
         for n in range(1, 11):
             fillings = enumerate_stein_fillings(Elliptic(n))
             assert len(fillings) == n + 1
-            rots = [d.handles[0].rot for d in fillings]
+            rots = [d.rot_vector[0] for d in fillings]
             assert rots == list(range(-n, n + 1, 2))
 
 
@@ -53,7 +53,7 @@ def test_criterion_02_cusp_counting():
             assert len(fillings) == expected
             entries = word.entries
             for position, n in enumerate(entries):
-                observed = sorted({d.handles[position].rot for d in fillings})
+                observed = sorted({d.rot_vector[position] for d in fillings})
                 assert observed == list(range(2 - n, n - 1, 2))
 
 
@@ -107,15 +107,14 @@ def test_criterion_07_adjunction_uniqueness():
             minimal = canonical_filling(family, "min")
             maximal = canonical_filling(family, "max")
             direct = [
-                d for d in fillings if all(adjunction_defect(h) == 0 for h in d.handles)
+                d for d in fillings if all(defect == 0 for defect in adjunction_defects(d))
             ]
             assert direct == [minimal]
             negated = [
                 d
                 for d in fillings
                 if all(
-                    -h.rot - (h.smooth_framing - 2 * h.genus + 2) == 0
-                    for h in d.handles
+                    -rot - (framing - 2 * genus + 2) == 0 for genus, framing, rot in d.handles
                 )
             ]
             assert negated == [maximal]

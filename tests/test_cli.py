@@ -28,12 +28,26 @@ from singlink.legendrian import canonical_filling
 from singlink.linalg import SnfResult
 from singlink.sl2z import Sl2Matrix
 
-from helpers import counted_linalg, counted_snf, mat_vec, presentation_oracle, suite_families
+from helpers import (
+    counted_linalg,
+    counted_snf,
+    handle_slots_oracle,
+    mat_vec,
+    presentation_oracle,
+    suite_families,
+)
 
 
 def run_cli(args):
     request = parse_args(args)
     return run(request)
+
+
+def family_argv(family) -> list[str]:
+    """The --elliptic or --cusp flag and value that name the family."""
+    if isinstance(family, Elliptic):
+        return ["--elliptic", str(family.n)]
+    return ["--cusp", ",".join(map(str, family.word))]
 
 
 def test_parse_classify():
@@ -329,6 +343,44 @@ def test_canonical_output():
     assert data["min"]["handles"][0]["rot"] == -5
 
 
+def check_handle_json(family):
+    """Each canonical diagram's handles from ``canonical --json`` are the
+    handles of the ``enumerate --json`` entry at its rot vector, and both
+    are the dicts written out here from the plumbing graph's slots."""
+    canonical = json.loads(run_cli(["canonical", *family_argv(family), "--json"])[1])
+    fillings = json.loads(run_cli(["enumerate", *family_argv(family), "--json"])[1])["fillings"]
+    by_rot = {tuple(entry["rot"]): entry["handles"] for entry in fillings}
+    slots = handle_slots_oracle(family)
+    for sign, unit in (("min", 1), ("max", -1)):
+        expected = [
+            {"framing": f, "tb": f + 1, "rot": unit * (f - 2 * g + 2), "genus": g} for g, f in slots
+        ]
+        handles = canonical[sign]["handles"]
+        assert handles == expected, (family, sign)
+        assert by_rot[tuple(h["rot"] for h in handles)] == expected, (family, sign)
+
+
+# an enumeration's JSON grows with its diagram count, so each example lists
+# at most this many; the words still reach k = 6 and entries 9
+HANDLE_JSON_DIAGRAMS = 4096
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(2, 9), min_size=1, max_size=6)
+    .filter(lambda e: max(e) >= 3)
+    .map(lambda e: Cusp(tuple(e)))
+    .filter(lambda family: family.filling_count <= HANDLE_JSON_DIAGRAMS)
+)
+def test_canonical_and_enumerate_write_the_same_handle_json(family):
+    check_handle_json(family)
+
+
+def test_canonical_and_enumerate_write_the_same_elliptic_handle_json():
+    for n in range(1, 41):
+        check_handle_json(Elliptic(n))
+
+
 def test_invariants_euler_example():
     code, payload = run_cli(["invariants", "--cusp", "2,2,3", "--euler", "--sign", "min", "--json"])
     assert code == EXIT_OK
@@ -369,10 +421,7 @@ def test_euler_witnesses_are_indexed_as_the_surgery_framings():
     # one entry per surgery framing and the padded presentation maps it to
     # the canonical rot vector with 2 * genus zeros in front
     for family in suite_families():
-        if isinstance(family, Elliptic):
-            flag = ["--elliptic", str(family.n)]
-        else:
-            flag = ["--cusp", ",".join(map(str, family.word))]
+        flag = family_argv(family)
         _, surgery = run_cli(["surgery", *flag, "--json"])
         framings = json.loads(surgery)["framings"]
         _, report = run_cli(["inv", *flag, "--json"])

@@ -11,7 +11,7 @@ from singlink.invariants import (
     CohomologyClassRep,
     DimensionMismatch,
     FamilyReduction,
-    adjunction_defect,
+    adjunction_defects,
     adjunction_vector,
     d3_invariant,
     euler_class,
@@ -20,14 +20,13 @@ from singlink.invariants import (
 )
 from singlink.legendrian import (
     SteinHandleDiagram,
-    TwoHandleSpec,
     canonical_filling,
     enumerate_stein_fillings,
     rotation_range,
 )
 from singlink.linalg import AbelianGroup, SnfResult, dot, smith_normal_form, solve_rational
 from singlink.plumbing import boundary_homology, intersection_matrix
-from singlink.sl2z import CycleWord, Sl2Matrix
+from singlink.sl2z import CycleWord, Sl2Matrix, cycle_monodromy, cyclic_equal, factor_cycle
 
 from helpers import (
     _fraction_solve,
@@ -44,11 +43,11 @@ from helpers import (
 
 
 def test_adjunction_defect_fixed():
-    assert adjunction_defect(TwoHandleSpec(0, -2, 0)) == 0
+    # slots (0, -2), (0, -3), (0, -4): the last handle's defect is 2 at rot 0
+    diagram = SteinHandleDiagram(Cusp(CycleWord((2, 3, 4))), (0, -1, 0))
+    assert adjunction_defects(diagram) == (0, 0, 2)
     for n in (1, 4, 9):
-        handle = TwoHandleSpec(1, -n, -n)
-        assert adjunction_defect(handle) == 0
-    assert adjunction_defect(TwoHandleSpec(0, -4, 0)) == 2
+        assert adjunction_defects(SteinHandleDiagram(Elliptic(n), (-n,))) == (0,)
 
 
 def test_adjunction_vector_is_the_minimal_canonical_rot_vector_over_suite():
@@ -56,9 +55,9 @@ def test_adjunction_vector_is_the_minimal_canonical_rot_vector_over_suite():
         c = adjunction_vector(family.handle_slots())
         assert c == canonical_filling(family, "min").rot_vector, family
         for d in enumerate_stein_fillings(family):
-            defects = [adjunction_defect(h) for h in d.handles]
-            assert defects == adjunction_defects_oracle(d), family
-            assert defects == [r - t for r, t in zip(d.rot_vector, c)], family
+            defects = adjunction_defects(d)
+            assert list(defects) == adjunction_defects_oracle(d), family
+            assert defects == tuple(r - t for r, t in zip(d.rot_vector, c)), family
 
 
 def test_is_canonical_examples():
@@ -89,16 +88,13 @@ def test_adjunction_uniqueness_over_suite():
         minimal = canonical_filling(family, "min")
         maximal = canonical_filling(family, "max")
         direct = [
-            d for d in fillings if all(adjunction_defect(h) == 0 for h in d.handles)
+            d for d in fillings if all(defect == 0 for defect in adjunction_defects(d))
         ]
         assert direct == [minimal]
         negated = [
             d
             for d in fillings
-            if all(
-                -h.rot - (h.smooth_framing - 2 * h.genus + 2) == 0
-                for h in d.handles
-            )
+            if all(-rot - (framing - 2 * genus + 2) == 0 for genus, framing, rot in d.handles)
         ]
         assert negated == [maximal]
         canonical = [d for d in fillings if is_canonical(d)]
@@ -194,6 +190,43 @@ def test_euler_class_order_and_solution_match_the_rational_solve(case):
     assert rep.order == lcm(*[y.denominator for y in x])
     assert rep.is_zero is all(y.denominator == 1 for y in x)
     assert (rep.witness is None) is not rep.is_zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(cusp_classes(), st.integers(0, 7))
+def test_rotating_or_reversing_the_word_permutes_the_invariants(case, shift):
+    # a rotation or the reversal of the cycle word renumbers the vertices of
+    # the plumbing cycle: the H_1 groups and the diagram count stay, and
+    # each per-handle vector permutes with the word
+    family, rots = case
+    entries = family.word.entries
+    shift %= len(entries)
+
+    def rotate(v):
+        return tuple(v[shift:]) + tuple(v[:shift])
+
+    def reverse(v):
+        return tuple(reversed(v))
+
+    report = homology_cross_check(family)
+    groups = (report.plumbing, report.monodromy, report.openbook)
+    order = euler_class(family, rots).order
+    signs = ("min", "max")
+    canonical = [canonical_filling(family, s).rot_vector for s in signs]
+    witnesses = [euler_class(family, r).witness for r in canonical]
+    for permute in (rotate, reverse):
+        other = Cusp(CycleWord(permute(entries)))
+        report = homology_cross_check(other)
+        assert (report.plumbing, report.monodromy, report.openbook) == groups, other
+        assert other.filling_count == family.filling_count, other
+        assert euler_class(other, permute(rots)).order == order, other
+        for sign, witness in zip(signs, witnesses):
+            rep = euler_class(other, canonical_filling(other, sign).rot_vector)
+            assert rep.witness == permute(witness), (other, sign)
+    # the reversed word's monodromy is the transpose conjugated by diag(1, -1)
+    a = cycle_monodromy(family.word)
+    transposed = factor_cycle(Sl2Matrix(a.a, -a.c, -a.b, a.d))
+    assert cyclic_equal(transposed, CycleWord(reverse(entries)))
 
 
 def test_euler_class_dimension_mismatch():

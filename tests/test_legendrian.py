@@ -17,10 +17,10 @@ from singlink.invariants import d3_invariant
 from singlink.legendrian import (
     FramingTooLarge,
     SteinHandleDiagram,
-    TwoHandleSpec,
     canonical_filling,
     enumerate_stein_fillings,
     filling_rot_vectors,
+    handle_json,
     rotation_range,
     tb_max,
 )
@@ -60,33 +60,36 @@ def test_rotation_range_symmetric_constant_parity():
 
 
 def test_two_handle_validation():
+    # a 2-handle is its slot and its rot: the diagram checks each rot
+    # against its slot, here (0, -3) twice, and handle_json writes tb
+    family = Cusp(CycleWord((3, 3)))
+    assert family.handle_slots() == ((0, -3), (0, -3))
     with pytest.raises(ValueError, match="not realizable"):
-        TwoHandleSpec(0, -3, 0)  # parity breaks
+        SteinHandleDiagram(family, (-1, 0))  # parity breaks
     with pytest.raises(ValueError, match="not realizable"):
-        TwoHandleSpec(0, -3, 3)  # out of range
+        SteinHandleDiagram(family, (3, -1))  # out of range
     with pytest.raises(FramingTooLarge):
-        TwoHandleSpec(0, -1, 0)  # tb 0 exceeds tb_max = -1
-    handle = TwoHandleSpec(0, -3, -1)
-    assert handle.to_json_dict() == {"framing": -3, "tb": -2, "rot": -1, "genus": 0}
-    assert TwoHandleSpec(1, -3, -3).to_json_dict() == {
-        "framing": -3, "tb": -2, "rot": -3, "genus": 1
-    }
+        rotation_range(0, -1)  # tb 0 exceeds tb_max = -1
+    diagram = SteinHandleDiagram(family, (-1, 1))
+    assert diagram.handles == ((0, -3, -1), (0, -3, 1))
+    assert handle_json(*diagram.handles[0]) == {"framing": -3, "tb": -2, "rot": -1, "genus": 0}
+    assert handle_json(1, -3, -3) == {"framing": -3, "tb": -2, "rot": -3, "genus": 1}
     with pytest.raises(TypeError):  # tb is not a parameter
-        TwoHandleSpec(0, -3, 0, -2)
-    genus = TwoHandleSpec(True, -3, -3).genus  # stored as the int it stands for
-    assert genus == 1 and type(genus) is int
+        handle_json(0, -3, 0, -2)
+    rot = SteinHandleDiagram(family, (True, -1)).rot_vector[0]  # stored as the int it stands for
+    assert rot == 1 and type(rot) is int
     # a float framing would give a float tb
+    for framing in (-3.0, Fraction(-3)):
+        with pytest.raises(TypeError):
+            rotation_range(1, framing)
     with pytest.raises(TypeError):
-        TwoHandleSpec(1, -3.0, -3)
-    with pytest.raises(TypeError):
-        TwoHandleSpec(1, -3, -3.0)
+        SteinHandleDiagram(Elliptic(3), (-3.0,))
 
 
 # each rule that reads a genus, called at a slot it accepts when the genus is 1
 GENUS_RULES = {
     "tb_max": tb_max,
     "rotation_range": lambda genus: rotation_range(genus, -3),
-    "TwoHandleSpec": lambda genus: TwoHandleSpec(genus, -3, -3),
 }
 
 
@@ -108,13 +111,14 @@ def test_enumerate_elliptic_counts_and_sets():
     for n in range(1, 11):
         fillings = enumerate_stein_fillings(Elliptic(n))
         assert len(fillings) == n + 1
-        rots = [d.handles[0].rot for d in fillings]
+        rots = [d.rot_vector[0] for d in fillings]
         assert rots == list(range(-n, n + 1, 2))
         for d in fillings:
             assert d.one_handle_count == 2
-            handle = d.handles[0]
-            assert handle.genus == 1
-            assert handle.smooth_framing == -n == handle.tb - 1
+            assert d.handles == ((1, -n, d.rot_vector[0]),)
+            (handle,) = d.to_json_dict()["handles"]
+            assert handle["genus"] == 1
+            assert handle["framing"] == -n == handle["tb"] - 1
 
 
 def test_enumerate_cusp_counts():
@@ -126,22 +130,20 @@ def test_enumerate_cusp_counts():
         assert len(fillings) == expected
         for d in fillings:
             assert d.one_handle_count == 1
-            for h in d.handles:
-                assert h.smooth_framing == h.tb - 1
+            for h in d.to_json_dict()["handles"]:
+                assert h["framing"] == h["tb"] - 1
 
 
 def test_enumerate_cusp_structure():
     fillings = enumerate_stein_fillings(Cusp(CycleWord((2, 2, 3))))
     assert [d.rot_vector for d in fillings] == [(0, 0, -1), (0, 0, 1)]
     for d in fillings:
-        assert [h.genus for h in d.handles] == [0] * 3
-        assert [h.smooth_framing for h in d.handles] == [-2, -2, -3]
+        assert [genus for genus, _, _ in d.handles] == [0] * 3
+        assert [framing for _, framing, _ in d.handles] == [-2, -2, -3]
 
     nodal = enumerate_stein_fillings(Cusp(CycleWord((4,))))
     assert [d.rot_vector for d in nodal] == [(-2,), (0,), (2,)]
-    handle = nodal[0].handles[0]
-    assert handle.genus == 1
-    assert handle.smooth_framing == -2
+    assert nodal[0].handles == ((1, -2, -2),)
 
 
 def test_enumeration_is_lexicographic():
@@ -166,9 +168,6 @@ def test_enumeration_matches_per_diagram_oracle_on_large_words(word):
 
 
 def test_enumeration_builds_no_handle_and_reads_the_pattern_once(monkeypatch):
-    def refuse(self, *args):
-        raise AssertionError("the enumeration built a TwoHandleSpec")
-
     for family in [Elliptic(6), Cusp(CycleWord((3, 4, 5))), Cusp(CycleWord(LARGE_WORDS[0]))]:
         expected = stein_fillings_oracle(family)
         patterns = []
@@ -179,7 +178,6 @@ def test_enumeration_builds_no_handle_and_reads_the_pattern_once(monkeypatch):
             return handle_slots(f)
 
         with monkeypatch.context() as m:
-            m.setattr(TwoHandleSpec, "__init__", refuse)
             m.setattr(type(family), "handle_slots", counting_slots)
             fillings = enumerate_stein_fillings(family)
         assert patterns == [family]
@@ -219,7 +217,7 @@ def test_diagram_validation():
         assert diagram.rot_vector == rots and type(diagram.rot_vector) is tuple
         assert diagram.one_handle_count == family.one_handle_count
         slots = family.handle_slots()
-        assert diagram.handles == tuple(TwoHandleSpec(*slot, r) for slot, r in zip(slots, rots))
+        assert diagram.handles == tuple((*slot, r) for slot, r in zip(slots, rots))
         with pytest.raises(TypeError):  # the 1-handle count is the family's
             SteinHandleDiagram(family, 2, rots)
         with pytest.raises(TypeError):  # a diagram is its rot vector, not its handles
@@ -262,10 +260,10 @@ def test_canonical_rot_equals_framing_rule():
     for family in suite_families():
         minimal = canonical_filling(family, "min")
         maximal = canonical_filling(family, "max")
-        for h_min, h_max in zip(minimal.handles, maximal.handles):
-            target = h_min.smooth_framing - 2 * h_min.genus + 2
-            assert h_min.rot == target
-            assert h_max.rot == -target
+        for (genus, framing, r_min), (_, _, r_max) in zip(minimal.handles, maximal.handles):
+            target = framing - 2 * genus + 2
+            assert r_min == target
+            assert r_max == -target
         assert maximal.rot_vector == tuple(-r for r in minimal.rot_vector)
 
 
@@ -311,9 +309,9 @@ def test_contact_surgery_elliptic_frozen():
     # 2-handle (tb 0, so framing -1), with the padded Q as their linking
     # matrix, gives the d3 that Gompf's formula gives on the 2-handle alone
     diagram = canonical_filling(Elliptic(1), "min")
-    (handle,) = diagram.handles
+    (handle,) = diagram.to_json_dict()["handles"]
     assert diagram.one_handle_count == 2
-    assert (handle.tb, handle.rot, handle.smooth_framing) == (0, -1, -1)
+    assert (handle["tb"], handle["rot"], handle["framing"]) == (0, -1, -1)
     assert presentation_oracle(diagram.family) == ((0, 0, 0), (0, 0, 0), (0, 0, -1))
     # c^2 = -1, sigma = -1, chi = 4 and q = 2
     assert d3_invariant(diagram) == Fraction(-1 + 3 - 8, 4) + 2
@@ -348,9 +346,6 @@ def test_json_shapes():
 
 def test_diagram_limit_is_checked_before_any_handle(monkeypatch):
     built = []
-    monkeypatch.setattr(
-        legendrian, "TwoHandleSpec", lambda *a: built.append(a) or TwoHandleSpec(*a)
-    )
     monkeypatch.setattr(
         legendrian, "rotation_range", lambda *a: built.append(a) or rotation_range(*a)
     )
