@@ -244,26 +244,33 @@ def _run_enumerate(request):
     return EXIT_OK, "\n".join([f"count {len(lines)}", *lines])
 
 
-def _canonical_json(diagram) -> dict:
-    from . import invariants
-
-    data = diagram.to_json_dict()
-    data["defects"] = list(invariants.adjunction_defects(diagram))
-    data["is_canonical"] = invariants.is_canonical(diagram)
-    return data
-
-
 def _run_canonical(request):
     from . import invariants, legendrian
 
+    family = request.family
+    slots = family.handle_slots()
     signs = (request.sign,) if request.sign else ("min", "max")
-    diagrams = {s: legendrian.canonical_filling(request.family, s) for s in signs}
+    data, lines = {}, []
+    for s in signs:
+        rots = legendrian.canonical_filling(family, s)
+        handles = [(*slot, r) for slot, r in zip(slots, rots)]
+        defects = invariants.adjunction_defects(slots, rots)
+        if request.fmt == "json":
+            data[s] = {
+                "family": family.to_json_dict(),
+                "one_handles": family.one_handle_count,
+                "handles": [legendrian.handle_json(*h) for h in handles],
+                "defects": list(defects),
+                "is_canonical": invariants.is_canonical(slots, rots),
+            }
+        else:
+            text = "; ".join([legendrian.handle_text(*h) for h in handles])
+            lines.append(
+                f"{s}: {family.one_handle_count} one-handles; {text}; "
+                f"adjunction defects ({', '.join(map(str, defects))})"
+            )
     if request.fmt == "json":
-        return EXIT_OK, {s: _canonical_json(d) for s, d in diagrams.items()}
-    lines = []
-    for s, d in diagrams.items():
-        defects = ", ".join(map(str, invariants.adjunction_defects(d)))
-        lines.append(f"{s}: {d.to_text()}; adjunction defects ({defects})")
+        return EXIT_OK, data
     return EXIT_OK, "\n".join(lines)
 
 
@@ -275,7 +282,7 @@ def _run_invariants(request):
     if request.d3:  # a cusp is refused before Q is reduced
         check_d3_supported(family, family.graph())
     signs = (request.sign,) if request.sign else ("min", "max")
-    rots = [legendrian.canonical_filling(family, s).rot_vector for s in signs]
+    rots = [legendrian.canonical_filling(family, s) for s in signs]
     reduction = FamilyReduction(family)
     reps = reduction.euler_classes(rots)
     # each witness is printed with a 0 per genus 1-handle in front, indexed

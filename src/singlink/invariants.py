@@ -4,17 +4,17 @@ First Chern class evaluations on handle surfaces equal rotation numbers.
 The adjunction formula framing - 2*genus + 2 is written once, as the
 adjunction vector of a handle pattern, one (genus, smooth framing) slot
 per handle: the rot vector at which every handle has zero adjunction
-defect.  A diagram's defects are its rot vector minus that vector, and
-a diagram is canonical when its whole rot vector equals the adjunction
-vector or its negative.  The Euler class of
-the boundary contact structure lives in the cokernel of Q, the plumbing
-intersection form, which is the linking matrix of the Stein 2-handles; and
-the d3 invariant of a plane field with torsion Chern class is Gompf's
-(c^2 - 3*sigma(Q) - 2*chi)/4 on the Stein filling, chi = 1 - #1-handles +
-#2-handles, normalized so the standard tight 3-sphere has d3 = -1/2.  Q is
-nonsingular for every family (|det Q| = trace - 2 for a cusp, n for
-Elliptic(n)), so every class is torsion: its record keeps its order k and
-one integer solution y of Q y = k*c, and c^2 = y.c / k.
+defect.  A Stein diagram is its rot vector: its defects are that vector
+minus the adjunction vector of the family's slots, and it is canonical
+when the whole rot vector equals the adjunction vector or its negative.
+The Euler class of the boundary contact structure lives in the cokernel
+of Q, the plumbing intersection form, which is the linking matrix of the
+Stein 2-handles; and the d3 invariant of a plane field with torsion Chern
+class is Gompf's (c^2 - 3*sigma(Q) - 2*chi)/4 on the Stein filling, chi =
+1 - #1-handles + #2-handles, normalized so the standard tight 3-sphere has
+d3 = -1/2.  Q is nonsingular for every family (|det Q| = trace - 2 for a
+cusp, n for Elliptic(n)), so every class is torsion: its record keeps its
+order k and one integer solution y of Q y = k*c, and c^2 = y.c / k.
 
 ``FamilyReduction(family)`` reduces Q once for the three things that rest
 on it, the Euler classes, the d3 invariants and the three-way H_1;
@@ -28,7 +28,7 @@ from operator import index
 
 from ._record import Record
 from .families import Family, UnsupportedPresentation
-from .legendrian import SteinHandleDiagram
+from .legendrian import check_rot_vector
 from .linalg import SnfResult, dot, smith_normal_form, symmetric_signature
 from .linalg import two_column_cokernel
 from .openbook import OpenBookDescription, openbook_homology
@@ -66,15 +66,19 @@ def adjunction_vector(slots) -> tuple[int, ...]:
     return tuple([framing - 2 * genus + 2 for genus, framing in slots])
 
 
-def adjunction_defects(diagram: SteinHandleDiagram) -> tuple[int, ...]:
-    """The rot vector minus the adjunction vector, one defect per handle;
-    a handle's defect is zero exactly at adjunction equality."""
-    c = adjunction_vector(diagram.family.handle_slots())
-    return tuple([r - x for r, x in zip(diagram.rot_vector, c)])
+def adjunction_defects(slots, rot_vector) -> tuple[int, ...]:
+    """The rot vector minus the adjunction vector of the slots, one defect
+    per handle; a handle's defect is zero exactly at adjunction equality.
+
+    >>> adjunction_defects([(0, -2), (0, -3), (0, -4)], (0, -1, 0))
+    (0, 0, 2)
+    """
+    c = adjunction_vector(slots)
+    return tuple([r - x for r, x in zip(rot_vector, c)])
 
 
-def is_canonical(diagram: SteinHandleDiagram) -> bool:
-    """True when the rot vector is the handles' adjunction vector c or -c.
+def is_canonical(slots, rot_vector) -> bool:
+    """True when the rot vector is the slots' adjunction vector c or -c.
 
     At c every handle realizes adjunction equality; -c is the same diagram
     with the orientation of every attaching circle reversed, which negates
@@ -82,8 +86,8 @@ def is_canonical(diagram: SteinHandleDiagram) -> bool:
     rot = -c, so this is adjunction equality on every handle after a
     possible reversal, decided by one comparison of whole vectors.
     """
-    c = adjunction_vector(diagram.family.handle_slots())
-    return diagram.rot_vector in (c, tuple(-x for x in c))
+    c = adjunction_vector(slots)
+    return tuple(rot_vector) in (c, tuple(-x for x in c))
 
 
 class CohomologyClassRep(Record):
@@ -145,13 +149,16 @@ def check_d3_supported(family: Family, graph: PlumbingGraph) -> None:
         raise UnsupportedPresentation(message)
 
 
-def d3_invariant(diagram: SteinHandleDiagram):
-    """d3 invariant, a Fraction, of the contact structure of the Stein
-    diagram alone, a cusp refused on its graph before Q is reduced."""
-    family = diagram.family
+def d3_invariant(family: Family, rot_vector):
+    """d3 invariant, a Fraction, of the contact structure of the one Stein
+    diagram of the family with the given rot vector.  A cusp is refused on
+    its graph before the vector is checked and before Q is reduced; a
+    vector that ``check_rot_vector`` refuses raises ValueError or
+    TypeError."""
     check_d3_supported(family, family.graph())
+    rots = check_rot_vector(family, rot_vector)
     reduction = FamilyReduction(family)
-    return reduction.d3_invariants(reduction.euler_classes((diagram.rot_vector,)))[0]
+    return reduction.d3_invariants(reduction.euler_classes((rots,)))[0]
 
 
 class HomologyAgreement(Record):
@@ -242,7 +249,7 @@ class FamilyReduction(Record):
         >>> from singlink.families import Elliptic
         >>> from singlink.legendrian import canonical_filling
         >>> reduction = FamilyReduction(Elliptic(5))
-        >>> rots = [canonical_filling(Elliptic(5), sign).rot_vector for sign in ("min", "max")]
+        >>> rots = [canonical_filling(Elliptic(5), sign) for sign in ("min", "max")]
         >>> [str(d3) for d3 in reduction.d3_invariants(reduction.euler_classes(rots))]
         ['-1/2', '-1/2']
         """

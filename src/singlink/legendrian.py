@@ -8,13 +8,19 @@ tb_max = 2g - 1, at smooth framing f, realizes exactly the rotation
 numbers {-s, -s+2, ..., s} with s = tb_max - 1 - f.  A 2-handle is no
 record of its own: it is the triple (g, f, rot) of its slot and its
 rotation number, and ``handle_json`` writes it out with tb = f + 1.
+
+A Stein handle diagram is no record either.  In Gompf's standard form
+the family's handle slots and one rotation number per slot fix it, so a
+diagram is its rot vector, a tuple of ints read together with the family
+it belongs to; its 1-handle count is the family's.  ``check_rot_vector``
+refuses a vector that is not realizable, and ``handle_text`` writes a
+handle with its zigzags.
 """
 from __future__ import annotations
 
 import itertools
 from operator import index
 
-from ._record import Record
 from .families import Family, InvalidParameter, SizeLimitExceeded
 
 __all__ = [
@@ -22,8 +28,9 @@ __all__ = [
     "FramingTooLarge",
     "tb_max",
     "rotation_range",
+    "check_rot_vector",
     "handle_json",
-    "SteinHandleDiagram",
+    "handle_text",
     "filling_rot_vectors",
     "enumerate_stein_fillings",
     "canonical_filling",
@@ -80,6 +87,22 @@ def _check_rot(genus: int, framing: int, rot) -> int:
     return rot
 
 
+def check_rot_vector(family: Family, rot_vector) -> tuple[int, ...]:
+    """The rot vector of a Stein diagram of the family, as a tuple of ints:
+    one rot per handle slot, each refused unless it is realizable at its
+    slot, and a bool returned as the int it stands for.
+
+    >>> from singlink.families import Cusp
+    >>> check_rot_vector(Cusp((3, 3)), [True, -1])
+    (1, -1)
+    """
+    slots = family.handle_slots()
+    rots = tuple(rot_vector)
+    if len(rots) != len(slots):
+        raise ValueError(f"{len(rots)} rotation numbers for the {len(slots)} slots of {family}")
+    return tuple([_check_rot(*slot, r) for slot, r in zip(slots, rots)])
+
+
 def handle_json(genus: int, framing: int, rot: int) -> dict:
     """The JSON of the 2-handle (genus, framing, rot), with tb = framing + 1.
 
@@ -89,64 +112,17 @@ def handle_json(genus: int, framing: int, rot: int) -> dict:
     return {"framing": framing, "tb": framing + 1, "rot": rot, "genus": genus}
 
 
-_set = object.__setattr__
+def handle_text(genus: int, framing: int, rot: int) -> str:
+    """The text of the 2-handle (genus, framing, rot): its tb and how many of
+    its s stabilizations zigzag left, (s - rot)/2, and right, (s + rot)/2.
 
-
-class SteinHandleDiagram(Record):
-    """A Legendrian handle diagram of a Stein filling of the link.
-
-    In Gompf's standard form the family's handle slots and one rotation
-    number per slot fix the diagram, so that is all it stores: each rot is
-    checked against its slot's stabilization budget, and a 2-handle is the
-    triple (genus, smooth framing, rot) of its slot and its rotation
-    number.  The 1-handle count is the family's.
+    >>> handle_text(0, -3, -1)
+    'framing -3, tb -2, rot -1 (1 left / 0 right zigzags)'
     """
-
-    __slots__ = ("family", "rot_vector")
-
-    def __init__(self, family: Family, rot_vector: tuple[int, ...]):
-        slots = family.handle_slots()
-        rots = tuple(rot_vector)
-        if len(rots) != len(slots):
-            raise ValueError(f"{len(rots)} rotation numbers for the {len(slots)} slots of {family}")
-        _set(self, "family", family)
-        _set(self, "rot_vector", tuple([_check_rot(*slot, r) for slot, r in zip(slots, rots)]))
-
-    @property
-    def one_handle_count(self) -> int:
-        return self.family.one_handle_count
-
-    @property
-    def handles(self) -> tuple[tuple[int, int, int], ...]:
-        """The (genus, smooth framing, rot) triple of each 2-handle."""
-        slots = self.family.handle_slots()
-        return tuple([(*slot, r) for slot, r in zip(slots, self.rot_vector)])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family.to_json_dict(),
-            "one_handles": self.one_handle_count,
-            "handles": [handle_json(*h) for h in self.handles],
-        }
-
-    def to_text(self) -> str:
-        parts = []
-        for genus, framing, rot in self.handles:
-            s = _stabilization_budget(genus, framing)
-            h = handle_json(genus, framing, rot)
-            parts.append(
-                f"framing {framing}, tb {h['tb']}, rot {rot} "
-                f"({(s - rot) // 2} left / {(s + rot) // 2} right zigzags)"
-            )
-        return f"{self.one_handle_count} one-handles; " + "; ".join(parts)
-
-
-def _realized(family: Family, rot_vector: tuple[int, ...]) -> SteinHandleDiagram:
-    """A diagram of rots taken off the slots' budgets, so not checked again."""
-    diagram = object.__new__(SteinHandleDiagram)
-    _set(diagram, "family", family)
-    _set(diagram, "rot_vector", rot_vector)
-    return diagram
+    s = _stabilization_budget(genus, framing)
+    tb = handle_json(genus, framing, rot)["tb"]
+    left, right = (s - rot) // 2, (s + rot) // 2
+    return f"framing {framing}, tb {tb}, rot {rot} ({left} left / {right} right zigzags)"
 
 
 def filling_rot_vectors(family: Family) -> itertools.product:
@@ -155,7 +131,8 @@ def filling_rot_vectors(family: Family) -> itertools.product:
     A plain function, so a family whose ``filling_count`` is over
     DIAGRAM_LIMIT raises SizeLimitExceeded at the call, before any vector is
     made.  Returns the lazy product of the slots' rotation ranges, one
-    tuple at a time, so no rot is checked again and no diagram is built.
+    tuple at a time, each realizable by construction, so no rot is checked
+    again.
     """
     if family.filling_count > DIAGRAM_LIMIT:
         raise SizeLimitExceeded(
@@ -164,15 +141,14 @@ def filling_rot_vectors(family: Family) -> itertools.product:
     return itertools.product(*[rotation_range(*slot) for slot in family.handle_slots()])
 
 
-def enumerate_stein_fillings(family: Family) -> tuple[SteinHandleDiagram, ...]:
-    """All Stein handle diagrams, ordered lexicographically by rot vector:
-    one diagram per vector of ``filling_rot_vectors``, which refuses a
-    family over DIAGRAM_LIMIT before any diagram is built."""
-    return tuple([_realized(family, r) for r in filling_rot_vectors(family)])
+def enumerate_stein_fillings(family: Family) -> tuple[tuple[int, ...], ...]:
+    """The rot vectors of ``filling_rot_vectors`` as one tuple, which
+    refuses a family over DIAGRAM_LIMIT before any vector is made."""
+    return tuple(filling_rot_vectors(family))
 
 
-def canonical_filling(family: Family, sign: str = "min") -> SteinHandleDiagram:
-    """The diagram with every rotation number at its minimum (or maximum).
+def canonical_filling(family: Family, sign: str = "min") -> tuple[int, ...]:
+    """The rot vector with every rotation number at its minimum (or maximum).
 
     These are the two adjunction-realizing diagrams; their rot vectors are
     negatives of each other.  Each rotation number is -s or s, taken from
@@ -181,5 +157,4 @@ def canonical_filling(family: Family, sign: str = "min") -> SteinHandleDiagram:
     if sign not in ("min", "max"):
         raise ValueError(f"sign must be 'min' or 'max', got {sign!r}")
     unit = -1 if sign == "min" else 1
-    rots = tuple([unit * _stabilization_budget(*slot) for slot in family.handle_slots()])
-    return _realized(family, rots)
+    return tuple([unit * _stabilization_budget(*slot) for slot in family.handle_slots()])

@@ -33,16 +33,16 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     refused, which ``invariants.d3_supported`` decides from the graph
     without raising, ends its checks at the Euler class.  A cusp's |det Q| is the
     product of that reduction's diagonal D, since ``smith_normal_form``
-    checks u Q v = D exactly with unimodular u and v.  The Stein filling
-    checks read the rot vectors of ``legendrian.filling_rot_vectors`` one
-    at a time, building no diagram for them and holding no list: one pass
-    counts them and compares each with the one before it and with the
+    checks u Q v = D exactly with unimodular u and v.  A Stein diagram is
+    its rot vector, so the Stein filling checks read the vectors of
+    ``legendrian.filling_rot_vectors`` one at a time and hold no list: one
+    pass counts them and compares each with the one before it and with the
     family's adjunction vector c and its negative.  The count must be the
     family's ``filling_count``, the vectors must strictly increase in
     lexicographic order (so they are pairwise distinct), the minimal
-    canonical filling must be the only diagram at c (zero adjunction defect
-    on every handle), and the two canonical fillings the only ones at c or
-    -c.  Nothing is kept between calls.
+    canonical rot vector must be the only one at c (zero adjunction defect
+    on every handle), and the two canonical rot vectors the only ones at c
+    or -c.  Nothing is kept between calls.
 
     >>> all(passed for _, passed in verify_family(Elliptic(2)))
     True
@@ -85,21 +85,16 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     count, increasing, at_c, at_minus_c = _filling_pass(c, rot_vectors)
     checks.append(("stein filling count", count == family.filling_count))
     checks.append(("c1 evaluations pairwise distinct", increasing))
-    checks.append(
-        (
-            "canonical rot vectors are negatives",
-            tuple(-r for r in minimal.rot_vector) == maximal.rot_vector,
-        )
-    )
-    expected_canonical = 1 if minimal.rot_vector == maximal.rot_vector else 2
+    checks.append(("canonical rot vectors are negatives", tuple(-r for r in minimal) == maximal))
+    expected_canonical = 1 if minimal == maximal else 2
     checks.append(
         (
             "adjunction uniqueness",
-            at_c == 1 and minimal.rot_vector == c and at_c + at_minus_c == expected_canonical,
+            at_c == 1 and minimal == c and at_c + at_minus_c == expected_canonical,
         )
     )
 
-    reps = reduction.euler_classes((minimal.rot_vector, maximal.rot_vector))
+    reps = reduction.euler_classes((minimal, maximal))
     euler_ok = all(rep.is_zero for rep in reps)
     checks.append(("euler class of the canonical structure vanishes", euler_ok))
 

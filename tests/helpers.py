@@ -37,7 +37,7 @@ from operator import mul
 
 from singlink import invariants, legendrian, linalg, openbook
 from singlink.families import Cusp, Elliptic, UnsupportedPresentation
-from singlink.legendrian import SteinHandleDiagram, rotation_range
+from singlink.legendrian import rotation_range
 from singlink.linalg import (
     determinant,
     dot,
@@ -360,28 +360,27 @@ def verify_family_reference(family):
     minimal = legendrian.canonical_filling(family, "min")
     maximal = legendrian.canonical_filling(family, "max")
     fillings = legendrian.enumerate_stein_fillings(family)
-    canonical = [d for d in fillings if invariants.is_canonical(d)]
+    slots = family.handle_slots()
+    canonical = [rots for rots in fillings if invariants.is_canonical(slots, rots)]
     zero_defect = [
-        d for d in fillings if not any(invariants.adjunction_defects(d))
+        rots for rots in fillings if not any(invariants.adjunction_defects(slots, rots))
     ]
     checks.append(("stein filling count", len(fillings) == count))
-    checks.append(
-        ("c1 evaluations pairwise distinct", len({d.rot_vector for d in fillings}) == len(fillings))
-    )
+    checks.append(("c1 evaluations pairwise distinct", len(set(fillings)) == len(fillings)))
     checks.append(
         (
             "canonical rot vectors are negatives",
-            tuple(-r for r in minimal.rot_vector) == maximal.rot_vector,
+            tuple(-r for r in minimal) == maximal,
         )
     )
-    expected_canonical = 1 if minimal.rot_vector == maximal.rot_vector else 2
+    expected_canonical = 1 if minimal == maximal else 2
     checks.append(
         (
             "adjunction uniqueness",
             zero_defect == [minimal] and len(canonical) == expected_canonical,
         )
     )
-    reps = [invariants.euler_class(family, d.rot_vector) for d in (minimal, maximal)]
+    reps = [invariants.euler_class(family, rots) for rots in (minimal, maximal)]
     checks.append(
         (
             "euler class of the canonical structure vanishes",
@@ -389,35 +388,35 @@ def verify_family_reference(family):
         )
     )
     if isinstance(family, Elliptic):
-        rot = (0,) * minimal.one_handle_count + minimal.rot_vector
+        rot = (0,) * family.one_handle_count + minimal
         q = presentation_oracle(family)
         snf = smith_normal_form(q)
         base = solve_rational(q, rot)
         independent = all(dot(k, rot) == 0 for k in snf.kernel_basis())
         checks.append(("d3 solution-choice independence", base is not None and independent))
-        d3_min = invariants.d3_invariant(minimal)
-        d3_max = invariants.d3_invariant(maximal)
+        d3_min = invariants.d3_invariant(family, minimal)
+        d3_max = invariants.d3_invariant(family, maximal)
         checks.append(("d3 computed for both signs", d3_min == d3_max))
     return checks
 
 
-def d3_oracle(diagram):
-    """d3 of one Stein diagram on its own: ``presentation_oracle`` of its
-    family is built for this diagram alone, solved over the rationals on the
+def d3_oracle(family, rots):
+    """d3 of one Stein diagram on its own: ``presentation_oracle`` of the
+    family is built for the rot vector alone, solved over the rationals on the
     rot vector with a zero per 1-handle in front, and its signature taken
     by ``dense_signature_oracle``, which shares no elimination with the
     library.  The value is (c^2 - 3*sigma - 2*chi)/4 + q with chi = 1 +
     len(Q) and q the 1-handle count; a Q without a row per component raises
     UnsupportedPresentation."""
-    q = presentation_oracle(diagram.family)
-    rot = (0,) * diagram.one_handle_count + diagram.rot_vector
+    q = presentation_oracle(family)
+    rot = (0,) * family.one_handle_count + tuple(rots)
     if len(q) != len(rot):
-        raise UnsupportedPresentation(f"{diagram.family.label}: {len(rot)} components")
+        raise UnsupportedPresentation(f"{family.label}: {len(rot)} components")
     solution = solve_rational(q, rot)
     if solution is None:
         raise ValueError("Q x = rot has no rational solution")
     c2 = Fraction(dot(solution, rot))
-    return (c2 - 3 * dense_signature_oracle(q) - 2 * (1 + len(q))) / 4 + diagram.one_handle_count
+    return (c2 - 3 * dense_signature_oracle(q) - 2 * (1 + len(q))) / 4 + family.one_handle_count
 
 
 def _fraction_solve(q, b):
@@ -482,47 +481,44 @@ def handle_slots_oracle(family):
 
 
 def stein_fillings_oracle(family):
-    """Every Stein handle diagram, each built from its rot vector by the
-    checking constructor and its handles compared with k fresh ones.
+    """The rot vector and handle JSON of every Stein handle diagram, in
+    lexicographic order of rot vector.
 
     Each handle's genus and framing are read off the plumbing graph by
     ``handle_slots_oracle``, not from the library's handle pattern, and
-    each diagram's handle JSON is checked against dicts written out here,
-    with tb = framing + 1.
+    each handle's JSON is written out here, with tb = framing + 1.
     """
     slots = handle_slots_oracle(family)
     ranges = [rotation_range(g, f) for g, f in slots]
-    diagrams = []
+    fillings = []
     for rots in itertools.product(*ranges):
-        handles = tuple((g, f, rot) for (g, f), rot in zip(slots, rots))
-        diagram = SteinHandleDiagram(family, rots)
-        assert diagram.handles == handles
-        assert diagram.to_json_dict()["handles"] == [
-            {"framing": f, "tb": f + 1, "rot": rot, "genus": g} for g, f, rot in handles
+        handles = [
+            {"framing": f, "tb": f + 1, "rot": rot, "genus": g}
+            for (g, f), rot in zip(slots, rots)
         ]
-        diagrams.append(diagram)
-    return tuple(diagrams)
+        fillings.append((rots, handles))
+    return tuple(fillings)
 
 
-def adjunction_defects_oracle(diagram):
+def adjunction_defects_oracle(family, rots):
     """rot - (framing - 2*genus + 2) of each handle, the genus and framing
     read off the plumbing graph by ``handle_slots_oracle``."""
-    slots = handle_slots_oracle(diagram.family)
-    return [rot - (f - 2 * g + 2) for rot, (g, f) in zip(diagram.rot_vector, slots)]
+    slots = handle_slots_oracle(family)
+    return [rot - (f - 2 * g + 2) for rot, (g, f) in zip(rots, slots)]
 
 
-def has_zero_defect_oracle(diagram):
+def has_zero_defect_oracle(family, rots):
     """Adjunction equality on every handle, decided handle by handle."""
-    return all(defect == 0 for defect in adjunction_defects_oracle(diagram))
+    return all(defect == 0 for defect in adjunction_defects_oracle(family, rots))
 
 
-def is_canonical_oracle(diagram):
+def is_canonical_oracle(family, rots):
     """Adjunction equality on every handle, possibly after reversing the
     orientation of every attaching circle, decided handle by handle."""
     # negating rot turns the defect rot - c into -rot - c = defect - 2 * rot
-    defects = adjunction_defects_oracle(diagram)
+    defects = adjunction_defects_oracle(family, rots)
     return all(defect == 0 for defect in defects) or all(
-        defect == 2 * rot for defect, rot in zip(defects, diagram.rot_vector)
+        defect == 2 * rot for defect, rot in zip(defects, rots)
     )
 
 

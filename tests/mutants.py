@@ -136,6 +136,27 @@ MUTANTS = [
         '"tb": framing',
         ["tests/test_legendrian.py"],
     ),
+    (
+        "handle text swaps the left and right zigzags",
+        "src/singlink/legendrian.py",
+        "left, right = (s - rot) // 2, (s + rot) // 2",
+        "left, right = (s + rot) // 2, (s - rot) // 2",
+        ["tests/test_legendrian.py"],
+    ),
+    (
+        "is_canonical accepts c but not -c",
+        "src/singlink/invariants.py",
+        "return tuple(rot_vector) in (c, tuple(-x for x in c))",
+        "return tuple(rot_vector) == c",
+        ["tests/test_invariants.py"],
+    ),
+    (
+        "boundary free rank is the first Betti number alone",
+        "src/singlink/plumbing.py",
+        "self.first_betti() + 2 * self.total_genus()",
+        "self.first_betti()",
+        ["tests/test_plumbing.py"],
+    ),
 ]
 
 

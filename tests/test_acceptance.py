@@ -39,7 +39,7 @@ def test_criterion_01_elliptic_counting():
         for n in range(1, 11):
             fillings = enumerate_stein_fillings(Elliptic(n))
             assert len(fillings) == n + 1
-            rots = [d.rot_vector[0] for d in fillings]
+            rots = [rot_vector[0] for rot_vector in fillings]
             assert rots == list(range(-n, n + 1, 2))
 
 
@@ -53,7 +53,7 @@ def test_criterion_02_cusp_counting():
             assert len(fillings) == expected
             entries = word.entries
             for position, n in enumerate(entries):
-                observed = sorted({d.rot_vector[position] for d in fillings})
+                observed = sorted({rots[position] for rots in fillings})
                 assert observed == list(range(2 - n, n - 1, 2))
 
 
@@ -94,7 +94,7 @@ def test_criterion_06_euler_class_vanishes():
         for family in suite_families():
             size = 1 if isinstance(family, Elliptic) else len(family.word)
             for sign, unit in (("min", 1), ("max", -1)):
-                rep = euler_class(family, canonical_filling(family, sign).rot_vector)
+                rep = euler_class(family, canonical_filling(family, sign))
                 assert rep.is_zero
                 assert rep.witness == (unit,) * size
                 assert mat_vec(intersection_matrix(family.graph()), rep.witness) == rep.vector
@@ -103,36 +103,38 @@ def test_criterion_06_euler_class_vanishes():
 def test_criterion_07_adjunction_uniqueness():
     with criterion(7, "exactly one defect-free rot vector; only its negation passes after negation"):
         for family in suite_families():
+            slots = family.handle_slots()
             fillings = enumerate_stein_fillings(family)
             minimal = canonical_filling(family, "min")
             maximal = canonical_filling(family, "max")
             direct = [
-                d for d in fillings if all(defect == 0 for defect in adjunction_defects(d))
+                rots
+                for rots in fillings
+                if all(defect == 0 for defect in adjunction_defects(slots, rots))
             ]
             assert direct == [minimal]
             negated = [
-                d
-                for d in fillings
-                if all(
-                    -rot - (framing - 2 * genus + 2) == 0 for genus, framing, rot in d.handles
-                )
+                rots
+                for rots in fillings
+                if all(-rot - (f - 2 * g + 2) == 0 for (g, f), rot in zip(slots, rots))
             ]
             assert negated == [maximal]
-            assert [d for d in fillings if is_canonical(d)] == sorted(
-                {minimal, maximal}, key=lambda d: d.rot_vector
+            assert [rots for rots in fillings if is_canonical(slots, rots)] == sorted(
+                {minimal, maximal}
             )
 
 
 def test_criterion_08_d3_invariant():
     with criterion(8, "d3 = 1/2 for elliptic n=1, solution-choice independent, both signs"):
-        assert d3_invariant(canonical_filling(Elliptic(1), "min")) == Fraction(1, 2)
+        assert d3_invariant(Elliptic(1), canonical_filling(Elliptic(1), "min")) == Fraction(1, 2)
         for n in range(1, 11):
             values = {}
-            q = presentation_oracle(Elliptic(n))
+            family = Elliptic(n)
+            q = presentation_oracle(family)
             for sign in ("min", "max"):
-                diagram = canonical_filling(Elliptic(n), sign)
-                values[sign] = d3_invariant(diagram)
-                rot = (0,) * diagram.one_handle_count + diagram.rot_vector
+                rots = canonical_filling(family, sign)
+                values[sign] = d3_invariant(family, rots)
+                rot = (0,) * family.one_handle_count + rots
                 x = solve_rational(q, rot)
                 for kernel_vector in smith_normal_form(q).kernel_basis():
                     shifted = tuple(a + b for a, b in zip(x, kernel_vector))
@@ -144,7 +146,7 @@ def test_criterion_08_d3_invariant():
 def test_criterion_09_c1_vectors_distinct():
     with criterion(9, "c1 evaluation vectors are pairwise distinct in each enumeration"):
         for family in suite_families():
-            vectors = [d.rot_vector for d in enumerate_stein_fillings(family)]
+            vectors = enumerate_stein_fillings(family)
             assert len(set(vectors)) == len(vectors)
 
 

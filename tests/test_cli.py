@@ -27,6 +27,7 @@ from singlink.families import Cusp, Elliptic
 from singlink.legendrian import canonical_filling
 from singlink.linalg import SnfResult
 from singlink.sl2z import Sl2Matrix
+from singlink.verify import verify_family
 
 from helpers import (
     counted_linalg,
@@ -343,6 +344,22 @@ def test_canonical_output():
     assert data["min"]["handles"][0]["rot"] == -5
 
 
+def test_canonical_reads_the_handle_slots_three_times(monkeypatch):
+    # canonical reads the family's slots once for the handles and the
+    # adjunction defects of both signs, and canonical_filling once per sign
+    handle_slots = Cusp.handle_slots
+    calls = []
+    monkeypatch.setattr(Cusp, "handle_slots", lambda f: calls.append(f) or handle_slots(f))
+    for argv in (["canonical", "--cusp", "2,3,4"], ["canonical", "--cusp", "2,3,4", "--json"]):
+        calls.clear()
+        code, _ = run_cli(argv)
+        assert code == EXIT_OK
+        assert calls == [Cusp((2, 3, 4))] * 3, argv
+    calls.clear()
+    assert all(passed for _, passed in verify_family(Cusp((2, 3, 4, 5))))
+    assert len(calls) == 4
+
+
 def check_handle_json(family):
     """Each canonical diagram's handles from ``canonical --json`` are the
     handles of the ``enumerate --json`` entry at its rot vector, and both
@@ -433,7 +450,7 @@ def test_euler_witnesses_are_indexed_as_the_surgery_framings():
         for sign in ("min", "max"):
             w = euler[sign]["witness"]
             assert len(w) == len(framings), (family, sign)
-            rot = canonical_filling(family, sign).rot_vector
+            rot = canonical_filling(family, sign)
             assert mat_vec(q, w) == zeros + rot, (family, sign)
 
 

@@ -19,8 +19,8 @@ from singlink.invariants import (
     is_canonical,
 )
 from singlink.legendrian import (
-    SteinHandleDiagram,
     canonical_filling,
+    check_rot_vector,
     enumerate_stein_fillings,
     rotation_range,
 )
@@ -44,29 +44,31 @@ from helpers import (
 
 def test_adjunction_defect_fixed():
     # slots (0, -2), (0, -3), (0, -4): the last handle's defect is 2 at rot 0
-    diagram = SteinHandleDiagram(Cusp(CycleWord((2, 3, 4))), (0, -1, 0))
-    assert adjunction_defects(diagram) == (0, 0, 2)
+    family = Cusp(CycleWord((2, 3, 4)))
+    assert adjunction_defects(family.handle_slots(), (0, -1, 0)) == (0, 0, 2)
     for n in (1, 4, 9):
-        assert adjunction_defects(SteinHandleDiagram(Elliptic(n), (-n,))) == (0,)
+        assert adjunction_defects(Elliptic(n).handle_slots(), (-n,)) == (0,)
 
 
 def test_adjunction_vector_is_the_minimal_canonical_rot_vector_over_suite():
     for family in suite_families():
-        c = adjunction_vector(family.handle_slots())
-        assert c == canonical_filling(family, "min").rot_vector, family
-        for d in enumerate_stein_fillings(family):
-            defects = adjunction_defects(d)
-            assert list(defects) == adjunction_defects_oracle(d), family
-            assert defects == tuple(r - t for r, t in zip(d.rot_vector, c)), family
+        slots = family.handle_slots()
+        c = adjunction_vector(slots)
+        assert c == canonical_filling(family, "min"), family
+        for rots in enumerate_stein_fillings(family):
+            defects = adjunction_defects(slots, rots)
+            assert list(defects) == adjunction_defects_oracle(family, rots), family
+            assert defects == tuple(r - t for r, t in zip(rots, c)), family
 
 
 def test_is_canonical_examples():
     family = Cusp(CycleWord((2, 2, 3)))
-    assert is_canonical(canonical_filling(family, "min"))
-    assert is_canonical(canonical_filling(family, "max"))
+    slots = family.handle_slots()
+    assert is_canonical(slots, canonical_filling(family, "min"))
+    assert is_canonical(slots, canonical_filling(family, "max"))
     middle = enumerate_stein_fillings(Elliptic(3))[1]  # rot -1
-    assert middle.rot_vector == (-1,)
-    assert not is_canonical(middle)
+    assert middle == (-1,)
+    assert not is_canonical(Elliptic(3).handle_slots(), middle)
 
 
 def test_hand_built_canonical_handles_are_canonical():
@@ -75,36 +77,37 @@ def test_hand_built_canonical_handles_are_canonical():
     for family in suite_families():
         for sign, unit in (("min", 1), ("max", -1)):
             rots = [unit * (f + 2 - 2 * g) for g, f in handle_slots_oracle(family)]
-            diagram = SteinHandleDiagram(family, rots)
-            assert is_canonical(diagram), family
-            assert diagram == canonical_filling(family, sign)
-            assert diagram.handles == canonical_filling(family, sign).handles
-    assert is_canonical(SteinHandleDiagram(Elliptic(3), (-3,)))
+            assert is_canonical(family.handle_slots(), rots), family
+            assert check_rot_vector(family, rots) == canonical_filling(family, sign)
+    assert is_canonical(Elliptic(3).handle_slots(), (-3,))
 
 
 def test_adjunction_uniqueness_over_suite():
     for family in suite_families():
+        slots = family.handle_slots()
         fillings = enumerate_stein_fillings(family)
         minimal = canonical_filling(family, "min")
         maximal = canonical_filling(family, "max")
         direct = [
-            d for d in fillings if all(defect == 0 for defect in adjunction_defects(d))
+            rots
+            for rots in fillings
+            if all(defect == 0 for defect in adjunction_defects(slots, rots))
         ]
         assert direct == [minimal]
         negated = [
-            d
-            for d in fillings
-            if all(-rot - (framing - 2 * genus + 2) == 0 for genus, framing, rot in d.handles)
+            rots
+            for rots in fillings
+            if all(-rot - (f - 2 * g + 2) == 0 for (g, f), rot in zip(slots, rots))
         ]
         assert negated == [maximal]
-        canonical = [d for d in fillings if is_canonical(d)]
+        canonical = [rots for rots in fillings if is_canonical(slots, rots)]
         expected = 1 if minimal == maximal else 2
         assert len(canonical) == expected
 
 
 def test_c1_vectors_pairwise_distinct():
     for family in suite_families():
-        vectors = [d.rot_vector for d in enumerate_stein_fillings(family)]
+        vectors = enumerate_stein_fillings(family)
         assert len(set(vectors)) == len(vectors)
 
 
@@ -116,7 +119,7 @@ def test_euler_classes_replay_each_log_once(monkeypatch):
     monkeypatch.setattr(SnfResult, "reduce", lambda snf, v: calls.append(v) or reduce(snf, v))
     for family in (Cusp(CycleWord((2, 3, 4))), Cusp(CycleWord((3, 5))), Elliptic(3)):
         reduction = FamilyReduction(family)
-        vectors = [d.rot_vector for d in enumerate_stein_fillings(family)]
+        vectors = enumerate_stein_fillings(family)
         calls.clear()
         reps = reduction.euler_classes(vectors)
         assert len(calls) == len(vectors), family
@@ -164,7 +167,7 @@ def test_family_reduction_refuses_a_singular_form(monkeypatch):
     with pytest.raises(ValueError, match="singular"):
         FamilyReduction(Elliptic(3))
     with pytest.raises(ValueError, match="singular"):
-        d3_invariant(canonical_filling(Elliptic(3), "min"))
+        d3_invariant(Elliptic(3), canonical_filling(Elliptic(3), "min"))
 
 
 @st.composite
@@ -212,7 +215,7 @@ def test_rotating_or_reversing_the_word_permutes_the_invariants(case, shift):
     groups = (report.plumbing, report.monodromy, report.openbook)
     order = euler_class(family, rots).order
     signs = ("min", "max")
-    canonical = [canonical_filling(family, s).rot_vector for s in signs]
+    canonical = [canonical_filling(family, s) for s in signs]
     witnesses = [euler_class(family, r).witness for r in canonical]
     for permute in (rotate, reverse):
         other = Cusp(CycleWord(permute(entries)))
@@ -221,7 +224,7 @@ def test_rotating_or_reversing_the_word_permutes_the_invariants(case, shift):
         assert other.filling_count == family.filling_count, other
         assert euler_class(other, permute(rots)).order == order, other
         for sign, witness in zip(signs, witnesses):
-            rep = euler_class(other, canonical_filling(other, sign).rot_vector)
+            rep = euler_class(other, canonical_filling(other, sign))
             assert rep.witness == permute(witness), (other, sign)
     # the reversed word's monodromy is the transpose conjugated by diag(1, -1)
     a = cycle_monodromy(family.word)
@@ -256,14 +259,13 @@ def test_euler_canonical_vanishes_with_unit_witnesses():
     for family in suite_families():
         k = len(family.word) if isinstance(family, Cusp) else 1
         for sign, unit in (("min", 1), ("max", -1)):
-            diagram = canonical_filling(family, sign)
-            rep = euler_class(family, diagram.rot_vector)
+            rep = euler_class(family, canonical_filling(family, sign))
             assert rep.is_zero, (family, sign)
             assert rep.witness == (unit,) * k, (family, sign)
 
 
 def test_d3_elliptic_one_half():
-    value = d3_invariant(canonical_filling(Elliptic(1), "min"))
+    value = d3_invariant(Elliptic(1), canonical_filling(Elliptic(1), "min"))
     assert value == Fraction(1, 2)
 
 
@@ -272,7 +274,8 @@ def test_d3_formula_both_signs():
     # (-n + 3 - 0)/4 = (3 - n)/4
     for n in range(1, 11):
         for sign in ("min", "max"):
-            assert d3_invariant(canonical_filling(Elliptic(n), sign)) == Fraction(3 - n, 4)
+            family = Elliptic(n)
+            assert d3_invariant(family, canonical_filling(family, sign)) == Fraction(3 - n, 4)
 
 
 def test_d3_matches_gompf_on_every_elliptic_filling():
@@ -281,46 +284,46 @@ def test_d3_matches_gompf_on_every_elliptic_filling():
     # d3 = (c1^2 - 3*sigma - 2*chi)/4 = (3 - r^2/n)/4
     fillings = 0
     for n in range(1, 11):
-        for diagram in enumerate_stein_fillings(Elliptic(n)):
-            (r,) = diagram.rot_vector
-            assert d3_invariant(diagram) == (3 - Fraction(r * r, n)) / 4, (n, r)
+        for rots in enumerate_stein_fillings(Elliptic(n)):
+            (r,) = rots
+            assert d3_invariant(Elliptic(n), rots) == (3 - Fraction(r * r, n)) / 4, (n, r)
             fillings += 1
     assert fillings == 65
 
 
-def _d3_values(family, diagrams):
-    """d3 of each diagram from the Euler classes of one reduction of Q."""
+def _d3_values(family, rot_vectors):
+    """d3 of each rot vector from the Euler classes of one reduction of Q."""
     reduction = FamilyReduction(family)
-    return reduction.d3_invariants(reduction.euler_classes([d.rot_vector for d in diagrams]))
+    return reduction.d3_invariants(reduction.euler_classes(rot_vectors))
 
 
 def test_d3_invariants_match_the_oracle_on_every_elliptic_filling():
     fillings = 0
     for n in range(1, 11):
         family = Elliptic(n)
-        diagrams = enumerate_stein_fillings(family)
-        values = _d3_values(family, diagrams)
-        assert values == tuple(map(d3_oracle, diagrams)), n
-        assert values == tuple(map(d3_invariant, diagrams)), n
-        fillings += len(diagrams)
+        vectors = enumerate_stein_fillings(family)
+        values = _d3_values(family, vectors)
+        assert values == tuple(d3_oracle(family, rots) for rots in vectors), n
+        assert values == tuple(d3_invariant(family, rots) for rots in vectors), n
+        fillings += len(vectors)
     assert fillings == 65
 
 
 def test_d3_invariants_on_the_canonical_fillings():
     for n in [*range(1, 61), 10**30]:
         family = Elliptic(n)
-        diagrams = [canonical_filling(family, sign) for sign in ("min", "max")]
-        values = _d3_values(family, diagrams)
+        vectors = [canonical_filling(family, sign) for sign in ("min", "max")]
+        values = _d3_values(family, vectors)
         assert values == (Fraction(3 - n, 4),) * 2, n
-        assert values == tuple(map(d3_oracle, diagrams)), n
-        assert values == tuple(map(d3_invariant, diagrams)), n
+        assert values == tuple(d3_oracle(family, rots) for rots in vectors), n
+        assert values == tuple(d3_invariant(family, rots) for rots in vectors), n
 
 
 def test_d3_solution_choice_independent():
     for n in (1, 4, 9):
-        diagram = canonical_filling(Elliptic(n), "min")
-        q = presentation_oracle(diagram.family)
-        rot = (0,) * diagram.one_handle_count + diagram.rot_vector
+        family = Elliptic(n)
+        q = presentation_oracle(family)
+        rot = (0,) * family.one_handle_count + canonical_filling(family, "min")
         x = solve_rational(q, rot)
         for kernel_vector in smith_normal_form(q).kernel_basis():
             shifted = tuple(a + b for a, b in zip(x, kernel_vector))
@@ -334,19 +337,19 @@ def test_d3_unsupported_for_plumbing_presentation():
     # method, for any list of classes; the oracle's (+1)-surgery reading
     # has no row for the cusp's 1-handle and refuses it too
     family = Cusp(CycleWord((2, 2, 3)))
-    diagram = canonical_filling(family, "min")
+    rots = canonical_filling(family, "min")
     with pytest.raises(UnsupportedPresentation) as raised:
-        d3_invariant(diagram)
+        d3_invariant(family, rots)
     assert raised.type is families.UnsupportedPresentation
     message = "d3 of cusp(2,2,3) waits for the resolution-graph cross-check"
     assert str(raised.value) == message
     reduction = FamilyReduction(family)
-    for reps in (reduction.euler_classes((diagram.rot_vector,)), ()):
+    for reps in (reduction.euler_classes((rots,)), ()):
         with pytest.raises(UnsupportedPresentation) as raised:
             reduction.d3_invariants(reps)
         assert str(raised.value) == message
     with pytest.raises(UnsupportedPresentation):
-        d3_oracle(diagram)
+        d3_oracle(family, rots)
 
 
 def test_d3_on_q2_matches_the_closed_forms_and_the_resolution_graph(monkeypatch):
@@ -363,20 +366,30 @@ def test_d3_on_q2_matches_the_closed_forms_and_the_resolution_graph(monkeypatch)
         else:
             expected = Fraction(3 - family.n, 4)
         assert resolution_d3_oracle(family) == expected, family
-        diagrams = [canonical_filling(family, sign) for sign in ("min", "max")]
-        assert _d3_values(family, diagrams) == (expected, expected), family
+        vectors = [canonical_filling(family, sign) for sign in ("min", "max")]
+        assert _d3_values(family, vectors) == (expected, expected), family
 
 
 def test_d3_invariant_refuses_a_cusp_before_reducing_q():
     # the graph's cycle decides the refusal, so a 400-vertex cusp costs no
     # SNF, while an elliptic diagram still reduces its Q once
-    diagram = canonical_filling(Cusp(CycleWord((3,) * 400)), "min")
+    family = Cusp(CycleWord((3,) * 400))
     with counted_snf() as calls, pytest.raises(UnsupportedPresentation):
-        d3_invariant(diagram)
+        d3_invariant(family, canonical_filling(family, "min"))
     assert calls == []
     with counted_snf() as calls:
-        assert d3_invariant(canonical_filling(Elliptic(3), "min")) == 0
+        assert d3_invariant(Elliptic(3), canonical_filling(Elliptic(3), "min")) == 0
     assert len(calls) == 1
+    # the cusp is refused before its rot vector is checked, and a rot vector
+    # that is not realizable is refused before Q is reduced
+    with counted_snf() as calls:
+        with pytest.raises(UnsupportedPresentation):
+            d3_invariant(family, (0,))
+        with pytest.raises(ValueError, match="not realizable"):
+            d3_invariant(Elliptic(3), (-2,))
+        with pytest.raises(ValueError, match="rotation numbers for the"):
+            d3_invariant(Elliptic(3), (-3, -3))
+    assert calls == []
 
 
 def test_d3_of_a_nonzero_class_replays_the_log_once(monkeypatch):
@@ -391,11 +404,12 @@ def test_d3_of_a_nonzero_class_replays_the_log_once(monkeypatch):
     assert (rep.order, calls) == (3, [(-1,)])
     assert reduction.d3_invariants((rep,)) == ((3 - Fraction(1, 3)) / 4,)
     assert calls == [(-1,)]
-    diagrams = enumerate_stein_fillings(Cusp(CycleWord((3, 5))))
+    family = Cusp(CycleWord((3, 5)))
+    vectors = enumerate_stein_fillings(family)
     monkeypatch.setattr(invariants, "check_d3_supported", lambda family, graph: None)
     calls.clear()
-    _d3_values(diagrams[0].family, diagrams)
-    assert len(calls) == len(diagrams) == 8
+    _d3_values(family, vectors)
+    assert len(calls) == len(vectors) == 8
 
 
 def test_d3_matches_the_milnor_fibre():
@@ -417,8 +431,8 @@ def test_d3_matches_the_milnor_fibre():
         else:
             sigma, mu = n - 9, 11 - n
         milnor = Fraction(-3 * sigma - 2 * (1 + mu), 4)
-        diagrams = [canonical_filling(family, sign) for sign in ("min", "max")]
-        assert _d3_values(family, diagrams) == (milnor, milnor), n
+        vectors = [canonical_filling(family, sign) for sign in ("min", "max")]
+        assert _d3_values(family, vectors) == (milnor, milnor), n
     assert [Fraction(-3 * s - 2 * (1 + m), 4) for s, m, _ in expected.values()] == [
         Fraction(1, 2),
         Fraction(1, 4),
@@ -438,7 +452,7 @@ def test_presentation_agrees_with_the_plumbing_route():
         report = reduction.homology(family.monodromy(), family.openbook())
         assert report.plumbing == boundary_homology(graph), family
         assert family.one_handle_count == graph.boundary_free_rank(), family
-        reps = reduction.euler_classes((canonical_filling(family, "min").rot_vector,))
+        reps = reduction.euler_classes((canonical_filling(family, "min"),))
         if graph.first_betti() > 0:
             with pytest.raises(UnsupportedPresentation):
                 reduction.d3_invariants(reps)

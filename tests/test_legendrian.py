@@ -1,8 +1,11 @@
 import itertools
+import re
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlink import legendrian
 from singlink._record import Record
@@ -16,11 +19,12 @@ from singlink.families import (
 from singlink.invariants import d3_invariant
 from singlink.legendrian import (
     FramingTooLarge,
-    SteinHandleDiagram,
     canonical_filling,
+    check_rot_vector,
     enumerate_stein_fillings,
     filling_rot_vectors,
     handle_json,
+    handle_text,
     rotation_range,
     tb_max,
 )
@@ -60,30 +64,31 @@ def test_rotation_range_symmetric_constant_parity():
 
 
 def test_two_handle_validation():
-    # a 2-handle is its slot and its rot: the diagram checks each rot
+    # a 2-handle is its slot and its rot: check_rot_vector checks each rot
     # against its slot, here (0, -3) twice, and handle_json writes tb
     family = Cusp(CycleWord((3, 3)))
     assert family.handle_slots() == ((0, -3), (0, -3))
     with pytest.raises(ValueError, match="not realizable"):
-        SteinHandleDiagram(family, (-1, 0))  # parity breaks
+        check_rot_vector(family, (-1, 0))  # parity breaks
     with pytest.raises(ValueError, match="not realizable"):
-        SteinHandleDiagram(family, (3, -1))  # out of range
+        check_rot_vector(family, (3, -1))  # out of range
     with pytest.raises(FramingTooLarge):
         rotation_range(0, -1)  # tb 0 exceeds tb_max = -1
-    diagram = SteinHandleDiagram(family, (-1, 1))
-    assert diagram.handles == ((0, -3, -1), (0, -3, 1))
-    assert handle_json(*diagram.handles[0]) == {"framing": -3, "tb": -2, "rot": -1, "genus": 0}
+    rots = check_rot_vector(family, (-1, 1))
+    handles = tuple((*slot, r) for slot, r in zip(family.handle_slots(), rots))
+    assert handles == ((0, -3, -1), (0, -3, 1))
+    assert handle_json(*handles[0]) == {"framing": -3, "tb": -2, "rot": -1, "genus": 0}
     assert handle_json(1, -3, -3) == {"framing": -3, "tb": -2, "rot": -3, "genus": 1}
     with pytest.raises(TypeError):  # tb is not a parameter
         handle_json(0, -3, 0, -2)
-    rot = SteinHandleDiagram(family, (True, -1)).rot_vector[0]  # stored as the int it stands for
+    rot = check_rot_vector(family, (True, -1))[0]  # stored as the int it stands for
     assert rot == 1 and type(rot) is int
     # a float framing would give a float tb
     for framing in (-3.0, Fraction(-3)):
         with pytest.raises(TypeError):
             rotation_range(1, framing)
     with pytest.raises(TypeError):
-        SteinHandleDiagram(Elliptic(3), (-3.0,))
+        check_rot_vector(Elliptic(3), (-3.0,))
 
 
 # each rule that reads a genus, called at a slot it accepts when the genus is 1
@@ -107,56 +112,71 @@ def test_genus_is_a_nonnegative_int(rule):
             rule(genus)
 
 
+def handles_of(family, rots):
+    """The (genus, smooth framing, rot) triple of each 2-handle."""
+    return tuple((*slot, r) for slot, r in zip(family.handle_slots(), rots))
+
+
 def test_enumerate_elliptic_counts_and_sets():
     for n in range(1, 11):
-        fillings = enumerate_stein_fillings(Elliptic(n))
+        family = Elliptic(n)
+        fillings = enumerate_stein_fillings(family)
         assert len(fillings) == n + 1
-        rots = [d.rot_vector[0] for d in fillings]
-        assert rots == list(range(-n, n + 1, 2))
-        for d in fillings:
-            assert d.one_handle_count == 2
-            assert d.handles == ((1, -n, d.rot_vector[0]),)
-            (handle,) = d.to_json_dict()["handles"]
+        assert [rots[0] for rots in fillings] == list(range(-n, n + 1, 2))
+        assert family.one_handle_count == 2
+        for rots in fillings:
+            assert handles_of(family, rots) == ((1, -n, rots[0]),)
+            handle = handle_json(*handles_of(family, rots)[0])
             assert handle["genus"] == 1
             assert handle["framing"] == -n == handle["tb"] - 1
 
 
 def test_enumerate_cusp_counts():
     for word in cusp_words(4, 5):
-        fillings = enumerate_stein_fillings(Cusp(word))
+        family = Cusp(word)
+        fillings = enumerate_stein_fillings(family)
         expected = 1
         for n in word:
             expected *= n - 1
         assert len(fillings) == expected
-        for d in fillings:
-            assert d.one_handle_count == 1
-            for h in d.to_json_dict()["handles"]:
+        assert family.one_handle_count == 1
+        for rots in fillings:
+            for h in [handle_json(*handle) for handle in handles_of(family, rots)]:
                 assert h["framing"] == h["tb"] - 1
 
 
 def test_enumerate_cusp_structure():
-    fillings = enumerate_stein_fillings(Cusp(CycleWord((2, 2, 3))))
-    assert [d.rot_vector for d in fillings] == [(0, 0, -1), (0, 0, 1)]
-    for d in fillings:
-        assert [genus for genus, _, _ in d.handles] == [0] * 3
-        assert [framing for _, framing, _ in d.handles] == [-2, -2, -3]
+    family = Cusp(CycleWord((2, 2, 3)))
+    fillings = enumerate_stein_fillings(family)
+    assert fillings == ((0, 0, -1), (0, 0, 1))
+    for rots in fillings:
+        assert [genus for genus, _, _ in handles_of(family, rots)] == [0] * 3
+        assert [framing for _, framing, _ in handles_of(family, rots)] == [-2, -2, -3]
 
-    nodal = enumerate_stein_fillings(Cusp(CycleWord((4,))))
-    assert [d.rot_vector for d in nodal] == [(-2,), (0,), (2,)]
-    assert nodal[0].handles == ((1, -2, -2),)
+    nodal = Cusp(CycleWord((4,)))
+    assert enumerate_stein_fillings(nodal) == ((-2,), (0,), (2,))
+    assert handles_of(nodal, (-2,)) == ((1, -2, -2),)
 
 
 def test_enumeration_is_lexicographic():
     for family in [Elliptic(4), Cusp(CycleWord((3, 4))), Cusp(CycleWord((5,)))]:
-        vectors = [d.rot_vector for d in enumerate_stein_fillings(family)]
+        vectors = list(enumerate_stein_fillings(family))
         assert vectors == sorted(vectors)
+
+
+def assert_matches_fillings_oracle(family, fillings):
+    """The rot vectors are the oracle's, and the handle JSON written at
+    each is the oracle's dicts."""
+    oracle = stein_fillings_oracle(family)
+    assert fillings == tuple(rots for rots, _ in oracle), family
+    for rots, handles in oracle:
+        assert [handle_json(*h) for h in handles_of(family, rots)] == handles, family
 
 
 def test_enumeration_matches_per_diagram_oracle_over_suite():
     for family in suite_families():
-        oracle = stein_fillings_oracle(family)
-        assert enumerate_stein_fillings(family) == oracle, family
-        assert list(filling_rot_vectors(family)) == [d.rot_vector for d in oracle], family
+        assert_matches_fillings_oracle(family, enumerate_stein_fillings(family))
+        assert_matches_fillings_oracle(family, tuple(filling_rot_vectors(family)))
 
 
 @pytest.mark.parametrize("word", LARGE_WORDS)
@@ -164,12 +184,12 @@ def test_enumeration_matches_per_diagram_oracle_on_large_words(word):
     family = Cusp(CycleWord(word))
     fillings = enumerate_stein_fillings(family)
     assert len(fillings) >= 4000
-    assert fillings == stein_fillings_oracle(family)
+    assert_matches_fillings_oracle(family, fillings)
 
 
 def test_enumeration_builds_no_handle_and_reads_the_pattern_once(monkeypatch):
     for family in [Elliptic(6), Cusp(CycleWord((3, 4, 5))), Cusp(CycleWord(LARGE_WORDS[0]))]:
-        expected = stein_fillings_oracle(family)
+        expected = tuple(rots for rots, _ in stein_fillings_oracle(family))
         patterns = []
         handle_slots = type(family).handle_slots
 
@@ -182,12 +202,11 @@ def test_enumeration_builds_no_handle_and_reads_the_pattern_once(monkeypatch):
             fillings = enumerate_stein_fillings(family)
         assert patterns == [family]
         assert fillings == expected
-        # the rot vector is stored, not rebuilt on each read
-        assert all(d.rot_vector is d.rot_vector for d in fillings)
+        assert all(type(rots) is tuple for rots in fillings)
 
 
 # a family of each surgery picture, a realizable rot
-# vector, and vectors the constructor refuses: a last rot out of range and
+# vector, and vectors check_rot_vector refuses: a last rot out of range and
 # one of the wrong parity
 PATTERNS = [
     (Cusp(CycleWord((2, 3, 4))), (0, -1, 2), [(0, -1, 4), (0, 1, 1)]),
@@ -199,29 +218,95 @@ PATTERNS = [
 def test_diagram_rejects_wrong_cusp_pattern():
     assert [family.handle_slots()[-1] for family, _, _ in PATTERNS] == [(0, -4), (1, -3), (1, -3)]
     for family, rots, refused in PATTERNS:
-        assert SteinHandleDiagram(family, rots) in enumerate_stein_fillings(family)
+        assert check_rot_vector(family, rots) in enumerate_stein_fillings(family)
         for bad in (rots[:-1], rots + (rots[-1],), ()):  # a rot vector of the wrong length
             with pytest.raises(ValueError, match="rotation numbers for the"):
-                SteinHandleDiagram(family, bad)
+                check_rot_vector(family, bad)
         for bad in refused:
             with pytest.raises(ValueError, match="not realizable"):
-                SteinHandleDiagram(family, bad)
+                check_rot_vector(family, bad)
         for entry in (float(rots[-1]), Fraction(rots[-1]), str(rots[-1])):
             with pytest.raises(TypeError):
-                SteinHandleDiagram(family, rots[:-1] + (entry,))
+                check_rot_vector(family, rots[:-1] + (entry,))
 
 
 def test_diagram_validation():
     for family, rots, _ in PATTERNS:
-        diagram = SteinHandleDiagram(family, list(rots))
-        assert diagram.rot_vector == rots and type(diagram.rot_vector) is tuple
-        assert diagram.one_handle_count == family.one_handle_count
-        slots = family.handle_slots()
-        assert diagram.handles == tuple((*slot, r) for slot, r in zip(slots, rots))
+        checked = check_rot_vector(family, list(rots))
+        assert checked == rots and type(checked) is tuple
         with pytest.raises(TypeError):  # the 1-handle count is the family's
-            SteinHandleDiagram(family, 2, rots)
+            check_rot_vector(family, 2, rots)
         with pytest.raises(TypeError):  # a diagram is its rot vector, not its handles
-            SteinHandleDiagram(family, diagram.handles)
+            check_rot_vector(family, handles_of(family, rots))
+
+
+families_for_rot_vectors = st.one_of(
+    st.lists(st.integers(2, 7), min_size=1, max_size=5)
+    .filter(lambda w: max(w) >= 3)
+    .map(lambda w: Cusp(CycleWord(w))),
+    st.integers(1, 20).map(Elliptic),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(families_for_rot_vectors, st.data())
+def test_check_rot_vector_accepts_exactly_the_enumeration(family, data):
+    # every listed vector comes back unchanged; in up to 30 of them, one
+    # entry moved by 1 or 2 is refused unless the moved vector is in the
+    # product of the ranges, and a vector one entry short or long is refused
+    ranges = [rotation_range(*slot) for slot in family.handle_slots()]
+    listed = list(filling_rot_vectors(family))
+    realizable = set(itertools.product(*ranges))
+    assert set(listed) == realizable
+    assert all(check_rot_vector(family, rots) == rots for rots in listed)
+    for _ in range(min(30, len(listed))):
+        rots = data.draw(st.sampled_from(listed))
+        for bad in (rots[:-1], rots + (rots[-1],)):
+            with pytest.raises(ValueError, match="rotation numbers for the"):
+                check_rot_vector(family, bad)
+        for i, step in itertools.product(range(len(rots)), (-2, -1, 1, 2)):
+            moved = rots[:i] + (rots[i] + step,) + rots[i + 1 :]
+            if moved in realizable:
+                assert check_rot_vector(family, moved) == moved
+            else:
+                with pytest.raises(ValueError, match="not realizable"):
+                    check_rot_vector(family, moved)
+
+
+ZIGZAGS = re.compile(
+    r"framing (-?\d+), tb (-?\d+), rot (-?\d+) \((\d+) left / (\d+) right zigzags\)"
+)
+
+
+def zigzags(genus, framing, rot):
+    """The left and right zigzag counts that handle_text reports, after
+    checking the framing, tb and rot it reports."""
+    match = ZIGZAGS.fullmatch(handle_text(genus, framing, rot))
+    assert match, handle_text(genus, framing, rot)
+    f, tb, r, left, right = map(int, match.groups())
+    assert (f, tb, r) == (framing, framing + 1, rot)
+    return left, right
+
+
+def test_handle_text_splits_the_zigzags():
+    # the s stabilizations of a slot are L left and R right zigzags with
+    # L + R = s and R - L = rot, and the min canonical filling takes every
+    # zigzag on the left
+    families = suite_families()  # Elliptic(1..10) and the suite's cusp words
+    slots = {slot for family in families for slot in family.handle_slots()}
+    assert len(slots) == 14
+    for genus, framing in slots:
+        s = tb_max(genus) - 1 - framing
+        for rot in rotation_range(genus, framing):
+            left, right = zigzags(genus, framing, rot)
+            assert (left + right, right - left) == (s, rot), (genus, framing, rot)
+    for family in families:
+        for sign in ("min", "max"):
+            for genus, framing, rot in handles_of(family, canonical_filling(family, sign)):
+                s = tb_max(genus) - 1 - framing
+                expected = (s, 0) if sign == "min" else (0, s)
+                assert zigzags(genus, framing, rot) == expected, (family, sign)
+    assert handle_text(1, -3, 1) == "framing -3, tb -2, rot 1 (1 left / 2 right zigzags)"
 
 
 def test_handle_slots_build_no_record(monkeypatch):
@@ -247,10 +332,10 @@ def test_handle_slots_build_no_record(monkeypatch):
 
 
 def test_canonical_filling():
-    assert canonical_filling(Cusp(CycleWord((2, 2, 3))), "min").rot_vector == (0, 0, -1)
-    assert canonical_filling(Elliptic(5), "min").rot_vector == (-5,)
-    assert canonical_filling(Elliptic(5), "max").rot_vector == (5,)
-    assert canonical_filling(Cusp(CycleWord((4,))), "max").rot_vector == (2,)
+    assert canonical_filling(Cusp(CycleWord((2, 2, 3))), "min") == (0, 0, -1)
+    assert canonical_filling(Elliptic(5), "min") == (-5,)
+    assert canonical_filling(Elliptic(5), "max") == (5,)
+    assert canonical_filling(Cusp(CycleWord((4,))), "max") == (2,)
     with pytest.raises(ValueError):
         canonical_filling(Elliptic(5), "middle")
 
@@ -260,18 +345,18 @@ def test_canonical_rot_equals_framing_rule():
     for family in suite_families():
         minimal = canonical_filling(family, "min")
         maximal = canonical_filling(family, "max")
-        for (genus, framing, r_min), (_, _, r_max) in zip(minimal.handles, maximal.handles):
+        for (genus, framing), r_min, r_max in zip(family.handle_slots(), minimal, maximal):
             target = framing - 2 * genus + 2
             assert r_min == target
             assert r_max == -target
-        assert maximal.rot_vector == tuple(-r for r in minimal.rot_vector)
+        assert maximal == tuple(-r for r in minimal)
 
 
 def test_canonical_extremes_match_rotation_range_over_suite():
     for family in suite_families():
         ranges = [rotation_range(*slot) for slot in family.handle_slots()]
-        assert canonical_filling(family, "min").rot_vector == tuple(map(min, ranges))
-        assert canonical_filling(family, "max").rot_vector == tuple(map(max, ranges))
+        assert canonical_filling(family, "min") == tuple(map(min, ranges))
+        assert canonical_filling(family, "max") == tuple(map(max, ranges))
 
 
 def test_canonical_filling_builds_the_handle_pattern_once(monkeypatch):
@@ -297,9 +382,9 @@ def test_canonical_filling_does_not_list_the_range(monkeypatch):
 
     monkeypatch.setattr(legendrian, "rotation_range", refuse)
     start = time.perf_counter()
-    assert canonical_filling(Elliptic(10**30), "max").rot_vector == (10**30,)
+    assert canonical_filling(Elliptic(10**30), "max") == (10**30,)
     huge = 10**25
-    assert canonical_filling(Cusp(CycleWord((3, huge))), "min").rot_vector == (-1, 2 - huge)
+    assert canonical_filling(Cusp(CycleWord((3, huge))), "min") == (-1, 2 - huge)
     assert time.perf_counter() - start < 1.0
 
 
@@ -308,40 +393,41 @@ def test_contact_surgery_elliptic_frozen():
     # unknot (tb -1, so framing 0) per 1-handle and a (-1)-surgery on the
     # 2-handle (tb 0, so framing -1), with the padded Q as their linking
     # matrix, gives the d3 that Gompf's formula gives on the 2-handle alone
-    diagram = canonical_filling(Elliptic(1), "min")
-    (handle,) = diagram.to_json_dict()["handles"]
-    assert diagram.one_handle_count == 2
+    family = Elliptic(1)
+    rots = canonical_filling(family, "min")
+    (handle,) = [handle_json(*h) for h in handles_of(family, rots)]
+    assert family.one_handle_count == 2
     assert (handle["tb"], handle["rot"], handle["framing"]) == (0, -1, -1)
-    assert presentation_oracle(diagram.family) == ((0, 0, 0), (0, 0, 0), (0, 0, -1))
+    assert presentation_oracle(family) == ((0, 0, 0), (0, 0, 0), (0, 0, -1))
     # c^2 = -1, sigma = -1, chi = 4 and q = 2
-    assert d3_invariant(diagram) == Fraction(-1 + 3 - 8, 4) + 2
+    assert d3_invariant(family, rots) == Fraction(-1 + 3 - 8, 4) + 2
 
 
 def test_contact_surgery_cusp():
     # Gompf's formula applies to a cusp's Q, but its d3 is held back until
     # the value is cross-checked against the resolution graph
     for word in ((2, 2, 3), (5,), (3, 3)):
-        diagram = canonical_filling(Cusp(CycleWord(word)), "min")
+        family = Cusp(CycleWord(word))
         with pytest.raises(UnsupportedPresentation, match="resolution-graph cross-check"):
-            d3_invariant(diagram)
+            d3_invariant(family, canonical_filling(family, "min"))
 
 
 def test_plus_components_match_one_handles():
     # the elliptic presentation has a zero-framed row per 1-handle, taken
     # as a (+1)-surgery on a standard unknot, ahead of a row per 2-handle
     for family in [Elliptic(n) for n in range(1, 11)]:
-        diagram = canonical_filling(family, "min")
+        rots = canonical_filling(family, "min")
         q = presentation_oracle(family)
-        assert len(q) == diagram.one_handle_count + len(diagram.handles)
-        assert all(q[i][i] == 0 for i in range(diagram.one_handle_count))
+        assert len(q) == family.one_handle_count + len(rots)
+        assert all(q[i][i] == 0 for i in range(family.one_handle_count))
 
 
 def test_json_shapes():
-    diagram = canonical_filling(Cusp(CycleWord((2, 2, 3))), "min")
-    data = diagram.to_json_dict()
-    assert data["family"] == {"kind": "cusp", "word": [2, 2, 3]}
-    assert data["one_handles"] == 1
-    assert data["handles"][2] == {"framing": -3, "tb": -2, "rot": -1, "genus": 0}
+    family = Cusp(CycleWord((2, 2, 3)))
+    handles = handles_of(family, canonical_filling(family, "min"))
+    assert family.to_json_dict() == {"kind": "cusp", "word": [2, 2, 3]}
+    assert family.one_handle_count == 1
+    assert handle_json(*handles[2]) == {"framing": -3, "tb": -2, "rot": -1, "genus": 0}
 
 
 def test_diagram_limit_is_checked_before_any_handle(monkeypatch):
@@ -349,8 +435,6 @@ def test_diagram_limit_is_checked_before_any_handle(monkeypatch):
     monkeypatch.setattr(
         legendrian, "rotation_range", lambda *a: built.append(a) or rotation_range(*a)
     )
-    realized = legendrian._realized
-    monkeypatch.setattr(legendrian, "_realized", lambda *a: built.append(a) or realized(*a))
     monkeypatch.setattr(legendrian, "DIAGRAM_LIMIT", 6)
     assert len(enumerate_stein_fillings(Cusp(CycleWord((2, 3, 4))))) == 6
     assert len(enumerate_stein_fillings(Elliptic(5))) == 6

@@ -15,7 +15,6 @@ from singlink.invariants import (
     euler_class,
     homology_cross_check,
 )
-from singlink.legendrian import canonical_filling
 from singlink.linalg import AbelianGroup, smith_normal_form
 from singlink.openbook import curve_homology_classes
 from singlink.plumbing import PlumbingVertex, SurgeryDescription, smooth_surgery_description
@@ -41,7 +40,6 @@ RECORDS = [
         lambda: curve_homology_classes(Cusp((3, 4)).openbook()),
         lambda: curve_homology_classes(Cusp((4, 3)).openbook()),
     ),
-    (lambda: canonical_filling(Elliptic(2), "min"), lambda: canonical_filling(Elliptic(2), "max")),
     (lambda: euler_class(Elliptic(2), (1,)), lambda: euler_class(Elliptic(2), (2,))),
     (lambda: homology_cross_check(Elliptic(2)), lambda: homology_cross_check(Elliptic(3))),
     (lambda: FamilyReduction(Cusp((2, 3))), lambda: FamilyReduction(Cusp((3, 2)))),
@@ -50,7 +48,7 @@ RECORDS = [
 
 def test_every_record_class_is_listed():
     listed = [type(build()) for build, _ in RECORDS]
-    assert len(listed) == len(set(listed)) == 15
+    assert len(listed) == len(set(listed)) == 14
     assert set(listed) == set(Record.__subclasses__())
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from singlink import invariants, legendrian
 from singlink.cli import EXIT_UNSUPPORTED, main
 from singlink.families import Cusp, Elliptic, SizeLimitExceeded, UnsupportedPresentation
-from singlink.legendrian import SteinHandleDiagram, rotation_range
+from singlink.legendrian import check_rot_vector, rotation_range
 from singlink.linalg import SnfResult
 from singlink.plumbing import intersection_matrix
 from singlink.sl2z import CycleWord
@@ -136,9 +136,7 @@ def test_suite_pass_constructs_no_refusal(monkeypatch, capsys):
 
 def test_euler_classes_match_euler_class_over_suite():
     for family in suite_families():
-        vectors = tuple(
-            legendrian.canonical_filling(family, sign).rot_vector for sign in ("min", "max")
-        )
+        vectors = tuple(legendrian.canonical_filling(family, sign) for sign in ("min", "max"))
         pair = invariants.FamilyReduction(family).euler_classes(vectors)
         assert pair == tuple(invariants.euler_class(family, v) for v in vectors), family
 
@@ -215,26 +213,26 @@ def test_verify_refuses_before_it_reduces(monkeypatch):
         verify_family(Cusp((3,) * 17))
 
 
-def assert_pass_matches_oracles(family, diagrams, rot_vectors):
+def assert_pass_matches_oracles(family, vectors, rot_vectors):
     """``is_canonical`` and the streamed filling pass ``verify_family``
-    makes over ``rot_vectors``, the rot vectors of ``diagrams`` in order,
-    against the handle-by-handle oracles."""
-    c = invariants.adjunction_vector(family.handle_slots())
+    makes over ``rot_vectors``, the same rot vectors as ``vectors`` in
+    order, against the handle-by-handle oracles."""
+    slots = family.handle_slots()
+    c = invariants.adjunction_vector(slots)
     count, increasing, at_c, at_minus_c = _filling_pass(c, rot_vectors)
-    canonical = [is_canonical_oracle(d) for d in diagrams]
-    zero_defect = [has_zero_defect_oracle(d) for d in diagrams]
-    assert [invariants.is_canonical(d) for d in diagrams] == canonical, family
-    assert count == len(diagrams), family
-    rots = [d.rot_vector for d in diagrams]
-    assert increasing is all(a < b for a, b in itertools.pairwise(rots)), family
+    canonical = [is_canonical_oracle(family, rots) for rots in vectors]
+    zero_defect = [has_zero_defect_oracle(family, rots) for rots in vectors]
+    assert [invariants.is_canonical(slots, rots) for rots in vectors] == canonical, family
+    assert count == len(vectors), family
+    assert increasing is all(a < b for a, b in itertools.pairwise(vectors)), family
     assert at_c == sum(zero_defect), family
     assert at_minus_c == sum(ok and not zero for ok, zero in zip(canonical, zero_defect)), family
 
 
 def test_filling_pass_matches_oracles_over_suite():
     for family in suite_families():
-        diagrams = legendrian.enumerate_stein_fillings(family)
-        assert_pass_matches_oracles(family, diagrams, legendrian.filling_rot_vectors(family))
+        vectors = legendrian.enumerate_stein_fillings(family)
+        assert_pass_matches_oracles(family, vectors, legendrian.filling_rot_vectors(family))
 
 
 def test_filling_pass_matches_oracles_on_mixed_diagrams():
@@ -251,13 +249,13 @@ def test_filling_pass_matches_oracles_on_mixed_diagrams():
     for family in families:
         slots = family.handle_slots()
         ranges = [rotation_range(g, f) for g, f in slots]
-        diagrams = [
-            SteinHandleDiagram(family, [r[side] for r, side in zip(ranges, sides)])
+        vectors = [
+            check_rot_vector(family, [r[side] for r, side in zip(ranges, sides)])
             for sides in itertools.product((0, -1), repeat=len(slots))
         ]
-        for ordered in (diagrams, diagrams[::-1]):
-            assert_pass_matches_oracles(family, ordered, (d.rot_vector for d in ordered))
-        assert sum(map(is_canonical_oracle, diagrams)) >= 1, family
+        for ordered in (vectors, vectors[::-1]):
+            assert_pass_matches_oracles(family, ordered, iter(ordered))
+        assert sum(is_canonical_oracle(family, rots) for rots in vectors) >= 1, family
 
 
 cusp_words = st.lists(st.integers(2, 6), min_size=1, max_size=6).filter(lambda w: max(w) >= 3)
@@ -267,8 +265,8 @@ cusp_words = st.lists(st.integers(2, 6), min_size=1, max_size=6).filter(lambda w
 @given(cusp_words)
 def test_filling_pass_matches_oracles_on_cusp_words(word):
     family = Cusp(CycleWord(word))
-    diagrams = legendrian.enumerate_stein_fillings(family)
-    assert_pass_matches_oracles(family, diagrams, legendrian.filling_rot_vectors(family))
+    vectors = legendrian.enumerate_stein_fillings(family)
+    assert_pass_matches_oracles(family, vectors, legendrian.filling_rot_vectors(family))
 
 
 def _diagram_count(word):
@@ -327,8 +325,8 @@ def test_broken_enumeration_fails_exactly_its_checks(monkeypatch, mutation):
     assert failed_checks(family) == set()
     mutate, failing = ENUMERATION_MUTATIONS[mutation]
     original = legendrian.filling_rot_vectors
-    minimal = legendrian.canonical_filling(family, "min").rot_vector
-    maximal = legendrian.canonical_filling(family, "max").rot_vector
+    minimal = legendrian.canonical_filling(family, "min")
+    maximal = legendrian.canonical_filling(family, "max")
     monkeypatch.setattr(
         legendrian,
         "filling_rot_vectors",
@@ -351,12 +349,12 @@ def test_shifted_adjunction_formula_fails_uniqueness(monkeypatch):
 
 
 def test_every_diagram_of_one_verify_call_is_checked(monkeypatch):
-    # verify streams the rot vectors taken off the slots' budgets and builds
-    # only the two canonical fillings; every streamed vector must pass the
-    # checking constructor, there must be as many as the closed form says,
-    # and each of the two diagrams built must equal the checked one
-    realized = legendrian._realized
+    # verify streams the rot vectors taken off the slots' budgets and takes
+    # the two canonical ones off the budgets too; every streamed vector and
+    # both canonical vectors must pass check_rot_vector, and there must be
+    # as many streamed vectors as the closed form says
     rot_vectors = legendrian.filling_rot_vectors
+    canonical_filling = legendrian.canonical_filling
     for family, count in (
         (Cusp(CycleWord((3, 4, 5))), _diagram_count((3, 4, 5))),
         (Elliptic(3), 3 + 1),
@@ -367,19 +365,19 @@ def test_every_diagram_of_one_verify_call_is_checked(monkeypatch):
         def checked_vectors(family):
             for rots in rot_vectors(family):
                 streamed.append(rots)
-                assert SteinHandleDiagram(family, rots).rot_vector == rots
+                assert check_rot_vector(family, rots) == rots
                 yield rots
 
-        def checked(family, rots):
+        def checked_canonical(family, sign):
+            rots = canonical_filling(family, sign)
             built.append(rots)
-            diagram = realized(family, rots)
-            assert SteinHandleDiagram(family, rots) == diagram
-            return diagram
+            assert check_rot_vector(family, rots) == rots
+            return rots
 
         monkeypatch.setattr(legendrian, "filling_rot_vectors", checked_vectors)
-        monkeypatch.setattr(legendrian, "_realized", checked)
+        monkeypatch.setattr(legendrian, "canonical_filling", checked_canonical)
         assert all(passed for _, passed in verify_family(family))
         monkeypatch.undo()
         assert len(streamed) == count, family
-        canonical = [legendrian.canonical_filling(family, s).rot_vector for s in ("min", "max")]
+        canonical = [legendrian.canonical_filling(family, s) for s in ("min", "max")]
         assert built == canonical, family
