@@ -196,23 +196,22 @@ def _run_graph(request):
 
 
 def _run_openbook(request):
-    book = request.family.openbook()
+    from .openbook import PAGE_GENUS, curve_names
+
+    family, count = request.family, request.family.boundary_count
     if request.fmt == "json":
-        return EXIT_OK, book.to_json_dict()
-    plural = "component" if book.boundary_count == 1 else "components"
-    return EXIT_OK, (
-        f"{book.word_text()}, page: genus {book.page_genus}, "
-        f"{book.boundary_count} boundary {plural}"
-    )
+        return EXIT_OK, {"genus": PAGE_GENUS, "boundaries": count, "word": curve_names(family)}
+    word = "·".join(f"D({name})" for name in curve_names(family, ("δ", "γ", ",")))
+    plural = "component" if count == 1 else "components"
+    return EXIT_OK, f"{word}, page: genus {PAGE_GENUS}, {count} boundary {plural}"
 
 
 def _run_surgery(request):
     from . import plumbing
 
-    desc = plumbing.smooth_surgery_description(request.family)
     if request.fmt == "json":
-        return EXIT_OK, desc.to_json_dict()
-    return EXIT_OK, desc.to_text()
+        return EXIT_OK, plumbing.surgery_json(request.family)
+    return EXIT_OK, plumbing.surgery_text(request.family)
 
 
 def _run_enumerate(request):
@@ -276,11 +275,11 @@ def _run_canonical(request):
 
 def _run_invariants(request):
     from . import legendrian
-    from .invariants import FamilyReduction, check_d3_supported, d3_supported
+    from .invariants import FamilyReduction, check_d3_supported
 
     family = request.family
     if request.d3:  # a cusp is refused before Q is reduced
-        check_d3_supported(family, family.graph())
+        check_d3_supported(family)
     signs = (request.sign,) if request.sign else ("min", "max")
     rots = [legendrian.canonical_filling(family, s) for s in signs]
     reduction = FamilyReduction(family)
@@ -293,7 +292,7 @@ def _run_invariants(request):
         if data["witness"] is not None:
             data["witness"] = zeros + data["witness"]
     d3: dict | None = None
-    if not request.euler and d3_supported(reduction.graph):  # a cusp's d3 is None
+    if not request.euler and family.d3_supported:  # a cusp's d3 is None
         d3s = reduction.d3_invariants(reps)
         d3 = {s: {"num": v.numerator, "den": v.denominator} for s, v in zip(signs, d3s)}
     if request.euler or request.d3:
@@ -303,7 +302,7 @@ def _run_invariants(request):
         if request.fmt == "json":
             return EXIT_OK, payload
         return EXIT_OK, _JSON.encode(payload)
-    report = reduction.homology(family.monodromy(), family.openbook())
+    report = reduction.homology(family.monodromy())
     if request.fmt == "json":
         return EXIT_OK, {"homology": report.to_json_dict(), "euler": euler, "d3": d3}
     lines = [

@@ -1,10 +1,12 @@
 """The two link families everything downstream is indexed by.
 
 Each family knows its label, JSON form, monodromy, plumbing graph, open
-book page, Stein handle pattern, surgery picture and diagram count (Q is
-read off the graph); outside the family-specific checks of verify.py, no
-module tests which family it holds.
-A handle pattern is one (genus, smooth framing) slot per Stein 2-handle.
+book page and boundary count, Stein handle pattern, surgery picture,
+diagram count and whether its d3 is supported (Q is read off the graph);
+outside the family-specific checks of verify.py, no module tests which
+family it holds.  The open book and the surgery picture are functions of
+the family.  A handle pattern is one (genus, smooth framing) slot per
+Stein 2-handle.
 """
 from __future__ import annotations
 
@@ -48,6 +50,7 @@ class Elliptic(Record):
     __slots__ = ("n",)
     one_handle_count = 2
     surgery_picture = "borromean"
+    d3_supported = True
 
     def __init__(self, n: int):
         n = index(n)
@@ -64,6 +67,10 @@ class Elliptic(Record):
         """Stein handle diagrams: n + 1, one per rot of the elliptic core."""
         return self.n + 1
 
+    @property
+    def boundary_count(self) -> int:  # of the open-book page
+        return self.n
+
     def to_json_dict(self) -> dict:
         return {"kind": "elliptic", "n": self.n}
 
@@ -73,14 +80,9 @@ class Elliptic(Record):
 
     def graph(self):
         """One genus-one vertex of weight -n."""
-        from .plumbing import PlumbingGraph, PlumbingVertex
+        from .plumbing import PlumbingGraph
 
-        return PlumbingGraph((PlumbingVertex(-self.n, genus=1),), ())
-
-    def openbook(self):
-        from .openbook import OpenBookDescription
-
-        return OpenBookDescription(self)
+        return PlumbingGraph(((-self.n, 1),), ())
 
     def page_pieces(self) -> tuple[int, tuple[int, ...]]:
         """(delta curves, boundaries on each planar piece) of the open-book
@@ -103,6 +105,7 @@ class Cusp(Record):
 
     __slots__ = ("word",)
     one_handle_count = 1
+    d3_supported = False
 
     def __init__(self, word: CycleWord):
         if not isinstance(word, CycleWord):
@@ -120,6 +123,10 @@ class Cusp(Record):
 
         return prod([n - 1 for n in self.word])
 
+    @property
+    def boundary_count(self) -> int:  # of the open-book page
+        return sum([n - 2 for n in self.word])
+
     def to_json_dict(self) -> dict:
         return {"kind": "cusp", "word": self.word.to_json_list()}
 
@@ -128,7 +135,7 @@ class Cusp(Record):
 
     def graph(self):
         """Circular plumbing with weights -n_i; loop for k = 1, double edge for k = 2."""
-        from .plumbing import PlumbingGraph, PlumbingVertex
+        from .plumbing import PlumbingGraph
 
         k = len(self.word)
         if k == 1:
@@ -137,12 +144,7 @@ class Cusp(Record):
             edges = ((0, 1), (0, 1))
         else:
             edges = tuple((i, (i + 1) % k) for i in range(k))
-        return PlumbingGraph(tuple(PlumbingVertex(-n) for n in self.word), edges)
-
-    def openbook(self):
-        from .openbook import OpenBookDescription
-
-        return OpenBookDescription(self)
+        return PlumbingGraph(tuple([(-n, 0) for n in self.word]), edges)
 
     def page_pieces(self) -> tuple[int, tuple[int, ...]]:
         """(delta curves, boundaries on each planar piece) of the open-book

@@ -31,8 +31,8 @@ from .families import Family, UnsupportedPresentation
 from .legendrian import check_rot_vector
 from .linalg import SnfResult, dot, smith_normal_form, symmetric_signature
 from .linalg import two_column_cokernel
-from .openbook import OpenBookDescription, openbook_homology
-from .plumbing import PlumbingGraph, intersection_matrix
+from .openbook import openbook_homology
+from .plumbing import intersection_matrix
 from .sl2z import Sl2Matrix
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "adjunction_defects",
     "is_canonical",
     "euler_class",
-    "d3_supported",
     "check_d3_supported",
     "d3_invariant",
     "homology_cross_check",
@@ -136,26 +135,21 @@ def _reduce_class(snf: SnfResult, v: tuple[int, ...]) -> CohomologyClassRep:
     return CohomologyClassRep(v, k, snf.lift([k * x for x in v], [k * c for c in w]))
 
 
-def d3_supported(graph: PlumbingGraph) -> bool:
-    """False for a graph with a cycle, a cusp's, whose d3 waits for the
-    resolution-graph cross-check; it is decided before Q is reduced."""
-    return not graph.first_betti()
-
-
-def check_d3_supported(family: Family, graph: PlumbingGraph) -> None:
-    """``d3_supported``, raising UnsupportedPresentation where it is false."""
-    if not d3_supported(graph):
+def check_d3_supported(family: Family) -> None:
+    """Raise UnsupportedPresentation unless ``family.d3_supported``: a
+    cusp's d3 waits for the resolution-graph cross-check, and is refused
+    before Q is reduced."""
+    if not family.d3_supported:
         message = f"d3 of {family.label} waits for the resolution-graph cross-check"
         raise UnsupportedPresentation(message)
 
 
 def d3_invariant(family: Family, rot_vector):
     """d3 invariant, a Fraction, of the contact structure of the one Stein
-    diagram of the family with the given rot vector.  A cusp is refused on
-    its graph before the vector is checked and before Q is reduced; a
-    vector that ``check_rot_vector`` refuses raises ValueError or
-    TypeError."""
-    check_d3_supported(family, family.graph())
+    diagram of the family with the given rot vector.  A cusp is refused
+    before the vector is checked and before Q is reduced; a vector that
+    ``check_rot_vector`` refuses raises ValueError or TypeError."""
+    check_d3_supported(family)
     rots = check_rot_vector(family, rot_vector)
     reduction = FamilyReduction(family)
     return reduction.d3_invariants(reduction.euler_classes((rots,)))[0]
@@ -189,7 +183,7 @@ def homology_cross_check(family: Family) -> HomologyAgreement:
     >>> report.all_equal, str(report.openbook)
     (True, 'Z + Z/2')
     """
-    return FamilyReduction(family).homology(family.monodromy(), family.openbook())
+    return FamilyReduction(family).homology(family.monodromy())
 
 
 class FamilyReduction(Record):
@@ -198,15 +192,15 @@ class FamilyReduction(Record):
     The plumbing graph is built once and Q is its intersection form, the
     linking matrix of the Stein 2-handles (one per vertex), the same way for
     both families.  A Q with a zero invariant factor raises ValueError, so
-    every Euler class has finite order.  The open book and the monodromy
-    are not built here: a caller passes them to ``homology``.
+    every Euler class has finite order.  The monodromy is not built here:
+    a caller passes it to ``homology``.
 
     >>> from singlink.families import Cusp
     >>> reduction = FamilyReduction(Cusp((2, 3)))
     >>> [rep.witness for rep in reduction.euler_classes([(0, -1), (0, 1)])]
     [(1, 1), (-1, -1)]
     >>> family = reduction.family
-    >>> str(reduction.homology(family.monodromy(), family.openbook()).plumbing)
+    >>> str(reduction.homology(family.monodromy()).plumbing)
     'Z + Z/2'
     """
 
@@ -254,7 +248,7 @@ class FamilyReduction(Record):
         ['-1/2', '-1/2']
         """
         q = self.presentation
-        check_d3_supported(self.family, self.graph)
+        check_d3_supported(self.family)
         from fractions import Fraction  # after the refusal: a cusp report imports none
 
         sigma = symmetric_signature(q)
@@ -265,8 +259,9 @@ class FamilyReduction(Record):
             values.append((c2 - 3 * sigma - 2 * chi) / 4)
         return tuple(values)
 
-    def homology(self, monodromy: Sl2Matrix, book: OpenBookDescription) -> HomologyAgreement:
-        """``homology_cross_check`` from the family's monodromy and open book.
+    def homology(self, monodromy: Sl2Matrix) -> HomologyAgreement:
+        """``homology_cross_check`` from the family's monodromy; the open
+        book is read off the family.
 
         The three groups come from three different matrices: Q, A - I and
         the open-book presentation.  The plumbing H_1 is Q's cokernel plus
@@ -281,5 +276,5 @@ class FamilyReduction(Record):
             self.family,
             plumbing,
             two_column_cokernel(delta, 1),
-            openbook_homology(book),
+            openbook_homology(self.family),
         )

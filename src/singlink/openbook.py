@@ -8,13 +8,13 @@ twist along every delta and every gamma.  The elliptic open book has the
 same page genus, one piece with n boundary components and one
 boundary-parallel twist at each.
 
-The open book stores only its family and reads the rest off
-``family.page_pieces()``: the labels and the twist word on each read, and
-the homology of the total space in one pass over the pieces.  A boundary
-is labeled (i, j), pieces numbered from 1, and a twist curve is the pair
-("delta", i) or ("gamma", (i, j)).  Curves are modeled through their
-classes in the first homology of the page together with the intersection
-form; that is enough for the monodromy action.
+The open book is no object: every function here takes the family and
+reads the page off ``family.page_pieces()``, the homology of the total
+space in one pass over the pieces.  A boundary is labeled (i, j), pieces
+numbered from 1, and a twist curve is the pair ("delta", i) or ("gamma",
+(i, j)).  Curves are modeled through their classes in the first homology
+of the page together with the intersection form; that is enough for the
+monodromy action.
 """
 from __future__ import annotations
 
@@ -24,9 +24,12 @@ from .linalg import AbelianGroup, IntMatrix, two_column_cokernel
 
 __all__ = [
     "BOUNDARY_LIMIT",
+    "PAGE_GENUS",
     "BoundaryLabel",
-    "OpenBookDescription",
     "PageHomologyData",
+    "boundary_labels",
+    "twist_word",
+    "curve_names",
     "curve_homology_classes",
     "homological_monodromy_action",
     "openbook_homology",
@@ -34,10 +37,23 @@ __all__ = [
 
 BoundaryLabel = tuple[int, int]
 
-# Most boundary components an open book may have: n for Elliptic(n) and
-# sum(n_i - 2) for a cusp word.  A larger page is refused before any of it
-# is built, since every boundary carries a twist and a relation.
+# Most boundary components an open book may have: the family's
+# boundary_count, n for Elliptic(n) and sum(n_i - 2) for a cusp word.  A
+# larger page is refused before any of it is built, since every boundary
+# carries a twist and a relation.
 BOUNDARY_LIMIT = 1_000
+PAGE_GENUS = 1
+
+
+def _page(family: Family) -> tuple[int, tuple[int, ...]]:
+    """``family.page_pieces()``, the one place that refuses a page over
+    BOUNDARY_LIMIT, before any piece is built."""
+    if family.boundary_count > BOUNDARY_LIMIT:
+        raise SizeLimitExceeded(
+            f"the open book of {family.label} has more boundary components "
+            f"than the limit of {BOUNDARY_LIMIT:,}"
+        )
+    return family.page_pieces()
 
 
 def _labels(pieces: tuple[int, ...]) -> list[BoundaryLabel]:
@@ -51,61 +67,38 @@ def _word(deltas: int, pieces: tuple[int, ...]) -> list[tuple[str, int | Boundar
     return [("delta", i) for i in range(deltas)] + [("gamma", lb) for lb in _labels(pieces)]
 
 
-class OpenBookDescription(Record):
-    """The horizontal open book of a family: a genus-one page, its labeled
-    boundaries and the ordered right-handed twist word.  It stores only the
-    family; the labels and the word are built from ``family.page_pieces()``
-    on each read, and the boundary count is the sum of the pieces.
+def boundary_labels(family: Family) -> tuple[BoundaryLabel, ...]:
+    """The labels of the page's boundaries, in order."""
+    return tuple(_labels(_page(family)[1]))
+
+
+def twist_word(family: Family) -> tuple[tuple[str, int | BoundaryLabel], ...]:
+    """The ordered right-handed twist word, deltas first.
 
     >>> from singlink.families import Cusp
-    >>> OpenBookDescription(Cusp((4,))).twist_word
+    >>> twist_word(Cusp((4,)))
     (('delta', 0), ('gamma', (1, 1)), ('gamma', (1, 2)))
-    >>> OpenBookDescription(Cusp((4,))).word_text()
-    'D(δ0)·D(γ1)·D(γ2)'
     """
+    return tuple(_word(*_page(family)))
 
-    __slots__ = ("family",)
-    page_genus = 1
 
-    def __init__(self, family: Family):
-        if sum(family.page_pieces()[1]) > BOUNDARY_LIMIT:
-            raise SizeLimitExceeded(
-                f"the open book of {family.label} has more boundary components "
-                f"than the limit of {BOUNDARY_LIMIT:,}"
-            )
-        object.__setattr__(self, "family", family)
+def curve_names(family: Family, alphabet=("delta", "gamma", "_")) -> list[str]:
+    """The twist word's names in an alphabet (delta, gamma, separator).
+    A page of one piece prints its gammas gamma{j}, any other page
+    gamma{i}{separator}{j}; the text rendering uses ("δ", "γ", ",").
 
-    @property
-    def boundary_count(self) -> int:
-        return sum(self.family.page_pieces()[1])
-
-    @property
-    def boundary_labels(self) -> tuple[BoundaryLabel, ...]:
-        return tuple(_labels(self.family.page_pieces()[1]))
-
-    @property
-    def twist_word(self) -> tuple[tuple[str, int | BoundaryLabel], ...]:
-        return tuple(_word(*self.family.page_pieces()))
-
-    def curve_names(self, alphabet=("delta", "gamma", "_")) -> list[str]:
-        """The twist word's names in an alphabet (delta, gamma, separator).
-        A page of one piece prints its gammas gamma{j}, any other page
-        gamma{i}{separator}{j}; the text rendering uses ("δ", "γ", ",")."""
-        delta, gamma, sep = alphabet
-        deltas, pieces = self.family.page_pieces()
-        one_piece = len(pieces) == 1
-        return [
-            f"{delta}{x}" if kind == "delta" else f"{gamma}{x[1]}" if one_piece
-            else f"{gamma}{x[0]}{sep}{x[1]}"
-            for kind, x in _word(deltas, pieces)
-        ]
-
-    def word_text(self) -> str:
-        return "·".join(f"D({name})" for name in self.curve_names(("δ", "γ", ",")))
-
-    def to_json_dict(self) -> dict:
-        word = self.curve_names()
-        return {"genus": self.page_genus, "boundaries": self.boundary_count, "word": word}
+    >>> from singlink.families import Cusp
+    >>> curve_names(Cusp((4,)), ("δ", "γ", ","))
+    ['δ0', 'γ1', 'γ2']
+    """
+    delta, gamma, sep = alphabet
+    deltas, pieces = _page(family)
+    one_piece = len(pieces) == 1
+    return [
+        f"{delta}{x}" if kind == "delta" else f"{gamma}{x[1]}" if one_piece
+        else f"{gamma}{x[0]}{sep}{x[1]}"
+        for kind, x in _word(deltas, pieces)
+    ]
 
 
 class PageHomologyData(Record):
@@ -132,12 +125,13 @@ class PageHomologyData(Record):
         return tuple(tuple(pairing.get((i, j), 0) for j in range(r)) for i in range(r))
 
 
-def curve_homology_classes(ob: OpenBookDescription) -> PageHomologyData:
+def curve_homology_classes(family: Family) -> PageHomologyData:
     """Homology classes of the twist curves and of the boundaries, keyed by
     the (kind, label) pairs of the twist word and by the boundary labels."""
-    labels, word = ob.boundary_labels, ob.twist_word
+    deltas, pieces = _page(family)
+    labels, word = _labels(pieces), _word(deltas, pieces)
     b = len(labels)  # at least 1 for every family
-    rank = 2 * ob.page_genus + b - 1
+    rank = 2 * PAGE_GENUS + b - 1
     names = ("l", "d") + tuple(f"e{s}" for s in range(1, b))
     boundary_classes: dict[BoundaryLabel, tuple[int, ...]] = {
         label: tuple([int(j == 2 + s) for j in range(rank)]) for s, label in enumerate(labels[:-1])
@@ -158,7 +152,7 @@ def curve_homology_classes(ob: OpenBookDescription) -> PageHomologyData:
     return PageHomologyData(names, classes, boundary_classes)
 
 
-def homological_monodromy_action(ob: OpenBookDescription) -> IntMatrix:
+def homological_monodromy_action(family: Family) -> IntMatrix:
     """Product of the twists over the twist word (columns = images).
 
     A right-handed twist along c acts as x -> x + <x, c> c.  Every twist
@@ -168,16 +162,16 @@ def homological_monodromy_action(ob: OpenBookDescription) -> IntMatrix:
     gamma adds nothing.  The elliptic open book therefore always returns
     the identity matrix.
     """
-    data = curve_homology_classes(ob)
+    data = curve_homology_classes(family)
     r = data.rank
     image = [int(i == 0) for i in range(r)]
-    for curve in ob.twist_word:
+    for curve in twist_word(family):
         c = data.curve_classes[curve]
         image = [x + c[1] * y for x, y in zip(image, c)]
     return tuple(tuple(image[i] if j == 0 else int(i == j) for j in range(r)) for i in range(r))
 
 
-def openbook_homology(ob: OpenBookDescription) -> AbelianGroup:
+def openbook_homology(family: Family) -> AbelianGroup:
     """First homology of the 3-manifold carrying the open book, read off
     ``family.page_pieces()`` alone.
 
@@ -203,7 +197,7 @@ def openbook_homology(ob: OpenBookDescription) -> AbelianGroup:
     this with O(k) additions for k pieces.  Elliptic(1000) takes about
     0.01 ms and (3,)^1000 about 1 ms (best of 3, Python 3.11).
     """
-    deltas, pieces = ob.family.page_pieces()
+    deltas, pieces = _page(family)
     if sum(pieces) == 1:  # no e_1: the one boundary class is 0, so each delta is d
         return two_column_cokernel(((0,), (deltas,)) if deltas else ((), ()))
     filled = [p for p, n in enumerate(pieces) if n]

@@ -6,6 +6,10 @@ genus-one vertex.  The intersection matrix follows the usual plumbing
 calculus: diagonal = Euler weight plus twice the loop count, off-diagonal
 = edge multiplicity; it is the linking matrix of the Stein 2-handles, the
 one form every invariant reads.
+
+A vertex is its (weight, genus) int pair.  The surgery picture is no
+record either: ``surgery_framings``, ``surgery_json`` and ``surgery_text``
+read it off the family and its ``surgery_picture``.
 """
 from __future__ import annotations
 
@@ -17,12 +21,12 @@ from .linalg import AbelianGroup, IntMatrix, smith_normal_form
 
 __all__ = [
     "VERTEX_LIMIT",
-    "PlumbingVertex",
     "PlumbingGraph",
-    "SurgeryDescription",
     "intersection_matrix",
     "boundary_homology",
-    "smooth_surgery_description",
+    "surgery_framings",
+    "surgery_json",
+    "surgery_text",
 ]
 
 # Most vertices whose intersection matrix may be built: k for a cusp word of
@@ -32,26 +36,17 @@ __all__ = [
 VERTEX_LIMIT = 1_000
 
 
-class PlumbingVertex(Record):
-    __slots__ = ("weight", "genus")
-
-    def __init__(self, weight: int, genus: int = 0):
-        weight, genus = index(weight), index(genus)
-        if genus < 0:
-            raise InvalidParameter(f"vertex genus must be nonnegative, got {genus}")
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "genus", genus)
-
-
 class PlumbingGraph(Record):
-    """Weighted multigraph; edges are unordered index pairs, loops allowed."""
+    """Weighted multigraph; each vertex is a (weight, genus) int pair, and
+    edges are unordered index pairs, loops allowed."""
 
     __slots__ = ("vertices", "edges")
 
-    def __init__(
-        self, vertices: tuple[PlumbingVertex, ...], edges: tuple[tuple[int, int], ...]
-    ):
-        vertices = tuple(vertices)
+    def __init__(self, vertices: tuple[tuple[int, int], ...], edges: tuple[tuple[int, int], ...]):
+        vertices = tuple([(index(weight), index(genus)) for weight, genus in vertices])
+        for _, genus in vertices:
+            if genus < 0:
+                raise InvalidParameter(f"vertex genus must be nonnegative, got {genus}")
         edges = tuple(tuple(sorted(map(index, e))) for e in edges)
         n = len(vertices)
         for i, j in edges:
@@ -74,7 +69,7 @@ class PlumbingGraph(Record):
         return len(self.edges) - len(self.vertices) + self.component_count()
 
     def total_genus(self) -> int:
-        return sum(v.genus for v in self.vertices)
+        return sum([genus for _, genus in self.vertices])
 
     def boundary_free_rank(self) -> int:
         """Free rank of the boundary H_1 beyond the cokernel of the
@@ -83,14 +78,14 @@ class PlumbingGraph(Record):
 
     def to_json_dict(self) -> dict:
         return {
-            "vertices": [{"weight": v.weight, "genus": v.genus} for v in self.vertices],
+            "vertices": [{"weight": w, "genus": g} for w, g in self.vertices],
             "edges": [list(e) for e in self.edges],
         }
 
     def to_dot(self) -> str:
         lines = ["graph plumbing {"]
-        for i, v in enumerate(self.vertices):
-            lines.append(f'  v{i} [label="v{i} [{v.weight}, g={v.genus}]"];')
+        for i, (weight, genus) in enumerate(self.vertices):
+            lines.append(f'  v{i} [label="v{i} [{weight}, g={genus}]"];')
         for i, j in self.edges:
             lines.append(f"  v{i} -- v{j};")
         lines.append("}")
@@ -109,8 +104,8 @@ def intersection_matrix(graph: PlumbingGraph) -> IntMatrix:
             f"the plumbing graph has more vertices ({n:,}) than the limit of {VERTEX_LIMIT:,}"
         )
     q = [[0] * n for _ in range(n)]
-    for i, v in enumerate(graph.vertices):
-        q[i][i] = v.weight
+    for i, (weight, _) in enumerate(graph.vertices):
+        q[i][i] = weight
     for i, j in graph.edges:
         if i == j:
             q[i][i] += 2
@@ -132,25 +127,6 @@ def boundary_homology(graph: PlumbingGraph) -> AbelianGroup:
     """
     snf = smith_normal_form(intersection_matrix(graph))
     return snf.cokernel(graph.boundary_free_rank())
-
-
-class SurgeryDescription(Record):
-    """Symbolic smooth surgery presentation; emission only, nothing consumes it."""
-
-    __slots__ = ("kind", "framings", "notes", "family_json")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "framings": list(self.framings),
-            "notes": list(self.notes),
-            "family": self.family_json,
-        }
-
-    def to_text(self) -> str:
-        body = "[" + ", ".join(str(f) for f in self.framings) + "]"
-        head = _SURGERY_PICTURES[self.kind][0].format(body=body, first=self.framings[0])
-        return head + "; " + "; ".join(self.notes)
 
 
 # (text head, notes) of each surgery picture, keyed by the family's ``surgery_picture``
@@ -179,16 +155,37 @@ _SURGERY_PICTURES = {
 }
 
 
-def smooth_surgery_description(family: Family) -> SurgeryDescription:
-    """Surgery presentation of the link: framed chain plus ring (cusp, k > 1),
-    a double-pass unknot over a 1-handle (cusp, k = 1), or Borromean rings
-    with framings (0, 0, -n) (elliptic).
+def surgery_framings(family: Family) -> tuple[int, ...]:
+    """Framings of the family's smooth surgery picture: a 0 per genus
+    1-handle (2 per unit of vertex genus), then the diagonal of the
+    intersection form.
 
-    The picture is the family's ``surgery_picture``, and the framings are a
-    0 per genus 1-handle (2 per unit of vertex genus), then the diagonal of
-    the intersection form."""
-    kind = family.surgery_picture
+    >>> from singlink.families import Cusp, Elliptic
+    >>> surgery_framings(Elliptic(3)), surgery_text(Cusp((4,))).split(";")[0]
+    ((0, 0, -3), 'single -2-framed unknot')
+    """
     graph = family.graph()
     q = intersection_matrix(graph)
-    framings = (0,) * (2 * graph.total_genus()) + tuple(q[i][i] for i in range(len(q)))
-    return SurgeryDescription(kind, framings, _SURGERY_PICTURES[kind][1], family.to_json_dict())
+    return (0,) * (2 * graph.total_genus()) + tuple([q[i][i] for i in range(len(q))])
+
+
+def surgery_json(family: Family) -> dict:
+    """The surgery picture as JSON: its kind (the family's
+    ``surgery_picture``), framings, notes and the family."""
+    kind = family.surgery_picture
+    return {
+        "kind": kind,
+        "framings": list(surgery_framings(family)),
+        "notes": list(_SURGERY_PICTURES[kind][1]),
+        "family": family.to_json_dict(),
+    }
+
+
+def surgery_text(family: Family) -> str:
+    """The surgery picture as one line: framed chain plus ring (cusp,
+    k > 1), a double-pass unknot over a 1-handle (cusp, k = 1), or
+    Borromean rings with framings (0, 0, -n) (elliptic), then its notes."""
+    head, notes = _SURGERY_PICTURES[family.surgery_picture]
+    framings = surgery_framings(family)
+    body = "[" + ", ".join(str(f) for f in framings) + "]"
+    return head.format(body=body, first=framings[0]) + "; " + "; ".join(notes)

@@ -14,6 +14,7 @@ from math import prod
 from . import invariants, legendrian
 from .families import Cusp, Elliptic, Family
 from .linalg import dot
+from .openbook import PAGE_GENUS, twist_word
 from .sl2z import CycleWord, cyclic_equal, factor_cycle
 
 __all__ = ["SUITE_MAX_K", "SUITE_MAX_ENTRY", "SUITE_MAX_ELLIPTIC", "verify_family", "suite_families"]
@@ -26,14 +27,14 @@ SUITE_MAX_ELLIPTIC = 10
 def verify_family(family: Family) -> list[tuple[str, bool]]:
     """The per-family invariant suite; returns (check name, passed) pairs.
 
-    The open book and monodromy are built once per call, and one
+    The twist word and monodromy are built once per call, and one
     ``invariants.FamilyReduction`` reduces the presentation Q once for the
     Euler classes, the plumbing H_1 and both d3 values, which read the two
     Euler classes and share one signature of Q; a family whose d3 is
-    refused, which ``invariants.d3_supported`` decides from the graph
-    without raising, ends its checks at the Euler class.  A cusp's |det Q| is the
-    product of that reduction's diagonal D, since ``smith_normal_form``
-    checks u Q v = D exactly with unimodular u and v.  A Stein diagram is
+    refused, as its constant ``d3_supported`` says without raising, ends
+    its checks at the Euler class.  A cusp's |det Q| is the product of
+    that reduction's diagonal D, since ``smith_normal_form`` checks
+    u Q v = D exactly with unimodular u and v.  A Stein diagram is
     its rot vector, so the Stein filling checks read the vectors of
     ``legendrian.filling_rot_vectors`` one at a time and hold no list: one
     pass counts them and compares each with the one before it and with the
@@ -48,15 +49,15 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     True
     """
     checks: list[tuple[str, bool]] = []
-    book = family.openbook()
-    # a family over DIAGRAM_LIMIT is refused here, before Q is reduced
+    # a family over BOUNDARY_LIMIT is refused here, then one over
+    # DIAGRAM_LIMIT, both before Q is reduced
+    word_len = len(twist_word(family))
     rot_vectors = legendrian.filling_rot_vectors(family)
     a = family.monodromy()
     reduction = invariants.FamilyReduction(family)
 
     if isinstance(family, Elliptic):
         checks.append(("monodromy is parabolic of trace 2", a.trace == 2))
-        expected_boundaries = family.n
         expected_word_len = family.n
     else:
         word = family.word
@@ -64,19 +65,18 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
         checks.append(("factorization roundtrip", cyclic_equal(factor_cycle(a), word)))
         det = prod(reduction.snf.diagonal)  # |det Q|: D is nonnegative
         checks.append(("det identity |det Q| = trace - 2", det == a.trace - 2))
-        expected_boundaries = sum(n - 2 for n in word)
-        expected_word_len = len(word) + expected_boundaries
+        expected_word_len = len(word) + family.boundary_count
 
     checks.append(
         (
             "open book page data",
-            book.page_genus == 1
-            and book.boundary_count == expected_boundaries
-            and len(book.twist_word) == expected_word_len,
+            PAGE_GENUS == 1
+            and sum(family.page_pieces()[1]) == family.boundary_count
+            and word_len == expected_word_len,
         )
     )
 
-    report = reduction.homology(a, book)
+    report = reduction.homology(a)
     checks.append(("triple homology agreement", report.all_equal))
 
     minimal = legendrian.canonical_filling(family, "min")
@@ -98,7 +98,7 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     euler_ok = all(rep.is_zero for rep in reps)
     checks.append(("euler class of the canonical structure vanishes", euler_ok))
 
-    if not invariants.d3_supported(reduction.graph):
+    if not family.d3_supported:
         return checks
     d3_min, d3_max = reduction.d3_invariants(reps)
     # the kernel of Q pairs to zero with the rot vector (it is empty, since

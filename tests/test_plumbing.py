@@ -12,10 +12,11 @@ from singlink.invariants import adjunction_vector
 from singlink.linalg import AbelianGroup, smith_normal_form
 from singlink.plumbing import (
     PlumbingGraph,
-    PlumbingVertex,
     boundary_homology,
     intersection_matrix,
-    smooth_surgery_description,
+    surgery_framings,
+    surgery_json,
+    surgery_text,
 )
 from singlink.sl2z import CycleWord, cycle_monodromy
 
@@ -24,17 +25,17 @@ from helpers import cusp_words, det_cofactor, presentation_oracle, suite_familie
 
 def test_cusp_graph_shapes():
     g = Cusp(CycleWord((2, 2, 3))).graph()
-    assert [v.weight for v in g.vertices] == [-2, -2, -3]
-    assert all(v.genus == 0 for v in g.vertices)
+    assert g.vertices == ((-2, 0), (-2, 0), (-3, 0))
+    assert all(genus == 0 for _, genus in g.vertices)
     assert sorted(g.edges) == [(0, 1), (0, 2), (1, 2)]
 
     g1 = Cusp(CycleWord((4,))).graph()
-    assert [v.weight for v in g1.vertices] == [-4]
+    assert [weight for weight, _ in g1.vertices] == [-4]
     assert g1.edges == ((0, 0),)
     assert intersection_matrix(g1) == ((-2,),)  # the loop adds 2 to the weight -4
 
     g2 = Cusp(CycleWord((2, 3))).graph()
-    assert [v.weight for v in g2.vertices] == [-2, -3]
+    assert [weight for weight, _ in g2.vertices] == [-2, -3]
     assert g2.edges == ((0, 1), (0, 1))
 
 
@@ -69,17 +70,17 @@ def test_component_count_matches_a_search(graph):
                 if x not in seen:
                     seen.add(x)
                     stack.extend(neighbours[x])
-    g = PlumbingGraph([PlumbingVertex(-2)] * n, edges)
+    g = PlumbingGraph([(-2, 0)] * n, edges)
     assert g.component_count() == components
     assert g.first_betti() == len(edges) - n + components
 
 
 def test_elliptic_graph():
     g = Elliptic(1).graph()
-    assert g.vertices == (PlumbingVertex(-1, genus=1),)
+    assert g.vertices == ((-1, 1),)
     assert g.edges == ()
     assert g.first_betti() == 0
-    assert Elliptic(9).graph().vertices[0].weight == -9
+    assert Elliptic(9).graph().vertices[0] == (-9, 1)
     with pytest.raises(InvalidParameter):
         Elliptic(0)
     with pytest.raises(InvalidParameter):
@@ -101,14 +102,26 @@ def test_vertex_limit_is_checked_before_the_matrix(monkeypatch):
         m.setattr(PlumbingGraph, "edges", None)  # building Q would fail
         intersection_matrix(long_graph)
     for family in (Cusp(CycleWord((2, 2, 2, 3))), Cusp(CycleWord((2,) * 10**4 + (3,)))):
-        with pytest.raises(SizeLimitExceeded):
-            smooth_surgery_description(family)
+        for picture in (surgery_framings, surgery_json, surgery_text):
+            with pytest.raises(SizeLimitExceeded):
+                picture(family)
         assert len(family.graph().vertices) == len(family.word)  # the graph still builds
 
 
 def test_edge_index_validation():
     with pytest.raises(InvalidParameter):
-        PlumbingGraph((PlumbingVertex(-2),), ((0, 1),))
+        PlumbingGraph(((-2, 0),), ((0, 1),))
+
+
+def test_vertex_validation():
+    # a vertex is a (weight, genus) int pair with a nonnegative genus
+    assert PlumbingGraph([(True, 0), (-2, 1)], ()).vertices == ((1, 0), (-2, 1))
+    for genus in (-1, -5):
+        with pytest.raises(InvalidParameter, match=f"vertex genus must be nonnegative, got {genus}"):
+            PlumbingGraph(((-2, 0), (-2, genus)), ((0, 1),))
+    for vertex in ((-2.0, 0), (-2, 1.0), ("-2", 0)):
+        with pytest.raises(TypeError):
+            PlumbingGraph((vertex,), ())
 
 
 def test_intersection_matrix_fixed():
@@ -128,20 +141,15 @@ def test_presentation_matrix_matches_oracle():
     # 2 * genus zeros, then the diagonal of the intersection form
     for family in [*suite_families(), *(Elliptic(n) for n in range(1, 41))]:
         q = presentation_oracle(family)
-        framings = smooth_surgery_description(family).framings
+        framings = surgery_framings(family)
         assert framings == tuple(q[i][i] for i in range(len(q))), family
-    graph = PlumbingGraph((PlumbingVertex(-3, genus=2), PlumbingVertex(-2)), ((0, 1),))
+    graph = PlumbingGraph(((-3, 2), (-2, 0)), ((0, 1),))
 
-    class GenusTwo:  # the three things smooth_surgery_description reads
-        surgery_picture = "borromean"
-
+    class GenusTwo:  # the one thing surgery_framings reads
         def graph(self):
             return graph
 
-        def to_json_dict(self):
-            return {}
-
-    assert smooth_surgery_description(GenusTwo()).framings == (0, 0, 0, 0, -3, -2)
+    assert surgery_framings(GenusTwo()) == (0, 0, 0, 0, -3, -2)
 
 
 def test_intersection_matrix_symmetric_with_negative_diagonal():
@@ -204,7 +212,7 @@ def test_json_schema_roundtrip():
         "edges": [[0, 1], [0, 1]],
     }
     rebuilt = PlumbingGraph(
-        tuple(PlumbingVertex(v["weight"], v["genus"]) for v in data["vertices"]),
+        tuple((v["weight"], v["genus"]) for v in data["vertices"]),
         tuple(tuple(e) for e in data["edges"]),
     )
     assert rebuilt == g
@@ -214,7 +222,7 @@ def test_every_family_picture_has_a_surgery_picture():
     families = (Cusp((2, 3)), Cusp((4,)), Elliptic(2))
     assert {family.surgery_picture for family in families} == set(plumbing._SURGERY_PICTURES)
     for family in families:
-        assert smooth_surgery_description(family).kind == family.surgery_picture
+        assert surgery_json(family)["kind"] == family.surgery_picture
 
 
 def assert_stein_side_matches_plumbing_side(family):
@@ -222,7 +230,7 @@ def assert_stein_side_matches_plumbing_side(family):
     graph = family.graph()
     q = intersection_matrix(graph)
     loops = Counter(i for i, j in graph.edges if i == j)
-    genera = [vertex.genus + loops[v] for v, vertex in enumerate(graph.vertices)]
+    genera = [genus + loops[v] for v, (_, genus) in enumerate(graph.vertices)]
     slots = family.handle_slots()
     assert slots == tuple((g, q[v][v]) for v, g in enumerate(genera)), family
     a = [-q[v][v] + 2 * g - 2 for v, g in enumerate(genera)]
@@ -248,18 +256,20 @@ def test_cusp_handle_slots_match_the_plumbing_graph(word):
 
 
 def test_surgery_descriptions():
-    chain = smooth_surgery_description(Cusp(CycleWord((2, 2, 3))))
-    assert chain.kind == "chain-with-ring"
-    assert chain.framings == (-2, -2, -3)
-    assert "0-framed ring" in chain.to_text()
+    chain = Cusp(CycleWord((2, 2, 3)))
+    assert surgery_json(chain)["kind"] == "chain-with-ring"
+    assert surgery_framings(chain) == (-2, -2, -3)
+    assert "0-framed ring" in surgery_text(chain)
 
-    nodal = smooth_surgery_description(Cusp(CycleWord((4,))))
-    assert nodal.kind == "nodal-double-pass"
-    assert nodal.framings == (-2,)
-    assert "twice" in nodal.to_text()
+    nodal = Cusp(CycleWord((4,)))
+    assert surgery_json(nodal)["kind"] == "nodal-double-pass"
+    assert surgery_framings(nodal) == (-2,)
+    assert "twice" in surgery_text(nodal)
 
-    borromean = smooth_surgery_description(Elliptic(5))
-    assert borromean.kind == "borromean"
-    assert borromean.framings == (0, 0, -5)
-    data = borromean.to_json_dict()
+    borromean = Elliptic(5)
+    assert surgery_json(borromean)["kind"] == "borromean"
+    assert surgery_framings(borromean) == (0, 0, -5)
+    data = surgery_json(borromean)
     assert data["family"] == {"kind": "elliptic", "n": 5}
+    assert data["framings"] == [0, 0, -5]
+    assert data["notes"] == list(plumbing._SURGERY_PICTURES["borromean"][1])

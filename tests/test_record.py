@@ -10,14 +10,14 @@ import pytest
 from singlink._record import Record
 from singlink.families import Cusp, Elliptic
 from singlink.invariants import (
+    CohomologyClassRep,
     FamilyReduction,
     HomologyAgreement,
     euler_class,
     homology_cross_check,
 )
 from singlink.linalg import AbelianGroup, smith_normal_form
-from singlink.openbook import curve_homology_classes
-from singlink.plumbing import PlumbingVertex, SurgeryDescription, smooth_surgery_description
+from singlink.openbook import PageHomologyData, curve_homology_classes
 from singlink.sl2z import CycleWord, Sl2Matrix
 
 # (build, another): each call of build makes a new record with the same field
@@ -29,16 +29,10 @@ RECORDS = [
     (lambda: CycleWord((2, 3)), lambda: CycleWord((3, 2))),
     (lambda: smith_normal_form(((2, 0), (0, 3))), lambda: smith_normal_form(((2, 0), (0, 5)))),
     (lambda: AbelianGroup(1, (2,)), lambda: AbelianGroup(1, (3,))),
-    (lambda: PlumbingVertex(-2), lambda: PlumbingVertex(-2, genus=1)),
     (lambda: Cusp((2, 3)).graph(), lambda: Cusp((2, 4)).graph()),
     (
-        lambda: smooth_surgery_description(Elliptic(2)),
-        lambda: smooth_surgery_description(Elliptic(3)),
-    ),
-    (lambda: Elliptic(2).openbook(), lambda: Elliptic(3).openbook()),
-    (
-        lambda: curve_homology_classes(Cusp((3, 4)).openbook()),
-        lambda: curve_homology_classes(Cusp((4, 3)).openbook()),
+        lambda: curve_homology_classes(Cusp((3, 4))),
+        lambda: curve_homology_classes(Cusp((4, 3))),
     ),
     (lambda: euler_class(Elliptic(2), (1,)), lambda: euler_class(Elliptic(2), (2,))),
     (lambda: homology_cross_check(Elliptic(2)), lambda: homology_cross_check(Elliptic(3))),
@@ -48,7 +42,7 @@ RECORDS = [
 
 def test_every_record_class_is_listed():
     listed = [type(build()) for build, _ in RECORDS]
-    assert len(listed) == len(set(listed)) == 14
+    assert len(listed) == len(set(listed)) == 11
     assert set(listed) == set(Record.__subclasses__())
 
 
@@ -102,8 +96,8 @@ def test_record_contract(build, another):
 @pytest.mark.parametrize(
     "first, second",
     [
-        (SurgeryDescription(1, 2, 3, 4), HomologyAgreement(1, 2, 3, 4)),
-        (Sl2Matrix(1, 0, 0, 1), SurgeryDescription(1, 0, 0, 1)),
+        (PageHomologyData(1, 2, 3), CohomologyClassRep(1, 2, 3)),
+        (Sl2Matrix(1, 0, 0, 1), HomologyAgreement(1, 0, 0, 1)),
         (Elliptic(2), Elliptic(3)),
     ],
 )

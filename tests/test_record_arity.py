@@ -17,7 +17,6 @@ def test_store_only_records_are_the_expected_classes():
         "HomologyAgreement",
         "PageHomologyData",
         "SnfResult",
-        "SurgeryDescription",
     ]
 
 

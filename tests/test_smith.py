@@ -10,7 +10,7 @@ from singlink import linalg
 from singlink.cli import parse_args, run
 from singlink.families import Cusp, Elliptic
 from singlink.invariants import euler_class
-from singlink.plumbing import PlumbingGraph, PlumbingVertex, intersection_matrix
+from singlink.plumbing import PlumbingGraph, intersection_matrix
 from singlink.linalg import (
     AbelianGroup,
     SnfResult,
@@ -73,11 +73,11 @@ def test_non_integer_entries_are_refused():
     with pytest.raises(TypeError):
         AbelianGroup(1.5)
     with pytest.raises(TypeError):
-        intersection_matrix(PlumbingGraph((PlumbingVertex(2.5),), ()))
+        intersection_matrix(PlumbingGraph(((2.5, 0),), ()))
     with pytest.raises(TypeError):
-        PlumbingVertex(-2, genus=0.5)
+        PlumbingGraph(((-2, 0.5),), ())
     with pytest.raises(TypeError):
-        PlumbingGraph((PlumbingVertex(-2), PlumbingVertex(-2)), ((0.5, 1),))
+        PlumbingGraph(((-2, 0), (-2, 0)), ((0.5, 1),))
     with pytest.raises(TypeError):
         determinant(((1.5, 0), (0, 2)))
     with pytest.raises(TypeError):

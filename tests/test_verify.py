@@ -12,7 +12,7 @@ from singlink.cli import EXIT_UNSUPPORTED, main
 from singlink.families import Cusp, Elliptic, SizeLimitExceeded, UnsupportedPresentation
 from singlink.legendrian import check_rot_vector, rotation_range
 from singlink.linalg import SnfResult
-from singlink.plumbing import intersection_matrix
+from singlink.plumbing import PlumbingGraph, intersection_matrix
 from singlink.sl2z import CycleWord
 from singlink.verify import (
     SUITE_MAX_ENTRY,
@@ -157,23 +157,41 @@ def test_repeated_calls_run_the_same_snfs():
         assert counts[0] == counts[1], family
 
 
+def count_calls(monkeypatch, methods):
+    """Count the calls of each (class, method name) pair; returns the
+    dict the counts go into, keyed by method name."""
+    calls = {}
+    for cls, name in methods:
+        original = getattr(cls, name)
+
+        def counting(self, _name=name, _original=original):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(self)
+
+        monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
 def test_family_objects_built_by_one_verify_call(monkeypatch):
     for cls, family in ((Cusp, Cusp(CycleWord((2, 3, 4)))), (Elliptic, Elliptic(3))):
-        calls = {}
-        for name in ("openbook", "monodromy", "graph"):
-            original = getattr(cls, name)
-
-            def counting(self, _name=name, _original=original):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _original(self)
-
-            monkeypatch.setattr(cls, name, counting)
+        names = ("page_pieces", "monodromy", "graph")
+        calls = count_calls(
+            monkeypatch, [(cls, name) for name in names] + [(PlumbingGraph, "component_count")]
+        )
         verify_family(family)
         monkeypatch.undo()
         # Q is read off the one graph, for the Euler classes, the plumbing
-        # H_1 and both canonical d3 values
-        assert calls["monodromy"] == calls["graph"] == 1, family
-        assert calls["openbook"] == 1, family
+        # H_1 and both canonical d3 values; the d3 refusal reads no graph
+        assert calls["monodromy"] == calls["graph"] == calls["component_count"] == 1, family
+        # the twist word, the page data check and the open-book H_1
+        assert calls["page_pieces"] == 3, family
+    # one d3 value, alone or through the command, builds the graph once
+    calls = count_calls(monkeypatch, [(Elliptic, "graph")])
+    assert invariants.d3_invariant(Elliptic(3), (-3,)) == 0
+    assert calls == {"graph": 1}
+    calls.clear()
+    assert main(["inv", "--elliptic", "3", "--d3"]) == 0
+    assert calls == {"graph": 1}
 
 
 def test_c1_distinct_check_sees_a_repeat_and_a_swap(monkeypatch):
