@@ -168,13 +168,13 @@ def _run_classify(request):
     matrix = request.matrix
     if request.fmt == "json":
         return EXIT_OK, {
-            "class": matrix.kind.value,
+            "class": matrix.kind,
             "trace": matrix.trace,
             "is_cusp_link": matrix.is_cusp_link,
             "is_elliptic_link": matrix.is_elliptic_link,
         }
     return EXIT_OK, (
-        f"class: {matrix.kind.value}\n"
+        f"class: {matrix.kind}\n"
         f"trace: {matrix.trace}\n"
         f"cusp link monodromy: {'yes' if matrix.is_cusp_link else 'no'}\n"
         f"simple elliptic link monodromy: {'yes' if matrix.is_elliptic_link else 'no'}"
@@ -283,17 +283,17 @@ def _run_invariants(request):
     signs = (request.sign,) if request.sign else ("min", "max")
     rots = [legendrian.canonical_filling(family, s) for s in signs]
     reduction = FamilyReduction(family)
-    reps = reduction.euler_classes(rots)
-    # each witness is printed with a 0 per genus 1-handle in front, indexed
-    # as the framings of `surgery` are
+    classes = reduction.euler_classes(rots)
+    # a class (k, y) vanishes when k == 1; its witness y is printed with a 0
+    # per genus 1-handle in front, indexed as the framings of `surgery` are
     zeros = [0] * (2 * reduction.graph.total_genus())
-    euler = {s: rep.to_json_dict() for s, rep in zip(signs, reps)}
-    for data in euler.values():
-        if data["witness"] is not None:
-            data["witness"] = zeros + data["witness"]
+    euler = {
+        s: {"is_zero": k == 1, "order": k, "witness": zeros + list(y) if k == 1 else None}
+        for s, (k, y) in zip(signs, classes)
+    }
     d3: dict | None = None
     if not request.euler and family.d3_supported:  # a cusp's d3 is None
-        d3s = reduction.d3_invariants(reps)
+        d3s = reduction.d3_invariants(classes)
         d3 = {s: {"num": v.numerator, "den": v.denominator} for s, v in zip(signs, d3s)}
     if request.euler or request.d3:
         payload = euler if request.euler else d3
@@ -302,14 +302,22 @@ def _run_invariants(request):
         if request.fmt == "json":
             return EXIT_OK, payload
         return EXIT_OK, _JSON.encode(payload)
-    report = reduction.homology(family.monodromy())
+    plumbing, monodromy, openbook = reduction.homology(family.monodromy())
+    all_equal = plumbing == monodromy == openbook
     if request.fmt == "json":
-        return EXIT_OK, {"homology": report.to_json_dict(), "euler": euler, "d3": d3}
+        homology = {
+            "family": family.to_json_dict(),
+            "plumbing": plumbing.to_json_dict(),
+            "monodromy": monodromy.to_json_dict(),
+            "openbook": openbook.to_json_dict(),
+            "all_equal": all_equal,
+        }
+        return EXIT_OK, {"homology": homology, "euler": euler, "d3": d3}
     lines = [
-        f"H1 (plumbing):  {report.plumbing}",
-        f"H1 (monodromy): {report.monodromy}",
-        f"H1 (open book): {report.openbook}",
-        f"agreement: {'yes' if report.all_equal else 'NO'}",
+        f"H1 (plumbing):  {plumbing}",
+        f"H1 (monodromy): {monodromy}",
+        f"H1 (open book): {openbook}",
+        f"agreement: {'yes' if all_equal else 'NO'}",
     ]
     for s in signs:
         lines.append(f"euler[{s}]: zero={euler[s]['is_zero']} witness={euler[s]['witness']}")

@@ -13,13 +13,15 @@ Stein 2-handles; and the d3 invariant of a plane field with torsion Chern
 class is Gompf's (c^2 - 3*sigma(Q) - 2*chi)/4 on the Stein filling, chi =
 1 - #1-handles + #2-handles, normalized so the standard tight 3-sphere has
 d3 = -1/2.  Q is nonsingular for every family (|det Q| = trace - 2 for a
-cusp, n for Elliptic(n)), so every class is torsion: its record keeps its
-order k and one integer solution y of Q y = k*c, and c^2 = y.c / k.
+cusp, n for Elliptic(n)), so every class is torsion: it is the int pair
+(k, y) of its order k and one integer solution y of Q y = k*c.  It
+vanishes when k == 1, y is then its witness, and c^2 = y.Q.y / k^2.
 
 ``FamilyReduction(family)`` reduces Q once for the three things that rest
-on it, the Euler classes, the d3 invariants and the three-way H_1;
-``euler_class``, ``d3_invariant`` and ``homology_cross_check`` are
-one-call forms of its three methods.
+on it, the Euler classes, the d3 invariants and the three-way H_1, the
+triple (plumbing, monodromy, openbook) of groups; ``euler_class``,
+``d3_invariant`` and ``homology_cross_check`` are one-call forms of its
+three methods.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from operator import index
 from ._record import Record
 from .families import Family, UnsupportedPresentation
 from .legendrian import check_rot_vector
-from .linalg import SnfResult, dot, smith_normal_form, symmetric_signature
+from .linalg import AbelianGroup, SnfResult, dot, smith_normal_form, symmetric_signature
 from .linalg import two_column_cokernel
 from .openbook import openbook_homology
 from .plumbing import intersection_matrix
@@ -37,8 +39,6 @@ from .sl2z import Sl2Matrix
 
 __all__ = [
     "DimensionMismatch",
-    "CohomologyClassRep",
-    "HomologyAgreement",
     "FamilyReduction",
     "adjunction_vector",
     "adjunction_defects",
@@ -89,35 +89,9 @@ def is_canonical(slots, rot_vector) -> bool:
     return tuple(rot_vector) in (c, tuple(-x for x in c))
 
 
-class CohomologyClassRep(Record):
-    """The class of ``vector`` in the cokernel of a nonsingular Q.
-
-    ``order`` is its order k in that finite group and ``solution`` one
-    integer y with Q y = k * vector.  The class vanishes when k == 1, and
-    then the solution is its ``witness``.
-    """
-
-    __slots__ = ("vector", "order", "solution")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.order == 1
-
-    @property
-    def witness(self):
-        """The integer solution of Q x = vector, or None for a nonzero class."""
-        return self.solution if self.order == 1 else None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "is_zero": self.is_zero,
-            "order": self.order,
-            "witness": None if self.witness is None else list(self.witness),
-        }
-
-
-def euler_class(family: Family, rot_vector) -> CohomologyClassRep:
-    """Euler class of the contact structure with the given rotation numbers.
+def euler_class(family: Family, rot_vector) -> tuple[int, tuple[int, ...]]:
+    """Euler class of the contact structure with the given rotation numbers,
+    as its order k in coker Q and one integer solution y of Q y = k * rot.
 
     The vector has one entry per 2-handle, that is per plumbing vertex (one
     for elliptic, k for a cusp word); any other length raises
@@ -127,12 +101,12 @@ def euler_class(family: Family, rot_vector) -> CohomologyClassRep:
     return FamilyReduction(family).euler_classes((rot_vector,))[0]
 
 
-def _reduce_class(snf: SnfResult, v: tuple[int, ...]) -> CohomologyClassRep:
-    """The class of v from one replay of the row log: with w = u v, entry i
-    has order d_i / gcd(d_i, w_i), and k v lifts from k w."""
+def _reduce_class(snf: SnfResult, v: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The class (k, y) of v from one replay of the row log: with w = u v,
+    entry i has order d_i / gcd(d_i, w_i), and k v lifts from k w."""
     w = snf.reduce(v)
     k = lcm(*[d // gcd(d, c) for d, c in zip(snf.diagonal, w)])
-    return CohomologyClassRep(v, k, snf.lift([k * x for x in v], [k * c for c in w]))
+    return k, snf.lift([k * x for x in v], [k * c for c in w])
 
 
 def check_d3_supported(family: Family) -> None:
@@ -155,33 +129,14 @@ def d3_invariant(family: Family, rot_vector):
     return reduction.d3_invariants(reduction.euler_classes((rots,)))[0]
 
 
-class HomologyAgreement(Record):
-    """The three independent H_1 computations and whether they agree."""
-
-    __slots__ = ("family", "plumbing", "monodromy", "openbook")
-
-    @property
-    def all_equal(self) -> bool:
-        return self.plumbing == self.monodromy == self.openbook
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family.to_json_dict(),
-            "plumbing": self.plumbing.to_json_dict(),
-            "monodromy": self.monodromy.to_json_dict(),
-            "openbook": self.openbook.to_json_dict(),
-            "all_equal": self.all_equal,
-        }
-
-
-def homology_cross_check(family: Family) -> HomologyAgreement:
-    """Compute H_1 three ways: plumbing boundary, Z + coker(A - I) from the
-    torus-bundle monodromy, and the open book presentation.
+def homology_cross_check(family: Family) -> tuple[AbelianGroup, AbelianGroup, AbelianGroup]:
+    """Compute H_1 three ways, as the triple (plumbing, monodromy, openbook):
+    plumbing boundary, Z + coker(A - I) from the torus-bundle monodromy,
+    and the open book presentation.  The three agree for every family.
 
     >>> from singlink.families import Cusp
-    >>> report = homology_cross_check(Cusp((2, 3)))
-    >>> report.all_equal, str(report.openbook)
-    (True, 'Z + Z/2')
+    >>> [str(group) for group in homology_cross_check(Cusp((2, 3)))]
+    ['Z + Z/2', 'Z + Z/2', 'Z + Z/2']
     """
     return FamilyReduction(family).homology(family.monodromy())
 
@@ -197,10 +152,11 @@ class FamilyReduction(Record):
 
     >>> from singlink.families import Cusp
     >>> reduction = FamilyReduction(Cusp((2, 3)))
-    >>> [rep.witness for rep in reduction.euler_classes([(0, -1), (0, 1)])]
-    [(1, 1), (-1, -1)]
+    >>> reduction.euler_classes([(0, -1), (0, 1), (1, 1)])
+    ((1, (1, 1)), (1, (-1, -1)), (2, (-5, -4)))
     >>> family = reduction.family
-    >>> str(reduction.homology(family.monodromy()).plumbing)
+    >>> plumbing, monodromy, openbook = reduction.homology(family.monodromy())
+    >>> str(plumbing)
     'Z + Z/2'
     """
 
@@ -217,7 +173,7 @@ class FamilyReduction(Record):
         object.__setattr__(self, "presentation", q)
         object.__setattr__(self, "snf", snf)
 
-    def euler_classes(self, rot_vectors) -> tuple[CohomologyClassRep, ...]:
+    def euler_classes(self, rot_vectors) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """``euler_class`` of each vector, all from the one reduction of Q."""
         q = self.presentation
         vectors = []
@@ -232,12 +188,13 @@ class FamilyReduction(Record):
 
     def d3_invariants(self, classes) -> tuple:
         """d3 invariant, a Fraction, of the Stein diagram behind each Euler
-        class of ``euler_classes``, all from one signature of Q.
+        class (k, y) of ``euler_classes``, all from one signature of Q.
 
         Gompf's formula on the Stein filling: (c^2 - 3*sigma(Q) - 2*chi)/4,
         with c the rot vector, Q the linking matrix of the 2-handles and
         chi = 1 - #1-handles + #2-handles.  c^2 = x . c with Q x = c, that
-        is y . c / k for the class's order k and its solution y, Q y = k*c.
+        is y . Q y / k^2 for the class's order k and its solution y, Q y = k*c,
+        so the class alone gives it.
         Requires a family that ``check_d3_supported`` accepts.
 
         >>> from singlink.families import Elliptic
@@ -254,12 +211,12 @@ class FamilyReduction(Record):
         sigma = symmetric_signature(q)
         chi = 1 - self.family.one_handle_count + len(q)
         values = []
-        for rep in classes:
-            c2 = Fraction(dot(rep.solution, rep.vector), rep.order)
+        for k, y in classes:
+            c2 = Fraction(dot(y, [dot(row, y) for row in q]), k * k)
             values.append((c2 - 3 * sigma - 2 * chi) / 4)
         return tuple(values)
 
-    def homology(self, monodromy: Sl2Matrix) -> HomologyAgreement:
+    def homology(self, monodromy: Sl2Matrix) -> tuple[AbelianGroup, AbelianGroup, AbelianGroup]:
         """``homology_cross_check`` from the family's monodromy; the open
         book is read off the family.
 
@@ -272,9 +229,4 @@ class FamilyReduction(Record):
         plumbing = self.snf.cokernel(self.graph.boundary_free_rank())
         a = monodromy
         delta = ((a.a - 1, a.b), (a.c, a.d - 1))
-        return HomologyAgreement(
-            self.family,
-            plumbing,
-            two_column_cokernel(delta, 1),
-            openbook_homology(self.family),
-        )
+        return plumbing, two_column_cokernel(delta, 1), openbook_homology(self.family)

@@ -11,7 +11,6 @@ matrix classifies itself by its trace, through ``Sl2Matrix.kind``.
 """
 from __future__ import annotations
 
-from enum import Enum
 from math import isqrt
 from operator import index
 
@@ -20,7 +19,6 @@ from ._record import Record
 __all__ = [
     "Sl2Matrix",
     "CycleWord",
-    "MonodromyType",
     "NotCuspClass",
     "NoFactorization",
     "cycle_monodromy",
@@ -61,12 +59,13 @@ class Sl2Matrix(Record):
         return self.a + self.d
 
     @property
-    def kind(self) -> MonodromyType:
-        """Elliptic for |trace| < 2, parabolic for |trace| = 2, else hyperbolic."""
+    def kind(self) -> str:
+        """The trace class: "elliptic" for |trace| < 2, "parabolic" for
+        |trace| = 2, else "hyperbolic"."""
         trace = abs(self.trace)
         if trace < 2:
-            return MonodromyType.ELLIPTIC
-        return MonodromyType.PARABOLIC if trace == 2 else MonodromyType.HYPERBOLIC
+            return "elliptic"
+        return "parabolic" if trace == 2 else "hyperbolic"
 
     @property
     def is_cusp_link(self) -> bool:
@@ -87,12 +86,6 @@ class Sl2Matrix(Record):
 
     def __str__(self) -> str:
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
-
-
-class MonodromyType(Enum):
-    ELLIPTIC = "elliptic"
-    PARABOLIC = "parabolic"
-    HYPERBOLIC = "hyperbolic"
 
 
 class CycleWord(Record):

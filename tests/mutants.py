@@ -194,6 +194,27 @@ MUTANTS = [
         "            pass\n",
         ["tests/test_plumbing.py"],
     ),
+    (
+        "verify's H_1 agreement drops the open-book leg",
+        "src/singlink/verify.py",
+        "plumbing == monodromy == openbook",
+        "plumbing == monodromy",
+        ["tests/test_verify.py"],
+    ),
+    (
+        "inv's H_1 agreement drops the plumbing leg",
+        "src/singlink/cli.py",
+        "all_equal = plumbing == monodromy == openbook",
+        "all_equal = monodromy == openbook",
+        ["tests/test_verify.py"],
+    ),
+    (
+        "verify's Euler check accepts a class of any order",
+        "src/singlink/verify.py",
+        "all(k == 1 for k, _ in classes)",
+        "all(k >= 1 for k, _ in classes)",
+        ["tests/test_verify.py"],
+    ),
 ]
 
 

@@ -84,7 +84,8 @@ def test_criterion_04_openbook_data():
 def test_criterion_05_triple_homology():
     with criterion(5, "plumbing, monodromy and open book homologies agree; |det Q| = trace - 2"):
         for family in suite_families():
-            assert homology_cross_check(family).all_equal
+            plumbing, monodromy, openbook = homology_cross_check(family)
+            assert plumbing == monodromy == openbook
         for word in suite_cusp_words():
             q = intersection_matrix(Cusp(word).graph())
             assert abs(determinant(q)) == cycle_monodromy(word).trace - 2
@@ -95,10 +96,11 @@ def test_criterion_06_euler_class_vanishes():
         for family in suite_families():
             size = 1 if isinstance(family, Elliptic) else len(family.word)
             for sign, unit in (("min", 1), ("max", -1)):
-                rep = euler_class(family, canonical_filling(family, sign))
-                assert rep.is_zero
-                assert rep.witness == (unit,) * size
-                assert mat_vec(intersection_matrix(family.graph()), rep.witness) == rep.vector
+                rots = canonical_filling(family, sign)
+                order, witness = euler_class(family, rots)
+                assert order == 1
+                assert witness == (unit,) * size
+                assert mat_vec(intersection_matrix(family.graph()), witness) == rots
 
 
 def test_criterion_07_adjunction_uniqueness():

@@ -266,10 +266,10 @@ def test_verify_suite_json_lists_failures(monkeypatch):
     # make the two canonical d3 values of elliptic(3) differ
     d3_invariants = invariants.FamilyReduction.d3_invariants
 
-    def broken(self, reps):
+    def broken(self, classes):
         if self.family == Elliptic(3):
-            return tuple(Fraction(sum(rep.vector)) for rep in reps)
-        return d3_invariants(self, reps)
+            return tuple(Fraction(sum(y)) for _, y in classes)
+        return d3_invariants(self, classes)
 
     monkeypatch.setattr(invariants.FamilyReduction, "d3_invariants", broken)
     code, payload = run_cli(["verify", "--suite", "--json"])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from singlink import families, invariants
 from singlink.families import Cusp, Elliptic, UnsupportedPresentation
 from singlink.invariants import (
-    CohomologyClassRep,
     DimensionMismatch,
     FamilyReduction,
     adjunction_defects,
@@ -121,13 +120,12 @@ def test_euler_classes_replay_each_log_once(monkeypatch):
         reduction = FamilyReduction(family)
         vectors = enumerate_stein_fillings(family)
         calls.clear()
-        reps = reduction.euler_classes(vectors)
+        classes = reduction.euler_classes(vectors)
         assert len(calls) == len(vectors), family
-        assert any(rep.is_zero for rep in reps) and not all(rep.is_zero for rep in reps), family
-        for rep in reps:
-            assert (rep.witness is not None) is rep.is_zero, family
-            if rep.is_zero:
-                assert mat_vec(reduction.presentation, rep.witness) == rep.vector, family
+        orders = [k for k, _ in classes]
+        assert 1 in orders and any(k != 1 for k in orders), family
+        for rots, (k, y) in zip(vectors, classes, strict=True):
+            assert mat_vec(reduction.presentation, y) == tuple(k * r for r in rots), family
 
 
 def test_family_presentation():
@@ -138,26 +136,20 @@ def test_family_presentation():
 
 
 def test_euler_class_fixed():
+    # a class is its order k and one integer solution y of Q y = k * rot
     family = Cusp(CycleWord((2, 2, 3)))
-    rep = euler_class(family, (0, 0, -1))
-    assert rep.is_zero and rep.order == 1
-    assert rep.witness == rep.solution == (1, 1, 1)
-    assert mat_vec(intersection_matrix(family.graph()), rep.witness) == (0, 0, -1)
+    assert euler_class(family, (0, 0, -1)) == (1, (1, 1, 1))
+    assert mat_vec(intersection_matrix(family.graph()), (1, 1, 1)) == (0, 0, -1)
 
     for n in (1, 3, 7):
-        rep = euler_class(Elliptic(n), (-n,))
-        assert rep.is_zero and rep.witness == (1,)
-        assert mat_vec(intersection_matrix(Elliptic(n).graph()), rep.witness) == (-n,)
+        assert euler_class(Elliptic(n), (-n,)) == (1, (1,))
+        assert mat_vec(intersection_matrix(Elliptic(n).graph()), (1,)) == (-n,)
         with pytest.raises(DimensionMismatch):
             euler_class(Elliptic(n), (0, 0, -n))
 
     nonzero = euler_class(Elliptic(3), (-1,))
-    assert not nonzero.is_zero
-    assert nonzero.order == 3
-    assert nonzero.witness is None
-    assert nonzero.solution == (1,)  # Q y = 3 * (-1) with Q = (-3)
-    assert nonzero.to_json_dict() == {"is_zero": False, "order": 3, "witness": None}
-    assert CohomologyClassRep.__slots__ == ("vector", "order", "solution")
+    assert nonzero == (3, (1,))  # Q y = 3 * (-1) with Q = (-3)
+    assert type(nonzero) is tuple and type(nonzero[1]) is tuple
 
 
 def test_family_reduction_refuses_a_singular_form(monkeypatch):
@@ -186,13 +178,12 @@ def test_euler_class_order_and_solution_match_the_rational_solve(case):
     # the order is the least k with k * x integral, x the rational solution
     # of Q x = v found by Gauss-Jordan elimination on Fractions
     family, rots = case
-    rep = euler_class(family, rots)
+    order, solution = euler_class(family, rots)
     q = intersection_matrix(family.graph())
-    assert mat_vec(q, rep.solution) == tuple(rep.order * r for r in rots)
+    assert mat_vec(q, solution) == tuple(order * r for r in rots)
     x = _fraction_solve(q, rots)
-    assert rep.order == lcm(*[y.denominator for y in x])
-    assert rep.is_zero is all(y.denominator == 1 for y in x)
-    assert (rep.witness is None) is not rep.is_zero
+    assert order == lcm(*[y.denominator for y in x])
+    assert (order == 1) is all(y.denominator == 1 for y in x)
 
 
 @settings(max_examples=100, deadline=None)
@@ -211,21 +202,19 @@ def test_rotating_or_reversing_the_word_permutes_the_invariants(case, shift):
     def reverse(v):
         return tuple(reversed(v))
 
-    report = homology_cross_check(family)
-    groups = (report.plumbing, report.monodromy, report.openbook)
-    order = euler_class(family, rots).order
+    groups = homology_cross_check(family)
+    order, _ = euler_class(family, rots)
     signs = ("min", "max")
     canonical = [canonical_filling(family, s) for s in signs]
-    witnesses = [euler_class(family, r).witness for r in canonical]
+    classes = [euler_class(family, r) for r in canonical]
     for permute in (rotate, reverse):
         other = Cusp(CycleWord(permute(entries)))
-        report = homology_cross_check(other)
-        assert (report.plumbing, report.monodromy, report.openbook) == groups, other
+        assert homology_cross_check(other) == groups, other
         assert other.filling_count == family.filling_count, other
-        assert euler_class(other, permute(rots)).order == order, other
-        for sign, witness in zip(signs, witnesses):
-            rep = euler_class(other, canonical_filling(other, sign))
-            assert rep.witness == permute(witness), (other, sign)
+        assert euler_class(other, permute(rots))[0] == order, other
+        for sign, (k, witness) in zip(signs, classes):
+            moved = euler_class(other, canonical_filling(other, sign))
+            assert moved == (k, permute(witness)), (other, sign)
     # the reversed word's monodromy is the transpose conjugated by diag(1, -1)
     a = cycle_monodromy(family.word)
     transposed = factor_cycle(Sl2Matrix(a.a, -a.c, -a.b, a.d))
@@ -245,13 +234,12 @@ def test_euler_reduced_form_invariance():
     family = Cusp(CycleWord((3, 4)))
     q = intersection_matrix(family.graph())
     base = (1, -1)
-    rep = euler_class(family, base)
-    assert rep.order == 8  # |det Q| = trace - 2 = 8, and (1, -1) generates
+    order, solution = euler_class(family, base)
+    assert order == 8  # |det Q| = trace - 2 = 8, and (1, -1) generates
     for combo in [(1, 0), (0, 1), (2, -3)]:
         shifted = tuple(b + c for b, c in zip(base, mat_vec(q, combo)))
-        moved = euler_class(family, shifted)
-        assert moved.order == rep.order
-        assert moved.solution == tuple(y + rep.order * c for y, c in zip(rep.solution, combo))
+        moved = tuple(y + order * c for y, c in zip(solution, combo))
+        assert euler_class(family, shifted) == (order, moved)
 
 
 def test_euler_canonical_vanishes_with_unit_witnesses():
@@ -259,9 +247,8 @@ def test_euler_canonical_vanishes_with_unit_witnesses():
     for family in suite_families():
         k = len(family.word) if isinstance(family, Cusp) else 1
         for sign, unit in (("min", 1), ("max", -1)):
-            rep = euler_class(family, canonical_filling(family, sign))
-            assert rep.is_zero, (family, sign)
-            assert rep.witness == (unit,) * k, (family, sign)
+            rots = canonical_filling(family, sign)
+            assert euler_class(family, rots) == (1, (unit,) * k), (family, sign)
 
 
 def test_d3_elliptic_one_half():
@@ -344,9 +331,9 @@ def test_d3_unsupported_for_plumbing_presentation():
     message = "d3 of cusp(2,2,3) waits for the resolution-graph cross-check"
     assert str(raised.value) == message
     reduction = FamilyReduction(family)
-    for reps in (reduction.euler_classes((rots,)), ()):
+    for classes in (reduction.euler_classes((rots,)), ()):
         with pytest.raises(UnsupportedPresentation) as raised:
-            reduction.d3_invariants(reps)
+            reduction.d3_invariants(classes)
         assert str(raised.value) == message
     with pytest.raises(UnsupportedPresentation):
         d3_oracle(family, rots)
@@ -400,9 +387,10 @@ def test_d3_of_a_nonzero_class_replays_the_log_once(monkeypatch):
     calls = []
     monkeypatch.setattr(SnfResult, "reduce", lambda snf, v: calls.append(v) or reduce(snf, v))
     reduction = FamilyReduction(Elliptic(3))
-    (rep,) = reduction.euler_classes(((-1,),))
-    assert (rep.order, calls) == (3, [(-1,)])
-    assert reduction.d3_invariants((rep,)) == ((3 - Fraction(1, 3)) / 4,)
+    classes = reduction.euler_classes(((-1,),))
+    ((order, _),) = classes
+    assert (order, calls) == (3, [(-1,)])
+    assert reduction.d3_invariants(classes) == ((3 - Fraction(1, 3)) / 4,)
     assert calls == [(-1,)]
     family = Cusp(CycleWord((3, 5)))
     vectors = enumerate_stein_fillings(family)
@@ -427,7 +415,8 @@ def test_d3_matches_the_milnor_fibre():
         if n in fibres:
             sigma, mu, mu0 = brieskorn_count(fibres[n])
             assert (sigma, mu, mu0) == expected[n]
-            assert mu0 == homology_cross_check(family).plumbing.free_rank
+            plumbing, _, _ = homology_cross_check(family)
+            assert mu0 == plumbing.free_rank
         else:
             sigma, mu = n - 9, 11 - n
         milnor = Fraction(-3 * sigma - 2 * (1 + mu), 4)
@@ -449,16 +438,16 @@ def test_presentation_agrees_with_the_plumbing_route():
         reduction = FamilyReduction(family)
         graph = reduction.graph
         assert reduction.presentation == intersection_matrix(graph), family
-        report = reduction.homology(family.monodromy())
-        assert report.plumbing == boundary_homology(graph), family
+        plumbing, _, _ = reduction.homology(family.monodromy())
+        assert plumbing == boundary_homology(graph), family
         assert family.one_handle_count == graph.boundary_free_rank(), family
-        reps = reduction.euler_classes((canonical_filling(family, "min"),))
+        classes = reduction.euler_classes((canonical_filling(family, "min"),))
         assert family.d3_supported is (graph.first_betti() == 0), family
         if graph.first_betti() > 0:
             with pytest.raises(UnsupportedPresentation):
-                reduction.d3_invariants(reps)
+                reduction.d3_invariants(classes)
         else:
-            assert reduction.d3_invariants(reps) == (Fraction(3 - family.n, 4),)
+            assert reduction.d3_invariants(classes) == (Fraction(3 - family.n, 4),)
 
 
 def test_elliptic_monodromy_convention():
@@ -470,17 +459,13 @@ def test_elliptic_monodromy_convention():
 
 
 def test_homology_cross_check_fixed():
-    report = homology_cross_check(Elliptic(3))
-    assert report.all_equal
-    assert report.plumbing == AbelianGroup(2, (3,))
-    report = homology_cross_check(Cusp(CycleWord((2, 2, 3))))
-    assert report.all_equal
-    assert report.openbook == AbelianGroup(1, (3,))
-    report = homology_cross_check(Cusp(CycleWord((4,))))
-    assert report.all_equal
-    assert report.monodromy == AbelianGroup(1, (2,))
+    # the triple is (plumbing, monodromy, openbook)
+    assert homology_cross_check(Elliptic(3)) == (AbelianGroup(2, (3,)),) * 3
+    assert homology_cross_check(Cusp(CycleWord((2, 2, 3)))) == (AbelianGroup(1, (3,)),) * 3
+    assert homology_cross_check(Cusp(CycleWord((4,)))) == (AbelianGroup(1, (2,)),) * 3
 
 
 def test_homology_cross_check_suite():
     for family in suite_families():
-        assert homology_cross_check(family).all_equal, family
+        plumbing, monodromy, openbook = homology_cross_check(family)
+        assert plumbing == monodromy == openbook, family

@@ -301,9 +301,9 @@ def test_large_open_books_reduce():
         assert openbook_homology(family) == _monodromy_homology(family), family.label
     for k in (64, 256):
         family = Cusp(CycleWord((3,) * k))
-        agreement = FamilyReduction(family).homology(family.monodromy())
-        assert agreement.all_equal
-        assert math.prod(agreement.openbook.torsion) == family.monodromy().trace - 2
+        plumbing, monodromy, openbook = FamilyReduction(family).homology(family.monodromy())
+        assert plumbing == monodromy == openbook
+        assert math.prod(openbook.torsion) == family.monodromy().trace - 2
 
 
 def forbid_the_page(monkeypatch):

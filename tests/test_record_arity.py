@@ -13,8 +13,6 @@ STORE_ONLY = sorted(
 
 def test_store_only_records_are_the_expected_classes():
     assert [cls.__name__ for cls in STORE_ONLY] == [
-        "CohomologyClassRep",
-        "HomologyAgreement",
         "PageHomologyData",
         "SnfResult",
     ]

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from singlink.sl2z import (
     CycleWord,
-    MonodromyType,
     NoFactorization,
     NotCuspClass,
     Sl2Matrix,
@@ -44,26 +43,26 @@ def test_determinant_checked_at_construction():
 
 def test_classify_fixed_cases():
     parabolic = Sl2Matrix(1, 5, 0, 1)
-    assert parabolic.kind is MonodromyType.PARABOLIC
+    assert parabolic.kind == "parabolic"
     assert parabolic.trace == 2
     assert parabolic.is_elliptic_link and not parabolic.is_cusp_link
 
     elliptic = Sl2Matrix(0, -1, 1, 0)
-    assert elliptic.kind is MonodromyType.ELLIPTIC
+    assert elliptic.kind == "elliptic"
     assert elliptic.trace == 0
     assert not elliptic.is_cusp_link and not elliptic.is_elliptic_link
 
     hyperbolic = Sl2Matrix(5, -2, 3, -1)
-    assert hyperbolic.kind is MonodromyType.HYPERBOLIC
+    assert hyperbolic.kind == "hyperbolic"
     assert hyperbolic.trace == 4
     assert hyperbolic.is_cusp_link and not hyperbolic.is_elliptic_link
 
 
 def test_monodromy_class_kind_follows_the_trace():
     for (a, b, c, d), trace, kind in (
-        ((2, 1, 1, 1), 3, MonodromyType.HYPERBOLIC),
-        ((-1, 0, 0, -1), -2, MonodromyType.PARABOLIC),
-        ((1, -1, 1, 0), 1, MonodromyType.ELLIPTIC),
+        ((2, 1, 1, 1), 3, "hyperbolic"),
+        ((-1, 0, 0, -1), -2, "parabolic"),
+        ((1, -1, 1, 0), 1, "elliptic"),
     ):
         matrix = Sl2Matrix(a, b, c, d)
         assert (matrix.trace, matrix.kind) == (trace, kind)
@@ -82,7 +81,7 @@ def test_elliptic_link_is_conjugation_invariant(n, x, y, positive):
 
 def test_classify_negative_trace_is_not_cusp():
     m = Sl2Matrix(-5, 2, -3, 1)
-    assert m.kind is MonodromyType.HYPERBOLIC
+    assert m.kind == "hyperbolic"
     assert not m.is_cusp_link
 
 

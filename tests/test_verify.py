@@ -11,7 +11,7 @@ from singlink import invariants, legendrian
 from singlink.cli import EXIT_UNSUPPORTED, main
 from singlink.families import Cusp, Elliptic, SizeLimitExceeded, UnsupportedPresentation
 from singlink.legendrian import check_rot_vector, rotation_range
-from singlink.linalg import SnfResult
+from singlink.linalg import AbelianGroup, SnfResult
 from singlink.plumbing import PlumbingGraph, intersection_matrix
 from singlink.sl2z import CycleWord
 from singlink.verify import (
@@ -52,7 +52,7 @@ def test_d3_check_compares_both_signs(monkeypatch):
     monkeypatch.setattr(
         invariants.FamilyReduction,
         "d3_invariants",
-        lambda self, reps: tuple(Fraction(sum(rep.vector)) for rep in reps),
+        lambda self, classes: tuple(Fraction(sum(y)) for _, y in classes),
     )
     checks = dict(verify_family(Elliptic(3)))
     assert checks["d3 computed for both signs"] is False
@@ -364,6 +364,67 @@ def test_shifted_adjunction_formula_fails_uniqueness(monkeypatch):
 
     monkeypatch.setattr(invariants, "adjunction_vector", shifted)
     assert failed_checks(family) == {"adjunction uniqueness"}
+
+
+def _wrong(group):
+    """A group other than ``group``: one more free summand."""
+    return AbelianGroup(group.free_rank + 1, group.torsion)
+
+
+# each leg of the three-way H_1, as the owner and name of the function that
+# invariants calls for it
+H1_LEGS = {
+    "plumbing": (invariants.SnfResult, "cokernel"),
+    "monodromy": (invariants, "two_column_cokernel"),
+    "openbook": (invariants, "openbook_homology"),
+}
+
+
+@pytest.mark.parametrize("leg", sorted(H1_LEGS))
+def test_each_h1_leg_can_fail_the_agreement(monkeypatch, capsys, leg):
+    # one wrong group among the three fails the agreement in verify, in the
+    # inv JSON and in the inv text, and fails nothing else
+    families = (Cusp(CycleWord((2, 3, 4))), Elliptic(3))
+    assert all(failed_checks(family) == set() for family in families)
+    assert main(["inv", "--cusp", "2,3,4"]) == 0
+    assert "agreement: yes" in capsys.readouterr().out.splitlines()
+    owner, name = H1_LEGS[leg]
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: _wrong(original(*args)))
+    for family in families:
+        assert failed_checks(family) == {"triple homology agreement"}, family
+    assert main(["inv", "--cusp", "2,3,4", "--json"]) == 0
+    homology = json.loads(capsys.readouterr().out)["homology"]
+    assert homology["all_equal"] is False
+    right, wrong = {"free_rank": 1, "torsion": [13]}, {"free_rank": 2, "torsion": [13]}
+    for key in H1_LEGS:
+        assert homology[key] == (wrong if key == leg else right), key
+    assert main(["inv", "--cusp", "2,3,4"]) == 0
+    assert "agreement: NO" in capsys.readouterr().out.splitlines()
+
+
+def test_a_nonzero_canonical_euler_class_fails_its_check(monkeypatch, capsys):
+    # a canonical class of order 2 fails the Euler check alone, and inv
+    # prints it as nonzero, with no witness
+    euler_classes = invariants.FamilyReduction.euler_classes
+
+    def order_two(self, rot_vectors):
+        return tuple((2, y) for _, y in euler_classes(self, rot_vectors))
+
+    monkeypatch.setattr(invariants.FamilyReduction, "euler_classes", order_two)
+    for family in (Cusp(CycleWord((2, 3, 4))), Elliptic(3)):
+        assert failed_checks(family) == {"euler class of the canonical structure vanishes"}
+    assert main(["inv", "--cusp", "2,3,4", "--json"]) == 0
+    out = capsys.readouterr().out
+    nonzero = {"is_zero": False, "order": 2, "witness": None}
+    assert json.loads(out)["euler"] == {"min": nonzero, "max": nonzero}
+    assert out.count('{"is_zero": false, "order": 2, "witness": null}') == 2
+    assert main(["inv", "--cusp", "2,3,4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("euler[")] == [
+        "euler[min]: zero=False witness=None",
+        "euler[max]: zero=False witness=None",
+    ]
 
 
 def test_every_diagram_of_one_verify_call_is_checked(monkeypatch):
