@@ -12,9 +12,11 @@ Exit codes: 0 success, 1 invalid input, 2 verification failure,
 3 unsupported computation (d3 of a cusp, held back until its value is
 cross-checked against the resolution graph).
 
-A command-line call starts a fresh interpreter, so this module imports
-only what parsing and error reporting need; each handler imports the
-modules it runs.
+A command-line call starts a fresh interpreter, and with no bytecode
+cache it compiles every module it imports, so this module imports only
+what parsing and error reporting need; each handler imports the modules
+it runs, and the cusp ``--d3`` refusal, ``families.check_d3_supported``,
+runs before ``invariants`` imports anything.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import json
 import sys
 
 from . import sl2z
-from .families import Cusp, Elliptic, UnsupportedPresentation
+from .families import Cusp, Elliptic, UnsupportedPresentation, check_d3_supported
 
 __all__ = ["parse_args", "run", "emit", "main"]
 
@@ -244,7 +246,7 @@ def _run_enumerate(request):
 
 
 def _run_canonical(request):
-    from . import invariants, legendrian
+    from . import legendrian
 
     family = request.family
     slots = family.handle_slots()
@@ -253,14 +255,14 @@ def _run_canonical(request):
     for s in signs:
         rots = legendrian.canonical_filling(family, s)
         handles = [(*slot, r) for slot, r in zip(slots, rots)]
-        defects = invariants.adjunction_defects(slots, rots)
+        defects = legendrian.adjunction_defects(slots, rots)
         if request.fmt == "json":
             data[s] = {
                 "family": family.to_json_dict(),
                 "one_handles": family.one_handle_count,
                 "handles": [legendrian.handle_json(*h) for h in handles],
                 "defects": list(defects),
-                "is_canonical": invariants.is_canonical(slots, rots),
+                "is_canonical": legendrian.is_canonical(slots, rots),
             }
         else:
             text = "; ".join([legendrian.handle_text(*h) for h in handles])
@@ -274,12 +276,12 @@ def _run_canonical(request):
 
 
 def _run_invariants(request):
-    from . import legendrian
-    from .invariants import FamilyReduction, check_d3_supported
-
     family = request.family
-    if request.d3:  # a cusp is refused before Q is reduced
+    if request.d3:  # a cusp is refused before anything more is imported
         check_d3_supported(family)
+    from . import legendrian
+    from .invariants import FamilyReduction
+
     signs = (request.sign,) if request.sign else ("min", "max")
     rots = [legendrian.canonical_filling(family, s) for s in signs]
     reduction = FamilyReduction(family)

@@ -6,7 +6,9 @@ diagram count and whether its d3 is supported (Q is read off the graph);
 outside the family-specific checks of verify.py, no module tests which
 family it holds.  The open book and the surgery picture are functions of
 the family.  A handle pattern is one (genus, smooth framing) slot per
-Stein 2-handle.
+Stein 2-handle.  ``check_d3_supported`` refuses a cusp's d3 here, next to
+the constant it reads and the exception it raises, so the command line
+refuses ``--d3`` on a cusp before it imports any module that computes.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ __all__ = [
     "Elliptic",
     "Cusp",
     "Family",
+    "check_d3_supported",
 ]
 
 
@@ -37,7 +40,7 @@ class SizeLimitExceeded(InvalidParameter):
 class UnsupportedPresentation(ValueError):
     """d3 of a cusp, refused: Gompf's formula on Q applies to it, but its
     value waits for a cross-check against the resolution graph (see
-    ``invariants.check_d3_supported``)."""
+    ``check_d3_supported``)."""
 
 
 class Elliptic(Record):
@@ -165,3 +168,12 @@ class Cusp(Record):
 
 
 Family = Elliptic | Cusp
+
+
+def check_d3_supported(family: Family) -> None:
+    """Raise UnsupportedPresentation unless ``family.d3_supported``: a
+    cusp's d3 waits for the resolution-graph cross-check, and is refused
+    before anything is built for it."""
+    if not family.d3_supported:
+        message = f"d3 of {family.label} waits for the resolution-graph cross-check"
+        raise UnsupportedPresentation(message)

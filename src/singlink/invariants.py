@@ -1,21 +1,19 @@
-"""Contact-geometric invariants and the homology cross-check harness.
+"""Contact-geometric invariants that read Q, and the homology cross-check.
 
-First Chern class evaluations on handle surfaces equal rotation numbers.
-The adjunction formula framing - 2*genus + 2 is written once, as the
-adjunction vector of a handle pattern, one (genus, smooth framing) slot
-per handle: the rot vector at which every handle has zero adjunction
-defect.  A Stein diagram is its rot vector: its defects are that vector
-minus the adjunction vector of the family's slots, and it is canonical
-when the whole rot vector equals the adjunction vector or its negative.
-The Euler class of the boundary contact structure lives in the cokernel
-of Q, the plumbing intersection form, which is the linking matrix of the
-Stein 2-handles; and the d3 invariant of a plane field with torsion Chern
-class is Gompf's (c^2 - 3*sigma(Q) - 2*chi)/4 on the Stein filling, chi =
-1 - #1-handles + #2-handles, normalized so the standard tight 3-sphere has
+A Stein diagram is its rot vector, the first Chern class evaluated on
+its handle surfaces; adjunction equality needs no more than that vector
+and the handle slots, so its helpers live in ``legendrian``.  The Euler
+class of the boundary contact structure lives in the cokernel of Q, the
+plumbing intersection form, which is the linking matrix of the Stein
+2-handles; and the d3 invariant of a plane field with torsion Chern class
+is Gompf's (c^2 - 3*sigma(Q) - 2*chi)/4 on the Stein filling, chi = 1 -
+#1-handles + #2-handles, normalized so the standard tight 3-sphere has
 d3 = -1/2.  Q is nonsingular for every family (|det Q| = trace - 2 for a
 cusp, n for Elliptic(n)), so every class is torsion: it is the int pair
 (k, y) of its order k and one integer solution y of Q y = k*c.  It
-vanishes when k == 1, y is then its witness, and c^2 = y.Q.y / k^2.
+vanishes when k == 1, y is then its witness, and c^2 = y.Q.y / k^2.  A
+cusp's d3 is refused by ``families.check_d3_supported`` before Q is
+reduced.
 
 ``FamilyReduction(family)`` reduces Q once for the three things that rest
 on it, the Euler classes, the d3 invariants and the three-way H_1, the
@@ -29,7 +27,7 @@ from math import gcd, lcm
 from operator import index
 
 from ._record import Record
-from .families import Family, UnsupportedPresentation
+from .families import Family, check_d3_supported
 from .legendrian import check_rot_vector
 from .linalg import AbelianGroup, SnfResult, dot, smith_normal_form, symmetric_signature
 from .linalg import two_column_cokernel
@@ -40,11 +38,7 @@ from .sl2z import Sl2Matrix
 __all__ = [
     "DimensionMismatch",
     "FamilyReduction",
-    "adjunction_vector",
-    "adjunction_defects",
-    "is_canonical",
     "euler_class",
-    "check_d3_supported",
     "d3_invariant",
     "homology_cross_check",
 ]
@@ -52,41 +46,6 @@ __all__ = [
 
 class DimensionMismatch(ValueError):
     """Vector length does not match the family's presentation."""
-
-
-def adjunction_vector(slots) -> tuple[int, ...]:
-    """The adjunction vector c of a handle pattern: framing - 2*genus + 2
-    for each (genus, smooth framing) slot, the rot vector at which every
-    handle has zero adjunction defect.
-
-    >>> adjunction_vector([(0, -n) for n in (3, 4, 5)])  # cusp (3, 4, 5)
-    (-1, -2, -3)
-    """
-    return tuple([framing - 2 * genus + 2 for genus, framing in slots])
-
-
-def adjunction_defects(slots, rot_vector) -> tuple[int, ...]:
-    """The rot vector minus the adjunction vector of the slots, one defect
-    per handle; a handle's defect is zero exactly at adjunction equality.
-
-    >>> adjunction_defects([(0, -2), (0, -3), (0, -4)], (0, -1, 0))
-    (0, 0, 2)
-    """
-    c = adjunction_vector(slots)
-    return tuple([r - x for r, x in zip(rot_vector, c)])
-
-
-def is_canonical(slots, rot_vector) -> bool:
-    """True when the rot vector is the slots' adjunction vector c or -c.
-
-    At c every handle realizes adjunction equality; -c is the same diagram
-    with the orientation of every attaching circle reversed, which negates
-    the whole rot vector.  The defect rot - c equals 2*rot exactly when
-    rot = -c, so this is adjunction equality on every handle after a
-    possible reversal, decided by one comparison of whole vectors.
-    """
-    c = adjunction_vector(slots)
-    return tuple(rot_vector) in (c, tuple(-x for x in c))
 
 
 def euler_class(family: Family, rot_vector) -> tuple[int, tuple[int, ...]]:
@@ -107,15 +66,6 @@ def _reduce_class(snf: SnfResult, v: tuple[int, ...]) -> tuple[int, tuple[int, .
     w = snf.reduce(v)
     k = lcm(*[d // gcd(d, c) for d, c in zip(snf.diagonal, w)])
     return k, snf.lift([k * x for x in v], [k * c for c in w])
-
-
-def check_d3_supported(family: Family) -> None:
-    """Raise UnsupportedPresentation unless ``family.d3_supported``: a
-    cusp's d3 waits for the resolution-graph cross-check, and is refused
-    before Q is reduced."""
-    if not family.d3_supported:
-        message = f"d3 of {family.label} waits for the resolution-graph cross-check"
-        raise UnsupportedPresentation(message)
 
 
 def d3_invariant(family: Family, rot_vector):
@@ -195,7 +145,7 @@ class FamilyReduction(Record):
         chi = 1 - #1-handles + #2-handles.  c^2 = x . c with Q x = c, that
         is y . Q y / k^2 for the class's order k and its solution y, Q y = k*c,
         so the class alone gives it.
-        Requires a family that ``check_d3_supported`` accepts.
+        Requires a family that ``families.check_d3_supported`` accepts.
 
         >>> from singlink.families import Elliptic
         >>> from singlink.legendrian import canonical_filling

@@ -15,6 +15,15 @@ diagram is its rot vector, a tuple of ints read together with the family
 it belongs to; its 1-handle count is the family's.  ``check_rot_vector``
 refuses a vector that is not realizable, and ``handle_text`` writes a
 handle with its zigzags.
+
+First Chern class evaluations on the handle surfaces equal the rotation
+numbers, so adjunction equality is a property of the diagram alone.  The
+adjunction formula framing - 2*genus + 2 is written once, as the
+adjunction vector of a handle pattern: the rot vector at which every
+handle has zero adjunction defect.  A diagram's defects are its rot
+vector minus that vector, and it is canonical when its whole rot vector
+equals the adjunction vector or its negative.  None of this reads the
+intersection form, so ``canonical`` runs this module alone.
 """
 from __future__ import annotations
 
@@ -34,6 +43,9 @@ __all__ = [
     "filling_rot_vectors",
     "enumerate_stein_fillings",
     "canonical_filling",
+    "adjunction_vector",
+    "adjunction_defects",
+    "is_canonical",
 ]
 
 
@@ -158,3 +170,38 @@ def canonical_filling(family: Family, sign: str = "min") -> tuple[int, ...]:
         raise ValueError(f"sign must be 'min' or 'max', got {sign!r}")
     unit = -1 if sign == "min" else 1
     return tuple([unit * _stabilization_budget(*slot) for slot in family.handle_slots()])
+
+
+def adjunction_vector(slots) -> tuple[int, ...]:
+    """The adjunction vector c of a handle pattern: framing - 2*genus + 2
+    for each (genus, smooth framing) slot, the rot vector at which every
+    handle has zero adjunction defect.
+
+    >>> adjunction_vector([(0, -n) for n in (3, 4, 5)])  # cusp (3, 4, 5)
+    (-1, -2, -3)
+    """
+    return tuple([framing - 2 * genus + 2 for genus, framing in slots])
+
+
+def adjunction_defects(slots, rot_vector) -> tuple[int, ...]:
+    """The rot vector minus the adjunction vector of the slots, one defect
+    per handle; a handle's defect is zero exactly at adjunction equality.
+
+    >>> adjunction_defects([(0, -2), (0, -3), (0, -4)], (0, -1, 0))
+    (0, 0, 2)
+    """
+    c = adjunction_vector(slots)
+    return tuple([r - x for r, x in zip(rot_vector, c)])
+
+
+def is_canonical(slots, rot_vector) -> bool:
+    """True when the rot vector is the slots' adjunction vector c or -c.
+
+    At c every handle realizes adjunction equality; -c is the same diagram
+    with the orientation of every attaching circle reversed, which negates
+    the whole rot vector.  The defect rot - c equals 2*rot exactly when
+    rot = -c, so this is adjunction equality on every handle after a
+    possible reversal, decided by one comparison of whole vectors.
+    """
+    c = adjunction_vector(slots)
+    return tuple(rot_vector) in (c, tuple(-x for x in c))

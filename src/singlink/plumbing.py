@@ -17,7 +17,6 @@ from operator import index
 
 from ._record import Record
 from .families import Family, InvalidParameter, SizeLimitExceeded
-from .linalg import AbelianGroup, IntMatrix, smith_normal_form
 
 __all__ = [
     "VERTEX_LIMIT",
@@ -92,7 +91,7 @@ class PlumbingGraph(Record):
         return "\n".join(lines) + "\n"
 
 
-def intersection_matrix(graph: PlumbingGraph) -> IntMatrix:
+def intersection_matrix(graph: PlumbingGraph) -> tuple[tuple[int, ...], ...]:
     """Symmetric intersection form: Q_ii = weight_i + 2 * loops_i, Q_ij = edge count.
 
     Built in one pass over the edges.  A graph with more than VERTEX_LIMIT
@@ -115,16 +114,21 @@ def intersection_matrix(graph: PlumbingGraph) -> IntMatrix:
     return tuple(tuple(row) for row in q)
 
 
-def boundary_homology(graph: PlumbingGraph) -> AbelianGroup:
-    """First homology of the plumbed 3-manifold boundary.
+def boundary_homology(graph: PlumbingGraph):
+    """First homology of the plumbed 3-manifold boundary, an AbelianGroup.
 
     Free rank is ``graph.boundary_free_rank()``; torsion is the cokernel of
-    the intersection matrix.
+    the intersection matrix.  Only the tests and the benchmark's layer
+    tracer call it (``invariants.FamilyReduction.homology`` reads the same
+    group off its own reduction of Q), so it imports ``linalg`` itself and
+    ``graph`` and ``surgery`` compile none of it.
 
     >>> from singlink.families import Cusp
     >>> boundary_homology(Cusp((2, 2, 3)).graph())
     AbelianGroup(free_rank=1, torsion=(3,))
     """
+    from .linalg import smith_normal_form
+
     snf = smith_normal_form(intersection_matrix(graph))
     return snf.cokernel(graph.boundary_free_rank())
 

@@ -80,7 +80,7 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
 
     minimal = legendrian.canonical_filling(family, "min")
     maximal = legendrian.canonical_filling(family, "max")
-    c = invariants.adjunction_vector(family.handle_slots())
+    c = legendrian.adjunction_vector(family.handle_slots())
     count, increasing, at_c, at_minus_c = _filling_pass(c, rot_vectors)
     checks.append(("stein filling count", count == family.filling_count))
     checks.append(("c1 evaluations pairwise distinct", increasing))

@@ -362,9 +362,9 @@ def verify_family_reference(family):
     maximal = legendrian.canonical_filling(family, "max")
     fillings = legendrian.enumerate_stein_fillings(family)
     slots = family.handle_slots()
-    canonical = [rots for rots in fillings if invariants.is_canonical(slots, rots)]
+    canonical = [rots for rots in fillings if legendrian.is_canonical(slots, rots)]
     zero_defect = [
-        rots for rots in fillings if not any(invariants.adjunction_defects(slots, rots))
+        rots for rots in fillings if not any(legendrian.adjunction_defects(slots, rots))
     ]
     checks.append(("stein filling count", len(fillings) == count))
     checks.append(("c1 evaluations pairwise distinct", len(set(fillings)) == len(fillings)))

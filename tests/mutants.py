@@ -47,7 +47,7 @@ MUTANTS = [
     ),
     (
         "adjunction vector off by one",
-        "src/singlink/invariants.py",
+        "src/singlink/legendrian.py",
         "framing - 2 * genus + 2 for genus",
         "framing - 2 * genus + 1 for genus",
         ["tests/test_invariants.py"],
@@ -146,7 +146,7 @@ MUTANTS = [
     ),
     (
         "is_canonical accepts c but not -c",
-        "src/singlink/invariants.py",
+        "src/singlink/legendrian.py",
         "return tuple(rot_vector) in (c, tuple(-x for x in c))",
         "return tuple(rot_vector) == c",
         ["tests/test_invariants.py"],
@@ -214,6 +214,21 @@ MUTANTS = [
         "all(k == 1 for k, _ in classes)",
         "all(k >= 1 for k, _ in classes)",
         ["tests/test_verify.py"],
+    ),
+    (
+        "plumbing imports linalg at module level again",
+        "src/singlink/plumbing.py",
+        "from .families import Family, InvalidParameter, SizeLimitExceeded\n",
+        "from .families import Family, InvalidParameter, SizeLimitExceeded\n"
+        "from .linalg import smith_normal_form\n",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "the d3 refusal refuses the supported families",
+        "src/singlink/families.py",
+        "if not family.d3_supported:",
+        "if family.d3_supported:",
+        ["tests/test_invariants.py"],
     ),
 ]
 

@@ -9,14 +9,13 @@ from fractions import Fraction
 
 from singlink.cli import parse_args, run
 from singlink.families import Cusp, Elliptic
-from singlink.invariants import (
+from singlink.invariants import d3_invariant, euler_class, homology_cross_check
+from singlink.legendrian import (
     adjunction_defects,
-    d3_invariant,
-    euler_class,
-    homology_cross_check,
+    canonical_filling,
+    enumerate_stein_fillings,
     is_canonical,
 )
-from singlink.legendrian import canonical_filling, enumerate_stein_fillings
 from singlink.linalg import determinant, dot, smith_normal_form, solve_rational
 from singlink.openbook import PAGE_GENUS, boundary_labels, twist_word
 from singlink.plumbing import intersection_matrix

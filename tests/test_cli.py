@@ -1,8 +1,10 @@
+import dis
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singlink
-from singlink import invariants
+from singlink import invariants, legendrian, openbook
 from singlink.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -545,9 +547,9 @@ print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)
 """
 
 
-def loaded_modules(argv, *python_flags) -> tuple[int, set[str], str]:
+def loaded_modules(argv, *python_flags) -> tuple[int, set[str], str, str]:
     """main(argv) in a fresh interpreter: its exit code, the modules it then
-    holds and its stdout."""
+    holds, its stdout and its stderr before the report."""
     done = subprocess.run(
         [sys.executable, *python_flags, "-c", REPORT_MODULES, *argv],
         capture_output=True,
@@ -555,30 +557,39 @@ def loaded_modules(argv, *python_flags) -> tuple[int, set[str], str]:
         text=True,
     )
     assert done.returncode == 0, done.stderr
-    code, names = json.loads(done.stderr.splitlines()[-1])
-    return code, set(names), done.stdout
+    *err, report = done.stderr.splitlines(keepends=True)
+    code, names = json.loads(report)
+    return code, set(names), done.stdout, "".join(err)
 
 
 @pytest.mark.parametrize(
-    "argv, extra",
+    "argv, code, extra",
     [
-        (["classify", "--matrix", "5,-2,3,-1"], set()),
-        (["factor", "--matrix", "5,-2,3,-1", "--json"], set()),
-        (["graph", "--cusp", "2,3,4"], {"linalg", "plumbing"}),
-        (["surgery", "--elliptic", "3"], {"linalg", "plumbing"}),
-        (["openbook", "--cusp", "2,3,4", "--json"], {"linalg", "openbook"}),
-        (["enumerate", "--cusp", "2,3,4"], {"legendrian"}),
+        (["classify", "--matrix", "5,-2,3,-1"], EXIT_OK, set()),
+        (["factor", "--matrix", "5,-2,3,-1", "--json"], EXIT_OK, set()),
+        (["graph", "--cusp", "2,3,4"], EXIT_OK, {"plumbing"}),
+        (["surgery", "--elliptic", "3"], EXIT_OK, {"plumbing"}),
+        (["openbook", "--cusp", "2,3,4", "--json"], EXIT_OK, {"linalg", "openbook"}),
+        (["enumerate", "--cusp", "2,3,4"], EXIT_OK, {"legendrian"}),
+        (["canonical", "--elliptic", "3"], EXIT_OK, {"legendrian"}),
+        (["inv", "--cusp", "2,3,4", "--d3"], EXIT_UNSUPPORTED, set()),
     ],
-    ids=["classify", "factor", "graph", "surgery", "openbook", "enumerate"],
+    ids=["classify", "factor", "graph", "surgery", "openbook", "enumerate", "canonical",
+         "cusp-d3-refusal"],
 )
-def test_light_subcommand_loads_only_its_modules(argv, extra):
-    code, names, stdout = loaded_modules(argv)
-    assert code == EXIT_OK
+def test_light_subcommand_loads_only_its_modules(argv, code, extra, capsys):
+    # the modules are read after main returns, so a handler's own imports count
+    got, names, out, err = loaded_modules(argv)
+    assert got == code
     assert {m for m in names if m.split(".")[0] == "singlink"} == LOADED_BY_CLI | {
         f"singlink.{m}" for m in extra
     }
+    if code == EXIT_UNSUPPORTED:
+        assert out == ""
+        assert err.startswith("singlink: unsupported: d3 of cusp(2,3,4) waits for the")
     # the same call in this process, where every module is loaded, prints the same
-    assert stdout.encode() == run_cli(argv)[1]
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
 
 
 @pytest.mark.parametrize(
@@ -604,7 +615,7 @@ def test_no_call_loads_dataclasses_and_only_rational_work_loads_fractions(
     argv, makes_fractions
 ):
     # -S: no site hook may load these modules before the package does
-    code, names, _ = loaded_modules(argv, "-S")
+    code, names, _, _ = loaded_modules(argv, "-S")
     assert code == EXIT_OK
     assert "dataclasses" not in names
     assert "typing" not in names  # the package imports it nowhere
@@ -646,22 +657,35 @@ def test_the_package_loads_only_the_standard_library():
     assert outside == []
 
 
-def test_cusp_d3_exits_3_when_only_the_handler_imports_legendrian():
-    script = (
-        "import sys\n"
-        "from singlink.cli import main\n"
-        "assert 'singlink.legendrian' not in sys.modules\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", script, "inv", "--cusp", "2,3,4", "--d3"],
-        capture_output=True,
-        env=child_env(),
-        text=True,
-    )
-    assert done.returncode == EXIT_UNSUPPORTED, done.stderr
-    assert done.stdout == ""
-    assert done.stderr.startswith("singlink: unsupported: d3 of cusp(2,3,4) waits for the")
+def _imports(code: types.CodeType) -> list[str]:
+    """The modules an import statement in the code object, or in one nested
+    in it, names."""
+    names = [i.argval for i in dis.get_instructions(code) if i.opname == "IMPORT_NAME"]
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names += _imports(const)
+    return names
+
+
+def test_no_import_statement_runs_on_a_per_family_path():
+    # an import statement in a function costs about 1 us a call, so the
+    # functions verify runs once or more per family import nothing when they
+    # run; their modules import what they need when they are loaded.  Exempt:
+    # FamilyReduction.d3_invariants imports fractions after the cusp refusal,
+    # so only the 10 elliptic families of the suite run that import, and a
+    # call that never makes a Fraction never loads the module
+    for fn in (
+        verify_family,
+        openbook.openbook_homology,
+        invariants.FamilyReduction.__init__,
+        invariants.FamilyReduction.homology,
+        invariants.FamilyReduction.euler_classes,
+        legendrian.filling_rot_vectors,
+        legendrian.canonical_filling,
+        legendrian.adjunction_vector,
+    ):
+        assert _imports(fn.__code__) == [], fn.__qualname__
+    assert _imports(invariants.FamilyReduction.d3_invariants.__code__) == ["fractions"]
 
 
 def test_full_report_reduces_a_cusp_presentation_once(monkeypatch):

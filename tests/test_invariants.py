@@ -10,17 +10,17 @@ from singlink.families import Cusp, Elliptic, UnsupportedPresentation
 from singlink.invariants import (
     DimensionMismatch,
     FamilyReduction,
-    adjunction_defects,
-    adjunction_vector,
     d3_invariant,
     euler_class,
     homology_cross_check,
-    is_canonical,
 )
 from singlink.legendrian import (
+    adjunction_defects,
+    adjunction_vector,
     canonical_filling,
     check_rot_vector,
     enumerate_stein_fillings,
+    is_canonical,
     rotation_range,
 )
 from singlink.linalg import AbelianGroup, SnfResult, dot, smith_normal_form, solve_rational

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from singlink import plumbing
 from singlink.families import Cusp, Elliptic, InvalidParameter, SizeLimitExceeded
-from singlink.invariants import adjunction_vector
+from singlink.legendrian import adjunction_vector
 from singlink.linalg import AbelianGroup, smith_normal_form
 from singlink.plumbing import (
     PlumbingGraph,

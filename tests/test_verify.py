@@ -236,11 +236,11 @@ def assert_pass_matches_oracles(family, vectors, rot_vectors):
     makes over ``rot_vectors``, the same rot vectors as ``vectors`` in
     order, against the handle-by-handle oracles."""
     slots = family.handle_slots()
-    c = invariants.adjunction_vector(slots)
+    c = legendrian.adjunction_vector(slots)
     count, increasing, at_c, at_minus_c = _filling_pass(c, rot_vectors)
     canonical = [is_canonical_oracle(family, rots) for rots in vectors]
     zero_defect = [has_zero_defect_oracle(family, rots) for rots in vectors]
-    assert [invariants.is_canonical(slots, rots) for rots in vectors] == canonical, family
+    assert [legendrian.is_canonical(slots, rots) for rots in vectors] == canonical, family
     assert count == len(vectors), family
     assert increasing is all(a < b for a, b in itertools.pairwise(vectors)), family
     assert at_c == sum(zero_defect), family
@@ -356,13 +356,13 @@ def test_broken_enumeration_fails_exactly_its_checks(monkeypatch, mutation):
 
 def test_shifted_adjunction_formula_fails_uniqueness(monkeypatch):
     family = Cusp(CycleWord((3, 4, 5)))
-    original = invariants.adjunction_vector
+    original = legendrian.adjunction_vector
 
     def shifted(slots):
         c = original(slots)
         return (c[0] + 2,) + c[1:]
 
-    monkeypatch.setattr(invariants, "adjunction_vector", shifted)
+    monkeypatch.setattr(legendrian, "adjunction_vector", shifted)
     assert failed_checks(family) == {"adjunction uniqueness"}
 
 
