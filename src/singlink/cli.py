@@ -5,18 +5,26 @@ arguments produce byte-identical output.  JSON is emitted with sorted keys
 and a trailing newline; DOT is available for the graph subcommand; text is
 a human view and never parsed back.
 
-``build_parser`` alone knows the flags, which of them combine and the
-handler (``run``) of each subcommand; argparse refuses bad input with exit 1.
+The table ``_SUBCOMMANDS`` alone knows the subcommands, their aliases,
+flags and handlers (``run``), and ``_add_subcommand`` which flags combine;
+argparse refuses bad input with exit 1.
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure,
 3 unsupported computation (d3 of a cusp, held back until its value is
 cross-checked against the resolution graph).
 
 A command-line call starts a fresh interpreter, and with no bytecode
-cache it compiles every module it imports, so this module imports only
-what parsing and error reporting need; each handler imports the modules
-it runs, and the cusp ``--d3`` refusal, ``families.check_d3_supported``,
-runs before ``invariants`` imports anything.
+cache it compiles every module it imports, so this module keeps only
+parsing, exit codes and output, and imports only what parsing and error
+reporting need.  Each handler imports the module that computes its
+output and calls a function there that takes plain values, such as
+``openbook.openbook_report``, ``invariants.invariants_report`` or
+``verify.family_report``; the cusp ``--d3`` refusal,
+``families.check_d3_supported``, runs before ``invariants`` is imported.
+``parse_args`` builds the parser of the one subcommand that the first
+word of the command line names, and the whole parser only when that word
+names none (``-h``, an unknown command), so every help text and error
+message is the one the whole parser prints.
 """
 from __future__ import annotations
 
@@ -70,18 +78,20 @@ _parse_elliptic = _converter(lambda text: Elliptic(int(text)))
 _parse_cusp = _converter(lambda text: Cusp(tuple(map(int, text.split(",")))))
 
 
-def _add_subcommand(sub, name, run, help, *, family=True, suite=False, fmt="text", aliases=()):
-    """A subcommand that runs ``run``: --json (and --dot where DOT is the default
-    format) and, for a family, exactly one of --elliptic, --cusp (and --suite)."""
+def _add_subcommand(sub, name, aliases, run, help, options):
+    """The subcommand ``name`` that runs ``run``: --json, and each option of
+    the table that ``options`` names."""
     p = sub.add_parser(name, aliases=aliases, help=help)
-    p.set_defaults(run=run, fmt=fmt)
+    p.set_defaults(run=run, fmt="dot" if "dot" in options else "text")
     formats = p.add_mutually_exclusive_group()
     formats.add_argument("--json", dest="fmt", action="store_const", const="json", help="emit JSON")
-    if fmt == "dot":
+    if "dot" in options:
         formats.add_argument(
             "--dot", dest="fmt", action="store_const", const="dot", help="emit DOT (the default)"
         )
-    if family:
+    if "matrix" in options:
+        p.add_argument("--matrix", required=True, type=_parse_matrix, metavar="a,b,c,d")
+    if "family" in options:
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument(
             "--elliptic", dest="family", type=_parse_elliptic, metavar="N",
@@ -91,46 +101,33 @@ def _add_subcommand(sub, name, run, help, *, family=True, suite=False, fmt="text
             "--cusp", dest="family", type=_parse_cusp, metavar="N1,N2,...",
             help="cusp link with the given cycle word",
         )
-        if suite:
+        if "suite" in options:
             group.add_argument(
                 "--suite", action="store_true", help="verify the whole standard suite"
             )
-    return p
+    if "sign" in options:
+        p.add_argument("--sign", "--canonical", dest="sign", choices=("min", "max"))
+    if "only" in options:
+        only = p.add_mutually_exclusive_group()
+        only.add_argument("--euler", action="store_true", help="only the Euler class")
+        only.add_argument("--d3", action="store_true", help="only the d3 invariant")
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand, or of the one subcommand whose name or
+    alias is ``command``."""
     parser = _Parser(prog="singlink", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, run, help in (
-        ("classify", _run_classify, "trace classification of an SL(2,Z) matrix"),
-        ("factor", _run_factor, "factor a trace >= 3 matrix into a cycle word"),
-    ):
-        p = _add_subcommand(sub, name, run, help, family=False)
-        p.add_argument("--matrix", required=True, type=_parse_matrix, metavar="a,b,c,d")
-    _add_subcommand(sub, "graph", _run_graph, "plumbing graph of the link", fmt="dot")
-    _add_subcommand(sub, "openbook", _run_openbook, "horizontal open book of the link")
-    _add_subcommand(sub, "surgery", _run_surgery, "smooth surgery description of the link")
-    _add_subcommand(sub, "enumerate", _run_enumerate, "all Stein handle diagrams of the link")
-    p = _add_subcommand(sub, "canonical", _run_canonical, "adjunction-realizing handle diagrams")
-    p.add_argument("--sign", "--canonical", dest="sign", choices=("min", "max"))
-    p = _add_subcommand(
-        sub, "invariants", _run_invariants, "homology, Euler class and d3 of the link",
-        aliases=["inv"],
-    )
-    p.add_argument("--sign", "--canonical", dest="sign", choices=("min", "max"))
-    only = p.add_mutually_exclusive_group()
-    only.add_argument("--euler", action="store_true", help="only the Euler class")
-    only.add_argument("--d3", action="store_true", help="only the d3 invariant")
-    _add_subcommand(
-        sub, "verify", _run_verify, "run the invariant suite, exit 0 iff it passes", suite=True
-    )
+    for name, (aliases, run, help, options) in _SUBCOMMANDS.items():
+        if command in (None, name, *aliases):
+            _add_subcommand(sub, name, aliases, run, help, options)
     return parser
 
 
 @functools.cache
-def _parser() -> _Parser:
-    """The parser every parse_args call shares, built on first use."""
-    return build_parser()
+def _parser(command: str | None) -> _Parser:
+    """The parser every parse_args call for ``command`` shares, built on first use."""
+    return build_parser(command)
 
 
 def _attach_matrix_values(argv) -> list[str]:
@@ -150,8 +147,16 @@ def _attach_matrix_values(argv) -> list[str]:
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """The namespace of one command line; argparse exits 1 on bad input."""
-    return _parser().parse_args(_attach_matrix_values(argv))
+    """The namespace of one command line; argparse exits 1 on bad input.
+
+    A line that starts with a subcommand's name or alias is parsed by a
+    parser of that subcommand alone, which parses it as the whole parser
+    does; any other line, ``-h`` and an unknown command too, by the whole
+    parser.
+    """
+    args = _attach_matrix_values(argv)
+    command = args[0] if args and args[0] in _NAMES else None
+    return _parser(command).parse_args(args)
 
 
 def emit(fmt: str, payload) -> bytes:
@@ -198,14 +203,9 @@ def _run_graph(request):
 
 
 def _run_openbook(request):
-    from .openbook import PAGE_GENUS, curve_names
+    from . import openbook
 
-    family, count = request.family, request.family.boundary_count
-    if request.fmt == "json":
-        return EXIT_OK, {"genus": PAGE_GENUS, "boundaries": count, "word": curve_names(family)}
-    word = "·".join(f"D({name})" for name in curve_names(family, ("δ", "γ", ",")))
-    plural = "component" if count == 1 else "components"
-    return EXIT_OK, f"{word}, page: genus {PAGE_GENUS}, {count} boundary {plural}"
+    return EXIT_OK, openbook.openbook_report(request.family, request.fmt == "json")
 
 
 def _run_surgery(request):
@@ -219,148 +219,63 @@ def _run_surgery(request):
 def _run_enumerate(request):
     from . import legendrian
 
-    family = request.family
-    rot_vectors = legendrian.filling_rot_vectors(family)
-    # c1 evaluates to the rot vector, so each vector is read once for both
-    if request.fmt == "json":
-        # each slot's handle dict is built once per realizable rot and shared
-        slot_json = [
-            {r: legendrian.handle_json(*slot, r) for r in legendrian.rotation_range(*slot)}
-            for slot in family.handle_slots()
-        ]
-        entries = []
-        for rots in rot_vectors:
-            rot = list(rots)
-            handles = [by_rot[r] for by_rot, r in zip(slot_json, rot)]
-            entries.append({"rot": rot, "c1": rot, "handles": handles})
-        return EXIT_OK, {
-            "family": family.to_json_dict(),
-            "count": len(entries),
-            "fillings": entries,
-        }
-    lines = []
-    for rots in rot_vectors:
-        rot = ", ".join(map(str, rots))
-        lines.append(f"rot=({rot}) c1=({rot})")
-    return EXIT_OK, "\n".join([f"count {len(lines)}", *lines])
+    return EXIT_OK, legendrian.enumerate_report(request.family, request.fmt == "json")
 
 
 def _run_canonical(request):
     from . import legendrian
 
-    family = request.family
-    slots = family.handle_slots()
-    signs = (request.sign,) if request.sign else ("min", "max")
-    data, lines = {}, []
-    for s in signs:
-        rots = legendrian.canonical_filling(family, s)
-        handles = [(*slot, r) for slot, r in zip(slots, rots)]
-        defects = legendrian.adjunction_defects(slots, rots)
-        if request.fmt == "json":
-            data[s] = {
-                "family": family.to_json_dict(),
-                "one_handles": family.one_handle_count,
-                "handles": [legendrian.handle_json(*h) for h in handles],
-                "defects": list(defects),
-                "is_canonical": legendrian.is_canonical(slots, rots),
-            }
-        else:
-            text = "; ".join([legendrian.handle_text(*h) for h in handles])
-            lines.append(
-                f"{s}: {family.one_handle_count} one-handles; {text}; "
-                f"adjunction defects ({', '.join(map(str, defects))})"
-            )
-    if request.fmt == "json":
-        return EXIT_OK, data
-    return EXIT_OK, "\n".join(lines)
+    return EXIT_OK, legendrian.canonical_report(request.family, request.sign, request.fmt == "json")
 
 
 def _run_invariants(request):
     family = request.family
     if request.d3:  # a cusp is refused before anything more is imported
         check_d3_supported(family)
-    from . import legendrian
-    from .invariants import FamilyReduction
+    from . import invariants
 
-    signs = (request.sign,) if request.sign else ("min", "max")
-    rots = [legendrian.canonical_filling(family, s) for s in signs]
-    reduction = FamilyReduction(family)
-    classes = reduction.euler_classes(rots)
-    # a class (k, y) vanishes when k == 1; its witness y is printed with a 0
-    # per genus 1-handle in front, indexed as the framings of `surgery` are
-    zeros = [0] * (2 * reduction.graph.total_genus())
-    euler = {
-        s: {"is_zero": k == 1, "order": k, "witness": zeros + list(y) if k == 1 else None}
-        for s, (k, y) in zip(signs, classes)
-    }
-    d3: dict | None = None
-    if not request.euler and family.d3_supported:  # a cusp's d3 is None
-        d3s = reduction.d3_invariants(classes)
-        d3 = {s: {"num": v.numerator, "den": v.denominator} for s, v in zip(signs, d3s)}
-    if request.euler or request.d3:
-        payload = euler if request.euler else d3
-        if request.sign:
-            payload = payload[request.sign]
-        if request.fmt == "json":
-            return EXIT_OK, payload
-        return EXIT_OK, _JSON.encode(payload)
-    plumbing, monodromy, openbook = reduction.homology(family.monodromy())
-    all_equal = plumbing == monodromy == openbook
-    if request.fmt == "json":
-        homology = {
-            "family": family.to_json_dict(),
-            "plumbing": plumbing.to_json_dict(),
-            "monodromy": monodromy.to_json_dict(),
-            "openbook": openbook.to_json_dict(),
-            "all_equal": all_equal,
-        }
-        return EXIT_OK, {"homology": homology, "euler": euler, "d3": d3}
-    lines = [
-        f"H1 (plumbing):  {plumbing}",
-        f"H1 (monodromy): {monodromy}",
-        f"H1 (open book): {openbook}",
-        f"agreement: {'yes' if all_equal else 'NO'}",
-    ]
-    for s in signs:
-        lines.append(f"euler[{s}]: zero={euler[s]['is_zero']} witness={euler[s]['witness']}")
-    if d3 is not None:
-        for s in signs:
-            lines.append(f"d3[{s}]: {d3[s]['num']}/{d3[s]['den']}")
-    else:
-        lines.append("d3: unsupported for cusp presentations")
-    return EXIT_OK, "\n".join(lines)
+    if request.euler or request.d3:  # one invariant: its JSON in either format
+        only = "euler" if request.euler else "d3"
+        payload = invariants.invariants_report(family, request.sign, only)
+        return EXIT_OK, payload if request.fmt == "json" else _JSON.encode(payload)
+    as_json = request.fmt == "json"
+    return EXIT_OK, invariants.invariants_report(family, request.sign, as_json=as_json)
 
 
 def _run_verify(request):
-    from .verify import suite_families, verify_family
+    from . import verify
 
+    as_json = request.fmt == "json"
     if request.suite:
-        families = suite_families()
-        failures = []
-        lines = []
-        for family in families:
-            failed = [name for name, passed in verify_family(family) if not passed]
-            if failed:
-                failures.append({"family": family.label, "checks": failed})
-            lines.append(f"{'FAIL' if failed else 'ok'}: {family.label}")
-        all_ok = not failures
-        lines.append(f"{'all' if all_ok else 'NOT all'} {len(families)} families ok")
-        code = EXIT_OK if all_ok else EXIT_VERIFY_FAILED
-        if request.fmt == "json":
-            return code, {"passed": all_ok, "families": len(families), "failures": failures}
-        return code, "\n".join(lines)
-    checks = verify_family(request.family)
-    ok = all(passed for _, passed in checks)
-    code = EXIT_OK if ok else EXIT_VERIFY_FAILED
-    if request.fmt == "json":
-        return code, {
-            "family": request.family.to_json_dict(),
-            "checks": [{"name": name, "passed": passed} for name, passed in checks],
-            "passed": ok,
-        }
-    lines = [f"{'ok' if passed else 'FAIL'}: {name}" for name, passed in checks]
-    lines.append("passed" if ok else "FAILED")
-    return code, "\n".join(lines)
+        passed, payload = verify.suite_report(as_json)
+    else:
+        passed, payload = verify.family_report(request.family, as_json)
+    return EXIT_OK if passed else EXIT_VERIFY_FAILED, payload
+
+
+# name: (aliases, handler, help, options), the options in the order --help
+# lists them after --json: "dot" (DOT is the default format), "matrix",
+# "family" (exactly one of --elliptic and --cusp), "suite" (or --suite),
+# "sign" and "only" (--euler or --d3)
+_SUBCOMMANDS = {
+    "classify": ((), _run_classify, "trace classification of an SL(2,Z) matrix", ("matrix",)),
+    "factor": ((), _run_factor, "factor a trace >= 3 matrix into a cycle word", ("matrix",)),
+    "graph": ((), _run_graph, "plumbing graph of the link", ("dot", "family")),
+    "openbook": ((), _run_openbook, "horizontal open book of the link", ("family",)),
+    "surgery": ((), _run_surgery, "smooth surgery description of the link", ("family",)),
+    "enumerate": ((), _run_enumerate, "all Stein handle diagrams of the link", ("family",)),
+    "canonical": (
+        (), _run_canonical, "adjunction-realizing handle diagrams", ("family", "sign")
+    ),
+    "invariants": (
+        ("inv",), _run_invariants, "homology, Euler class and d3 of the link",
+        ("family", "sign", "only"),
+    ),
+    "verify": (
+        (), _run_verify, "run the invariant suite, exit 0 iff it passes", ("family", "suite")
+    ),
+}
+_NAMES = frozenset([n for name, (aliases, *_) in _SUBCOMMANDS.items() for n in (name, *aliases)])
 
 
 def run(request: argparse.Namespace) -> tuple[int, bytes]:

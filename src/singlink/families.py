@@ -12,6 +12,7 @@ refuses ``--d3`` on a cusp before it imports any module that computes.
 """
 from __future__ import annotations
 
+from math import prod
 from operator import index
 
 from ._record import Record
@@ -122,8 +123,6 @@ class Cusp(Record):
     @property
     def filling_count(self) -> int:
         """Stein handle diagrams: prod(n_i - 1), n_i - 1 rots per handle."""
-        from math import prod
-
         return prod([n - 1 for n in self.word])
 
     @property

@@ -19,7 +19,8 @@ reduced.
 on it, the Euler classes, the d3 invariants and the three-way H_1, the
 triple (plumbing, monodromy, openbook) of groups; ``euler_class``,
 ``d3_invariant`` and ``homology_cross_check`` are one-call forms of its
-three methods.
+three methods.  ``invariants_report`` writes the ``invariants``
+subcommand's output from one reduction.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from operator import index
 
 from ._record import Record
 from .families import Family, check_d3_supported
-from .legendrian import check_rot_vector
+from .legendrian import canonical_filling, check_rot_vector
 from .linalg import AbelianGroup, SnfResult, dot, smith_normal_form, symmetric_signature
 from .linalg import two_column_cokernel
 from .openbook import openbook_homology
@@ -41,6 +42,7 @@ __all__ = [
     "euler_class",
     "d3_invariant",
     "homology_cross_check",
+    "invariants_report",
 ]
 
 
@@ -180,3 +182,62 @@ class FamilyReduction(Record):
         a = monodromy
         delta = ((a.a - 1, a.b), (a.c, a.d - 1))
         return plumbing, two_column_cokernel(delta, 1), openbook_homology(self.family)
+
+
+def invariants_report(
+    family: Family, sign: str | None = None, only: str | None = None, as_json: bool = False
+) -> dict | str:
+    """The invariants of the canonical diagram of the sign, or of both
+    signs: the three H_1 groups and whether they agree, the Euler classes
+    and the d3 values (None for a cusp), as JSON or as lines.  With
+    ``only`` "euler" or "d3", that one JSON value alone, keyed by sign
+    unless a sign is given; ``only="d3"`` needs a family that
+    ``families.check_d3_supported`` accepts.
+
+    >>> from singlink.families import Elliptic
+    >>> invariants_report(Elliptic(1), "min", "d3")
+    {'num': 1, 'den': 2}
+    """
+    signs = (sign,) if sign else ("min", "max")
+    rots = [canonical_filling(family, s) for s in signs]
+    reduction = FamilyReduction(family)
+    classes = reduction.euler_classes(rots)
+    # a class (k, y) vanishes when k == 1; its witness y is printed with a 0
+    # per genus 1-handle in front, indexed as the framings of `surgery` are
+    zeros = [0] * (2 * reduction.graph.total_genus())
+    euler = {
+        s: {"is_zero": k == 1, "order": k, "witness": zeros + list(y) if k == 1 else None}
+        for s, (k, y) in zip(signs, classes)
+    }
+    d3 = None
+    if only != "euler" and family.d3_supported:  # a cusp's d3 is None
+        d3s = reduction.d3_invariants(classes)
+        d3 = {s: {"num": v.numerator, "den": v.denominator} for s, v in zip(signs, d3s)}
+    if only:
+        payload = euler if only == "euler" else d3
+        return payload[sign] if sign else payload
+    plumbing, monodromy, openbook = reduction.homology(family.monodromy())
+    all_equal = plumbing == monodromy == openbook
+    if as_json:
+        homology = {
+            "family": family.to_json_dict(),
+            "plumbing": plumbing.to_json_dict(),
+            "monodromy": monodromy.to_json_dict(),
+            "openbook": openbook.to_json_dict(),
+            "all_equal": all_equal,
+        }
+        return {"homology": homology, "euler": euler, "d3": d3}
+    lines = [
+        f"H1 (plumbing):  {plumbing}",
+        f"H1 (monodromy): {monodromy}",
+        f"H1 (open book): {openbook}",
+        f"agreement: {'yes' if all_equal else 'NO'}",
+    ]
+    for s in signs:
+        lines.append(f"euler[{s}]: zero={euler[s]['is_zero']} witness={euler[s]['witness']}")
+    if d3 is not None:
+        for s in signs:
+            lines.append(f"d3[{s}]: {d3[s]['num']}/{d3[s]['den']}")
+    else:
+        lines.append("d3: unsupported for cusp presentations")
+    return "\n".join(lines)

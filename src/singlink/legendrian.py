@@ -23,7 +23,9 @@ adjunction vector of a handle pattern: the rot vector at which every
 handle has zero adjunction defect.  A diagram's defects are its rot
 vector minus that vector, and it is canonical when its whole rot vector
 equals the adjunction vector or its negative.  None of this reads the
-intersection form, so ``canonical`` runs this module alone.
+intersection form, so ``canonical`` runs this module alone:
+``canonical_report`` writes its output, as ``enumerate_report`` writes
+the ``enumerate`` subcommand's.
 """
 from __future__ import annotations
 
@@ -42,10 +44,12 @@ __all__ = [
     "handle_text",
     "filling_rot_vectors",
     "enumerate_stein_fillings",
+    "enumerate_report",
     "canonical_filling",
     "adjunction_vector",
     "adjunction_defects",
     "is_canonical",
+    "canonical_report",
 ]
 
 
@@ -159,6 +163,37 @@ def enumerate_stein_fillings(family: Family) -> tuple[tuple[int, ...], ...]:
     return tuple(filling_rot_vectors(family))
 
 
+def enumerate_report(family: Family, as_json: bool = False) -> dict | str:
+    """Every Stein diagram of the family: as JSON its rot vector, c1 (the
+    same vector, since c1 evaluates to the rotation numbers) and handles,
+    or as the diagram count and then one line per diagram.
+
+    >>> from singlink.families import Elliptic
+    >>> print(enumerate_report(Elliptic(1)))
+    count 2
+    rot=(-1) c1=(-1)
+    rot=(1) c1=(1)
+    """
+    rot_vectors = filling_rot_vectors(family)
+    if as_json:
+        # each slot's handle dict is built once per realizable rot and shared
+        slot_json = [
+            {r: handle_json(*slot, r) for r in rotation_range(*slot)}
+            for slot in family.handle_slots()
+        ]
+        entries = []
+        for rots in rot_vectors:
+            rot = list(rots)
+            handles = [by_rot[r] for by_rot, r in zip(slot_json, rot)]
+            entries.append({"rot": rot, "c1": rot, "handles": handles})
+        return {"family": family.to_json_dict(), "count": len(entries), "fillings": entries}
+    lines = []
+    for rots in rot_vectors:
+        rot = ", ".join(map(str, rots))
+        lines.append(f"rot=({rot}) c1=({rot})")
+    return "\n".join([f"count {len(lines)}", *lines])
+
+
 def canonical_filling(family: Family, sign: str = "min") -> tuple[int, ...]:
     """The rot vector with every rotation number at its minimum (or maximum).
 
@@ -205,3 +240,37 @@ def is_canonical(slots, rot_vector) -> bool:
     """
     c = adjunction_vector(slots)
     return tuple(rot_vector) in (c, tuple(-x for x in c))
+
+
+def canonical_report(
+    family: Family, sign: str | None = None, as_json: bool = False
+) -> dict | str:
+    """The canonical diagram of the sign, or of both signs: as JSON keyed by
+    sign, its handles, 1-handle count, adjunction defects and whether it is
+    canonical, or one line per sign with the handles' zigzags.
+
+    >>> from singlink.families import Elliptic
+    >>> print(canonical_report(Elliptic(1), "min"))
+    min: 2 one-handles; framing -1, tb 0, rot -1 (1 left / 0 right zigzags); adjunction defects (0)
+    """
+    slots = family.handle_slots()
+    data, lines = {}, []
+    for s in (sign,) if sign else ("min", "max"):
+        rots = canonical_filling(family, s)
+        handles = [(*slot, r) for slot, r in zip(slots, rots)]
+        defects = adjunction_defects(slots, rots)
+        if as_json:
+            data[s] = {
+                "family": family.to_json_dict(),
+                "one_handles": family.one_handle_count,
+                "handles": [handle_json(*h) for h in handles],
+                "defects": list(defects),
+                "is_canonical": is_canonical(slots, rots),
+            }
+        else:
+            text = "; ".join([handle_text(*h) for h in handles])
+            lines.append(
+                f"{s}: {family.one_handle_count} one-handles; {text}; "
+                f"adjunction defects ({', '.join(map(str, defects))})"
+            )
+    return data if as_json else "\n".join(lines)

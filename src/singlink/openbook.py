@@ -14,7 +14,8 @@ space in one pass over the pieces.  A boundary is labeled (i, j), pieces
 numbered from 1, and a twist curve is the pair ("delta", i) or ("gamma",
 (i, j)).  Curves are modeled through their classes in the first homology
 of the page together with the intersection form; that is enough for the
-monodromy action.
+monodromy action.  ``openbook_report`` writes the ``openbook``
+subcommand's output.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ __all__ = [
     "boundary_labels",
     "twist_word",
     "curve_names",
+    "openbook_report",
     "curve_homology_classes",
     "homological_monodromy_action",
     "openbook_homology",
@@ -99,6 +101,22 @@ def curve_names(family: Family, alphabet=("delta", "gamma", "_")) -> list[str]:
         else f"{gamma}{x[0]}{sep}{x[1]}"
         for kind, x in _word(deltas, pieces)
     ]
+
+
+def openbook_report(family: Family, as_json: bool = False) -> dict | str:
+    """The open book as JSON (page genus, boundary count and the twist
+    word's names) or as one line: the twist word as Dehn twists, then the page.
+
+    >>> from singlink.families import Cusp
+    >>> openbook_report(Cusp((4,)))
+    'D(δ0)·D(γ1)·D(γ2), page: genus 1, 2 boundary components'
+    """
+    count = family.boundary_count
+    if as_json:
+        return {"genus": PAGE_GENUS, "boundaries": count, "word": curve_names(family)}
+    word = "·".join(f"D({name})" for name in curve_names(family, ("δ", "γ", ",")))
+    plural = "component" if count == 1 else "components"
+    return f"{word}, page: genus {PAGE_GENUS}, {count} boundary {plural}"
 
 
 class PageHomologyData(Record):

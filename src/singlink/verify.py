@@ -5,6 +5,8 @@ cross-checks it against a closed form or an independent computation;
 ``suite_families`` lists the families the standard suite runs it on.
 Every check that rests on the presentation Q reads one reduction of it,
 |det Q| included, and the Stein diagram count is the family's own.
+``family_report`` and ``suite_report`` write the ``verify`` subcommand's
+output and say whether it passed.
 """
 from __future__ import annotations
 
@@ -17,7 +19,15 @@ from .linalg import dot
 from .openbook import twist_word
 from .sl2z import CycleWord, cyclic_equal, factor_cycle
 
-__all__ = ["SUITE_MAX_K", "SUITE_MAX_ENTRY", "SUITE_MAX_ELLIPTIC", "verify_family", "suite_families"]
+__all__ = [
+    "SUITE_MAX_K",
+    "SUITE_MAX_ENTRY",
+    "SUITE_MAX_ELLIPTIC",
+    "verify_family",
+    "suite_families",
+    "family_report",
+    "suite_report",
+]
 
 SUITE_MAX_K = 4
 SUITE_MAX_ENTRY = 5
@@ -142,3 +152,38 @@ def suite_families() -> tuple[Family, ...]:
                 continue
             families.append(Cusp(CycleWord(entries)))
     return tuple(families)
+
+
+def family_report(family: Family, as_json: bool = False) -> tuple[bool, dict | str]:
+    """Whether every check of ``verify_family`` passes, and the checks as
+    JSON or as one line per check and a last line "passed" or "FAILED"."""
+    checks = verify_family(family)
+    ok = all(passed for _, passed in checks)
+    if as_json:
+        return ok, {
+            "family": family.to_json_dict(),
+            "checks": [{"name": name, "passed": passed} for name, passed in checks],
+            "passed": ok,
+        }
+    lines = [f"{'ok' if passed else 'FAIL'}: {name}" for name, passed in checks]
+    lines.append("passed" if ok else "FAILED")
+    return ok, "\n".join(lines)
+
+
+def suite_report(as_json: bool = False) -> tuple[bool, dict | str]:
+    """Whether every family of the standard suite passes ``verify_family``,
+    and the failed checks of each failing family as JSON, or one line per
+    family and a summary line."""
+    families = suite_families()
+    failures = []
+    lines = []
+    for family in families:
+        failed = [name for name, passed in verify_family(family) if not passed]
+        if failed:
+            failures.append({"family": family.label, "checks": failed})
+        lines.append(f"{'FAIL' if failed else 'ok'}: {family.label}")
+    all_ok = not failures
+    if as_json:
+        return all_ok, {"passed": all_ok, "families": len(families), "failures": failures}
+    lines.append(f"{'all' if all_ok else 'NOT all'} {len(families)} families ok")
+    return all_ok, "\n".join(lines)

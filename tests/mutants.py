@@ -75,7 +75,7 @@ MUTANTS = [
     ),
     (
         "cli witness without the 1-handle zeros",
-        "src/singlink/cli.py",
+        "src/singlink/invariants.py",
         "zeros = [0] * (2 * reduction.graph.total_genus())",
         "zeros = []",
         ["tests/test_cli.py"],
@@ -203,7 +203,7 @@ MUTANTS = [
     ),
     (
         "inv's H_1 agreement drops the plumbing leg",
-        "src/singlink/cli.py",
+        "src/singlink/invariants.py",
         "all_equal = plumbing == monodromy == openbook",
         "all_equal = monodromy == openbook",
         ["tests/test_verify.py"],
@@ -229,6 +229,13 @@ MUTANTS = [
         "if not family.d3_supported:",
         "if family.d3_supported:",
         ["tests/test_invariants.py"],
+    ),
+    (
+        "the one-entry parser drops the inv alias",
+        "src/singlink/cli.py",
+        "if command in (None, name, *aliases):",
+        "if command in (None, name):",
+        ["tests/test_cli.py"],
     ),
 ]
 

@@ -20,6 +20,8 @@ from singlink.cli import (
     EXIT_OK,
     EXIT_UNSUPPORTED,
     EXIT_VERIFY_FAILED,
+    _attach_matrix_values,
+    build_parser,
     emit,
     main,
     parse_args,
@@ -39,6 +41,7 @@ from helpers import (
     presentation_oracle,
     suite_families,
 )
+from test_golden import groups
 
 
 def run_cli(args):
@@ -115,19 +118,18 @@ def test_flag_rules_exit_1_with_empty_stdout(argv, capsys):
     assert ": error: " in captured.err
 
 
-@pytest.mark.parametrize(
-    "argv, same",
-    [
-        (["inv", "--cusp", "2,3,4", "--json"], ["invariants", "--cusp", "2,3,4", "--json"]),
-        (["inv", "--elliptic", "2", "--d3"], ["invariants", "--elliptic", "2", "--d3"]),
-        (["canonical", "--elliptic", "3", "--canonical", "max"],
-         ["canonical", "--elliptic", "3", "--sign", "max"]),
-        (["inv", "--cusp", "2,3", "--euler", "--canonical", "min"],
-         ["inv", "--cusp", "2,3", "--euler", "--sign", "min"]),
-        (["graph", "--cusp", "2,2,3", "--dot"], ["graph", "--cusp", "2,2,3"]),
-    ],
-    ids=" ".join,
-)
+SPELLINGS = [
+    (["inv", "--cusp", "2,3,4", "--json"], ["invariants", "--cusp", "2,3,4", "--json"]),
+    (["inv", "--elliptic", "2", "--d3"], ["invariants", "--elliptic", "2", "--d3"]),
+    (["canonical", "--elliptic", "3", "--canonical", "max"],
+     ["canonical", "--elliptic", "3", "--sign", "max"]),
+    (["inv", "--cusp", "2,3", "--euler", "--canonical", "min"],
+     ["inv", "--cusp", "2,3", "--euler", "--sign", "min"]),
+    (["graph", "--cusp", "2,2,3", "--dot"], ["graph", "--cusp", "2,2,3"]),
+]
+
+
+@pytest.mark.parametrize("argv, same", SPELLINGS, ids=" ".join)
 def test_spellings_of_one_request_print_the_same_bytes(argv, same):
     assert run_cli(argv) == run_cli(same)
 
@@ -142,6 +144,86 @@ SUBCOMMANDS = [
 def test_subcommand_help_exits_0(command, capsys):
     assert main([command, "--help"]) == EXIT_OK
     assert capsys.readouterr().out.startswith(f"usage: singlink {command}")
+
+
+def test_one_entry_parser_parses_as_the_whole_parser():
+    # parse_args builds the parser of the subcommand argv[0] names alone; it
+    # must give the namespace the parser of every subcommand gives, on the
+    # golden manifest's argv and on every spelling of one request
+    whole = build_parser()
+    argvs = [argv for _, invocations in groups() for argv in invocations]
+    argvs += [argv for pair in SPELLINGS for argv in pair]
+    assert {argv[0] for argv in argvs} == set(SUBCOMMANDS)
+    for argv in argvs:
+        request = parse_args(argv)
+        assert request == whole.parse_args(_attach_matrix_values(argv)), argv
+        assert request.command == argv[0]
+
+
+def exit_and_stderr(parse, argv, capsys) -> tuple[int, str]:
+    """The exit code and stderr of parse(argv), which must exit with nothing
+    on stdout."""
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return info.value.code, captured.err
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_one_entry_parser_refuses_as_the_whole_parser(command, capsys):
+    whole = build_parser()
+    good = ["--matrix", "5,-2,3,-1"] if command in ("classify", "factor") else ["--cusp", "2,3"]
+    for argv in (
+        [command, *good, "--bogus"],
+        [command],  # no family, or no matrix
+        [command, "--elliptic", "3", "--euler", "--d3"],
+        [command, "--elliptic", "1", "--cusp", "3"],
+    ):
+        code, err = exit_and_stderr(parse_args, argv, capsys)
+        assert code == EXIT_INVALID and ": error: " in err, argv
+        assert exit_and_stderr(whole.parse_args, argv, capsys) == (code, err), argv
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    assert main(["-h"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("usage: singlink [-h]")
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in out
+
+
+# the child runs main and prints how many _Parser objects it built
+COUNT_PARSERS = """
+import json, sys
+from singlink import cli
+built = []
+init = cli._Parser.__init__
+cli._Parser.__init__ = lambda self, **kwargs: built.append(self) or init(self, **kwargs)
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, len(built)]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, parsers",
+    [
+        # the top-level parser and the one subcommand's
+        (["graph", "--cusp", "2,3,4"], EXIT_OK, 2),
+        (["inv", "--elliptic", "3", "--euler"], EXIT_OK, 2),
+        # no subcommand named: the top-level parser and all nine entries
+        (["frobnicate"], EXIT_INVALID, 10),
+    ],
+    ids=["graph", "inv", "unknown-command"],
+)
+def test_a_call_builds_only_its_own_parser(argv, code, parsers):
+    done = subprocess.run(
+        [sys.executable, "-c", COUNT_PARSERS, *argv],
+        capture_output=True,
+        env=child_env(),
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stderr.splitlines()[-1]) == [code, parsers]
 
 
 def test_parse_same_argv_twice_gives_equal_requests():
@@ -673,9 +755,13 @@ def test_no_import_statement_runs_on_a_per_family_path():
     # run; their modules import what they need when they are loaded.  Exempt:
     # FamilyReduction.d3_invariants imports fractions after the cusp refusal,
     # so only the 10 elliptic families of the suite run that import, and a
-    # call that never makes a Fraction never loads the module
+    # call that never makes a Fraction never loads the module.  Not listed:
+    # Elliptic.graph and Cusp.graph import PlumbingGraph when they run, since
+    # importing plumbing at families module level would compile plumbing.py
+    # (1,119 tokens, about 1.5-1.9 ms) on every command-line call
     for fn in (
         verify_family,
+        Cusp.filling_count.fget,
         openbook.openbook_homology,
         invariants.FamilyReduction.__init__,
         invariants.FamilyReduction.homology,
