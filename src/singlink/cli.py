@@ -6,7 +6,8 @@ and a trailing newline; DOT is available for the graph subcommand; text is
 a human view and never parsed back.
 
 The table ``_SUBCOMMANDS`` alone knows the subcommands, their aliases,
-flags and handlers (``run``), and ``_add_subcommand`` which flags combine;
+flags and handlers (``run``), and ``_add_subcommand`` which flags combine,
+with each family's own flag and parser from ``families.FAMILIES``;
 argparse refuses bad input with exit 1.
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure,
@@ -34,7 +35,7 @@ import json
 import sys
 
 from . import sl2z
-from .families import Cusp, Elliptic, UnsupportedPresentation, check_d3_supported
+from .families import FAMILIES, UnsupportedPresentation, check_d3_supported
 
 __all__ = ["parse_args", "run", "emit", "main"]
 
@@ -74,13 +75,9 @@ def _parse_matrix(text: str) -> sl2z.Sl2Matrix:
     return sl2z.Sl2Matrix(*map(int, parts))
 
 
-_parse_elliptic = _converter(lambda text: Elliptic(int(text)))
-_parse_cusp = _converter(lambda text: Cusp(tuple(map(int, text.split(",")))))
-
-
 def _add_subcommand(sub, name, aliases, run, help, options):
     """The subcommand ``name`` that runs ``run``: --json, and each option of
-    the table that ``options`` names."""
+    the table that ``options`` names, one flag per family for "family"."""
     p = sub.add_parser(name, aliases=aliases, help=help)
     p.set_defaults(run=run, fmt="dot" if "dot" in options else "text")
     formats = p.add_mutually_exclusive_group()
@@ -93,14 +90,11 @@ def _add_subcommand(sub, name, aliases, run, help, options):
         p.add_argument("--matrix", required=True, type=_parse_matrix, metavar="a,b,c,d")
     if "family" in options:
         group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument(
-            "--elliptic", dest="family", type=_parse_elliptic, metavar="N",
-            help="simple elliptic link, weight -N",
-        )
-        group.add_argument(
-            "--cusp", dest="family", type=_parse_cusp, metavar="N1,N2,...",
-            help="cusp link with the given cycle word",
-        )
+        for family in FAMILIES:
+            flag, metavar, text = family.flag
+            group.add_argument(
+                flag, dest="family", type=_converter(family.parse), metavar=metavar, help=text
+            )
         if "suite" in options:
             group.add_argument(
                 "--suite", action="store_true", help="verify the whole standard suite"
@@ -255,7 +249,7 @@ def _run_verify(request):
 
 # name: (aliases, handler, help, options), the options in the order --help
 # lists them after --json: "dot" (DOT is the default format), "matrix",
-# "family" (exactly one of --elliptic and --cusp), "suite" (or --suite),
+# "family" (exactly one family flag), "suite" (or --suite),
 # "sign" and "only" (--euler or --d3)
 _SUBCOMMANDS = {
     "classify": ((), _run_classify, "trace classification of an SL(2,Z) matrix", ("matrix",)),

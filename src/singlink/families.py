@@ -2,13 +2,14 @@
 
 Each family knows its label, JSON form, monodromy, plumbing graph, open
 book page and boundary count, Stein handle pattern, surgery picture,
-diagram count and whether its d3 is supported (Q is read off the graph);
-outside the family-specific checks of verify.py, no module tests which
-family it holds.  The open book and the surgery picture are functions of
-the family.  A handle pattern is one (genus, smooth framing) slot per
-Stein 2-handle.  ``check_d3_supported`` refuses a cusp's d3 here, next to
-the constant it reads and the exception it raises, so the command line
-refuses ``--d3`` on a cusp before it imports any module that computes.
+diagram count, d3 support, command-line flag and its parser, and the
+closed forms ``verify`` checks (Q is read off the graph); ``FAMILIES``
+lists the families, so no module tests which family it holds.  The open
+book and the surgery picture are functions of the family.  A handle
+pattern is one (genus, smooth framing) slot per Stein 2-handle.
+``check_d3_supported`` refuses a cusp's d3 here, next to the constant it
+reads and the exception it raises, so the command line refuses ``--d3``
+on a cusp before it imports any module that computes.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from math import prod
 from operator import index
 
 from ._record import Record
-from .sl2z import CycleWord, Sl2Matrix, cycle_monodromy
+from .sl2z import CycleWord, Sl2Matrix, cycle_monodromy, cyclic_equal, factor_cycle
 
 __all__ = [
     "InvalidParameter",
@@ -25,6 +26,7 @@ __all__ = [
     "Elliptic",
     "Cusp",
     "Family",
+    "FAMILIES",
     "check_d3_supported",
 ]
 
@@ -55,12 +57,17 @@ class Elliptic(Record):
     one_handle_count = 2
     surgery_picture = "borromean"
     d3_supported = True
+    flag = ("--elliptic", "N", "simple elliptic link, weight -N")  # (name, metavar, help)
 
     def __init__(self, n: int):
         n = index(n)
         if n < 1:
             raise InvalidParameter(f"elliptic parameter must be >= 1, got {n}")
         object.__setattr__(self, "n", n)
+
+    @classmethod
+    def parse(cls, text: str) -> "Elliptic":
+        return cls(int(text))
 
     @property
     def label(self) -> str:
@@ -97,6 +104,11 @@ class Elliptic(Record):
         """(genus, smooth framing) of the 2-handle over both 1-handles."""
         return ((1, -self.n),)
 
+    def closed_form_checks(self, monodromy: Sl2Matrix, det: int) -> tuple[list, int]:
+        """``verify``'s (name, passed) checks of the monodromy's closed form,
+        and the twist word's length: n gammas."""
+        return [("monodromy is parabolic of trace 2", monodromy.is_elliptic_link)], self.n
+
 
 class Cusp(Record):
     """Link of a cusp singularity, indexed by its cycle word.
@@ -110,11 +122,14 @@ class Cusp(Record):
     __slots__ = ("word",)
     one_handle_count = 1
     d3_supported = False
+    flag = ("--cusp", "N1,N2,...", "cusp link with the given cycle word")
 
-    def __init__(self, word: CycleWord):
-        if not isinstance(word, CycleWord):
-            word = CycleWord(tuple(word))
-        object.__setattr__(self, "word", word)
+    def __init__(self, word):  # its entries, or a CycleWord, which iterates them
+        object.__setattr__(self, "word", CycleWord(word))
+
+    @classmethod
+    def parse(cls, text: str) -> "Cusp":
+        return cls(map(int, text.split(",")))
 
     @property
     def label(self) -> str:
@@ -165,8 +180,18 @@ class Cusp(Record):
             return ((1, 2 - entries[0]),)
         return tuple([(0, -n) for n in entries])
 
+    def closed_form_checks(self, monodromy: Sl2Matrix, det: int) -> tuple[list, int]:
+        """``verify``'s (name, passed) checks of the monodromy's and |det Q|'s
+        closed forms, and the twist word's length: k deltas and the gammas."""
+        return [
+            ("monodromy is hyperbolic of trace >= 3", monodromy.is_cusp_link),
+            ("factorization roundtrip", cyclic_equal(factor_cycle(monodromy), self.word)),
+            ("det identity |det Q| = trace - 2", det == monodromy.trace - 2),
+        ], len(self.word) + self.boundary_count
+
 
 Family = Elliptic | Cusp
+FAMILIES = (Elliptic, Cusp)  # in the order the command line lists their flags
 
 
 def check_d3_supported(family: Family) -> None:

@@ -4,7 +4,8 @@
 cross-checks it against a closed form or an independent computation;
 ``suite_families`` lists the families the standard suite runs it on.
 Every check that rests on the presentation Q reads one reduction of it,
-|det Q| included, and the Stein diagram count is the family's own.
+|det Q| included, and the closed forms and Stein diagram count are the
+family's own, so ``verify_family`` never asks which family it holds.
 ``family_report`` and ``suite_report`` write the ``verify`` subcommand's
 output and say whether it passed.
 """
@@ -17,7 +18,6 @@ from . import invariants, legendrian
 from .families import Cusp, Elliptic, Family
 from .linalg import dot
 from .openbook import twist_word
-from .sl2z import CycleWord, cyclic_equal, factor_cycle
 
 __all__ = [
     "SUITE_MAX_K",
@@ -42,15 +42,15 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     Euler classes, the plumbing H_1 and both d3 values, which read the two
     Euler classes and share one signature of Q; a family whose d3 is
     refused, as its constant ``d3_supported`` says without raising, ends
-    its checks at the Euler class.  A cusp's |det Q| is the product of
-    that reduction's diagonal D, since ``smith_normal_form`` checks
-    u Q v = D exactly with unimodular u and v.  A Stein diagram is
-    its rot vector, so the Stein filling checks read the vectors of
-    ``legendrian.filling_rot_vectors`` one at a time and hold no list: one
-    pass counts them and compares each with the one before it and with the
-    family's adjunction vector c and its negative.  The count must be the
-    family's ``filling_count``, the vectors must strictly increase in
-    lexicographic order (so they are pairwise distinct), the minimal
+    its checks at the Euler class.  ``closed_form_checks`` come first and
+    read |det Q| as the product of that reduction's diagonal D, since
+    ``smith_normal_form`` checks u Q v = D with unimodular u and v.  A
+    Stein diagram is its rot vector, so the Stein filling checks read the
+    vectors of ``legendrian.filling_rot_vectors`` one at a time and hold no
+    list: one pass counts them and compares each with the one before it and
+    with the family's adjunction vector c and its negative.  The count must
+    be the family's ``filling_count``, the vectors must strictly increase
+    in lexicographic order (so they are pairwise distinct), the minimal
     canonical rot vector must be the only one at c (zero adjunction defect
     on every handle), and the two canonical rot vectors the only ones at c
     or -c.  Nothing is kept between calls.
@@ -58,7 +58,6 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     >>> all(passed for _, passed in verify_family(Elliptic(2)))
     True
     """
-    checks: list[tuple[str, bool]] = []
     # a family over BOUNDARY_LIMIT is refused here, then one over
     # DIAGRAM_LIMIT, both before Q is reduced
     word_len = len(twist_word(family))
@@ -66,17 +65,8 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     a = family.monodromy()
     reduction = invariants.FamilyReduction(family)
 
-    if isinstance(family, Elliptic):
-        checks.append(("monodromy is parabolic of trace 2", a.trace == 2))
-        expected_word_len = family.n
-    else:
-        word = family.word
-        checks.append(("monodromy is hyperbolic of trace >= 3", a.trace >= 3))
-        checks.append(("factorization roundtrip", cyclic_equal(factor_cycle(a), word)))
-        det = prod(reduction.snf.diagonal)  # |det Q|: D is nonnegative
-        checks.append(("det identity |det Q| = trace - 2", det == a.trace - 2))
-        expected_word_len = len(word) + family.boundary_count
-
+    det = prod(reduction.snf.diagonal)  # |det Q|: D is nonnegative
+    checks, expected_word_len = family.closed_form_checks(a, det)
     checks.append(
         (
             "open book page data",
@@ -150,7 +140,7 @@ def suite_families() -> tuple[Family, ...]:
         for entries in itertools.product(range(2, SUITE_MAX_ENTRY + 1), repeat=k):
             if max(entries) < 3:
                 continue
-            families.append(Cusp(CycleWord(entries)))
+            families.append(Cusp(entries))
     return tuple(families)
 
 

@@ -237,6 +237,20 @@ MUTANTS = [
         "if command in (None, name):",
         ["tests/test_cli.py"],
     ),
+    (
+        "a cusp's expected twist-word length drops its delta count",
+        "src/singlink/families.py",
+        "], len(self.word) + self.boundary_count",
+        "], self.boundary_count",
+        ["tests/test_verify.py"],
+    ),
+    (
+        "the elliptic closed form states the cusp's trace rule",
+        "src/singlink/families.py",
+        '("monodromy is parabolic of trace 2", monodromy.is_elliptic_link)',
+        '("monodromy is parabolic of trace 2", monodromy.is_cusp_link)',
+        ["tests/test_verify.py"],
+    ),
 ]
 
 

@@ -140,10 +140,49 @@ SUBCOMMANDS = [
 ]
 
 
+FAMILY_FLAGS = [
+    "--elliptic N simple elliptic link, weight -N",
+    "--cusp N1,N2,... cusp link with the given cycle word",
+]
+
+
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_subcommand_help_exits_0(command, capsys):
     assert main([command, "--help"]) == EXIT_OK
-    assert capsys.readouterr().out.startswith(f"usage: singlink {command}")
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: singlink {command}")
+    # each family subcommand lists --elliptic and then --cusp, with their
+    # help, and verify lists --suite after them; spaces are collapsed, since
+    # argparse pads the help column to the longest flag of the subcommand
+    lines = [" ".join(line.split()) for line in out.splitlines()]
+    listed = [line for line in lines if line.startswith(("--elliptic ", "--cusp ", "--suite "))]
+    if command in ("classify", "factor"):
+        assert listed == []
+    elif command == "verify":
+        assert listed == [*FAMILY_FLAGS, "--suite verify the whole standard suite"]
+        assert "(--elliptic N | --cusp N1,N2,... | --suite)" in " ".join(lines)
+    else:
+        assert listed == FAMILY_FLAGS
+        assert "(--elliptic N | --cusp N1,N2,...)" in " ".join(lines)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["graph", "--elliptic", "0"], "argument --elliptic: elliptic parameter must be >= 1, got 0"),
+        (
+            ["graph", "--cusp", "2,2"],
+            "argument --cusp: invalid cycle word (2, 2): every entry must be >= 2 with at least"
+            " one entry >= 3 when there is more than one entry, and a single entry must be >= 3",
+        ),
+        (["graph", "--cusp", "3,"], "argument --cusp: invalid literal for int() with base 10: ''"),
+    ],
+    ids=["elliptic-0", "cusp-2,2", "cusp-3,"],
+)
+def test_bad_family_value_exits_1_with_its_message(argv, message, capsys):
+    # a family's parse error reaches stderr as argparse's "argument --flag:" line
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr() == ("", f"singlink graph: error: {message}\n")
 
 
 def test_one_entry_parser_parses_as_the_whole_parser():
@@ -761,6 +800,8 @@ def test_no_import_statement_runs_on_a_per_family_path():
     # (1,119 tokens, about 1.5-1.9 ms) on every command-line call
     for fn in (
         verify_family,
+        Elliptic.closed_form_checks,
+        Cusp.closed_form_checks,
         Cusp.filling_count.fget,
         openbook.openbook_homology,
         invariants.FamilyReduction.__init__,

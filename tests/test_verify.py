@@ -1,7 +1,9 @@
+import ast
 import itertools
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,25 @@ def test_verify_family_checks_are_named():
     assert "triple homology agreement" in names
     assert "factorization roundtrip" in names
     assert all(ok for _, ok in checks)
+
+
+def test_no_module_branches_on_a_family_class():
+    # each family states its own closed forms, flag and parser, so no module
+    # asks which family it holds, and the command line names no family class
+    families = {"Elliptic", "Cusp"}
+    src = Path(verify_family.__code__.co_filename).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+                assert not named & families, f"{path.name}:{node.lineno}"
+    cli = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(cli):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+        named.add(getattr(node, "id", getattr(node, "attr", None)))
+    assert not named & families
 
 
 def test_suite_families_shape():
