@@ -126,7 +126,20 @@ class FamilyReduction(Record):
         object.__setattr__(self, "snf", snf)
 
     def euler_classes(self, rot_vectors) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """``euler_class`` of each vector, all from the one reduction of Q."""
+        """``euler_class`` of each vector, all from the one reduction of Q,
+        which reduces each vector once up to sign.
+
+        Every length is checked before any vector is reduced.  A vector met
+        again in the call has the class it had; a vector v whose negative
+        -v was reduced earlier in the call, as (k, y), has the class
+        (k, -y).  That is exact: the replay w = u v and the lift are linear,
+        so -v replays to -w and lifts to -y, and the order k = lcm(d_i /
+        gcd(d_i, w_i)) does not see the sign.  The runtime checks u^-1 w = v
+        and Q y = k v hold for -v exactly when they hold for v, and Q is
+        nonsingular, so -y is the one solution that reducing -v gives.  The
+        two canonical structures have rot vectors c and -c (they are
+        complex conjugates), so their pair costs one replay and one lift.
+        """
         q = self.presentation
         vectors = []
         for rot_vector in rot_vectors:
@@ -136,7 +149,19 @@ class FamilyReduction(Record):
                     f"rot vector of length {len(v)} does not fit a {len(q)}-component presentation"
                 )
             vectors.append(v)
-        return tuple(_reduce_class(self.snf, v) for v in vectors)
+        reduced = {}  # each vector reduced in this call -> its class
+        classes = []
+        for v in vectors:
+            minus = tuple([-x for x in v])
+            if v in reduced:
+                cls = reduced[v]
+            elif minus in reduced:
+                k, y = reduced[minus]
+                cls = k, tuple([-x for x in y])
+            else:
+                cls = reduced[v] = _reduce_class(self.snf, v)
+            classes.append(cls)
+        return tuple(classes)
 
     def d3_invariants(self, classes) -> tuple:
         """d3 invariant, a Fraction, of the Stein diagram behind each Euler
@@ -152,7 +177,8 @@ class FamilyReduction(Record):
         >>> from singlink.families import Elliptic
         >>> from singlink.legendrian import canonical_filling
         >>> reduction = FamilyReduction(Elliptic(5))
-        >>> rots = [canonical_filling(Elliptic(5), sign) for sign in ("min", "max")]
+        >>> slots = Elliptic(5).handle_slots()
+        >>> rots = [canonical_filling(slots, sign) for sign in ("min", "max")]
         >>> [str(d3) for d3 in reduction.d3_invariants(reduction.euler_classes(rots))]
         ['-1/2', '-1/2']
         """
@@ -199,7 +225,8 @@ def invariants_report(
     {'num': 1, 'den': 2}
     """
     signs = (sign,) if sign else ("min", "max")
-    rots = [canonical_filling(family, s) for s in signs]
+    slots = family.handle_slots()
+    rots = [canonical_filling(slots, s) for s in signs]
     reduction = FamilyReduction(family)
     classes = reduction.euler_classes(rots)
     # a class (k, y) vanishes when k == 1; its witness y is printed with a 0

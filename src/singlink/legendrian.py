@@ -22,7 +22,10 @@ adjunction formula framing - 2*genus + 2 is written once, as the
 adjunction vector of a handle pattern: the rot vector at which every
 handle has zero adjunction defect.  A diagram's defects are its rot
 vector minus that vector, and it is canonical when its whole rot vector
-equals the adjunction vector or its negative.  None of this reads the
+equals the adjunction vector or its negative.  These helpers and
+``canonical_filling``, which sets every rot at an end of its slot's range,
+take the handle slots, not the family, so a caller reads a family's
+``handle_slots()`` once and hands them to all four.  None of this reads the
 intersection form, so ``canonical`` runs this module alone:
 ``canonical_report`` writes its output, as ``enumerate_report`` writes
 the ``enumerate`` subcommand's.
@@ -194,17 +197,21 @@ def enumerate_report(family: Family, as_json: bool = False) -> dict | str:
     return "\n".join([f"count {len(lines)}", *lines])
 
 
-def canonical_filling(family: Family, sign: str = "min") -> tuple[int, ...]:
-    """The rot vector with every rotation number at its minimum (or maximum).
+def canonical_filling(slots, sign: str = "min") -> tuple[int, ...]:
+    """The rot vector with every rotation number at its minimum (or maximum),
+    for the (genus, smooth framing) slots of a family's ``handle_slots()``.
 
     These are the two adjunction-realizing diagrams; their rot vectors are
     negatives of each other.  Each rotation number is -s or s, taken from
     the stabilization budget without listing the range between.
+
+    >>> canonical_filling([(0, -2), (0, -3), (0, -4)], "max")  # cusp (2, 3, 4)
+    (0, 1, 2)
     """
     if sign not in ("min", "max"):
         raise ValueError(f"sign must be 'min' or 'max', got {sign!r}")
     unit = -1 if sign == "min" else 1
-    return tuple([unit * _stabilization_budget(*slot) for slot in family.handle_slots()])
+    return tuple([unit * _stabilization_budget(*slot) for slot in slots])
 
 
 def adjunction_vector(slots) -> tuple[int, ...]:
@@ -256,7 +263,7 @@ def canonical_report(
     slots = family.handle_slots()
     data, lines = {}, []
     for s in (sign,) if sign else ("min", "max"):
-        rots = canonical_filling(family, s)
+        rots = canonical_filling(slots, s)
         handles = [(*slot, r) for slot, r in zip(slots, rots)]
         defects = adjunction_defects(slots, rots)
         if as_json:

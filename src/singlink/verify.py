@@ -37,14 +37,20 @@ SUITE_MAX_ELLIPTIC = 10
 def verify_family(family: Family) -> list[tuple[str, bool]]:
     """The per-family invariant suite; returns (check name, passed) pairs.
 
-    The twist word and monodromy are built once per call, and one
+    The twist word, monodromy and handle slots are built once per call
+    (``legendrian.filling_rot_vectors`` reads the slots once more), and one
     ``invariants.FamilyReduction`` reduces the presentation Q once for the
     Euler classes, the plumbing H_1 and both d3 values, which read the two
-    Euler classes and share one signature of Q; a family whose d3 is
-    refused, as its constant ``d3_supported`` says without raising, ends
-    its checks at the Euler class.  ``closed_form_checks`` come first and
-    read |det Q| as the product of that reduction's diagonal D, since
-    ``smith_normal_form`` checks u Q v = D with unimodular u and v.  A
+    Euler classes and share one signature of Q.  The two canonical rot
+    vectors are c and -c, so ``euler_classes`` replays Q's row log and
+    lifts once for the pair and reads the other class off the first, (k, y)
+    to (k, -y); both vectors are still computed, by two
+    ``canonical_filling`` calls, so "canonical rot vectors are negatives"
+    compares two computations.  A family whose d3 is refused, as its
+    constant ``d3_supported`` says without raising, ends its checks at the
+    Euler class.  ``closed_form_checks`` come first and read |det Q| as the
+    product of that reduction's diagonal D, since ``smith_normal_form``
+    checks u Q v = D with unimodular u and v.  A
     Stein diagram is its rot vector, so the Stein filling checks read the
     vectors of ``legendrian.filling_rot_vectors`` one at a time and hold no
     list: one pass counts them and compares each with the one before it and
@@ -78,9 +84,10 @@ def verify_family(family: Family) -> list[tuple[str, bool]]:
     plumbing, monodromy, openbook = reduction.homology(a)
     checks.append(("triple homology agreement", plumbing == monodromy == openbook))
 
-    minimal = legendrian.canonical_filling(family, "min")
-    maximal = legendrian.canonical_filling(family, "max")
-    c = legendrian.adjunction_vector(family.handle_slots())
+    slots = family.handle_slots()
+    minimal = legendrian.canonical_filling(slots, "min")
+    maximal = legendrian.canonical_filling(slots, "max")
+    c = legendrian.adjunction_vector(slots)
     count, increasing, at_c, at_minus_c = _filling_pass(c, rot_vectors)
     checks.append(("stein filling count", count == family.filling_count))
     checks.append(("c1 evaluations pairwise distinct", increasing))

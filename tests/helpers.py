@@ -358,8 +358,8 @@ def verify_family_reference(family):
     )
     plumbing_h1, monodromy_h1, openbook_h1 = invariants.homology_cross_check(family)
     checks.append(("triple homology agreement", plumbing_h1 == monodromy_h1 == openbook_h1))
-    minimal = legendrian.canonical_filling(family, "min")
-    maximal = legendrian.canonical_filling(family, "max")
+    minimal = legendrian.canonical_filling(family.handle_slots(), "min")
+    maximal = legendrian.canonical_filling(family.handle_slots(), "max")
     fillings = legendrian.enumerate_stein_fillings(family)
     slots = family.handle_slots()
     canonical = [rots for rots in fillings if legendrian.is_canonical(slots, rots)]

@@ -251,6 +251,20 @@ MUTANTS = [
         '("monodromy is parabolic of trace 2", monodromy.is_cusp_link)',
         ["tests/test_verify.py"],
     ),
+    (
+        "the class of -v keeps the witness of v",
+        "src/singlink/invariants.py",
+        "cls = k, tuple([-x for x in y])",
+        "cls = k, y",
+        ["tests/test_golden.py", "tests/test_invariants.py"],
+    ),
+    (
+        "a repeat of v gets the negated class",
+        "src/singlink/invariants.py",
+        "cls = reduced[v]\n",
+        "cls = reduced[v][0], tuple([-x for x in reduced[v][1]])\n",
+        ["tests/test_invariants.py"],
+    ),
 ]
 
 

@@ -95,7 +95,7 @@ def test_criterion_06_euler_class_vanishes():
         for family in suite_families():
             size = 1 if isinstance(family, Elliptic) else len(family.word)
             for sign, unit in (("min", 1), ("max", -1)):
-                rots = canonical_filling(family, sign)
+                rots = canonical_filling(family.handle_slots(), sign)
                 order, witness = euler_class(family, rots)
                 assert order == 1
                 assert witness == (unit,) * size
@@ -107,8 +107,8 @@ def test_criterion_07_adjunction_uniqueness():
         for family in suite_families():
             slots = family.handle_slots()
             fillings = enumerate_stein_fillings(family)
-            minimal = canonical_filling(family, "min")
-            maximal = canonical_filling(family, "max")
+            minimal = canonical_filling(family.handle_slots(), "min")
+            maximal = canonical_filling(family.handle_slots(), "max")
             direct = [
                 rots
                 for rots in fillings
@@ -128,13 +128,14 @@ def test_criterion_07_adjunction_uniqueness():
 
 def test_criterion_08_d3_invariant():
     with criterion(8, "d3 = 1/2 for elliptic n=1, solution-choice independent, both signs"):
-        assert d3_invariant(Elliptic(1), canonical_filling(Elliptic(1), "min")) == Fraction(1, 2)
+        rots = canonical_filling(Elliptic(1).handle_slots(), "min")
+        assert d3_invariant(Elliptic(1), rots) == Fraction(1, 2)
         for n in range(1, 11):
             values = {}
             family = Elliptic(n)
             q = presentation_oracle(family)
             for sign in ("min", "max"):
-                rots = canonical_filling(family, sign)
+                rots = canonical_filling(family.handle_slots(), sign)
                 values[sign] = d3_invariant(family, rots)
                 rot = (0,) * family.one_handle_count + rots
                 x = solve_rational(q, rot)

@@ -467,20 +467,27 @@ def test_canonical_output():
     assert data["min"]["handles"][0]["rot"] == -5
 
 
-def test_canonical_reads_the_handle_slots_three_times(monkeypatch):
-    # canonical reads the family's slots once for the handles and the
-    # adjunction defects of both signs, and canonical_filling once per sign
+def test_canonical_reads_the_handle_slots_once(monkeypatch):
+    # canonical and a full inv read the family's slots once, for the
+    # handles, both canonical fillings and the adjunction defects of both
+    # signs; verify reads them once for itself and once to stream the
+    # fillings
     handle_slots = Cusp.handle_slots
     calls = []
     monkeypatch.setattr(Cusp, "handle_slots", lambda f: calls.append(f) or handle_slots(f))
-    for argv in (["canonical", "--cusp", "2,3,4"], ["canonical", "--cusp", "2,3,4", "--json"]):
+    for argv in (
+        ["canonical", "--cusp", "2,3,4"],
+        ["canonical", "--cusp", "2,3,4", "--json"],
+        ["inv", "--cusp", "2,3,4"],
+        ["inv", "--cusp", "2,3,4", "--json"],
+    ):
         calls.clear()
         code, _ = run_cli(argv)
         assert code == EXIT_OK
-        assert calls == [Cusp((2, 3, 4))] * 3, argv
+        assert calls == [Cusp((2, 3, 4))], argv
     calls.clear()
     assert all(passed for _, passed in verify_family(Cusp((2, 3, 4, 5))))
-    assert len(calls) == 4
+    assert calls == [Cusp((2, 3, 4, 5))] * 2
 
 
 def check_handle_json(family):
@@ -573,7 +580,7 @@ def test_euler_witnesses_are_indexed_as_the_surgery_framings():
         for sign in ("min", "max"):
             w = euler[sign]["witness"]
             assert len(w) == len(framings), (family, sign)
-            rot = canonical_filling(family, sign)
+            rot = canonical_filling(family.handle_slots(), sign)
             assert mat_vec(q, w) == zeros + rot, (family, sign)
 
 
@@ -818,22 +825,25 @@ def test_no_import_statement_runs_on_a_per_family_path():
 def test_full_report_reduces_a_cusp_presentation_once(monkeypatch):
     # Q is read off the plumbing graph for both families, so the plumbing
     # H_1, both Euler classes and both elliptic d3 values share its one
-    # reduction, and Q's row log is replayed once per canonical vector;
-    # A - I and the open-book presentation go to the minors
-    reduce = SnfResult.reduce
-    replays = []
+    # reduction, and Q's row log is replayed and a solution lifted once for
+    # the canonical pair c, -c; A - I and the open-book presentation go to
+    # the minors
+    reduce, lift = SnfResult.reduce, SnfResult.lift
+    replays, lifts = [], []
     monkeypatch.setattr(SnfResult, "reduce", lambda snf, v: replays.append(v) or reduce(snf, v))
+    monkeypatch.setattr(SnfResult, "lift", lambda snf, v, w: lifts.append(v) or lift(snf, v, w))
     for argv, shapes, minors in (
         (["inv", "--cusp", "2,3,4", "--json"], [(3, 3)], [(2, 2), (3, 2)]),
         (["inv", "--elliptic", "3", "--json"], [(1, 1)], [(2, 2), (3, 1)]),
     ):
         replays.clear()
+        lifts.clear()
         with counted_snf() as calls, counted_linalg("two_column_cokernel") as small:
             code, _ = run_cli(argv)
         assert code == EXIT_OK
         assert [(len(m), len(m[0])) for m in calls] == shapes, argv
         assert [(len(m), len(m[0])) for m in small] == minors, argv
-        assert len(replays) == 2, argv
+        assert len(replays) == 1 and len(lifts) == 1, argv
 
 
 def test_d3_call_reduces_q_once_and_takes_one_signature(capsys):

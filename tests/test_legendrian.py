@@ -302,7 +302,8 @@ def test_handle_text_splits_the_zigzags():
             assert (left + right, right - left) == (s, rot), (genus, framing, rot)
     for family in families:
         for sign in ("min", "max"):
-            for genus, framing, rot in handles_of(family, canonical_filling(family, sign)):
+            rots = canonical_filling(family.handle_slots(), sign)
+            for genus, framing, rot in handles_of(family, rots):
                 s = tb_max(genus) - 1 - framing
                 expected = (s, 0) if sign == "min" else (0, s)
                 assert zigzags(genus, framing, rot) == expected, (family, sign)
@@ -332,19 +333,19 @@ def test_handle_slots_build_no_record(monkeypatch):
 
 
 def test_canonical_filling():
-    assert canonical_filling(Cusp(CycleWord((2, 2, 3))), "min") == (0, 0, -1)
-    assert canonical_filling(Elliptic(5), "min") == (-5,)
-    assert canonical_filling(Elliptic(5), "max") == (5,)
-    assert canonical_filling(Cusp(CycleWord((4,))), "max") == (2,)
+    assert canonical_filling(Cusp(CycleWord((2, 2, 3))).handle_slots(), "min") == (0, 0, -1)
+    assert canonical_filling(Elliptic(5).handle_slots(), "min") == (-5,)
+    assert canonical_filling(Elliptic(5).handle_slots(), "max") == (5,)
+    assert canonical_filling(Cusp(CycleWord((4,))).handle_slots(), "max") == (2,)
     with pytest.raises(ValueError):
-        canonical_filling(Elliptic(5), "middle")
+        canonical_filling(Elliptic(5).handle_slots(), "middle")
 
 
 def test_canonical_rot_equals_framing_rule():
     # min rot = framing + 2 - 2 * genus at every handle
     for family in suite_families():
-        minimal = canonical_filling(family, "min")
-        maximal = canonical_filling(family, "max")
+        minimal = canonical_filling(family.handle_slots(), "min")
+        maximal = canonical_filling(family.handle_slots(), "max")
         for (genus, framing), r_min, r_max in zip(family.handle_slots(), minimal, maximal):
             target = framing - 2 * genus + 2
             assert r_min == target
@@ -355,11 +356,13 @@ def test_canonical_rot_equals_framing_rule():
 def test_canonical_extremes_match_rotation_range_over_suite():
     for family in suite_families():
         ranges = [rotation_range(*slot) for slot in family.handle_slots()]
-        assert canonical_filling(family, "min") == tuple(map(min, ranges))
-        assert canonical_filling(family, "max") == tuple(map(max, ranges))
+        assert canonical_filling(family.handle_slots(), "min") == tuple(map(min, ranges))
+        assert canonical_filling(family.handle_slots(), "max") == tuple(map(max, ranges))
 
 
 def test_canonical_filling_builds_the_handle_pattern_once(monkeypatch):
+    # canonical_filling reads the slots it is given and builds no pattern of
+    # its own, so both signs share the one pattern the caller built
     for family in (Elliptic(3), Cusp(CycleWord((2, 3, 4)))):
         patterns = []
         handle_slots = type(family).handle_slots
@@ -370,10 +373,10 @@ def test_canonical_filling_builds_the_handle_pattern_once(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(type(family), "handle_slots", counting_slots)
-            for sign in ("min", "max"):
-                patterns.clear()
-                canonical_filling(family, sign)
-                assert patterns == [family], (family, sign)
+            slots = family.handle_slots()
+            pair = [canonical_filling(slots, sign) for sign in ("min", "max")]
+        assert patterns == [family], family
+        assert pair[1] == tuple(-r for r in pair[0]) != (), family
 
 
 def test_canonical_filling_does_not_list_the_range(monkeypatch):
@@ -382,9 +385,9 @@ def test_canonical_filling_does_not_list_the_range(monkeypatch):
 
     monkeypatch.setattr(legendrian, "rotation_range", refuse)
     start = time.perf_counter()
-    assert canonical_filling(Elliptic(10**30), "max") == (10**30,)
+    assert canonical_filling(Elliptic(10**30).handle_slots(), "max") == (10**30,)
     huge = 10**25
-    assert canonical_filling(Cusp(CycleWord((3, huge))), "min") == (-1, 2 - huge)
+    assert canonical_filling(Cusp(CycleWord((3, huge))).handle_slots(), "min") == (-1, 2 - huge)
     assert time.perf_counter() - start < 1.0
 
 
@@ -394,7 +397,7 @@ def test_contact_surgery_elliptic_frozen():
     # 2-handle (tb 0, so framing -1), with the padded Q as their linking
     # matrix, gives the d3 that Gompf's formula gives on the 2-handle alone
     family = Elliptic(1)
-    rots = canonical_filling(family, "min")
+    rots = canonical_filling(family.handle_slots(), "min")
     (handle,) = [handle_json(*h) for h in handles_of(family, rots)]
     assert family.one_handle_count == 2
     assert (handle["tb"], handle["rot"], handle["framing"]) == (0, -1, -1)
@@ -409,14 +412,14 @@ def test_contact_surgery_cusp():
     for word in ((2, 2, 3), (5,), (3, 3)):
         family = Cusp(CycleWord(word))
         with pytest.raises(UnsupportedPresentation, match="resolution-graph cross-check"):
-            d3_invariant(family, canonical_filling(family, "min"))
+            d3_invariant(family, canonical_filling(family.handle_slots(), "min"))
 
 
 def test_plus_components_match_one_handles():
     # the elliptic presentation has a zero-framed row per 1-handle, taken
     # as a (+1)-surgery on a standard unknot, ahead of a row per 2-handle
     for family in [Elliptic(n) for n in range(1, 11)]:
-        rots = canonical_filling(family, "min")
+        rots = canonical_filling(family.handle_slots(), "min")
         q = presentation_oracle(family)
         assert len(q) == family.one_handle_count + len(rots)
         assert all(q[i][i] == 0 for i in range(family.one_handle_count))
@@ -424,7 +427,7 @@ def test_plus_components_match_one_handles():
 
 def test_json_shapes():
     family = Cusp(CycleWord((2, 2, 3)))
-    handles = handles_of(family, canonical_filling(family, "min"))
+    handles = handles_of(family, canonical_filling(family.handle_slots(), "min"))
     assert family.to_json_dict() == {"kind": "cusp", "word": [2, 2, 3]}
     assert family.one_handle_count == 1
     assert handle_json(*handles[2]) == {"framing": -3, "tb": -2, "rot": -1, "genus": 0}

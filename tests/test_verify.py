@@ -83,18 +83,21 @@ def test_d3_check_compares_both_signs(monkeypatch):
 def test_one_snf_per_pair_of_euler_classes(monkeypatch):
     # the elliptic d3 values share Q's reduction and take one signature of it;
     # A - I and the open-book presentation go to the minors, not the SNF.
-    # Q's row log is replayed once per Euler vector, twice for the canonical
-    # pair: d3_invariants reads those two classes and the d3 independence
-    # check replays none
-    reduce = SnfResult.reduce
-    replays = []
+    # The canonical rot vectors are c and -c, so Q's row log is replayed and
+    # a solution lifted once for the pair, at c: the class at -c is read off
+    # the one at c, d3_invariants reads those two classes and the d3
+    # independence check replays none
+    reduce, lift = SnfResult.reduce, SnfResult.lift
+    replays, lifts = [], []
     monkeypatch.setattr(SnfResult, "reduce", lambda snf, v: replays.append(v) or reduce(snf, v))
-    for family, signatures, expected_replays in (
-        (Cusp(CycleWord((2, 3, 4))), 0, 2),
-        (Cusp(CycleWord((3,))), 0, 2),
-        (Elliptic(3), 1, 2),
+    monkeypatch.setattr(SnfResult, "lift", lambda snf, v, w: lifts.append(v) or lift(snf, v, w))
+    for family, signatures in (
+        (Cusp(CycleWord((2, 3, 4))), 0),
+        (Cusp(CycleWord((3,))), 0),
+        (Elliptic(3), 1),
     ):
         replays.clear()
+        lifts.clear()
         with counted_snf() as calls, counted_linalg("symmetric_signature") as sigmas:
             with counted_linalg("two_column_cokernel") as minors:
                 checks = verify_family(family)
@@ -102,7 +105,8 @@ def test_one_snf_per_pair_of_euler_classes(monkeypatch):
         assert len(calls) == 1, family
         assert len(minors) == 2, family
         assert len(sigmas) == signatures, family
-        assert len(replays) == expected_replays, family
+        assert replays == [legendrian.adjunction_vector(family.handle_slots())], family
+        assert len(lifts) == 1, family
 
 
 def test_suite_pass_calls_no_determinant():
@@ -157,7 +161,8 @@ def test_suite_pass_constructs_no_refusal(monkeypatch, capsys):
 
 def test_euler_classes_match_euler_class_over_suite():
     for family in suite_families():
-        vectors = tuple(legendrian.canonical_filling(family, sign) for sign in ("min", "max"))
+        slots = family.handle_slots()
+        vectors = tuple(legendrian.canonical_filling(slots, sign) for sign in ("min", "max"))
         pair = invariants.FamilyReduction(family).euler_classes(vectors)
         assert pair == tuple(invariants.euler_class(family, v) for v in vectors), family
 
@@ -364,8 +369,8 @@ def test_broken_enumeration_fails_exactly_its_checks(monkeypatch, mutation):
     assert failed_checks(family) == set()
     mutate, failing = ENUMERATION_MUTATIONS[mutation]
     original = legendrian.filling_rot_vectors
-    minimal = legendrian.canonical_filling(family, "min")
-    maximal = legendrian.canonical_filling(family, "max")
+    minimal = legendrian.canonical_filling(family.handle_slots(), "min")
+    maximal = legendrian.canonical_filling(family.handle_slots(), "max")
     monkeypatch.setattr(
         legendrian,
         "filling_rot_vectors",
@@ -468,8 +473,9 @@ def test_every_diagram_of_one_verify_call_is_checked(monkeypatch):
                 assert check_rot_vector(family, rots) == rots
                 yield rots
 
-        def checked_canonical(family, sign):
-            rots = canonical_filling(family, sign)
+        def checked_canonical(slots, sign):
+            assert slots == family.handle_slots()
+            rots = canonical_filling(slots, sign)
             built.append(rots)
             assert check_rot_vector(family, rots) == rots
             return rots
@@ -479,5 +485,5 @@ def test_every_diagram_of_one_verify_call_is_checked(monkeypatch):
         assert all(passed for _, passed in verify_family(family))
         monkeypatch.undo()
         assert len(streamed) == count, family
-        canonical = [legendrian.canonical_filling(family, s) for s in ("min", "max")]
+        canonical = [legendrian.canonical_filling(family.handle_slots(), s) for s in ("min", "max")]
         assert built == canonical, family
