@@ -185,8 +185,8 @@ def _run_classify(request):
 def _run_factor(request):
     word = sl2z.factor_cycle(request.matrix)
     if request.fmt == "json":
-        return EXIT_OK, word.to_json_list()
-    return EXIT_OK, str(word)
+        return EXIT_OK, list(word)
+    return EXIT_OK, "(" + ", ".join([str(n) for n in word]) + ")"
 
 
 def _run_graph(request):

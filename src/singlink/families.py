@@ -4,9 +4,11 @@ Each family knows its label, JSON form, monodromy, plumbing graph, open
 book page and boundary count, Stein handle pattern, surgery picture,
 diagram count, d3 support, command-line flag and its parser, and the
 closed forms ``verify`` checks (Q is read off the graph); ``FAMILIES``
-lists the families, so no module tests which family it holds.  The open
-book and the surgery picture are functions of the family.  A handle
-pattern is one (genus, smooth framing) slot per Stein 2-handle.
+lists the families, so no module tests which family it holds.  A cusp
+holds its cycle word as the plain tuple of ints that ``sl2z.cycle_word``
+validates.  The open book and the surgery picture are functions of the
+family.  A handle pattern is one (genus, smooth framing) slot per Stein
+2-handle.
 ``check_d3_supported`` refuses a cusp's d3 here, next to the constant it
 reads and the exception it raises, so the command line refuses ``--d3``
 on a cusp before it imports any module that computes.
@@ -17,7 +19,7 @@ from math import prod
 from operator import index
 
 from ._record import Record
-from .sl2z import CycleWord, Sl2Matrix, cycle_monodromy, cyclic_equal, factor_cycle
+from .sl2z import Sl2Matrix, cycle_monodromy, cycle_word, cyclic_equal, factor_cycle
 
 __all__ = [
     "InvalidParameter",
@@ -124,8 +126,8 @@ class Cusp(Record):
     d3_supported = False
     flag = ("--cusp", "N1,N2,...", "cusp link with the given cycle word")
 
-    def __init__(self, word):  # its entries, or a CycleWord, which iterates them
-        object.__setattr__(self, "word", CycleWord(word))
+    def __init__(self, word):  # any iterable of its entries; held as a tuple of ints
+        object.__setattr__(self, "word", cycle_word(word))
 
     @classmethod
     def parse(cls, text: str) -> "Cusp":
@@ -145,22 +147,18 @@ class Cusp(Record):
         return sum([n - 2 for n in self.word])
 
     def to_json_dict(self) -> dict:
-        return {"kind": "cusp", "word": self.word.to_json_list()}
+        return {"kind": "cusp", "word": list(self.word)}
 
     def monodromy(self) -> Sl2Matrix:
         return cycle_monodromy(self.word)
 
     def graph(self):
-        """Circular plumbing with weights -n_i; loop for k = 1, double edge for k = 2."""
+        """Circular plumbing with weights -n_i: vertex i meets i + 1 mod k,
+        so k = 1 gives a loop and k = 2 a double edge."""
         from .plumbing import PlumbingGraph
 
         k = len(self.word)
-        if k == 1:
-            edges = ((0, 0),)
-        elif k == 2:
-            edges = ((0, 1), (0, 1))
-        else:
-            edges = tuple((i, (i + 1) % k) for i in range(k))
+        edges = tuple([(i, (i + 1) % k) for i in range(k)])
         return PlumbingGraph(tuple([(-n, 0) for n in self.word]), edges)
 
     def page_pieces(self) -> tuple[int, tuple[int, ...]]:
@@ -175,10 +173,9 @@ class Cusp(Record):
     def handle_slots(self) -> tuple[tuple[int, int], ...]:
         """(genus, smooth framing) of each Stein 2-handle: for k = 1 an unknot
         running twice over the 1-handle, capped genus 1; else chain unknots."""
-        entries = self.word.entries
-        if len(entries) == 1:
-            return ((1, 2 - entries[0]),)
-        return tuple([(0, -n) for n in entries])
+        if len(self.word) == 1:
+            return ((1, 2 - self.word[0]),)
+        return tuple([(0, -n) for n in self.word])
 
     def closed_form_checks(self, monodromy: Sl2Matrix, det: int) -> tuple[list, int]:
         """``verify``'s (name, passed) checks of the monodromy's and |det Q|'s

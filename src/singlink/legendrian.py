@@ -118,7 +118,8 @@ def check_rot_vector(family: Family, rot_vector) -> tuple[int, ...]:
     slots = family.handle_slots()
     rots = tuple(rot_vector)
     if len(rots) != len(slots):
-        raise ValueError(f"{len(rots)} rotation numbers for the {len(slots)} slots of {family}")
+        message = f"{len(rots)} rotation numbers for the {len(slots)} slots of {family.label}"
+        raise ValueError(message)
     return tuple([_check_rot(*slot, r) for slot, r in zip(slots, rots)])
 
 

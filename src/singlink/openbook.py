@@ -14,12 +14,12 @@ space in one pass over the pieces.  A boundary is labeled (i, j), pieces
 numbered from 1, and a twist curve is the pair ("delta", i) or ("gamma",
 (i, j)).  Curves are modeled through their classes in the first homology
 of the page together with the intersection form; that is enough for the
-monodromy action.  ``openbook_report`` writes the ``openbook``
-subcommand's output.
+monodromy action.  ``curve_homology_classes`` returns the page basis and
+those classes as plain values: the basis names and two dicts of int
+tuples.  ``openbook_report`` writes the ``openbook`` subcommand's output.
 """
 from __future__ import annotations
 
-from ._record import Record
 from .families import Family, SizeLimitExceeded
 from .linalg import AbelianGroup, IntMatrix, two_column_cokernel
 
@@ -27,7 +27,6 @@ __all__ = [
     "BOUNDARY_LIMIT",
     "PAGE_GENUS",
     "BoundaryLabel",
-    "PageHomologyData",
     "boundary_labels",
     "twist_word",
     "curve_names",
@@ -119,33 +118,20 @@ def openbook_report(family: Family, as_json: bool = False) -> dict | str:
     return f"{word}, page: genus {PAGE_GENUS}, {count} boundary {plural}"
 
 
-class PageHomologyData(Record):
-    """Basis of H_1(page) and the twist-curve and boundary classes.
+def curve_homology_classes(family: Family) -> tuple[tuple[str, ...], dict, dict]:
+    """(basis names, curve classes, boundary classes): the basis of
+    H_1(page), and the classes of the twist curves and of the boundaries on
+    it, keyed by the (kind, label) pairs of the twist word and by the
+    boundary labels.
 
     The basis is (l, d, e_1, ..., e_{b-1}): l is a longitude crossing every
     delta once, d is the class of delta_0 (for the elliptic page, the dual
     torus generator), and the e_s are the first b-1 boundary classes taken
     with their counterclockwise orientation; the last boundary class equals
-    minus their sum.  The intersection form is read off the rank: <l, d> = 1
-    and every other pairing of basis vectors is 0, so the boundary classes
-    lie in its radical.
+    minus their sum.  The intersection form pairs <l, d> = 1 and every
+    other two basis vectors to 0, so the boundary classes lie in its
+    radical.
     """
-
-    __slots__ = ("basis_names", "curve_classes", "boundary_classes")
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis_names)
-
-    @property
-    def intersection_form(self) -> IntMatrix:
-        pairing, r = {(0, 1): 1, (1, 0): -1}, self.rank
-        return tuple(tuple(pairing.get((i, j), 0) for j in range(r)) for i in range(r))
-
-
-def curve_homology_classes(family: Family) -> PageHomologyData:
-    """Homology classes of the twist curves and of the boundaries, keyed by
-    the (kind, label) pairs of the twist word and by the boundary labels."""
     deltas, pieces = _page(family)
     labels, word = _labels(pieces), _word(deltas, pieces)
     b = len(labels)  # at least 1 for every family
@@ -167,7 +153,7 @@ def curve_homology_classes(family: Family) -> PageHomologyData:
             for label in by_piece.get(i, ()):
                 acc = tuple(a + x for a, x in zip(acc, boundary_classes[label]))
             classes[kind, i] = acc
-    return PageHomologyData(names, classes, boundary_classes)
+    return names, classes, boundary_classes
 
 
 def homological_monodromy_action(family: Family) -> IntMatrix:
@@ -180,11 +166,11 @@ def homological_monodromy_action(family: Family) -> IntMatrix:
     gamma adds nothing.  The elliptic open book therefore always returns
     the identity matrix.
     """
-    data = curve_homology_classes(family)
-    r = data.rank
+    names, curve_classes, _ = curve_homology_classes(family)
+    r = len(names)
     image = [int(i == 0) for i in range(r)]
     for curve in twist_word(family):
-        c = data.curve_classes[curve]
+        c = curve_classes[curve]
         image = [x + c[1] * y for x, y in zip(image, c)]
     return tuple(tuple(image[i] if j == 0 else int(i == j) for j in range(r)) for i in range(r))
 

@@ -4,10 +4,12 @@ The cusp normal form used throughout the package is the product
 
     A(n_1, ..., n_k) = M(n_1) * ... * M(n_k),   M(n) = [[n, -1], [1, 0]].
 
+A cycle word is a plain tuple of ints, which ``cycle_word`` validates.
 Every valid cycle word (all entries >= 2 with at least one >= 3, or a
 single entry >= 3) multiplies out to a hyperbolic matrix of trace >= 3,
-and ``factor_cycle`` inverts the construction up to cyclic rotation.  A
-matrix classifies itself by its trace, through ``Sl2Matrix.kind``.
+and ``factor_cycle`` inverts the construction up to cyclic rotation,
+returning the word's ``least_rotation``.  A matrix classifies itself by
+its trace, through ``Sl2Matrix.kind``.
 """
 from __future__ import annotations
 
@@ -18,7 +20,8 @@ from ._record import Record
 
 __all__ = [
     "Sl2Matrix",
-    "CycleWord",
+    "cycle_word",
+    "least_rotation",
     "NotCuspClass",
     "NoFactorization",
     "cycle_monodromy",
@@ -88,47 +91,29 @@ class Sl2Matrix(Record):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 
 
-class CycleWord(Record):
-    """The tuple (n_1, ..., n_k) parameterizing a cusp monodromy.
+def cycle_word(entries) -> tuple[int, ...]:
+    """The cycle word (n_1, ..., n_k) parameterizing a cusp monodromy, as a
+    tuple of ints; refused unless every n_i >= 2 with some n_i >= 3 when
+    k > 1, and n_1 >= 3 when k = 1.
 
-    Valid words have every n_i >= 2 with some n_i >= 3 when k > 1, and
-    n_1 >= 3 when k = 1.
+    >>> cycle_word([2, 3])
+    (2, 3)
     """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[int, ...]):
-        entries = tuple(map(index, entries))
-        if not entries:
-            raise ValueError(f"invalid cycle word {entries}: word must be nonempty")
-        if len(entries) == 1:
-            if entries[0] < 3:
-                raise ValueError(f"invalid cycle word {entries}: {CYCLE_WORD_RULE}")
-        elif min(entries) < 2 or max(entries) < 3:
+    entries = tuple(map(index, entries))
+    if not entries:
+        raise ValueError(f"invalid cycle word {entries}: word must be nonempty")
+    if len(entries) == 1:
+        if entries[0] < 3:
             raise ValueError(f"invalid cycle word {entries}: {CYCLE_WORD_RULE}")
-        object.__setattr__(self, "entries", entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def least_rotation(self) -> "CycleWord":
-        """The lexicographically least cyclic rotation, in O(k) time and memory."""
-        return CycleWord(_least_rotation(self.entries))
-
-    def to_json_list(self) -> list[int]:
-        return list(self.entries)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(n) for n in self.entries) + ")"
+    elif min(entries) < 2 or max(entries) < 3:
+        raise ValueError(f"invalid cycle word {entries}: {CYCLE_WORD_RULE}")
+    return entries
 
 
-def cycle_monodromy(word: CycleWord) -> Sl2Matrix:
+def cycle_monodromy(word: tuple[int, ...]) -> Sl2Matrix:
     """Multiply out the cycle word in index order.
 
-    >>> cycle_monodromy(CycleWord((2, 3)))
+    >>> cycle_monodromy((2, 3))
     Sl2Matrix(a=5, b=-2, c=3, d=-1)
     """
     a, b, c, d = 1, 0, 0, 1
@@ -137,8 +122,9 @@ def cycle_monodromy(word: CycleWord) -> Sl2Matrix:
     return Sl2Matrix(a, b, c, d)
 
 
-def _least_rotation(entries: tuple[int, ...]) -> tuple[int, ...]:
-    """Least cyclic rotation by Duval's Lyndon factorization of entries twice over.
+def least_rotation(entries: tuple[int, ...]) -> tuple[int, ...]:
+    """The lexicographically least cyclic rotation, in O(k) time and memory,
+    by Duval's Lyndon factorization of entries twice over.
 
     The least rotation starts at the start of the last Lyndon factor that
     begins inside the first copy.
@@ -157,9 +143,9 @@ def _least_rotation(entries: tuple[int, ...]) -> tuple[int, ...]:
     return doubled[start : start + k]
 
 
-def cyclic_equal(w1: CycleWord, w2: CycleWord) -> bool:
+def cyclic_equal(w1: tuple[int, ...], w2: tuple[int, ...]) -> bool:
     """True when w2 is a cyclic rotation of w1."""
-    return len(w1) == len(w2) and _least_rotation(w1.entries) == _least_rotation(w2.entries)
+    return len(w1) == len(w2) and least_rotation(w1) == least_rotation(w2)
 
 
 _EXPANSION_LIMIT = 100_000
@@ -232,7 +218,7 @@ def _periodic_expansion(matrix: Sl2Matrix) -> tuple[int, ...]:
             return tuple(period)
 
 
-def factor_cycle(matrix: Sl2Matrix) -> CycleWord:
+def factor_cycle(matrix: Sl2Matrix) -> tuple[int, ...]:
     """Factor a hyperbolic matrix of trace >= 3 into a cycle word.
 
     Returns the word w, normalized to its lexicographically least cyclic
@@ -244,9 +230,9 @@ def factor_cycle(matrix: Sl2Matrix) -> CycleWord:
     trace = matrix.trace
     if trace < 3:
         raise NotCuspClass(f"trace {trace} < 3: {matrix} is not a cusp monodromy")
-    period = _periodic_expansion(matrix)
+    primitive = _periodic_expansion(matrix)
     try:
-        primitive = CycleWord(period)
+        cycle_word(primitive)
     except ValueError as exc:
         raise NoFactorization(f"expansion of {matrix} produced an invalid word") from exc
     base_trace = cycle_monodromy(primitive).trace
@@ -259,4 +245,4 @@ def factor_cycle(matrix: Sl2Matrix) -> CycleWord:
         raise NoFactorization(
             f"{matrix} (trace {trace}) is not conjugate to a power of {primitive}"
         )
-    return CycleWord(primitive.entries * power).least_rotation()
+    return least_rotation(primitive * power)

@@ -9,6 +9,8 @@ independent computations.  ``dense_snf_oracle`` is the Smith normal form
 on dense lists that the sparse one must match operation for operation,
 and ``dense_signature_oracle`` the dense ``Fraction`` congruence
 diagonalization that ``symmetric_signature`` replaced on sparse rows.
+``page_intersection_form`` is the intersection form on the open-book page
+basis, which the library's closed-form monodromy action never builds.
 ``openbook_presentation`` is the open-book presentation on the dense page
 basis before any relation is substituted away, and
 ``substituted_presentation_oracle`` the same presentation substituted down
@@ -48,7 +50,7 @@ from singlink.linalg import (
     solve_rational,
 )
 from singlink.plumbing import intersection_matrix
-from singlink.sl2z import CycleWord, cyclic_equal, factor_cycle
+from singlink.sl2z import cyclic_equal, factor_cycle
 
 
 def counted_snf():
@@ -96,6 +98,15 @@ def cycle_product_oracle(entries):
     for n in entries:
         out = mat2_mul(out, [[n, -1], [1, 0]])
     return out
+
+
+def page_intersection_form(rank):
+    """The intersection form on the page basis (l, d, e_1, ..., e_{b-1}) of
+    ``curve_homology_classes``, ``rank`` vectors: <l, d> = 1 and every other
+    pairing of basis vectors is 0, so the boundary classes lie in its
+    radical."""
+    pairing = {(0, 1): 1, (1, 0): -1}
+    return tuple(tuple(pairing.get((i, j), 0) for j in range(rank)) for i in range(rank))
 
 
 def transvection_product_oracle(form, classes):
@@ -523,9 +534,10 @@ def is_canonical_oracle(family, rots):
     )
 
 
-def section_corrections_oracle(family, data):
+def section_corrections_oracle(family, curve_classes, boundary_classes):
     """Homology corrections relating boundary sections to the base section,
-    as dense page vectors over the basis of ``curve_homology_classes``.
+    as dense page vectors over the basis of ``curve_homology_classes``,
+    whose curve and boundary classes are passed in.
 
     An arc from the first boundary to boundary L, pushed once around the
     mapping torus, is dragged by every twist it crosses: it leaves through
@@ -537,35 +549,36 @@ def section_corrections_oracle(family, data):
     labels = openbook.boundary_labels(family)
     base = labels[0]
     word = openbook.twist_word(family)
-    delta_cls = {c[1]: data.curve_classes[c] for c in word if c[0] == "delta"}
+    delta_cls = {c[1]: curve_classes[c] for c in word if c[0] == "delta"}
     # The labels (piece, j) run piece by piece, so the deltas crossed on the
     # way to one boundary are those crossed on the way to the one before, and more.
     corrections = {}
-    corr = list(data.boundary_classes[base])
+    corr = list(boundary_classes[base])
     crossed = base[0]
     for label in labels[1:]:
         for m in range(crossed, label[0]):
             corr = [a + x for a, x in zip(corr, delta_cls[m])]
         crossed = max(crossed, label[0])
-        corrections[label] = tuple(a - x for a, x in zip(corr, data.boundary_classes[label]))
+        corrections[label] = tuple(a - x for a, x in zip(corr, boundary_classes[label]))
     return corrections
 
 
 def _page_relations(family):
-    """The page data, the nonzero (phi - 1)e_j columns and the corrections.
+    """The page rank, the nonzero (phi - 1)e_j columns and the corrections.
 
     The columns are read off the dense ``homological_monodromy_action``,
     which the open-book tests check against ``transvection_product_oracle``;
     none of ``openbook_homology``'s own code is used.
     """
-    data = openbook.curve_homology_classes(family)
+    names, curve_classes, boundary_classes = openbook.curve_homology_classes(family)
     phi = openbook.homological_monodromy_action(family)
     relations = []
-    for j in range(data.rank):
+    for j in range(len(names)):
         col = [row[j] - (i == j) for i, row in enumerate(phi)]
         if any(col):
             relations.append(col)
-    return data, relations, section_corrections_oracle(family, data)
+    corrections = section_corrections_oracle(family, curve_classes, boundary_classes)
+    return len(names), relations, corrections
 
 
 def openbook_presentation(family):
@@ -579,9 +592,9 @@ def openbook_presentation(family):
     the boundary count b, with b + 1 rows: building it takes about 0.2 s
     for Elliptic(1000) and 0.5 s for (3,)^1000 (best of 3, Python 3.11).
     """
-    data, relations, corrections = _page_relations(family)
+    rank, relations, corrections = _page_relations(family)
     relations.extend(corrections[label] for label in openbook.boundary_labels(family)[1:])
-    return tuple(tuple(col[i] for col in relations) for i in range(data.rank))
+    return tuple(tuple(col[i] for col in relations) for i in range(rank))
 
 
 def substituted_presentation_oracle(family):
@@ -597,14 +610,14 @@ def substituted_presentation_oracle(family):
     costs O(b^2) in the boundary count b: about 0.6 s for Elliptic(1000)
     and 1 s for (3,)^1000, where ``openbook_homology`` takes 0.01 and 1 ms.
     """
-    data, relations, corrections = _page_relations(family)
+    rank, relations, corrections = _page_relations(family)
     labels = openbook.boundary_labels(family)
     if len(labels) > 1:
         relations.append(corrections[labels[-1]])
     # images[r][g]: coefficient of kept generator r in the image of generator g
-    kept = min(data.rank, 3)
+    kept = min(rank, 3)
     images = [[int(g == r) for g in range(kept)] for r in range(kept)]
-    for g in range(kept, data.rank):
+    for g in range(kept, rank):
         relation = corrections[labels[g - 2]]
         assert relation[g] == -1 and not any(relation[g + 1 :]), labels[g - 2]
         for image in images:  # zip stops at the end of image, before g
@@ -631,7 +644,7 @@ def cusp_words(max_k, max_entry):
     for k in range(1, max_k + 1):
         for entries in itertools.product(range(2, max_entry + 1), repeat=k):
             if max(entries) >= 3:
-                yield CycleWord(entries)
+                yield entries
 
 
 def suite_cusp_words():

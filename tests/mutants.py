@@ -265,6 +265,20 @@ MUTANTS = [
         "cls = reduced[v][0], tuple([-x for x in reduced[v][1]])\n",
         ["tests/test_invariants.py"],
     ),
+    (
+        "a cycle word of one entry 2 is accepted",
+        "src/singlink/sl2z.py",
+        "if entries[0] < 3:",
+        "if entries[0] < 2:",
+        ["tests/test_sl2z.py"],
+    ),
+    (
+        "the cusp graph drops its closing edge",
+        "src/singlink/families.py",
+        "for i in range(k)])",
+        "for i in range(k - 1)])",
+        ["tests/test_plumbing.py"],
+    ),
 ]
 
 

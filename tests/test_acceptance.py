@@ -51,8 +51,7 @@ def test_criterion_02_cusp_counting():
             for n in word:
                 expected *= n - 1
             assert len(fillings) == expected
-            entries = word.entries
-            for position, n in enumerate(entries):
+            for position, n in enumerate(word):
                 observed = sorted({rots[position] for rots in fillings})
                 assert observed == list(range(2 - n, n - 1, 2))
 

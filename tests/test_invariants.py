@@ -25,7 +25,7 @@ from singlink.legendrian import (
 )
 from singlink.linalg import AbelianGroup, SnfResult, dot, smith_normal_form, solve_rational
 from singlink.plumbing import boundary_homology, intersection_matrix
-from singlink.sl2z import CycleWord, Sl2Matrix, cycle_monodromy, cyclic_equal, factor_cycle
+from singlink.sl2z import Sl2Matrix, cycle_monodromy, cyclic_equal, factor_cycle
 
 from helpers import (
     _fraction_solve,
@@ -43,7 +43,7 @@ from helpers import (
 
 def test_adjunction_defect_fixed():
     # slots (0, -2), (0, -3), (0, -4): the last handle's defect is 2 at rot 0
-    family = Cusp(CycleWord((2, 3, 4)))
+    family = Cusp((2, 3, 4))
     assert adjunction_defects(family.handle_slots(), (0, -1, 0)) == (0, 0, 2)
     for n in (1, 4, 9):
         assert adjunction_defects(Elliptic(n).handle_slots(), (-n,)) == (0,)
@@ -61,7 +61,7 @@ def test_adjunction_vector_is_the_minimal_canonical_rot_vector_over_suite():
 
 
 def test_is_canonical_examples():
-    family = Cusp(CycleWord((2, 2, 3)))
+    family = Cusp((2, 2, 3))
     slots = family.handle_slots()
     assert is_canonical(slots, canonical_filling(family.handle_slots(), "min"))
     assert is_canonical(slots, canonical_filling(family.handle_slots(), "max"))
@@ -118,7 +118,7 @@ def test_euler_classes_replay_each_log_once(monkeypatch):
     reduce = SnfResult.reduce
     calls = []
     monkeypatch.setattr(SnfResult, "reduce", lambda snf, v: calls.append(v) or reduce(snf, v))
-    for family in (Cusp(CycleWord((2, 3, 4))), Cusp(CycleWord((3, 5))), Elliptic(3)):
+    for family in (Cusp((2, 3, 4)), Cusp((3, 5)), Elliptic(3)):
         reduction = FamilyReduction(family)
         vectors = enumerate_stein_fillings(family)
         calls.clear()
@@ -138,12 +138,12 @@ def test_family_presentation():
     # Q is the linking matrix of the 2-handles: (-n) for Elliptic(n)
     for n in (1, 4, 10**30):
         assert FamilyReduction(Elliptic(n)).presentation == ((-n,),)
-    assert FamilyReduction(Cusp(CycleWord((2, 3)))).presentation == ((-2, 2), (2, -3))
+    assert FamilyReduction(Cusp((2, 3))).presentation == ((-2, 2), (2, -3))
 
 
 def test_euler_class_fixed():
     # a class is its order k and one integer solution y of Q y = k * rot
-    family = Cusp(CycleWord((2, 2, 3)))
+    family = Cusp((2, 2, 3))
     assert euler_class(family, (0, 0, -1)) == (1, (1, 1, 1))
     assert mat_vec(intersection_matrix(family.graph()), (1, 1, 1)) == (0, 0, -1)
 
@@ -173,7 +173,7 @@ def cusp_classes(draw):
     """A cycle word with k <= 8 and entries 2..9 and a rot vector whose
     entries are drawn from each slot's rotation range."""
     word = draw(st.lists(st.integers(2, 9), min_size=1, max_size=8).filter(lambda w: max(w) > 2))
-    family = Cusp(CycleWord(word))
+    family = Cusp(word)
     rots = tuple(draw(st.sampled_from(rotation_range(g, f))) for g, f in family.handle_slots())
     return family, rots
 
@@ -199,7 +199,7 @@ def realizable_classes(draw):
     rotation range, canonical or not."""
     if draw(st.booleans()):
         word = draw(st.lists(st.integers(2, 7), min_size=1, max_size=6).filter(lambda w: max(w) > 2))
-        family = Cusp(CycleWord(word))
+        family = Cusp(word)
     else:
         family = Elliptic(draw(st.integers(1, 30)))
     rots = tuple(draw(st.sampled_from(rotation_range(g, f))) for g, f in family.handle_slots())
@@ -229,7 +229,7 @@ def test_rotating_or_reversing_the_word_permutes_the_invariants(case, shift):
     # the plumbing cycle: the H_1 groups and the diagram count stay, and
     # each per-handle vector permutes with the word
     family, rots = case
-    entries = family.word.entries
+    entries = family.word
     shift %= len(entries)
 
     def rotate(v):
@@ -244,7 +244,7 @@ def test_rotating_or_reversing_the_word_permutes_the_invariants(case, shift):
     canonical = [canonical_filling(family.handle_slots(), s) for s in signs]
     classes = [euler_class(family, r) for r in canonical]
     for permute in (rotate, reverse):
-        other = Cusp(CycleWord(permute(entries)))
+        other = Cusp(permute(entries))
         assert homology_cross_check(other) == groups, other
         assert other.filling_count == family.filling_count, other
         assert euler_class(other, permute(rots))[0] == order, other
@@ -254,12 +254,12 @@ def test_rotating_or_reversing_the_word_permutes_the_invariants(case, shift):
     # the reversed word's monodromy is the transpose conjugated by diag(1, -1)
     a = cycle_monodromy(family.word)
     transposed = factor_cycle(Sl2Matrix(a.a, -a.c, -a.b, a.d))
-    assert cyclic_equal(transposed, CycleWord(reverse(entries)))
+    assert cyclic_equal(transposed, reverse(entries))
 
 
 def test_euler_class_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        euler_class(Cusp(CycleWord((2, 2, 3))), (0, 0))
+        euler_class(Cusp((2, 2, 3)), (0, 0))
     with pytest.raises(DimensionMismatch):
         euler_class(Elliptic(3), (0, 0))
 
@@ -267,7 +267,7 @@ def test_euler_class_dimension_mismatch():
 def test_euler_reduced_form_invariance():
     # v and v + Q combo are one class: the same order k, and the solution of
     # Q y = k v moves by k * combo
-    family = Cusp(CycleWord((3, 4)))
+    family = Cusp((3, 4))
     q = intersection_matrix(family.graph())
     base = (1, -1)
     order, solution = euler_class(family, base)
@@ -360,7 +360,7 @@ def test_d3_unsupported_for_plumbing_presentation():
     # resolution graph, so none is produced, by the one-call form or the
     # method, for any list of classes; the oracle's (+1)-surgery reading
     # has no row for the cusp's 1-handle and refuses it too
-    family = Cusp(CycleWord((2, 2, 3)))
+    family = Cusp((2, 2, 3))
     rots = canonical_filling(family.handle_slots(), "min")
     with pytest.raises(UnsupportedPresentation) as raised:
         d3_invariant(family, rots)
@@ -397,7 +397,7 @@ def test_d3_on_q2_matches_the_closed_forms_and_the_resolution_graph(monkeypatch)
 def test_d3_invariant_refuses_a_cusp_before_reducing_q():
     # the family's d3_supported decides the refusal, so a 400-vertex cusp
     # costs no SNF, while an elliptic diagram still reduces its Q once
-    family = Cusp(CycleWord((3,) * 400))
+    family = Cusp((3,) * 400)
     with counted_snf() as calls, pytest.raises(UnsupportedPresentation):
         d3_invariant(family, canonical_filling(family.handle_slots(), "min"))
     assert calls == []
@@ -429,7 +429,7 @@ def test_d3_of_a_nonzero_class_replays_the_log_once(monkeypatch):
     assert (order, calls) == (3, [(-1,)])
     assert reduction.d3_invariants(classes) == ((3 - Fraction(1, 3)) / 4,)
     assert calls == [(-1,)]
-    family = Cusp(CycleWord((3, 5)))
+    family = Cusp((3, 5))
     vectors = enumerate_stein_fillings(family)
     monkeypatch.setattr(Cusp, "d3_supported", True)
     calls.clear()
@@ -494,14 +494,14 @@ def test_elliptic_monodromy_convention():
     assert a == Sl2Matrix(1, 4, 0, 1)
     assert a.trace == 2
     assert Elliptic(1).monodromy() == Sl2Matrix(1, 1, 0, 1)
-    assert Cusp(CycleWord((2, 3))).monodromy() == Sl2Matrix(5, -2, 3, -1)
+    assert Cusp((2, 3)).monodromy() == Sl2Matrix(5, -2, 3, -1)
 
 
 def test_homology_cross_check_fixed():
     # the triple is (plumbing, monodromy, openbook)
     assert homology_cross_check(Elliptic(3)) == (AbelianGroup(2, (3,)),) * 3
-    assert homology_cross_check(Cusp(CycleWord((2, 2, 3)))) == (AbelianGroup(1, (3,)),) * 3
-    assert homology_cross_check(Cusp(CycleWord((4,)))) == (AbelianGroup(1, (2,)),) * 3
+    assert homology_cross_check(Cusp((2, 2, 3))) == (AbelianGroup(1, (3,)),) * 3
+    assert homology_cross_check(Cusp((4,))) == (AbelianGroup(1, (2,)),) * 3
 
 
 def test_homology_cross_check_suite():

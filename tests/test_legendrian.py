@@ -28,7 +28,6 @@ from singlink.legendrian import (
     rotation_range,
     tb_max,
 )
-from singlink.sl2z import CycleWord
 
 from helpers import cusp_words, presentation_oracle, stein_fillings_oracle, suite_families
 
@@ -66,7 +65,7 @@ def test_rotation_range_symmetric_constant_parity():
 def test_two_handle_validation():
     # a 2-handle is its slot and its rot: check_rot_vector checks each rot
     # against its slot, here (0, -3) twice, and handle_json writes tb
-    family = Cusp(CycleWord((3, 3)))
+    family = Cusp((3, 3))
     assert family.handle_slots() == ((0, -3), (0, -3))
     with pytest.raises(ValueError, match="not realizable"):
         check_rot_vector(family, (-1, 0))  # parity breaks
@@ -146,20 +145,20 @@ def test_enumerate_cusp_counts():
 
 
 def test_enumerate_cusp_structure():
-    family = Cusp(CycleWord((2, 2, 3)))
+    family = Cusp((2, 2, 3))
     fillings = enumerate_stein_fillings(family)
     assert fillings == ((0, 0, -1), (0, 0, 1))
     for rots in fillings:
         assert [genus for genus, _, _ in handles_of(family, rots)] == [0] * 3
         assert [framing for _, framing, _ in handles_of(family, rots)] == [-2, -2, -3]
 
-    nodal = Cusp(CycleWord((4,)))
+    nodal = Cusp((4,))
     assert enumerate_stein_fillings(nodal) == ((-2,), (0,), (2,))
     assert handles_of(nodal, (-2,)) == ((1, -2, -2),)
 
 
 def test_enumeration_is_lexicographic():
-    for family in [Elliptic(4), Cusp(CycleWord((3, 4))), Cusp(CycleWord((5,)))]:
+    for family in [Elliptic(4), Cusp((3, 4)), Cusp((5,))]:
         vectors = list(enumerate_stein_fillings(family))
         assert vectors == sorted(vectors)
 
@@ -181,14 +180,14 @@ def test_enumeration_matches_per_diagram_oracle_over_suite():
 
 @pytest.mark.parametrize("word", LARGE_WORDS)
 def test_enumeration_matches_per_diagram_oracle_on_large_words(word):
-    family = Cusp(CycleWord(word))
+    family = Cusp(word)
     fillings = enumerate_stein_fillings(family)
     assert len(fillings) >= 4000
     assert_matches_fillings_oracle(family, fillings)
 
 
 def test_enumeration_builds_no_handle_and_reads_the_pattern_once(monkeypatch):
-    for family in [Elliptic(6), Cusp(CycleWord((3, 4, 5))), Cusp(CycleWord(LARGE_WORDS[0]))]:
+    for family in [Elliptic(6), Cusp((3, 4, 5)), Cusp(LARGE_WORDS[0])]:
         expected = tuple(rots for rots, _ in stein_fillings_oracle(family))
         patterns = []
         handle_slots = type(family).handle_slots
@@ -209,9 +208,9 @@ def test_enumeration_builds_no_handle_and_reads_the_pattern_once(monkeypatch):
 # vector, and vectors check_rot_vector refuses: a last rot out of range and
 # one of the wrong parity
 PATTERNS = [
-    (Cusp(CycleWord((2, 3, 4))), (0, -1, 2), [(0, -1, 4), (0, 1, 1)]),
+    (Cusp((2, 3, 4)), (0, -1, 2), [(0, -1, 4), (0, 1, 1)]),
     (Elliptic(3), (-3,), [(5,), (-2,)]),
-    (Cusp(CycleWord((5,))), (1,), [(-5,), (0,)]),
+    (Cusp((5,)), (1,), [(-5,), (0,)]),
 ]
 
 
@@ -220,7 +219,8 @@ def test_diagram_rejects_wrong_cusp_pattern():
     for family, rots, refused in PATTERNS:
         assert check_rot_vector(family, rots) in enumerate_stein_fillings(family)
         for bad in (rots[:-1], rots + (rots[-1],), ()):  # a rot vector of the wrong length
-            with pytest.raises(ValueError, match="rotation numbers for the"):
+            message = f"rotation numbers for the {len(rots)} slots of {re.escape(family.label)}$"
+            with pytest.raises(ValueError, match=message):
                 check_rot_vector(family, bad)
         for bad in refused:
             with pytest.raises(ValueError, match="not realizable"):
@@ -228,6 +228,9 @@ def test_diagram_rejects_wrong_cusp_pattern():
         for entry in (float(rots[-1]), Fraction(rots[-1]), str(rots[-1])):
             with pytest.raises(TypeError):
                 check_rot_vector(family, rots[:-1] + (entry,))
+    # the refusal names the family by its label, not by its record repr
+    with pytest.raises(ValueError, match=r"^1 rotation numbers for the 2 slots of cusp\(3,3\)$"):
+        check_rot_vector(Cusp((3, 3)), (0,))
 
 
 def test_diagram_validation():
@@ -243,7 +246,7 @@ def test_diagram_validation():
 families_for_rot_vectors = st.one_of(
     st.lists(st.integers(2, 7), min_size=1, max_size=5)
     .filter(lambda w: max(w) >= 3)
-    .map(lambda w: Cusp(CycleWord(w))),
+    .map(lambda w: Cusp(w)),
     st.integers(1, 20).map(Elliptic),
 )
 
@@ -333,10 +336,10 @@ def test_handle_slots_build_no_record(monkeypatch):
 
 
 def test_canonical_filling():
-    assert canonical_filling(Cusp(CycleWord((2, 2, 3))).handle_slots(), "min") == (0, 0, -1)
+    assert canonical_filling(Cusp((2, 2, 3)).handle_slots(), "min") == (0, 0, -1)
     assert canonical_filling(Elliptic(5).handle_slots(), "min") == (-5,)
     assert canonical_filling(Elliptic(5).handle_slots(), "max") == (5,)
-    assert canonical_filling(Cusp(CycleWord((4,))).handle_slots(), "max") == (2,)
+    assert canonical_filling(Cusp((4,)).handle_slots(), "max") == (2,)
     with pytest.raises(ValueError):
         canonical_filling(Elliptic(5).handle_slots(), "middle")
 
@@ -363,7 +366,7 @@ def test_canonical_extremes_match_rotation_range_over_suite():
 def test_canonical_filling_builds_the_handle_pattern_once(monkeypatch):
     # canonical_filling reads the slots it is given and builds no pattern of
     # its own, so both signs share the one pattern the caller built
-    for family in (Elliptic(3), Cusp(CycleWord((2, 3, 4)))):
+    for family in (Elliptic(3), Cusp((2, 3, 4))):
         patterns = []
         handle_slots = type(family).handle_slots
 
@@ -387,7 +390,7 @@ def test_canonical_filling_does_not_list_the_range(monkeypatch):
     start = time.perf_counter()
     assert canonical_filling(Elliptic(10**30).handle_slots(), "max") == (10**30,)
     huge = 10**25
-    assert canonical_filling(Cusp(CycleWord((3, huge))).handle_slots(), "min") == (-1, 2 - huge)
+    assert canonical_filling(Cusp((3, huge)).handle_slots(), "min") == (-1, 2 - huge)
     assert time.perf_counter() - start < 1.0
 
 
@@ -410,7 +413,7 @@ def test_contact_surgery_cusp():
     # Gompf's formula applies to a cusp's Q, but its d3 is held back until
     # the value is cross-checked against the resolution graph
     for word in ((2, 2, 3), (5,), (3, 3)):
-        family = Cusp(CycleWord(word))
+        family = Cusp(word)
         with pytest.raises(UnsupportedPresentation, match="resolution-graph cross-check"):
             d3_invariant(family, canonical_filling(family.handle_slots(), "min"))
 
@@ -426,7 +429,7 @@ def test_plus_components_match_one_handles():
 
 
 def test_json_shapes():
-    family = Cusp(CycleWord((2, 2, 3)))
+    family = Cusp((2, 2, 3))
     handles = handles_of(family, canonical_filling(family.handle_slots(), "min"))
     assert family.to_json_dict() == {"kind": "cusp", "word": [2, 2, 3]}
     assert family.one_handle_count == 1
@@ -439,10 +442,10 @@ def test_diagram_limit_is_checked_before_any_handle(monkeypatch):
         legendrian, "rotation_range", lambda *a: built.append(a) or rotation_range(*a)
     )
     monkeypatch.setattr(legendrian, "DIAGRAM_LIMIT", 6)
-    assert len(enumerate_stein_fillings(Cusp(CycleWord((2, 3, 4))))) == 6
+    assert len(enumerate_stein_fillings(Cusp((2, 3, 4)))) == 6
     assert len(enumerate_stein_fillings(Elliptic(5))) == 6
     built.clear()
-    for family in (Cusp(CycleWord((3, 3, 4))), Elliptic(6), Cusp(CycleWord((3, 10**25)))):
+    for family in (Cusp((3, 3, 4)), Elliptic(6), Cusp((3, 10**25))):
         with pytest.raises(SizeLimitExceeded, match="than the limit of 6"):
             enumerate_stein_fillings(family)
         # the rot vectors are refused at the call, not at the first vector

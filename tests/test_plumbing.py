@@ -18,23 +18,23 @@ from singlink.plumbing import (
     surgery_json,
     surgery_text,
 )
-from singlink.sl2z import CycleWord, cycle_monodromy
+from singlink.sl2z import cycle_monodromy
 
 from helpers import cusp_words, det_cofactor, presentation_oracle, suite_families
 
 
 def test_cusp_graph_shapes():
-    g = Cusp(CycleWord((2, 2, 3))).graph()
+    g = Cusp((2, 2, 3)).graph()
     assert g.vertices == ((-2, 0), (-2, 0), (-3, 0))
     assert all(genus == 0 for _, genus in g.vertices)
     assert sorted(g.edges) == [(0, 1), (0, 2), (1, 2)]
 
-    g1 = Cusp(CycleWord((4,))).graph()
+    g1 = Cusp((4,)).graph()
     assert [weight for weight, _ in g1.vertices] == [-4]
     assert g1.edges == ((0, 0),)
     assert intersection_matrix(g1) == ((-2,),)  # the loop adds 2 to the weight -4
 
-    g2 = Cusp(CycleWord((2, 3))).graph()
+    g2 = Cusp((2, 3)).graph()
     assert [weight for weight, _ in g2.vertices] == [-2, -3]
     assert g2.edges == ((0, 1), (0, 1))
 
@@ -94,14 +94,14 @@ def test_elliptic_parameter_must_be_an_integer():
 
 def test_vertex_limit_is_checked_before_the_matrix(monkeypatch):
     monkeypatch.setattr(plumbing, "VERTEX_LIMIT", 3)
-    assert len(intersection_matrix(Cusp(CycleWord((2, 2, 3))).graph())) == 3
-    long_graph = Cusp(CycleWord((2, 2, 2, 3))).graph()
+    assert len(intersection_matrix(Cusp((2, 2, 3)).graph())) == 3
+    long_graph = Cusp((2, 2, 2, 3)).graph()
     with monkeypatch.context() as m, pytest.raises(
         SizeLimitExceeded, match=r"vertices \(4\) than the limit of 3"
     ):
         m.setattr(PlumbingGraph, "edges", None)  # building Q would fail
         intersection_matrix(long_graph)
-    for family in (Cusp(CycleWord((2, 2, 2, 3))), Cusp(CycleWord((2,) * 10**4 + (3,)))):
+    for family in (Cusp((2, 2, 2, 3)), Cusp((2,) * 10**4 + (3,))):
         for picture in (surgery_framings, surgery_json, surgery_text):
             with pytest.raises(SizeLimitExceeded):
                 picture(family)
@@ -125,13 +125,13 @@ def test_vertex_validation():
 
 
 def test_intersection_matrix_fixed():
-    assert intersection_matrix(Cusp(CycleWord((2, 2, 3))).graph()) == (
+    assert intersection_matrix(Cusp((2, 2, 3)).graph()) == (
         (-2, 1, 1),
         (1, -2, 1),
         (1, 1, -3),
     )
-    assert intersection_matrix(Cusp(CycleWord((4,))).graph()) == ((-2,),)
-    assert intersection_matrix(Cusp(CycleWord((2, 3))).graph()) == ((-2, 2), (2, -3))
+    assert intersection_matrix(Cusp((4,)).graph()) == ((-2,),)
+    assert intersection_matrix(Cusp((2, 3)).graph()) == ((-2, 2), (2, -3))
     for n in (1, 5, 10):
         assert intersection_matrix(Elliptic(n).graph()) == ((-n,),)
 
@@ -172,8 +172,8 @@ def test_det_identity_against_trace():
 def test_boundary_homology_fixed():
     assert boundary_homology(Elliptic(3).graph()) == AbelianGroup(2, (3,))
     assert boundary_homology(Elliptic(1).graph()) == AbelianGroup(2)
-    assert boundary_homology(Cusp(CycleWord((2, 2, 3))).graph()) == AbelianGroup(1, (3,))
-    assert boundary_homology(Cusp(CycleWord((4,))).graph()) == AbelianGroup(1, (2,))
+    assert boundary_homology(Cusp((2, 2, 3)).graph()) == AbelianGroup(1, (3,))
+    assert boundary_homology(Cusp((4,)).graph()) == AbelianGroup(1, (2,))
 
 
 def test_boundary_homology_matches_monodromy_cokernel():
@@ -193,19 +193,19 @@ def test_torsion_order_equals_trace_minus_two():
 
 
 def test_dot_emission():
-    dot = Cusp(CycleWord((2, 2, 3))).graph().to_dot()
+    dot = Cusp((2, 2, 3)).graph().to_dot()
     assert dot.startswith("graph plumbing {")
     assert dot.endswith("}\n")
     assert dot.count(" -- ") == 3
     assert 'v0 [label="v0 [-2, g=0]"];' in dot
-    loop_dot = Cusp(CycleWord((4,))).graph().to_dot()
+    loop_dot = Cusp((4,)).graph().to_dot()
     assert "v0 -- v0;" in loop_dot
     elliptic_dot = Elliptic(5).graph().to_dot()
     assert 'v0 [label="v0 [-5, g=1]"];' in elliptic_dot
 
 
 def test_json_schema_roundtrip():
-    g = Cusp(CycleWord((2, 3))).graph()
+    g = Cusp((2, 3)).graph()
     data = json.loads(json.dumps(g.to_json_dict()))
     assert data == {
         "vertices": [{"weight": -2, "genus": 0}, {"weight": -3, "genus": 0}],
@@ -252,16 +252,16 @@ def test_handle_slots_match_the_plumbing_graph():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(2, 9), min_size=1, max_size=8).filter(lambda w: max(w) > 2))
 def test_cusp_handle_slots_match_the_plumbing_graph(word):
-    assert_stein_side_matches_plumbing_side(Cusp(CycleWord(word)))
+    assert_stein_side_matches_plumbing_side(Cusp(word))
 
 
 def test_surgery_descriptions():
-    chain = Cusp(CycleWord((2, 2, 3)))
+    chain = Cusp((2, 2, 3))
     assert surgery_json(chain)["kind"] == "chain-with-ring"
     assert surgery_framings(chain) == (-2, -2, -3)
     assert "0-framed ring" in surgery_text(chain)
 
-    nodal = Cusp(CycleWord((4,)))
+    nodal = Cusp((4,))
     assert surgery_json(nodal)["kind"] == "nodal-double-pass"
     assert surgery_framings(nodal) == (-2,)
     assert "twice" in surgery_text(nodal)

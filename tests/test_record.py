@@ -10,9 +10,8 @@ import pytest
 from singlink._record import Record
 from singlink.families import Cusp, Elliptic
 from singlink.invariants import FamilyReduction
-from singlink.linalg import AbelianGroup, smith_normal_form
-from singlink.openbook import PageHomologyData, curve_homology_classes
-from singlink.sl2z import CycleWord, Sl2Matrix
+from singlink.linalg import AbelianGroup, SnfResult, smith_normal_form
+from singlink.sl2z import Sl2Matrix
 
 # (build, another): each call of build makes a new record with the same field
 # values; another() makes one that must compare unequal to it
@@ -20,21 +19,16 @@ RECORDS = [
     (lambda: Elliptic(3), lambda: Elliptic(4)),
     (lambda: Cusp((2, 3)), lambda: Cusp((3, 2))),
     (lambda: Sl2Matrix(2, 1, 1, 1), lambda: Sl2Matrix(1, 1, 1, 2)),
-    (lambda: CycleWord((2, 3)), lambda: CycleWord((3, 2))),
     (lambda: smith_normal_form(((2, 0), (0, 3))), lambda: smith_normal_form(((2, 0), (0, 5)))),
     (lambda: AbelianGroup(1, (2,)), lambda: AbelianGroup(1, (3,))),
     (lambda: Cusp((2, 3)).graph(), lambda: Cusp((2, 4)).graph()),
-    (
-        lambda: curve_homology_classes(Cusp((3, 4))),
-        lambda: curve_homology_classes(Cusp((4, 3))),
-    ),
     (lambda: FamilyReduction(Cusp((2, 3))), lambda: FamilyReduction(Cusp((3, 2)))),
 ]
 
 
 def test_every_record_class_is_listed():
     listed = [type(build()) for build, _ in RECORDS]
-    assert len(listed) == len(set(listed)) == 9
+    assert len(listed) == len(set(listed)) == 7
     assert set(listed) == set(Record.__subclasses__())
 
 
@@ -91,7 +85,7 @@ def test_record_contract(build, another):
         # a bare tuple stands for a record of another class with the same
         # fields and these values, made in the test so that its class is
         # freed after it
-        (PageHomologyData(1, 2, 3), (1, 2, 3)),
+        (SnfResult(1, 2, 3, 4, 5), (1, 2, 3, 4, 5)),
         (Sl2Matrix(1, 0, 0, 1), (1, 0, 0, 1)),
         (Elliptic(2), Elliptic(3)),
     ],

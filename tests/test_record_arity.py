@@ -12,10 +12,7 @@ STORE_ONLY = sorted(
 
 
 def test_store_only_records_are_the_expected_classes():
-    assert [cls.__name__ for cls in STORE_ONLY] == [
-        "PageHomologyData",
-        "SnfResult",
-    ]
+    assert [cls.__name__ for cls in STORE_ONLY] == ["SnfResult"]
 
 
 @pytest.mark.parametrize("cls", STORE_ONLY, ids=lambda cls: cls.__name__)

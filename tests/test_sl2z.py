@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlink.sl2z import (
-    CycleWord,
     NoFactorization,
     NotCuspClass,
     Sl2Matrix,
     cycle_monodromy,
+    cycle_word,
     cyclic_equal,
     factor_cycle,
+    least_rotation,
 )
 
 from helpers import cusp_words, cycle_product_oracle
@@ -86,16 +87,17 @@ def test_classify_negative_trace_is_not_cusp():
 
 
 def test_cycle_word_validation():
-    assert CycleWord((3,)).entries == (3,)
-    assert CycleWord((2, 3)).entries == (2, 3)
+    assert cycle_word((3,)) == (3,)
+    word = cycle_word(iter([2, 3]))
+    assert type(word) is tuple and word == (2, 3)
     for bad in [(), (2,), (1, 5), (2, 2), (2, 2, 2, 2)]:
-        with pytest.raises(ValueError):
-            CycleWord(bad)
+        with pytest.raises(ValueError, match="invalid cycle word"):
+            cycle_word(bad)
 
 
 def test_cycle_word_entries_must_be_integers():
     with pytest.raises(TypeError):
-        CycleWord((3.7, 2))
+        cycle_word((3.7, 2))
 
 
 def test_matrix_rows_must_be_integers():
@@ -106,7 +108,7 @@ def test_matrix_rows_must_be_integers():
 
 
 def test_single_factor_is_the_generator():
-    assert cycle_monodromy(CycleWord((3,))) == Sl2Matrix(3, -1, 1, 0)
+    assert cycle_monodromy((3,)) == Sl2Matrix(3, -1, 1, 0)
 
 
 @pytest.mark.parametrize(
@@ -120,16 +122,16 @@ def test_cycle_monodromy_frozen_values(entries, expected):
     # expected values recomputed with the naive product oracle
     oracle = cycle_product_oracle(entries)
     assert tuple(map(tuple, oracle)) == expected
-    assert cycle_monodromy(CycleWord(entries)) == Sl2Matrix(*expected[0], *expected[1])
+    assert cycle_monodromy(entries) == Sl2Matrix(*expected[0], *expected[1])
 
 
 def test_cycle_monodromy_trace_example():
-    assert cycle_monodromy(CycleWord((2, 2, 3))).trace == 5
+    assert cycle_monodromy((2, 2, 3)).trace == 5
 
 
 def test_cycle_monodromy_matches_oracle_everywhere():
     for word in cusp_words(5, 6):
-        oracle = cycle_product_oracle(word.entries)
+        oracle = cycle_product_oracle(word)
         assert cycle_monodromy(word) == Sl2Matrix(*oracle[0], *oracle[1])
 
 
@@ -143,36 +145,36 @@ def test_determinant_and_trace_over_suite():
 def test_trace_invariant_under_rotation():
     for word in cusp_words(4, 5):
         base = cycle_monodromy(word).trace
-        for rot in rotations(word.entries):
-            assert cycle_monodromy(CycleWord(rot)).trace == base
+        for rot in rotations(word):
+            assert cycle_monodromy(rot).trace == base
 
 
 def test_cyclic_equal():
-    assert cyclic_equal(CycleWord((2, 2, 3)), CycleWord((2, 3, 2)))
-    assert cyclic_equal(CycleWord((2, 3)), CycleWord((3, 2)))
-    assert not cyclic_equal(CycleWord((2, 2, 3)), CycleWord((2, 3, 3)))
-    assert not cyclic_equal(CycleWord((3,)), CycleWord((3, 3)))
+    assert cyclic_equal((2, 2, 3), (2, 3, 2))
+    assert cyclic_equal((2, 3), (3, 2))
+    assert not cyclic_equal((2, 2, 3), (2, 3, 3))
+    assert not cyclic_equal((3,), (3, 3))
 
 
 cycle_words = (
     st.lists(st.integers(2, 4), min_size=1, max_size=12)
     .filter(lambda e: max(e) >= 3)
-    .map(CycleWord)
+    .map(tuple)
 )
 
 
 @settings(max_examples=300)
 @given(cycle_words, st.integers(0, 11))
 def test_least_rotation_matches_brute_force(word, shift):
-    assert word.least_rotation() == CycleWord(min(rotations(word.entries)))
-    rotated = CycleWord(rotations(word.entries)[shift % len(word)])
+    assert least_rotation(word) == min(rotations(word))
+    rotated = rotations(word)[shift % len(word)]
     assert cyclic_equal(word, rotated) and cyclic_equal(rotated, word)
 
 
 @settings(max_examples=300)
 @given(cycle_words, cycle_words)
 def test_cyclic_equal_matches_brute_force(w1, w2):
-    assert cyclic_equal(w1, w2) == (len(w1) == len(w2) and w2.entries in rotations(w1.entries))
+    assert cyclic_equal(w1, w2) == (len(w1) == len(w2) and w2 in rotations(w1))
 
 
 def test_factor_cycle_long_period_in_linear_memory():
@@ -183,7 +185,7 @@ def test_factor_cycle_long_period_in_linear_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert word == CycleWord((2,) * 19999 + (3,))
+    assert word == (2,) * 19999 + (3,)
     assert peak < 20 * 2**20
 
 
@@ -193,12 +195,12 @@ def test_factor_cycle_refuses_periods_over_the_limit():
 
 
 def test_factor_cycle_fixed_cases():
-    assert factor_cycle(Sl2Matrix(3, -1, 1, 0)) == CycleWord((3,))
+    assert factor_cycle(Sl2Matrix(3, -1, 1, 0)) == (3,)
     # M(3) conjugated by x -> x/(x + 1): both fixed points lie in (0, 1), so
     # the first quotient is below 1 with its conjugate in (0, 1), and is
     # not yet reduced
-    assert factor_cycle(Sl2Matrix(4, -1, 5, -1)) == CycleWord((3,))
-    assert factor_cycle(Sl2Matrix(5, -2, 3, -1)) == CycleWord((2, 3))
+    assert factor_cycle(Sl2Matrix(4, -1, 5, -1)) == (3,)
+    assert factor_cycle(Sl2Matrix(5, -2, 3, -1)) == (2, 3)
     with pytest.raises(NotCuspClass):
         factor_cycle(Sl2Matrix(1, 1, 0, 1))
     with pytest.raises(NotCuspClass):
@@ -208,34 +210,33 @@ def test_factor_cycle_fixed_cases():
 
 
 def test_factor_cycle_output_is_least_rotation():
-    m = cycle_monodromy(CycleWord((3, 2)))
-    assert factor_cycle(m) == CycleWord((2, 3))
+    m = cycle_monodromy((3, 2))
+    assert factor_cycle(m) == (2, 3)
 
 
 def test_factor_cycle_roundtrip_over_suite():
     for word in cusp_words(5, 6):
         recovered = factor_cycle(cycle_monodromy(word))
         assert cyclic_equal(recovered, word), (word, recovered)
-        assert recovered == word.least_rotation()
+        assert recovered == least_rotation(word)
 
 
 def test_factor_cycle_power_of_primitive():
-    m = cycle_monodromy(CycleWord((2, 3)))
-    assert factor_cycle(product(m, m)) == CycleWord((2, 3, 2, 3))
+    m = cycle_monodromy((2, 3))
+    assert factor_cycle(product(m, m)) == (2, 3, 2, 3)
     cube = product(m, m, m)
-    assert factor_cycle(cube) == CycleWord((2, 3, 2, 3, 2, 3))
+    assert factor_cycle(cube) == (2, 3, 2, 3, 2, 3)
 
 
 def test_factor_cycle_conjugation_invariant():
     t = Sl2Matrix(1, 1, 0, 1)
     s = Sl2Matrix(0, -1, 1, 0)
     conjugators = [t, s, product(t, s), product(s, t, t), product(t, t, s, t)]
-    for entries in [(3,), (2, 3), (2, 2, 3), (4, 5), (3, 2, 4, 2)]:
-        word = CycleWord(entries)
+    for word in [(3,), (2, 3), (2, 2, 3), (4, 5), (3, 2, 4, 2)]:
         a = cycle_monodromy(word)
         for p in conjugators:
             conj = conjugate(p, a)
-            assert cyclic_equal(factor_cycle(conj), word), (entries, p)
+            assert cyclic_equal(factor_cycle(conj), word), (word, p)
 
 
 CONJUGATING_LETTERS = (Sl2Matrix(0, -1, 1, 0), Sl2Matrix(1, 1, 0, 1), Sl2Matrix(1, -1, 0, 1))
@@ -248,7 +249,7 @@ CONJUGATING_LETTERS = (Sl2Matrix(0, -1, 1, 0), Sl2Matrix(1, 1, 0, 1), Sl2Matrix(
 )
 def test_factor_cycle_roundtrips_under_random_conjugation(entries, letters):
     # P is a product of up to 8 letters S, T, T^-1
-    word = CycleWord(entries)
+    word = tuple(entries)
     p = product(*letters)
     oracle = cycle_product_oracle(entries)
     conj = conjugate(p, Sl2Matrix(*oracle[0], *oracle[1]))
@@ -265,9 +266,9 @@ def test_long_run_of_twos_before_the_period_is_not_counted():
     # P M(3) P^-1 with P = M(2)^r: the expansion opens with about r entries
     # 2, and the limit applies to the period (3) alone
     for r in (100_010, 10**30):
-        conj = conjugate(power_of_two_letter(r), cycle_monodromy(CycleWord((3,))))
-        assert factor_cycle(conj) == CycleWord((3,))
-    assert conjugate(power_of_two_letter(100_010), cycle_monodromy(CycleWord((3,)))) == (
+        conj = conjugate(power_of_two_letter(r), cycle_monodromy((3,)))
+        assert factor_cycle(conj) == (3,)
+    assert conjugate(power_of_two_letter(100_010), cycle_monodromy((3,))) == (
         Sl2Matrix(-10002000097, 10002100109, -10001900089, 10002000100)
     )
 
@@ -289,5 +290,5 @@ def test_factor_cycle_under_conjugation_by_long_runs_of_twos(entries, r, letters
     # P includes M(2)^r, so the expansion may open with up to about 10^6
     # entries 2 before the period
     p = product(*letters[:2], power_of_two_letter(r), *letters[2:])
-    conj = conjugate(p, cycle_monodromy(CycleWord(tuple(entries))))
-    assert factor_cycle(conj) == CycleWord(tuple(entries)).least_rotation()
+    conj = conjugate(p, cycle_monodromy(tuple(entries)))
+    assert factor_cycle(conj) == least_rotation(tuple(entries))

@@ -22,7 +22,6 @@ from singlink.linalg import (
     symmetric_signature,
     two_column_cokernel,
 )
-from singlink.sl2z import CycleWord
 from singlink.verify import verify_family
 
 from helpers import (
@@ -67,7 +66,7 @@ def test_non_integer_entries_are_refused():
     with pytest.raises(TypeError):
         two_column_cokernel(((Fraction(7, 2),),))
     with pytest.raises(TypeError):
-        euler_class(Cusp(CycleWord((2, 2, 3))), (0, 0, -1.7))
+        euler_class(Cusp((2, 2, 3)), (0, 0, -1.7))
     with pytest.raises(TypeError):
         AbelianGroup(0, (2.5,))
     with pytest.raises(TypeError):
@@ -104,7 +103,7 @@ def sparse_matrices(draw):
 @settings(max_examples=200)
 @given(sparse_matrices())
 @example(openbook_presentation(Elliptic(25)))
-@example(openbook_presentation(Cusp(CycleWord((3,) * 17))))
+@example(openbook_presentation(Cusp((3,) * 17)))
 def test_pivot_matches_markowitz_oracle(m):
     rows, cols = len(m), len(m[0])
     select = linalg._select_pivot
@@ -157,7 +156,7 @@ def _assert_matches_dense_oracle(m):
 @example(())
 @example(((), ()))
 @example(openbook_presentation(Elliptic(25)))
-@example(openbook_presentation(Cusp(CycleWord((3,) * 17))))
+@example(openbook_presentation(Cusp((3,) * 17)))
 def test_sparse_snf_matches_dense_oracle(m):
     _assert_matches_dense_oracle(m)
 
@@ -175,7 +174,7 @@ def test_sparse_snf_matches_dense_oracle_on_every_presentation():
     for n in range(1, 41):
         _assert_matches_dense_oracle(openbook_presentation(Elliptic(n)))
     for k in range(1, 25):
-        _assert_matches_dense_oracle(openbook_presentation(Cusp(CycleWord((3,) * k))))
+        _assert_matches_dense_oracle(openbook_presentation(Cusp((3,) * k)))
 
 
 # entries at most 32, yet v's entries grow to tens of thousands of bits
@@ -258,7 +257,7 @@ def test_sparse_snf_check_accepts_snf_and_rejects_one_change(m, data):
 
 
 def test_sparse_snf_check_rejects_every_changed_entry_of_diag():
-    for family in (Elliptic(25), Cusp(CycleWord((3,) * 17))):
+    for family in (Elliptic(25), Cusp((3,) * 17)):
         m = openbook_presentation(family)
         snf = smith_normal_form(m)
         assert dense_snf_check_oracle(m, snf) and _check_accepts(snf)
@@ -596,7 +595,7 @@ def test_signature_at_the_vertex_limit():
     # negative definite forms of plumbing.VERTEX_LIMIT vertices, and paths
     # with a zero diagonal, which take the x_p -> x_p + x_j step at every pivot
     for word in ((3,) * 1000, (3, 2) * 500):
-        q = intersection_matrix(Cusp(CycleWord(word)).graph())
+        q = intersection_matrix(Cusp(word).graph())
         assert symmetric_signature(q) == -1000, word[:2]
     for n in (1000, 1001):
         path = tuple(tuple(int(abs(i - j) == 1) for j in range(n)) for i in range(n))

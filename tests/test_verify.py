@@ -15,7 +15,6 @@ from singlink.families import Cusp, Elliptic, SizeLimitExceeded, UnsupportedPres
 from singlink.legendrian import check_rot_vector, rotation_range
 from singlink.linalg import AbelianGroup, SnfResult
 from singlink.plumbing import PlumbingGraph, intersection_matrix
-from singlink.sl2z import CycleWord
 from singlink.verify import (
     SUITE_MAX_ENTRY,
     SUITE_MAX_K,
@@ -92,8 +91,8 @@ def test_one_snf_per_pair_of_euler_classes(monkeypatch):
     monkeypatch.setattr(SnfResult, "reduce", lambda snf, v: replays.append(v) or reduce(snf, v))
     monkeypatch.setattr(SnfResult, "lift", lambda snf, v, w: lifts.append(v) or lift(snf, v, w))
     for family, signatures in (
-        (Cusp(CycleWord((2, 3, 4))), 0),
-        (Cusp(CycleWord((3,))), 0),
+        (Cusp((2, 3, 4)), 0),
+        (Cusp((3,)), 0),
         (Elliptic(3), 1),
     ):
         replays.clear()
@@ -118,7 +117,7 @@ def test_suite_pass_calls_no_determinant():
 
 
 def test_shifted_q_fails_the_det_identity(monkeypatch):
-    family = Cusp(CycleWord((2, 3, 4)))
+    family = Cusp((2, 3, 4))
     names = [name for name, _ in verify_family(family)]
     original = invariants.intersection_matrix
 
@@ -174,7 +173,7 @@ def test_verify_family_matches_reference_over_suite():
 
 def test_repeated_calls_run_the_same_snfs():
     # nothing is kept on the family object or in a module between calls
-    for family in (Cusp(CycleWord((2, 3, 4))), Elliptic(3)):
+    for family in (Cusp((2, 3, 4)), Elliptic(3)):
         counts = []
         for _ in range(2):
             with counted_snf() as calls:
@@ -199,7 +198,7 @@ def count_calls(monkeypatch, methods):
 
 
 def test_family_objects_built_by_one_verify_call(monkeypatch):
-    for cls, family in ((Cusp, Cusp(CycleWord((2, 3, 4)))), (Elliptic, Elliptic(3))):
+    for cls, family in ((Cusp, Cusp((2, 3, 4))), (Elliptic, Elliptic(3))):
         names = ("page_pieces", "monodromy", "graph")
         calls = count_calls(
             monkeypatch, [(cls, name) for name in names] + [(PlumbingGraph, "component_count")]
@@ -224,7 +223,7 @@ def test_c1_distinct_check_sees_a_repeat_and_a_swap(monkeypatch):
     # the check reads strictly increasing rot vectors in enumeration order,
     # so a repeated vector fails it, and so does a swapped pair, whose rot
     # vectors are still pairwise distinct
-    family = Cusp(CycleWord((2, 3, 4)))
+    family = Cusp((2, 3, 4))
     check = "c1 evaluations pairwise distinct"
     vectors = list(legendrian.filling_rot_vectors(family))
     assert dict(verify_family(family))[check]
@@ -284,10 +283,10 @@ def test_filling_pass_matches_oracles_on_mixed_diagrams():
     # the two extremes; a zero-budget slot (n = 2) has -s = +s, so its
     # vectors repeat, and the reversed order decreases
     families = (
-        Cusp(CycleWord((3, 4, 5))),
-        Cusp(CycleWord((2, 3, 2, 6))),
-        Cusp(CycleWord((4,))),
-        Cusp(CycleWord((3, 3, 3, 3, 3))),
+        Cusp((3, 4, 5)),
+        Cusp((2, 3, 2, 6)),
+        Cusp((4,)),
+        Cusp((3, 3, 3, 3, 3)),
         Elliptic(4),
     )
     for family in families:
@@ -308,7 +307,7 @@ cusp_words = st.lists(st.integers(2, 6), min_size=1, max_size=6).filter(lambda w
 @settings(max_examples=40, deadline=None)
 @given(cusp_words)
 def test_filling_pass_matches_oracles_on_cusp_words(word):
-    family = Cusp(CycleWord(word))
+    family = Cusp(word)
     vectors = legendrian.enumerate_stein_fillings(family)
     assert_pass_matches_oracles(family, vectors, legendrian.filling_rot_vectors(family))
 
@@ -364,7 +363,7 @@ def failed_checks(family):
 
 @pytest.mark.parametrize("mutation", sorted(ENUMERATION_MUTATIONS))
 def test_broken_enumeration_fails_exactly_its_checks(monkeypatch, mutation):
-    family = Cusp(CycleWord((3, 4, 5)))
+    family = Cusp((3, 4, 5))
     names = [name for name, _ in verify_family(family)]
     assert failed_checks(family) == set()
     mutate, failing = ENUMERATION_MUTATIONS[mutation]
@@ -381,7 +380,7 @@ def test_broken_enumeration_fails_exactly_its_checks(monkeypatch, mutation):
 
 
 def test_shifted_adjunction_formula_fails_uniqueness(monkeypatch):
-    family = Cusp(CycleWord((3, 4, 5)))
+    family = Cusp((3, 4, 5))
     original = legendrian.adjunction_vector
 
     def shifted(slots):
@@ -410,7 +409,7 @@ H1_LEGS = {
 def test_each_h1_leg_can_fail_the_agreement(monkeypatch, capsys, leg):
     # one wrong group among the three fails the agreement in verify, in the
     # inv JSON and in the inv text, and fails nothing else
-    families = (Cusp(CycleWord((2, 3, 4))), Elliptic(3))
+    families = (Cusp((2, 3, 4)), Elliptic(3))
     assert all(failed_checks(family) == set() for family in families)
     assert main(["inv", "--cusp", "2,3,4"]) == 0
     assert "agreement: yes" in capsys.readouterr().out.splitlines()
@@ -438,7 +437,7 @@ def test_a_nonzero_canonical_euler_class_fails_its_check(monkeypatch, capsys):
         return tuple((2, y) for _, y in euler_classes(self, rot_vectors))
 
     monkeypatch.setattr(invariants.FamilyReduction, "euler_classes", order_two)
-    for family in (Cusp(CycleWord((2, 3, 4))), Elliptic(3)):
+    for family in (Cusp((2, 3, 4)), Elliptic(3)):
         assert failed_checks(family) == {"euler class of the canonical structure vanishes"}
     assert main(["inv", "--cusp", "2,3,4", "--json"]) == 0
     out = capsys.readouterr().out
@@ -461,9 +460,9 @@ def test_every_diagram_of_one_verify_call_is_checked(monkeypatch):
     rot_vectors = legendrian.filling_rot_vectors
     canonical_filling = legendrian.canonical_filling
     for family, count in (
-        (Cusp(CycleWord((3, 4, 5))), _diagram_count((3, 4, 5))),
+        (Cusp((3, 4, 5)), _diagram_count((3, 4, 5))),
         (Elliptic(3), 3 + 1),
-        (Cusp(CycleWord((2, 3))), _diagram_count((2, 3))),
+        (Cusp((2, 3)), _diagram_count((2, 3))),
     ):
         streamed, built = [], []
 
