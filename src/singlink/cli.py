@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     try:
         request = parse_args(args)
     except SystemExit as exc:  # argparse already printed the diagnostic
-        return exc.code if isinstance(exc.code, int) else EXIT_INVALID
+        return exc.code
     try:
         code, payload = run(request)
     except UnsupportedPresentation as exc:

@@ -217,13 +217,18 @@ def invariants_report(
     signs: the three H_1 groups and whether they agree, the Euler classes
     and the d3 values (None for a cusp), as JSON or as lines.  With
     ``only`` "euler" or "d3", that one JSON value alone, keyed by sign
-    unless a sign is given; ``only="d3"`` needs a family that
-    ``families.check_d3_supported`` accepts.
+    unless a sign is given; ``only="d3"`` refuses, before anything is
+    built, a family that ``families.check_d3_supported`` refuses, and any
+    other ``only`` raises ValueError.
 
     >>> from singlink.families import Elliptic
     >>> invariants_report(Elliptic(1), "min", "d3")
     {'num': 1, 'den': 2}
     """
+    if only not in (None, "euler", "d3"):
+        raise ValueError(f'only must be None, "euler" or "d3", got {only!r}')
+    if only == "d3":
+        check_d3_supported(family)
     signs = (sign,) if sign else ("min", "max")
     slots = family.handle_slots()
     rots = [canonical_filling(slots, s) for s in signs]

@@ -12,8 +12,9 @@ The open book is no object: every function here takes the family and
 reads the page off ``family.page_pieces()``, the homology of the total
 space in one pass over the pieces.  A boundary is labeled (i, j), pieces
 numbered from 1, and a twist curve is the pair ("delta", i) or ("gamma",
-(i, j)).  Curves are modeled through their classes in the first homology
-of the page together with the intersection form; that is enough for the
+(i, j)), so the labels, in order, are the gamma entries of ``twist_word``.
+Curves are modeled through their classes in the first homology of the
+page together with the intersection form; that is enough for the
 monodromy action.  ``curve_homology_classes`` returns the page basis and
 those classes as plain values: the basis names and two dicts of int
 tuples.  ``openbook_report`` writes the ``openbook`` subcommand's output.
@@ -27,7 +28,6 @@ __all__ = [
     "BOUNDARY_LIMIT",
     "PAGE_GENUS",
     "BoundaryLabel",
-    "boundary_labels",
     "twist_word",
     "curve_names",
     "openbook_report",
@@ -66,11 +66,6 @@ def _word(deltas: int, pieces: tuple[int, ...]) -> list[tuple[str, int | Boundar
     """The twist word: ("delta", i) for each delta, then ("gamma", (i, j))
     for the j-th boundary on piece i, in label order."""
     return [("delta", i) for i in range(deltas)] + [("gamma", lb) for lb in _labels(pieces)]
-
-
-def boundary_labels(family: Family) -> tuple[BoundaryLabel, ...]:
-    """The labels of the page's boundaries, in order."""
-    return tuple(_labels(_page(family)[1]))
 
 
 def twist_word(family: Family) -> tuple[tuple[str, int | BoundaryLabel], ...]:

@@ -5,9 +5,9 @@ The cusp normal form used throughout the package is the product
     A(n_1, ..., n_k) = M(n_1) * ... * M(n_k),   M(n) = [[n, -1], [1, 0]].
 
 A cycle word is a plain tuple of ints, which ``cycle_word`` validates.
-Every valid cycle word (all entries >= 2 with at least one >= 3, or a
-single entry >= 3) multiplies out to a hyperbolic matrix of trace >= 3,
-and ``factor_cycle`` inverts the construction up to cyclic rotation,
+Every valid cycle word (all entries >= 2 with at least one >= 3, at any
+length) multiplies out to a hyperbolic matrix of trace >= 3, and
+``factor_cycle`` inverts the construction up to cyclic rotation,
 returning the word's ``least_rotation``.  A matrix classifies itself by
 its trace, through ``Sl2Matrix.kind``.
 """
@@ -93,8 +93,8 @@ class Sl2Matrix(Record):
 
 def cycle_word(entries) -> tuple[int, ...]:
     """The cycle word (n_1, ..., n_k) parameterizing a cusp monodromy, as a
-    tuple of ints; refused unless every n_i >= 2 with some n_i >= 3 when
-    k > 1, and n_1 >= 3 when k = 1.
+    tuple of ints; refused unless it is nonempty, every n_i >= 2 and some
+    n_i >= 3.  For k = 1 that is n_1 >= 3.
 
     >>> cycle_word([2, 3])
     (2, 3)
@@ -102,10 +102,7 @@ def cycle_word(entries) -> tuple[int, ...]:
     entries = tuple(map(index, entries))
     if not entries:
         raise ValueError(f"invalid cycle word {entries}: word must be nonempty")
-    if len(entries) == 1:
-        if entries[0] < 3:
-            raise ValueError(f"invalid cycle word {entries}: {CYCLE_WORD_RULE}")
-    elif min(entries) < 2 or max(entries) < 3:
+    if min(entries) < 2 or max(entries) < 3:
         raise ValueError(f"invalid cycle word {entries}: {CYCLE_WORD_RULE}")
     return entries
 
@@ -195,12 +192,11 @@ def _periodic_expansion(matrix: Sl2Matrix) -> tuple[int, ...]:
     """
     disc = matrix.trace**2 - 4
     root = isqrt(disc)
-    if root * root == disc or matrix.c == 0:
-        # trace >= 3 rules both out; guards hand-built inputs
-        raise NoFactorization(f"{matrix} has no cycle factorization")
     p, q = matrix.a - matrix.d, 2 * matrix.c
-    if (p * p - disc) % q:  # q | p^2 - D here makes it hold at every later state
-        raise NoFactorization(f"expansion of {matrix} left the quadratic lattice")
+    # factor_cycle refuses trace t < 3 first, so c != 0 (c = 0 forces t = +-2)
+    # and D is no square ((t - s)(t + s) = 4 has no solution); and by ad - bc = 1,
+    # p^2 - D = (a - d)^2 - (a + d)^2 + 4 = -4bc = q * (-2b), a divisibility
+    # the recursion keeps at every later state, so _blocks divides exactly
     blocks = _blocks(p, q, disc, root)
     reduced = False
     while not reduced:  # the block after the first reduced state ends on the period's path

@@ -363,7 +363,7 @@ def verify_family_reference(family):
         (
             "open book page data",
             openbook.PAGE_GENUS == 1
-            and len(openbook.boundary_labels(family)) == boundaries
+            and len(page_labels(family)) == boundaries
             and len(twists) == word_len,
         )
     )
@@ -534,6 +534,13 @@ def is_canonical_oracle(family, rots):
     )
 
 
+def page_labels(family):
+    """(i, j) for the j-th boundary on piece i, pieces numbered from 1,
+    built from ``family.page_pieces()`` and not read off ``openbook``."""
+    _, pieces = family.page_pieces()
+    return [(i, j) for i, b in enumerate(pieces, start=1) for j in range(1, b + 1)]
+
+
 def section_corrections_oracle(family, curve_classes, boundary_classes):
     """Homology corrections relating boundary sections to the base section,
     as dense page vectors over the basis of ``curve_homology_classes``,
@@ -546,7 +553,7 @@ def section_corrections_oracle(family, curve_classes, boundary_classes):
     twists at L.  The correction is the signed sum of the corresponding
     curve classes; the meridian relation at L is t + correction = 0.
     """
-    labels = openbook.boundary_labels(family)
+    labels = page_labels(family)
     base = labels[0]
     word = openbook.twist_word(family)
     delta_cls = {c[1]: curve_classes[c] for c in word if c[0] == "delta"}
@@ -593,7 +600,7 @@ def openbook_presentation(family):
     for Elliptic(1000) and 0.5 s for (3,)^1000 (best of 3, Python 3.11).
     """
     rank, relations, corrections = _page_relations(family)
-    relations.extend(corrections[label] for label in openbook.boundary_labels(family)[1:])
+    relations.extend(corrections[label] for label in page_labels(family)[1:])
     return tuple(tuple(col[i] for col in relations) for i in range(rank))
 
 
@@ -611,7 +618,7 @@ def substituted_presentation_oracle(family):
     and 1 s for (3,)^1000, where ``openbook_homology`` takes 0.01 and 1 ms.
     """
     rank, relations, corrections = _page_relations(family)
-    labels = openbook.boundary_labels(family)
+    labels = page_labels(family)
     if len(labels) > 1:
         relations.append(corrections[labels[-1]])
     # images[r][g]: coefficient of kept generator r in the image of generator g

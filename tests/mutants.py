@@ -117,6 +117,22 @@ MUTANTS = [
         ["tests/test_smith.py"],
     ),
     (
+        "SNF pivot ties of equal Markowitz count taken column-first",
+        "src/singlink/linalg.py",
+        "    return min([((len(a[i]) - 1) * (col_count[j] - 1), i, j) for i, j in ties])[1:]\n",
+        "    _, j, i = min([((len(a[i]) - 1) * (col_count[j] - 1), j, i) for i, j in ties])\n"
+        "    return i, j\n",
+        ["tests/test_smith.py"],
+    ),
+    (
+        "SNF pivot ties of equal Markowitz count taken from the highest row",
+        "src/singlink/linalg.py",
+        "    return min([((len(a[i]) - 1) * (col_count[j] - 1), i, j) for i, j in ties])[1:]\n",
+        "    _, i, j = min([((len(a[i]) - 1) * (col_count[j] - 1), -i, j) for i, j in ties])\n"
+        "    return -i, j\n",
+        ["tests/test_smith.py"],
+    ),
+    (
         "two-column cokernel takes the minors' gcd as d2",
         "src/singlink/linalg.py",
         "minors // d1 if minors",
@@ -224,6 +240,13 @@ MUTANTS = [
         ["tests/test_cli.py"],
     ),
     (
+        "invariants_report reads a cusp's missing d3",
+        "src/singlink/invariants.py",
+        '    if only == "d3":\n        check_d3_supported(family)\n',
+        "",
+        ["tests/test_invariants.py"],
+    ),
+    (
         "the d3 refusal refuses the supported families",
         "src/singlink/families.py",
         "if not family.d3_supported:",
@@ -268,8 +291,8 @@ MUTANTS = [
     (
         "a cycle word of one entry 2 is accepted",
         "src/singlink/sl2z.py",
-        "if entries[0] < 3:",
-        "if entries[0] < 2:",
+        "max(entries) < 3",
+        "max(entries) < 2",
         ["tests/test_sl2z.py"],
     ),
     (

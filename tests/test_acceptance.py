@@ -17,7 +17,7 @@ from singlink.legendrian import (
     is_canonical,
 )
 from singlink.linalg import determinant, dot, smith_normal_form, solve_rational
-from singlink.openbook import PAGE_GENUS, boundary_labels, twist_word
+from singlink.openbook import PAGE_GENUS, twist_word
 from singlink.plumbing import intersection_matrix
 from singlink.sl2z import cycle_monodromy, cyclic_equal, factor_cycle
 
@@ -70,12 +70,14 @@ def test_criterion_04_openbook_data():
             family = Cusp(word)
             boundaries = sum(n - 2 for n in word)
             assert PAGE_GENUS == 1
-            assert family.boundary_count == len(boundary_labels(family)) == boundaries
+            gammas = [label for kind, label in twist_word(family) if kind == "gamma"]
+            assert family.boundary_count == len(gammas) == boundaries
             assert len(twist_word(family)) == len(word) + boundaries
         for n in range(1, 11):
             family = Elliptic(n)
             assert PAGE_GENUS == 1
-            assert family.boundary_count == len(boundary_labels(family)) == n
+            gammas = [label for kind, label in twist_word(family) if kind == "gamma"]
+            assert family.boundary_count == len(gammas) == n
             assert len(twist_word(family)) == n
 
 

@@ -416,6 +416,29 @@ def test_d3_invariant_refuses_a_cusp_before_reducing_q():
     assert calls == []
 
 
+def test_invariants_report_refuses_a_cusp_d3_before_reducing_q():
+    # the library call refuses as d3_invariant does, with a sign or without,
+    # and the cusp's Euler classes and full report still answer
+    family = Cusp((2, 3, 4))
+    message = "d3 of cusp(2,3,4) waits for the resolution-graph cross-check"
+    with counted_snf() as calls:
+        for sign in ("min", "max", None):
+            with pytest.raises(UnsupportedPresentation) as raised:
+                invariants.invariants_report(family, sign, "d3")
+            assert str(raised.value) == message
+    assert calls == []
+    assert invariants.invariants_report(family, "min", "euler")["order"] == 1
+    assert invariants.invariants_report(family, as_json=True)["d3"] is None
+
+
+def test_invariants_report_refuses_an_unknown_only():
+    # only None, "euler" and "d3" name a report; nothing else is read as "d3"
+    # or as the full report
+    for only in ("", "D3", "d", "euler ", "homology", 0):
+        with pytest.raises(ValueError, match='only must be None, "euler" or "d3"'):
+            invariants.invariants_report(Elliptic(3), "min", only)
+
+
 def test_d3_of_a_nonzero_class_replays_the_log_once(monkeypatch):
     # d3 reads the order and solution the Euler class already holds, so a
     # nonzero torsion class costs one replay of Q's row log, not a second

@@ -14,7 +14,6 @@ from singlink.invariants import FamilyReduction
 from singlink.linalg import AbelianGroup, dot, matmul, smith_normal_form
 from singlink.openbook import (
     PAGE_GENUS,
-    boundary_labels,
     curve_homology_classes,
     curve_names,
     homological_monodromy_action,
@@ -31,10 +30,16 @@ from helpers import (
     cycle_product_oracle,
     openbook_presentation,
     page_intersection_form,
+    page_labels,
     substituted_presentation_oracle,
     suite_families,
     transvection_product_oracle,
 )
+
+
+def gamma_labels(family):
+    """The boundary labels, in order: the gamma entries of the twist word."""
+    return [label for kind, label in twist_word(family) if kind == "gamma"]
 
 
 def test_elliptic_openbook_page_data():
@@ -42,7 +47,6 @@ def test_elliptic_openbook_page_data():
     assert PAGE_GENUS == 1
     assert family.boundary_count == 3
     assert twist_word(family) == (("gamma", (1, 1)), ("gamma", (1, 2)), ("gamma", (1, 3)))
-    assert boundary_labels(family) == ((1, 1), (1, 2), (1, 3))
 
     assert Elliptic(1).boundary_count == 1 and len(twist_word(Elliptic(1))) == 1
 
@@ -54,10 +58,10 @@ def test_description_is_read_off_the_family():
     # the open book is a function of the family: equal families, built
     # either way, give the same page, and nothing else stands in for one
     word = (2, 3, 4)
-    for read in (twist_word, boundary_labels, curve_names):
+    for read in (twist_word, gamma_labels, curve_names):
         assert read(Cusp(word)) == read(Cusp([2, 3, 4])) == read(Cusp(iter(word)))
         assert read(Elliptic(3)) == read(Elliptic(3))
-    assert boundary_labels(Cusp(word)) == ((2, 1), (3, 1), (3, 2))
+    assert gamma_labels(Cusp(word)) == [(2, 1), (3, 1), (3, 2)]
     with pytest.raises(AttributeError):
         twist_word((1, (1,), (("gamma", (1, 1)),)))
 
@@ -65,7 +69,7 @@ def test_description_is_read_off_the_family():
 def test_elliptic_page_euler_characteristic():
     for n in range(1, 8):
         assert 2 - 2 * PAGE_GENUS - Elliptic(n).boundary_count == -n
-        assert 2 - 2 * PAGE_GENUS - len(boundary_labels(Elliptic(n))) == -n
+        assert 2 - 2 * PAGE_GENUS - len(gamma_labels(Elliptic(n))) == -n
 
 
 def test_cusp_openbook_words():
@@ -91,10 +95,10 @@ def test_page_data_over_suite():
         book = twist_word(family)
         assert PAGE_GENUS == 1
         assert family.boundary_count == boundaries
-        assert len(boundary_labels(family)) == boundaries
+        assert len(gamma_labels(family)) == boundaries
         assert len(book) == len(word) + boundaries
         gammas = Counter(label for kind, label in book if kind == "gamma")
-        assert gammas == {label: 1 for label in boundary_labels(family)}
+        assert gammas == {label: 1 for label in page_labels(family)}
         assert all(kind == "delta" for kind, _ in book[: len(word)])
 
 
@@ -256,8 +260,8 @@ def test_openbook_names_are_read_off_the_word(entries):
     greek = [name.replace("delta", "δ").replace("gamma", "γ").replace("_", ",") for name in names]
     assert text == "·".join(f"D({name})" for name in greek)
     family = Elliptic(entries) if isinstance(entries, int) else Cusp(tuple(entries))
-    assert list(boundary_labels(family)) == labels_from_the_word(entries)
-    assert len(boundary_labels(family)) == family.boundary_count
+    assert gamma_labels(family) == labels_from_the_word(entries)
+    assert len(gamma_labels(family)) == family.boundary_count
 
 
 def test_openbook_homology_fixed():
@@ -311,13 +315,13 @@ def test_large_open_books_reduce():
 
 
 def forbid_the_page(monkeypatch):
-    """Make reading the boundary labels or the twist word, or building any
+    """Make reading the twist word or the curve names, or building any
     label list, raise AssertionError."""
 
     def build_page(*args):
         raise AssertionError("a page was built")
 
-    for name in ("_labels", "boundary_labels", "twist_word", "curve_names"):
+    for name in ("_labels", "twist_word", "curve_names"):
         monkeypatch.setattr(openbook, name, build_page)
 
 
@@ -414,7 +418,7 @@ def test_every_twist_order_gives_the_closed_form():
 def test_boundary_limit_is_checked_before_the_page(monkeypatch):
     monkeypatch.setattr(openbook, "BOUNDARY_LIMIT", 3)
     assert len(twist_word(Cusp((3, 4)))) == 5
-    assert len(boundary_labels(Elliptic(3))) == 3
+    assert len(gamma_labels(Elliptic(3))) == 3
     # every reader of the page refuses the family on its boundary_count,
     # before any piece, label or twist is built, and so does the command
     for cls in (Cusp, Elliptic):
@@ -424,7 +428,6 @@ def test_boundary_limit_is_checked_before_the_page(monkeypatch):
     forbid_the_page(monkeypatch)
     readers = (
         twist_word,
-        boundary_labels,
         curve_names,
         curve_homology_classes,
         homological_monodromy_action,
